@@ -102,105 +102,29 @@ func PoissonRegression(reg float64) ModelSpec { return models.PoissonRegression{
 // 10).
 func PPCA(factors int) ModelSpec { return models.NewPPCA(factors) }
 
-// Model is a trained (approximate or full) model.
-type Model struct {
-	// Spec is the model class this model belongs to.
-	Spec ModelSpec
-	// Theta is the flattened parameter vector.
-	Theta []float64
-	// SampleSize is the number of training rows actually used.
-	SampleSize int
-	// PoolSize is N, the rows the full model would have used.
-	PoolSize int
-	// EstimatedEpsilon bounds v(m_n) with probability ≥ 1−δ (0 for a full
-	// model).
-	EstimatedEpsilon float64
-	// UsedInitialModel reports whether the initial n₀-row model already met
-	// the contract (§2.3: at most two models are ever trained).
-	UsedInitialModel bool
-	// Diag breaks down where the time went (Figure 8a phases).
-	Diag core.Diagnostics
-}
-
-// Predict returns the model's prediction for x: a class index for
-// classifiers, a real value for regressors.
-func (m *Model) Predict(x Row) float64 { return m.Spec.Predict(m.Theta, x) }
-
-// Accuracy returns the fraction of rows in ds the model labels correctly
-// (classification tasks).
-func (m *Model) Accuracy(ds *Dataset) float64 { return models.Accuracy(m.Spec, m.Theta, ds) }
-
-// GeneralizationError returns the test error (misclassification rate or
-// normalized RMSE).
-func (m *Model) GeneralizationError(ds *Dataset) float64 {
-	return models.GeneralizationError(m.Spec, m.Theta, ds)
-}
-
-// Diff returns the empirical model difference v between m and other on a
-// holdout set (the metric the (ε, δ) contract bounds).
-func (m *Model) Diff(other *Model, holdout *Dataset) float64 {
-	return models.Diff(m.Spec, m.Theta, other.Theta, holdout)
-}
+// Model is a trained (approximate or full) model: spec, parameters θ, the
+// data dimension, and the accuracy contract it was trained under
+// (SampleSize of PoolSize rows, EstimatedEpsilon, UsedInitialModel, the
+// phase diagnostics), with Predict, Accuracy, GeneralizationError and Diff
+// methods. It is the same record the registry persists and the serving
+// layer answers from — see modelio.Model for per-field documentation.
+type Model = modelio.Model
 
 // EncodeModel writes m to w in the versioned blinkml-model JSON format:
 // spec (including derived quantities such as PPCA's σ²), parameters, and
 // contract metadata round-trip exactly, so a decoded model predicts
 // identically. This is the format the serving layer's registry persists.
-func EncodeModel(w io.Writer, m *Model) error {
-	return modelio.Encode(w, &modelio.Model{
-		Spec:             m.Spec,
-		Theta:            m.Theta,
-		SampleSize:       m.SampleSize,
-		PoolSize:         m.PoolSize,
-		EstimatedEpsilon: m.EstimatedEpsilon,
-		UsedInitialModel: m.UsedInitialModel,
-		Diag:             m.Diag,
-	})
-}
+func EncodeModel(w io.Writer, m *Model) error { return modelio.Encode(w, m) }
 
 // DecodeModel reads a model written by EncodeModel.
-func DecodeModel(r io.Reader) (*Model, error) {
-	rec, err := modelio.Decode(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Model{
-		Spec:             rec.Spec,
-		Theta:            rec.Theta,
-		SampleSize:       rec.SampleSize,
-		PoolSize:         rec.PoolSize,
-		EstimatedEpsilon: rec.EstimatedEpsilon,
-		UsedInitialModel: rec.UsedInitialModel,
-		Diag:             rec.Diag,
-	}, nil
-}
+func DecodeModel(r io.Reader) (*Model, error) { return modelio.Decode(r) }
 
 // Train runs the BlinkML workflow: train an initial model on a small
 // sample, estimate its accuracy against the unknown full model, and — only
 // if needed — train one more model on an automatically sized sample that
 // meets the (ε, δ) contract.
 func Train(spec ModelSpec, ds *Dataset, cfg Config) (*Model, error) {
-	return TrainContext(context.Background(), spec, ds, cfg)
-}
-
-// TrainContext is Train with cancellation: ctx is checked at every phase
-// boundary and between optimizer iterations, so cancelling it stops the
-// training promptly with ctx.Err() (wrapped). This is what makes killed
-// server-side training jobs cheap.
-func TrainContext(ctx context.Context, spec ModelSpec, ds *Dataset, cfg Config) (*Model, error) {
-	res, err := core.TrainContext(ctx, spec, ds, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Model{
-		Spec:             spec,
-		Theta:            res.Theta,
-		SampleSize:       res.SampleSize,
-		PoolSize:         res.PoolSize,
-		EstimatedEpsilon: res.EstimatedEpsilon,
-		UsedInitialModel: res.UsedInitialModel,
-		Diag:             res.Diag,
-	}, nil
+	return TrainSource(context.Background(), spec, ds, cfg)
 }
 
 // TrainFull trains on the entire training pool — the traditional path
@@ -217,6 +141,7 @@ func TrainFull(spec ModelSpec, ds *Dataset, cfg Config) (*Model, error) {
 	return &Model{
 		Spec:       spec,
 		Theta:      res.Theta,
+		Dim:        ds.Dim,
 		SampleSize: env.PoolLen(),
 		PoolSize:   env.PoolLen(),
 	}, nil
@@ -257,36 +182,26 @@ type TuneResult struct {
 	Elapsed time.Duration
 }
 
-// Tune searches space over ds: every candidate trains on the same shared
-// split under cfg.Train's (ε, δ) contract, on a bounded worker pool, with
-// optional successive-halving pruning (cfg.Halving). Cancelling ctx stops
-// the search promptly — queued candidates are never started and running
-// ones stop between optimizer iterations.
-func Tune(ctx context.Context, space TuneSpace, ds *Dataset, cfg TuneConfig) (*TuneResult, error) {
-	res, err := tune.Run(ctx, space, ds, cfg)
+// Tune searches space over src — an in-memory *Dataset or any other
+// DataSource, in which case the whole search (rung subsamples and contract
+// trainings) materializes only the rows it touches. Every candidate trains
+// on the same shared split under cfg.Train's (ε, δ) contract, on a bounded
+// worker pool, with optional successive-halving pruning (cfg.Halving).
+// Cancelling ctx stops the search promptly — queued candidates are never
+// started and running ones stop between optimizer iterations.
+func Tune(ctx context.Context, space TuneSpace, src DataSource, cfg TuneConfig) (*TuneResult, error) {
+	res, err := tune.RunSource(ctx, space, src, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return newTuneResult(res), nil
-}
-
-func newTuneResult(res *tune.Result) *TuneResult {
 	return &TuneResult{
-		Best: &Model{
-			Spec:             res.Best.Spec,
-			Theta:            res.Best.Theta,
-			SampleSize:       res.Best.SampleSize,
-			PoolSize:         res.Best.PoolSize,
-			EstimatedEpsilon: res.Best.EstimatedEpsilon,
-			UsedInitialModel: res.Best.UsedInitialModel,
-			Diag:             res.Best.Diag,
-		},
+		Best:        res.Best,
 		Leaderboard: res.Entries,
 		Evaluated:   res.Evaluated,
 		Pruned:      res.Pruned,
 		PoolSize:    res.PoolSize,
 		Elapsed:     res.Elapsed,
-	}
+	}, nil
 }
 
 // Env exposes the shared train/holdout/test split for workflows that
@@ -294,8 +209,8 @@ func newTuneResult(res *tune.Result) *TuneResult {
 // evaluation does).
 type Env = core.Env
 
-// NewEnv prepares a split environment; TrainApprox/TrainFull on the same
-// Env are directly comparable.
+// NewEnv prepares a split environment; TrainApproxContext/TrainFull on the
+// same Env are directly comparable.
 func NewEnv(ds *Dataset, cfg Config) *Env { return core.NewEnv(ds, cfg) }
 
 // DataSource is random access to rows that may live out of memory: an
@@ -315,33 +230,16 @@ func NewEnvFromSource(src DataSource, cfg Config) (*Env, error) {
 	return core.NewEnvFromSource(src, cfg)
 }
 
-// TrainSource is Train over any DataSource (see TrainContext for the
-// cancellation behavior).
+// TrainSource is Train over any DataSource, with cancellation: ctx is
+// checked at every phase boundary and between optimizer iterations, so
+// cancelling it stops the training promptly with ctx.Err() (wrapped). This
+// is what makes killed server-side training jobs cheap.
 func TrainSource(ctx context.Context, spec ModelSpec, src DataSource, cfg Config) (*Model, error) {
 	res, err := core.TrainSourceContext(ctx, spec, src, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Model{
-		Spec:             spec,
-		Theta:            res.Theta,
-		SampleSize:       res.SampleSize,
-		PoolSize:         res.PoolSize,
-		EstimatedEpsilon: res.EstimatedEpsilon,
-		UsedInitialModel: res.UsedInitialModel,
-		Diag:             res.Diag,
-	}, nil
-}
-
-// TuneSource is Tune over any DataSource: the whole search — rung
-// subsamples and contract trainings — materializes only the rows it
-// touches.
-func TuneSource(ctx context.Context, space TuneSpace, src DataSource, cfg TuneConfig) (*TuneResult, error) {
-	res, err := tune.RunSource(ctx, space, src, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return newTuneResult(res), nil
+	return modelio.FromResult(spec, src.Meta().Dim, res), nil
 }
 
 // SyntheticDataset generates one of the paper-shaped synthetic workloads:

@@ -1,9 +1,13 @@
 package blinkml
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"testing"
+
+	"blinkml/internal/modelio"
+	"blinkml/internal/serve"
 )
 
 // TestPublicAPITune drives the hyperparameter-search subsystem through the
@@ -153,5 +157,41 @@ func TestPublicAPIGeneralizationError(t *testing.T) {
 	ge := m.GeneralizationError(env.Test())
 	if ge < 0 || ge > 1 {
 		t.Fatalf("generalization error %v out of range", ge)
+	}
+}
+
+// TestEncodeModelCarriesDim: a max-entropy model trained with the class
+// count inferred from the data (Classes: 0) has no way to recover the
+// feature dimension from spec and θ alone, so the encoded model must carry
+// the dimension it was trained at — a registry loading the file validates
+// every predict row against it.
+func TestEncodeModelCarriesDim(t *testing.T) {
+	ds, err := SyntheticDataset("mnist", 3000, 16, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Train(MaxEntropy(0, 0.001), ds, Config{Epsilon: 0.2, Seed: 2, InitialSampleSize: 300, K: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := EncodeModel(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := modelio.Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Dim != ds.Dim {
+		t.Fatalf("decoded dim %d, want the data dimension %d", rec.Dim, ds.Dim)
+	}
+	row := make([]float64, ds.Dim)
+	ds.X[0].AddTo(row, 1)
+	req := serve.PredictRequest{Rows: [][]float64{row}}
+	if err := req.Validate(rec.Dim); err != nil {
+		t.Fatalf("a data row is rejected against the decoded model: %v", err)
+	}
+	if got, want := rec.Predict(DenseRow(row)), m.Predict(ds.X[0]); got != want {
+		t.Fatalf("decoded model predicts %v, trained model %v", got, want)
 	}
 }

@@ -131,7 +131,7 @@ func run(ctx context.Context, c config) error {
 		fmt.Printf("contract per candidate: accuracy >= %.4g%% with probability >= %.4g%%\n",
 			100*(1-c.epsilon), 100*(1-c.delta))
 	}
-	res, err := blinkml.TuneSource(ctx, space, src, cfg)
+	res, err := blinkml.Tune(ctx, space, src, cfg)
 	if err != nil {
 		return err
 	}

@@ -21,7 +21,6 @@ import (
 
 	"blinkml"
 	"blinkml/internal/compute"
-	"blinkml/internal/modelio"
 	"blinkml/internal/obs"
 	"blinkml/internal/serve"
 	"blinkml/internal/store"
@@ -132,21 +131,14 @@ func run(modelName, dataName, storeDir, datasetID string, rows, dim int, accurac
 	}
 
 	if jsonOut {
-		sj, err := modelio.SpecToJSON(model.Spec)
+		info, err := serve.NewModelInfo("", model)
 		if err != nil {
 			return err
 		}
 		report := serve.RunReport{
-			Dataset:  serve.DatasetInfo{Name: meta.Name, Rows: meta.Rows, Dim: meta.Dim},
-			Contract: serve.Contract{Epsilon: cfg.Epsilon, Delta: delta},
-			Model: serve.ModelInfo{
-				Spec:             sj,
-				Dim:              meta.Dim,
-				SampleSize:       model.SampleSize,
-				PoolSize:         model.PoolSize,
-				EstimatedEpsilon: model.EstimatedEpsilon,
-				UsedInitialModel: model.UsedInitialModel,
-			},
+			Dataset:   serve.DatasetInfo{Name: meta.Name, Rows: meta.Rows, Dim: meta.Dim},
+			Contract:  serve.Contract{Epsilon: cfg.Epsilon, Delta: delta},
+			Model:     info,
 			Phases:    serve.NewPhaseBreakdown(d),
 			Full:      full,
 			Resources: ledger.Snapshot(),

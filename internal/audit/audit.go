@@ -15,65 +15,7 @@ import (
 	"blinkml/internal/core"
 	"blinkml/internal/modelio"
 	"blinkml/internal/obs"
-	"blinkml/internal/optimize"
 )
-
-// Options is the JSON-safe mirror of the core.Options a job trained with,
-// captured after WithDefaults so a replay rebuilds the identical
-// environment (split seeds, holdout size, optimizer budget) even if the
-// server's defaults change later. core.Options itself is not recorded
-// directly because its optimizer carries callback fields.
-type Options struct {
-	Epsilon           float64 `json:"epsilon"`
-	Delta             float64 `json:"delta"`
-	K                 int     `json:"k"`
-	Method            int     `json:"method"`
-	Seed              int64   `json:"seed"`
-	InitialSampleSize int     `json:"initial_sample_size"`
-	MinSampleSize     int     `json:"min_sample_size,omitempty"`
-	HoldoutFraction   float64 `json:"holdout_fraction"`
-	MaxHoldout        int     `json:"max_holdout"`
-	TestFraction      float64 `json:"test_fraction,omitempty"`
-	WarmStart         bool    `json:"warm_start,omitempty"`
-	MaxIters          int     `json:"max_iters,omitempty"`
-}
-
-// FromCore captures the replay-relevant fields of o. Callers pass
-// o.WithDefaults() so the record holds resolved values, not zeros.
-func FromCore(o core.Options) Options {
-	return Options{
-		Epsilon:           o.Epsilon,
-		Delta:             o.Delta,
-		K:                 o.K,
-		Method:            int(o.Method),
-		Seed:              o.Seed,
-		InitialSampleSize: o.InitialSampleSize,
-		MinSampleSize:     o.MinSampleSize,
-		HoldoutFraction:   o.HoldoutFraction,
-		MaxHoldout:        o.MaxHoldout,
-		TestFraction:      o.TestFraction,
-		WarmStart:         o.WarmStart,
-		MaxIters:          o.Optimizer.MaxIters,
-	}
-}
-
-// Core reconstructs the training options for a replay.
-func (o Options) Core() core.Options {
-	return core.Options{
-		Epsilon:           o.Epsilon,
-		Delta:             o.Delta,
-		K:                 o.K,
-		Method:            core.Method(o.Method),
-		Seed:              o.Seed,
-		InitialSampleSize: o.InitialSampleSize,
-		MinSampleSize:     o.MinSampleSize,
-		HoldoutFraction:   o.HoldoutFraction,
-		MaxHoldout:        o.MaxHoldout,
-		TestFraction:      o.TestFraction,
-		WarmStart:         o.WarmStart,
-		Optimizer:         optimize.Options{MaxIters: o.MaxIters},
-	}
-}
 
 // Record is the durable calibration record appended when a job registers a
 // model: the contract, the decision, and everything a replay needs to
@@ -98,13 +40,17 @@ type Record struct {
 	K       int     `json:"k"`
 	// Decision: the chosen sample size n out of pool N, the estimated
 	// bound ε̂ the model shipped with, and the first-stage ε₀.
-	SampleSize       int       `json:"sample_size"`
-	PoolSize         int       `json:"pool_size"`
-	EpsilonHat       float64   `json:"epsilon_hat"`
-	InitialEpsilon   float64   `json:"initial_epsilon,omitempty"`
-	UsedInitialModel bool      `json:"used_initial_model,omitempty"`
-	Options          Options   `json:"options"`
-	CreatedAt        time.Time `json:"created_at"`
+	SampleSize       int     `json:"sample_size"`
+	PoolSize         int     `json:"pool_size"`
+	EpsilonHat       float64 `json:"epsilon_hat"`
+	InitialEpsilon   float64 `json:"initial_epsilon,omitempty"`
+	UsedInitialModel bool    `json:"used_initial_model,omitempty"`
+	// Options is the core.Options the job trained with, in their one JSON
+	// form and captured after WithDefaults, so a replay rebuilds the
+	// identical environment (split seeds, holdout size, optimizer budget)
+	// even if the server's defaults change later.
+	Options   core.Options `json:"options"`
+	CreatedAt time.Time    `json:"created_at"`
 	// Resources is the job's resource-attribution ledger at registration
 	// time (CPU self-time, kernel flops, rows/bytes materialized) — what the
 	// guarantee cost to produce.

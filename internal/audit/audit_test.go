@@ -16,7 +16,6 @@ import (
 	"blinkml/internal/dataset"
 	"blinkml/internal/modelio"
 	"blinkml/internal/models"
-	"blinkml/internal/optimize"
 )
 
 func testRecord(id, family string) Record {
@@ -32,7 +31,7 @@ func testRecord(id, family string) Record {
 		SampleSize: 500,
 		PoolSize:   5000,
 		EpsilonHat: 0.08,
-		Options:    FromCore(core.Options{Epsilon: 0.1, Seed: 1}.WithDefaults()),
+		Options:    core.Options{Epsilon: 0.1, Seed: 1}.WithDefaults(),
 		CreatedAt:  time.Unix(0, 0).UTC(),
 	}
 }
@@ -150,7 +149,7 @@ func TestReplayDeterministicBitIdentical(t *testing.T) {
 	spec := models.LogisticRegression{Reg: 0.01}
 	opts := core.Options{Epsilon: 0.15, Seed: 41, InitialSampleSize: 400}.WithDefaults()
 	env := core.NewEnv(pool, opts)
-	res, err := env.TrainApprox(spec, opts)
+	res, err := env.TrainApproxContext(context.Background(), spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +162,7 @@ func TestReplayDeterministicBitIdentical(t *testing.T) {
 	defer l.Close()
 	rec := testRecord("m-det", "logistic")
 	rec.EpsilonHat = res.EstimatedEpsilon
-	rec.Options = FromCore(opts)
+	rec.Options = opts
 	if err := l.Append(rec); err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +194,11 @@ func TestReplayDeterministicBitIdentical(t *testing.T) {
 	}
 
 	// Direct training at the recorded options must land on the same bits.
-	env2, err := core.NewEnvFromSource(pool, rec.Options.Core())
+	env2, err := core.NewEnvFromSource(pool, rec.Options)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := env2.TrainFull(spec, optimize.Options{MaxIters: rec.Options.MaxIters})
+	full, err := env2.TrainFull(spec, rec.Options.Optimizer)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"blinkml/internal/core"
 	"blinkml/internal/dataset"
 	"blinkml/internal/modelio"
-	"blinkml/internal/optimize"
 )
 
 // ReplayOutcome is what a Replayer measures for one record: the realized
@@ -41,7 +40,7 @@ type Replayer interface {
 }
 
 // LocalReplayer rebuilds the recorded environment in-process and trains
-// the full-data model through core.ValidateGuarantee. Because the recorded
+// the full-data model through core.ReplayGuarantee. Because the recorded
 // options pin the split seed and optimizer budget, the full model is
 // bit-identical to what direct training at those options produces.
 type LocalReplayer struct {
@@ -57,12 +56,7 @@ func (r LocalReplayer) Replay(ctx context.Context, rec Record, m *modelio.Model)
 	if err != nil {
 		return ReplayOutcome{}, fmt.Errorf("resolve dataset: %w", err)
 	}
-	env, err := core.NewEnvFromSource(src, rec.Options.Core())
-	if err != nil {
-		return ReplayOutcome{}, err
-	}
-	optim := core.WithCancel(ctx, optimize.Options{MaxIters: rec.Options.MaxIters})
-	rep, err := core.ValidateGuarantee(env, m.Spec, &core.Result{Theta: m.Theta, EstimatedEpsilon: rec.EpsilonHat}, optim)
+	rep, err := core.ReplayGuarantee(ctx, src, m.Spec, m.Theta, rec.EpsilonHat, rec.Options)
 	if err != nil {
 		return ReplayOutcome{}, err
 	}

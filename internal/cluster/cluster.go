@@ -41,18 +41,16 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"strings"
 	"time"
 
 	"blinkml/internal/core"
+	"blinkml/internal/datagen"
+	"blinkml/internal/dataset"
 	"blinkml/internal/modelio"
 	"blinkml/internal/obs"
-	"blinkml/internal/optimize"
 )
 
 // TaskKind tags what a task payload carries.
@@ -114,12 +112,12 @@ func (s *TaskSpec) Validate() error {
 // checksums pin the content so a worker's cached copy is either provably
 // the same bytes or refetched.
 type DatasetRef struct {
-	ID         string  `json:"id,omitempty"`
-	Rows       int     `json:"rows,omitempty"`
-	RowCRC32   uint32  `json:"row_crc32,omitempty"`
-	IndexCRC32 uint32  `json:"index_crc32,omitempty"`
-	Synthetic  *Synth  `json:"synthetic,omitempty"`
-	Inline     *Inline `json:"inline,omitempty"`
+	ID         string          `json:"id,omitempty"`
+	Rows       int             `json:"rows,omitempty"`
+	RowCRC32   uint32          `json:"row_crc32,omitempty"`
+	IndexCRC32 uint32          `json:"index_crc32,omitempty"`
+	Synthetic  *datagen.Ref    `json:"synthetic,omitempty"`
+	Inline     *dataset.Inline `json:"inline,omitempty"`
 }
 
 // Validate checks that exactly one source is named.
@@ -151,107 +149,20 @@ func (r *DatasetRef) Key() string {
 		return fmt.Sprintf("syn:%s:%d:%d:%d", s.Name, s.Rows, s.Dim, s.Seed)
 	case r.Inline != nil:
 		// Inline data rides in the payload itself, so identity must come
-		// from the content: payloads with equal shapes but different values
-		// must never share a cached environment.
-		return fmt.Sprintf("inline:%s:%d:%016x", r.Inline.Task, len(r.Inline.X), r.Inline.contentHash())
+		// from the content.
+		return fmt.Sprintf("inline:%s:%d:%016x", r.Inline.Task, len(r.Inline.X), r.Inline.ContentHash())
 	default:
 		return "none"
 	}
 }
 
-// Synth names a deterministic synthetic workload — workers regenerate it
-// locally instead of transferring it.
-type Synth struct {
-	Name string `json:"name"`
-	Rows int    `json:"rows,omitempty"`
-	Dim  int    `json:"dim,omitempty"`
-	Seed int64  `json:"seed,omitempty"`
-}
-
-// Inline is a small dense dataset shipped inside the task payload. It is
-// the small-data path: every trial task of a search carries the rows, so
-// anything beyond a few thousand rows belongs in the dataset store, where
-// tasks carry only an id and workers fetch the bytes once.
-type Inline struct {
-	Task    string      `json:"task"`
-	X       [][]float64 `json:"x,omitempty"`
-	Dim     int         `json:"dim,omitempty"`
-	Indices [][]int32   `json:"indices,omitempty"`
-	Values  [][]float64 `json:"values,omitempty"`
-	Y       []float64   `json:"y,omitempty"`
-	Classes int         `json:"classes,omitempty"`
-}
-
-// contentHash folds every value, label, row boundary, and the class count
-// into an FNV-1a hash — the content identity behind DatasetRef.Key. Sparse
-// payloads additionally fold the ambient dim and every stored index, so two
-// sparse datasets with the same values at different coordinates hash apart.
-func (d *Inline) contentHash() uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	word := func(u uint64) {
-		binary.LittleEndian.PutUint64(b[:], u)
-		h.Write(b[:])
-	}
-	word(uint64(d.Classes))
-	for _, row := range d.X {
-		word(uint64(len(row)))
-		for _, v := range row {
-			word(math.Float64bits(v))
-		}
-	}
-	word(uint64(d.Dim))
-	for i, idx := range d.Indices {
-		word(uint64(len(idx)))
-		for _, j := range idx {
-			word(uint64(uint32(j)))
-		}
-		if i < len(d.Values) {
-			for _, v := range d.Values[i] {
-				word(math.Float64bits(v))
-			}
-		}
-	}
-	word(uint64(len(d.Y)))
-	for _, v := range d.Y {
-		word(math.Float64bits(v))
-	}
-	return h.Sum64()
-}
-
-// TrainOptions is the wire form of the core.Options subset the serving
-// layer exposes — everything a worker needs to rebuild the coordinator's
-// exact training environment.
-type TrainOptions struct {
-	Epsilon           float64 `json:"epsilon"`
-	Delta             float64 `json:"delta,omitempty"`
-	Seed              int64   `json:"seed,omitempty"`
-	InitialSampleSize int     `json:"initial_sample_size,omitempty"`
-	MinSampleSize     int     `json:"min_sample_size,omitempty"`
-	MaxIters          int     `json:"max_iters,omitempty"`
-	WarmStart         bool    `json:"warm_start,omitempty"`
-	TestFraction      float64 `json:"test_fraction,omitempty"`
-}
-
-// CoreOptions converts the wire options to core.Options.
-func (o TrainOptions) CoreOptions() core.Options {
-	return core.Options{
-		Epsilon:           o.Epsilon,
-		Delta:             o.Delta,
-		Seed:              o.Seed,
-		InitialSampleSize: o.InitialSampleSize,
-		MinSampleSize:     o.MinSampleSize,
-		WarmStart:         o.WarmStart,
-		TestFraction:      o.TestFraction,
-		Optimizer:         optimize.Options{MaxIters: o.MaxIters},
-	}
-}
-
-// TrainTask is a full BlinkML training run.
+// TrainTask is a full BlinkML training run. Options, here and in the other
+// task kinds, is core.Options in its one JSON form — everything a worker
+// needs to rebuild the coordinator's exact training environment.
 type TrainTask struct {
 	Spec    modelio.SpecJSON `json:"spec"`
 	Dataset DatasetRef       `json:"dataset"`
-	Options TrainOptions     `json:"options"`
+	Options core.Options     `json:"options"`
 }
 
 // TrialTask is one hyperparameter-search trial (see tune.Trial). The worker
@@ -261,7 +172,7 @@ type TrainTask struct {
 type TrialTask struct {
 	Spec    modelio.SpecJSON `json:"spec"`
 	Dataset DatasetRef       `json:"dataset"`
-	Options TrainOptions     `json:"options"`
+	Options core.Options     `json:"options"`
 	// Contract selects a full (ε, δ) training; otherwise a halving rung.
 	Contract bool `json:"contract,omitempty"`
 	// N is the rung subsample size; Rung the 0-based rung index.
@@ -277,7 +188,7 @@ type TrialTask struct {
 type AuditTask struct {
 	Spec    modelio.SpecJSON `json:"spec"`
 	Dataset DatasetRef       `json:"dataset"`
-	Options TrainOptions     `json:"options"`
+	Options core.Options     `json:"options"`
 	// Theta is the approximate model under audit.
 	Theta []float64 `json:"theta"`
 	// Bound is the ε̂ the model shipped with.

@@ -14,6 +14,7 @@ import (
 
 	"blinkml/internal/core"
 	"blinkml/internal/datagen"
+	"blinkml/internal/dataset"
 	"blinkml/internal/modelio"
 	"blinkml/internal/models"
 	"blinkml/internal/obs"
@@ -65,19 +66,19 @@ func (tc *testCluster) startWorker(t *testing.T, name string) *Worker {
 
 // syntheticRef is a small deterministic binary-classification workload.
 func syntheticRef() DatasetRef {
-	return DatasetRef{Synthetic: &Synth{Name: "higgs", Rows: 4000, Dim: 8, Seed: 11}}
+	return DatasetRef{Synthetic: &datagen.Ref{Name: "higgs", Rows: 4000, Dim: 8, Seed: 11}}
 }
 
-func testTrainOptions() TrainOptions {
-	return TrainOptions{Epsilon: 0.08, Delta: 0.05, Seed: 7, InitialSampleSize: 400}
+func testTrainOptions() core.Options {
+	return core.Options{Epsilon: 0.08, Delta: 0.05, Seed: 7, InitialSampleSize: 400}
 }
 
 // localModel trains in-process — the reference the remote path must match
 // bit for bit.
-func localModel(t *testing.T, ref DatasetRef, opts TrainOptions) *core.Result {
+func localModel(t *testing.T, ref DatasetRef, opts core.Options) *core.Result {
 	t.Helper()
 	s := ref.Synthetic
-	ds, err := datagen.Generate(s.Name, datagen.Config{Rows: s.Rows, Dim: s.Dim, Seed: s.Seed})
+	ds, err := s.Build()
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
@@ -85,7 +86,7 @@ func localModel(t *testing.T, ref DatasetRef, opts TrainOptions) *core.Result {
 	if err != nil {
 		t.Fatalf("spec: %v", err)
 	}
-	res, err := core.TrainSourceContext(context.Background(), spec, ds, opts.CoreOptions())
+	res, err := core.TrainSourceContext(context.Background(), spec, ds, opts)
 	if err != nil {
 		t.Fatalf("local train: %v", err)
 	}
@@ -147,12 +148,12 @@ func TestRemoteTuneMatchesLocal(t *testing.T) {
 		modelio.SpecJSON{Name: "logistic", Reg: 0.3},
 	)}
 
-	opts := TrainOptions{Epsilon: 0.1, Delta: 0.05, Seed: 5, InitialSampleSize: 300, TestFraction: 0.15}
-	cfg := tune.Config{Train: opts.CoreOptions(), Workers: 2, Seed: 5}
+	opts := core.Options{Epsilon: 0.1, Delta: 0.05, Seed: 5, InitialSampleSize: 300, TestFraction: 0.15}
+	cfg := tune.Config{Train: opts, Workers: 2, Seed: 5}
 
 	// Local reference search.
 	s := ref.Synthetic
-	ds, err := datagen.Generate(s.Name, datagen.Config{Rows: s.Rows, Dim: s.Dim, Seed: s.Seed})
+	ds, err := s.Build()
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
@@ -161,7 +162,7 @@ func TestRemoteTuneMatchesLocal(t *testing.T) {
 		t.Fatalf("local search: %v", err)
 	}
 
-	runner := NewTrialRunner(tc.coord, ref, opts, core.PoolSize(s.Rows, opts.CoreOptions()))
+	runner := NewTrialRunner(tc.coord, ref, opts, core.PoolSize(s.Rows, opts))
 	got, err := tune.SearchRunner(context.Background(), space, runner, cfg)
 	if err != nil {
 		t.Fatalf("remote search: %v", err)
@@ -266,10 +267,10 @@ func TestWorkerFetchesAndCachesDataset(t *testing.T) {
 	tc := newTestCluster(t, testConfig(), st)
 	w := tc.startWorker(t, "w1")
 
-	opts := TrainOptions{Epsilon: 0.1, Delta: 0.05, Seed: 9, InitialSampleSize: 300}
+	opts := core.Options{Epsilon: 0.1, Delta: 0.05, Seed: 9, InitialSampleSize: 300}
 	// The same training against the coordinator's store handle, locally.
 	spec, _ := (modelio.SpecJSON{Name: "logistic"}).Spec()
-	want, err := core.TrainSourceContext(context.Background(), spec, h, opts.CoreOptions())
+	want, err := core.TrainSourceContext(context.Background(), spec, h, opts)
 	if err != nil {
 		t.Fatalf("local train: %v", err)
 	}
@@ -329,8 +330,8 @@ func TestWorkerReportsTrainingError(t *testing.T) {
 	// validation inside training.
 	id, err := tc.coord.Submit(TaskSpec{Kind: KindTrain, Train: &TrainTask{
 		Spec:    modelio.SpecJSON{Name: "logistic"},
-		Dataset: DatasetRef{Synthetic: &Synth{Name: "counts", Rows: 500, Dim: 4, Seed: 1}},
-		Options: TrainOptions{Epsilon: 0.1, Seed: 1, InitialSampleSize: 100},
+		Dataset: DatasetRef{Synthetic: &datagen.Ref{Name: "counts", Rows: 500, Dim: 4, Seed: 1}},
+		Options: core.Options{Epsilon: 0.1, Seed: 1, InitialSampleSize: 100},
 	}})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
@@ -366,13 +367,13 @@ func sameScore(a, b float64) bool {
 // shapes but different values must never share a cache identity (a shared
 // key would let a worker's env cache serve one job's rows to another).
 func TestInlineKeyIsContentAddressed(t *testing.T) {
-	a := DatasetRef{Inline: &Inline{Task: "binary", X: [][]float64{{1, 2}, {3, 4}}, Y: []float64{0, 1}}}
-	b := DatasetRef{Inline: &Inline{Task: "binary", X: [][]float64{{1, 2}, {3, 5}}, Y: []float64{0, 1}}}
-	c := DatasetRef{Inline: &Inline{Task: "binary", X: [][]float64{{1, 2}, {3, 4}}, Y: []float64{1, 1}}}
+	a := DatasetRef{Inline: &dataset.Inline{Task: "binary", X: [][]float64{{1, 2}, {3, 4}}, Y: []float64{0, 1}}}
+	b := DatasetRef{Inline: &dataset.Inline{Task: "binary", X: [][]float64{{1, 2}, {3, 5}}, Y: []float64{0, 1}}}
+	c := DatasetRef{Inline: &dataset.Inline{Task: "binary", X: [][]float64{{1, 2}, {3, 4}}, Y: []float64{1, 1}}}
 	if a.Key() == b.Key() || a.Key() == c.Key() {
 		t.Fatalf("inline keys collide: %q %q %q", a.Key(), b.Key(), c.Key())
 	}
-	same := DatasetRef{Inline: &Inline{Task: "binary", X: [][]float64{{1, 2}, {3, 4}}, Y: []float64{0, 1}}}
+	same := DatasetRef{Inline: &dataset.Inline{Task: "binary", X: [][]float64{{1, 2}, {3, 4}}, Y: []float64{0, 1}}}
 	if a.Key() != same.Key() {
 		t.Fatalf("equal content produced different keys: %q vs %q", a.Key(), same.Key())
 	}

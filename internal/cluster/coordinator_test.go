@@ -5,6 +5,9 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"blinkml/internal/core"
+	"blinkml/internal/datagen"
 )
 
 // testConfig keeps heartbeats fast but the liveness timeout generous:
@@ -24,8 +27,8 @@ func testConfig() Config {
 // worker ever executes it here).
 func trialSpec() TaskSpec {
 	return TaskSpec{Kind: KindTrial, Trial: &TrialTask{
-		Dataset: DatasetRef{Synthetic: &Synth{Name: "higgs", Rows: 100, Dim: 4}},
-		Options: TrainOptions{Epsilon: 0.1},
+		Dataset: DatasetRef{Synthetic: &datagen.Ref{Name: "higgs", Rows: 100, Dim: 4}},
+		Options: core.Options{Epsilon: 0.1},
 	}}
 }
 
@@ -318,7 +321,7 @@ func TestSubmitValidation(t *testing.T) {
 		{Kind: KindTrial},
 		{Kind: "mystery"},
 		{Kind: KindTrial, Trial: &TrialTask{}}, // no dataset
-		{Kind: KindTrial, Trial: &TrialTask{Dataset: DatasetRef{ID: "d-1", Synthetic: &Synth{Name: "higgs"}}}}, // two datasets
+		{Kind: KindTrial, Trial: &TrialTask{Dataset: DatasetRef{ID: "d-1", Synthetic: &datagen.Ref{Name: "higgs"}}}}, // two datasets
 	}
 	for i, spec := range bad {
 		if _, err := c.Submit(spec); err == nil {

@@ -21,7 +21,7 @@ import (
 type TrialRunner struct {
 	coord   *Coordinator
 	dataset DatasetRef
-	options TrainOptions
+	options core.Options
 	poolLen int
 }
 
@@ -29,7 +29,7 @@ type TrialRunner struct {
 // same dataset and training options, so remote workers rebuild (and cache)
 // one shared environment per search, just like the in-process path.
 // poolLen is N for the dataset/options pair — core.PoolSize(rows, opts).
-func NewTrialRunner(coord *Coordinator, ref DatasetRef, opts TrainOptions, poolLen int) *TrialRunner {
+func NewTrialRunner(coord *Coordinator, ref DatasetRef, opts core.Options, poolLen int) *TrialRunner {
 	return &TrialRunner{coord: coord, dataset: ref, options: opts, poolLen: poolLen}
 }
 
@@ -72,16 +72,7 @@ func (r *TrialRunner) RunTrial(ctx context.Context, t tune.Trial) (tune.TrialRes
 		if err != nil {
 			return tune.TrialResult{}, fmt.Errorf("cluster: trial %s: %w", id, err)
 		}
-		res.Theta = m.Theta
-		res.SampleSize = m.SampleSize
-		res.Res = &core.Result{
-			Theta:            m.Theta,
-			SampleSize:       m.SampleSize,
-			EstimatedEpsilon: m.EstimatedEpsilon,
-			UsedInitialModel: m.UsedInitialModel,
-			PoolSize:         m.PoolSize,
-			Diag:             m.Diag,
-		}
+		res.Theta, res.SampleSize, res.Model = m.Theta, m.SampleSize, m
 	}
 	return res, nil
 }

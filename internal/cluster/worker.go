@@ -16,12 +16,9 @@ import (
 
 	"blinkml/internal/compute"
 	"blinkml/internal/core"
-	"blinkml/internal/datagen"
 	"blinkml/internal/dataset"
 	"blinkml/internal/modelio"
-	"blinkml/internal/models"
 	"blinkml/internal/obs"
-	"blinkml/internal/optimize"
 	"blinkml/internal/store"
 	"blinkml/internal/tune"
 )
@@ -449,12 +446,11 @@ func (w *Worker) runAudit(ctx context.Context, t *AuditTask) (*TaskResultPayload
 	if err != nil {
 		return nil, err
 	}
-	env, err := w.envFor(ctx, t.Dataset, t.Options)
+	src, err := w.source(ctx, t.Dataset)
 	if err != nil {
 		return nil, err
 	}
-	optim := core.WithCancel(ctx, optimize.Options{MaxIters: t.Options.MaxIters})
-	rep, err := core.ValidateGuarantee(env, spec, &core.Result{Theta: t.Theta, EstimatedEpsilon: t.Bound}, optim)
+	rep, err := core.ReplayGuarantee(ctx, src, spec, t.Theta, t.Bound, t.Options)
 	if err != nil {
 		return nil, err
 	}
@@ -477,11 +473,11 @@ func (w *Worker) runTrain(ctx context.Context, t *TrainTask) (*TaskResultPayload
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.TrainSourceContext(ctx, spec, src, t.Options.CoreOptions())
+	res, err := core.TrainSourceContext(ctx, spec, src, t.Options)
 	if err != nil {
 		return nil, err
 	}
-	model, err := encodeModel(spec, res, src.Meta().Dim)
+	model, err := encodeModel(modelio.FromResult(spec, src.Meta().Dim, res))
 	if err != nil {
 		return nil, err
 	}
@@ -495,13 +491,11 @@ func (w *Worker) runTrial(ctx context.Context, t *TrialTask) (*TaskResultPayload
 	if err != nil {
 		return nil, err
 	}
-	opts := t.Options.CoreOptions()
 	env, err := w.envFor(ctx, t.Dataset, t.Options)
 	if err != nil {
 		return nil, err
 	}
-	runner := tune.NewEnvRunner(env, opts)
-	res, err := runner.RunTrial(ctx, tune.Trial{
+	res, err := tune.NewEnvRunner(env, t.Options).RunTrial(ctx, tune.Trial{
 		Spec:     spec,
 		Contract: t.Contract,
 		N:        t.N,
@@ -516,19 +510,17 @@ func (w *Worker) runTrial(ctx context.Context, t *TrialTask) (*TaskResultPayload
 		Score:      encodeScore(res.Score),
 		SampleSize: res.SampleSize,
 	}
-	if res.Res != nil {
-		model, err := encodeModel(spec, res.Res, env.Holdout().Dim)
-		if err != nil {
+	if res.Model != nil {
+		if out.Model, err = encodeModel(res.Model); err != nil {
 			return nil, err
 		}
-		out.Model = model
 	}
 	return out, nil
 }
 
 // envFor memoizes prepared environments per (dataset, options) so a search
 // of many trials pays data preparation once, like the in-process path.
-func (w *Worker) envFor(ctx context.Context, ref DatasetRef, opts TrainOptions) (*core.Env, error) {
+func (w *Worker) envFor(ctx context.Context, ref DatasetRef, opts core.Options) (*core.Env, error) {
 	key := ref.Key() + "|" + envOptionsKey(opts)
 	w.envMu.Lock()
 	e, ok := w.envs[key]
@@ -551,7 +543,7 @@ func (w *Worker) envFor(ctx context.Context, ref DatasetRef, opts TrainOptions) 
 			e.err = err
 			return
 		}
-		e.env, e.err = core.NewEnvFromSource(src, opts.CoreOptions())
+		e.env, e.err = core.NewEnvFromSource(src, opts)
 	})
 	if e.err != nil {
 		// A failed build must not poison the cache for later tasks (the
@@ -568,7 +560,7 @@ func (w *Worker) envFor(ctx context.Context, ref DatasetRef, opts TrainOptions) 
 // envOptionsKey fingerprints the options fields that shape an environment
 // (split fractions and seed; the contract fields don't change the split but
 // keying on all of them is harmlessly conservative).
-func envOptionsKey(opts TrainOptions) string {
+func envOptionsKey(opts core.Options) string {
 	b, _ := json.Marshal(opts)
 	return string(b)
 }
@@ -579,8 +571,7 @@ func envOptionsKey(opts TrainOptions) string {
 func (w *Worker) source(ctx context.Context, ref DatasetRef) (dataset.Source, error) {
 	switch {
 	case ref.Synthetic != nil:
-		s := ref.Synthetic
-		return datagen.Generate(s.Name, datagen.Config{Rows: s.Rows, Dim: s.Dim, Seed: s.Seed})
+		return ref.Synthetic.Build()
 	case ref.Inline != nil:
 		return ref.Inline.Build()
 	case ref.ID != "":
@@ -588,19 +579,6 @@ func (w *Worker) source(ctx context.Context, ref DatasetRef) (dataset.Source, er
 	default:
 		return nil, errors.New("cluster: task has no dataset")
 	}
-}
-
-// Build materializes the inline payload as a Dataset (sparse payloads pack
-// into a CSR block, with the standard density-threshold dense fallback).
-func (d *Inline) Build() (*dataset.Dataset, error) {
-	task, err := dataset.ParseTask(d.Task)
-	if err != nil {
-		return nil, err
-	}
-	if len(d.Indices) > 0 {
-		return dataset.FromSparse(task, d.Dim, d.Indices, d.Values, d.Y, d.Classes)
-	}
-	return dataset.FromDense(task, d.X, d.Y, d.Classes)
 }
 
 // fetchDataset returns the cached handle for ref, downloading the bundle
@@ -667,20 +645,10 @@ func DecodeScore(p *float64) float64 {
 	return *p
 }
 
-// encodeModel serializes a training result as a modelio envelope.
-func encodeModel(spec models.Spec, res *core.Result, dim int) ([]byte, error) {
+// encodeModel serializes a trained model as a modelio envelope.
+func encodeModel(m *modelio.Model) ([]byte, error) {
 	var buf bytes.Buffer
-	err := modelio.Encode(&buf, &modelio.Model{
-		Spec:             spec,
-		Theta:            res.Theta,
-		Dim:              dim,
-		SampleSize:       res.SampleSize,
-		PoolSize:         res.PoolSize,
-		EstimatedEpsilon: res.EstimatedEpsilon,
-		UsedInitialModel: res.UsedInitialModel,
-		Diag:             res.Diag,
-	})
-	if err != nil {
+	if err := modelio.Encode(&buf, m); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"blinkml/internal/datagen"
@@ -27,7 +28,7 @@ func benchSearcherSetup(b *testing.B, hide bool) *Searcher {
 	if err != nil {
 		b.Fatal(err)
 	}
-	st, err := ComputeStatistics(spec, sample, fit.Theta, Options{Epsilon: 0.05}.withDefaults())
+	st, err := ComputeStatistics(spec, sample, fit.Theta, Options{Epsilon: 0.05}.WithDefaults())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func BenchmarkAblationSamplingNaive(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	st, err := ComputeStatistics(spec, sample, fit.Theta, Options{Epsilon: 0.05}.withDefaults())
+	st, err := ComputeStatistics(spec, sample, fit.Theta, Options{Epsilon: 0.05}.WithDefaults())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func benchFisherRows(b *testing.B) ([]dataset.Row, []float64, int, int) {
 
 func BenchmarkAblationFisherCovarianceSide(b *testing.B) {
 	rows, mean, d, n := benchFisherRows(b)
-	opt := Options{Epsilon: 0.05}.withDefaults()
+	opt := Options{Epsilon: 0.05}.WithDefaults()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -142,7 +143,7 @@ func BenchmarkAblationFisherCovarianceSide(b *testing.B) {
 
 func BenchmarkAblationFisherGramSide(b *testing.B) {
 	rows, mean, d, n := benchFisherRows(b)
-	opt := Options{Epsilon: 0.05}.withDefaults()
+	opt := Options{Epsilon: 0.05}.WithDefaults()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -159,7 +160,7 @@ func BenchmarkCoordinatorEndToEnd(b *testing.B) {
 	spec := models.LogisticRegression{Reg: 0.001}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Train(spec, ds, Options{Epsilon: 0.05, Seed: int64(i), InitialSampleSize: 500, K: 60}); err != nil {
+		if _, err := TrainSourceContext(context.Background(), spec, ds, Options{Epsilon: 0.05, Seed: int64(i), InitialSampleSize: 500, K: 60}); err != nil {
 			b.Fatal(err)
 		}
 	}

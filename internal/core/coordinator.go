@@ -59,7 +59,7 @@ type Result struct {
 // demand, exactly the rows a sample requests. That is what keeps a
 // store-backed training run's memory at O(n + holdout) instead of O(N).
 // An Env is logically read-only after construction, so concurrent
-// TrainApprox/TrainFull calls on one Env are safe — the hyperparameter-
+// TrainApproxContext/TrainFull calls on one Env are safe — the hyperparameter-
 // search subsystem relies on this to evaluate many candidates over a single
 // data preparation.
 type Env struct {
@@ -95,7 +95,7 @@ func NewEnv(ds *dataset.Dataset, opt Options) *Env {
 // store-backed Env yields byte-identical training runs to NewEnv over the
 // same rows at the same seed. Only the holdout and test rows are read here.
 func NewEnvFromSource(src dataset.Source, opt Options) (*Env, error) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	meta := src.Meta()
 	rng := stat.NewRNG(opt.Seed)
 	n := meta.Rows
@@ -134,19 +134,17 @@ func cappedHoldoutFraction(n int, opt Options) float64 {
 // pool size without materializing a single row; it is exact: the same
 // arithmetic NewEnvFromSource's split uses.
 func PoolSize(rows int, opt Options) int {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	h, t := dataset.SplitSizes(rows, cappedHoldoutFraction(rows, opt), opt.TestFraction)
 	return rows - h - t
 }
 
-// Seed returns the seed the environment was split with; derived per-
-// candidate seeds should be built from it so a whole search stays
-// deterministic in one number.
-func (e *Env) Seed() int64 { return e.seed }
-
 // PoolLen returns N, the number of rows the full model would train on. It
 // never touches the source's rows.
 func (e *Env) PoolLen() int { return len(e.poolIdx) }
+
+// Dim returns the source's feature dimension.
+func (e *Env) Dim() int { return e.meta.Dim }
 
 // Holdout returns the materialized holdout set (never trained on; what
 // diff() evaluates).
@@ -230,34 +228,19 @@ func (e *Env) SharedSample(n int) (*dataset.Dataset, error) {
 	return ds, nil
 }
 
-// Train runs the full BlinkML workflow (§2.3) on ds: split, train the
-// initial model m₀ on n₀ rows, estimate its accuracy, and — only if the
-// estimate misses the requested ε — size and train one final model. At most
-// two approximate models are ever trained.
-func Train(spec models.Spec, ds *dataset.Dataset, opt Options) (*Result, error) {
-	return TrainContext(context.Background(), spec, ds, opt)
-}
-
-// TrainContext is Train with cancellation: the coordinator checks ctx at
-// every phase boundary and the optimizers poll it between iterations, so a
-// cancelled training job stops burning CPU promptly and returns ctx.Err()
-// (wrapped).
-func TrainContext(ctx context.Context, spec models.Spec, ds *dataset.Dataset, opt Options) (*Result, error) {
-	return TrainSourceContext(ctx, spec, ds, opt)
-}
-
-// TrainSource runs the BlinkML workflow against any dataset.Source — an
-// in-memory dataset or a disk-backed store handle. With a store handle the
-// coordinator materializes only the rows it samples plus the holdout, so an
-// (ε, δ) contract against an N-row dataset costs O(n) memory, not O(N):
-// the paper's headline economics, preserved end to end.
-func TrainSource(spec models.Spec, src dataset.Source, opt Options) (*Result, error) {
-	return TrainSourceContext(context.Background(), spec, src, opt)
-}
-
-// TrainSourceContext is TrainSource with cancellation (see TrainContext).
+// TrainSourceContext runs the full BlinkML workflow (§2.3) against any
+// dataset.Source — an in-memory *dataset.Dataset or a disk-backed store
+// handle: split, train the initial model m₀ on n₀ rows, estimate its
+// accuracy, and — only if the estimate misses the requested ε — size and
+// train one final model. At most two approximate models are ever trained.
+// With a store handle the coordinator materializes only the rows it samples
+// plus the holdout, so an (ε, δ) contract against an N-row dataset costs
+// O(n) memory, not O(N): the paper's headline economics, preserved end to
+// end. The coordinator checks ctx at every phase boundary and the
+// optimizers poll it between iterations, so a cancelled training job stops
+// burning CPU promptly and returns ctx.Err() (wrapped).
 func TrainSourceContext(ctx context.Context, spec models.Spec, src dataset.Source, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
@@ -270,18 +253,14 @@ func TrainSourceContext(ctx context.Context, spec models.Spec, src dataset.Sourc
 	return env.TrainApproxContext(ctx, spec, opt)
 }
 
-// TrainApprox runs the BlinkML coordinator inside a prepared environment.
-func (e *Env) TrainApprox(spec models.Spec, opt Options) (*Result, error) {
-	return e.TrainApproxContext(context.Background(), spec, opt)
-}
-
-// TrainApproxContext is TrainApprox with cancellation (see TrainContext).
+// TrainApproxContext runs the BlinkML coordinator inside a prepared
+// environment, with the cancellation behavior of TrainSourceContext.
 func (e *Env) TrainApproxContext(ctx context.Context, spec models.Spec, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	opt.Optimizer = withCancel(ctx, opt.Optimizer)
+	opt.Optimizer = WithCancel(ctx, opt.Optimizer)
 	bigN := e.PoolLen()
 	if bigN == 0 {
 		return nil, errors.New("core: empty training pool")
@@ -413,12 +392,6 @@ func (e *Env) TrainApproxContext(ctx context.Context, spec models.Spec, opt Opti
 // it automatically; callers driving models.Train directly under a context
 // (the tune subsystem's pruning rungs) apply it themselves.
 func WithCancel(ctx context.Context, opt optimize.Options) optimize.Options {
-	return withCancel(ctx, opt)
-}
-
-// withCancel chains ctx into the optimizer's per-iteration Stop poll,
-// preserving any Stop the caller already installed.
-func withCancel(ctx context.Context, opt optimize.Options) optimize.Options {
 	if ctx == nil || ctx.Done() == nil {
 		return opt // context.Background(): nothing to poll
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"blinkml/internal/datagen"
@@ -13,13 +14,13 @@ func defaultOptim() optimize.Options { return optimize.Options{} }
 
 func TestTrainValidatesOptions(t *testing.T) {
 	ds := datagen.Higgs(datagen.Config{Rows: 200, Dim: 4, Seed: 1})
-	if _, err := Train(models.LogisticRegression{Reg: 0.01}, ds, Options{Epsilon: 0}); err == nil {
+	if _, err := TrainSourceContext(context.Background(), models.LogisticRegression{Reg: 0.01}, ds, Options{Epsilon: 0}); err == nil {
 		t.Fatal("epsilon 0 accepted")
 	}
-	if _, err := Train(models.LogisticRegression{Reg: 0.01}, ds, Options{Epsilon: 1.5}); err == nil {
+	if _, err := TrainSourceContext(context.Background(), models.LogisticRegression{Reg: 0.01}, ds, Options{Epsilon: 1.5}); err == nil {
 		t.Fatal("epsilon > 1 accepted")
 	}
-	if _, err := Train(models.LogisticRegression{Reg: 0.01}, ds, Options{Epsilon: 0.1, Delta: 2}); err == nil {
+	if _, err := TrainSourceContext(context.Background(), models.LogisticRegression{Reg: 0.01}, ds, Options{Epsilon: 0.1, Delta: 2}); err == nil {
 		t.Fatal("delta 2 accepted")
 	}
 }
@@ -30,13 +31,13 @@ func TestTrainEmptyPool(t *testing.T) {
 	ds.Y = append(ds.Y, 0, 1)
 	// With 2 rows, the split leaves an empty-ish pool; expect a clean error
 	// or a tiny-model result, never a panic.
-	_, err := Train(models.LogisticRegression{Reg: 0.1}, ds, Options{Epsilon: 0.1, Seed: 1})
+	_, err := TrainSourceContext(context.Background(), models.LogisticRegression{Reg: 0.1}, ds, Options{Epsilon: 0.1, Seed: 1})
 	_ = err // either outcome is acceptable; the test asserts no panic
 }
 
 func TestTrainLooseContractUsesInitialModel(t *testing.T) {
 	ds := datagen.Higgs(datagen.Config{Rows: 12000, Dim: 6, Seed: 2})
-	res, err := Train(models.LogisticRegression{Reg: 0.01}, ds, Options{
+	res, err := TrainSourceContext(context.Background(), models.LogisticRegression{Reg: 0.01}, ds, Options{
 		Epsilon: 0.5, Seed: 3, InitialSampleSize: 500,
 	})
 	if err != nil {
@@ -55,7 +56,7 @@ func TestTrainLooseContractUsesInitialModel(t *testing.T) {
 
 func TestTrainTightContractTrainsFinalModel(t *testing.T) {
 	ds := datagen.Higgs(datagen.Config{Rows: 20000, Dim: 10, Seed: 4})
-	res, err := Train(models.LogisticRegression{Reg: 0.01}, ds, Options{
+	res, err := TrainSourceContext(context.Background(), models.LogisticRegression{Reg: 0.01}, ds, Options{
 		Epsilon: 0.02, Seed: 5, InitialSampleSize: 300,
 	})
 	if err != nil {
@@ -83,7 +84,7 @@ func TestTrainMeetsContractAgainstFullModel(t *testing.T) {
 	spec := models.LogisticRegression{Reg: 0.01}
 	opt := Options{Epsilon: 0.05, Seed: 7, InitialSampleSize: 400}
 	env := NewEnv(ds, opt)
-	res, err := env.TrainApprox(spec, opt)
+	res, err := env.TrainApproxContext(context.Background(), spec, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestTrainMeetsContractAgainstFullModel(t *testing.T) {
 func TestTrainPPCAEndToEnd(t *testing.T) {
 	ds := datagen.MNIST(datagen.Config{Rows: 4000, Dim: 36, Seed: 8})
 	spec := models.NewPPCA(4)
-	res, err := Train(spec, ds, Options{Epsilon: 0.05, Seed: 9, InitialSampleSize: 300})
+	res, err := TrainSourceContext(context.Background(), spec, ds, Options{Epsilon: 0.05, Seed: 9, InitialSampleSize: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestTrainPPCAEndToEnd(t *testing.T) {
 
 func TestTrainSmallPoolCollapsesToFullModel(t *testing.T) {
 	ds := datagen.Higgs(datagen.Config{Rows: 600, Dim: 4, Seed: 10})
-	res, err := Train(models.LogisticRegression{Reg: 0.01}, ds, Options{
+	res, err := TrainSourceContext(context.Background(), models.LogisticRegression{Reg: 0.01}, ds, Options{
 		Epsilon: 0.01, Seed: 11, InitialSampleSize: 5000, // n₀ > N
 	})
 	if err != nil {
@@ -137,7 +138,7 @@ func TestTrainSparseHighDimensional(t *testing.T) {
 	// d (800) > n₀ (300): exercises the Gram-side ObservedFisher path and
 	// the lazy GradFactor end to end.
 	ds := datagen.Criteo(datagen.Config{Rows: 9000, Dim: 800, Seed: 12})
-	res, err := Train(models.LogisticRegression{Reg: 0.001}, ds, Options{
+	res, err := TrainSourceContext(context.Background(), models.LogisticRegression{Reg: 0.001}, ds, Options{
 		Epsilon: 0.1, Seed: 13, InitialSampleSize: 300, K: 50,
 	})
 	if err != nil {
@@ -171,7 +172,7 @@ func TestMethodString(t *testing.T) {
 
 func TestTrainWithWarmStart(t *testing.T) {
 	ds := datagen.Higgs(datagen.Config{Rows: 15000, Dim: 8, Seed: 14})
-	res, err := Train(models.LogisticRegression{Reg: 0.01}, ds, Options{
+	res, err := TrainSourceContext(context.Background(), models.LogisticRegression{Reg: 0.01}, ds, Options{
 		Epsilon: 0.02, Seed: 15, InitialSampleSize: 300, WarmStart: true,
 	})
 	if err != nil {
@@ -185,7 +186,7 @@ func TestTrainWithWarmStart(t *testing.T) {
 func TestTrainAllMethodsEndToEnd(t *testing.T) {
 	ds := datagen.Higgs(datagen.Config{Rows: 8000, Dim: 6, Seed: 16})
 	for _, m := range []Method{ObservedFisher, InverseGradients, ClosedForm} {
-		res, err := Train(models.LogisticRegression{Reg: 0.01}, ds, Options{
+		res, err := TrainSourceContext(context.Background(), models.LogisticRegression{Reg: 0.01}, ds, Options{
 			Epsilon: 0.05, Seed: 17, InitialSampleSize: 400, Method: m,
 		})
 		if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"blinkml/internal/datagen"
@@ -24,7 +25,7 @@ func TestSearcherPPCAPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := ComputeStatistics(spec, sample, theta, Options{Epsilon: 0.01}.withDefaults())
+	st, err := ComputeStatistics(spec, sample, theta, Options{Epsilon: 0.01}.WithDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestSearcherPPCAPath(t *testing.T) {
 // immediately.
 func TestTrainTrivialEpsilon(t *testing.T) {
 	ds := datagen.Higgs(datagen.Config{Rows: 5000, Dim: 5, Seed: 44})
-	res, err := Train(models.LogisticRegression{Reg: 0.01}, ds, Options{
+	res, err := TrainSourceContext(context.Background(), models.LogisticRegression{Reg: 0.01}, ds, Options{
 		Epsilon: 1.0, Seed: 45, InitialSampleSize: 200,
 	})
 	if err != nil {
@@ -58,7 +59,7 @@ func TestTrainTrivialEpsilon(t *testing.T) {
 func TestTrainUnsupervisedEmptyLabels(t *testing.T) {
 	ds := datagen.MNIST(datagen.Config{Rows: 3000, Dim: 16, Seed: 46})
 	unlabeled := &dataset.Dataset{X: ds.X, Dim: ds.Dim, Task: dataset.Unsupervised, Name: "unlabeled"}
-	res, err := Train(models.NewPPCA(2), unlabeled, Options{Epsilon: 0.05, Seed: 47, InitialSampleSize: 200})
+	res, err := TrainSourceContext(context.Background(), models.NewPPCA(2), unlabeled, Options{Epsilon: 0.05, Seed: 47, InitialSampleSize: 200})
 	if err != nil {
 		t.Fatal(err)
 	}

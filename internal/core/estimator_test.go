@@ -104,7 +104,7 @@ func TestSearcherMonotonicity(t *testing.T) {
 	pool := datagen.Criteo(datagen.Config{Rows: 12000, Dim: 400, Seed: 7})
 	spec := models.LogisticRegression{Reg: 0.001}
 	env := NewEnv(pool, Options{Epsilon: 0.05, Seed: 8})
-	opt := Options{Epsilon: 0.05, Seed: 8}.withDefaults()
+	opt := Options{Epsilon: 0.05, Seed: 8}.WithDefaults()
 	n0 := 500
 	approx, err := env.TrainOnSample(spec, n0, 9, defaultOptim())
 	if err != nil {
@@ -151,7 +151,7 @@ func TestSearcherFindsSatisfyingSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := ComputeStatistics(spec, poolOf(t, env).Subset(firstK(env.PoolLen(), n0)), approx.Theta, Options{Epsilon: 0.03}.withDefaults())
+	st, err := ComputeStatistics(spec, poolOf(t, env).Subset(firstK(env.PoolLen(), n0)), approx.Theta, Options{Epsilon: 0.03}.WithDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestSearcherScorePathMatchesGeneric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := ComputeStatistics(spec, poolOf(t, env).Subset(firstK(env.PoolLen(), n0)), approx.Theta, Options{Epsilon: 0.05}.withDefaults())
+	st, err := ComputeStatistics(spec, poolOf(t, env).Subset(firstK(env.PoolLen(), n0)), approx.Theta, Options{Epsilon: 0.05}.WithDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}

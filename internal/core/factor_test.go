@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -42,13 +43,13 @@ func TestVarianceInflationIsConservative(t *testing.T) {
 	ds := datagen.Higgs(datagen.Config{Rows: 12000, Dim: 8, Seed: 31})
 	spec := models.LogisticRegression{Reg: 0.01}
 	base := Options{Epsilon: 0.03, Seed: 32, InitialSampleSize: 400}
-	plain, err := Train(spec, ds, base)
+	plain, err := TrainSourceContext(context.Background(), spec, ds, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inflatedOpt := base
 	inflatedOpt.VarianceInflation = 1.0
-	conservative, err := Train(spec, ds, inflatedOpt)
+	conservative, err := TrainSourceContext(context.Background(), spec, ds, inflatedOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +97,11 @@ func TestTrainDeterministic(t *testing.T) {
 	ds := datagen.Criteo(datagen.Config{Rows: 8000, Dim: 200, Seed: 34})
 	spec := models.LogisticRegression{Reg: 0.001}
 	opt := Options{Epsilon: 0.05, Seed: 35, InitialSampleSize: 300, K: 40}
-	a, err := Train(spec, ds, opt)
+	a, err := TrainSourceContext(context.Background(), spec, ds, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Train(spec, ds, opt)
+	b, err := TrainSourceContext(context.Background(), spec, ds, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ package core
 // cannot drift apart.
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/fnv"
@@ -69,6 +70,18 @@ func ValidateGuarantee(env *Env, spec models.Spec, res *Result, optim optimize.O
 	rep.FullTheta = full.Theta
 	rep.FullIters = full.Iters
 	return rep, nil
+}
+
+// ReplayGuarantee is the audit replay, local or on a cluster worker: split
+// src under the options the job recorded, train the full-data model there
+// with the recorded optimizer budget (cancellable through ctx), and check
+// theta against it at bound.
+func ReplayGuarantee(ctx context.Context, src dataset.Source, spec models.Spec, theta []float64, bound float64, opt Options) (GuaranteeReport, error) {
+	env, err := NewEnvFromSource(src, opt)
+	if err != nil {
+		return GuaranteeReport{}, err
+	}
+	return ValidateGuarantee(env, spec, &Result{Theta: theta, EstimatedEpsilon: bound}, WithCancel(ctx, opt.Optimizer))
 }
 
 // ThetaFingerprint hashes a parameter vector's exact bit pattern (FNV-1a

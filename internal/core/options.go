@@ -6,6 +6,7 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -45,63 +46,91 @@ func (m Method) String() string {
 // Options configures a BlinkML training run. Zero values fall back to the
 // defaults noted per field (chosen as laptop-scaled versions of the paper's
 // §5.1 setup).
+//
+// Options has exactly one JSON form (MarshalJSON below): the keys tagged
+// here plus the optimizer's scalar fields flattened beside them. Cluster
+// tasks and audit records carry it verbatim, so a worker or a replay sees
+// every field that shapes θ or n — a new field needs a tag, nothing else.
 type Options struct {
 	// Epsilon is the requested error bound ε on the model difference
 	// v(m_n): the approximate model disagrees with the full model on at
 	// most an ε fraction of unseen examples. Required, in (0, 1].
-	Epsilon float64
+	Epsilon float64 `json:"epsilon"`
 	// Delta is the allowed probability of violating the bound (default
 	// 0.05, i.e. 95% confidence — the paper's operating point).
-	Delta float64
+	Delta float64 `json:"delta"`
 	// InitialSampleSize is n₀, the size of the initial training sample
 	// (default 2,000; the paper uses 10,000 at cluster scale). n₀ should be
 	// comfortably above the parameter dimension: the Theorem-1 covariance is
 	// itself estimated from the initial sample, and with n₀ ≲ d it is
 	// rank-starved and optimistic — the same regime behind the paper's own
 	// (LR, Criteo, 99%) miss in Table 5.
-	InitialSampleSize int
+	InitialSampleSize int `json:"initial_sample_size"`
 	// K is the number of Monte-Carlo parameter samples used by both
 	// estimators (default 100).
-	K int
+	K int `json:"k"`
 	// Method picks the statistics computation (default ObservedFisher).
-	Method Method
+	Method Method `json:"method"`
 	// Seed drives every random choice (splits, samples, parameter draws).
-	Seed int64
+	Seed int64 `json:"seed"`
 	// HoldoutFraction of the data is reserved for diff() (default 0.1),
 	// capped at MaxHoldout rows (default 2,000).
-	HoldoutFraction float64
-	MaxHoldout      int
+	HoldoutFraction float64 `json:"holdout_fraction"`
+	MaxHoldout      int     `json:"max_holdout"`
 	// TestFraction is carved out for generalization-error reporting
 	// (default 0, i.e. no test set; experiments set it explicitly).
-	TestFraction float64
+	TestFraction float64 `json:"test_fraction,omitempty"`
 	// Optimizer configures the solver (BFGS for d < 100, else L-BFGS).
-	Optimizer optimize.Options
+	Optimizer optimize.Options `json:"-"`
 	// FDStep is the finite-difference step of InverseGradients (default
 	// 1e-6, the paper's ϵ).
-	FDStep float64
+	FDStep float64 `json:"fd_step,omitempty"`
 	// SVDRelTol drops trailing singular values in ObservedFisher (default
 	// 1e-8 relative to the largest).
-	SVDRelTol float64
+	SVDRelTol float64 `json:"svd_rel_tol,omitempty"`
 	// WarmStart reuses the initial model's parameters to start the final
 	// training (off by default so iteration counts stay comparable to full
 	// training, as in Figure 8c).
-	WarmStart bool
+	WarmStart bool `json:"warm_start,omitempty"`
 	// VarianceInflation scales every sampled parameter deviation by
 	// (1 + VarianceInflation). This is footnote 2 of the paper (error terms
 	// compensating a not-fully-converged or noisily estimated J) exposed as
 	// a knob: use it for extra conservatism when n₀ is not ≫ d. Default 0,
 	// the paper's behaviour.
-	VarianceInflation float64
+	VarianceInflation float64 `json:"variance_inflation,omitempty"`
 	// MinSampleSize floors the sample-size search (default n₀).
-	MinSampleSize int
+	MinSampleSize int `json:"min_sample_size,omitempty"`
+}
+
+// optionsFields is Options without its methods, so the JSON methods below
+// can hand the struct to encoding/json without recursing into themselves.
+type optionsFields Options
+
+// optionsWire is the one wire form of Options: its own tagged fields with
+// the optimizer's (max_iters, grad_tol, …) flattened beside them. The
+// optimizer's callbacks do not travel.
+type optionsWire struct {
+	*optionsFields
+	*optimize.Options
+}
+
+func (o *Options) wire() optionsWire { return optionsWire{(*optionsFields)(o), &o.Optimizer} }
+
+// MarshalJSON writes the wire form.
+func (o Options) MarshalJSON() ([]byte, error) { return json.Marshal(o.wire()) }
+
+// UnmarshalJSON reads the wire form. Absent keys leave their fields
+// untouched, so an older record decodes to zeros that WithDefaults resolves
+// as it did when the record was written.
+func (o *Options) UnmarshalJSON(b []byte) error {
+	w := o.wire()
+	return json.Unmarshal(b, &w)
 }
 
 // WithDefaults returns a copy of o with zero fields replaced by the
-// documented defaults. Train applies it automatically; callers driving the
-// estimators directly (baselines, experiments) apply it themselves.
-func (o Options) WithDefaults() Options { return o.withDefaults() }
-
-func (o Options) withDefaults() Options {
+// documented defaults. Training applies it automatically; callers driving
+// the estimators directly (baselines, experiments) apply it themselves.
+func (o Options) WithDefaults() Options {
 	if o.Delta <= 0 {
 		o.Delta = 0.05
 	}

@@ -1,0 +1,92 @@
+package core
+
+import (
+	"encoding/json"
+	"reflect"
+	"testing"
+)
+
+// fillDistinct sets every non-func field reachable from v (recursing into
+// nested structs) to a distinct non-zero value and returns how many it set.
+func fillDistinct(t *testing.T, v reflect.Value, set int) int {
+	t.Helper()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Func:
+		case reflect.Struct:
+			set = fillDistinct(t, f, set)
+		case reflect.Float64:
+			set++
+			f.SetFloat(float64(set) + 0.5)
+		case reflect.Int, reflect.Int64:
+			set++
+			f.SetInt(int64(set))
+		case reflect.Bool:
+			set++
+			f.SetBool(true)
+		default:
+			t.Fatalf("field %s has kind %s: teach this test (and the JSON form) about it", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	return set
+}
+
+// TestOptionsJSONCarriesEveryField guards the one wire form of Options: a
+// cluster task or an audit record that dropped a field would train or
+// replay under a different config than the job it describes. Every field
+// except the optimizer's callbacks must survive marshal → unmarshal, so a
+// future option cannot be silently lost on the way to a worker.
+func TestOptionsJSONCarriesEveryField(t *testing.T) {
+	var want Options
+	if n := fillDistinct(t, reflect.ValueOf(&want).Elem(), 0); n < 20 {
+		t.Fatalf("filled only %d fields; Options and its optimizer have at least 20 scalars", n)
+	}
+	// Carried inside a larger document, as tasks and records do.
+	type carrier struct {
+		Options Options `json:"options"`
+	}
+	raw, err := json.Marshal(carrier{want})
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	var got carrier
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatalf("unmarshal %s: %v", raw, err)
+	}
+	if !reflect.DeepEqual(got.Options, want) {
+		t.Fatalf("options changed on the wire:\n sent %+v\n got  %+v\n json %s", want, got.Options, raw)
+	}
+}
+
+// TestOptionsJSONKeys pins the keys audit logs and cluster tasks were
+// written with before the form moved into core, so old records keep
+// loading and what is written for those fields has not changed.
+func TestOptionsJSONKeys(t *testing.T) {
+	old := `{"epsilon":0.05,"delta":0.05,"k":100,"method":2,"seed":3,"initial_sample_size":300,` +
+		`"min_sample_size":310,"holdout_fraction":0.1,"max_holdout":2000,"test_fraction":0.15,` +
+		`"warm_start":true,"max_iters":150}`
+	var got Options
+	if err := json.Unmarshal([]byte(old), &got); err != nil {
+		t.Fatal(err)
+	}
+	want := Options{Epsilon: 0.05, Delta: 0.05, K: 100, Method: ClosedForm, Seed: 3, InitialSampleSize: 300,
+		MinSampleSize: 310, HoldoutFraction: 0.1, MaxHoldout: 2000, TestFraction: 0.15, WarmStart: true}
+	want.Optimizer.MaxIters = 150
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %+v, want %+v", got, want)
+	}
+	raw, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var oldKeys, newKeys map[string]any
+	if err := json.Unmarshal([]byte(old), &oldKeys); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &newKeys); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(newKeys, oldKeys) {
+		t.Fatalf("re-encoded %s, want the keys and values of %s", raw, old)
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"blinkml/internal/compute"
@@ -21,7 +22,7 @@ func TestCoordinatorDeterministicAtFixedDegree(t *testing.T) {
 	run := func() *Result {
 		t.Helper()
 		ds := datagen.Criteo(datagen.Config{Rows: 8000, Dim: 120, Seed: 21})
-		res, err := Train(models.LogisticRegression{Reg: 0.001}, ds, Options{
+		res, err := TrainSourceContext(context.Background(), models.LogisticRegression{Reg: 0.001}, ds, Options{
 			Epsilon: 0.01, Seed: 22, InitialSampleSize: 400, K: 40,
 		})
 		if err != nil {
@@ -56,7 +57,7 @@ func TestStatisticsDeterministicAtFixedDegree(t *testing.T) {
 	for i := range theta {
 		theta[i] = 0.1 * float64(i%5)
 	}
-	first, err := ComputeStatistics(spec, ds, theta, Options{Epsilon: 0.05}.withDefaults())
+	first, err := ComputeStatistics(spec, ds, theta, Options{Epsilon: 0.05}.WithDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestStatisticsDeterministicAtFixedDegree(t *testing.T) {
 		t.Fatalf("expected dense factor, got %T", first.Factor)
 	}
 	for rep := 0; rep < 2; rep++ {
-		again, err := ComputeStatistics(spec, ds, theta, Options{Epsilon: 0.05}.withDefaults())
+		again, err := ComputeStatistics(spec, ds, theta, Options{Epsilon: 0.05}.WithDefaults())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"blinkml/internal/datagen"
@@ -53,7 +54,7 @@ func TestOutOfCoreTrainingStaysUnderRowBudget(t *testing.T) {
 	h.LimitMaterialize(budget)
 
 	opt := Options{Epsilon: 0.08, Delta: 0.1, Seed: 11, InitialSampleSize: 600}
-	res, err := TrainSource(models.LogisticRegression{Reg: 0.001}, h, opt)
+	res, err := TrainSourceContext(context.Background(), models.LogisticRegression{Reg: 0.001}, h, opt)
 	if err != nil {
 		t.Fatalf("out-of-core train: %v", err)
 	}
@@ -84,11 +85,11 @@ func TestStoreBackedTrainingMatchesInMemory(t *testing.T) {
 	spec := models.LogisticRegression{Reg: 0.001}
 	opt := Options{Epsilon: 0.02, Delta: 0.05, Seed: 17, InitialSampleSize: 300, MinSampleSize: 300}
 
-	fromStore, err := TrainSource(spec, h, opt)
+	fromStore, err := TrainSourceContext(context.Background(), spec, h, opt)
 	if err != nil {
 		t.Fatalf("store train: %v", err)
 	}
-	fromMem, err := Train(spec, mem, opt)
+	fromMem, err := TrainSourceContext(context.Background(), spec, mem, opt)
 	if err != nil {
 		t.Fatalf("memory train: %v", err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"blinkml/internal/datagen"
@@ -31,7 +32,7 @@ func BenchmarkSparseStatisticsGram(b *testing.B) {
 	for i := range theta {
 		theta[i] = 0.01 * float64(i%5)
 	}
-	opt := Options{Epsilon: 0.05}.withDefaults()
+	opt := Options{Epsilon: 0.05}.WithDefaults()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -48,7 +49,7 @@ func BenchmarkSparseTrainEndToEnd(b *testing.B) {
 	spec := models.LogisticRegression{Reg: 0.001}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Train(spec, ds, Options{Epsilon: 0.05, Seed: 2, InitialSampleSize: 500}); err != nil {
+		if _, err := TrainSourceContext(context.Background(), spec, ds, Options{Epsilon: 0.05, Seed: 2, InitialSampleSize: 500}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -107,11 +108,11 @@ func TestSparseDensePathsBitIdentical(t *testing.T) {
 				sp := sparseFixture(t, c.task, 1500, 80, 6, c.classes, 7)
 				de := densified(sp)
 				opt := Options{Epsilon: 0.05, Seed: 11, InitialSampleSize: 200, K: 30}
-				rs, err := Train(c.spec, sp, opt)
+				rs, err := TrainSourceContext(context.Background(), c.spec, sp, opt)
 				if err != nil {
 					t.Fatalf("sparse train: %v", err)
 				}
-				rd, err := Train(c.spec, de, opt)
+				rd, err := TrainSourceContext(context.Background(), c.spec, de, opt)
 				if err != nil {
 					t.Fatalf("dense train: %v", err)
 				}
@@ -151,7 +152,7 @@ func TestSparseGramConcurrent(t *testing.T) {
 	for i := range theta {
 		theta[i] = 0.05 * float64(i%7)
 	}
-	opt := Options{Epsilon: 0.05}.withDefaults()
+	opt := Options{Epsilon: 0.05}.WithDefaults()
 	first, err := ComputeStatistics(spec, ds, theta, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -31,7 +31,7 @@ type Statistics struct {
 // ComputeStatistics computes the sampling statistics for spec at theta
 // using the sample the model was trained on (paper §3.4).
 func ComputeStatistics(spec models.Spec, sample *dataset.Dataset, theta []float64, opt Options) (*Statistics, error) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	switch opt.Method {
 	case ObservedFisher:
 		return observedFisher(spec, sample, theta, opt)

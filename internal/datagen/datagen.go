@@ -324,7 +324,7 @@ func OneHot(cfg Config) *dataset.Dataset {
 
 // generators is the single registry of synthetic workloads: each entry
 // carries the generator's default rows × dim (laptop-scaled stand-ins for
-// the paper's Table 2 sizes) and its builder, so Shape and Generate can
+// the paper's Table 2 sizes) and its builder, so Ref.Shape and Generate can
 // never drift apart on which names exist.
 var generators = map[string]struct {
 	rows, dim int
@@ -355,18 +355,6 @@ func defaultShape(name string) (rows, dim int) {
 	return g.rows, g.dim
 }
 
-// Shape returns the rows × dim a Generate(name, cfg) call would produce —
-// the per-dataset defaults applied to cfg — without generating anything.
-// Schedulers use it to size work for a synthetic workload before (or
-// instead of) materializing it.
-func Shape(name string, cfg Config) (rows, dim int, err error) {
-	if _, ok := generators[name]; !ok {
-		return 0, 0, fmt.Errorf("datagen: unknown dataset %q", name)
-	}
-	cfg = cfg.withDefaults(defaultShape(name))
-	return cfg.Rows, cfg.Dim, nil
-}
-
 // Generate dispatches by dataset name ("gas", "power", "criteo", "higgs",
 // "mnist", "yelp", "counts").
 func Generate(name string, cfg Config) (*dataset.Dataset, error) {
@@ -375,6 +363,34 @@ func Generate(name string, cfg Config) (*dataset.Dataset, error) {
 		return nil, fmt.Errorf("datagen: unknown dataset %q", name)
 	}
 	return g.build(cfg), nil
+}
+
+// Ref selects a generated workload by name on the wire — in a serving-layer
+// request or a cluster task; zero Rows/Dim use the per-dataset defaults.
+// Generation is deterministic in the four fields, so cluster workers
+// regenerate the data locally instead of transferring it.
+type Ref struct {
+	Name string `json:"name"`
+	Rows int    `json:"rows,omitempty"`
+	Dim  int    `json:"dim,omitempty"`
+	Seed int64  `json:"seed,omitempty"`
+}
+
+func (r *Ref) config() Config { return Config{Rows: r.Rows, Dim: r.Dim, Seed: r.Seed} }
+
+// Build generates the workload r names.
+func (r *Ref) Build() (*dataset.Dataset, error) { return Generate(r.Name, r.config()) }
+
+// Shape returns the rows × dim Build would produce — the per-dataset
+// defaults applied to r — without generating anything. Schedulers use it to
+// size work for a synthetic workload before (or instead of) materializing
+// it.
+func (r *Ref) Shape() (rows, dim int, err error) {
+	if _, ok := generators[r.Name]; !ok {
+		return 0, 0, fmt.Errorf("datagen: unknown dataset %q", r.Name)
+	}
+	cfg := r.config().withDefaults(defaultShape(r.Name))
+	return cfg.Rows, cfg.Dim, nil
 }
 
 // groundTruth draws a fixed parameter vector with the given scale.

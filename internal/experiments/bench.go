@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -288,7 +289,7 @@ func benchWorkload(w Workload, scale Scale, seed int64) (BenchResult, error) {
 	start := time.Now()
 	for i := 0; i < benchIters; i++ {
 		it := time.Now()
-		r, err := core.Train(w.Spec(scale), ds, opt)
+		r, err := core.TrainSourceContext(context.Background(), w.Spec(scale), ds, opt)
 		if err != nil {
 			return BenchResult{}, err
 		}

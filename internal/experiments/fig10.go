@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -54,7 +55,7 @@ func RunFig10(scale Scale, seed int64, steps int) (*Table, error) {
 		env := core.NewEnv(masked, base)
 
 		start := time.Now()
-		approx, err := env.TrainApprox(spec, base)
+		approx, err := env.TrainApproxContext(context.Background(), spec, base)
 		if err != nil {
 			return nil, fmt.Errorf("fig10 step %d blinkml: %w", step, err)
 		}

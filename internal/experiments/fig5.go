@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -45,7 +46,7 @@ func RunFig5(w Workload, scale Scale, reps int, seed int64) (*Table, error) {
 			o := base
 			o.Epsilon = eps
 			o.Seed = seed + int64(1000*(r+1))
-			res, err := env.TrainApprox(spec, o)
+			res, err := env.TrainApproxContext(context.Background(), spec, o)
 			if err != nil {
 				return nil, fmt.Errorf("fig5 %s acc=%v rep=%d: %w", w.ID, acc, r, err)
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"blinkml/internal/core"
@@ -44,7 +45,7 @@ func RunFig6(w Workload, scale Scale, reps int, seed int64) (*Table, error) {
 			o := base
 			o.Epsilon = eps
 			o.Seed = seed + int64(777*(r+1))
-			res, err := env.TrainApprox(spec, o)
+			res, err := env.TrainApproxContext(context.Background(), spec, o)
 			if err != nil {
 				return nil, fmt.Errorf("fig6 %s acc=%v rep=%d: %w", w.ID, acc, r, err)
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"blinkml/internal/baselines"
@@ -64,7 +65,7 @@ func RunFig7(w Workload, scale Scale, seed int64) (effectiveness, efficiency *Ta
 		if err != nil {
 			return nil, nil, fmt.Errorf("fig7 inc: %w", err)
 		}
-		blink, err := env.TrainApprox(spec, o)
+		blink, err := env.TrainApproxContext(context.Background(), spec, o)
 		if err != nil {
 			return nil, nil, fmt.Errorf("fig7 blinkml: %w", err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"blinkml/internal/core"
@@ -59,7 +60,7 @@ func RunFig8(scale Scale, seed int64) (overhead, genErr, iters *Table, err error
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("fig8 d=%d full: %w", d, err)
 		}
-		res, err := env.TrainApprox(spec, base)
+		res, err := env.TrainApproxContext(context.Background(), spec, base)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("fig8 d=%d blinkml: %w", d, err)
 		}

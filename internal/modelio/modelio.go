@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"blinkml/internal/core"
+	"blinkml/internal/dataset"
 	"blinkml/internal/models"
 )
 
@@ -32,18 +33,67 @@ const (
 	Version    = 1
 )
 
-// Model is the persistable view of a trained model: spec, parameters, and
-// contract metadata (a superset of what the public blinkml.Model carries).
+// Model is the one record of a trained model: spec, parameters θ, and the
+// accuracy-contract metadata of the run that produced it. The coordinator's
+// core.Result becomes a Model once (FromResult); the public API, the tuner,
+// the cluster wire, the registry and the serving layer all pass this type.
+// The JSON tags are the envelope's field layout (see Encode).
 type Model struct {
-	Spec             models.Spec
-	Theta            []float64
-	Dim              int // feature dimension; inferred from Spec+Theta if 0
-	SampleSize       int
-	PoolSize         int
-	EstimatedEpsilon float64
-	UsedInitialModel bool
-	Diag             core.Diagnostics
-	CreatedAt        time.Time
+	// Spec is the model class this model belongs to.
+	Spec models.Spec `json:"-"`
+	// Theta is the flattened parameter vector.
+	Theta []float64 `json:"theta"`
+	// Dim is the feature dimension; inferred from Spec+Theta if 0.
+	Dim int `json:"dim"`
+	// SampleSize is the number of training rows actually used.
+	SampleSize int `json:"sample_size,omitempty"`
+	// PoolSize is N, the rows the full model would have used.
+	PoolSize int `json:"pool_size,omitempty"`
+	// EstimatedEpsilon bounds v(m_n) with probability ≥ 1−δ (0 for a full
+	// model).
+	EstimatedEpsilon float64 `json:"estimated_epsilon,omitempty"`
+	// UsedInitialModel reports whether the initial n₀-row model already met
+	// the contract (§2.3: at most two models are ever trained).
+	UsedInitialModel bool `json:"used_initial_model,omitempty"`
+	// Diag breaks down where the time went (Figure 8a phases) and records
+	// the estimator's decision trail.
+	Diag      core.Diagnostics `json:"diag"`
+	CreatedAt time.Time        `json:"created_at,omitzero"`
+}
+
+// FromResult records a coordinator result as a Model of spec trained on
+// dim-dimensional data.
+func FromResult(spec models.Spec, dim int, res *core.Result) *Model {
+	return &Model{
+		Spec:             spec,
+		Theta:            res.Theta,
+		Dim:              dim,
+		SampleSize:       res.SampleSize,
+		PoolSize:         res.PoolSize,
+		EstimatedEpsilon: res.EstimatedEpsilon,
+		UsedInitialModel: res.UsedInitialModel,
+		Diag:             res.Diag,
+	}
+}
+
+// Predict returns the model's prediction for x: a class index for
+// classifiers, a real value for regressors.
+func (m *Model) Predict(x dataset.Row) float64 { return m.Spec.Predict(m.Theta, x) }
+
+// Accuracy returns the fraction of rows in ds the model labels correctly
+// (classification tasks).
+func (m *Model) Accuracy(ds *dataset.Dataset) float64 { return models.Accuracy(m.Spec, m.Theta, ds) }
+
+// GeneralizationError returns the test error (misclassification rate or
+// normalized RMSE).
+func (m *Model) GeneralizationError(ds *dataset.Dataset) float64 {
+	return models.GeneralizationError(m.Spec, m.Theta, ds)
+}
+
+// Diff returns the empirical model difference v between m and other on a
+// holdout set (the metric the (ε, δ) contract bounds).
+func (m *Model) Diff(other *Model, holdout *dataset.Dataset) float64 {
+	return models.Diff(m.Spec, m.Theta, other.Theta, holdout)
 }
 
 // SpecJSON is the wire form of a model class specification. It doubles as
@@ -122,19 +172,27 @@ func (sj SpecJSON) Spec() (models.Spec, error) {
 	}
 }
 
-// envelope is the on-disk layout.
+// envelope is the on-disk layout: the format header and the wire spec,
+// followed by the Model's own tagged fields.
 type envelope struct {
-	Format           string           `json:"format"`
-	Version          int              `json:"version"`
-	Spec             SpecJSON         `json:"spec"`
-	Theta            []float64        `json:"theta"`
-	Dim              int              `json:"dim"`
-	SampleSize       int              `json:"sample_size,omitempty"`
-	PoolSize         int              `json:"pool_size,omitempty"`
-	EstimatedEpsilon float64          `json:"estimated_epsilon,omitempty"`
-	UsedInitialModel bool             `json:"used_initial_model,omitempty"`
-	Diag             core.Diagnostics `json:"diag"`
-	CreatedAt        time.Time        `json:"created_at,omitzero"`
+	Format  string   `json:"format"`
+	Version int      `json:"version"`
+	Spec    SpecJSON `json:"spec"`
+	*Model
+}
+
+// checkTheta rejects parameter vectors that cannot have come from
+// successful training (and would not survive JSON anyway).
+func checkTheta(theta []float64) error {
+	if len(theta) == 0 {
+		return errors.New("modelio: empty parameter vector")
+	}
+	for i, v := range theta {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("modelio: theta[%d] is not finite", i)
+		}
+	}
+	return nil
 }
 
 // InferDim recovers the feature dimension from a spec and its flattened
@@ -157,51 +215,30 @@ func InferDim(spec models.Spec, theta []float64) int {
 	}
 }
 
-// Encode writes m to w. Non-finite parameters are rejected: they cannot
-// have come from successful training and would not survive JSON anyway.
+// Encode writes m to w. Non-finite parameters are rejected.
 func Encode(w io.Writer, m *Model) error {
 	if m == nil || m.Spec == nil {
 		return errors.New("modelio: nil model or spec")
 	}
-	if len(m.Theta) == 0 {
-		return errors.New("modelio: empty parameter vector")
-	}
-	for i, v := range m.Theta {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("modelio: theta[%d] is not finite", i)
-		}
+	if err := checkTheta(m.Theta); err != nil {
+		return err
 	}
 	sj, err := SpecToJSON(m.Spec)
 	if err != nil {
 		return err
 	}
-	dim := m.Dim
-	if dim == 0 {
-		dim = InferDim(m.Spec, m.Theta)
+	rec := *m
+	if rec.Dim == 0 {
+		rec.Dim = InferDim(m.Spec, m.Theta)
 	}
-	env := envelope{
-		Format:           FormatName,
-		Version:          Version,
-		Spec:             sj,
-		Theta:            m.Theta,
-		Dim:              dim,
-		SampleSize:       m.SampleSize,
-		PoolSize:         m.PoolSize,
-		EstimatedEpsilon: m.EstimatedEpsilon,
-		UsedInitialModel: m.UsedInitialModel,
-		Diag:             m.Diag,
-		CreatedAt:        m.CreatedAt,
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&env)
+	return json.NewEncoder(w).Encode(&envelope{Format: FormatName, Version: Version, Spec: sj, Model: &rec})
 }
 
 // Decode reads a model written by Encode, validating the envelope and
 // reconstructing the concrete spec.
 func Decode(r io.Reader) (*Model, error) {
-	var env envelope
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&env); err != nil {
+	env := envelope{Model: &Model{}}
+	if err := json.NewDecoder(r).Decode(&env); err != nil {
 		return nil, fmt.Errorf("modelio: decode: %w", err)
 	}
 	if env.Format != FormatName {
@@ -210,31 +247,16 @@ func Decode(r io.Reader) (*Model, error) {
 	if env.Version != Version {
 		return nil, fmt.Errorf("modelio: unsupported version %d (have %d)", env.Version, Version)
 	}
-	spec, err := env.Spec.Spec()
-	if err != nil {
+	m := env.Model
+	var err error
+	if m.Spec, err = env.Spec.Spec(); err != nil {
 		return nil, err
 	}
-	if len(env.Theta) == 0 {
-		return nil, errors.New("modelio: empty parameter vector")
+	if err := checkTheta(m.Theta); err != nil {
+		return nil, err
 	}
-	for i, v := range env.Theta {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("modelio: theta[%d] is not finite", i)
-		}
+	if m.Dim == 0 {
+		m.Dim = InferDim(m.Spec, m.Theta)
 	}
-	dim := env.Dim
-	if dim == 0 {
-		dim = InferDim(spec, env.Theta)
-	}
-	return &Model{
-		Spec:             spec,
-		Theta:            env.Theta,
-		Dim:              dim,
-		SampleSize:       env.SampleSize,
-		PoolSize:         env.PoolSize,
-		EstimatedEpsilon: env.EstimatedEpsilon,
-		UsedInitialModel: env.UsedInitialModel,
-		Diag:             env.Diag,
-		CreatedAt:        env.CreatedAt,
-	}, nil
+	return m, nil
 }

@@ -35,18 +35,19 @@ func (p FuncProblem) Eval(x, grad []float64) float64 { return p.F(x, grad) }
 // Options configures a solver run. The zero value is usable: it picks the
 // defaults below.
 type Options struct {
-	MaxIters  int     // default 200
-	GradTol   float64 // stop when ‖grad‖∞ <= GradTol; default 1e-6
-	Memory    int     // L-BFGS history pairs; default 10
-	StepInit  float64 // first trial step of each line search; default 1
-	MaxEvals  int     // cap on objective evaluations; default 10*MaxIters
-	FtolRel   float64 // stop when relative objective decrease < FtolRel; default 1e-12
-	OnIterate func(iter int, f float64, gradNorm float64)
+	MaxIters int     `json:"max_iters,omitempty"` // default 200
+	GradTol  float64 `json:"grad_tol,omitempty"`  // stop when ‖grad‖∞ <= GradTol; default 1e-6
+	Memory   int     `json:"memory,omitempty"`    // L-BFGS history pairs; default 10
+	StepInit float64 `json:"step_init,omitempty"` // first trial step of each line search; default 1
+	MaxEvals int     `json:"max_evals,omitempty"` // cap on objective evaluations; default 10*MaxIters
+	FtolRel  float64 `json:"ftol_rel,omitempty"`  // stop when relative objective decrease < FtolRel; default 1e-12
+
+	OnIterate func(iter int, f float64, gradNorm float64) `json:"-"`
 	// Stop, when non-nil, is polled once per iteration; a non-nil return
 	// aborts the solve immediately with that error. This is how context
 	// cancellation reaches the inner loops: a killed training job stops
 	// burning CPU at the next iteration boundary.
-	Stop func() error
+	Stop func() error `json:"-"`
 }
 
 func (o Options) withDefaults() Options {

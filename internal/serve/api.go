@@ -49,6 +49,7 @@ import (
 
 	"blinkml/internal/audit"
 	"blinkml/internal/core"
+	"blinkml/internal/datagen"
 	"blinkml/internal/dataset"
 	"blinkml/internal/modelio"
 	"blinkml/internal/obs"
@@ -97,9 +98,9 @@ func (r *TrainRequest) Validate() error {
 // must be set. The ID path is the out-of-core one — training materializes
 // only the rows it samples, never the whole dataset.
 type DatasetRef struct {
-	Synthetic *SyntheticRef `json:"synthetic,omitempty"`
-	Inline    *InlineData   `json:"inline,omitempty"`
-	ID        string        `json:"dataset_id,omitempty"`
+	Synthetic *datagen.Ref    `json:"synthetic,omitempty"`
+	Inline    *dataset.Inline `json:"inline,omitempty"`
+	ID        string          `json:"dataset_id,omitempty"`
 }
 
 // Validate checks that exactly one source is present and well-formed.
@@ -124,86 +125,12 @@ func (r *DatasetRef) Validate() error {
 		}
 		return nil
 	case r.Inline != nil:
-		return r.Inline.validate()
+		return r.Inline.Validate()
 	case r.ID != "":
 		return nil
 	default:
 		return errors.New("serve: missing dataset (set synthetic, inline, or dataset_id)")
 	}
-}
-
-// SyntheticRef selects one of the generated workloads ("gas", "power",
-// "criteo", "higgs", "mnist", "yelp", "counts"); zero Rows/Dim use the
-// per-dataset defaults.
-type SyntheticRef struct {
-	Name string `json:"name"`
-	Rows int    `json:"rows,omitempty"`
-	Dim  int    `json:"dim,omitempty"`
-	Seed int64  `json:"seed,omitempty"`
-}
-
-// InlineData is a dataset shipped in the request body, either dense
-// (row-major x) or sparse (per-row indices/values over an ambient dim) —
-// exactly one of the two shapes must be present. Sparse uploads at or below
-// the density threshold train on the sparse kernels; denser ones auto-fall
-// back to dense rows, with bit-identical results either way.
-type InlineData struct {
-	// Task is "regression", "binary", "multiclass", or "unsupervised".
-	Task string `json:"task"`
-	// X holds dense rows.
-	X [][]float64 `json:"x,omitempty"`
-	// Dim is the ambient dimension for sparse rows (0 = infer from the
-	// largest index). Indices[i] are strictly increasing 0-based feature
-	// ids; Values[i] the matching entries.
-	Dim     int         `json:"dim,omitempty"`
-	Indices [][]int32   `json:"indices,omitempty"`
-	Values  [][]float64 `json:"values,omitempty"`
-	// Y holds labels (empty for unsupervised).
-	Y []float64 `json:"y,omitempty"`
-	// Classes is K for multiclass (0 = infer from the labels).
-	Classes int `json:"classes,omitempty"`
-}
-
-// ParseTask maps a wire task name to the dataset constant.
-func ParseTask(s string) (dataset.Task, error) { return dataset.ParseTask(s) }
-
-// Sparse reports whether the payload uses the sparse shape.
-func (d *InlineData) Sparse() bool { return len(d.Indices) > 0 }
-
-func (d *InlineData) validate() error {
-	if len(d.X) == 0 && len(d.Indices) == 0 {
-		return errors.New("serve: inline dataset has no rows (set x, or indices+values)")
-	}
-	if len(d.X) > 0 && len(d.Indices) > 0 {
-		return errors.New("serve: inline dataset must be dense (x) or sparse (indices+values), not both")
-	}
-	if d.Sparse() && len(d.Values) != len(d.Indices) {
-		return fmt.Errorf("serve: inline dataset has %d index rows but %d value rows", len(d.Indices), len(d.Values))
-	}
-	if _, err := ParseTask(d.Task); err != nil {
-		return err
-	}
-	return nil
-}
-
-// Rows returns the number of rows in either shape.
-func (d *InlineData) Rows() int {
-	if d.Sparse() {
-		return len(d.Indices)
-	}
-	return len(d.X)
-}
-
-// Build materializes the inline data as a Dataset.
-func (d *InlineData) Build() (*dataset.Dataset, error) {
-	task, err := ParseTask(d.Task)
-	if err != nil {
-		return nil, err
-	}
-	if d.Sparse() {
-		return dataset.FromSparse(task, d.Dim, d.Indices, d.Values, d.Y, d.Classes)
-	}
-	return dataset.FromDense(task, d.X, d.Y, d.Classes)
 }
 
 // TrainResponse acknowledges an enqueued job.
@@ -276,23 +203,35 @@ type JobList struct {
 }
 
 // PhaseBreakdown is the paper's Figure-8a decomposition of where training
-// time went, in milliseconds, plus the headline estimator internals.
+// time went, in milliseconds, plus the estimator's decision trail: ε₀, the
+// sampling factor's rank, and every sample-size probe behind the chosen n.
 type PhaseBreakdown struct {
-	InitialTrainMs float64 `json:"initial_train_ms"`
-	StatisticsMs   float64 `json:"statistics_ms"`
-	SampleSearchMs float64 `json:"sample_search_ms"`
-	FinalTrainMs   float64 `json:"final_train_ms"`
-	TotalMs        float64 `json:"total_ms"`
-	InitialEpsilon float64 `json:"initial_epsilon"`
-	InitialIters   int     `json:"initial_iters"`
-	FinalIters     int     `json:"final_iters,omitempty"`
-	Method         string  `json:"method"`
+	InitialTrainMs float64     `json:"initial_train_ms"`
+	StatisticsMs   float64     `json:"statistics_ms"`
+	SampleSearchMs float64     `json:"sample_search_ms"`
+	FinalTrainMs   float64     `json:"final_train_ms"`
+	TotalMs        float64     `json:"total_ms"`
+	InitialEpsilon float64     `json:"initial_epsilon"`
+	InitialIters   int         `json:"initial_iters"`
+	FinalIters     int         `json:"final_iters,omitempty"`
+	Method         string      `json:"method"`
+	Rank           int         `json:"rank,omitempty"`
+	Probes         []ProbeJSON `json:"probes,omitempty"`
+}
+
+// ProbeJSON is one Sample Size Estimator evaluation (core.Probe on the
+// wire): the candidate n, the fraction of sampled model pairs within ε at
+// that n, and whether it reached the conservative level.
+type ProbeJSON struct {
+	N         int     `json:"n"`
+	Fraction  float64 `json:"fraction"`
+	Satisfied bool    `json:"satisfied"`
 }
 
 // NewPhaseBreakdown converts core diagnostics to the wire form.
 func NewPhaseBreakdown(d core.Diagnostics) *PhaseBreakdown {
 	ms := func(t time.Duration) float64 { return float64(t) / float64(time.Millisecond) }
-	return &PhaseBreakdown{
+	pb := &PhaseBreakdown{
 		InitialTrainMs: ms(d.InitialTrain),
 		StatisticsMs:   ms(d.Statistics),
 		SampleSearchMs: ms(d.SampleSearch),
@@ -302,7 +241,12 @@ func NewPhaseBreakdown(d core.Diagnostics) *PhaseBreakdown {
 		InitialIters:   d.InitialIters,
 		FinalIters:     d.FinalIters,
 		Method:         d.Method.String(),
+		Rank:           d.Rank,
 	}
+	for _, p := range d.Probes {
+		pb.Probes = append(pb.Probes, ProbeJSON(p))
+	}
+	return pb
 }
 
 // ModelInfo is the metadata view of a stored model (GET /v1/models/{id});

@@ -49,7 +49,7 @@ func (r clusterReplayer) Replay(ctx context.Context, rec audit.Record, m *modeli
 	id, err := r.s.coord.Submit(cluster.TaskSpec{Kind: cluster.KindAudit, Trace: obs.TraceID(ctx), Audit: &cluster.AuditTask{
 		Spec:    rec.Spec,
 		Dataset: cref,
-		Options: clusterTrainOptions(rec.Options.Core()),
+		Options: rec.Options,
 		Theta:   m.Theta,
 		Bound:   rec.EpsilonHat,
 	}})

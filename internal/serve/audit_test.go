@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,7 +16,6 @@ import (
 	"blinkml/internal/core"
 	"blinkml/internal/datagen"
 	"blinkml/internal/modelio"
-	"blinkml/internal/optimize"
 )
 
 // TestAuditEndToEnd is the guarantee-audit acceptance path: train 20 jobs
@@ -52,7 +52,7 @@ func TestAuditEndToEnd(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			req := TrainRequest{
 				Model:   modelio.SpecJSON{Name: c.family, Reg: 0.001},
-				Dataset: DatasetRef{Synthetic: &SyntheticRef{Name: c.data, Rows: 2500, Dim: 6, Seed: int64(100 + i)}},
+				Dataset: DatasetRef{Synthetic: &datagen.Ref{Name: c.data, Rows: 2500, Dim: 6, Seed: int64(100 + i)}},
 				Epsilon: 0.2,
 				Delta:   0.05,
 				Options: TrainOptions{Seed: int64(10*i + 1), InitialSampleSize: 600},
@@ -139,15 +139,15 @@ func TestAuditEndToEnd(t *testing.T) {
 		if err := json.Unmarshal(e.Record.Dataset, &ref); err != nil {
 			t.Fatalf("record dataset ref: %v", err)
 		}
-		src, err := datagen.Generate(ref.Synthetic.Name, datagen.Config{Rows: ref.Synthetic.Rows, Dim: ref.Synthetic.Dim, Seed: ref.Synthetic.Seed})
+		src, err := ref.Synthetic.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		env, err := core.NewEnvFromSource(src, e.Record.Options.Core())
+		env, err := core.NewEnvFromSource(src, e.Record.Options)
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := env.TrainFull(spec, optimize.Options{MaxIters: e.Record.Options.MaxIters})
+		full, err := env.TrainFull(spec, e.Record.Options.Optimizer)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,5 +234,58 @@ func TestClusterAuditReplayAndScoreboard(t *testing.T) {
 	// burned pool CPU on this worker.
 	if ws.CPUMs <= 0 {
 		t.Fatalf("scoreboard cpu_ms %v, want > 0 after a completed train", ws.CPUMs)
+	}
+}
+
+// TestClusterAuditReplayHonoursRecordedSplit: a replay must rebuild the
+// split the job recorded, wherever it runs. A record whose options carry a
+// non-default holdout cap is replayed once in-process and once as a
+// KindAudit task on a worker; both must train the same full model. (The
+// task used to carry a narrower options form that dropped max_holdout,
+// holdout_fraction, k and method, so the worker split at the defaults.)
+func TestClusterAuditReplayHonoursRecordedSplit(t *testing.T) {
+	s, ts := newClusterServer(t, clusterTestConfig())
+	startClusterWorker(t, ts.URL, "w1")
+
+	req := trainBody()
+	req.Dataset.Synthetic.Rows = 6000
+	st := runJob(t, ts, "/v1/train", req)
+	if st.State != JobSucceeded {
+		t.Fatalf("cluster train: %+v", st)
+	}
+	m, err := s.Registry().Get(st.ModelID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok := s.audit.Get(st.ModelID)
+	if !ok {
+		t.Fatalf("no audit record for %s", st.ModelID)
+	}
+	// Default split of 6000 rows holds out 600; the recorded cap halves it.
+	rec := e.Record
+	rec.Options.MaxHoldout = 300
+	if err := s.audit.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx := context.Background()
+	local, err := audit.LocalReplayer{Resolve: s.resolveAuditSource}.Replay(ctx, rec, m)
+	if err != nil {
+		t.Fatalf("local replay: %v", err)
+	}
+	remote, err := clusterReplayer{s: s}.Replay(ctx, rec, m)
+	if err != nil {
+		t.Fatalf("cluster replay: %v", err)
+	}
+	if remote.FullThetaFNV != local.FullThetaFNV || remote.Realized != local.Realized {
+		t.Fatalf("worker replayed a different environment: fingerprint %016x realized %v, in-process %016x realized %v",
+			remote.FullThetaFNV, remote.Realized, local.FullThetaFNV, local.Realized)
+	}
+	atDefault, err := audit.LocalReplayer{Resolve: s.resolveAuditSource}.Replay(ctx, e.Record, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if atDefault.FullThetaFNV == local.FullThetaFNV {
+		t.Fatal("the holdout cap did not change the full model; the test cannot tell the two splits apart")
 	}
 }

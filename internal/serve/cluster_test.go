@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"blinkml/internal/cluster"
+	"blinkml/internal/datagen"
 	"blinkml/internal/obs"
 )
 
@@ -68,7 +69,7 @@ func startClusterWorker(t *testing.T, url, name string) {
 func trainBody() TrainRequest {
 	return TrainRequest{
 		Model:   modelSpec("logistic"),
-		Dataset: DatasetRef{Synthetic: &SyntheticRef{Name: "higgs", Rows: 4000, Dim: 8, Seed: 11}},
+		Dataset: DatasetRef{Synthetic: &datagen.Ref{Name: "higgs", Rows: 4000, Dim: 8, Seed: 11}},
 		Epsilon: 0.08,
 		Delta:   0.05,
 		Options: TrainOptions{Seed: 7, InitialSampleSize: 400},
@@ -159,7 +160,7 @@ func TestClusterTrainAndTuneMatchLocal(t *testing.T) {
 	// remote tasks on the cluster side).
 	tb := TuneRequest{
 		Space:   SpaceJSON{Random: &RandomSpaceJSON{Model: "logistic", Candidates: 3}},
-		Dataset: DatasetRef{Synthetic: &SyntheticRef{Name: "higgs", Rows: 4000, Dim: 8, Seed: 11}},
+		Dataset: DatasetRef{Synthetic: &datagen.Ref{Name: "higgs", Rows: 4000, Dim: 8, Seed: 11}},
 		Epsilon: 0.1,
 		Delta:   0.05,
 		Options: TuneOptions{Seed: 5, InitialSampleSize: 300},
@@ -305,7 +306,7 @@ func TestClusterCancelPropagates(t *testing.T) {
 
 	// A big slow training keeps the worker busy long enough to cancel.
 	req := trainBody()
-	req.Dataset = DatasetRef{Synthetic: &SyntheticRef{Name: "mnist", Rows: 20000, Seed: 3}}
+	req.Dataset = DatasetRef{Synthetic: &datagen.Ref{Name: "mnist", Rows: 20000, Seed: 3}}
 	req.Model = modelSpec("maxent")
 	req.Epsilon = 0.01
 	var ack TrainResponse

@@ -10,24 +10,25 @@ import (
 	"strings"
 	"time"
 
+	"blinkml/internal/dataset"
 	"blinkml/internal/store"
 )
 
 // StoredDataset is the wire view of a stored dataset (POST/GET
 // /v1/datasets): the manifest without the checksums.
 type StoredDataset struct {
-	ID           string    `json:"id"`
-	Name         string    `json:"name"`
-	Task         string    `json:"task"`
-	Rows         int       `json:"rows"`
-	Dim          int       `json:"dim"`
-	Classes      int       `json:"classes,omitempty"`
-	Sparse       bool      `json:"sparse"`
+	ID      string `json:"id"`
+	Name    string `json:"name"`
+	Task    string `json:"task"`
+	Rows    int    `json:"rows"`
+	Dim     int    `json:"dim"`
+	Classes int    `json:"classes,omitempty"`
+	Sparse  bool   `json:"sparse"`
 	// Encoding is the row record format on disk: "sparse" or "dense".
-	Encoding   string  `json:"encoding"`
-	NNZ        int64   `json:"nnz"`
-	MeanNNZRow float64 `json:"mean_nnz_per_row"`
-	Density    float64 `json:"density"`
+	Encoding     string    `json:"encoding"`
+	NNZ          int64     `json:"nnz"`
+	MeanNNZRow   float64   `json:"mean_nnz_per_row"`
+	Density      float64   `json:"density"`
 	DiskBytes    int64     `json:"disk_bytes"`
 	SourceFormat string    `json:"source_format"`
 	LabelMin     float64   `json:"label_min"`
@@ -239,7 +240,7 @@ func (p *ingestParams) options() (store.IngestOptions, error) {
 	if p.task == "" {
 		return store.IngestOptions{}, errors.New("serve: upload needs task=regression|binary|multiclass|unsupervised")
 	}
-	task, err := ParseTask(p.task)
+	task, err := dataset.ParseTask(p.task)
 	if err != nil {
 		return store.IngestOptions{}, err
 	}

@@ -134,7 +134,7 @@ func TestDatasetUploadTrainByIDMatchesInline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inline := &InlineData{Task: "binary", X: make([][]float64, mem.Len()), Y: mem.Y}
+	inline := &dataset.Inline{Task: "binary", X: make([][]float64, mem.Len()), Y: mem.Y}
 	for i := 0; i < mem.Len(); i++ {
 		v := make([]float64, mem.Dim)
 		mem.X[i].AddTo(v, 1)
@@ -269,7 +269,7 @@ func TestDatasetUploadValidationAndUnknownID(t *testing.T) {
 	// A ref naming two sources is rejected.
 	code = doJSON(t, client, http.MethodPost, ts.URL+"/v1/train", TrainRequest{
 		Model:   modelSpec("logistic"),
-		Dataset: DatasetRef{ID: "d-000001", Synthetic: &SyntheticRef{Name: "higgs"}},
+		Dataset: DatasetRef{ID: "d-000001", Synthetic: &datagen.Ref{Name: "higgs"}},
 		Epsilon: 0.05,
 	}, nil)
 	if code != http.StatusBadRequest {

@@ -7,7 +7,7 @@ import (
 
 	"blinkml/internal/cluster"
 	"blinkml/internal/core"
-	"blinkml/internal/datagen"
+	"blinkml/internal/modelio"
 	"blinkml/internal/obs"
 	"blinkml/internal/optimize"
 	"blinkml/internal/tune"
@@ -23,17 +23,18 @@ type executor interface {
 	execTune(ctx context.Context, req TuneRequest) (TaskResult, error)
 }
 
-// trainCoreOptions maps a train request to core options (shared by both
-// executors so the contract is identical wherever the job runs).
-func trainCoreOptions(req TrainRequest) core.Options {
+// trainCoreOptions is the one mapping from an HTTP request's contract and
+// per-request knobs to core options (shared by both executors and by
+// tuneConfig, so the contract is identical wherever and however a job runs).
+func trainCoreOptions(epsilon, delta float64, o TrainOptions) core.Options {
 	return core.Options{
-		Epsilon:           req.Epsilon,
-		Delta:             req.Delta,
-		Seed:              req.Options.Seed,
-		InitialSampleSize: req.Options.InitialSampleSize,
-		MinSampleSize:     req.Options.MinSampleSize,
-		WarmStart:         req.Options.WarmStart,
-		Optimizer:         optimize.Options{MaxIters: req.Options.MaxIters},
+		Epsilon:           epsilon,
+		Delta:             delta,
+		Seed:              o.Seed,
+		InitialSampleSize: o.InitialSampleSize,
+		MinSampleSize:     o.MinSampleSize,
+		WarmStart:         o.WarmStart,
+		Optimizer:         optimize.Options{MaxIters: o.MaxIters},
 	}
 }
 
@@ -42,28 +43,25 @@ func trainCoreOptions(req TrainRequest) core.Options {
 // pool must not multiply it, so the per-request worker count is clamped to
 // the server's own worker setting.
 func (s *Server) tuneConfig(req TuneRequest) tune.Config {
-	tf := req.Options.TestFraction
-	if tf == 0 {
-		tf = 0.15
+	o := req.Options
+	train := trainCoreOptions(req.Epsilon, req.Delta, TrainOptions{
+		Seed: o.Seed, InitialSampleSize: o.InitialSampleSize, MaxIters: o.MaxIters,
+	})
+	train.TestFraction = o.TestFraction
+	if train.TestFraction == 0 {
+		train.TestFraction = 0.15
 	}
-	workers := req.Options.Workers
+	workers := o.Workers
 	if workers <= 0 || workers > s.cfg.Workers {
 		workers = s.cfg.Workers
 	}
 	return tune.Config{
-		Train: core.Options{
-			Epsilon:           req.Epsilon,
-			Delta:             req.Delta,
-			Seed:              req.Options.Seed,
-			InitialSampleSize: req.Options.InitialSampleSize,
-			TestFraction:      tf,
-			Optimizer:         optimize.Options{MaxIters: req.Options.MaxIters},
-		},
+		Train:   train,
 		Workers: workers,
-		Halving: req.Options.Halving,
-		Rungs:   req.Options.Rungs,
-		Eta:     req.Options.Eta,
-		Seed:    req.Options.Seed,
+		Halving: o.Halving,
+		Rungs:   o.Rungs,
+		Eta:     o.Eta,
+		Seed:    o.Seed,
 	}
 }
 
@@ -80,38 +78,46 @@ func (s *Server) observeJobLedger(ctx context.Context, family string) {
 	s.m.JobAllocFamily.With(family).Observe(float64(snap.BytesMaterialized))
 }
 
-// finishTune registers the search winner and builds the job result (shared
-// executor tail). dim is the dataset's feature dimension; ref and opts
-// feed the winner's audit record so a replay can rebuild the search's
-// training environment.
-func (s *Server) finishTune(ctx context.Context, res *tune.Result, dim int, ref DatasetRef, opts core.Options, elapsed time.Duration) (TaskResult, error) {
-	s.m.TuneRuns.Add(1)
-	s.m.TuneLatency.Observe(float64(elapsed) / float64(time.Millisecond))
-	s.m.TuneCandidates.Add(int64(res.Evaluated))
-	s.m.TuneCandidatesPruned.Add(int64(res.Pruned))
-	best := res.Best
+// finishJob is the tail every job shares: persist the model under a
+// "registry" span, charge the job's ledger to the per-family cost
+// histograms, and report the model id with its phase breakdown.
+func (s *Server) finishJob(ctx context.Context, kind string, m *modelio.Model, ref DatasetRef, opts core.Options) (TaskResult, error) {
 	endReg := obs.StartSpan(ctx, "registry")
-	id, err := s.registerModel(ctx, "tune", best.Spec, best.Theta, dim, ref, opts, &core.Result{
-		SampleSize:       best.SampleSize,
-		PoolSize:         best.PoolSize,
-		EstimatedEpsilon: best.EstimatedEpsilon,
-		UsedInitialModel: best.UsedInitialModel,
-		Diag:             best.Diag,
-	})
+	id, err := s.registerModel(ctx, kind, m, ref, opts)
 	endReg()
 	if err != nil {
 		return TaskResult{}, err
 	}
-	rep, err := NewTuneReport(res)
+	s.observeJobLedger(ctx, m.Spec.Name())
+	return TaskResult{ModelID: id, Diagnostics: NewPhaseBreakdown(m.Diag)}, nil
+}
+
+// finishTrain records the train metrics and registers the model (shared
+// executor tail). ref and opts feed the audit record so a replay can
+// rebuild the training environment.
+func (s *Server) finishTrain(ctx context.Context, m *modelio.Model, ref DatasetRef, opts core.Options, elapsed time.Duration) (TaskResult, error) {
+	ms := float64(elapsed) / float64(time.Millisecond)
+	s.m.TrainRuns.Add(1)
+	s.m.TrainLatency.Observe(ms)
+	s.m.TrainLatencyFamily.With(m.Spec.Name()).Observe(ms)
+	s.m.SampleSizeSum.Add(int64(m.SampleSize))
+	s.m.SampleSizeLast.Set(int64(m.SampleSize))
+	return s.finishJob(ctx, "train", m, ref, opts)
+}
+
+// finishTune records the search metrics, registers the winner and attaches
+// the leaderboard (shared executor tail).
+func (s *Server) finishTune(ctx context.Context, res *tune.Result, ref DatasetRef, opts core.Options, elapsed time.Duration) (TaskResult, error) {
+	s.m.TuneRuns.Add(1)
+	s.m.TuneLatency.Observe(float64(elapsed) / float64(time.Millisecond))
+	s.m.TuneCandidates.Add(int64(res.Evaluated))
+	s.m.TuneCandidatesPruned.Add(int64(res.Pruned))
+	out, err := s.finishJob(ctx, "tune", res.Best, ref, opts)
 	if err != nil {
 		return TaskResult{}, err
 	}
-	s.observeJobLedger(ctx, best.Spec.Name())
-	return TaskResult{
-		ModelID:     id,
-		Diagnostics: NewPhaseBreakdown(best.Diag),
-		Tune:        rep,
-	}, nil
+	out.Tune, err = NewTuneReport(res)
+	return out, err
 }
 
 // localExecutor runs jobs in-process — the pre-cluster path, bit for bit.
@@ -127,26 +133,13 @@ func (e localExecutor) execTrain(ctx context.Context, req TrainRequest) (TaskRes
 	if err != nil {
 		return TaskResult{}, err
 	}
-	opts := trainCoreOptions(req)
+	opts := trainCoreOptions(req.Epsilon, req.Delta, req.Options)
 	start := time.Now()
 	res, err := core.TrainSourceContext(ctx, spec, src, opts)
 	if err != nil {
 		return TaskResult{}, err
 	}
-	elapsed := float64(time.Since(start)) / float64(time.Millisecond)
-	s.m.TrainRuns.Add(1)
-	s.m.TrainLatency.Observe(elapsed)
-	s.m.TrainLatencyFamily.With(spec.Name()).Observe(elapsed)
-	s.m.SampleSizeSum.Add(int64(res.SampleSize))
-	s.m.SampleSizeLast.Set(int64(res.SampleSize))
-	endReg := obs.StartSpan(ctx, "registry")
-	id, err := s.registerModel(ctx, "train", spec, res.Theta, src.Meta().Dim, req.Dataset, opts, res)
-	endReg()
-	if err != nil {
-		return TaskResult{}, err
-	}
-	s.observeJobLedger(ctx, spec.Name())
-	return TaskResult{ModelID: id, Diagnostics: NewPhaseBreakdown(res.Diag)}, nil
+	return s.finishTrain(ctx, modelio.FromResult(spec, src.Meta().Dim, res), req.Dataset, opts, time.Since(start))
 }
 
 func (e localExecutor) execTune(ctx context.Context, req TuneRequest) (TaskResult, error) {
@@ -165,7 +158,7 @@ func (e localExecutor) execTune(ctx context.Context, req TuneRequest) (TaskResul
 	if err != nil {
 		return TaskResult{}, err
 	}
-	return s.finishTune(ctx, res, src.Meta().Dim, req.Dataset, cfg.Train, time.Since(start))
+	return s.finishTune(ctx, res, req.Dataset, cfg.Train, time.Since(start))
 }
 
 // clusterExecutor dispatches jobs to the embedded coordinator's workers. A
@@ -186,12 +179,12 @@ func (e *clusterExecutor) execTrain(ctx context.Context, req TrainRequest) (Task
 	if err != nil {
 		return TaskResult{}, err
 	}
-	opts := trainCoreOptions(req)
+	opts := trainCoreOptions(req.Epsilon, req.Delta, req.Options)
 	start := time.Now()
 	id, err := e.coord.Submit(cluster.TaskSpec{Kind: cluster.KindTrain, Trace: obs.TraceID(ctx), Train: &cluster.TrainTask{
 		Spec:    req.Model,
 		Dataset: ref,
-		Options: clusterTrainOptions(opts),
+		Options: opts,
 	}})
 	if err != nil {
 		return TaskResult{}, err
@@ -205,36 +198,15 @@ func (e *clusterExecutor) execTrain(ctx context.Context, req TrainRequest) (Task
 	// remote work too.
 	obs.RecorderFrom(ctx).Add(payload.Spans)
 	obs.LedgerFrom(ctx).Merge(payload.Ledger)
+	// The worker shipped the model through modelio; registering its decoded
+	// record (whose spec carries trained derived state — PPCA's σ² — exactly
+	// as the local path's spec instance would) re-encodes the same bytes, so
+	// the registry entry is identical to a locally trained one.
 	m, err := cluster.DecodeModel(payload.Model)
 	if err != nil {
 		return TaskResult{}, err
 	}
-	res := &core.Result{
-		Theta:            m.Theta,
-		SampleSize:       m.SampleSize,
-		EstimatedEpsilon: m.EstimatedEpsilon,
-		UsedInitialModel: m.UsedInitialModel,
-		PoolSize:         m.PoolSize,
-		Diag:             m.Diag,
-	}
-	elapsed := float64(time.Since(start)) / float64(time.Millisecond)
-	s.m.TrainRuns.Add(1)
-	s.m.TrainLatency.Observe(elapsed)
-	s.m.TrainLatencyFamily.With(m.Spec.Name()).Observe(elapsed)
-	s.m.SampleSizeSum.Add(int64(res.SampleSize))
-	s.m.SampleSizeLast.Set(int64(res.SampleSize))
-	// The worker shipped the model through modelio; registering its decoded
-	// spec (which carries trained derived state — PPCA's σ² — exactly as
-	// the local path's spec instance would) re-encodes the same bytes, so
-	// the registry entry is identical to a locally trained one.
-	endReg := obs.StartSpan(ctx, "registry")
-	mid, err := s.registerModel(ctx, "train", m.Spec, m.Theta, m.Dim, req.Dataset, opts, res)
-	endReg()
-	if err != nil {
-		return TaskResult{}, err
-	}
-	s.observeJobLedger(ctx, m.Spec.Name())
-	return TaskResult{ModelID: mid, Diagnostics: NewPhaseBreakdown(res.Diag)}, nil
+	return s.finishTrain(ctx, m, req.Dataset, opts, time.Since(start))
 }
 
 func (e *clusterExecutor) execTune(ctx context.Context, req TuneRequest) (TaskResult, error) {
@@ -243,7 +215,7 @@ func (e *clusterExecutor) execTune(ctx context.Context, req TuneRequest) (TaskRe
 	if err != nil {
 		return TaskResult{}, err
 	}
-	ref, shape, err := s.clusterDatasetRef(req.Dataset)
+	ref, rows, err := s.clusterDatasetRef(req.Dataset)
 	if err != nil {
 		return TaskResult{}, err
 	}
@@ -258,27 +230,25 @@ func (e *clusterExecutor) execTune(ctx context.Context, req TuneRequest) (TaskRe
 	} else if fleet := e.coord.TotalCapacity(); fleet > cfg.Workers {
 		cfg.Workers = fleet + 2
 	}
-	runner := cluster.NewTrialRunner(e.coord, ref, clusterTrainOptions(cfg.Train), core.PoolSize(shape.rows, cfg.Train))
+	runner := cluster.NewTrialRunner(e.coord, ref, cfg.Train, core.PoolSize(rows, cfg.Train))
 	start := time.Now()
 	res, err := tune.SearchRunner(ctx, space, runner, cfg)
 	if err != nil {
 		return TaskResult{}, err
 	}
-	return s.finishTune(ctx, res, shape.dim, req.Dataset, cfg.Train, time.Since(start))
+	return s.finishTune(ctx, res, req.Dataset, cfg.Train, time.Since(start))
 }
-
-// dataShape is a dataset's rows × dim, known without materializing it.
-type dataShape struct{ rows, dim int }
 
 // clusterDatasetRef converts a request's dataset reference to the cluster
 // wire form, pinning stored datasets to their content checksums, and
-// reports the dataset's shape (what sizes a search's pool).
-func (s *Server) clusterDatasetRef(ref DatasetRef) (cluster.DatasetRef, dataShape, error) {
+// reports the dataset's row count (what sizes a search's pool) without
+// materializing it.
+func (s *Server) clusterDatasetRef(ref DatasetRef) (cluster.DatasetRef, int, error) {
 	switch {
 	case ref.ID != "":
 		h, err := s.store.Get(ref.ID)
 		if err != nil {
-			return cluster.DatasetRef{}, dataShape{}, err
+			return cluster.DatasetRef{}, 0, err
 		}
 		man := h.Manifest()
 		return cluster.DatasetRef{
@@ -286,54 +256,13 @@ func (s *Server) clusterDatasetRef(ref DatasetRef) (cluster.DatasetRef, dataShap
 			Rows:       man.Rows,
 			RowCRC32:   man.RowCRC32,
 			IndexCRC32: man.IndexCRC32,
-		}, dataShape{man.Rows, man.Dim}, nil
+		}, man.Rows, nil
 	case ref.Synthetic != nil:
-		r := ref.Synthetic
-		rows, dim, err := datagen.Shape(r.Name, datagen.Config{Rows: r.Rows, Dim: r.Dim})
-		if err != nil {
-			return cluster.DatasetRef{}, dataShape{}, err
-		}
-		return cluster.DatasetRef{Synthetic: &cluster.Synth{
-			Name: r.Name, Rows: r.Rows, Dim: r.Dim, Seed: r.Seed,
-		}}, dataShape{rows, dim}, nil
+		rows, _, err := ref.Synthetic.Shape()
+		return cluster.DatasetRef{Synthetic: ref.Synthetic}, rows, err
 	case ref.Inline != nil:
-		// Validated at admission, so the shape is trustworthy here.
-		in := ref.Inline
-		dim := in.Dim
-		if len(in.X) > 0 {
-			dim = len(in.X[0])
-		} else if dim == 0 {
-			for _, idx := range in.Indices {
-				if n := len(idx); n > 0 && int(idx[n-1])+1 > dim {
-					dim = int(idx[n-1]) + 1
-				}
-			}
-		}
-		return cluster.DatasetRef{Inline: &cluster.Inline{
-			Task:    in.Task,
-			X:       in.X,
-			Dim:     in.Dim,
-			Indices: in.Indices,
-			Values:  in.Values,
-			Y:       in.Y,
-			Classes: in.Classes,
-		}}, dataShape{in.Rows(), dim}, nil
+		return cluster.DatasetRef{Inline: ref.Inline}, ref.Inline.Rows(), nil
 	default:
-		return cluster.DatasetRef{}, dataShape{}, errors.New("serve: missing dataset")
-	}
-}
-
-// clusterTrainOptions maps core options to the wire subset workers rebuild
-// them from.
-func clusterTrainOptions(o core.Options) cluster.TrainOptions {
-	return cluster.TrainOptions{
-		Epsilon:           o.Epsilon,
-		Delta:             o.Delta,
-		Seed:              o.Seed,
-		InitialSampleSize: o.InitialSampleSize,
-		MinSampleSize:     o.MinSampleSize,
-		MaxIters:          o.Optimizer.MaxIters,
-		WarmStart:         o.WarmStart,
-		TestFraction:      o.TestFraction,
+		return cluster.DatasetRef{}, 0, errors.New("serve: missing dataset")
 	}
 }

@@ -38,13 +38,13 @@ func TestJobListAndFilter(t *testing.T) {
 
 	good := TrainRequest{
 		Model:   modelSpec("logistic"),
-		Dataset: DatasetRef{Synthetic: &SyntheticRef{Name: "higgs", Rows: 1500, Dim: 6, Seed: 2}},
+		Dataset: DatasetRef{Synthetic: &datagen.Ref{Name: "higgs", Rows: 1500, Dim: 6, Seed: 2}},
 		Epsilon: 0.1,
 		Options: TrainOptions{Seed: 2, InitialSampleSize: 300},
 	}
 	bad := good
 	bad.Model = modelSpec("logistic")
-	bad.Dataset = DatasetRef{Synthetic: &SyntheticRef{Name: "counts", Rows: 500, Dim: 4, Seed: 1}} // regression labels: training fails
+	bad.Dataset = DatasetRef{Synthetic: &datagen.Ref{Name: "counts", Rows: 500, Dim: 4, Seed: 1}} // regression labels: training fails
 
 	var a1, a2 TrainResponse
 	if code := doJSON(t, ts.Client(), http.MethodPost, ts.URL+"/v1/train", good, &a1); code != http.StatusAccepted {
@@ -240,7 +240,7 @@ func TestClusterWorkerGracefulShutdownRequeues(t *testing.T) {
 	// guarantees it regardless).
 	req := TrainRequest{
 		Model:   modelSpec("maxent"),
-		Dataset: DatasetRef{Synthetic: &SyntheticRef{Name: "mnist", Rows: 8000, Dim: 48, Seed: 3}},
+		Dataset: DatasetRef{Synthetic: &datagen.Ref{Name: "mnist", Rows: 8000, Dim: 48, Seed: 3}},
 		Epsilon: 0.05,
 		Options: TrainOptions{Seed: 3, InitialSampleSize: 1000},
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"blinkml/internal/datagen"
+	"blinkml/internal/dataset"
 	"blinkml/internal/modelio"
 )
 
@@ -73,13 +74,13 @@ func waitJob(t *testing.T, client *http.Client, base, jobID string, timeout time
 
 // inlineHiggs converts a small synthetic binary-classification workload
 // into an inline upload plus a probe batch for prediction checks.
-func inlineHiggs(t *testing.T, rows int) (*InlineData, [][]float64) {
+func inlineHiggs(t *testing.T, rows int) (*dataset.Inline, [][]float64) {
 	t.Helper()
 	ds, err := datagen.Generate("higgs", datagen.Config{Rows: rows, Dim: 10, Seed: 3})
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	inline := &InlineData{Task: "binary", X: make([][]float64, ds.Len()), Y: ds.Y}
+	inline := &dataset.Inline{Task: "binary", X: make([][]float64, ds.Len()), Y: ds.Y}
 	for i := 0; i < ds.Len(); i++ {
 		row := make([]float64, ds.Dim)
 		ds.X[i].AddTo(row, 1)
@@ -124,6 +125,23 @@ func TestServeFullLoop(t *testing.T) {
 	}
 	if st.ModelID == "" || st.Diagnostics == nil || st.Diagnostics.TotalMs <= 0 {
 		t.Fatalf("missing model id or diagnostics: %+v", st)
+	}
+	// The decision trail — factor rank and the probe sequence behind the
+	// chosen n — reaches the response as the registry record holds it.
+	rec, err := s.Registry().Get(st.ModelID)
+	if err != nil {
+		t.Fatalf("registry get: %v", err)
+	}
+	if st.Diagnostics.Rank != rec.Diag.Rank || st.Diagnostics.Rank <= 0 {
+		t.Fatalf("diagnostics rank %d, registry %d", st.Diagnostics.Rank, rec.Diag.Rank)
+	}
+	if len(rec.Diag.Probes) == 0 || len(st.Diagnostics.Probes) != len(rec.Diag.Probes) {
+		t.Fatalf("diagnostics carry %d probes, registry %d (want a searched job)", len(st.Diagnostics.Probes), len(rec.Diag.Probes))
+	}
+	for i, p := range rec.Diag.Probes {
+		if got := st.Diagnostics.Probes[i]; got != ProbeJSON(p) {
+			t.Fatalf("probe %d: response %+v, registry %+v", i, got, p)
+		}
 	}
 
 	var info ModelInfo
@@ -228,7 +246,7 @@ func TestServeCancelStopsTraining(t *testing.T) {
 	// of L-BFGS work if left alone.
 	trainReq := TrainRequest{
 		Model:   modelio.SpecJSON{Name: "maxent", Classes: 10, Reg: 0.001},
-		Dataset: DatasetRef{Synthetic: &SyntheticRef{Name: "mnist", Rows: 40000, Seed: 11}},
+		Dataset: DatasetRef{Synthetic: &datagen.Ref{Name: "mnist", Rows: 40000, Seed: 11}},
 		Epsilon: 0.01,
 		Options: TrainOptions{Seed: 11, InitialSampleSize: 1 << 30, MaxIters: 5000},
 	}
@@ -289,14 +307,14 @@ func TestServeRequestValidation(t *testing.T) {
 		req  TrainRequest
 	}{
 		{"unknown model", TrainRequest{Model: modelSpec("svm"), Epsilon: 0.1,
-			Dataset: DatasetRef{Synthetic: &SyntheticRef{Name: "higgs"}}}},
+			Dataset: DatasetRef{Synthetic: &datagen.Ref{Name: "higgs"}}}},
 		{"bad epsilon", TrainRequest{Model: modelSpec("logistic"), Epsilon: 2,
-			Dataset: DatasetRef{Synthetic: &SyntheticRef{Name: "higgs"}}}},
+			Dataset: DatasetRef{Synthetic: &datagen.Ref{Name: "higgs"}}}},
 		{"missing dataset", TrainRequest{Model: modelSpec("logistic"), Epsilon: 0.1}},
 		{"both datasets", TrainRequest{Model: modelSpec("logistic"), Epsilon: 0.1,
-			Dataset: DatasetRef{Synthetic: &SyntheticRef{Name: "higgs"}, Inline: &InlineData{Task: "binary", X: [][]float64{{1}}, Y: []float64{1}}}}},
+			Dataset: DatasetRef{Synthetic: &datagen.Ref{Name: "higgs"}, Inline: &dataset.Inline{Task: "binary", X: [][]float64{{1}}, Y: []float64{1}}}}},
 		{"bad task", TrainRequest{Model: modelSpec("logistic"), Epsilon: 0.1,
-			Dataset: DatasetRef{Inline: &InlineData{Task: "clustering", X: [][]float64{{1}}}}}},
+			Dataset: DatasetRef{Inline: &dataset.Inline{Task: "clustering", X: [][]float64{{1}}}}}},
 	}
 	for _, tc := range cases {
 		var er ErrorResponse

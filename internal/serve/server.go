@@ -17,7 +17,6 @@ import (
 	"blinkml/internal/cluster"
 	"blinkml/internal/compute"
 	"blinkml/internal/core"
-	"blinkml/internal/datagen"
 	"blinkml/internal/dataset"
 	"blinkml/internal/modelio"
 	"blinkml/internal/models"
@@ -375,25 +374,16 @@ func (t tuneTask) Run(ctx context.Context) (TaskResult, error) {
 // gauge, and appends the job's guarantee-calibration record to the audit
 // log. kind is "train" or "tune"; ref and opts are what a later replay
 // needs to rebuild the identical training environment.
-func (s *Server) registerModel(ctx context.Context, kind string, spec models.Spec, theta []float64, dim int, ref DatasetRef, opts core.Options, res *core.Result) (string, error) {
+func (s *Server) registerModel(ctx context.Context, kind string, m *modelio.Model, ref DatasetRef, opts core.Options) (string, error) {
 	regStart := time.Now()
-	id, err := s.reg.Put(&modelio.Model{
-		Spec:             spec,
-		Theta:            theta,
-		Dim:              dim,
-		SampleSize:       res.SampleSize,
-		PoolSize:         res.PoolSize,
-		EstimatedEpsilon: res.EstimatedEpsilon,
-		UsedInitialModel: res.UsedInitialModel,
-		Diag:             res.Diag,
-		CreatedAt:        time.Now().UTC(),
-	})
+	m.CreatedAt = regStart.UTC()
+	id, err := s.reg.Put(m)
 	obs.LedgerFrom(ctx).ChargeRegistryIO(time.Since(regStart))
 	if err != nil {
 		return "", err
 	}
 	s.m.ModelsStored.Set(int64(s.reg.Len()))
-	s.recordAudit(ctx, kind, id, spec, ref, opts, res)
+	s.recordAudit(ctx, kind, id, m, ref, opts)
 	return id, nil
 }
 
@@ -401,11 +391,11 @@ func (s *Server) registerModel(ctx context.Context, kind string, spec models.Spe
 // model. Audit is an observability plane: a failed append is logged, never
 // surfaced — a full disk must not fail the training job that already
 // produced a registered model.
-func (s *Server) recordAudit(ctx context.Context, kind, id string, spec models.Spec, ref DatasetRef, opts core.Options, res *core.Result) {
+func (s *Server) recordAudit(ctx context.Context, kind, id string, m *modelio.Model, ref DatasetRef, opts core.Options) {
 	if s.audit == nil {
 		return
 	}
-	sj, err := modelio.SpecToJSON(spec)
+	sj, err := modelio.SpecToJSON(m.Spec)
 	if err != nil {
 		s.log.Warn("audit record skipped: unencodable spec", "model", id, "err", err)
 		return
@@ -431,12 +421,12 @@ func (s *Server) recordAudit(ctx context.Context, kind, id string, spec models.S
 		Epsilon:          o.Epsilon,
 		Delta:            o.Delta,
 		K:                o.K,
-		SampleSize:       res.SampleSize,
-		PoolSize:         res.PoolSize,
-		EpsilonHat:       res.EstimatedEpsilon,
-		InitialEpsilon:   res.Diag.InitialEpsilon,
-		UsedInitialModel: res.UsedInitialModel,
-		Options:          audit.FromCore(o),
+		SampleSize:       m.SampleSize,
+		PoolSize:         m.PoolSize,
+		EpsilonHat:       m.EstimatedEpsilon,
+		InitialEpsilon:   m.Diag.InitialEpsilon,
+		UsedInitialModel: m.UsedInitialModel,
+		Options:          o,
 		CreatedAt:        time.Now().UTC(),
 		// Snapshot at registration time: training is done; only the registry
 		// I/O tail is still accruing.
@@ -453,8 +443,7 @@ func (s *Server) recordAudit(ctx context.Context, kind, id string, spec models.S
 func (s *Server) buildSource(ref DatasetRef) (dataset.Source, error) {
 	switch {
 	case ref.Synthetic != nil:
-		r := ref.Synthetic
-		return datagen.Generate(r.Name, datagen.Config{Rows: r.Rows, Dim: r.Dim, Seed: r.Seed})
+		return ref.Synthetic.Build()
 	case ref.Inline != nil:
 		return ref.Inline.Build()
 	case ref.ID != "":

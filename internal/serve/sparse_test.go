@@ -30,8 +30,8 @@ func TestServeSparseInline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	sparse := &InlineData{Task: "binary", Dim: ds.Dim, Y: ds.Y}
-	denseUp := &InlineData{Task: "binary", Y: ds.Y}
+	sparse := &dataset.Inline{Task: "binary", Dim: ds.Dim, Y: ds.Y}
+	denseUp := &dataset.Inline{Task: "binary", Y: ds.Y}
 	probe := make([][]float64, 0, 50)
 	for i := 0; i < ds.Len(); i++ {
 		sp := ds.X[i].(*dataset.SparseRow)
@@ -45,7 +45,7 @@ func TestServeSparseInline(t *testing.T) {
 		}
 	}
 
-	train := func(in *InlineData) string {
+	train := func(in *dataset.Inline) string {
 		req := TrainRequest{
 			Model:   modelio.SpecJSON{Name: "logistic", Reg: 0.001},
 			Dataset: DatasetRef{Inline: in},
@@ -80,7 +80,7 @@ func TestServeSparseInline(t *testing.T) {
 	}
 
 	// Malformed shapes are rejected at admission.
-	bad := []*InlineData{
+	bad := []*dataset.Inline{
 		{Task: "binary", X: [][]float64{{1}}, Indices: [][]int32{{0}}, Values: [][]float64{{1}}, Y: []float64{1}},
 		{Task: "binary", Indices: [][]int32{{0}}, Y: []float64{1}},
 		{Task: "binary"},

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"blinkml/internal/datagen"
 	"blinkml/internal/modelio"
 )
 
@@ -118,7 +119,7 @@ func TestTuneCancellation(t *testing.T) {
 		Space: SpaceJSON{
 			Random: &RandomSpaceJSON{Model: "logistic", Candidates: 64},
 		},
-		Dataset: DatasetRef{Synthetic: &SyntheticRef{Name: "higgs", Rows: 60000, Seed: 5}},
+		Dataset: DatasetRef{Synthetic: &datagen.Ref{Name: "higgs", Rows: 60000, Seed: 5}},
 		Epsilon: 0.02,
 		Options: TuneOptions{Seed: 5, Workers: 1},
 	}
@@ -165,7 +166,7 @@ func TestTuneRequestValidation(t *testing.T) {
 	defer ts.Close()
 	client := ts.Client()
 
-	higgsRef := DatasetRef{Synthetic: &SyntheticRef{Name: "higgs"}}
+	higgsRef := DatasetRef{Synthetic: &datagen.Ref{Name: "higgs"}}
 	cases := []struct {
 		name string
 		req  TuneRequest

@@ -6,6 +6,7 @@ import (
 
 	"blinkml/internal/core"
 	"blinkml/internal/dataset"
+	"blinkml/internal/modelio"
 	"blinkml/internal/models"
 	"blinkml/internal/obs"
 )
@@ -38,8 +39,8 @@ type TrialResult struct {
 	Theta      []float64
 	Score      float64
 	SampleSize int
-	// Res is the contract-training outcome (contract trials only).
-	Res *core.Result
+	// Model is the contract-training outcome (contract trials only).
+	Model *modelio.Model
 }
 
 // Runner executes trials for a search. The searcher is agnostic to where a
@@ -85,7 +86,7 @@ func (r *EnvRunner) RunTrial(ctx context.Context, t Trial) (TrialResult, error) 
 			Theta:      res.Theta,
 			Score:      evalError(t.Spec, res.Theta, r.evalSet()),
 			SampleSize: res.SampleSize,
-			Res:        res,
+			Model:      modelio.FromResult(t.Spec, r.env.Dim(), res),
 		}, nil
 	}
 	endSample := obs.StartSpan(ctx, "sample")

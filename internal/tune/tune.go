@@ -12,6 +12,7 @@ import (
 	"blinkml/internal/compute"
 	"blinkml/internal/core"
 	"blinkml/internal/dataset"
+	"blinkml/internal/modelio"
 	"blinkml/internal/models"
 	"blinkml/internal/obs"
 )
@@ -96,24 +97,12 @@ type Entry struct {
 	Err string
 }
 
-// Trained is the winning model with its contract metadata — the same shape
-// the public blinkml.Model carries, minus the package dependency.
-type Trained struct {
-	Spec             models.Spec
-	Theta            []float64
-	SampleSize       int
-	PoolSize         int
-	EstimatedEpsilon float64
-	UsedInitialModel bool
-	Diag             core.Diagnostics
-}
-
 // Result is a finished search: the ranked leaderboard and the winner.
 type Result struct {
 	// Entries is the leaderboard, best first.
 	Entries []Entry
 	// Best is the winning contract-trained model (Entries[0]).
-	Best *Trained
+	Best *modelio.Model
 	// Evaluated counts candidates that entered the search.
 	Evaluated int
 	// Pruned counts candidates dropped by successive halving.
@@ -124,35 +113,16 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// Run builds a shared environment from ds and searches space. This is what
-// the public blinkml.Tune and the serving layer call.
-func Run(ctx context.Context, space Space, ds *dataset.Dataset, cfg Config) (*Result, error) {
-	return RunSource(ctx, space, ds, cfg)
-}
-
-// RunSource is Run over any dataset.Source — with a disk-backed store
-// handle the whole search (every rung subsample and every contract
-// training) materializes only the rows it touches, so tuning against an
-// N-row stored dataset never loads the pool.
+// RunSource builds a shared environment from src and searches space. This
+// is what the public blinkml.Tune and the serving layer call. With a
+// disk-backed store handle the whole search (every rung subsample and every
+// contract training) materializes only the rows it touches, so tuning
+// against an N-row stored dataset never loads the pool.
 func RunSource(ctx context.Context, space Space, src dataset.Source, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	env, err := core.NewEnvFromSource(src, cfg.Train)
 	if err != nil {
 		return nil, err
-	}
-	return Search(ctx, space, env, cfg)
-}
-
-// Search evaluates space over a prepared environment. All candidates share
-// env's split (and, under Halving, its nested SharedSample subsamples), so
-// data preparation is paid once and scores are directly comparable.
-func Search(ctx context.Context, space Space, env *core.Env, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Seed == 0 {
-		// A caller-prepared Env carries the seed the split was built with;
-		// candidate draws fall back to it so one number still determines
-		// the whole search.
-		cfg.Seed = env.Seed()
 	}
 	return SearchRunner(ctx, space, NewEnvRunner(env, cfg.Train), cfg)
 }
@@ -160,9 +130,11 @@ func Search(ctx context.Context, space Space, env *core.Env, cfg Config) (*Resul
 // SearchRunner evaluates space with an explicit trial Runner — the
 // decomposition point for distributed search: every candidate training
 // (each halving rung and each contract run) is one Trial, and the runner
-// decides where it executes. With the default EnvRunner this is exactly
-// Search; with a remote runner the leaderboard logic stays here while the
-// training fans out to workers.
+// decides where it executes. All candidates share the runner's environment
+// (and, under Halving, its nested SharedSample subsamples), so data
+// preparation is paid once and scores are directly comparable. With an
+// EnvRunner everything trains in-process; with a remote runner the
+// leaderboard logic stays here while the training fans out to workers.
 func SearchRunner(ctx context.Context, space Space, runner Runner, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Train.Epsilon <= 0 || cfg.Train.Epsilon > 1 {
@@ -218,7 +190,7 @@ type candState struct {
 	wall       time.Duration
 	err        error
 
-	res *core.Result // contract training outcome (survivors only)
+	model *modelio.Model // contract training outcome (survivors only)
 }
 
 type searcher struct {
@@ -297,7 +269,7 @@ func (s *searcher) trainContract(ctx context.Context, st *candState) {
 		st.err = err
 		return
 	}
-	st.res = res.Res
+	st.model = res.Model
 	st.theta = res.Theta
 	st.sampleSize = res.SampleSize
 	st.testError = res.Score
@@ -382,8 +354,8 @@ func assemble(states []*candState, poolSize int, elapsed time.Duration) (*Result
 			res.Pruned++
 			e.TestError = st.pruneScore
 		}
-		if st.res != nil {
-			e.EstimatedEpsilon = st.res.EstimatedEpsilon
+		if st.model != nil {
+			e.EstimatedEpsilon = st.model.EstimatedEpsilon
 		}
 		if st.err != nil {
 			e.Err = st.err.Error()
@@ -394,21 +366,13 @@ func assemble(states []*candState, poolSize int, elapsed time.Duration) (*Result
 		res.Entries[i] = e
 	}
 	best := ranked[0]
-	if best.res == nil {
+	if best.model == nil {
 		if firstErr != nil {
 			return nil, fmt.Errorf("tune: no candidate survived training: %w", firstErr)
 		}
 		return nil, errors.New("tune: no candidate survived training")
 	}
-	res.Best = &Trained{
-		Spec:             best.cand.Spec,
-		Theta:            best.res.Theta,
-		SampleSize:       best.res.SampleSize,
-		PoolSize:         best.res.PoolSize,
-		EstimatedEpsilon: best.res.EstimatedEpsilon,
-		UsedInitialModel: best.res.UsedInitialModel,
-		Diag:             best.res.Diag,
-	}
+	res.Best = best.model
 	return res, nil
 }
 
@@ -416,7 +380,7 @@ func assemble(states []*candState, poolSize int, elapsed time.Duration) (*Result
 // 2 failed.
 func class(st *candState) int {
 	switch {
-	case st.res != nil:
+	case st.model != nil:
 		return 0
 	case st.err != nil:
 		return 2

@@ -120,7 +120,7 @@ func TestGridSearchRanksCandidates(t *testing.T) {
 		models.LogisticRegression{Reg: 1e-2},
 		models.LogisticRegression{Reg: 10},
 	}}
-	res, err := Run(context.Background(), space, ds, Config{Train: baseOptions()})
+	res, err := RunSource(context.Background(), space, ds, Config{Train: baseOptions()})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -161,7 +161,7 @@ func TestHalvingSearchDeterministicLeaderboard(t *testing.T) {
 		Eta:     2,
 	}
 	run := func() *Result {
-		res, err := Run(context.Background(), space, ds, cfg)
+		res, err := RunSource(context.Background(), space, ds, cfg)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
@@ -235,7 +235,7 @@ func TestSearchCancellation(t *testing.T) {
 	var res *Result
 	var err error
 	go func() {
-		res, err = Run(ctx, space, ds, cfg)
+		res, err = RunSource(ctx, space, ds, cfg)
 		close(done)
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -262,7 +262,7 @@ func TestSearchSurvivesCandidateFailure(t *testing.T) {
 		models.LogisticRegression{Reg: 1e-3},
 		models.LinearRegression{Reg: 1e-3}, // wrong task: fails at train time
 	}}
-	res, err := Run(context.Background(), space, ds, Config{Train: baseOptions()})
+	res, err := RunSource(context.Background(), space, ds, Config{Train: baseOptions()})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -282,7 +282,7 @@ func TestSearchSurvivesCandidateFailure(t *testing.T) {
 func TestSearchAllFail(t *testing.T) {
 	ds := higgs(t, 1000, 5)
 	space := Space{Grid: []models.Spec{models.LinearRegression{Reg: 1e-3}}}
-	_, err := Run(context.Background(), space, ds, Config{Train: baseOptions()})
+	_, err := RunSource(context.Background(), space, ds, Config{Train: baseOptions()})
 	if err == nil || !strings.Contains(err.Error(), "no candidate survived") {
 		t.Fatalf("err = %v, want 'no candidate survived'", err)
 	}
@@ -299,7 +299,7 @@ func TestHalvingAllFail(t *testing.T) {
 		models.LinearRegression{Reg: 1e-2},
 		models.LinearRegression{Reg: 1e-1},
 	}}
-	_, err := Run(context.Background(), space, ds, Config{Train: baseOptions(), Halving: true, Rungs: 2})
+	_, err := RunSource(context.Background(), space, ds, Config{Train: baseOptions(), Halving: true, Rungs: 2})
 	if err == nil || !strings.Contains(err.Error(), "no candidate survived") {
 		t.Fatalf("err = %v, want 'no candidate survived'", err)
 	}
@@ -310,12 +310,12 @@ func TestHalvingAllFail(t *testing.T) {
 func TestHalvingRejectsUnsupervised(t *testing.T) {
 	ds := higgs(t, 2000, 8)
 	space := Space{Random: &RandomSpace{Model: "ppca", N: 4}}
-	_, err := Run(context.Background(), space, ds, Config{Train: baseOptions(), Halving: true})
+	_, err := RunSource(context.Background(), space, ds, Config{Train: baseOptions(), Halving: true})
 	if err == nil || !strings.Contains(err.Error(), "supervised test metric") {
 		t.Fatalf("err = %v, want supervised-metric rejection", err)
 	}
 	// A flat search over the same space is still allowed.
-	if _, err := Run(context.Background(), space, ds, Config{Train: baseOptions()}); err != nil {
+	if _, err := RunSource(context.Background(), space, ds, Config{Train: baseOptions()}); err != nil {
 		t.Fatalf("flat ppca search failed: %v", err)
 	}
 }
@@ -324,12 +324,12 @@ func TestHalvingRejectsUnsupervised(t *testing.T) {
 func TestSearchBadEpsilon(t *testing.T) {
 	ds := higgs(t, 1000, 5)
 	space := Space{Grid: []models.Spec{models.LogisticRegression{Reg: 1e-3}}}
-	if _, err := Run(context.Background(), space, ds, Config{}); err == nil {
+	if _, err := RunSource(context.Background(), space, ds, Config{}); err == nil {
 		t.Fatal("zero epsilon accepted")
 	}
 }
 
-// TestSharedEnvReuse checks Search over a caller-prepared Env evaluates all
+// TestSharedEnvReuse checks SearchRunner over a caller-prepared Env evaluates all
 // candidates against the same pool (PoolSize agrees with the Env).
 func TestSharedEnvReuse(t *testing.T) {
 	ds := higgs(t, 3000, 10)
@@ -339,7 +339,7 @@ func TestSharedEnvReuse(t *testing.T) {
 		models.LogisticRegression{Reg: 1e-3},
 		models.LogisticRegression{Reg: 1e-2},
 	}}
-	res, err := Search(context.Background(), space, env, Config{Train: opt})
+	res, err := SearchRunner(context.Background(), space, NewEnvRunner(env, opt), Config{Train: opt})
 	if err != nil {
 		t.Fatalf("search: %v", err)
 	}
