@@ -1,5 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (one target per panel; see DESIGN.md's per-experiment index). Each
+// (one target per panel; `go run ./cmd/blinkml-bench -list` prints the
+// index of experiment ids, each naming its figure in the paper's §5). Each
 // iteration runs the corresponding experiment at Small scale and reports
 // the tables through b.Log, so `go test -bench=. -benchmem` both times the
 // harness and emits the reproduced numbers.

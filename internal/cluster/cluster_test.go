@@ -3,7 +3,9 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -376,5 +378,78 @@ func TestInlineKeyIsContentAddressed(t *testing.T) {
 	same := DatasetRef{Inline: &dataset.Inline{Task: "binary", X: [][]float64{{1, 2}, {3, 4}}, Y: []float64{0, 1}}}
 	if a.Key() != same.Key() {
 		t.Fatalf("equal content produced different keys: %q vs %q", a.Key(), same.Key())
+	}
+}
+
+// TestFailedEnvBuildsDoNotEvictHealthyOnes: a dataset that cannot be built
+// is dropped from the env cache entirely — its slot in the eviction order
+// too — so retrying it never pushes out environments that work.
+func TestFailedEnvBuildsDoNotEvictHealthyOnes(t *testing.T) {
+	w, err := NewWorker(WorkerConfig{Coordinator: "http://unused", DataDir: t.TempDir(), Log: obs.Discard()})
+	if err != nil {
+		t.Fatalf("new worker: %v", err)
+	}
+	ctx, opts := context.Background(), testTrainOptions()
+	goodRef := func(seed int) DatasetRef {
+		return DatasetRef{Synthetic: &datagen.Ref{Name: "higgs", Rows: 200, Dim: 4, Seed: int64(seed)}}
+	}
+	var good []*core.Env
+	for seed := 1; seed <= 3; seed++ {
+		env, err := w.envFor(ctx, goodRef(seed), opts)
+		if err != nil {
+			t.Fatalf("good env %d: %v", seed, err)
+		}
+		good = append(good, env)
+	}
+	bad := DatasetRef{Synthetic: &datagen.Ref{Name: "no-such-generator"}}
+	for i := 0; i < 6; i++ {
+		if _, err := w.envFor(ctx, bad, opts); err == nil {
+			t.Fatal("unknown generator built an env")
+		}
+	}
+	if len(w.envs) != 3 || len(w.envOrder) != 3 {
+		t.Fatalf("after 6 failed builds: %d cached envs, eviction order %d long; want 3 and 3", len(w.envs), len(w.envOrder))
+	}
+	for i, want := range good {
+		got, err := w.envFor(ctx, goodRef(i+1), opts)
+		if err != nil || got != want {
+			t.Fatalf("good env %d was rebuilt (err %v)", i+1, err)
+		}
+	}
+}
+
+// TestProtocolBodyIsOneJSONValue: a protocol request body is exactly one
+// JSON value; anything but whitespace after it is a structured 400, not a
+// silently ignored suffix.
+func TestProtocolBodyIsOneJSONValue(t *testing.T) {
+	tc := newTestCluster(t, testConfig(), nil)
+	const valid = `{"name":"w","capacity":1,"parallelism":1}`
+	for _, c := range []struct {
+		name, body string
+		want       int
+	}{
+		{"one value", valid, http.StatusOK},
+		{"trailing whitespace", valid + "\n \t\r\n", http.StatusOK},
+		{"second value", valid + ` {"capacity":9}`, http.StatusBadRequest},
+		{"trailing word", valid + " trailing", http.StatusBadRequest},
+		{"stray closer", valid + "}", http.StatusBadRequest},
+	} {
+		resp, err := http.Post(tc.server.URL+"/v1/cluster/register", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: status %d, want %d (body %s)", c.name, resp.StatusCode, c.want, raw)
+			continue
+		}
+		if c.want != http.StatusBadRequest {
+			continue
+		}
+		var pe protoError
+		if err := json.Unmarshal(raw, &pe); err != nil || pe.Error != "cluster: bad request body: unexpected data after JSON value" {
+			t.Errorf("%s: body %s, want the structured trailing-data error", c.name, raw)
+		}
 	}
 }

@@ -189,9 +189,6 @@ func (c *Coordinator) Close() {
 	<-c.sweepDone
 }
 
-// Store returns the dataset store the coordinator exports from (may be nil).
-func (c *Coordinator) Store() *store.Store { return c.store }
-
 // Submit admits a task and returns its id. The task starts pending; a
 // worker will lease it.
 func (c *Coordinator) Submit(spec TaskSpec) (string, error) {

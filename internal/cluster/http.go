@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -135,6 +136,10 @@ func readProtoJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		writeProtoJSON(w, http.StatusBadRequest, protoError{Error: fmt.Sprintf("cluster: bad request body: %v", err)})
+		return false
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		writeProtoJSON(w, http.StatusBadRequest, protoError{Error: "cluster: bad request body: unexpected data after JSON value"})
 		return false
 	}
 	return true

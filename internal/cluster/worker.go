@@ -11,6 +11,7 @@ import (
 	"math"
 	"net/http"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -547,10 +548,12 @@ func (w *Worker) envFor(ctx context.Context, ref DatasetRef, opts core.Options) 
 	})
 	if e.err != nil {
 		// A failed build must not poison the cache for later tasks (the
-		// fetch may have been interrupted by a cancellation).
+		// fetch may have been interrupted by a cancellation), nor keep a
+		// slot in the eviction order that would push a healthy entry out.
 		w.envMu.Lock()
 		if w.envs[key] == e {
 			delete(w.envs, key)
+			w.envOrder = slices.DeleteFunc(w.envOrder, func(k string) bool { return k == key })
 		}
 		w.envMu.Unlock()
 	}

@@ -13,8 +13,6 @@ import (
 type AccuracyEstimate struct {
 	// Epsilon is the Lemma-2 conservative bound: Pr[v(m_n) ≤ Epsilon] ≥ 1−δ.
 	Epsilon float64
-	// Diffs are the k sampled model differences v(m_n; θ_N,i).
-	Diffs []float64
 }
 
 // EstimateAccuracy bounds the difference between the model at theta
@@ -25,7 +23,7 @@ type AccuracyEstimate struct {
 func EstimateAccuracy(spec models.Spec, theta []float64, fac Factor, alpha float64, holdout *dataset.Dataset, k int, delta float64, rng *stat.RNG) AccuracyEstimate {
 	if alpha <= 0 {
 		// n ≥ N: the "approximate" model is the full model.
-		return AccuracyEstimate{Epsilon: 0, Diffs: make([]float64, k)}
+		return AccuracyEstimate{Epsilon: 0}
 	}
 	scale := sqrt(alpha)
 	d := len(theta)
@@ -49,10 +47,7 @@ func EstimateAccuracy(spec models.Spec, theta []float64, fac Factor, alpha float
 			vs[i] = models.Diff(spec, theta, thetaN, holdout)
 		}
 	})
-	return AccuracyEstimate{
-		Epsilon: stat.ConservativeQuantile(vs, delta),
-		Diffs:   vs,
-	}
+	return AccuracyEstimate{Epsilon: stat.ConservativeQuantile(vs, delta)}
 }
 
 // sqrt clamps negative inputs (rounding noise in α) to zero.

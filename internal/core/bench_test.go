@@ -11,10 +11,10 @@ import (
 	"blinkml/internal/stat"
 )
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: the
-// linear-score fast path in the Sample Size Estimator, the
-// sampling-by-scaling reuse of factor draws, and the Gram-side vs
-// covariance-side ObservedFisher paths.
+// Ablation benchmarks for the paper's optimizations: the linear-score fast
+// path in the Sample Size Estimator and the sampling-by-scaling reuse of
+// factor draws (§4.3), and the Gram-side vs covariance-side ObservedFisher
+// paths (§3.4's O(min(n²d, nd²)) bound).
 
 func benchSearcherSetup(b *testing.B, hide bool) *Searcher {
 	b.Helper()
@@ -97,12 +97,17 @@ func BenchmarkAblationSamplingNaive(b *testing.B) {
 	}
 	d := len(fit.Theta)
 	theta := make([]float64, d)
+	z := make([]float64, st.Factor.Rank())
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		a1 := sqrt(Alpha(n0, 4000))
 		for k := 0; k < 100; k++ {
-			Sample(st.Factor, rng, fit.Theta, a1, theta)
+			rng.NormVec(z)
+			st.Factor.Apply(z, theta)
+			for j := range theta {
+				theta[j] = fit.Theta[j] + a1*theta[j]
+			}
 		}
 	}
 }

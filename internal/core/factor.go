@@ -3,7 +3,6 @@ package core
 import (
 	"blinkml/internal/dataset"
 	"blinkml/internal/linalg"
-	"blinkml/internal/stat"
 )
 
 // Factor represents the unscaled covariance of Theorem 1 as a linear map:
@@ -19,19 +18,6 @@ type Factor interface {
 	Rank() int
 	// Apply overwrites dst (len d) with L·z (len(z) = Rank).
 	Apply(z, dst []float64)
-}
-
-// Sample draws mean + scale·L·z into dst using fresh standard normals from
-// rng. It returns the z it consumed so callers can reuse draws across
-// scalings.
-func Sample(f Factor, rng *stat.RNG, mean []float64, scale float64, dst []float64) []float64 {
-	z := make([]float64, f.Rank())
-	rng.NormVec(z)
-	f.Apply(z, dst)
-	for i := range dst {
-		dst[i] = mean[i] + scale*dst[i]
-	}
-	return z
 }
 
 // Inflate wraps f so every Apply result is scaled by (1 + inflation) — the

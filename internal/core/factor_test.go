@@ -63,19 +63,20 @@ func TestVarianceInflationIsConservative(t *testing.T) {
 	}
 }
 
-// Sampling through a factor must reproduce the factor covariance
-// empirically.
+// Sampling through a factor — standard normals pushed through Apply, as
+// the estimators draw — must reproduce the factor covariance empirically.
 func TestSampleMatchesCovariance(t *testing.T) {
 	l := linalg.NewDenseFrom(2, 2, []float64{2, 0, 1, 1})
 	f := &DenseFactor{L: l}
 	rng := stat.NewRNG(33)
-	mean := []float64{10, -5}
 	n := 40000
 	var s0, s1, ss0, ss1, cross float64
+	z := make([]float64, f.Rank())
 	dst := make([]float64, 2)
 	for i := 0; i < n; i++ {
-		Sample(f, rng, mean, 1, dst)
-		d0, d1 := dst[0]-mean[0], dst[1]-mean[1]
+		rng.NormVec(z)
+		f.Apply(z, dst)
+		d0, d1 := dst[0], dst[1]
 		s0 += d0
 		s1 += d1
 		ss0 += d0 * d0

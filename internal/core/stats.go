@@ -11,17 +11,11 @@ import (
 )
 
 // Statistics packages the Theorem-1 quantities computed at a trained
-// parameter θ_n: a sampling factor for N(0, H⁻¹JH⁻¹) plus, when the method
-// materializes them (ClosedForm, InverseGradients, and the small-d
-// ObservedFisher path), the explicit H and J matrices for diagnostics.
+// parameter θ_n: a sampling factor for N(0, H⁻¹JH⁻¹).
 type Statistics struct {
 	Factor Factor
-	Method Method
 	// Rank of the factor (number of informative directions kept).
 	Rank int
-	// H and J are populated only when the method computes them densely;
-	// nil otherwise (high-dimensional ObservedFisher).
-	H, J *linalg.Dense
 	// GradsCalls counts invocations of the MCS grads primitive, the cost
 	// driver compared in Figure 9b (ObservedFisher: 1; InverseGradients:
 	// d+1).
@@ -100,14 +94,9 @@ func fisherCovarianceSide(rows []dataset.Row, mean []float64, d, n int, beta flo
 		return nil, fmt.Errorf("core: ObservedFisher eigendecomposition failed: %w", err)
 	}
 	l, rank := factorFromFisherEigs(eig, beta, opt.SVDRelTol)
-	h := j.Clone()
-	h.AddDiag(beta)
 	return &Statistics{
 		Factor:     &DenseFactor{L: l},
-		Method:     ObservedFisher,
 		Rank:       rank,
-		H:          h,
-		J:          j,
 		GradsCalls: 1,
 	}, nil
 }
@@ -192,7 +181,6 @@ func fisherGramSide(rows []dataset.Row, mean []float64, d, n int, beta float64, 
 	}
 	return &Statistics{
 		Factor:     &GradFactor{rows: rows, mean: mean, m: m, dim: d},
-		Method:     ObservedFisher,
 		Rank:       rank,
 		GradsCalls: 1,
 	}, nil
@@ -241,7 +229,7 @@ func closedForm(spec models.Spec, sample *dataset.Dataset, theta []float64, opt 
 		return nil, ErrNoHessian
 	}
 	h := hs.Hessian(theta, sample)
-	return statsFromHessian(h, spec.Beta(), ClosedForm, 0, opt)
+	return statsFromHessian(h, spec.Beta(), 0, opt)
 }
 
 // inverseGradients implements §3.4 Method 2: H ≈ R·P⁻¹ with P = ϵI, i.e.
@@ -261,14 +249,14 @@ func inverseGradients(spec models.Spec, sample *dataset.Dataset, theta []float64
 		}
 	}
 	h.Symmetrize()
-	return statsFromHessian(h, spec.Beta(), InverseGradients, d+1, opt)
+	return statsFromHessian(h, spec.Beta(), d+1, opt)
 }
 
 // statsFromHessian turns an explicit H into a factor for H⁻¹JH⁻¹ with
 // J = H − βI, via M = H⁻¹JH⁻¹ and a symmetric eigendecomposition
 // (negative eigenvalues from sampling noise are clamped to zero — the
 // footnote-2 treatment of not-fully-converged optima).
-func statsFromHessian(h *linalg.Dense, beta float64, method Method, gradsCalls int, opt Options) (*Statistics, error) {
+func statsFromHessian(h *linalg.Dense, beta float64, gradsCalls int, opt Options) (*Statistics, error) {
 	d := h.Rows
 	j := h.Clone()
 	j.AddDiag(-beta)
@@ -305,10 +293,7 @@ func statsFromHessian(h *linalg.Dense, beta float64, method Method, gradsCalls i
 	}
 	return &Statistics{
 		Factor:     &DenseFactor{L: l},
-		Method:     method,
 		Rank:       rank,
-		H:          h,
-		J:          j,
 		GradsCalls: gradsCalls,
 	}, nil
 }

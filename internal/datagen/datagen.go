@@ -3,7 +3,8 @@
 // MNIST, Yelp) are multi-gigabyte downloads; the generators reproduce each
 // dataset's *shape* — dimensionality class, sparsity pattern, label
 // mechanism, class counts — at laptop scale with deterministic seeds
-// (substitution S1 in DESIGN.md). BlinkML's guarantees are data-independent,
+// (the README's "paper-shaped synthetic workloads"; the paper's §5.1
+// describes the originals). BlinkML's guarantees are data-independent,
 // so shape, not provenance, is what the experiments exercise.
 package datagen
 

@@ -87,8 +87,9 @@ func rowsAt(s Scale, small, medium, large int) int {
 	}
 }
 
-// Workloads returns the paper's eight combinations (Table 2 pairings),
-// scaled per DESIGN.md substitution S1.
+// Workloads returns the paper's eight combinations (Table 2 pairings), on
+// internal/datagen's synthetic stand-ins scaled to laptop size (the
+// README's "paper-shaped synthetic workloads").
 func Workloads() []Workload {
 	const reg = 0.001 // the paper's default L2 coefficient (§5.1)
 	return []Workload{

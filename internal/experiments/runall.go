@@ -13,7 +13,8 @@ type Runner struct {
 }
 
 // Runners enumerates every reproducible figure/table in the paper's
-// evaluation. IDs match DESIGN.md's per-experiment index.
+// evaluation (paper §5). Each ID names its figure and, where the figure has
+// one panel per workload, the workload; `blinkml-bench -list` prints them.
 func Runners() []Runner {
 	rs := []Runner{}
 	for _, w := range Workloads() {

@@ -76,17 +76,6 @@ func BenchmarkThinSVDTall(b *testing.B) {
 	}
 }
 
-func BenchmarkCholesky128(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	a := randSPD(rng, 128)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewCholesky(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkLUSolve128(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	a := randSPD(rng, 128)
@@ -102,8 +91,8 @@ func BenchmarkLUSolve128(b *testing.B) {
 	}
 }
 
-// Sparse kernel benchmarks: dot and rank-1 update over ~1%-density
-// operands, the shapes the sparse Fisher Gram accumulates.
+// Sparse kernel benchmark: rank-1 update over a ~1%-density operand, the
+// shape the sparse Fisher Gram accumulates.
 
 func benchSparseVec(rng *rand.Rand, dim, nnz int) ([]int32, []float64) {
 	seen := map[int32]bool{}
@@ -123,16 +112,6 @@ func benchSparseVec(rng *rand.Rand, dim, nnz int) ([]int32, []float64) {
 	return idx, val
 }
 
-func BenchmarkSpDot(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	ai, av := benchSparseVec(rng, 10000, 100)
-	bi, bv := benchSparseVec(rng, 10000, 100)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sinkFloat = SpDot(ai, av, bi, bv)
-	}
-}
-
 func BenchmarkSpOuterAdd(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	idx, val := benchSparseVec(rng, 512, 40)
@@ -142,5 +121,3 @@ func BenchmarkSpOuterAdd(b *testing.B) {
 		SpOuterAdd(m, 0.5, idx, val)
 	}
 }
-
-var sinkFloat float64

@@ -111,9 +111,6 @@ func TestBlockedKernelsMatchNaive(t *testing.T) {
 				at := randDense(rng, sh.k, sh.m) // shared dim first for Aᵀ·B
 				sparsify(rng, at, 0.3)
 				requireEqualDense(t, "MatMulTransA", MatMulTransA(at, b), matMulTransANaive(at, b))
-
-				bt := randDense(rng, sh.n, sh.k) // B with rows to dot against
-				requireEqualDense(t, "MatMulTransB", MatMulTransB(a, bt), matMulTransBNaive(a, bt))
 			}
 		})
 	}

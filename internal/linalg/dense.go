@@ -79,18 +79,6 @@ func (m *Dense) MulVec(x, dst []float64) {
 	}
 }
 
-// MulTransVec computes dst = Mᵀ * x. dst must have length M.Cols and must
-// not alias x.
-func (m *Dense) MulTransVec(x, dst []float64) {
-	if len(x) != m.Rows || len(dst) != m.Cols {
-		panic(fmt.Sprintf("linalg: MulTransVec shape mismatch (%dx%d)ᵀ*%d->%d", m.Rows, m.Cols, len(x), len(dst)))
-	}
-	Fill(dst, 0)
-	for i := 0; i < m.Rows; i++ {
-		Axpy(x[i], m.Row(i), dst)
-	}
-}
-
 // rowGrain returns the minimum number of output rows per parallel chunk
 // so that each chunk carries at least ~32k multiply-adds; it depends only
 // on the per-row cost, keeping the chunk decomposition deterministic.
@@ -196,26 +184,6 @@ func MatMulTransA(a, b *Dense) *Dense {
 	return c
 }
 
-// MatMulTransB returns A * Bᵀ as a new matrix, operating on B's original
-// row-major layout (each output element is a dot product of two
-// contiguous rows — no transposed copy). Output rows are computed in
-// parallel, four dot products at a time so the shared row of A is loaded
-// once per four columns; every dot product accumulates in the same order
-// as Dot, so results are bit-identical to the naive kernel.
-func MatMulTransB(a, b *Dense) *Dense {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("linalg: MatMulTransB shape mismatch (%dx%d)*(%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	defer obs.ChargeKernel(time.Now(), 2*int64(a.Rows)*int64(a.Cols)*int64(b.Rows))
-	c := NewDense(a.Rows, b.Rows)
-	compute.For(a.Rows, rowGrain(b.Rows*b.Cols), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dotRows(a.Row(i), b, 0, b.Rows, c.Row(i))
-		}
-	})
-	return c
-}
-
 // dotRows fills crow[j] = arow · b.Row(j) for j in [jlo, jhi), four rows
 // of B at a time (four independent accumulator chains per pass).
 func dotRows(arow []float64, b *Dense, jlo, jhi int, crow []float64) {
@@ -234,14 +202,6 @@ func dotRows(arow []float64, b *Dense, jlo, jhi int, crow []float64) {
 	for ; j < jhi; j++ {
 		crow[j] = Dot(arow, b.Row(j))
 	}
-}
-
-// AddScaled computes m += a*other, in place.
-func (m *Dense) AddScaled(a float64, other *Dense) {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic("linalg: AddScaled shape mismatch")
-	}
-	Axpy(a, other.Data, m.Data)
 }
 
 // ScaleInPlace multiplies every element by a.

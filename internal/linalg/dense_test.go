@@ -58,11 +58,6 @@ func TestMulVecKnown(t *testing.T) {
 	if dst[0] != 6 || dst[1] != 15 {
 		t.Fatalf("MulVec got %v", dst)
 	}
-	dt := make([]float64, 3)
-	m.MulTransVec([]float64{1, 1}, dt)
-	if dt[0] != 5 || dt[1] != 7 || dt[2] != 9 {
-		t.Fatalf("MulTransVec got %v", dt)
-	}
 }
 
 func TestMatMulKnown(t *testing.T) {
@@ -77,19 +72,14 @@ func TestMatMulKnown(t *testing.T) {
 	}
 }
 
-// Property: MatMulTransA(a,b) == MatMul(aᵀ, b) and MatMulTransB(a,b) == MatMul(a, bᵀ).
+// Property: MatMulTransA(a,b) == MatMul(aᵀ, b).
 func TestMatMulTransVariants(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		m, k, n := 1+r.Intn(6), 1+r.Intn(6), 1+r.Intn(6)
 		a := randDense(r, k, m)
 		b := randDense(r, k, n)
-		if !densesAlmostEqual(MatMulTransA(a, b), MatMul(a.T(), b), 1e-10) {
-			return false
-		}
-		c := randDense(r, m, k)
-		d := randDense(r, n, k)
-		return densesAlmostEqual(MatMulTransB(c, d), MatMul(c, d.T()), 1e-10)
+		return densesAlmostEqual(MatMulTransA(a, b), MatMul(a.T(), b), 1e-10)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -63,7 +63,7 @@ func reconstructEig(e *SymEig) *Dense {
 			vd.Set(i, j, vd.At(i, j)*e.Values[j])
 		}
 	}
-	return MatMulTransB(vd, e.Vectors)
+	return MatMul(vd, e.Vectors.T())
 }
 
 // Property: eigendecomposition reconstructs the matrix, eigenvectors are

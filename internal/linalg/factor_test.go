@@ -17,10 +17,12 @@ func randSPD(rng *rand.Rand, n int) *Dense {
 
 func TestLUSolveKnown(t *testing.T) {
 	a := NewDenseFrom(2, 2, []float64{2, 1, 1, 3})
-	x, err := SolveLinear(a, []float64{5, 10})
+	f, err := NewLU(a)
 	if err != nil {
 		t.Fatal(err)
 	}
+	x := make([]float64, 2)
+	f.Solve([]float64{5, 10}, x)
 	// 2x + y = 5, x + 3y = 10 → x=1, y=3
 	if !almostEq(x[0], 1, tol) || !almostEq(x[1], 3, tol) {
 		t.Fatalf("solve got %v", x)
@@ -58,10 +60,12 @@ func TestLUSolveRoundTrip(t *testing.T) {
 		n := 1 + r.Intn(10)
 		a := randSPD(r, n)
 		b := randVec(r, n)
-		x, err := SolveLinear(a, b)
+		lu, err := NewLU(a)
 		if err != nil {
 			return false
 		}
+		x := make([]float64, n)
+		lu.Solve(b, x)
 		back := make([]float64, n)
 		a.MulVec(x, back)
 		for i := range b {
@@ -90,107 +94,5 @@ func TestInverseRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCholeskyKnown(t *testing.T) {
-	a := NewDenseFrom(2, 2, []float64{4, 2, 2, 5})
-	c, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// L = [[2,0],[1,2]]
-	if !almostEq(c.L.At(0, 0), 2, tol) || !almostEq(c.L.At(1, 0), 1, tol) || !almostEq(c.L.At(1, 1), 2, tol) {
-		t.Fatalf("L = %v", c.L.Data)
-	}
-}
-
-func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := NewDenseFrom(2, 2, []float64{1, 2, 2, 1}) // eigenvalues 3, -1
-	if _, err := NewCholesky(a); err != ErrNotPositiveDefinite {
-		t.Fatalf("expected ErrNotPositiveDefinite, got %v", err)
-	}
-}
-
-// Property: L*Lᵀ reconstructs A, and Cholesky solve matches LU solve.
-func TestCholeskyRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(10)
-		a := randSPD(r, n)
-		c, err := NewCholesky(a)
-		if err != nil {
-			return false
-		}
-		if !densesAlmostEqual(MatMulTransB(c.L, c.L), a, 1e-8) {
-			return false
-		}
-		b := randVec(r, n)
-		x1 := make([]float64, n)
-		c.Solve(b, x1)
-		x2, err := SolveLinear(a, b)
-		if err != nil {
-			return false
-		}
-		for i := range x1 {
-			if !almostEq(x1[i], x2[i], 1e-6) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCholeskyMulVec(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	a := randSPD(r, 4)
-	c, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	z := randVec(r, 4)
-	got := make([]float64, 4)
-	c.MulVec(z, got)
-	want := make([]float64, 4)
-	c.L.MulVec(z, want)
-	for i := range got {
-		if !almostEq(got[i], want[i], tol) {
-			t.Fatalf("MulVec got %v want %v", got, want)
-		}
-	}
-}
-
-func TestCholeskyJittered(t *testing.T) {
-	// Slightly indefinite: should succeed after jitter.
-	a := NewDenseFrom(2, 2, []float64{1, 1.0001, 1.0001, 1})
-	c, jitter, err := NewCholeskyJittered(a, 1e-3, 10)
-	if err != nil {
-		t.Fatalf("jittered Cholesky failed: %v", err)
-	}
-	if jitter <= 0 {
-		t.Fatalf("expected positive jitter, got %v", jitter)
-	}
-	if c == nil {
-		t.Fatal("nil factor")
-	}
-	// Severely indefinite with tiny budget: should fail.
-	b := NewDenseFrom(2, 2, []float64{-100, 0, 0, -100})
-	if _, _, err := NewCholeskyJittered(b, 1e-12, 1); err == nil {
-		t.Fatal("expected failure for severely indefinite matrix")
-	}
-}
-
-func TestCholeskyLogDet(t *testing.T) {
-	a := NewDenseFrom(2, 2, []float64{4, 0, 0, 9})
-	c, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// det = 36, log det = log 36
-	if !almostEq(c.LogDet(), 3.5835189384561104, 1e-9) {
-		t.Fatalf("LogDet=%v", c.LogDet())
 	}
 }

@@ -10,12 +10,13 @@ import (
 
 // Syrk returns the symmetric rank-k product A * Aᵀ (Rows x Rows),
 // computing only the upper triangle and mirroring it — half the
-// multiply-adds of MatMulTransB(a, a). Triangle rows are distributed over
-// the compute pool with cost-balanced ranges. Each element accumulates
-// its dot product in ascending k order, and the mirrored lower triangle
-// is exactly the value the naive kernel would compute there (float
-// multiplication commutes), so the result is bit-identical to
-// MatMulTransB(a, a) at any parallelism degree.
+// multiply-adds of the full product MatMul(a, a.T()). Triangle rows are
+// distributed over the compute pool with cost-balanced ranges. Each
+// element accumulates its dot product in ascending k order, and the
+// mirrored lower triangle is exactly the value the naive kernel would
+// compute there (float multiplication commutes), so the result is
+// bit-identical to the naive row-by-row dot products at any parallelism
+// degree.
 func Syrk(a *Dense) *Dense {
 	n := a.Rows
 	// n(n+1)k multiply-adds over the upper triangle (k = a.Cols).

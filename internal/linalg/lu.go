@@ -152,17 +152,6 @@ func (f *LU) Det() float64 {
 	return d
 }
 
-// SolveLinear is a convenience wrapper: solves a*x = b for x.
-func SolveLinear(a *Dense, b []float64) ([]float64, error) {
-	f, err := NewLU(a)
-	if err != nil {
-		return nil, err
-	}
-	x := make([]float64, len(b))
-	f.Solve(b, x)
-	return x, nil
-}
-
 // Inverse returns a⁻¹ for square a.
 func Inverse(a *Dense) (*Dense, error) {
 	f, err := NewLU(a)

@@ -1,37 +1,10 @@
 package linalg
 
-// Sparse kernels for the statistics hot path. Both routines are written to
-// be bit-identical to their dense counterparts on the same data: skipping a
+// The sparse kernel of the statistics hot path. It is written to be
+// bit-identical to its dense counterpart on the same data: skipping a
 // zero term only ever removes an exact `s += 0` from the accumulation, and
 // every surviving term is computed with the same expression — and consumed
 // in the same order — as the dense loop it replaces.
-
-// SpDot returns the inner product of two sparse vectors given as sorted
-// (index, value) pairs with strictly increasing indices. The accumulation
-// visits matching indices in ascending order, so the result is bit-identical
-// to gathering either vector into a dense scratch and calling the other's
-// Dot against it (zero terms there add exact +0 and cannot change the sum).
-// The product is formed as av*bv — a's value first — matching the dense
-// convention row.Dot(scratch) where row supplies the left operand.
-func SpDot(ai []int32, av []float64, bi []int32, bv []float64) float64 {
-	var s float64
-	na, nb := len(ai), len(bi)
-	var ka, kb int
-	for ka < na && kb < nb {
-		ia, ib := ai[ka], bi[kb]
-		switch {
-		case ia == ib:
-			s += av[ka] * bv[kb]
-			ka++
-			kb++
-		case ia < ib:
-			ka++
-		default:
-			kb++
-		}
-	}
-	return s
-}
 
 // SpOuterAdd accumulates m += a * x·xᵀ for a sparse x with sorted indices,
 // touching only the nnz x nnz stored block. It replicates Dense.OuterAdd's

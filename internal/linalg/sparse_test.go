@@ -35,34 +35,6 @@ func gather(dim int, idx []int32, val []float64) []float64 {
 	return out
 }
 
-// TestSpDotMatchesDenseGather: SpDot must be bit-identical to gathering b
-// into a dense scratch and running the serial dense dot with a's values on
-// the left — the exact substitution the statistics kernels rely on.
-func TestSpDotMatchesDenseGather(t *testing.T) {
-	rng := stat.NewRNG(3)
-	const dim = 64
-	for trial := 0; trial < 200; trial++ {
-		ai, av := randSparse(rng, dim, 1+rng.Intn(12))
-		bi, bv := randSparse(rng, dim, 1+rng.Intn(12))
-		got := SpDot(ai, av, bi, bv)
-		scratch := gather(dim, bi, bv)
-		var want float64
-		for k, j := range ai {
-			want += av[k] * scratch[j]
-		}
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("trial %d: SpDot %x != dense %x", trial, math.Float64bits(got), math.Float64bits(want))
-		}
-	}
-	// Disjoint supports and empty operands.
-	if got := SpDot([]int32{1, 3}, []float64{2, 4}, []int32{0, 2}, []float64{5, 6}); got != 0 {
-		t.Fatalf("disjoint supports: %v", got)
-	}
-	if got := SpDot(nil, nil, []int32{0}, []float64{1}); got != 0 {
-		t.Fatalf("empty a: %v", got)
-	}
-}
-
 // TestSpOuterAddMatchesOuterAdd: accumulating a*x·xᵀ through the sparse
 // kernel must leave every matrix cell bit-identical to Dense.OuterAdd on
 // the densified vector, across scales including 0 and negatives.

@@ -89,14 +89,3 @@ func svdViaGram(a *Dense, relTol float64, transposed bool) (*ThinSVD, error) {
 	}
 	return &ThinSVD{U: big, S: s, V: small}, nil
 }
-
-// Reconstruct returns U * diag(S) * Vᵀ, primarily for testing.
-func (s *ThinSVD) Reconstruct() *Dense {
-	us := s.U.Clone()
-	for j, sv := range s.S {
-		for i := 0; i < us.Rows; i++ {
-			us.Set(i, j, us.At(i, j)*sv)
-		}
-	}
-	return MatMulTransB(us, s.V)
-}

@@ -76,20 +76,6 @@ func Fill(x []float64, a float64) {
 	}
 }
 
-// Sub computes dst = x - y. dst may alias x or y.
-func Sub(dst, x, y []float64) {
-	for i := range dst {
-		dst[i] = x[i] - y[i]
-	}
-}
-
-// Add computes dst = x + y. dst may alias x or y.
-func Add(dst, x, y []float64) {
-	for i := range dst {
-		dst[i] = x[i] + y[i]
-	}
-}
-
 // Cosine returns the cosine similarity of x and y, or 0 if either vector is
 // zero. BlinkML uses 1 - Cosine as the PPCA model-difference metric
 // (Appendix C of the paper).

@@ -84,18 +84,6 @@ func TestNormInf(t *testing.T) {
 	}
 }
 
-func TestSubAdd(t *testing.T) {
-	dst := make([]float64, 2)
-	Sub(dst, []float64{5, 7}, []float64{2, 3})
-	if dst[0] != 3 || dst[1] != 4 {
-		t.Fatalf("Sub got %v", dst)
-	}
-	Add(dst, dst, []float64{1, 1})
-	if dst[0] != 4 || dst[1] != 5 {
-		t.Fatalf("Add got %v", dst)
-	}
-}
-
 func TestCosine(t *testing.T) {
 	if got := Cosine([]float64{1, 0}, []float64{0, 1}); !almostEq(got, 0, tol) {
 		t.Errorf("orthogonal cosine=%v", got)

@@ -30,8 +30,8 @@ import (
 	"blinkml/internal/obs"
 )
 
-// Clock abstracts time for the runner; RealClock is used in production and
-// a deterministic fake in tests.
+// Clock abstracts time for the runner; the wall clock is used in production
+// and a deterministic fake in tests.
 type Clock interface {
 	Now() time.Time
 	Sleep(d time.Duration)
@@ -41,9 +41,6 @@ type realClock struct{}
 
 func (realClock) Now() time.Time        { return time.Now() }
 func (realClock) Sleep(d time.Duration) { time.Sleep(d) }
-
-// RealClock returns the wall clock.
-func RealClock() Clock { return realClock{} }
 
 // Arrival selects the open-loop arrival process.
 type Arrival string

@@ -95,14 +95,3 @@ func sigmoid(z float64) float64 {
 	e := math.Exp(z)
 	return e / (1 + e)
 }
-
-// log1pExp computes log(1+e^z) without overflow.
-func log1pExp(z float64) float64 {
-	if z > 35 {
-		return z
-	}
-	if z < -35 {
-		return math.Exp(z)
-	}
-	return math.Log1p(math.Exp(z))
-}

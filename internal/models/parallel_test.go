@@ -113,35 +113,3 @@ func TestTrainRejectsNonFiniteOutcome(t *testing.T) {
 		t.Skip("optimizer escaped the non-finite region; nothing to assert")
 	}
 }
-
-// The stochastic objective view must agree with the batch objective on the
-// full index set.
-func TestStochasticObjectiveMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(93))
-	ds := tinyBinary(rng, 128, 5, false)
-	spec := LogisticRegression{Reg: 0.05}
-	theta := make([]float64, 5)
-	for i := range theta {
-		theta[i] = rng.NormFloat64()
-	}
-	sObj := StochasticObjective(spec, ds)
-	idx := make([]int, ds.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	gs := make([]float64, 5)
-	fs := sObj.EvalBatch(theta, idx, gs)
-	gb := make([]float64, 5)
-	fb := Objective(spec, ds).Eval(theta, gb)
-	if math.Abs(fs-fb) > 1e-12 {
-		t.Fatalf("losses differ: %v vs %v", fs, fb)
-	}
-	for j := range gs {
-		if math.Abs(gs[j]-gb[j]) > 1e-12 {
-			t.Fatalf("gradients differ at %d", j)
-		}
-	}
-	if sObj.NumExamples() != 128 {
-		t.Fatal("NumExamples wrong")
-	}
-}

@@ -49,13 +49,14 @@ func TestPPCATrainRecoversSubspace(t *testing.T) {
 			truth[r] = trueW.At(r, col)
 		}
 		// cos of angle between truth and its projection onto span(w).
-		g := linalg.MatMulTransA(w, w)
-		wx := make([]float64, 2)
-		w.MulTransVec(truth, wx)
-		coef, err := linalg.SolveLinear(g, wx)
+		ginv, err := linalg.Inverse(linalg.MatMulTransA(w, w))
 		if err != nil {
 			t.Fatal(err)
 		}
+		wx := make([]float64, 2)
+		w.T().MulVec(truth, wx)
+		coef := make([]float64, 2)
+		ginv.MulVec(wx, coef)
 		proj := make([]float64, 6)
 		w.MulVec(coef, proj)
 		cos := linalg.Cosine(truth, proj)

@@ -5,7 +5,7 @@
 // ("grads") and a prediction-difference metric ("diff") — plus a training
 // objective for the optimizers.
 //
-// Scaling convention (see DESIGN.md §2): the training objective is
+// Scaling convention (paper §2.2, Equations 2–3): the training objective is
 //
 //	f_n(θ) = (1/n) Σᵢ ℓᵢ(θ) + (β/2)‖θ‖², ℓᵢ = −log Pr(xᵢ,yᵢ;θ)
 //
@@ -120,34 +120,6 @@ func (o *objective) Eval(x, grad []float64) float64 {
 		linalg.Axpy(beta, x, grad)
 	}
 	return loss
-}
-
-// NumExamples implements optimize.StochasticProblem.
-func (o *objective) NumExamples() int { return o.ds.Len() }
-
-// EvalBatch implements optimize.StochasticProblem: the mean loss and
-// gradient over the given example subset, plus the regularizer.
-func (o *objective) EvalBatch(x []float64, idx []int, grad []float64) float64 {
-	linalg.Fill(grad, 0)
-	var loss float64
-	for _, i := range idx {
-		loss += o.spec.ExampleLossGrad(x, o.ds.X[i], label(o.ds, i), grad)
-	}
-	inv := 1 / float64(len(idx))
-	loss *= inv
-	linalg.Scale(inv, grad)
-	beta := o.spec.Beta()
-	if beta > 0 {
-		loss += 0.5 * beta * linalg.Dot(x, x)
-		linalg.Axpy(beta, x, grad)
-	}
-	return loss
-}
-
-// StochasticObjective returns the minibatch view of the training problem
-// for the SGD/Adam baselines.
-func StochasticObjective(spec Spec, ds *dataset.Dataset) optimize.StochasticProblem {
-	return &objective{spec: spec, ds: ds, dim: spec.ParamDim(ds)}
 }
 
 func label(ds *dataset.Dataset, i int) float64 {

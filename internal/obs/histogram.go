@@ -12,8 +12,7 @@ import (
 // Bucket i covers (bounds[i-1], bounds[i]] with bounds[i] = 0.01ms · 2^i,
 // so 36 bounds span 10 µs .. ~344 s — from a single predict call to the
 // longest plausible training job — at a fixed ~41% relative error, plus one
-// overflow bucket. The layout is identical for every Histogram, which makes
-// Merge a plain element-wise add.
+// overflow bucket. The layout is identical for every Histogram.
 const (
 	numBounds   = 36
 	numBuckets  = numBounds + 1 // +1 overflow
@@ -92,32 +91,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // SumMs returns the sum of all observed latencies in milliseconds.
 func (h *Histogram) SumMs() float64 { return math.Float64frombits(h.sumMs.Load()) }
-
-// Merge adds o's observations into h. Both histograms share the fixed
-// layout, so merging is associative and commutative.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil {
-		return
-	}
-	var total uint64
-	for i := range o.counts {
-		n := o.counts[i].Load()
-		if n == 0 {
-			continue
-		}
-		h.counts[i].Add(n)
-		total += n
-	}
-	h.count.Add(total)
-	add := o.SumMs()
-	for {
-		old := h.sumMs.Load()
-		next := math.Float64bits(math.Float64frombits(old) + add)
-		if h.sumMs.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
 
 // snapshot reads the buckets once; quantile math works on the copy so a
 // concurrent Observe cannot skew a single read.

@@ -16,11 +16,11 @@ func TestBucketForBoundaries(t *testing.T) {
 		{-1, 0},
 		{math.NaN(), 0},
 		{0.005, 0},
-		{0.01, 0},          // exactly the first bound
-		{0.010001, 1},      // just above it
-		{0.02, 1},          // bucket 1 upper bound
+		{0.01, 0},     // exactly the first bound
+		{0.010001, 1}, // just above it
+		{0.02, 1},     // bucket 1 upper bound
 		{0.04, 2},
-		{10.24, 10},        // 0.01·2^10
+		{10.24, 10}, // 0.01·2^10
 		{10.25, 11},
 		{bounds[numBounds-1], numBounds - 1},
 		{bounds[numBounds-1] * 2, numBounds}, // overflow
@@ -96,51 +96,6 @@ func TestHistogramOverflowQuantile(t *testing.T) {
 	h.Observe(1e9) // far past the last bound
 	if got, want := h.Quantile(0.5), bounds[numBounds-1]; got != want {
 		t.Fatalf("overflow quantile = %v, want last bound %v", got, want)
-	}
-}
-
-func TestHistogramMergeAssociativity(t *testing.T) {
-	obsv := [][]float64{
-		{0.5, 1, 2, 4},
-		{100, 200, 300},
-		{0.02, 5000, 7, 7, 7},
-	}
-	mk := func(vals []float64) *Histogram {
-		h := NewHistogram()
-		for _, v := range vals {
-			h.Observe(v)
-		}
-		return h
-	}
-	// (a ∪ b) ∪ c
-	left := NewHistogram()
-	ab := NewHistogram()
-	ab.Merge(mk(obsv[0]))
-	ab.Merge(mk(obsv[1]))
-	left.Merge(ab)
-	left.Merge(mk(obsv[2]))
-	// a ∪ (b ∪ c)
-	right := NewHistogram()
-	bc := NewHistogram()
-	bc.Merge(mk(obsv[1]))
-	bc.Merge(mk(obsv[2]))
-	right.Merge(mk(obsv[0]))
-	right.Merge(bc)
-	// Direct observation of everything.
-	direct := mk(append(append(append([]float64{}, obsv[0]...), obsv[1]...), obsv[2]...))
-
-	for name, h := range map[string]*Histogram{"left": left, "right": right} {
-		if h.Count() != direct.Count() {
-			t.Errorf("%s count = %d, want %d", name, h.Count(), direct.Count())
-		}
-		if math.Abs(h.SumMs()-direct.SumMs()) > 1e-6 {
-			t.Errorf("%s sum = %v, want %v", name, h.SumMs(), direct.SumMs())
-		}
-		for i := range h.counts {
-			if h.counts[i].Load() != direct.counts[i].Load() {
-				t.Errorf("%s bucket %d = %d, want %d", name, i, h.counts[i].Load(), direct.counts[i].Load())
-			}
-		}
 	}
 }
 

@@ -155,9 +155,6 @@ func (m *HTTPMetrics) SetSLOLatencyThreshold(ms float64) {
 	}
 }
 
-// SLOLatencyThreshold reports the current attainment bound in ms.
-func (m *HTTPMetrics) SLOLatencyThreshold() float64 { return m.sloMs.Load() }
-
 // SetFlightRecorder arms diagnostic dumps: offending requests (errored,
 // slow, or SLO-violating) are fed into the recorder's ring, a slow-request
 // hit triggers a dump immediately, and an SLO-window breach (availability

@@ -15,8 +15,8 @@
 //     serving layer aggregates them into the per-stage breakdown surfaced
 //     by GET /v1/jobs/{id} and can export them as JSONL.
 //   - Histogram is a fixed-bucket log-scale latency histogram: lock-cheap
-//     to record, mergeable, expvar-publishable, with p50/p95/p99 computed
-//     at read time. It replaces sum-only *_ms_sum counters.
+//     to record, expvar-publishable, with p50/p95/p99 computed at read
+//     time. It replaces sum-only *_ms_sum counters.
 //   - MetricsHandler renders every blinkml* expvar map — counters, gauges,
 //     and histograms — in Prometheus text format for GET /metrics, and
 //     DebugHandler adds net/http/pprof behind an opt-in -debug-addr.

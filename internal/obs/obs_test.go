@@ -120,29 +120,6 @@ func TestLoggerCarriesTrace(t *testing.T) {
 	Discard().Info("never seen")
 }
 
-func TestSpanWriterJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewSpanWriter(&buf)
-	spans := []Span{
-		{Trace: "t1", Name: "sample", DurMs: 1.5},
-		{Trace: "t1", Name: "optimize", Worker: "w0", DurMs: 2},
-	}
-	if err := w.Write(spans); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2", len(lines))
-	}
-	var s Span
-	if err := json.Unmarshal([]byte(lines[1]), &s); err != nil {
-		t.Fatalf("line 2 not a span: %v", err)
-	}
-	if s.Name != "optimize" || s.Worker != "w0" {
-		t.Fatalf("round-tripped span = %+v", s)
-	}
-}
-
 func TestMetricsHandlerPrometheus(t *testing.T) {
 	m := expvar.NewMap("blinkml_obstest")
 	m.Add("requests_total", 7)

@@ -39,9 +39,6 @@ func NewSLOWindow(windowSeconds int) *SLOWindow {
 	return &SLOWindow{buckets: make([]sloBucket, windowSeconds)}
 }
 
-// WindowSeconds reports the configured window length.
-func (w *SLOWindow) WindowSeconds() int { return len(w.buckets) }
-
 // Record adds one finished request observed at now.
 func (w *SLOWindow) Record(now time.Time, isError, isSlow bool) {
 	sec := now.Unix()

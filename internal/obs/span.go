@@ -39,9 +39,6 @@ func NewRecorder(trace string) *Recorder {
 	return &Recorder{trace: trace}
 }
 
-// Trace returns the trace ID this recorder collects for.
-func (r *Recorder) Trace() string { return r.trace }
-
 // Record appends one finished span, stamping the recorder's trace ID.
 func (r *Recorder) Record(name string, start time.Time, dur time.Duration) {
 	if r == nil {

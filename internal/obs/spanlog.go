@@ -4,46 +4,16 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 )
 
-// SpanWriter appends finished spans to an io.Writer as JSONL — one span
-// object per line, in the Span JSON schema — so a long-lived server can
-// stream every job's trace to a file for offline analysis (-span-log).
-type SpanWriter struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-// NewSpanWriter wraps w. Writes from concurrent jobs are serialized.
-func NewSpanWriter(w io.Writer) *SpanWriter {
-	return &SpanWriter{w: w}
-}
-
-// Write appends each span as one JSON line. Encoding errors stop the batch
-// and are returned; the writer stays usable.
-func (s *SpanWriter) Write(spans []Span) error {
-	if s == nil || len(spans) == 0 {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	enc := json.NewEncoder(s.w)
-	for _, sp := range spans {
-		if err := enc.Encode(sp); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // SpanLog is the file-backed span sink behind -span-log: buffered JSONL
-// appends with size-capped rotation. When maxBytes > 0 and a batch would
-// push the file past the cap, the current file is atomically renamed to
-// <path>.old (replacing the previous .old, so disk usage is bounded at
-// roughly 2×maxBytes) and a fresh file is started. Safe for concurrent use;
+// appends (one span object per line, in the Span JSON schema) with
+// size-capped rotation. When maxBytes > 0 and a batch would push the file
+// past the cap, the current file is atomically renamed to <path>.old
+// (replacing the previous .old, so disk usage is bounded at roughly
+// 2×maxBytes) and a fresh file is started. Safe for concurrent use;
 // Close flushes the buffer, so a graceful server shutdown never truncates
 // the last job's spans.
 type SpanLog struct {

@@ -231,71 +231,6 @@ func BFGS(p Problem, x0 []float64, opt Options) (Result, error) {
 	return res, nil
 }
 
-// GradientDescent is a fixed-shrinkage backtracking gradient method used as
-// a slow-but-simple oracle in tests.
-func GradientDescent(p Problem, x0 []float64, opt Options) (Result, error) {
-	opt = opt.withDefaults()
-	n := p.Dim()
-	ec := &evalCounter{p: p, max: opt.MaxEvals}
-	x := linalg.CopyVec(x0)
-	g := make([]float64, n)
-	f, err := ec.eval(x, g)
-	if err != nil {
-		return Result{X: x, F: f}, err
-	}
-	xNew := make([]float64, n)
-	gNew := make([]float64, n)
-	res := Result{X: x, F: f, GradNorm: linalg.NormInf(g)}
-	for iter := 0; iter < opt.MaxIters; iter++ {
-		if err := checkStop(opt, &res, ec); err != nil {
-			return res, err
-		}
-		if res.GradNorm <= opt.GradTol {
-			res.Converged = true
-			res.Status = "gradient tolerance reached"
-			break
-		}
-		t := opt.StepInit
-		accepted := false
-		for back := 0; back < 60; back++ {
-			for i := range x {
-				xNew[i] = x[i] - t*g[i]
-			}
-			fNew, err := ec.eval(xNew, gNew)
-			if err != nil {
-				res.X, res.FuncEvals = x, ec.count
-				return res, err
-			}
-			if fNew < f-wolfeC1*t*linalg.Dot(g, g) {
-				f = fNew
-				copy(x, xNew)
-				copy(g, gNew)
-				accepted = true
-				break
-			}
-			t /= 2
-		}
-		if !accepted {
-			res.Status = "backtracking stalled"
-			break
-		}
-		res.Iters = iter + 1
-		res.F = f
-		res.GradNorm = linalg.NormInf(g)
-	}
-	if res.Status == "" {
-		if res.GradNorm <= opt.GradTol {
-			res.Converged = true
-			res.Status = "gradient tolerance reached"
-		} else {
-			res.Status = "iteration limit reached"
-		}
-	}
-	res.X = x
-	res.FuncEvals = ec.count
-	return res, nil
-}
-
 // checkStop polls opt.Stop and, on a non-nil error, finalizes res so the
 // caller can return the best iterate found so far alongside the error.
 func checkStop(opt Options, res *Result, ec *evalCounter) error {

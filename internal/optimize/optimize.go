@@ -1,8 +1,7 @@
 // Package optimize implements the unconstrained smooth minimizers BlinkML
 // trains with: BFGS for low-dimensional problems (d < 100, as in the
 // paper's §5.1 setup) and limited-memory L-BFGS for high-dimensional ones,
-// both driven by a strong-Wolfe line search. Plain gradient descent is
-// included as a test oracle.
+// both driven by a strong-Wolfe line search.
 package optimize
 
 import (

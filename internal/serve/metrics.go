@@ -11,8 +11,8 @@ import (
 // Metrics are the service's expvar counters and latency histograms,
 // published once under the "blinkml" map so repeated server construction
 // (tests, restarts in one process) reuses the same vars instead of
-// panicking on re-publish. Latencies are obs.Histograms — mergeable
-// log-scale buckets with p50/p95/p99 at read time — rendered in Prometheus
+// panicking on re-publish. Latencies are obs.Histograms — log-scale
+// buckets with p50/p95/p99 at read time — rendered in Prometheus
 // text form on GET /metrics and as JSON summaries on GET /metrics.json.
 type Metrics struct {
 	JobsQueued    *expvar.Int // total jobs admitted

@@ -418,6 +418,50 @@ func TestServeStructuredErrors(t *testing.T) {
 	checkError("unknown job cancel", http.MethodDelete, ts.URL+"/v1/jobs/j-424242", nil, http.StatusNotFound)
 }
 
+// TestRequestBodyIsOneJSONValue: readJSON accepts exactly one JSON value
+// per body. A valid train request followed by anything but whitespace is a
+// structured 400 — never a 202 for the prefix with the suffix ignored.
+func TestRequestBodyIsOneJSONValue(t *testing.T) {
+	s, err := New(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("new server: %v", err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const valid = `{"model":{"name":"logistic"},"dataset":{"synthetic":{"name":"higgs","rows":400,"dim":4,"seed":1}},"epsilon":0.3}`
+	for _, c := range []struct {
+		name, body string
+		want       int
+	}{
+		{"one value", valid, http.StatusAccepted},
+		{"trailing whitespace", valid + "\n \t\r\n", http.StatusAccepted},
+		{"second value", valid + ` {"epsilon":5}`, http.StatusBadRequest},
+		{"second value and word", valid + ` {"epsilon":5} trailing`, http.StatusBadRequest},
+		{"trailing word", valid + " trailing", http.StatusBadRequest},
+		{"stray closer", valid + "}", http.StatusBadRequest},
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/v1/train", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: status %d, want %d (body %s)", c.name, resp.StatusCode, c.want, raw)
+			continue
+		}
+		if c.want != http.StatusBadRequest {
+			continue
+		}
+		var er ErrorResponse
+		if err := json.Unmarshal(raw, &er); err != nil || er.Error != "serve: bad request body: unexpected data after JSON value" {
+			t.Errorf("%s: body %s, want the structured trailing-data error", c.name, raw)
+		}
+	}
+}
+
 // TestPredictShapeValidation trains one tiny model and checks malformed
 // predict batches are rejected.
 func TestPredictShapeValidation(t *testing.T) {

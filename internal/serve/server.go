@@ -6,6 +6,7 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"path/filepath"
@@ -669,7 +670,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h)
 }
 
-// readJSON decodes the request body into v, writing a 400 on failure.
+// readJSON decodes the request body — exactly one JSON value — into v,
+// writing a 400 on failure.
 func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(body)
@@ -682,6 +684,12 @@ func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 			return false
 		}
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad request body: %w", err))
+		return false
+	}
+	// Decode stops at the end of the first value; anything but whitespace
+	// after it means the client sent something other than what was parsed.
+	if _, err := dec.Token(); err != io.EOF {
+		writeError(w, http.StatusBadRequest, errors.New("serve: bad request body: unexpected data after JSON value"))
 		return false
 	}
 	return true

@@ -27,9 +27,6 @@ func (g *RNG) Float64() float64 { return g.r.Float64() }
 // Intn returns a uniform draw in [0, n).
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
-// Int63 returns a non-negative pseudo-random 63-bit integer.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
-
 // Norm returns a standard-normal draw.
 func (g *RNG) Norm() float64 { return g.r.NormFloat64() }
 
@@ -45,9 +42,6 @@ func (g *RNG) Exp() float64 { return g.r.ExpFloat64() }
 
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Shuffle permutes the first n positions using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 
 // Split derives an independent RNG from the current stream, so concurrent
 // consumers do not contend on a shared source.
