@@ -24,6 +24,7 @@ import (
 
 	"blinkml"
 	"blinkml/internal/compute"
+	"blinkml/internal/models"
 	"blinkml/internal/serve"
 	"blinkml/internal/store"
 	"blinkml/internal/tune"
@@ -199,25 +200,15 @@ func buildSpace(c config) (blinkml.TuneSpace, error) {
 	return space, nil
 }
 
-func specFor(model string, reg float64, classes int) (blinkml.ModelSpec, error) {
-	switch strings.ToLower(model) {
-	case "linear":
-		return blinkml.LinearRegression(reg), nil
-	case "logistic":
-		return blinkml.LogisticRegression(reg), nil
-	case "maxent":
-		return blinkml.MaxEntropy(classes, reg), nil
-	case "poisson":
-		return blinkml.PoissonRegression(reg), nil
-	case "ppca":
-		f := int(reg)
-		if float64(f) != reg || f < 1 {
-			return nil, fmt.Errorf("ppca -grid entries are factor counts (positive integers), got %v", reg)
-		}
-		return blinkml.PPCA(f), nil
-	default:
-		return nil, fmt.Errorf("unknown model %q", model)
+// specFor builds one -grid candidate: the entry is β for the GLM families
+// (0 means unregularized) and the factor count for ppca.
+func specFor(model string, entry float64, classes int) (blinkml.ModelSpec, error) {
+	model = strings.ToLower(model)
+	factors := int(entry)
+	if model == "ppca" && (float64(factors) != entry || factors < 1) {
+		return nil, fmt.Errorf("ppca -grid entries are factor counts (positive integers), got %v", entry)
 	}
+	return models.New(model, entry, classes, factors)
 }
 
 func printLeaderboard(res *blinkml.TuneResult) {

@@ -21,6 +21,7 @@ import (
 
 	"blinkml"
 	"blinkml/internal/compute"
+	"blinkml/internal/models"
 	"blinkml/internal/obs"
 	"blinkml/internal/serve"
 	"blinkml/internal/store"
@@ -54,20 +55,9 @@ func main() {
 }
 
 func run(modelName, dataName, storeDir, datasetID string, rows, dim int, accuracy, delta, reg float64, classes, factors, n0 int, seed int64, compare, jsonOut bool) error {
-	var spec blinkml.ModelSpec
-	switch strings.ToLower(modelName) {
-	case "linear":
-		spec = blinkml.LinearRegression(reg)
-	case "logistic":
-		spec = blinkml.LogisticRegression(reg)
-	case "maxent":
-		spec = blinkml.MaxEntropy(classes, reg)
-	case "poisson":
-		spec = blinkml.PoissonRegression(reg)
-	case "ppca":
-		spec = blinkml.PPCA(factors)
-	default:
-		return fmt.Errorf("unknown model %q", modelName)
+	spec, err := models.New(strings.ToLower(modelName), reg, classes, factors)
+	if err != nil {
+		return err
 	}
 
 	src, err := openSource(dataName, storeDir, datasetID, rows, dim, seed)

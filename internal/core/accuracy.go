@@ -28,14 +28,8 @@ func EstimateAccuracy(spec models.Spec, theta []float64, fac Factor, alpha float
 	scale := sqrt(alpha)
 	d := len(theta)
 	vs := make([]float64, k)
-	// Draw all normals first — in the exact order the serial loop consumed
-	// the RNG — then apply the factor and evaluate the holdout diffs in
-	// parallel on the pool (independent per sample).
-	zs := make([][]float64, k)
-	for i := range zs {
-		zs[i] = make([]float64, fac.Rank())
-		rng.NormVec(zs[i])
-	}
+	zs := drawNormals(rng, k, fac.Rank())
+	diff := models.DiffFrom(spec, theta, holdout) // m_n's side of v, once for all k draws
 	compute.For(k, 4, func(lo, hi int) {
 		w := make([]float64, d)
 		thetaN := make([]float64, d)
@@ -44,10 +38,24 @@ func EstimateAccuracy(spec models.Spec, theta []float64, fac Factor, alpha float
 			for j := 0; j < d; j++ {
 				thetaN[j] = theta[j] + scale*w[j]
 			}
-			vs[i] = models.Diff(spec, theta, thetaN, holdout)
+			vs[i] = diff(thetaN)
 		}
 	})
 	return AccuracyEstimate{Epsilon: stat.ConservativeQuantile(vs, delta)}
+}
+
+// drawNormals draws count standard-normal vectors of length rank from rng,
+// one after another. Both estimators draw everything up front, in the exact
+// order the serial algorithm consumed the RNG; applying the factor and
+// evaluating the holdout are then independent per draw, so they fan out on
+// the compute pool without perturbing the random stream.
+func drawNormals(rng *stat.RNG, count, rank int) [][]float64 {
+	zs := make([][]float64, count)
+	for i := range zs {
+		zs[i] = make([]float64, rank)
+		rng.NormVec(zs[i])
+	}
+	return zs
 }
 
 // sqrt clamps negative inputs (rounding noise in α) to zero.

@@ -84,7 +84,8 @@ type Env struct {
 func NewEnv(ds *dataset.Dataset, opt Options) *Env {
 	env, err := NewEnvFromSource(ds, opt)
 	if err != nil {
-		// In-memory materialization is Subset, which cannot fail.
+		// In-memory materialization is Subset, which cannot fail; what is
+		// left is a split fraction out of range.
 		panic(fmt.Sprintf("core: NewEnv: %v", err))
 	}
 	return env
@@ -96,6 +97,9 @@ func NewEnv(ds *dataset.Dataset, opt Options) *Env {
 // same rows at the same seed. Only the holdout and test rows are read here.
 func NewEnvFromSource(src dataset.Source, opt Options) (*Env, error) {
 	opt = opt.WithDefaults()
+	if err := opt.validateSplit(); err != nil {
+		return nil, err
+	}
 	meta := src.Meta()
 	rng := stat.NewRNG(opt.Seed)
 	n := meta.Rows

@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"blinkml/internal/datagen"
+	"blinkml/internal/dataset"
 	"blinkml/internal/models"
 	"blinkml/internal/stat"
 )
@@ -12,6 +14,73 @@ import (
 // hideScores wraps a Spec so the dynamic type no longer satisfies
 // models.ScoreModel, forcing the generic Sample Size Estimator path.
 type hideScores struct{ models.Spec }
+
+// countPredicts counts Predict calls; embedding the interface also hides
+// ScoreModel, so every prediction goes through Predict.
+type countPredicts struct {
+	models.Spec
+	calls *atomic.Int64
+}
+
+func (c countPredicts) Predict(theta []float64, x dataset.Row) float64 {
+	c.calls.Add(1)
+	return c.Spec.Predict(theta, x)
+}
+
+// The Model Accuracy Estimator compares one trained model against k sampled
+// ones, so m_n's holdout predictions are computed once, not once per draw:
+// (k+1)·h Predict calls for k draws on h holdout rows. The bound itself must
+// be, bit for bit, the Lemma-2 quantile of models.Diff over the same draws.
+func TestEstimateAccuracyPredictsTrainedModelOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec models.Spec
+		ds   *dataset.Dataset
+	}{
+		{"classification", models.LogisticRegression{Reg: 0.01}, datagen.Higgs(datagen.Config{Rows: 600, Dim: 5, Seed: 1})},
+		{"regression", models.LinearRegression{Reg: 0.01}, datagen.Gas(datagen.Config{Rows: 600, Dim: 5, Seed: 1})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			train, holdout := tc.ds.Subset(seq(0, 400)), tc.ds.Subset(seq(400, 600))
+			theta := trainOn(t, tc.spec, train)
+			st, err := ComputeStatistics(tc.spec, train, theta, Options{Epsilon: 0.1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const k, delta, seed = 30, 0.05, 9
+			alpha := Alpha(400, 40000)
+			counted := countPredicts{Spec: tc.spec, calls: new(atomic.Int64)}
+			got := EstimateAccuracy(counted, theta, st.Factor, alpha, holdout, k, delta, stat.NewRNG(seed)).Epsilon
+			if calls, want := counted.calls.Load(), int64((k+1)*holdout.Len()); calls != want {
+				t.Errorf("%d Predict calls for k=%d draws on %d holdout rows, want (k+1)·h = %d", calls, k, holdout.Len(), want)
+			}
+
+			rng := stat.NewRNG(seed)
+			vs := make([]float64, k)
+			z, w, thetaN := make([]float64, st.Factor.Rank()), make([]float64, len(theta)), make([]float64, len(theta))
+			for i := range vs {
+				rng.NormVec(z)
+				st.Factor.Apply(z, w)
+				for j := range thetaN {
+					thetaN[j] = theta[j] + sqrt(alpha)*w[j]
+				}
+				vs[i] = models.Diff(tc.spec, theta, thetaN, holdout)
+			}
+			if want := stat.ConservativeQuantile(vs, delta); math.Float64bits(got) != math.Float64bits(want) || want == 0 {
+				t.Errorf("Epsilon = %v, ConservativeQuantile over models.Diff of the same draws = %v (want equal bits, non-zero)", got, want)
+			}
+		})
+	}
+}
+
+// seq returns lo, lo+1, …, hi−1.
+func seq(lo, hi int) []int {
+	out := make([]int, hi-lo)
+	for i := range out {
+		out[i] = lo + i
+	}
+	return out
+}
 
 func TestEstimateAccuracyZeroAlpha(t *testing.T) {
 	ds := datagen.Higgs(datagen.Config{Rows: 400, Dim: 5, Seed: 1})

@@ -100,44 +100,24 @@ func (f *GradFactor) Apply(z, dst []float64) {
 	linalg.Axpy(-uSum, f.mean, dst)
 }
 
-// Materialize returns the explicit L matrix (for tests and small-d
-// diagnostics only; this defeats the purpose of the lazy form at scale).
-func (f *GradFactor) Materialize() *linalg.Dense {
-	l := linalg.NewDense(f.dim, f.Rank())
-	z := make([]float64, f.Rank())
-	col := make([]float64, f.dim)
-	for j := 0; j < f.Rank(); j++ {
+// Covariance materializes L·Lᵀ for diagnostics on low-dimensional problems
+// (a lazy factor's L is recovered column by column from unit vectors, which
+// defeats the purpose of the lazy form at scale).
+func Covariance(f Factor) *linalg.Dense {
+	if dense, ok := f.(*DenseFactor); ok {
+		return linalg.Syrk(dense.L)
+	}
+	d, r := f.Dim(), f.Rank()
+	l := linalg.NewDense(d, r)
+	z := make([]float64, r)
+	col := make([]float64, d)
+	for j := 0; j < r; j++ {
 		z[j] = 1
 		f.Apply(z, col)
-		for i := 0; i < f.dim; i++ {
+		for i := 0; i < d; i++ {
 			l.Set(i, j, col[i])
 		}
 		z[j] = 0
-	}
-	return l
-}
-
-// Covariance materializes L·Lᵀ for diagnostics on low-dimensional problems.
-func Covariance(f Factor) *linalg.Dense {
-	var l *linalg.Dense
-	switch ff := f.(type) {
-	case *DenseFactor:
-		l = ff.L
-	case *GradFactor:
-		l = ff.Materialize()
-	default:
-		d, r := f.Dim(), f.Rank()
-		l = linalg.NewDense(d, r)
-		z := make([]float64, r)
-		col := make([]float64, d)
-		for j := 0; j < r; j++ {
-			z[j] = 1
-			f.Apply(z, col)
-			for i := 0; i < d; i++ {
-				l.Set(i, j, col[i])
-			}
-			z[j] = 0
-		}
 	}
 	return linalg.Syrk(l) // L·Lᵀ without computing both triangles
 }

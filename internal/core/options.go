@@ -18,9 +18,11 @@ import (
 type Method int
 
 const (
-	// ObservedFisher (the default) uses the information-matrix equality and
-	// a thin SVD of the per-example gradient matrix; it needs a single
-	// grads call and never materializes a d x d matrix.
+	// ObservedFisher (the default) uses the information-matrix equality: J
+	// is the second moment of the per-example gradients, and the factor
+	// comes from an eigendecomposition of the smaller of the d x d
+	// covariance (d ≤ n₀) and the n₀ x n₀ gradient Gram matrix (d > n₀). It
+	// needs a single grads call.
 	ObservedFisher Method = iota
 	// InverseGradients estimates H column-by-column from finite differences
 	// of the batch gradient (d+1 grads calls).
@@ -158,12 +160,28 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
+// validate checks a contract's options (defaults applied). Every test is
+// written as "not inside the range" so that a NaN, which compares false with
+// everything, is rejected too.
 func (o Options) validate() error {
-	if o.Epsilon <= 0 || o.Epsilon > 1 {
+	if !(o.Epsilon > 0 && o.Epsilon <= 1) {
 		return fmt.Errorf("core: Epsilon must be in (0,1], got %v", o.Epsilon)
 	}
-	if o.Delta <= 0 || o.Delta >= 1 {
+	if !(o.Delta > 0 && o.Delta < 1) {
 		return fmt.Errorf("core: Delta must be in (0,1), got %v", o.Delta)
+	}
+	return o.validateSplit()
+}
+
+// validateSplit checks the fractions NewEnvFromSource splits by, which is
+// reached without a contract (and so without validate) by the tune
+// subsystem and the public NewEnv constructors.
+func (o Options) validateSplit() error {
+	if !(o.HoldoutFraction < 1) {
+		return fmt.Errorf("core: HoldoutFraction must be below 1, got %v", o.HoldoutFraction)
+	}
+	if !(o.TestFraction >= 0 && o.TestFraction < 1) {
+		return fmt.Errorf("core: TestFraction must be in [0,1), got %v", o.TestFraction)
 	}
 	return nil
 }

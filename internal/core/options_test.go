@@ -1,9 +1,15 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
+
+	"blinkml/internal/datagen"
+	"blinkml/internal/models"
 )
 
 // fillDistinct sets every non-func field reachable from v (recursing into
@@ -88,5 +94,47 @@ func TestOptionsJSONKeys(t *testing.T) {
 	}
 	if !reflect.DeepEqual(newKeys, oldKeys) {
 		t.Fatalf("re-encoded %s, want the keys and values of %s", raw, old)
+	}
+}
+
+// TestOptionsRejectOutOfRangeAndNaN: a negative TestFraction used to reach
+// dataset.NewSplit and panic on a negative slice bound, and a NaN Epsilon or
+// Delta passed validate (both of its comparisons are false for NaN) and came
+// back as ε̂ = NaN or a bound at an undefined confidence level. Every case
+// must be a structured error from the contract entry point, and the split
+// fractions also from NewEnvFromSource, which tune reaches without validate.
+func TestOptionsRejectOutOfRangeAndNaN(t *testing.T) {
+	ds := datagen.Higgs(datagen.Config{Rows: 2400, Dim: 5, Seed: 3})
+	spec := models.LogisticRegression{Reg: 0.01}
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name    string
+		opt     Options
+		want    string // substring of the error; "" = must succeed
+		atSplit bool   // NewEnvFromSource must reject it as well
+	}{
+		{"valid", Options{Epsilon: 0.2, TestFraction: 0.1, HoldoutFraction: 0.2}, "", false},
+		{"negative test fraction", Options{Epsilon: 0.2, TestFraction: -0.5}, "TestFraction", true},
+		{"holdout fraction of one", Options{Epsilon: 0.2, HoldoutFraction: 1}, "HoldoutFraction", true},
+		{"NaN epsilon", Options{Epsilon: nan}, "Epsilon", false},
+		{"NaN delta", Options{Epsilon: 0.2, Delta: nan}, "Delta", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.opt.Seed, tc.opt.InitialSampleSize = 1, 200
+			res, err := TrainSourceContext(context.Background(), spec, ds, tc.opt)
+			_, splitErr := NewEnvFromSource(ds, tc.opt)
+			if tc.want == "" {
+				if err != nil || splitErr != nil || math.IsNaN(res.EstimatedEpsilon) {
+					t.Fatalf("valid options: train err %v, split err %v, result %+v", err, splitErr, res)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("train: error %v, want one naming %s", err, tc.want)
+			}
+			if tc.atSplit && (splitErr == nil || !strings.Contains(splitErr.Error(), tc.want)) {
+				t.Fatalf("NewEnvFromSource: error %v, want one naming %s", splitErr, tc.want)
+			}
+		})
 	}
 }

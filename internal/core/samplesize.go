@@ -1,10 +1,9 @@
 package core
 
 import (
-	"math"
-
 	"blinkml/internal/compute"
 	"blinkml/internal/dataset"
+	"blinkml/internal/linalg"
 	"blinkml/internal/models"
 	"blinkml/internal/stat"
 )
@@ -43,15 +42,16 @@ type Searcher struct {
 	delta   float64
 	k       int
 
-	// Generic path: materialized factor samples w₁ᵢ, w₂ᵢ (k x d).
+	// The k sampled pairs a probe rescales: the factor samples w₁ᵢ, w₂ᵢ
+	// themselves (k x d), or on the score fast path their holdout scores
+	// (k x h·s).
 	w1, w2 [][]float64
 
 	// Score fast path (nil when unavailable): per holdout row, the scores
-	// of θ₀ and of each wᵢ.
+	// of θ₀ next to those of each wᵢ.
 	scoreModel models.ScoreModel
 	nScores    int
-	base       []float64   // h*s: scores of θ₀
-	s1, s2     [][]float64 // k x (h*s): scores of w₁ᵢ, w₂ᵢ
+	base       []float64 // h*s: scores of θ₀
 }
 
 // NewSearcher draws the k factor-sample pairs and precomputes holdout
@@ -73,42 +73,23 @@ func NewSearcher(spec models.Spec, theta0 []float64, fac Factor, n0, bigN int, h
 	// takes the generic path, which for it never touches the holdout.
 	useScores := smOK && spec.Task() != dataset.Unsupervised && holdout.Len() > 0
 
-	// Draw every normal vector up front, in the exact order the serial
-	// code consumed the RNG (z₁ᵢ, z₂ᵢ alternating); applying the factor
-	// and scoring the holdout are then independent per pair, so they fan
-	// out on the compute pool without perturbing the random stream.
-	zs := make([][]float64, 2*k)
-	for i := range zs {
-		zs[i] = make([]float64, fac.Rank())
-		rng.NormVec(zs[i])
-	}
+	keep := linalg.CopyVec
 	if useScores {
 		s.scoreModel = sm
 		s.nScores = sm.NumScores(d, holdout.Dim)
 		s.base = holdoutScores(sm, theta0, holdout, s.nScores)
-		s.s1 = make([][]float64, k)
-		s.s2 = make([][]float64, k)
-		compute.For(k, 1, func(lo, hi int) {
-			w := make([]float64, d)
-			for i := lo; i < hi; i++ {
-				fac.Apply(zs[2*i], w)
-				s.s1[i] = holdoutScores(sm, w, holdout, s.nScores)
-				fac.Apply(zs[2*i+1], w)
-				s.s2[i] = holdoutScores(sm, w, holdout, s.nScores)
-			}
-		})
-		return s
+		keep = func(w []float64) []float64 { return holdoutScores(sm, w, holdout, s.nScores) }
 	}
+	zs := drawNormals(rng, 2*k, fac.Rank()) // z₁ᵢ, z₂ᵢ alternating
 	s.w1 = make([][]float64, k)
 	s.w2 = make([][]float64, k)
 	compute.For(k, 1, func(lo, hi int) {
+		w := make([]float64, d)
 		for i := lo; i < hi; i++ {
-			w := make([]float64, d)
 			fac.Apply(zs[2*i], w)
-			s.w1[i] = w
-			w = make([]float64, d)
+			s.w1[i] = keep(w)
 			fac.Apply(zs[2*i+1], w)
-			s.w2[i] = w
+			s.w2[i] = keep(w)
 		}
 	})
 	return s
@@ -138,8 +119,10 @@ func (s *Searcher) Probe(n int) Probe {
 	// deterministic regardless of the degree).
 	if s.scoreModel != nil {
 		compute.For(s.k, 4, func(lo, hi int) {
+			bufN := make([]float64, s.nScores)
+			bufNN := make([]float64, s.nScores)
 			for i := lo; i < hi; i++ {
-				vs[i] = s.scoreDiff(s.s1[i], s.s2[i], a1, a2)
+				vs[i] = s.scoreDiff(s.w1[i], s.w2[i], a1, a2, bufN, bufNN)
 			}
 		})
 	} else {
@@ -165,49 +148,19 @@ func (s *Searcher) Probe(n int) Probe {
 
 // scoreDiff computes v(m_n, m_N) for one sampled pair from precomputed
 // scores: scores(θ_n,i) = base + a1·s1ᵢ, scores(θ_N,i) = that + a2·s2ᵢ.
-func (s *Searcher) scoreDiff(s1, s2 []float64, a1, a2 float64) float64 {
-	h := s.holdout.Len()
+// bufN and bufNN are nScores-long scratch.
+func (s *Searcher) scoreDiff(s1, s2 []float64, a1, a2 float64, bufN, bufNN []float64) float64 {
 	ns := s.nScores
-	bufN := make([]float64, ns)
-	bufNN := make([]float64, ns)
-	switch s.spec.Task() {
-	case dataset.BinaryClassification, dataset.MultiClassification:
-		disagree := 0
-		for r := 0; r < h; r++ {
-			off := r * ns
-			for c := 0; c < ns; c++ {
-				bufN[c] = s.base[off+c] + a1*s1[off+c]
-				bufNN[c] = bufN[c] + a2*s2[off+c]
-			}
-			if s.scoreModel.PredictScores(bufN) != s.scoreModel.PredictScores(bufNN) {
-				disagree++
-			}
+	v := models.NewPredictionDiff(s.spec.Task())
+	for r := 0; r < s.holdout.Len(); r++ {
+		off := r * ns
+		for c := 0; c < ns; c++ {
+			bufN[c] = s.base[off+c] + a1*s1[off+c]
+			bufNN[c] = bufN[c] + a2*s2[off+c]
 		}
-		return float64(disagree) / float64(h)
-	default: // regression: normalized RMS prediction difference
-		var sqDiff, sqBase float64
-		for r := 0; r < h; r++ {
-			off := r * ns
-			for c := 0; c < ns; c++ {
-				bufN[c] = s.base[off+c] + a1*s1[off+c]
-				bufNN[c] = bufN[c] + a2*s2[off+c]
-			}
-			pn := s.scoreModel.PredictScores(bufN)
-			pnn := s.scoreModel.PredictScores(bufNN)
-			d := pn - pnn
-			sqDiff += d * d
-			sqBase += pn * pn
-		}
-		base := math.Sqrt(sqBase / float64(h))
-		if base < 1e-12 {
-			base = 1e-12
-		}
-		v := math.Sqrt(sqDiff/float64(h)) / base
-		if v > 1 {
-			v = 1
-		}
-		return v
+		v.Add(s.scoreModel.PredictScores(bufN), s.scoreModel.PredictScores(bufNN))
 	}
+	return v.Value()
 }
 
 // Search binary-searches the smallest n in [n₀, N] whose probe satisfies

@@ -93,12 +93,9 @@ func fisherCovarianceSide(rows []dataset.Row, mean []float64, d, n int, beta flo
 	if err != nil {
 		return nil, fmt.Errorf("core: ObservedFisher eigendecomposition failed: %w", err)
 	}
-	l, rank := factorFromFisherEigs(eig, beta, opt.SVDRelTol)
-	return &Statistics{
-		Factor:     &DenseFactor{L: l},
-		Rank:       rank,
-		GradsCalls: 1,
-	}, nil
+	// L = V·diag(√μ/(μ+β)) over the informative eigenpairs (μ, v) of J.
+	l := scaledEigvecs(eig, opt.SVDRelTol, func(mu float64) float64 { return math.Sqrt(mu) / (mu + beta) })
+	return &Statistics{Factor: &DenseFactor{L: l}, Rank: l.Cols, GradsCalls: 1}, nil
 }
 
 // fisherGramSide eigendecomposes the centered Gram matrix G = Q_cQ_cᵀ
@@ -117,94 +114,66 @@ func fisherGramSide(rows []dataset.Row, mean []float64, d, n int, beta float64, 
 	// Only the upper triangle is computed (row i costs n−i dot products),
 	// so the row ranges are cost-balanced across the pool; every element
 	// is written by exactly one range, making the result trivially
-	// deterministic. Each range keeps one densified-row scratch.
+	// deterministic. Each range keeps one all-zero scratch: scatter row i
+	// into it, take the row of dots, undo the scatter. q + (−q) is an exact
+	// +0, so every row sees what a fresh dense fill would hold, at O(nnz)
+	// setup for sparse rows — what matters when d ≫ nnz — and O(d) for dense.
 	ranges := compute.TriangleRanges(n)
-	if dataset.SparsePath(rows) {
-		// Sparse path: scatter row i's stored entries into a persistent
-		// scratch, take the row of gathers, then undo the scatter — O(nnz)
-		// setup per row instead of the dense path's O(d) fill, which is
-		// the dominant cost when d ≫ nnz. The scratch holds exactly the
-		// values the dense fill would produce (untouched slots are exact
-		// zeros), and each entry uses the identical rows[jj].Dot(scratch)
-		// expression, so the two paths agree bitwise.
-		compute.Run(len(ranges), func(t int) {
-			scratch := make([]float64, d)
-			for i := ranges[t].Lo; i < ranges[t].Hi; i++ {
-				si := rows[i].(*dataset.SparseRow)
-				si.AddTo(scratch, 1)
-				grow := g.Row(i)
-				for jj := i; jj < n; jj++ {
-					grow[jj] = rows[jj].Dot(scratch) - a[i] - a[jj] + mbar
-				}
-				for _, j := range si.Idx {
-					scratch[j] = 0
-				}
+	compute.Run(len(ranges), func(t int) {
+		scratch := make([]float64, d)
+		for i := ranges[t].Lo; i < ranges[t].Hi; i++ {
+			rows[i].AddTo(scratch, 1)
+			grow := g.Row(i)
+			for jj := i; jj < n; jj++ {
+				grow[jj] = rows[jj].Dot(scratch) - a[i] - a[jj] + mbar
 			}
-		})
-	} else {
-		compute.Run(len(ranges), func(t int) {
-			scratch := make([]float64, d)
-			for i := ranges[t].Lo; i < ranges[t].Hi; i++ {
-				linalg.Fill(scratch, 0)
-				rows[i].AddTo(scratch, 1)
-				grow := g.Row(i)
-				for jj := i; jj < n; jj++ {
-					grow[jj] = rows[jj].Dot(scratch) - a[i] - a[jj] + mbar
-				}
-			}
-		})
-	}
+			rows[i].AddTo(scratch, -1)
+		}
+	})
 	g.MirrorUpper()
 	eig, err := linalg.NewSymEig(g)
 	if err != nil {
 		return nil, fmt.Errorf("core: ObservedFisher Gram eigendecomposition failed: %w", err)
 	}
-	// Keep directions with singular value above tolerance; eigenvalues of G
-	// are s² = n·μ.
-	gMax := math.Max(eig.Values[0], 0)
-	cut := opt.SVDRelTol * opt.SVDRelTol * gMax
-	rank := 0
-	for rank < n && eig.Values[rank] > cut && eig.Values[rank] > 0 {
-		rank++
-	}
-	m := linalg.NewDense(n, rank)
+	// Eigenvalues of G are s² = n·μ; M = U·diag(1/(√n·(μ+β))).
 	sqrtN := math.Sqrt(float64(n))
-	for jj := 0; jj < rank; jj++ {
-		mu := eig.Values[jj] / float64(n)
-		c := 1 / (sqrtN * (mu + beta))
+	m := scaledEigvecs(eig, opt.SVDRelTol, func(lam float64) float64 {
+		mu := lam / float64(n)
 		if beta == 0 && mu <= 0 {
-			c = 0
+			return 0
 		}
-		for i := 0; i < n; i++ {
-			m.Set(i, jj, c*eig.Vectors.At(i, jj))
-		}
-	}
+		return 1 / (sqrtN * (mu + beta))
+	})
 	return &Statistics{
 		Factor:     &GradFactor{rows: rows, mean: mean, m: m, dim: d},
-		Rank:       rank,
+		Rank:       m.Cols,
 		GradsCalls: 1,
 	}, nil
 }
 
-// factorFromFisherEigs builds L = V·diag(√μ/(μ+β)) from the eigensystem of
-// J, dropping non-informative directions.
-func factorFromFisherEigs(eig *linalg.SymEig, beta, relTol float64) (*linalg.Dense, int) {
-	d := len(eig.Values)
-	muMax := math.Max(eig.Values[0], 0)
-	cut := relTol * relTol * muMax
+// scaledEigvecs is the tail all three statistics methods end in: keep the
+// eigenpairs of eig whose eigenvalue is positive and above relTol²·λ_max
+// (the informative directions), and return the kept eigenvectors as columns,
+// column j scaled by scale(λ_j). The factor's rank is the column count.
+func scaledEigvecs(eig *linalg.SymEig, relTol float64, scale func(lam float64) float64) *linalg.Dense {
+	n := len(eig.Values)
+	cut := relTol * relTol * math.Max(eig.Values[0], 0)
 	rank := 0
-	for rank < d && eig.Values[rank] > cut && eig.Values[rank] > 0 {
+	for rank < n && eig.Values[rank] > cut && eig.Values[rank] > 0 {
 		rank++
 	}
-	l := linalg.NewDense(d, rank)
-	for j := 0; j < rank; j++ {
-		mu := eig.Values[j]
-		scale := math.Sqrt(mu) / (mu + beta)
-		for i := 0; i < d; i++ {
-			l.Set(i, j, scale*eig.Vectors.At(i, j))
+	c := make([]float64, rank)
+	for j := range c {
+		c[j] = scale(eig.Values[j])
+	}
+	out := linalg.NewDense(n, rank)
+	for i := 0; i < n; i++ {
+		dst, vec := out.Row(i), eig.Vectors.Row(i)
+		for j, cj := range c {
+			dst[j] = cj * vec[j]
 		}
 	}
-	return l, rank
+	return out
 }
 
 // addOuterRow accumulates row·rowᵀ into m, exploiting sparsity.
@@ -278,24 +247,8 @@ func statsFromHessian(h *linalg.Dense, beta float64, gradsCalls int, opt Options
 	if err != nil {
 		return nil, fmt.Errorf("core: covariance eigendecomposition failed: %w", err)
 	}
-	lamMax := math.Max(eig.Values[0], 0)
-	cut := opt.SVDRelTol * opt.SVDRelTol * lamMax
-	rank := 0
-	for rank < d && eig.Values[rank] > cut && eig.Values[rank] > 0 {
-		rank++
-	}
-	l := linalg.NewDense(d, rank)
-	for jj := 0; jj < rank; jj++ {
-		s := math.Sqrt(eig.Values[jj])
-		for i := 0; i < d; i++ {
-			l.Set(i, jj, s*eig.Vectors.At(i, jj))
-		}
-	}
-	return &Statistics{
-		Factor:     &DenseFactor{L: l},
-		Rank:       rank,
-		GradsCalls: gradsCalls,
-	}, nil
+	l := scaledEigvecs(eig, opt.SVDRelTol, math.Sqrt)
+	return &Statistics{Factor: &DenseFactor{L: l}, Rank: l.Cols, GradsCalls: gradsCalls}, nil
 }
 
 // Alpha returns the Theorem-1 covariance scale α = 1/n − 1/N, clamped at

@@ -146,30 +146,22 @@ func (sj SpecJSON) Spec() (models.Spec, error) {
 	if reg < 0 {
 		return nil, fmt.Errorf("modelio: negative regularization %v", reg)
 	}
-	switch sj.Name {
-	case "linear":
-		return models.LinearRegression{Reg: reg}, nil
-	case "logistic":
-		return models.LogisticRegression{Reg: reg}, nil
-	case "maxent":
-		if sj.Classes < 0 {
-			return nil, fmt.Errorf("modelio: negative class count %d", sj.Classes)
-		}
-		return models.MaxEntropy{Reg: reg, Classes: sj.Classes}, nil
-	case "poisson":
-		return models.PoissonRegression{Reg: reg}, nil
-	case "ppca":
-		if sj.Factors < 0 {
-			return nil, fmt.Errorf("modelio: negative factor count %d", sj.Factors)
-		}
-		p := models.NewPPCA(sj.Factors)
-		p.RestoreSigmaSq(sj.SigmaSq)
-		return p, nil
-	case "":
+	switch {
+	case sj.Name == "":
 		return nil, errors.New("modelio: missing model name")
-	default:
-		return nil, fmt.Errorf("modelio: unknown model %q (want linear|logistic|maxent|poisson|ppca)", sj.Name)
+	case sj.Name == "maxent" && sj.Classes < 0:
+		return nil, fmt.Errorf("modelio: negative class count %d", sj.Classes)
+	case sj.Name == "ppca" && sj.Factors < 0:
+		return nil, fmt.Errorf("modelio: negative factor count %d", sj.Factors)
 	}
+	spec, err := models.New(sj.Name, reg, sj.Classes, sj.Factors)
+	if err != nil {
+		return nil, fmt.Errorf("modelio: %w", err)
+	}
+	if p, ok := spec.(*models.PPCA); ok {
+		p.RestoreSigmaSq(sj.SigmaSq)
+	}
+	return spec, nil
 }
 
 // envelope is the on-disk layout: the format header and the wire spec,

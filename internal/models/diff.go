@@ -28,14 +28,82 @@ func Diff(spec Spec, thetaA, thetaB []float64, holdout *dataset.Dataset) float64
 	if d, ok := spec.(Differ); ok {
 		return d.Diff(thetaA, thetaB, holdout)
 	}
-	switch spec.Task() {
-	case dataset.Unsupervised:
+	if spec.Task() == dataset.Unsupervised {
 		return clamp01(1 - linalg.Cosine(thetaA, thetaB))
-	case dataset.BinaryClassification, dataset.MultiClassification:
-		return classificationDiff(spec, thetaA, thetaB, holdout)
-	default:
-		return regressionDiff(spec, thetaA, thetaB, holdout)
 	}
+	v := NewPredictionDiff(spec.Task())
+	for _, x := range holdout.X {
+		v.Add(spec.Predict(thetaA, x), spec.Predict(thetaB, x))
+	}
+	return v.Value()
+}
+
+// DiffFrom returns θ_b ↦ Diff(spec, thetaA, θ_b, holdout) with m_a's holdout
+// predictions computed once — what the Model Accuracy Estimator needs, where
+// one trained model is compared against k sampled ones. Specs whose v does
+// not go through predictions (a Differ, PPCA) get Diff itself. The returned
+// function is safe for concurrent use.
+func DiffFrom(spec Spec, thetaA []float64, holdout *dataset.Dataset) func(thetaB []float64) float64 {
+	if _, own := spec.(Differ); own || spec.Task() == dataset.Unsupervised {
+		return func(thetaB []float64) float64 { return Diff(spec, thetaA, thetaB, holdout) }
+	}
+	pa := make([]float64, holdout.Len())
+	for i, x := range holdout.X {
+		pa[i] = spec.Predict(thetaA, x)
+	}
+	return func(thetaB []float64) float64 {
+		v := NewPredictionDiff(spec.Task())
+		for i, x := range holdout.X {
+			v.Add(pa[i], spec.Predict(thetaB, x))
+		}
+		return v.Value()
+	}
+}
+
+// PredictionDiff accumulates v(m_a, m_b) for a supervised task from the two
+// models' predictions on the same rows: feed every row's pair to Add, then
+// read Value. It is the one statement of the metric: Diff, DiffFrom and the
+// Sample Size Estimator's score path differ only in where the predictions
+// come from.
+type PredictionDiff struct {
+	classify       bool
+	n, disagree    int
+	sqDiff, sqBase float64
+}
+
+// NewPredictionDiff starts an accumulation for task.
+func NewPredictionDiff(task dataset.Task) PredictionDiff {
+	return PredictionDiff{classify: task == dataset.BinaryClassification || task == dataset.MultiClassification}
+}
+
+// Add records one row's predictions under m_a and m_b.
+func (v *PredictionDiff) Add(pa, pb float64) {
+	v.n++
+	if v.classify {
+		if pa != pb {
+			v.disagree++
+		}
+		return
+	}
+	d := pa - pb
+	v.sqDiff += d * d
+	v.sqBase += pa * pa
+}
+
+// Value returns v over the rows added so far (0 for none).
+func (v *PredictionDiff) Value() float64 {
+	if v.n == 0 {
+		return 0
+	}
+	n := float64(v.n)
+	if v.classify {
+		return float64(v.disagree) / n
+	}
+	base := math.Sqrt(v.sqBase / n)
+	if base < 1e-12 {
+		base = 1e-12
+	}
+	return clamp01(math.Sqrt(v.sqDiff/n) / base)
 }
 
 // Differ lets a spec supply its own model-difference metric v(m_a, m_b).
@@ -61,40 +129,6 @@ func AbsoluteRMSDiff(spec Spec, thetaA, thetaB []float64, holdout *dataset.Datas
 		scale = 1
 	}
 	return clamp01(math.Sqrt(sq/float64(n)) / scale)
-}
-
-func classificationDiff(spec Spec, thetaA, thetaB []float64, holdout *dataset.Dataset) float64 {
-	n := holdout.Len()
-	if n == 0 {
-		return 0
-	}
-	disagree := 0
-	for i := 0; i < n; i++ {
-		if spec.Predict(thetaA, holdout.X[i]) != spec.Predict(thetaB, holdout.X[i]) {
-			disagree++
-		}
-	}
-	return float64(disagree) / float64(n)
-}
-
-func regressionDiff(spec Spec, thetaA, thetaB []float64, holdout *dataset.Dataset) float64 {
-	n := holdout.Len()
-	if n == 0 {
-		return 0
-	}
-	var sqDiff, sqBase float64
-	for i := 0; i < n; i++ {
-		a := spec.Predict(thetaA, holdout.X[i])
-		b := spec.Predict(thetaB, holdout.X[i])
-		d := a - b
-		sqDiff += d * d
-		sqBase += a * a
-	}
-	base := math.Sqrt(sqBase / float64(n))
-	if base < 1e-12 {
-		base = 1e-12
-	}
-	return clamp01(math.Sqrt(sqDiff/float64(n)) / base)
 }
 
 func clamp01(v float64) float64 {

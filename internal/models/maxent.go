@@ -139,13 +139,7 @@ func (m MaxEntropy) Predict(theta []float64, x dataset.Row) float64 {
 	}
 	z = z[:k]
 	logitsInto(theta, x, k, d, z)
-	best, bestZ := 0, math.Inf(-1)
-	for c, v := range z {
-		if v > bestZ {
-			best, bestZ = c, v
-		}
-	}
-	return float64(best)
+	return m.PredictScores(z)
 }
 
 // Hessian implements Hessianer for low-dimensional problems: the (c,c')

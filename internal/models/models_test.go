@@ -3,10 +3,12 @@ package models
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"blinkml/internal/dataset"
 	"blinkml/internal/linalg"
+	"blinkml/internal/obs"
 	"blinkml/internal/optimize"
 )
 
@@ -385,5 +387,63 @@ func TestTrainWarmStartDimensionChecked(t *testing.T) {
 	ds := tinyRegression(rng, 10, 3, false)
 	if _, err := Train(LinearRegression{}, ds, make([]float64, 7), optimize.Options{}); err == nil {
 		t.Fatal("expected warm-start dimension error")
+	}
+}
+
+// obs cannot import models, so its closed label set of model families is a
+// second list: it must be exactly the names New accepts — the list New's
+// own error spells out — and each must build the class of that name with
+// the knobs passed through.
+func TestNewAcceptsExactlyTheObsModelFamilies(t *testing.T) {
+	_, err := New("svm", 0, 0, 0)
+	if err == nil {
+		t.Fatal("unknown model name accepted")
+	}
+	if want := "(want " + strings.Join(obs.ModelFamilies, "|") + ")"; !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("New accepts %q, obs.ModelFamilies says %s", err, want)
+	}
+	for _, name := range obs.ModelFamilies {
+		spec, err := New(name, 0.25, 7, 3)
+		if err != nil || spec.Name() != name {
+			t.Fatalf("New(%q) = %v, %v", name, spec, err)
+		}
+		switch m := spec.(type) {
+		case *PPCA:
+			if m.Factors != 3 {
+				t.Errorf("ppca factors %d, want 3", m.Factors)
+			}
+		case MaxEntropy:
+			if m.Classes != 7 || m.Reg != 0.25 {
+				t.Errorf("maxent %+v, want 7 classes at reg 0.25", m)
+			}
+		default:
+			if spec.Beta() != 0.25 {
+				t.Errorf("%s: beta %v, want 0.25", name, spec.Beta())
+			}
+		}
+	}
+	for _, name := range []string{"", "other", "Logistic"} {
+		if _, err := New(name, 0, 0, 0); err == nil {
+			t.Errorf("New(%q) accepted", name)
+		}
+	}
+}
+
+// A multiclass spec sized for fewer classes than the data has labels must be
+// refused before the first gradient indexes past its parameter blocks — also
+// behind a wrapper, which is why Train asks ParamDim and not the spec's type.
+func TestTrainRejectsUndersizedMulticlassSpec(t *testing.T) {
+	ds := tinyMulti(rand.New(rand.NewSource(1)), 60, 4, 5)
+	for name, spec := range map[string]Spec{
+		"bare":    MaxEntropy{Reg: 0.01, Classes: 3},
+		"wrapped": struct{ Spec }{MaxEntropy{Reg: 0.01, Classes: 3}},
+	} {
+		_, err := Train(spec, ds, nil, optimize.Options{})
+		if err == nil || !strings.Contains(err.Error(), "3 classes") || !strings.Contains(err.Error(), "has 5") {
+			t.Errorf("%s: error %v, want one naming 3 and 5 classes", name, err)
+		}
+	}
+	if _, err := Train(MaxEntropy{Reg: 0.01, Classes: 6}, ds, nil, optimize.Options{}); err != nil {
+		t.Errorf("a spec with spare classes must train: %v", err)
 	}
 }

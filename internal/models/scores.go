@@ -72,10 +72,7 @@ func (m MaxEntropy) NumScores(paramDim, featureDim int) int { return paramDim / 
 // Scores implements ScoreModel.
 func (m MaxEntropy) Scores(theta []float64, x dataset.Row, out []float64) {
 	d := x.Dim()
-	k := len(theta) / d
-	for c := 0; c < k; c++ {
-		out[c] = x.Dot(theta[c*d : (c+1)*d])
-	}
+	logitsInto(theta, x, len(theta)/d, d, out)
 }
 
 // PredictScores implements ScoreModel.

@@ -46,6 +46,29 @@ type Spec interface {
 	Predict(theta []float64, x dataset.Row) float64
 }
 
+// New builds the model class called name — the one place a name becomes a
+// spec, for wire requests, random search spaces and command-line flags
+// alike. reg is the L2 coefficient β of the four GLM classes, classes the
+// max-entropy class count (0 = the dataset's) and factors PPCA's q (0 = the
+// paper's 10); each class ignores what it does not use. obs.ModelFamilies
+// must list exactly the names accepted here.
+func New(name string, reg float64, classes, factors int) (Spec, error) {
+	switch name {
+	case "linear":
+		return LinearRegression{Reg: reg}, nil
+	case "logistic":
+		return LogisticRegression{Reg: reg}, nil
+	case "maxent":
+		return MaxEntropy{Reg: reg, Classes: classes}, nil
+	case "poisson":
+		return PoissonRegression{Reg: reg}, nil
+	case "ppca":
+		return NewPPCA(factors), nil
+	default:
+		return nil, fmt.Errorf("unknown model %q (want linear|logistic|maxent|poisson|ppca)", name)
+	}
+}
+
 // Hessianer is implemented by models with a closed-form Hessian of the
 // objective (the ClosedForm statistics method, paper §3.4 Method 1).
 type Hessianer interface {
@@ -181,6 +204,12 @@ func Train(spec Spec, ds *dataset.Dataset, theta0 []float64, opt optimize.Option
 func checkTask(spec Spec, ds *dataset.Dataset) error {
 	want := spec.Task()
 	if want == ds.Task {
+		// A multiclass model indexes its parameter blocks by label, so one
+		// sized for fewer classes than the data has labels would read past
+		// them. ParamDim is what every spec, wrapped or not, answers.
+		if dim := spec.ParamDim(ds); want == dataset.MultiClassification && dim < ds.Dim*ds.NumClasses {
+			return fmt.Errorf("models: model %s is sized for %d classes, dataset %q has %d", spec.Name(), dim/ds.Dim, ds.Name, ds.NumClasses)
+		}
 		return nil
 	}
 	// PPCA accepts any dataset (it ignores labels).

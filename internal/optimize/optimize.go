@@ -106,6 +106,19 @@ const (
 	wolfeC2 = 0.9
 )
 
+// evalStep evaluates the objective at x + t·p, leaving the point in xNew
+// and its gradient in gNew, and returns the value and the directional
+// derivative along p.
+func evalStep(ec *evalCounter, x, p []float64, t float64, xNew, gNew []float64) (f, d float64, err error) {
+	for i := range x {
+		xNew[i] = x[i] + t*p[i]
+	}
+	if f, err = ec.eval(xNew, gNew); err != nil {
+		return 0, 0, err
+	}
+	return f, linalg.Dot(gNew, p), nil
+}
+
 // lineSearchWolfe finds a step t along direction p from x satisfying the
 // strong Wolfe conditions (Nocedal & Wright, Algorithm 3.5/3.6). It returns
 // the accepted step together with the objective and gradient at the new
@@ -115,22 +128,11 @@ func lineSearchWolfe(ec *evalCounter, x, p []float64, f0 float64, g0 []float64, 
 	if d0 >= 0 {
 		return 0, f0, ErrLineSearch
 	}
-	evalAt := func(t float64) (float64, float64, error) {
-		for i := range x {
-			xNew[i] = x[i] + t*p[i]
-		}
-		f, err := ec.eval(xNew, gNew)
-		if err != nil {
-			return 0, 0, err
-		}
-		return f, linalg.Dot(gNew, p), nil
-	}
-
 	var tPrev, fPrev float64 = 0, f0
 	t := t0
 	const maxBracket = 30
 	for iter := 0; iter < maxBracket; iter++ {
-		f, d, err := evalAt(t)
+		f, d, err := evalStep(ec, x, p, t, xNew, gNew)
 		if err != nil {
 			return 0, f0, err
 		}
@@ -160,14 +162,10 @@ func zoomWolfe(ec *evalCounter, x, p []float64, f0, d0, tLo, fLo, tHi, fHi float
 	const maxZoom = 40
 	for iter := 0; iter < maxZoom; iter++ {
 		t := (tLo + tHi) / 2
-		for i := range x {
-			xNew[i] = x[i] + t*p[i]
-		}
-		f, err := ec.eval(xNew, gNew)
+		f, d, err := evalStep(ec, x, p, t, xNew, gNew)
 		if err != nil {
 			return 0, f0, err
 		}
-		d := linalg.Dot(gNew, p)
 		if f > f0+wolfeC1*t*d0 || f >= fLo {
 			tHi, fHi = t, f
 		} else {
@@ -180,25 +178,12 @@ func zoomWolfe(ec *evalCounter, x, p []float64, f0, d0, tLo, fLo, tHi, fHi float
 			tLo, fLo = t, f
 		}
 		if math.Abs(tHi-tLo) < 1e-16*(1+math.Abs(tLo)) {
-			// Interval collapsed; accept lo if it at least decreases f.
-			if fLo < f0 {
-				for i := range x {
-					xNew[i] = x[i] + tLo*p[i]
-				}
-				fAccept, err := ec.eval(xNew, gNew)
-				if err != nil {
-					return 0, f0, err
-				}
-				return tLo, fAccept, nil
-			}
-			return 0, f0, ErrLineSearch
+			break // interval collapsed
 		}
 	}
+	// No strong-Wolfe point found: accept lo if it at least decreases f.
 	if fLo < f0 {
-		for i := range x {
-			xNew[i] = x[i] + tLo*p[i]
-		}
-		fAccept, err := ec.eval(xNew, gNew)
+		fAccept, _, err := evalStep(ec, x, p, tLo, xNew, gNew)
 		if err != nil {
 			return 0, f0, err
 		}

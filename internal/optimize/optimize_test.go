@@ -203,3 +203,24 @@ func TestStartingAtOptimum(t *testing.T) {
 		t.Fatalf("expected immediate convergence, got iters=%d status=%q", res.Iters, res.Status)
 	}
 }
+
+// Once L-BFGS holds Memory pairs, each new pair reuses the evicted one's
+// storage, so a solve's allocations do not grow with its iteration count.
+func TestLBFGSAllocationsIndependentOfIterations(t *testing.T) {
+	const n = 120
+	p := rosenbrock(n)
+	x0 := make([]float64, n)
+	for i := range x0 {
+		x0[i] = -1.2
+	}
+	allocs := func(iters int) float64 {
+		opt := Options{MaxIters: iters, Memory: 5}
+		if res, err := LBFGS(p, x0, opt); err != nil || res.Iters != iters {
+			t.Fatalf("MaxIters %d: ran %d iterations (err %v); the problem must not converge early", iters, res.Iters, err)
+		}
+		return testing.AllocsPerRun(5, func() { LBFGS(p, x0, opt) })
+	}
+	if a20, a40 := allocs(20), allocs(40); a20 != a40 {
+		t.Fatalf("%v allocations at 20 iterations, %v at 40: the history allocates per iteration", a20, a40)
+	}
+}

@@ -494,3 +494,47 @@ func TestPredictShapeValidation(t *testing.T) {
 		t.Errorf("wrong dim: status %d, want 400", code)
 	}
 }
+
+// TestUndersizedMulticlassSpecFailsTheJobNotTheServer: a maxent model sized
+// for fewer classes than the data has labels used to be accepted and then
+// index past its parameter blocks in a worker goroutine, taking the process
+// down. The job must fail with an error naming both class counts, and the
+// server must go on training and serving.
+func TestUndersizedMulticlassSpecFailsTheJobNotTheServer(t *testing.T) {
+	s, err := New(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("new server: %v", err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	client := ts.Client()
+
+	train := func(classes int) JobStatus {
+		req := TrainRequest{
+			Model:   modelio.SpecJSON{Name: "maxent", Classes: classes},
+			Dataset: DatasetRef{Synthetic: &datagen.Ref{Name: "mnist", Rows: 1200, Dim: 12, Seed: 2}},
+			Epsilon: 0.2,
+			Options: TrainOptions{Seed: 1, InitialSampleSize: 200},
+		}
+		var tr TrainResponse
+		if code := doJSON(t, client, http.MethodPost, ts.URL+"/v1/train", req, &tr); code != http.StatusAccepted {
+			t.Fatalf("classes=%d: train status %d", classes, code)
+		}
+		return waitJob(t, client, ts.URL, tr.JobID, 60*time.Second)
+	}
+
+	st := train(3)
+	if st.State != JobFailed || !strings.Contains(st.Error, "3 classes") || !strings.Contains(st.Error, "has 10") {
+		t.Fatalf("undersized spec: job %s, error %q; want failed, naming 3 and 10 classes", st.State, st.Error)
+	}
+	st = train(10)
+	if st.State != JobSucceeded {
+		t.Fatalf("valid request after the failed one: job %s, error %q", st.State, st.Error)
+	}
+	var pr PredictResponse
+	rows := [][]float64{make([]float64, 12), make([]float64, 12)}
+	if code := doJSON(t, client, http.MethodPost, ts.URL+"/v1/models/"+st.ModelID+"/predict", PredictRequest{Rows: rows}, &pr); code != http.StatusOK || len(pr.Predictions) != len(rows) {
+		t.Fatalf("predict after the failed job: status %d, %d predictions", code, len(pr.Predictions))
+	}
+}

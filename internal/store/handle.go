@@ -100,36 +100,57 @@ func (h *Handle) MaterializeNanos() int64 { return h.matNanos.Load() }
 // size, any code path that tries to load the whole pool fails loudly.
 func (h *Handle) LimitMaterialize(rows int) { h.maxMaterialize.Store(int64(rows)) }
 
-// span returns the [off, end) byte range of row i in rows.bin.
+// span returns the [off, end) byte range of row i in rows.bin, checked
+// against the file's size.
 func (h *Handle) span(i int) (off, end int64, err error) {
 	if i < 0 || i >= h.man.Rows {
 		return 0, 0, fmt.Errorf("store: %s: row %d out of range [0,%d)", h.ID, i, h.man.Rows)
 	}
 	var buf [16]byte
+	n := 16 // this row's offset and the next one's
 	if i == h.man.Rows-1 {
-		if _, err := h.idx.ReadAt(buf[:8], int64(i)*8); err != nil {
-			return 0, 0, fmt.Errorf("store: %s: read index: %w", h.ID, err)
-		}
-		return int64(binary.LittleEndian.Uint64(buf[:8])), h.man.RowBytes, nil
+		n = 8 // the last row ends where rows.bin does
+		binary.LittleEndian.PutUint64(buf[8:], uint64(h.man.RowBytes))
 	}
-	if _, err := h.idx.ReadAt(buf[:], int64(i)*8); err != nil {
+	if _, err := h.idx.ReadAt(buf[:n], int64(i)*8); err != nil {
 		return 0, 0, fmt.Errorf("store: %s: read index: %w", h.ID, err)
 	}
-	return int64(binary.LittleEndian.Uint64(buf[:8])), int64(binary.LittleEndian.Uint64(buf[8:])), nil
+	off, end = int64(binary.LittleEndian.Uint64(buf[:8])), int64(binary.LittleEndian.Uint64(buf[8:]))
+	if end < off || end > h.man.RowBytes {
+		return 0, 0, fmt.Errorf("store: %s: corrupt index entry %d (span %d..%d)", h.ID, i, off, end)
+	}
+	return off, end, nil
+}
+
+// read fills buf (reallocated when too small) with the bytes of row i's
+// record, whose span the caller got from span.
+func (h *Handle) read(i int, off, end int64, buf []byte) ([]byte, error) {
+	if int64(cap(buf)) < end-off {
+		buf = make([]byte, end-off)
+	}
+	buf = buf[:end-off]
+	if _, err := h.rows.ReadAt(buf, off); err != nil {
+		return nil, fmt.Errorf("store: %s: read row %d: %w", h.ID, i, err)
+	}
+	return buf, nil
+}
+
+// record reads row i's encoded record into buf: the one index lookup →
+// bounds check → pread every row read goes through. The decoders copy out of
+// the record, so callers reading many rows pass the previous buffer back.
+func (h *Handle) record(i int, buf []byte) ([]byte, error) {
+	off, end, err := h.span(i)
+	if err != nil {
+		return nil, err
+	}
+	return h.read(i, off, end, buf)
 }
 
 // Row reads a single row by index.
 func (h *Handle) Row(i int) (dataset.Row, float64, error) {
-	off, end, err := h.span(i)
+	rec, err := h.record(i, nil)
 	if err != nil {
 		return nil, 0, err
-	}
-	if end < off || end > h.man.RowBytes {
-		return nil, 0, fmt.Errorf("store: %s: corrupt index entry %d (span %d..%d)", h.ID, i, off, end)
-	}
-	rec := make([]byte, end-off)
-	if _, err := h.rows.ReadAt(rec, off); err != nil {
-		return nil, 0, fmt.Errorf("store: %s: read row %d: %w", h.ID, i, err)
 	}
 	return decodeRow(rec, h.man.Sparse, h.man.Dim)
 }
@@ -175,8 +196,13 @@ func (h *Handle) Materialize(idx []int) (*dataset.Dataset, error) {
 		matBytes = nnz*12 + int64(len(idx)+1)*8
 	} else {
 		ds.X = make([]dataset.Row, len(idx))
+		var rec []byte
 		for _, pos := range order {
-			row, label, err := h.rowMaybeDense(idx[pos])
+			var err error
+			if rec, err = h.record(idx[pos], rec); err != nil {
+				return nil, err
+			}
+			row, label, err := h.decodeMaybeDense(idx[pos], rec)
 			if err != nil {
 				return nil, err
 			}
@@ -202,22 +228,11 @@ func (h *Handle) Materialize(idx []int) (*dataset.Dataset, error) {
 	return ds, nil
 }
 
-// rowMaybeDense reads row i, densifying sparse records — the materialize
-// path for sparse datasets above the density threshold.
-func (h *Handle) rowMaybeDense(i int) (dataset.Row, float64, error) {
+// decodeMaybeDense decodes row i's record, densifying sparse records — the
+// materialize path for sparse datasets above the density threshold.
+func (h *Handle) decodeMaybeDense(i int, rec []byte) (dataset.Row, float64, error) {
 	if !h.man.Sparse {
-		return h.Row(i)
-	}
-	off, end, err := h.span(i)
-	if err != nil {
-		return nil, 0, err
-	}
-	if end < off || end > h.man.RowBytes {
-		return nil, 0, fmt.Errorf("store: %s: corrupt index entry %d (span %d..%d)", h.ID, i, off, end)
-	}
-	rec := make([]byte, end-off)
-	if _, err := h.rows.ReadAt(rec, off); err != nil {
-		return nil, 0, fmt.Errorf("store: %s: read row %d: %w", h.ID, i, err)
+		return decodeRow(rec, false, h.man.Dim)
 	}
 	row, label, err := decodeSparseDense(rec, h.man.Dim)
 	if err != nil {
@@ -240,9 +255,6 @@ func (h *Handle) materializeCSR(idx, order []int, ds *dataset.Dataset) (int64, e
 		if err != nil {
 			return 0, err
 		}
-		if end < off || end > h.man.RowBytes {
-			return 0, fmt.Errorf("store: %s: corrupt index entry %d (span %d..%d)", h.ID, i, off, end)
-		}
 		nnz, err := sparseRecNNZ(end - off)
 		if err != nil {
 			return 0, fmt.Errorf("store: %s: row %d: %w", h.ID, i, err)
@@ -258,13 +270,9 @@ func (h *Handle) materializeCSR(idx, order []int, ds *dataset.Dataset) (int64, e
 	c.Val = make([]float64, total)
 	rec := make([]byte, 0, 4096)
 	for _, pos := range order {
-		off, end := spans[pos][0], spans[pos][1]
-		if int64(cap(rec)) < end-off {
-			rec = make([]byte, end-off)
-		}
-		rec = rec[:end-off]
-		if _, err := h.rows.ReadAt(rec, off); err != nil {
-			return 0, fmt.Errorf("store: %s: read row %d: %w", h.ID, idx[pos], err)
+		var err error
+		if rec, err = h.read(idx[pos], spans[pos][0], spans[pos][1], rec); err != nil {
+			return 0, err
 		}
 		lo, hi := c.Indptr[pos], c.Indptr[pos+1]
 		label, err := decodeSparseInto(rec, h.man.Dim, c.Idx[lo:hi], c.Val[lo:hi])

@@ -165,18 +165,18 @@ func (r *RandomSpace) draw(seed int64) []Candidate {
 	fLo, fHi := r.factorRange()
 	out := make([]Candidate, 0, n)
 	for i := 0; i < n; i++ {
-		var spec models.Spec
-		switch r.Model {
-		case "linear":
-			spec = models.LinearRegression{Reg: logUniform(rng, regLo, regHi)}
-		case "logistic":
-			spec = models.LogisticRegression{Reg: logUniform(rng, regLo, regHi)}
-		case "poisson":
-			spec = models.PoissonRegression{Reg: logUniform(rng, regLo, regHi)}
-		case "maxent":
-			spec = models.MaxEntropy{Classes: r.Classes, Reg: logUniform(rng, regLo, regHi)}
-		case "ppca":
-			spec = models.NewPPCA(fLo + rng.Intn(fHi-fLo+1))
+		// Each family draws only the knob it has, so the random stream is
+		// consumed exactly once per candidate.
+		var reg float64
+		var factors int
+		if r.Model == "ppca" {
+			factors = fLo + rng.Intn(fHi-fLo+1)
+		} else {
+			reg = logUniform(rng, regLo, regHi)
+		}
+		spec, err := models.New(r.Model, reg, r.Classes, factors)
+		if err != nil {
+			panic("tune: draw on an unvalidated space: " + err.Error())
 		}
 		out = append(out, Candidate{Spec: spec, Origin: "random"})
 	}
