@@ -143,7 +143,7 @@ func (r *DatasetRef) Validate() error {
 func (r *DatasetRef) Key() string {
 	switch {
 	case r.ID != "":
-		return fmt.Sprintf("id:%s:%08x:%08x", r.ID, r.RowCRC32, r.IndexCRC32)
+		return fmt.Sprintf("%s%08x:%08x", DatasetKeyPrefix(r.ID), r.RowCRC32, r.IndexCRC32)
 	case r.Synthetic != nil:
 		s := r.Synthetic
 		return fmt.Sprintf("syn:%s:%d:%d:%d", s.Name, s.Rows, s.Dim, s.Seed)
@@ -155,6 +155,11 @@ func (r *DatasetRef) Key() string {
 		return "none"
 	}
 }
+
+// DatasetKeyPrefix is what the Key of every version of stored dataset id
+// starts with (and no other key does): what to drop from a cache when the
+// id's files go away.
+func DatasetKeyPrefix(id string) string { return "id:" + id + ":" }
 
 // TrainTask is a full BlinkML training run. Options, here and in the other
 // task kinds, is core.Options in its one JSON form — everything a worker
@@ -217,6 +222,9 @@ type TaskResultPayload struct {
 	// The coordinator merges it into the originating job's ledger and rolls
 	// its totals into the worker's fleet-scoreboard counters.
 	Ledger *obs.LedgerSnapshot `json:"ledger,omitempty"`
+	// Plan says whether a contract found its plan in the worker's cache
+	// ("hit") or built it ("miss"); it rejoins the job status like the ledger.
+	Plan string `json:"plan,omitempty"`
 	// Audit-task results: the realized model difference, whether it stayed
 	// within the recorded bound, the full training's iteration count, and
 	// the hex FNV-1a fingerprint of the full model's parameter bits (the

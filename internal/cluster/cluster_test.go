@@ -382,8 +382,8 @@ func TestInlineKeyIsContentAddressed(t *testing.T) {
 }
 
 // TestFailedEnvBuildsDoNotEvictHealthyOnes: a dataset that cannot be built
-// is dropped from the env cache entirely — its slot in the eviction order
-// too — so retrying it never pushes out environments that work.
+// is dropped from the env cache entirely, so retrying it never pushes out
+// environments that work.
 func TestFailedEnvBuildsDoNotEvictHealthyOnes(t *testing.T) {
 	w, err := NewWorker(WorkerConfig{Coordinator: "http://unused", DataDir: t.TempDir(), Log: obs.Discard()})
 	if err != nil {
@@ -407,14 +407,59 @@ func TestFailedEnvBuildsDoNotEvictHealthyOnes(t *testing.T) {
 			t.Fatal("unknown generator built an env")
 		}
 	}
-	if len(w.envs) != 3 || len(w.envOrder) != 3 {
-		t.Fatalf("after 6 failed builds: %d cached envs, eviction order %d long; want 3 and 3", len(w.envs), len(w.envOrder))
-	}
 	for i, want := range good {
 		got, err := w.envFor(ctx, goodRef(i+1), opts)
 		if err != nil || got != want {
 			t.Fatalf("good env %d was rebuilt (err %v)", i+1, err)
 		}
+	}
+}
+
+// TestTrialsDifferingOnlyInEpsilonShareOneEnv: the environment a trial runs
+// in is keyed by what shapes the split — dataset content, split options,
+// seed — and not by the contract, so two trial tasks on one dataset that
+// differ only in ε prepare the data once: the second reads no row the first
+// already materialized (holdout, rung subsample).
+func TestTrialsDifferingOnlyInEpsilonShareOneEnv(t *testing.T) {
+	w, err := NewWorker(WorkerConfig{Coordinator: "http://unused", DataDir: t.TempDir(), Log: obs.Discard()})
+	if err != nil {
+		t.Fatalf("new worker: %v", err)
+	}
+	ds, err := datagen.Generate("higgs", datagen.Config{Rows: 2000, Dim: 6, Seed: 3})
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	var csv bytes.Buffer
+	if err := dataset.WriteCSV(&csv, ds); err != nil {
+		t.Fatalf("write csv: %v", err)
+	}
+	// Straight into the worker's bundle cache: no coordinator to fetch from.
+	h, err := w.cache.Ingest(&csv, store.IngestOptions{Format: "csv", Task: ds.Task})
+	if err != nil {
+		t.Fatalf("ingest: %v", err)
+	}
+	man := h.Manifest()
+	ref := DatasetRef{ID: h.ID, Rows: man.Rows, RowCRC32: man.RowCRC32, IndexCRC32: man.IndexCRC32}
+
+	trial := func(eps float64) {
+		t.Helper()
+		opts := testTrainOptions()
+		opts.Epsilon = eps
+		_, err := w.runTask(context.Background(), TaskSpec{Kind: KindTrial, Trial: &TrialTask{
+			Spec: modelio.SpecJSON{Name: "logistic"}, Dataset: ref, Options: opts, N: 300,
+		}})
+		if err != nil {
+			t.Fatalf("trial at ε=%v: %v", eps, err)
+		}
+	}
+	trial(0.08)
+	first := h.RowsMaterialized()
+	if first == 0 {
+		t.Fatal("the first trial read nothing from the store")
+	}
+	trial(0.04)
+	if again := h.RowsMaterialized() - first; again != 0 {
+		t.Fatalf("a trial differing only in ε re-read %d rows (the first read %d): it built its own environment", again, first)
 	}
 }
 

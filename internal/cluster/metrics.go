@@ -4,6 +4,7 @@ import (
 	"expvar"
 	"sync"
 
+	"blinkml/internal/core"
 	"blinkml/internal/obs"
 )
 
@@ -67,4 +68,18 @@ func sharedMetrics() *Metrics {
 		m.Set("task_lease_to_complete_ms", metrics.TaskLeaseToComplete)
 	})
 	return metrics
+}
+
+var (
+	workerMetricsOnce sync.Once
+	workerMetrics     *core.CacheMetrics
+)
+
+// sharedWorkerMetrics returns the worker side's series — its env/plan
+// cache's plan_cache_* — published once under the "blinkml_worker" map.
+func sharedWorkerMetrics() *core.CacheMetrics {
+	workerMetricsOnce.Do(func() {
+		workerMetrics = core.NewCacheMetrics(expvar.NewMap("blinkml_worker"))
+	})
+	return workerMetrics
 }

@@ -11,7 +11,6 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"slices"
 	"sync"
 	"time"
 
@@ -57,29 +56,19 @@ type Worker struct {
 	log    *slog.Logger
 	cache  *store.Store
 
-	regMu     sync.Mutex // serializes (re-)registration
-	mu        sync.Mutex
-	id        string
-	hbEvery   time.Duration
-	running   map[string]*runningTask
-	fetchMu   sync.Mutex // serializes dataset bundle fetches
-	envMu     sync.Mutex
-	envs      map[string]*envEntry
-	envOrder  []string
-	envsLimit int
+	regMu   sync.Mutex // serializes (re-)registration
+	mu      sync.Mutex
+	id      string
+	hbEvery time.Duration
+	running map[string]*runningTask
+	fetchMu sync.Mutex  // serializes dataset bundle fetches
+	plans   *core.Cache // environments and plans shared between tasks
 }
 
 // runningTask is one in-flight execution.
 type runningTask struct {
 	cancel    context.CancelFunc
 	cancelled bool // coordinator asked for cancellation
-}
-
-// envEntry memoizes one prepared training environment.
-type envEntry struct {
-	once sync.Once
-	env  *core.Env
-	err  error
 }
 
 // NewWorker validates cfg and opens the local dataset cache.
@@ -115,13 +104,12 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		logger = slog.Default()
 	}
 	return &Worker{
-		cfg:       cfg,
-		client:    client,
-		log:       logger,
-		cache:     cache,
-		running:   make(map[string]*runningTask),
-		envs:      make(map[string]*envEntry),
-		envsLimit: 4,
+		cfg:     cfg,
+		client:  client,
+		log:     logger,
+		cache:   cache,
+		running: make(map[string]*runningTask),
+		plans:   core.NewCache(sharedWorkerMetrics()),
 	}, nil
 }
 
@@ -368,9 +356,8 @@ func (w *Worker) execute(ctx context.Context, lease *LeaseResponse) {
 			comp.Requeue = true
 			comp.Error = "worker shutting down"
 		case errors.Is(err, errInfra) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			// Not the task's fault: a transient fetch failure, or a context
-			// error that leaked across a shared cache entry from another
-			// task's cancellation. Hand it back for a retry (the attempt cap
+			// Not the task's fault: a transient fetch failure, or a stray
+			// context error. Hand it back for a retry (the attempt cap
 			// still bounds the total) instead of failing it as if training
 			// itself had diverged.
 			comp.Requeue = true
@@ -470,19 +457,19 @@ func (w *Worker) runTrain(ctx context.Context, t *TrainTask) (*TaskResultPayload
 	if err != nil {
 		return nil, err
 	}
-	src, err := w.source(ctx, t.Dataset)
+	specKey, err := json.Marshal(t.Spec)
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.TrainSourceContext(ctx, spec, src, t.Options)
+	res, env, err := w.plans.Train(ctx, w.data(ctx, t.Dataset), string(specKey), spec, t.Options)
 	if err != nil {
 		return nil, err
 	}
-	model, err := encodeModel(modelio.FromResult(spec, src.Meta().Dim, res))
+	model, err := encodeModel(modelio.FromResult(spec, env.Dim(), res))
 	if err != nil {
 		return nil, err
 	}
-	return &TaskResultPayload{Model: model, SampleSize: res.SampleSize}, nil
+	return &TaskResultPayload{Model: model, SampleSize: res.SampleSize, Plan: res.Diag.PlanOutcome()}, nil
 }
 
 // runTrial executes one search trial against the locally rebuilt
@@ -519,53 +506,16 @@ func (w *Worker) runTrial(ctx context.Context, t *TrialTask) (*TaskResultPayload
 	return out, nil
 }
 
-// envFor memoizes prepared environments per (dataset, options) so a search
-// of many trials pays data preparation once, like the in-process path.
+// envFor returns the shared environment for (dataset, the options' split
+// and seed), so a search of many trials — and any contract on the same data —
+// pays data preparation once, like the in-process path.
 func (w *Worker) envFor(ctx context.Context, ref DatasetRef, opts core.Options) (*core.Env, error) {
-	key := ref.Key() + "|" + envOptionsKey(opts)
-	w.envMu.Lock()
-	e, ok := w.envs[key]
-	if !ok {
-		e = &envEntry{}
-		w.envs[key] = e
-		w.envOrder = append(w.envOrder, key)
-		for len(w.envOrder) > w.envsLimit {
-			old := w.envOrder[0]
-			w.envOrder = w.envOrder[1:]
-			if old != key {
-				delete(w.envs, old)
-			}
-		}
-	}
-	w.envMu.Unlock()
-	e.once.Do(func() {
-		src, err := w.source(ctx, ref)
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.env, e.err = core.NewEnvFromSource(src, opts)
-	})
-	if e.err != nil {
-		// A failed build must not poison the cache for later tasks (the
-		// fetch may have been interrupted by a cancellation), nor keep a
-		// slot in the eviction order that would push a healthy entry out.
-		w.envMu.Lock()
-		if w.envs[key] == e {
-			delete(w.envs, key)
-			w.envOrder = slices.DeleteFunc(w.envOrder, func(k string) bool { return k == key })
-		}
-		w.envMu.Unlock()
-	}
-	return e.env, e.err
+	return w.plans.Env(ctx, w.data(ctx, ref), opts)
 }
 
-// envOptionsKey fingerprints the options fields that shape an environment
-// (split fractions and seed; the contract fields don't change the split but
-// keying on all of them is harmlessly conservative).
-func envOptionsKey(opts core.Options) string {
-	b, _ := json.Marshal(opts)
-	return string(b)
+// data names ref to the cache: its content key, resolved through source.
+func (w *Worker) data(ctx context.Context, ref DatasetRef) core.Data {
+	return core.Data{Key: ref.Key(), Open: func() (dataset.Source, error) { return w.source(ctx, ref) }}
 }
 
 // source resolves a dataset reference: synthetic workloads regenerate
@@ -596,7 +546,8 @@ func (w *Worker) fetchDataset(ctx context.Context, ref DatasetRef) (*store.Handl
 			return h, nil
 		}
 		// Same id, different content: the cache is from another coordinator
-		// lifetime. Replace it.
+		// lifetime. Replace it, and whatever was prepared from the old files.
+		w.plans.Drop(DatasetKeyPrefix(ref.ID))
 		if err := w.cache.Delete(ref.ID); err != nil {
 			return nil, err
 		}
@@ -658,8 +609,8 @@ func encodeModel(m *modelio.Model) ([]byte, error) {
 }
 
 // errInfra marks failures of the worker's own infrastructure (dataset
-// transfer, cross-task cache contamination) rather than of the task: the
-// task is handed back for a retry instead of failed as deterministic.
+// transfer) rather than of the task: the task is handed back for a retry
+// instead of failed as deterministic.
 var errInfra = errors.New("cluster: worker infrastructure error")
 
 // statusError carries a non-2xx protocol response.

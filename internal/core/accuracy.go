@@ -25,6 +25,13 @@ func EstimateAccuracy(spec models.Spec, theta []float64, fac Factor, alpha float
 		// n ≥ N: the "approximate" model is the full model.
 		return AccuracyEstimate{Epsilon: 0}
 	}
+	return AccuracyEstimate{Epsilon: stat.ConservativeQuantile(accuracyDiffs(spec, theta, fac, alpha, holdout, k, rng), delta)}
+}
+
+// accuracyDiffs returns the k sampled differences v(m_n; θ_N,i) behind the
+// accuracy estimate. They do not depend on δ: the bound for any confidence
+// is a quantile of this one vector (alpha must be positive).
+func accuracyDiffs(spec models.Spec, theta []float64, fac Factor, alpha float64, holdout *dataset.Dataset, k int, rng *stat.RNG) []float64 {
 	scale := sqrt(alpha)
 	d := len(theta)
 	vs := make([]float64, k)
@@ -41,7 +48,7 @@ func EstimateAccuracy(spec models.Spec, theta []float64, fac Factor, alpha float
 			vs[i] = diff(thetaN)
 		}
 	})
-	return AccuracyEstimate{Epsilon: stat.ConservativeQuantile(vs, delta)}
+	return vs
 }
 
 // drawNormals draws count standard-normal vectors of length rank from rng,

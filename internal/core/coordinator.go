@@ -29,6 +29,19 @@ type Diagnostics struct {
 	GradsCalls     int
 	Probes         []Probe
 	Method         Method
+	// PlanReused reports that the contract was answered from a Plan an
+	// earlier contract had already paid for: InitialTrain and Statistics
+	// (and the accuracy draws' share of SampleSearch) were not run and read
+	// 0. It describes the run, not the model, and is not persisted.
+	PlanReused bool `json:"-"`
+}
+
+// PlanOutcome is PlanReused as job statuses and task results spell it.
+func (d Diagnostics) PlanOutcome() string {
+	if d.PlanReused {
+		return "hit"
+	}
+	return "miss"
 }
 
 // Total returns the end-to-end BlinkML time.
@@ -59,9 +72,10 @@ type Result struct {
 // demand, exactly the rows a sample requests. That is what keeps a
 // store-backed training run's memory at O(n + holdout) instead of O(N).
 // An Env is logically read-only after construction, so concurrent
-// TrainApproxContext/TrainFull calls on one Env are safe — the hyperparameter-
-// search subsystem relies on this to evaluate many candidates over a single
-// data preparation.
+// NewPlan/TrainApproxContext/TrainFull calls on one Env are safe — the
+// hyperparameter-search subsystem relies on this to evaluate many candidates
+// over a single data preparation, and a Cache shares one Env between every
+// job that splits the same data the same way.
 type Env struct {
 	src     dataset.Source
 	meta    dataset.Meta
@@ -77,6 +91,7 @@ type Env struct {
 	pool    *dataset.Dataset
 	perm    []int
 	samples map[int]*dataset.Dataset
+	srcSize int64 // datasetBytes of an in-memory src, measured once
 }
 
 // NewEnv splits the in-memory ds according to opt (deterministic in
@@ -170,6 +185,40 @@ func (e *Env) materialize(rel []int) (*dataset.Dataset, error) {
 	return ds, nil
 }
 
+// datasetBytes is the decoded footprint of ds (nil counts nothing): 8 bytes
+// per dense slot, 12 per sparse entry, 8 per label.
+func datasetBytes(ds *dataset.Dataset) int64 {
+	if ds == nil {
+		return 0
+	}
+	b := int64(len(ds.Y)) * 8
+	for _, r := range ds.X {
+		if _, sparse := r.(*dataset.SparseRow); sparse {
+			b += int64(r.NNZ()) * 12
+		} else {
+			b += int64(r.NNZ()) * 8
+		}
+	}
+	return b
+}
+
+// residentBytes is what the environment keeps alive: the split, an
+// in-memory source itself, and whatever Pool and SharedSample have memoized.
+// Subsets of an in-memory source share its rows and are counted as if they
+// did not, which errs on the side of the budget.
+func (e *Env) residentBytes() int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if ds, ok := e.src.(*dataset.Dataset); ok && e.srcSize == 0 {
+		e.srcSize = datasetBytes(ds)
+	}
+	b := e.srcSize + int64(len(e.poolIdx)+len(e.perm))*8 + datasetBytes(e.holdout) + datasetBytes(e.test) + datasetBytes(e.pool)
+	for _, ds := range e.samples {
+		b += datasetBytes(ds)
+	}
+	return b
+}
+
 // Pool materializes (and memoizes) the entire training pool. The BlinkML
 // path never calls it — only full-model baselines do, and on a disk-backed
 // source with a row budget it fails rather than silently loading N rows.
@@ -177,11 +226,7 @@ func (e *Env) Pool() (*dataset.Dataset, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.pool == nil {
-		rel := make([]int, len(e.poolIdx))
-		for i := range rel {
-			rel[i] = i
-		}
-		pool, err := e.materialize(rel)
+		pool, err := e.materialize(identity(len(e.poolIdx)))
 		if err != nil {
 			return nil, err
 		}
@@ -201,13 +246,14 @@ func (e *Env) Sample(rng *stat.RNG, n int) (*dataset.Dataset, error) {
 // seed-deterministic permutation of the pool (n is clamped to the pool
 // size). Successive calls share one permutation, so samples are nested —
 // SharedSample(m) is a prefix of SharedSample(n) for m ≤ n — and each size
-// is materialized once and memoized. This is the sample-reuse hook for
-// workloads that train many models on increasing subsamples (successive-
-// halving hyperparameter search): candidates probing the same size share
-// one subset, and a candidate promoted to a larger rung trains on a strict
-// superset of the rows it has already seen, which makes warm starts honest.
-// On a store-backed Env each size reads only its n rows off disk. Safe for
-// concurrent use.
+// is materialized once and memoized. This is the reuse hook of successive-
+// halving hyperparameter search, which trains many models on increasing
+// subsamples outside any (ε, δ) contract: candidates probing the same size
+// share one subset, and a candidate promoted to a larger rung trains on a
+// strict superset of the rows it has already seen, which makes warm starts
+// honest. (Contracts reuse samples through a Plan, whose final draws nest
+// the same way.) On a store-backed Env each size reads only its n rows off
+// disk. Safe for concurrent use.
 func (e *Env) SharedSample(n int) (*dataset.Dataset, error) {
 	if n >= e.PoolLen() {
 		return e.Pool()
@@ -258,137 +304,18 @@ func TrainSourceContext(ctx context.Context, spec models.Spec, src dataset.Sourc
 }
 
 // TrainApproxContext runs the BlinkML coordinator inside a prepared
-// environment, with the cancellation behavior of TrainSourceContext.
+// environment, with the cancellation behavior of TrainSourceContext: a Plan
+// built and asked for one contract.
 func (e *Env) TrainApproxContext(ctx context.Context, spec models.Spec, opt Options) (*Result, error) {
 	opt = opt.WithDefaults()
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	opt.Optimizer = WithCancel(ctx, opt.Optimizer)
-	bigN := e.PoolLen()
-	if bigN == 0 {
-		return nil, errors.New("core: empty training pool")
-	}
-	rng := stat.NewRNG(opt.Seed + 0x5EED)
-	diag := Diagnostics{Method: opt.Method}
-
-	n0 := opt.InitialSampleSize
-	if n0 > bigN {
-		n0 = bigN
-	}
-
-	// Phase 1: initial model m₀ on a uniform sample of size n₀.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	endSample := obs.StartSpan(ctx, "sample")
-	sample0, err := e.Sample(rng, n0)
-	endSample()
+	p, err := NewPlan(ctx, e, spec, opt)
 	if err != nil {
 		return nil, err
 	}
-	endOpt := obs.StartSpan(ctx, "optimize")
-	m0, err := models.Train(spec, sample0, nil, opt.Optimizer)
-	endOpt()
-	if err != nil {
-		return nil, fmt.Errorf("core: initial training failed: %w", err)
-	}
-	diag.InitialTrain = time.Since(start)
-	diag.InitialIters = m0.Iters
-
-	if n0 >= bigN {
-		// The "sample" already is the full pool; nothing to approximate.
-		return &Result{
-			Theta:            m0.Theta,
-			SampleSize:       n0,
-			EstimatedEpsilon: 0,
-			UsedInitialModel: true,
-			PoolSize:         bigN,
-			Diag:             diag,
-		}, nil
-	}
-
-	// Phase 2: statistics (H, J → sampling factor) at θ₀.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	start = time.Now()
-	endStats := obs.StartSpan(ctx, "statistics")
-	stats, err := ComputeStatistics(spec, sample0, m0.Theta, opt)
-	endStats()
-	if err != nil {
-		return nil, fmt.Errorf("core: statistics computation failed: %w", err)
-	}
-	diag.Statistics = time.Since(start)
-	diag.Rank = stats.Rank
-	diag.GradsCalls = stats.GradsCalls
-	factor := Inflate(stats.Factor, opt.VarianceInflation)
-
-	// Phase 3: accuracy estimate for m₀; early exit if it already meets ε.
-	start = time.Now()
-	endProbe := obs.StartSpan(ctx, "probe")
-	est := EstimateAccuracy(spec, m0.Theta, factor, Alpha(n0, bigN), e.holdout, opt.K, opt.Delta, rng)
-	diag.InitialEpsilon = est.Epsilon
-	if est.Epsilon <= opt.Epsilon {
-		endProbe()
-		diag.SampleSearch = time.Since(start)
-		return &Result{
-			Theta:            m0.Theta,
-			SampleSize:       n0,
-			EstimatedEpsilon: est.Epsilon,
-			UsedInitialModel: true,
-			PoolSize:         bigN,
-			Diag:             diag,
-		}, nil
-	}
-
-	// Phase 3b: minimum sample size via two-stage sampling + binary search.
-	searcher := NewSearcher(spec, m0.Theta, factor, n0, bigN, e.holdout, opt.Epsilon, opt.Delta, opt.K, rng)
-	sres := searcher.Search()
-	endProbe()
-	diag.SampleSearch = time.Since(start)
-	diag.Probes = sres.Probes
-	n := sres.N
-	if n < opt.MinSampleSize {
-		n = opt.MinSampleSize
-	}
-	if n > bigN {
-		n = bigN
-	}
-
-	// Phase 4: final model m_n on a fresh uniform sample of size n.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	start = time.Now()
-	endSampleN := obs.StartSpan(ctx, "sample")
-	sampleN, err := e.Sample(rng, n)
-	endSampleN()
-	if err != nil {
-		return nil, err
-	}
-	var warm []float64
-	if opt.WarmStart {
-		warm = m0.Theta
-	}
-	endOptN := obs.StartSpan(ctx, "optimize")
-	mn, err := models.Train(spec, sampleN, warm, opt.Optimizer)
-	endOptN()
-	if err != nil {
-		return nil, fmt.Errorf("core: final training failed: %w", err)
-	}
-	diag.FinalTrain = time.Since(start)
-	diag.FinalIters = mn.Iters
-
-	return &Result{
-		Theta:            mn.Theta,
-		SampleSize:       n,
-		EstimatedEpsilon: opt.Epsilon,
-		UsedInitialModel: false,
-		PoolSize:         bigN,
-		Diag:             diag,
-	}, nil
+	return p.Contract(ctx, spec, opt)
 }
 
 // WithCancel chains ctx into the optimizer's per-iteration Stop poll,

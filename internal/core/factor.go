@@ -121,3 +121,17 @@ func Covariance(f Factor) *linalg.Dense {
 	}
 	return linalg.Syrk(l) // L·Lᵀ without computing both triangles
 }
+
+// factorBytes is the memory a factor keeps alive (nil counts nothing).
+func factorBytes(f Factor) int64 {
+	switch f := f.(type) {
+	case nil:
+		return 0
+	case *inflatedFactor:
+		return factorBytes(f.f)
+	case *GradFactor:
+		return datasetBytes(&dataset.Dataset{X: f.rows}) + int64(len(f.mean)+len(f.m.Data))*8
+	default:
+		return int64(f.Dim()) * int64(f.Rank()) * 8
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"blinkml/internal/compute"
 	"blinkml/internal/dataset"
 )
 
@@ -25,4 +26,11 @@ func sharedSampleOf(tb testing.TB, env *Env, n int) *dataset.Dataset {
 		tb.Fatalf("shared sample %d: %v", n, err)
 	}
 	return ds
+}
+
+// atDegree pins the compute pool to degree for the rest of the test.
+func atDegree(t *testing.T, degree int) {
+	prev := compute.Parallelism()
+	compute.SetParallelism(degree)
+	t.Cleanup(func() { compute.SetParallelism(prev) })
 }

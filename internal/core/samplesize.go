@@ -33,14 +33,19 @@ type SampleSizeResult struct {
 // For models whose predictions factor through linear scores (ScoreModel),
 // the holdout scores of θ₀, w₁ᵢ and w₂ᵢ are precomputed once, making each
 // probe O(k·holdout) regardless of the parameter dimension.
+//
+// Nothing it precomputes depends on ε or δ — only the comparison at the end
+// of a probe does — so a Plan keeps one Searcher for every contract it
+// answers. A Searcher is not safe for concurrent use.
 type Searcher struct {
 	spec    models.Spec
 	theta0  []float64
 	holdout *dataset.Dataset
 	n0, n   int // n = training-pool size N
-	eps     float64
-	delta   float64
 	k       int
+	// The contract Probe and Search compare against (a Plan passes each
+	// contract's own instead).
+	eps, delta float64
 
 	// The k sampled pairs a probe rescales: the factor samples w₁ᵢ, w₂ᵢ
 	// themselves (k x d), or on the score fast path their holdout scores
@@ -52,19 +57,31 @@ type Searcher struct {
 	scoreModel models.ScoreModel
 	nScores    int
 	base       []float64 // h*s: scores of θ₀
+
+	// vs, when non-nil, memoizes the k pair differences per probed n: a Plan
+	// sets it so a later search re-reads the probes it shares with an
+	// earlier one.
+	vs map[int][]float64
 }
 
 // NewSearcher draws the k factor-sample pairs and precomputes holdout
 // scores where possible.
 func NewSearcher(spec models.Spec, theta0 []float64, fac Factor, n0, bigN int, holdout *dataset.Dataset, eps, delta float64, k int, rng *stat.RNG) *Searcher {
+	s := newSearcher(spec, theta0, fac, n0, bigN, holdout, drawNormals(rng, 2*k, fac.Rank()))
+	s.eps, s.delta = eps, delta
+	return s
+}
+
+// newSearcher applies the factor to the 2k pre-drawn normals zs (z₁ᵢ, z₂ᵢ
+// alternating) and scores the results on the holdout.
+func newSearcher(spec models.Spec, theta0 []float64, fac Factor, n0, bigN int, holdout *dataset.Dataset, zs [][]float64) *Searcher {
+	k := len(zs) / 2
 	s := &Searcher{
 		spec:    spec,
 		theta0:  theta0,
 		holdout: holdout,
 		n0:      n0,
 		n:       bigN,
-		eps:     eps,
-		delta:   delta,
 		k:       k,
 	}
 	d := len(theta0)
@@ -80,7 +97,6 @@ func NewSearcher(spec models.Spec, theta0 []float64, fac Factor, n0, bigN int, h
 		s.base = holdoutScores(sm, theta0, holdout, s.nScores)
 		keep = func(w []float64) []float64 { return holdoutScores(sm, w, holdout, s.nScores) }
 	}
-	zs := drawNormals(rng, 2*k, fac.Rank()) // z₁ᵢ, z₂ᵢ alternating
 	s.w1 = make([][]float64, k)
 	s.w2 = make([][]float64, k)
 	compute.For(k, 1, func(lo, hi int) {
@@ -104,12 +120,28 @@ func holdoutScores(sm models.ScoreModel, theta []float64, holdout *dataset.Datas
 }
 
 // Probe evaluates the Equation-8 criterion at candidate sample size n.
-func (s *Searcher) Probe(n int) Probe {
+func (s *Searcher) Probe(n int) Probe { return s.probe(n, s.eps, s.delta) }
+
+func (s *Searcher) probe(n int, eps, delta float64) Probe {
 	if n >= s.n {
 		return Probe{N: n, Fraction: 1, Satisfied: true}
 	}
 	if n < s.n0 {
 		n = s.n0
+	}
+	vs := s.pairDiffs(n)
+	return Probe{
+		N:         n,
+		Fraction:  stat.FractionAtMost(vs, eps),
+		Satisfied: stat.MeetsLevel(vs, eps, delta),
+	}
+}
+
+// pairDiffs returns v(m_n, m_N) for each of the k sampled pairs at sample
+// size n (n₀ ≤ n < N).
+func (s *Searcher) pairDiffs(n int) []float64 {
+	if vs, ok := s.vs[n]; ok {
+		return vs
 	}
 	a1 := sqrt(Alpha(s.n0, n))
 	a2 := sqrt(Alpha(n, s.n))
@@ -139,11 +171,10 @@ func (s *Searcher) Probe(n int) Probe {
 			}
 		})
 	}
-	return Probe{
-		N:         n,
-		Fraction:  stat.FractionAtMost(vs, s.eps),
-		Satisfied: stat.MeetsLevel(vs, s.eps, s.delta),
+	if s.vs != nil {
+		s.vs[n] = vs
 	}
+	return vs
 }
 
 // scoreDiff computes v(m_n, m_N) for one sampled pair from precomputed
@@ -166,10 +197,12 @@ func (s *Searcher) scoreDiff(s1, s2 []float64, a1, a2 float64, bufN, bufNN []flo
 // Search binary-searches the smallest n in [n₀, N] whose probe satisfies
 // the Lemma-2 criterion, relying on the Theorem-2 monotonicity of the
 // success probability in n. The search costs O(log₂(N − n₀)) probes.
-func (s *Searcher) Search() SampleSizeResult {
+func (s *Searcher) Search() SampleSizeResult { return s.search(s.eps, s.delta) }
+
+func (s *Searcher) search(eps, delta float64) SampleSizeResult {
 	var probes []Probe
 	lo, hi := s.n0, s.n
-	first := s.Probe(lo)
+	first := s.probe(lo, eps, delta)
 	probes = append(probes, first)
 	if first.Satisfied {
 		return SampleSizeResult{N: lo, Probes: probes}
@@ -177,7 +210,7 @@ func (s *Searcher) Search() SampleSizeResult {
 	// Invariant: lo unsatisfied, hi satisfied (n = N always satisfies).
 	for hi-lo > 1 {
 		mid := lo + (hi-lo)/2
-		p := s.Probe(mid)
+		p := s.probe(mid, eps, delta)
 		probes = append(probes, p)
 		if p.Satisfied {
 			hi = mid

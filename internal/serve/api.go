@@ -159,6 +159,11 @@ type JobStatus struct {
 	Diagnostics *PhaseBreakdown `json:"diagnostics,omitempty"`
 	// Tune carries the search leaderboard for finished tune jobs.
 	Tune *TuneReport `json:"tune,omitempty"`
+	// Plan says why a finished train job was cheap or not: "hit" when the
+	// initial model, statistics and accuracy draws came from a plan an
+	// earlier job on the same data had built, "miss" when this job built it.
+	// The model is bit-identical either way.
+	Plan string `json:"plan,omitempty"`
 	// TraceID is the job's trace identity (also inside Trace, but present
 	// from admission — before any span exists).
 	TraceID string `json:"trace_id,omitempty"`

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -154,6 +155,25 @@ func TestClusterTrainAndTuneMatchLocal(t *testing.T) {
 	}
 	if cr.CPUMs <= 0 {
 		t.Fatalf("worker-side CPU time did not rejoin the coordinator job: %+v", cr)
+	}
+
+	// A second contract on the same data at another ε: a plan hit on both
+	// paths (the server's cache, the worker's cache), reported on the job
+	// status, with the same model and the same — smaller — deterministic cost.
+	again := trainBody()
+	again.Epsilon = 0.05
+	lst2 := runJob(t, localTS, "/v1/train", again)
+	cst2 := runJob(t, clusterTS, "/v1/train", again)
+	if lst.Plan != "miss" || cst.Plan != "miss" || lst2.Plan != "hit" || cst2.Plan != "hit" {
+		t.Fatalf("plan outcomes local %q→%q cluster %q→%q, want miss→hit on both", lst.Plan, lst2.Plan, cst.Plan, cst2.Plan)
+	}
+	lm2, cm2 := fetchTheta(t, localTS, lst2.ModelID), fetchTheta(t, clusterTS, cst2.ModelID)
+	if lm2.SampleSize != cm2.SampleSize || len(lm2.Theta) == 0 || !slices.Equal(lm2.Theta, cm2.Theta) {
+		t.Fatalf("second contract differs: local n=%d cluster n=%d", lm2.SampleSize, cm2.SampleSize)
+	}
+	if l2, c2 := lst2.Resources, cst2.Resources; l2.KernelCalls != c2.KernelCalls || l2.Flops != c2.Flops ||
+		l2.RowsMaterialized != c2.RowsMaterialized || l2.KernelCalls >= lr.KernelCalls {
+		t.Fatalf("plan-hit ledgers: local %+v cluster %+v (miss: %+v)", l2, c2, lr)
 	}
 
 	// Tune on both paths (a small random space, decomposed to per-trial

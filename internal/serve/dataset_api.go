@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"blinkml/internal/cluster"
 	"blinkml/internal/dataset"
 	"blinkml/internal/store"
 )
@@ -299,6 +300,7 @@ func (s *Server) handleDatasetDelete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err)
 		return
 	}
+	s.cache.Drop(cluster.DatasetKeyPrefix(id)) // no cached handle outlives the files
 	s.refreshStoreGauges()
 	w.WriteHeader(http.StatusNoContent)
 }

@@ -161,12 +161,27 @@ func TestDatasetUploadTrainByIDMatchesInline(t *testing.T) {
 		}
 	}
 
-	// Delete and confirm it is gone.
+	// Delete and confirm it is gone — from the store, and from the env/plan
+	// cache the by-id job filled (the inline job's entries stay), so a later
+	// train by that id answers the store's not-found instead of a cached
+	// handle on deleted files.
+	resident := s.m.PlanCache.Bytes.Value()
 	if code := doJSON(t, client, http.MethodDelete, ts.URL+"/v1/datasets/"+info.ID, nil, nil); code != http.StatusNoContent {
 		t.Fatalf("delete status %d", code)
 	}
 	if code := doJSON(t, client, http.MethodGet, ts.URL+"/v1/datasets/"+info.ID, nil, nil); code != http.StatusNotFound {
 		t.Fatalf("get after delete status %d", code)
+	}
+	if after := s.m.PlanCache.Bytes.Value(); after <= 0 || after >= resident {
+		t.Fatalf("plan cache holds %d bytes after the delete, %d before: the dataset's entries were not dropped", after, resident)
+	}
+	var gone ErrorResponse
+	code = doJSON(t, client, http.MethodPost, ts.URL+"/v1/train", TrainRequest{
+		Model: modelSpec("logistic"), Dataset: DatasetRef{ID: info.ID}, Epsilon: 0.08,
+		Options: TrainOptions{Seed: 7, InitialSampleSize: 400},
+	}, &gone)
+	if code != http.StatusNotFound || !strings.Contains(gone.Error, "not found") {
+		t.Fatalf("train on the deleted dataset: status %d, error %q", code, gone.Error)
 	}
 }
 

@@ -2,11 +2,13 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"time"
 
 	"blinkml/internal/cluster"
 	"blinkml/internal/core"
+	"blinkml/internal/dataset"
 	"blinkml/internal/modelio"
 	"blinkml/internal/obs"
 	"blinkml/internal/optimize"
@@ -94,15 +96,17 @@ func (s *Server) finishJob(ctx context.Context, kind string, m *modelio.Model, r
 
 // finishTrain records the train metrics and registers the model (shared
 // executor tail). ref and opts feed the audit record so a replay can
-// rebuild the training environment.
-func (s *Server) finishTrain(ctx context.Context, m *modelio.Model, ref DatasetRef, opts core.Options, elapsed time.Duration) (TaskResult, error) {
+// rebuild the training environment; plan is the job's cache outcome.
+func (s *Server) finishTrain(ctx context.Context, m *modelio.Model, plan string, ref DatasetRef, opts core.Options, elapsed time.Duration) (TaskResult, error) {
 	ms := float64(elapsed) / float64(time.Millisecond)
 	s.m.TrainRuns.Add(1)
 	s.m.TrainLatency.Observe(ms)
 	s.m.TrainLatencyFamily.With(m.Spec.Name()).Observe(ms)
 	s.m.SampleSizeSum.Add(int64(m.SampleSize))
 	s.m.SampleSizeLast.Set(int64(m.SampleSize))
-	return s.finishJob(ctx, "train", m, ref, opts)
+	out, err := s.finishJob(ctx, "train", m, ref, opts)
+	out.Plan = plan
+	return out, err
 }
 
 // finishTune records the search metrics, registers the winner and attaches
@@ -120,7 +124,8 @@ func (s *Server) finishTune(ctx context.Context, res *tune.Result, ref DatasetRe
 	return out, err
 }
 
-// localExecutor runs jobs in-process — the pre-cluster path, bit for bit.
+// localExecutor runs jobs in-process — the pre-cluster path, bit for bit;
+// train jobs share environments and plans through the server's cache.
 type localExecutor struct{ s *Server }
 
 func (e localExecutor) execTrain(ctx context.Context, req TrainRequest) (TaskResult, error) {
@@ -129,17 +134,22 @@ func (e localExecutor) execTrain(ctx context.Context, req TrainRequest) (TaskRes
 	if err != nil {
 		return TaskResult{}, err
 	}
-	src, err := s.buildSource(req.Dataset)
+	ref, _, err := s.clusterDatasetRef(req.Dataset) // for its content key
+	if err != nil {
+		return TaskResult{}, err
+	}
+	data := core.Data{Key: ref.Key(), Open: func() (dataset.Source, error) { return s.buildSource(req.Dataset) }}
+	specKey, err := json.Marshal(req.Model)
 	if err != nil {
 		return TaskResult{}, err
 	}
 	opts := trainCoreOptions(req.Epsilon, req.Delta, req.Options)
 	start := time.Now()
-	res, err := core.TrainSourceContext(ctx, spec, src, opts)
+	res, env, err := s.cache.Train(ctx, data, string(specKey), spec, opts)
 	if err != nil {
 		return TaskResult{}, err
 	}
-	return s.finishTrain(ctx, modelio.FromResult(spec, src.Meta().Dim, res), req.Dataset, opts, time.Since(start))
+	return s.finishTrain(ctx, modelio.FromResult(spec, env.Dim(), res), res.Diag.PlanOutcome(), req.Dataset, opts, time.Since(start))
 }
 
 func (e localExecutor) execTune(ctx context.Context, req TuneRequest) (TaskResult, error) {
@@ -206,7 +216,7 @@ func (e *clusterExecutor) execTrain(ctx context.Context, req TrainRequest) (Task
 	if err != nil {
 		return TaskResult{}, err
 	}
-	return s.finishTrain(ctx, m, req.Dataset, opts, time.Since(start))
+	return s.finishTrain(ctx, m, payload.Plan, req.Dataset, opts, time.Since(start))
 }
 
 func (e *clusterExecutor) execTune(ctx context.Context, req TuneRequest) (TaskResult, error) {

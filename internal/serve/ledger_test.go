@@ -12,49 +12,70 @@ import (
 	"blinkml/internal/obs"
 )
 
-// TestJobLedgerDeterministic: the same store-backed train request run twice
-// at a fixed seed produces ledgers whose deterministic fields — rows and
-// bytes materialized, kernel calls, flops — are identical, while the job
-// status carries a non-empty resources stanza either way. This is the
+// TestJobLedgerDeterministic: the deterministic ledger fields — rows and
+// bytes materialized, kernel calls, flops — of a store-backed train request
+// at a fixed seed are a function of the request and of whether its plan was
+// cached. Two fresh servers (miss vs miss) agree on every one of them, two
+// repeats on one server (hit vs hit) agree, and a hit is strictly below a
+// miss in all four: the rows were not re-read, m₀ not re-trained, the
+// statistics not recomputed. The job status says which it was, and both
+// kinds register their model under a "registry" stage. This is the
 // attribution analogue of the model-bits determinism the repo already
 // guarantees.
 func TestJobLedgerDeterministic(t *testing.T) {
-	s, err := New(Config{Dir: t.TempDir(), Workers: 1, QueueDepth: 8})
-	if err != nil {
-		t.Fatalf("new server: %v", err)
+	type job struct {
+		res  *obs.LedgerSnapshot
+		plan string
 	}
-	ts := httptest.NewServer(s.Handler())
-	defer func() {
-		s.Close()
-		ts.Close()
-	}()
-
-	dsID := uploadDataset(t, s)
-	req := TrainRequest{
-		Model:   modelSpec("logistic"),
-		Dataset: DatasetRef{ID: dsID},
-		Epsilon: 0.1,
-		Delta:   0.05,
-		Options: TrainOptions{Seed: 9, InitialSampleSize: 400},
+	// runs submits the same request n times to one fresh server.
+	runs := func(n int) []job {
+		s, err := New(Config{Dir: t.TempDir(), Workers: 1, QueueDepth: 8})
+		if err != nil {
+			t.Fatalf("new server: %v", err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		defer func() {
+			s.Close()
+			ts.Close()
+		}()
+		req := TrainRequest{
+			Model:   modelSpec("logistic"),
+			Dataset: DatasetRef{ID: uploadDataset(t, s)},
+			Epsilon: 0.1,
+			Delta:   0.05,
+			Options: TrainOptions{Seed: 9, InitialSampleSize: 400},
+		}
+		var out []job
+		for run := 0; run < n; run++ {
+			var ack TrainResponse
+			if code := doJSON(t, ts.Client(), http.MethodPost, ts.URL+"/v1/train", req, &ack); code != http.StatusAccepted {
+				t.Fatalf("run %d submit status %d", run, code)
+			}
+			st := waitJob(t, ts.Client(), ts.URL, ack.JobID, 60*time.Second)
+			if st.State != JobSucceeded {
+				t.Fatalf("run %d: %s (%s)", run, st.State, st.Error)
+			}
+			if st.Resources == nil || st.Trace == nil {
+				t.Fatalf("run %d: job status has no resources or no trace: %+v", run, st)
+			}
+			registry := false
+			for _, stage := range st.Trace.Stages {
+				registry = registry || stage.Name == "registry"
+			}
+			if !registry {
+				t.Fatalf("run %d (plan %s): no registry stage in %+v", run, st.Plan, st.Trace.Stages)
+			}
+			out = append(out, job{st.Resources, st.Plan})
+		}
+		return out
+	}
+	first := runs(3)
+	miss, hit, hit2, otherMiss := first[0], first[1], first[2], runs(1)[0]
+	if miss.plan != "miss" || otherMiss.plan != "miss" || hit.plan != "hit" || hit2.plan != "hit" {
+		t.Fatalf("plan outcomes %q %q %q / %q, want miss hit hit / miss", miss.plan, hit.plan, hit2.plan, otherMiss.plan)
 	}
 
-	var snaps []*obs.LedgerSnapshot
-	for run := 0; run < 2; run++ {
-		var ack TrainResponse
-		if code := doJSON(t, ts.Client(), http.MethodPost, ts.URL+"/v1/train", req, &ack); code != http.StatusAccepted {
-			t.Fatalf("run %d submit status %d", run, code)
-		}
-		st := waitJob(t, ts.Client(), ts.URL, ack.JobID, 60*time.Second)
-		if st.State != JobSucceeded {
-			t.Fatalf("run %d: %s (%s)", run, st.State, st.Error)
-		}
-		if st.Resources == nil {
-			t.Fatalf("run %d: job status has no resources", run)
-		}
-		snaps = append(snaps, st.Resources)
-	}
-
-	a, b := snaps[0], snaps[1]
+	a := miss.res
 	if a.KernelCalls == 0 || a.Flops == 0 {
 		t.Fatalf("no kernel charges recorded: %+v", a)
 	}
@@ -64,9 +85,19 @@ func TestJobLedgerDeterministic(t *testing.T) {
 	if a.CPUMs <= 0 {
 		t.Fatalf("no pool busy time recorded: %+v", a)
 	}
-	if a.KernelCalls != b.KernelCalls || a.Flops != b.Flops ||
-		a.RowsMaterialized != b.RowsMaterialized || a.BytesMaterialized != b.BytesMaterialized {
-		t.Fatalf("deterministic ledger fields differ across identical runs:\n  %+v\n  %+v", a, b)
+	same := func(x, y *obs.LedgerSnapshot) bool {
+		return x.KernelCalls == y.KernelCalls && x.Flops == y.Flops &&
+			x.RowsMaterialized == y.RowsMaterialized && x.BytesMaterialized == y.BytesMaterialized
+	}
+	if !same(a, otherMiss.res) {
+		t.Fatalf("deterministic ledger fields differ between two fresh servers:\n  %+v\n  %+v", a, otherMiss.res)
+	}
+	if !same(hit.res, hit2.res) {
+		t.Fatalf("deterministic ledger fields differ between two plan hits:\n  %+v\n  %+v", hit.res, hit2.res)
+	}
+	if h := hit.res; h.RowsMaterialized >= a.RowsMaterialized || h.BytesMaterialized >= a.BytesMaterialized ||
+		h.KernelCalls >= a.KernelCalls || h.Flops >= a.Flops {
+		t.Fatalf("a plan hit did not cost less than the miss:\n  miss %+v\n  hit  %+v", a, h)
 	}
 	// Stage attribution: training charges must land in named stages.
 	if len(a.Stages) == 0 {

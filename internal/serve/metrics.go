@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"blinkml/internal/core"
 	"blinkml/internal/obs"
 )
 
@@ -58,6 +59,9 @@ type Metrics struct {
 	// blinkml_job_cpu_ms / blinkml_job_alloc_bytes on /metrics.
 	JobCPUFamily   *obs.HistogramVec
 	JobAllocFamily *obs.HistogramVec
+
+	// PlanCache is the env/plan cache's plan_cache_* series.
+	PlanCache *core.CacheMetrics
 }
 
 var (
@@ -116,6 +120,7 @@ func sharedMetrics() *Metrics {
 		m.Set("job_cpu_ms", metrics.JobCPUFamily)
 		metrics.JobAllocFamily = obs.NewHistogramVec()
 		m.Set("job_alloc_bytes", metrics.JobAllocFamily)
+		metrics.PlanCache = core.NewCacheMetrics(m)
 	})
 	return metrics
 }

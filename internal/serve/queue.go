@@ -49,6 +49,9 @@ type TaskResult struct {
 	Diagnostics *PhaseBreakdown
 	// Tune is the search report (tune jobs only).
 	Tune *TuneReport
+	// Plan is "hit" when a train job's contract was answered from a cached
+	// plan, "miss" when it built one.
+	Plan string
 }
 
 // datasetTask is implemented by tasks that reference a stored dataset; the
@@ -106,6 +109,7 @@ func (j *Job) Status() JobStatus {
 		Error:       j.errMsg,
 		Diagnostics: j.result.Diagnostics,
 		Tune:        j.result.Tune,
+		Plan:        j.result.Plan,
 		Resources:   j.resources,
 		EnqueuedAt:  j.enqueuedAt,
 		StartedAt:   j.startedAt,

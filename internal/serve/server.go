@@ -139,6 +139,7 @@ type Server struct {
 	cfg     Config
 	reg     *Registry
 	store   *store.Store
+	cache   *core.Cache // environments and plans shared between local jobs
 	queue   *Queue
 	coord   *cluster.Coordinator // non-nil in cluster mode
 	exec    executor
@@ -187,6 +188,7 @@ func New(cfg Config) (*Server, error) {
 		log:     log,
 		started: time.Now(),
 	}
+	s.cache = core.NewCache(s.m.PlanCache)
 	st.SetObserver(storeObserver{s.m})
 	// Gauges survive server reconstruction within one process (the expvar
 	// singletons outlive the server), so resync them from the actual
