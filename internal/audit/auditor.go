@@ -33,8 +33,9 @@ type SourceResolver func(ctx context.Context, ref json.RawMessage) (dataset.Sour
 // ModelLookup fetches a stored model by ID (the registry, in serving).
 type ModelLookup func(id string) (*modelio.Model, error)
 
-// Replayer validates one record. LocalReplayer trains in-process; the
-// serving layer's cluster executor provides a fan-out implementation.
+// Replayer validates one record. The serving layer's replays an audit task
+// wherever its tasks run; LocalReplayer trains in-process with nothing in
+// between, and is the reference tests hold that one against.
 type Replayer interface {
 	Replay(ctx context.Context, rec Record, m *modelio.Model) (ReplayOutcome, error)
 }

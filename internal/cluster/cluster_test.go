@@ -164,7 +164,7 @@ func TestRemoteTuneMatchesLocal(t *testing.T) {
 		t.Fatalf("local search: %v", err)
 	}
 
-	runner := NewTrialRunner(tc.coord, ref, opts, core.PoolSize(s.Rows, opts))
+	runner := NewTrialRunner(tc.coord.Run, ref, opts, core.PoolSize(s.Rows, opts))
 	got, err := tune.SearchRunner(context.Background(), space, runner, cfg)
 	if err != nil {
 		t.Fatalf("remote search: %v", err)
@@ -183,6 +183,32 @@ func TestRemoteTuneMatchesLocal(t *testing.T) {
 	for i := range want.Best.Theta {
 		if got.Best.Theta[i] != want.Best.Theta[i] {
 			t.Fatalf("winner theta[%d]: remote %v != local %v", i, got.Best.Theta[i], want.Best.Theta[i])
+		}
+	}
+
+	// A leaderboard row reports the spec as trained, wherever that happened:
+	// PPCA's σ² is derived from θ on the instance that trained, which through
+	// a task runner is not the candidate's own. (Remote rows used to show the
+	// untrained default, 1.)
+	ppca := func() tune.Space {
+		return tune.Space{Grid: mustSpecs(t, modelio.SpecJSON{Name: "ppca", Factors: 2}, modelio.SpecJSON{Name: "ppca", Factors: 3})}
+	}
+	want, err = tune.RunSource(context.Background(), ppca(), ds, cfg)
+	if err != nil {
+		t.Fatalf("local ppca search: %v", err)
+	}
+	got, err = tune.SearchRunner(context.Background(), ppca(), runner, cfg)
+	if err != nil {
+		t.Fatalf("remote ppca search: %v", err)
+	}
+	for i := range want.Entries {
+		wj, werr := modelio.SpecToJSON(want.Entries[i].Spec)
+		gj, gerr := modelio.SpecToJSON(got.Entries[i].Spec)
+		if werr != nil || gerr != nil {
+			t.Fatalf("leaderboard row %d spec: %v / %v", i, werr, gerr)
+		}
+		if gj != wj || gj.SigmaSq == 0 || gj.SigmaSq == 1 {
+			t.Fatalf("ppca leaderboard row %d: remote %+v local %+v, want equal with a trained sigma_sq", i, gj, wj)
 		}
 	}
 }
@@ -395,7 +421,7 @@ func TestFailedEnvBuildsDoNotEvictHealthyOnes(t *testing.T) {
 	}
 	var good []*core.Env
 	for seed := 1; seed <= 3; seed++ {
-		env, err := w.envFor(ctx, goodRef(seed), opts)
+		env, err := w.tasks.envFor(ctx, goodRef(seed), opts)
 		if err != nil {
 			t.Fatalf("good env %d: %v", seed, err)
 		}
@@ -403,12 +429,12 @@ func TestFailedEnvBuildsDoNotEvictHealthyOnes(t *testing.T) {
 	}
 	bad := DatasetRef{Synthetic: &datagen.Ref{Name: "no-such-generator"}}
 	for i := 0; i < 6; i++ {
-		if _, err := w.envFor(ctx, bad, opts); err == nil {
+		if _, err := w.tasks.envFor(ctx, bad, opts); err == nil {
 			t.Fatal("unknown generator built an env")
 		}
 	}
 	for i, want := range good {
-		got, err := w.envFor(ctx, goodRef(i+1), opts)
+		got, err := w.tasks.envFor(ctx, goodRef(i+1), opts)
 		if err != nil || got != want {
 			t.Fatalf("good env %d was rebuilt (err %v)", i+1, err)
 		}
@@ -445,7 +471,7 @@ func TestTrialsDifferingOnlyInEpsilonShareOneEnv(t *testing.T) {
 		t.Helper()
 		opts := testTrainOptions()
 		opts.Epsilon = eps
-		_, err := w.runTask(context.Background(), TaskSpec{Kind: KindTrial, Trial: &TrialTask{
+		_, err := w.tasks.Run(context.Background(), TaskSpec{Kind: KindTrial, Trial: &TrialTask{
 			Spec: modelio.SpecJSON{Name: "logistic"}, Dataset: ref, Options: opts, N: 300,
 		}})
 		if err != nil {

@@ -246,6 +246,25 @@ func (c *Coordinator) Await(ctx context.Context, id string) (*TaskResultPayload,
 	}
 }
 
+// Run executes spec on the fleet — submit, await — and rejoins the spans and
+// the resource ledger the worker recorded to the job in ctx, so its stage
+// breakdown and cost record cover remote work too. It is the RunFunc of
+// cluster mode, and the one place a task's result is awaited.
+func (c *Coordinator) Run(ctx context.Context, spec TaskSpec) (*TaskResultPayload, error) {
+	spec.Trace = obs.TraceID(ctx)
+	id, err := c.Submit(spec)
+	if err != nil {
+		return nil, err
+	}
+	payload, err := c.Await(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	obs.RecorderFrom(ctx).Add(payload.Spans)
+	obs.LedgerFrom(ctx).Merge(payload.Ledger)
+	return payload, nil
+}
+
 // CancelTask requests cancellation: pending tasks go terminal at once;
 // leased tasks are flagged, and the leaseholder learns via its next
 // heartbeat or lease response. Cancelling an unknown or terminal task is a

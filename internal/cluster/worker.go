@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"os"
 	"sync"
@@ -16,11 +15,8 @@ import (
 
 	"blinkml/internal/compute"
 	"blinkml/internal/core"
-	"blinkml/internal/dataset"
-	"blinkml/internal/modelio"
 	"blinkml/internal/obs"
 	"blinkml/internal/store"
-	"blinkml/internal/tune"
 )
 
 // WorkerConfig sizes a Worker.
@@ -62,7 +58,7 @@ type Worker struct {
 	hbEvery time.Duration
 	running map[string]*runningTask
 	fetchMu sync.Mutex  // serializes dataset bundle fetches
-	plans   *core.Cache // environments and plans shared between tasks
+	tasks   *TaskRunner // what a leased task runs: its env/plan cache, and fetchDataset
 }
 
 // runningTask is one in-flight execution.
@@ -103,14 +99,15 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if logger == nil {
 		logger = slog.Default()
 	}
-	return &Worker{
+	w := &Worker{
 		cfg:     cfg,
 		client:  client,
 		log:     logger,
 		cache:   cache,
 		running: make(map[string]*runningTask),
-		plans:   core.NewCache(sharedWorkerMetrics()),
-	}, nil
+	}
+	w.tasks = NewTaskRunner(core.NewCache(sharedWorkerMetrics()), w.fetchDataset)
+	return w, nil
 }
 
 // ID returns the coordinator-assigned worker id ("" before registration).
@@ -331,7 +328,7 @@ func (w *Worker) execute(ctx context.Context, lease *LeaseResponse) {
 
 	start := time.Now()
 	unbind := obs.BindLedger(ledger)
-	result, err := w.runTask(taskCtx, lease.Spec)
+	result, err := w.tasks.Run(taskCtx, lease.Spec)
 	unbind()
 	comp := CompleteRequest{WorkerID: workerID, TaskID: lease.TaskID}
 	switch {
@@ -411,131 +408,9 @@ func (w *Worker) complete(comp CompleteRequest) {
 	}
 }
 
-// runTask dispatches on the task kind.
-func (w *Worker) runTask(ctx context.Context, spec TaskSpec) (*TaskResultPayload, error) {
-	switch spec.Kind {
-	case KindTrain:
-		return w.runTrain(ctx, spec.Train)
-	case KindTrial:
-		return w.runTrial(ctx, spec.Trial)
-	case KindAudit:
-		return w.runAudit(ctx, spec.Audit)
-	default:
-		return nil, fmt.Errorf("cluster: unknown task kind %q", spec.Kind)
-	}
-}
-
-// runAudit replays one guarantee: rebuild the recorded environment, train
-// the full-data model, and measure the realized difference against the
-// shipped approximate parameters. The fingerprint of the full model's bits
-// rides back as the determinism witness.
-func (w *Worker) runAudit(ctx context.Context, t *AuditTask) (*TaskResultPayload, error) {
-	spec, err := t.Spec.Spec()
-	if err != nil {
-		return nil, err
-	}
-	src, err := w.source(ctx, t.Dataset)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := core.ReplayGuarantee(ctx, src, spec, t.Theta, t.Bound, t.Options)
-	if err != nil {
-		return nil, err
-	}
-	return &TaskResultPayload{
-		Realized:     rep.Realized,
-		Satisfied:    rep.Satisfied,
-		FullIters:    rep.FullIters,
-		FullThetaFNV: fmt.Sprintf("%016x", core.ThetaFingerprint(rep.FullTheta)),
-	}, nil
-}
-
-// runTrain executes a full BlinkML training run and returns the model in
-// the modelio envelope.
-func (w *Worker) runTrain(ctx context.Context, t *TrainTask) (*TaskResultPayload, error) {
-	spec, err := t.Spec.Spec()
-	if err != nil {
-		return nil, err
-	}
-	specKey, err := json.Marshal(t.Spec)
-	if err != nil {
-		return nil, err
-	}
-	res, env, err := w.plans.Train(ctx, w.data(ctx, t.Dataset), string(specKey), spec, t.Options)
-	if err != nil {
-		return nil, err
-	}
-	model, err := encodeModel(modelio.FromResult(spec, env.Dim(), res))
-	if err != nil {
-		return nil, err
-	}
-	return &TaskResultPayload{Model: model, SampleSize: res.SampleSize, Plan: res.Diag.PlanOutcome()}, nil
-}
-
-// runTrial executes one search trial against the locally rebuilt
-// environment (identical to the coordinator's by split determinism).
-func (w *Worker) runTrial(ctx context.Context, t *TrialTask) (*TaskResultPayload, error) {
-	spec, err := t.Spec.Spec()
-	if err != nil {
-		return nil, err
-	}
-	env, err := w.envFor(ctx, t.Dataset, t.Options)
-	if err != nil {
-		return nil, err
-	}
-	res, err := tune.NewEnvRunner(env, t.Options).RunTrial(ctx, tune.Trial{
-		Spec:     spec,
-		Contract: t.Contract,
-		N:        t.N,
-		Rung:     t.Rung,
-		Warm:     t.Warm,
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &TaskResultPayload{
-		Theta:      res.Theta,
-		Score:      encodeScore(res.Score),
-		SampleSize: res.SampleSize,
-	}
-	if res.Model != nil {
-		if out.Model, err = encodeModel(res.Model); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// envFor returns the shared environment for (dataset, the options' split
-// and seed), so a search of many trials — and any contract on the same data —
-// pays data preparation once, like the in-process path.
-func (w *Worker) envFor(ctx context.Context, ref DatasetRef, opts core.Options) (*core.Env, error) {
-	return w.plans.Env(ctx, w.data(ctx, ref), opts)
-}
-
-// data names ref to the cache: its content key, resolved through source.
-func (w *Worker) data(ctx context.Context, ref DatasetRef) core.Data {
-	return core.Data{Key: ref.Key(), Open: func() (dataset.Source, error) { return w.source(ctx, ref) }}
-}
-
-// source resolves a dataset reference: synthetic workloads regenerate
-// locally, inline rows come from the payload, and store ids resolve through
-// the local cache — fetched from the coordinator at most once per content.
-func (w *Worker) source(ctx context.Context, ref DatasetRef) (dataset.Source, error) {
-	switch {
-	case ref.Synthetic != nil:
-		return ref.Synthetic.Build()
-	case ref.Inline != nil:
-		return ref.Inline.Build()
-	case ref.ID != "":
-		return w.fetchDataset(ctx, ref)
-	default:
-		return nil, errors.New("cluster: task has no dataset")
-	}
-}
-
-// fetchDataset returns the cached handle for ref, downloading the bundle
-// from the coordinator when the cache misses (or holds different content).
+// fetchDataset returns the cached handle for stored dataset ref, downloading
+// the bundle from the coordinator at most once per content: when the cache
+// misses or holds different bytes under the id.
 func (w *Worker) fetchDataset(ctx context.Context, ref DatasetRef) (*store.Handle, error) {
 	w.fetchMu.Lock()
 	defer w.fetchMu.Unlock()
@@ -547,7 +422,7 @@ func (w *Worker) fetchDataset(ctx context.Context, ref DatasetRef) (*store.Handl
 		}
 		// Same id, different content: the cache is from another coordinator
 		// lifetime. Replace it, and whatever was prepared from the old files.
-		w.plans.Drop(DatasetKeyPrefix(ref.ID))
+		w.tasks.cache.Drop(DatasetKeyPrefix(ref.ID))
 		if err := w.cache.Delete(ref.ID); err != nil {
 			return nil, err
 		}
@@ -580,32 +455,6 @@ func (w *Worker) fetchDataset(ctx context.Context, ref DatasetRef) (*store.Handl
 	obs.LedgerFrom(ctx).ChargeBundle(false)
 	w.log.Info("cached dataset", "dataset", ref.ID, "rows", h.Manifest().Rows)
 	return h, nil
-}
-
-// encodeScore maps a trial score to the wire (nil encodes NaN, which JSON
-// cannot carry).
-func encodeScore(v float64) *float64 {
-	if math.IsNaN(v) {
-		return nil
-	}
-	return &v
-}
-
-// DecodeScore is the inverse of encodeScore.
-func DecodeScore(p *float64) float64 {
-	if p == nil {
-		return math.NaN()
-	}
-	return *p
-}
-
-// encodeModel serializes a trained model as a modelio envelope.
-func encodeModel(m *modelio.Model) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := modelio.Encode(&buf, m); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // errInfra marks failures of the worker's own infrastructure (dataset

@@ -85,12 +85,12 @@ type Env struct {
 	seed    int64
 
 	// Lazy materializations: the full pool (only the full-training baseline
-	// needs it) and the shared-sample cache (one pool permutation plus the
-	// materialized nested prefixes), built under mu.
+	// needs it) and SharedSample's pool permutation with the longest prefix of
+	// it any caller has asked for, built under mu.
 	mu      sync.Mutex
 	pool    *dataset.Dataset
 	perm    []int
-	samples map[int]*dataset.Dataset
+	shared  prefix
 	srcSize int64 // datasetBytes of an in-memory src, measured once
 }
 
@@ -185,6 +185,42 @@ func (e *Env) materialize(rel []int) (*dataset.Dataset, error) {
 	return ds, nil
 }
 
+// prefix is the longest run of rows materialized so far along one fixed
+// order of an environment's pool: what lets nested samples (a plan's final
+// draws, a search's halving rungs) pay for each row once. Its owner
+// serializes take calls.
+type prefix struct{ rows *dataset.Dataset }
+
+// take returns the first n rows of order (pool-relative indices, final up to
+// n), reading only the rows beyond those already held. The result is a
+// capacity-capped view that callers must not modify: a later, longer take
+// appends past every view handed out or moves to a new backing array, so a
+// view stays readable while the prefix grows.
+func (p *prefix) take(e *Env, order []int, n int) (*dataset.Dataset, error) {
+	have := 0
+	if p.rows != nil {
+		have = p.rows.Len()
+	}
+	if have < n {
+		ext, err := e.materialize(order[have:n])
+		if err != nil {
+			return nil, err
+		}
+		if p.rows == nil {
+			p.rows = ext
+		} else {
+			p.rows.X = append(p.rows.X, ext.X...)
+			p.rows.Y = append(p.rows.Y, ext.Y...)
+		}
+	}
+	view := *p.rows
+	view.X = view.X[:n:n]
+	if view.Y != nil {
+		view.Y = view.Y[:n:n]
+	}
+	return &view, nil
+}
+
 // datasetBytes is the decoded footprint of ds (nil counts nothing): 8 bytes
 // per dense slot, 12 per sparse entry, 8 per label.
 func datasetBytes(ds *dataset.Dataset) int64 {
@@ -203,7 +239,7 @@ func datasetBytes(ds *dataset.Dataset) int64 {
 }
 
 // residentBytes is what the environment keeps alive: the split, an
-// in-memory source itself, and whatever Pool and SharedSample have memoized.
+// in-memory source itself, the pool if Pool built it and SharedSample's prefix.
 // Subsets of an in-memory source share its rows and are counted as if they
 // did not, which errs on the side of the budget.
 func (e *Env) residentBytes() int64 {
@@ -212,11 +248,8 @@ func (e *Env) residentBytes() int64 {
 	if ds, ok := e.src.(*dataset.Dataset); ok && e.srcSize == 0 {
 		e.srcSize = datasetBytes(ds)
 	}
-	b := e.srcSize + int64(len(e.poolIdx)+len(e.perm))*8 + datasetBytes(e.holdout) + datasetBytes(e.test) + datasetBytes(e.pool)
-	for _, ds := range e.samples {
-		b += datasetBytes(ds)
-	}
-	return b
+	return e.srcSize + int64(len(e.poolIdx)+len(e.perm))*8 + datasetBytes(e.holdout) + datasetBytes(e.test) +
+		datasetBytes(e.pool) + datasetBytes(e.shared.rows)
 }
 
 // Pool materializes (and memoizes) the entire training pool. The BlinkML
@@ -244,16 +277,18 @@ func (e *Env) Sample(rng *stat.RNG, n int) (*dataset.Dataset, error) {
 
 // SharedSample returns the subset formed by the first n rows of a fixed,
 // seed-deterministic permutation of the pool (n is clamped to the pool
-// size). Successive calls share one permutation, so samples are nested —
-// SharedSample(m) is a prefix of SharedSample(n) for m ≤ n — and each size
-// is materialized once and memoized. This is the reuse hook of successive-
-// halving hyperparameter search, which trains many models on increasing
-// subsamples outside any (ε, δ) contract: candidates probing the same size
-// share one subset, and a candidate promoted to a larger rung trains on a
-// strict superset of the rows it has already seen, which makes warm starts
-// honest. (Contracts reuse samples through a Plan, whose final draws nest
-// the same way.) On a store-backed Env each size reads only its n rows off
-// disk. Safe for concurrent use.
+// size). Successive calls share one permutation and one growing prefix of
+// it, so samples are nested — SharedSample(m) is a prefix of SharedSample(n)
+// for m ≤ n — and each pool row is materialized at most once however many
+// sizes are asked for. This is the reuse hook of successive-halving
+// hyperparameter search, which trains many models on increasing subsamples
+// outside any (ε, δ) contract: candidates probing the same size share one
+// subset, and a candidate promoted to a larger rung trains on a strict
+// superset of the rows it has already seen, which makes warm starts honest.
+// (Contracts reuse samples through a Plan, whose final draws grow the same
+// way along their own order.) On a store-backed Env a rung reads only the
+// rows beyond the previous one off disk. The result is a view callers must
+// not modify. Safe for concurrent use.
 func (e *Env) SharedSample(n int) (*dataset.Dataset, error) {
 	if n >= e.PoolLen() {
 		return e.Pool()
@@ -265,17 +300,8 @@ func (e *Env) SharedSample(n int) (*dataset.Dataset, error) {
 	defer e.mu.Unlock()
 	if e.perm == nil {
 		e.perm = stat.NewRNG(e.seed + 0x5A3D).Perm(e.PoolLen())
-		e.samples = make(map[int]*dataset.Dataset)
 	}
-	if ds, ok := e.samples[n]; ok {
-		return ds, nil
-	}
-	ds, err := e.materialize(e.perm[:n:n])
-	if err != nil {
-		return nil, err
-	}
-	e.samples[n] = ds
-	return ds, nil
+	return e.shared.take(e, e.perm, n)
 }
 
 // TrainSourceContext runs the full BlinkML workflow (§2.3) against any

@@ -50,7 +50,7 @@ type Plan struct {
 	search *Searcher
 	perm   []int // Fisher–Yates state over the pool; perm[:drawn] is final
 	drawn  int
-	sample *dataset.Dataset // rows perm[:sample.Len()], materialized
+	sample prefix // the rows of perm materialized so far
 }
 
 // noiseVariance is implemented by specs that record a quantity derived from
@@ -235,28 +235,7 @@ func (p *Plan) finalSample(n int) (*dataset.Dataset, error) {
 		extendShuffle(p.rng, p.perm, p.drawn, n)
 		p.drawn = n
 	}
-	have := 0
-	if p.sample != nil {
-		have = p.sample.Len()
-	}
-	if have < n {
-		ext, err := p.env.materialize(p.perm[have:n])
-		if err != nil {
-			return nil, err
-		}
-		if p.sample == nil {
-			p.sample = ext
-		} else {
-			p.sample.X = append(p.sample.X, ext.X...)
-			p.sample.Y = append(p.sample.Y, ext.Y...)
-		}
-	}
-	view := *p.sample
-	view.X = view.X[:n:n]
-	if view.Y != nil {
-		view.Y = view.Y[:n:n]
-	}
-	return &view, nil
+	return p.sample.take(p.env, p.perm, n)
 }
 
 // identity returns the indices 0..n-1 in order.
@@ -291,5 +270,5 @@ func (p *Plan) residentBytes() int64 {
 			b += int64(len(s.w1[i])+len(s.w2[i])) * 8
 		}
 	}
-	return b + int64(len(p.perm))*8 + datasetBytes(p.sample)
+	return b + int64(len(p.perm))*8 + datasetBytes(p.sample.rows)
 }

@@ -28,9 +28,11 @@
 //	GET    /metrics                Prometheus text exposition (counters + latency histograms)
 //	GET    /metrics.json           raw expvar JSON (the pre-Prometheus /metrics shape)
 //
-// In cluster mode (Config.Cluster) the coordinator protocol is mounted
-// under /v1/cluster (see internal/cluster) and jobs execute on remote
-// blinkml-worker processes instead of in-process.
+// Every train, tune trial and audit replay is a cluster.TaskSpec run by one
+// task function. In cluster mode (Config.Cluster) the coordinator protocol
+// is mounted under /v1/cluster (see internal/cluster) and tasks execute on
+// remote blinkml-worker processes; otherwise the same function runs them
+// in-process.
 //
 // Training and tuning requests reference data three ways: synthetic
 // workloads, inline rows, or a dataset_id naming a stored upload — the

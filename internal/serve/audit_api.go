@@ -3,41 +3,25 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 
 	"blinkml/internal/audit"
 	"blinkml/internal/cluster"
-	"blinkml/internal/dataset"
 	"blinkml/internal/modelio"
-	"blinkml/internal/obs"
 )
 
-// resolveAuditSource turns a recorded dataset reference (the serve-layer
-// DatasetRef JSON, stored opaquely in the audit record) back into a data
-// source for replay.
-func (s *Server) resolveAuditSource(_ context.Context, raw json.RawMessage) (dataset.Source, error) {
-	if len(raw) == 0 {
-		return nil, errors.New("serve: audit record has no dataset reference")
-	}
-	var ref DatasetRef
-	if err := json.Unmarshal(raw, &ref); err != nil {
-		return nil, fmt.Errorf("serve: decode audit dataset ref: %w", err)
-	}
-	return s.buildSource(ref)
-}
-
-// clusterReplayer runs audit replays on the worker fleet: the full-data
-// training a replay needs is exactly the work the cluster exists to
-// spread. The worker rebuilds the recorded environment (identical by split
-// determinism) and ships back the realized difference plus the full
+// taskReplayer runs an audit replay as one task through Server.run: the
+// full-data training a replay needs is ordinary task work, in-process or on
+// the fleet. Whoever runs it rebuilds the recorded environment (identical by
+// split determinism) and ships back the realized difference plus the full
 // model's bit fingerprint.
-type clusterReplayer struct{ s *Server }
+type taskReplayer struct{ s *Server }
 
-// Replay implements audit.Replayer.
-func (r clusterReplayer) Replay(ctx context.Context, rec audit.Record, m *modelio.Model) (audit.ReplayOutcome, error) {
+// Replay implements audit.Replayer. The record's dataset reference is the
+// serve-layer DatasetRef JSON, stored opaquely.
+func (r taskReplayer) Replay(ctx context.Context, rec audit.Record, m *modelio.Model) (audit.ReplayOutcome, error) {
 	var ref DatasetRef
 	if err := json.Unmarshal(rec.Dataset, &ref); err != nil {
 		return audit.ReplayOutcome{}, fmt.Errorf("serve: decode audit dataset ref: %w", err)
@@ -46,7 +30,7 @@ func (r clusterReplayer) Replay(ctx context.Context, rec audit.Record, m *modeli
 	if err != nil {
 		return audit.ReplayOutcome{}, err
 	}
-	id, err := r.s.coord.Submit(cluster.TaskSpec{Kind: cluster.KindAudit, Trace: obs.TraceID(ctx), Audit: &cluster.AuditTask{
+	payload, err := r.s.run(ctx, cluster.TaskSpec{Kind: cluster.KindAudit, Audit: &cluster.AuditTask{
 		Spec:    rec.Spec,
 		Dataset: cref,
 		Options: rec.Options,
@@ -56,13 +40,9 @@ func (r clusterReplayer) Replay(ctx context.Context, rec audit.Record, m *modeli
 	if err != nil {
 		return audit.ReplayOutcome{}, err
 	}
-	payload, err := r.s.coord.Await(ctx, id)
-	if err != nil {
-		return audit.ReplayOutcome{}, err
-	}
 	fnv, err := strconv.ParseUint(payload.FullThetaFNV, 16, 64)
 	if err != nil {
-		return audit.ReplayOutcome{}, fmt.Errorf("serve: worker audit fingerprint %q: %w", payload.FullThetaFNV, err)
+		return audit.ReplayOutcome{}, fmt.Errorf("serve: audit task fingerprint %q: %w", payload.FullThetaFNV, err)
 	}
 	return audit.ReplayOutcome{
 		Realized:     payload.Realized,

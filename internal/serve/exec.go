@@ -2,32 +2,20 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"time"
 
 	"blinkml/internal/cluster"
 	"blinkml/internal/core"
-	"blinkml/internal/dataset"
 	"blinkml/internal/modelio"
 	"blinkml/internal/obs"
 	"blinkml/internal/optimize"
 	"blinkml/internal/tune"
 )
 
-// executor is where a queued job's work actually runs. The queue stays the
-// single admission/cancellation point; the executor decides *where*
-// training happens: in this process (localExecutor — the default, exactly
-// the pre-cluster behavior) or fanned out to cluster workers
-// (clusterExecutor, when the server runs as a coordinator).
-type executor interface {
-	execTrain(ctx context.Context, req TrainRequest) (TaskResult, error)
-	execTune(ctx context.Context, req TuneRequest) (TaskResult, error)
-}
-
 // trainCoreOptions is the one mapping from an HTTP request's contract and
-// per-request knobs to core options (shared by both executors and by
-// tuneConfig, so the contract is identical wherever and however a job runs).
+// per-request knobs to core options (shared by execTrain and tuneConfig, so
+// the contract is identical however a job reaches it).
 func trainCoreOptions(epsilon, delta float64, o TrainOptions) core.Options {
 	return core.Options{
 		Epsilon:           epsilon,
@@ -43,7 +31,7 @@ func trainCoreOptions(epsilon, delta float64, o TrainOptions) core.Options {
 // tuneConfig maps a tune request to a search config. The queue's worker
 // pool is the service's concurrency budget; a tune job's internal training
 // pool must not multiply it, so the per-request worker count is clamped to
-// the server's own worker setting.
+// the server's own worker setting — unless the trials run on a fleet.
 func (s *Server) tuneConfig(req TuneRequest) tune.Config {
 	o := req.Options
 	train := trainCoreOptions(req.Epsilon, req.Delta, TrainOptions{
@@ -56,6 +44,18 @@ func (s *Server) tuneConfig(req TuneRequest) tune.Config {
 	workers := o.Workers
 	if workers <= 0 || workers > s.cfg.Workers {
 		workers = s.cfg.Workers
+	}
+	if s.coord != nil {
+		// The clamp above protects local CPU, but cluster trials run on
+		// remote machines: the right bound is the fleet's capacity (what can
+		// actually execute at once), not this process's queue width. An
+		// explicit request still wins; a little headroom keeps the queue fed
+		// as workers join mid-search.
+		if o.Workers > 0 {
+			workers = o.Workers
+		} else if fleet := s.coord.TotalCapacity(); fleet > workers {
+			workers = fleet + 2
+		}
 	}
 	return tune.Config{
 		Train:   train,
@@ -94,9 +94,9 @@ func (s *Server) finishJob(ctx context.Context, kind string, m *modelio.Model, r
 	return TaskResult{ModelID: id, Diagnostics: NewPhaseBreakdown(m.Diag)}, nil
 }
 
-// finishTrain records the train metrics and registers the model (shared
-// executor tail). ref and opts feed the audit record so a replay can
-// rebuild the training environment; plan is the job's cache outcome.
+// finishTrain records the train metrics and registers the model. ref and
+// opts feed the audit record so a replay can rebuild the training
+// environment; plan is the job's cache outcome.
 func (s *Server) finishTrain(ctx context.Context, m *modelio.Model, plan string, ref DatasetRef, opts core.Options, elapsed time.Duration) (TaskResult, error) {
 	ms := float64(elapsed) / float64(time.Millisecond)
 	s.m.TrainRuns.Add(1)
@@ -110,7 +110,7 @@ func (s *Server) finishTrain(ctx context.Context, m *modelio.Model, plan string,
 }
 
 // finishTune records the search metrics, registers the winner and attaches
-// the leaderboard (shared executor tail).
+// the leaderboard.
 func (s *Server) finishTune(ctx context.Context, res *tune.Result, ref DatasetRef, opts core.Options, elapsed time.Duration) (TaskResult, error) {
 	s.m.TuneRuns.Add(1)
 	s.m.TuneLatency.Observe(float64(elapsed) / float64(time.Millisecond))
@@ -124,74 +124,19 @@ func (s *Server) finishTune(ctx context.Context, res *tune.Result, ref DatasetRe
 	return out, err
 }
 
-// localExecutor runs jobs in-process — the pre-cluster path, bit for bit;
-// train jobs share environments and plans through the server's cache.
-type localExecutor struct{ s *Server }
-
-func (e localExecutor) execTrain(ctx context.Context, req TrainRequest) (TaskResult, error) {
-	s := e.s
-	spec, err := req.Model.Spec()
-	if err != nil {
-		return TaskResult{}, err
-	}
-	ref, _, err := s.clusterDatasetRef(req.Dataset) // for its content key
-	if err != nil {
-		return TaskResult{}, err
-	}
-	data := core.Data{Key: ref.Key(), Open: func() (dataset.Source, error) { return s.buildSource(req.Dataset) }}
-	specKey, err := json.Marshal(req.Model)
-	if err != nil {
-		return TaskResult{}, err
-	}
-	opts := trainCoreOptions(req.Epsilon, req.Delta, req.Options)
-	start := time.Now()
-	res, env, err := s.cache.Train(ctx, data, string(specKey), spec, opts)
-	if err != nil {
-		return TaskResult{}, err
-	}
-	return s.finishTrain(ctx, modelio.FromResult(spec, env.Dim(), res), res.Diag.PlanOutcome(), req.Dataset, opts, time.Since(start))
-}
-
-func (e localExecutor) execTune(ctx context.Context, req TuneRequest) (TaskResult, error) {
-	s := e.s
-	space, err := req.Space.Space()
-	if err != nil {
-		return TaskResult{}, err
-	}
-	src, err := s.buildSource(req.Dataset)
-	if err != nil {
-		return TaskResult{}, err
-	}
-	cfg := s.tuneConfig(req)
-	start := time.Now()
-	res, err := tune.RunSource(ctx, space, src, cfg)
-	if err != nil {
-		return TaskResult{}, err
-	}
-	return s.finishTune(ctx, res, req.Dataset, cfg.Train, time.Since(start))
-}
-
-// clusterExecutor dispatches jobs to the embedded coordinator's workers. A
-// train job becomes one remote task; a tune job keeps its leaderboard logic
-// here and ships every trial (each halving rung, each contract training) as
-// its own task, so one search spreads across the fleet.
-type clusterExecutor struct {
-	s     *Server
-	coord *cluster.Coordinator
-}
-
-func (e *clusterExecutor) execTrain(ctx context.Context, req TrainRequest) (TaskResult, error) {
-	s := e.s
-	if _, err := req.Model.Spec(); err != nil {
-		return TaskResult{}, err
-	}
+// execTrain runs a train job as one task through s.run — in this process, or
+// on whichever worker leases it — and registers the model it ships back. The
+// task's model travels in the modelio envelope either way; registering the
+// decoded record (whose spec carries trained derived state — PPCA's σ² —
+// exactly as the training instance did) re-encodes the same bytes.
+func (s *Server) execTrain(ctx context.Context, req TrainRequest) (TaskResult, error) {
 	ref, _, err := s.clusterDatasetRef(req.Dataset)
 	if err != nil {
 		return TaskResult{}, err
 	}
 	opts := trainCoreOptions(req.Epsilon, req.Delta, req.Options)
 	start := time.Now()
-	id, err := e.coord.Submit(cluster.TaskSpec{Kind: cluster.KindTrain, Trace: obs.TraceID(ctx), Train: &cluster.TrainTask{
+	payload, err := s.run(ctx, cluster.TaskSpec{Kind: cluster.KindTrain, Train: &cluster.TrainTask{
 		Spec:    req.Model,
 		Dataset: ref,
 		Options: opts,
@@ -199,19 +144,6 @@ func (e *clusterExecutor) execTrain(ctx context.Context, req TrainRequest) (Task
 	if err != nil {
 		return TaskResult{}, err
 	}
-	payload, err := e.coord.Await(ctx, id)
-	if err != nil {
-		return TaskResult{}, err
-	}
-	// The worker recorded its own pipeline spans and resource ledger; rejoin
-	// both to this job, so the stage breakdown and the cost record cover
-	// remote work too.
-	obs.RecorderFrom(ctx).Add(payload.Spans)
-	obs.LedgerFrom(ctx).Merge(payload.Ledger)
-	// The worker shipped the model through modelio; registering its decoded
-	// record (whose spec carries trained derived state — PPCA's σ² — exactly
-	// as the local path's spec instance would) re-encodes the same bytes, so
-	// the registry entry is identical to a locally trained one.
 	m, err := cluster.DecodeModel(payload.Model)
 	if err != nil {
 		return TaskResult{}, err
@@ -219,8 +151,11 @@ func (e *clusterExecutor) execTrain(ctx context.Context, req TrainRequest) (Task
 	return s.finishTrain(ctx, m, payload.Plan, req.Dataset, opts, time.Since(start))
 }
 
-func (e *clusterExecutor) execTune(ctx context.Context, req TuneRequest) (TaskResult, error) {
-	s := e.s
+// execTune keeps a tune job's leaderboard logic here and makes every trial
+// (each halving rung, each contract training) its own task through s.run, so
+// one search shares the cached environment with every other job on the data
+// and, in cluster mode, spreads across the fleet.
+func (s *Server) execTune(ctx context.Context, req TuneRequest) (TaskResult, error) {
 	space, err := req.Space.Space()
 	if err != nil {
 		return TaskResult{}, err
@@ -230,17 +165,7 @@ func (e *clusterExecutor) execTune(ctx context.Context, req TuneRequest) (TaskRe
 		return TaskResult{}, err
 	}
 	cfg := s.tuneConfig(req)
-	// tuneConfig's worker clamp protects local CPU, but cluster trials run
-	// on remote machines: the right bound is the fleet's capacity (what can
-	// actually execute at once), not this process's queue width. An
-	// explicit request still wins; a little headroom keeps the queue fed
-	// as workers join mid-search.
-	if req.Options.Workers > 0 {
-		cfg.Workers = req.Options.Workers
-	} else if fleet := e.coord.TotalCapacity(); fleet > cfg.Workers {
-		cfg.Workers = fleet + 2
-	}
-	runner := cluster.NewTrialRunner(e.coord, ref, cfg.Train, core.PoolSize(rows, cfg.Train))
+	runner := cluster.NewTrialRunner(s.run, ref, cfg.Train, core.PoolSize(rows, cfg.Train))
 	start := time.Now()
 	res, err := tune.SearchRunner(ctx, space, runner, cfg)
 	if err != nil {
@@ -249,10 +174,9 @@ func (e *clusterExecutor) execTune(ctx context.Context, req TuneRequest) (TaskRe
 	return s.finishTune(ctx, res, req.Dataset, cfg.Train, time.Since(start))
 }
 
-// clusterDatasetRef converts a request's dataset reference to the cluster
-// wire form, pinning stored datasets to their content checksums, and
-// reports the dataset's row count (what sizes a search's pool) without
-// materializing it.
+// clusterDatasetRef converts a request's dataset reference to the form tasks
+// carry, pinning stored datasets to their content checksums, and reports the
+// dataset's row count (what sizes a search's pool) without materializing it.
 func (s *Server) clusterDatasetRef(ref DatasetRef) (cluster.DatasetRef, int, error) {
 	switch {
 	case ref.ID != "":

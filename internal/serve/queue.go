@@ -30,8 +30,9 @@ var (
 
 // Task is one unit of queued work — a training run or a hyperparameter
 // search. Run must honor ctx: when the job is cancelled, ctx is cancelled
-// and Run should return promptly (core.TrainSourceContext and
-// tune.RunSource already do). On success it returns the registry id of the
+// and Run should return promptly (the task function polls it between
+// optimizer iterations; an awaited cluster task is cancelled with it). On
+// success it returns the registry id of the
 // stored model plus whatever kind-specific report it produced.
 type Task interface {
 	// Kind tags the job on the wire ("train" or "tune").

@@ -52,11 +52,11 @@ type Config struct {
 	// Parallelism−1 helper goroutines process-wide, so W concurrent jobs
 	// never fan out into W×Parallelism goroutines.
 	Parallelism int
-	// Cluster, when non-nil, runs the server as a cluster coordinator:
-	// train and tune jobs are dispatched to registered blinkml-worker
-	// processes instead of training in-process (tune jobs are decomposed to
-	// per-trial tasks), and the cluster protocol is mounted under
-	// /v1/cluster. Nil keeps the fully local, single-process behavior.
+	// Cluster, when non-nil, runs the server as a cluster coordinator: the
+	// tasks jobs are made of (a training, each trial of a search, an audit
+	// replay) are dispatched to registered blinkml-worker processes, and
+	// the cluster protocol is mounted under /v1/cluster. Nil runs the same
+	// task function in this process.
 	Cluster *cluster.Config
 	// Logger receives structured job/coordinator lifecycle events, scoped
 	// per request by trace ID. Nil discards (tests, embedded servers);
@@ -139,10 +139,10 @@ type Server struct {
 	cfg     Config
 	reg     *Registry
 	store   *store.Store
-	cache   *core.Cache // environments and plans shared between local jobs
+	cache   *core.Cache // environments and plans shared between in-process tasks
 	queue   *Queue
 	coord   *cluster.Coordinator // non-nil in cluster mode
-	exec    executor
+	run     cluster.RunFunc      // every train, trial and replay: the task function here, or coord.Run
 	mux     *http.ServeMux
 	m       *Metrics
 	log     *slog.Logger
@@ -234,9 +234,11 @@ func New(cfg Config) (*Server, error) {
 			ccfg.Logger = log
 		}
 		s.coord = cluster.NewCoordinator(ccfg, st)
-		s.exec = &clusterExecutor{s: s, coord: s.coord}
+		s.run = s.coord.Run
 	} else {
-		s.exec = localExecutor{s: s}
+		s.run = cluster.NewTaskRunner(s.cache, func(_ context.Context, ref cluster.DatasetRef) (*store.Handle, error) {
+			return st.Get(ref.ID)
+		}).Run
 	}
 	al, err := audit.Open(cfg.AuditDir, log)
 	if err != nil {
@@ -248,13 +250,10 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.audit = al
-	// Replays train the full-data model — in cluster mode that work fans
-	// out to the fleet, locally it runs through the shared compute pool.
-	var replayer audit.Replayer = audit.LocalReplayer{Resolve: s.resolveAuditSource}
-	if s.coord != nil {
-		replayer = clusterReplayer{s: s}
-	}
-	s.auditor = audit.NewAuditor(al, s.reg.Get, replayer, audit.Config{
+	// Replays train the full-data model as audit tasks through s.run — in
+	// cluster mode that work fans out to the fleet, locally it runs through
+	// the shared compute pool.
+	s.auditor = audit.NewAuditor(al, s.reg.Get, taskReplayer{s: s}, audit.Config{
 		Fraction: cfg.AuditFraction,
 		Interval: cfg.AuditInterval,
 		Logger:   log,
@@ -336,8 +335,8 @@ func (s *Server) routes() {
 	}
 }
 
-// trainTask is the queued form of POST /v1/train; its work runs through the
-// server's executor — in-process by default, on cluster workers in
+// trainTask is the queued form of POST /v1/train; its work runs as a task
+// through Server.run — in-process by default, on cluster workers in
 // coordinator mode.
 type trainTask struct {
 	s   *Server
@@ -352,11 +351,11 @@ func (t trainTask) datasetID() string { return t.req.Dataset.ID }
 
 // Run implements Task.
 func (t trainTask) Run(ctx context.Context) (TaskResult, error) {
-	return t.s.exec.execTrain(ctx, t.req)
+	return t.s.execTrain(ctx, t.req)
 }
 
-// tuneTask is the queued form of POST /v1/tune; like trainTask it runs
-// through the server's executor.
+// tuneTask is the queued form of POST /v1/tune; every trial of its search
+// runs as a task through Server.run.
 type tuneTask struct {
 	s   *Server
 	req TuneRequest
@@ -370,7 +369,7 @@ func (t tuneTask) datasetID() string { return t.req.Dataset.ID }
 
 // Run implements Task.
 func (t tuneTask) Run(ctx context.Context) (TaskResult, error) {
-	return t.s.exec.execTune(ctx, t.req)
+	return t.s.execTune(ctx, t.req)
 }
 
 // registerModel persists a trained model, refreshes the stored-models
@@ -437,22 +436,6 @@ func (s *Server) recordAudit(ctx context.Context, kind, id string, m *modelio.Mo
 	}
 	if err := s.audit.Append(rec); err != nil {
 		s.log.Warn("audit record append failed", "model", id, "err", err)
-	}
-}
-
-// buildSource resolves a dataset reference to a Source: synthetic and
-// inline data are materialized in memory; a dataset_id resolves to the
-// store handle, which reads rows on demand.
-func (s *Server) buildSource(ref DatasetRef) (dataset.Source, error) {
-	switch {
-	case ref.Synthetic != nil:
-		return ref.Synthetic.Build()
-	case ref.Inline != nil:
-		return ref.Inline.Build()
-	case ref.ID != "":
-		return s.store.Get(ref.ID)
-	default:
-		return nil, errors.New("serve: missing dataset")
 	}
 }
 

@@ -62,6 +62,20 @@ func TestTuneEndToEnd(t *testing.T) {
 	if st.Diagnostics == nil || st.Diagnostics.TotalMs <= 0 {
 		t.Fatalf("missing winner diagnostics: %+v", st.Diagnostics)
 	}
+	// A tune job's stage breakdown attributes data preparation like a train
+	// job's does (the environment build used to run outside any span).
+	if st.Trace == nil {
+		t.Fatal("missing trace report")
+	}
+	stages := make(map[string]bool)
+	for _, stage := range st.Trace.Stages {
+		stages[stage.Name] = true
+	}
+	for _, want := range []string{"ingest", "sample", "optimize", "registry"} {
+		if !stages[want] {
+			t.Fatalf("tune stage breakdown missing %q (got %+v)", want, st.Trace.Stages)
+		}
+	}
 	rep := st.Tune
 	if rep == nil {
 		t.Fatal("missing tune report")
@@ -191,5 +205,64 @@ func TestTuneRequestValidation(t *testing.T) {
 		} else if er.Error == "" {
 			t.Errorf("%s: empty error body", tc.name)
 		}
+	}
+}
+
+// TestLocalTuneSharesTheCachedEnv: a local search reaches its data through
+// the server's env/plan cache like every other job, so a second identical
+// search by dataset_id re-reads neither the holdout and test rows nor the
+// halving rungs' shared prefix (it used to build a private environment and
+// read exactly what the first did), the environment is counted in
+// blinkml_plan_cache_bytes, and deleting the dataset drops it.
+func TestLocalTuneSharesTheCachedEnv(t *testing.T) {
+	s, err := New(Config{Dir: t.TempDir(), Workers: 2, QueueDepth: 8})
+	if err != nil {
+		t.Fatalf("new server: %v", err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	client := ts.Client()
+
+	info, code := uploadMultipart(t, client, ts.URL, map[string]string{"format": "csv", "task": "binary"}, higgsCSV(t, 3000))
+	if code != http.StatusCreated {
+		t.Fatalf("upload status %d", code)
+	}
+	req := TuneRequest{
+		Space:   SpaceJSON{Random: &RandomSpaceJSON{Model: "logistic", Candidates: 6}},
+		Dataset: DatasetRef{ID: info.ID},
+		Epsilon: 0.1,
+		Options: TuneOptions{Seed: 11, Workers: 2, Halving: true, Rungs: 2, InitialSampleSize: 300},
+	}
+	first := runJob(t, ts, "/v1/tune", req)
+	if first.State != JobSucceeded || first.Resources == nil || first.Resources.RowsMaterialized == 0 {
+		t.Fatalf("first search: %s (%s), resources %+v", first.State, first.Error, first.Resources)
+	}
+	resident := s.m.PlanCache.Bytes.Value()
+	if resident <= 0 {
+		t.Fatalf("plan cache holds %d bytes after a search: its environment is not in the cache", resident)
+	}
+	second := runJob(t, ts, "/v1/tune", req)
+	if second.State != JobSucceeded {
+		t.Fatalf("second search: %s (%s)", second.State, second.Error)
+	}
+	if a, b := first.Resources.RowsMaterialized, second.Resources.RowsMaterialized; b >= a {
+		t.Fatalf("the second search materialized %d rows, the first %d: it prepared the data again", b, a)
+	}
+	for i, want := range first.Tune.Leaderboard {
+		got := second.Tune.Leaderboard[i]
+		if got.Spec != want.Spec || !sameScorePtr(got.TestError, want.TestError) || got.SampleSize != want.SampleSize {
+			t.Fatalf("leaderboard row %d differs on the shared environment: %+v vs %+v", i, got, want)
+		}
+	}
+
+	if code := doJSON(t, client, http.MethodDelete, ts.URL+"/v1/datasets/"+info.ID, nil, nil); code != http.StatusNoContent {
+		t.Fatalf("delete status %d", code)
+	}
+	if after := s.m.PlanCache.Bytes.Value(); after >= resident {
+		t.Fatalf("plan cache holds %d bytes after the delete, %d before: the search's environment was not dropped", after, resident)
+	}
+	if code := doJSON(t, client, http.MethodPost, ts.URL+"/v1/tune", req, nil); code != http.StatusNotFound {
+		t.Fatalf("tune on the deleted dataset: status %d, want 404", code)
 	}
 }

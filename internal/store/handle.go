@@ -357,8 +357,10 @@ func (h *Handle) Verify() error {
 // SamplePrefix materializes the first n rows of the seeded pseudorandom
 // permutation of [0, Rows) — out-of-core sampling with O(1) index memory
 // (see Perm). Samples nest: SamplePrefix(seed, m) is a prefix of
-// SamplePrefix(seed, n) for m ≤ n, the same reuse contract core.Env's
-// SharedSample provides in-core. n is clamped to the dataset size.
+// SamplePrefix(seed, n) for m ≤ n, the same nesting core.Env's SharedSample
+// keeps over its pool (which also holds the prefix, so a longer sample reads
+// only the rows beyond it; this one re-reads all n). n is clamped to the
+// dataset size.
 func (h *Handle) SamplePrefix(seed int64, n int) (*dataset.Dataset, error) {
 	if n > h.man.Rows {
 		n = h.man.Rows

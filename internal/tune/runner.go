@@ -44,10 +44,10 @@ type TrialResult struct {
 }
 
 // Runner executes trials for a search. The searcher is agnostic to where a
-// trial runs: EnvRunner trains in-process on a shared core.Env (the default
-// path, bit-identical to the pre-interface searcher), while a distributed
-// runner can ship each trial to a remote worker that rebuilds the same
-// environment. Implementations must be safe for concurrent RunTrial calls —
+// trial runs: EnvRunner trains in-process on a shared core.Env (the library
+// path, bit-identical to the pre-interface searcher), while cluster's
+// TrialRunner makes each trial a task that reaches an EnvRunner over the same
+// environment wherever the task runs. Implementations must be safe for concurrent RunTrial calls —
 // the searcher fans trials out across Config.Workers goroutines.
 type Runner interface {
 	// PoolLen returns N, the shared training pool size (bounds the halving
@@ -59,8 +59,8 @@ type Runner interface {
 
 // EnvRunner is the in-process Runner: trials train directly on a shared
 // prepared environment. Rung subsamples come from Env.SharedSample, so they
-// are nested (warm starts are honest) and each size is materialized once
-// across all candidates.
+// are nested (warm starts are honest) and views of one growing prefix: each
+// pool row is materialized once across all rungs and candidates.
 type EnvRunner struct {
 	env  *core.Env
 	opts core.Options

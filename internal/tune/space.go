@@ -18,7 +18,8 @@
 //     rung, sample sizes grow geometrically, and only the survivors of the
 //     last rung are trained under the full BlinkML contract. Rung samples
 //     come from Env.SharedSample, so they are nested (warm starts are
-//     honest) and shared across candidates (materialized once per rung).
+//     honest) and shared across candidates and rungs (one growing prefix:
+//     a rung materializes only the rows beyond the previous one).
 package tune
 
 import (

@@ -114,13 +114,16 @@ type Result struct {
 }
 
 // RunSource builds a shared environment from src and searches space. This
-// is what the public blinkml.Tune and the serving layer call. With a
-// disk-backed store handle the whole search (every rung subsample and every
-// contract training) materializes only the rows it touches, so tuning
-// against an N-row stored dataset never loads the pool.
+// is what the public blinkml.Tune calls (the serving layer reaches the same
+// EnvRunner through its task function, on an environment its cache shares
+// between searches). With a disk-backed store handle the whole search (every
+// rung subsample and every contract training) materializes only the rows it
+// touches, so tuning against an N-row stored dataset never loads the pool.
 func RunSource(ctx context.Context, space Space, src dataset.Source, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
+	endIngest := obs.StartSpan(ctx, "ingest")
 	env, err := core.NewEnvFromSource(src, cfg.Train)
+	endIngest()
 	if err != nil {
 		return nil, err
 	}
@@ -131,10 +134,11 @@ func RunSource(ctx context.Context, space Space, src dataset.Source, cfg Config)
 // decomposition point for distributed search: every candidate training
 // (each halving rung and each contract run) is one Trial, and the runner
 // decides where it executes. All candidates share the runner's environment
-// (and, under Halving, its nested SharedSample subsamples), so data
-// preparation is paid once and scores are directly comparable. With an
-// EnvRunner everything trains in-process; with a remote runner the
-// leaderboard logic stays here while the training fans out to workers.
+// (and, under Halving, its nested SharedSample subsamples — views of one
+// growing prefix), so data preparation is paid once and scores are directly
+// comparable. With an EnvRunner everything trains in-process; with a task
+// runner the leaderboard logic stays here while each training goes wherever
+// the runner's tasks run.
 func SearchRunner(ctx context.Context, space Space, runner Runner, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Train.Epsilon <= 0 || cfg.Train.Epsilon > 1 {
@@ -355,6 +359,9 @@ func assemble(states []*candState, poolSize int, elapsed time.Duration) (*Result
 			e.TestError = st.pruneScore
 		}
 		if st.model != nil {
+			// The trained spec: a runner that trains a copy of the candidate
+			// (any task runner) leaves derived state — PPCA's σ² — only there.
+			e.Spec = st.model.Spec
 			e.EstimatedEpsilon = st.model.EstimatedEpsilon
 		}
 		if st.err != nil {

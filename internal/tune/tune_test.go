@@ -13,6 +13,7 @@ import (
 	"blinkml/internal/datagen"
 	"blinkml/internal/dataset"
 	"blinkml/internal/models"
+	"blinkml/internal/obs"
 )
 
 func higgs(t *testing.T, rows, dim int) *dataset.Dataset {
@@ -120,9 +121,14 @@ func TestGridSearchRanksCandidates(t *testing.T) {
 		models.LogisticRegression{Reg: 1e-2},
 		models.LogisticRegression{Reg: 10},
 	}}
-	res, err := RunSource(context.Background(), space, ds, Config{Train: baseOptions()})
+	rec := obs.NewRecorder("t")
+	res, err := RunSource(obs.WithRecorder(context.Background(), rec), space, ds, Config{Train: baseOptions()})
 	if err != nil {
 		t.Fatalf("run: %v", err)
+	}
+	// Building the shared environment is the search's ingest stage.
+	if spans := rec.Spans(); len(spans) == 0 || spans[0].Name != "ingest" {
+		t.Fatalf("the environment build is not attributed: first span of %d is not ingest", len(spans))
 	}
 	if len(res.Entries) != 3 || res.Evaluated != 3 || res.Pruned != 0 {
 		t.Fatalf("result %+v, want 3 entries", res)
