@@ -28,7 +28,6 @@ package blinkml
 import (
 	"context"
 	"io"
-	"time"
 
 	"blinkml/internal/core"
 	"blinkml/internal/datagen"
@@ -163,24 +162,14 @@ type (
 	TuneConfig = tune.Config
 	// TuneEntry is one ranked leaderboard row.
 	TuneEntry = tune.Entry
+	// TuneResult pairs the winning contract-trained model (Best, trained
+	// under the requested (ε, δ) contract, so its ranking transfers to full
+	// training with high probability) with the ranked Leaderboard of every
+	// candidate evaluated, the Evaluated / Pruned counts, the shared
+	// PoolSize and the search's Elapsed time. It encodes as the "tune" object
+	// of a served tune job.
+	TuneResult = tune.Result
 )
-
-// TuneResult pairs the winning contract-trained model with the ranked
-// leaderboard of every candidate evaluated.
-type TuneResult struct {
-	// Best is the winner — trained under the requested (ε, δ) contract, so
-	// its ranking transfers to full training with high probability.
-	Best *Model
-	// Leaderboard ranks every candidate best-first (test metric, estimated
-	// epsilon, sample size, wall time per candidate).
-	Leaderboard []TuneEntry
-	// Evaluated and Pruned count candidates entered and halving-pruned.
-	Evaluated, Pruned int
-	// PoolSize is N, the shared training pool all candidates drew from.
-	PoolSize int
-	// Elapsed is the whole search's wall-clock time.
-	Elapsed time.Duration
-}
 
 // Tune searches space over src — an in-memory *Dataset or any other
 // DataSource, in which case the whole search (rung subsamples and contract
@@ -190,18 +179,7 @@ type TuneResult struct {
 // Cancelling ctx stops the search promptly — queued candidates are never
 // started and running ones stop between optimizer iterations.
 func Tune(ctx context.Context, space TuneSpace, src DataSource, cfg TuneConfig) (*TuneResult, error) {
-	res, err := tune.RunSource(ctx, space, src, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &TuneResult{
-		Best:        res.Best,
-		Leaderboard: res.Entries,
-		Evaluated:   res.Evaluated,
-		Pruned:      res.Pruned,
-		PoolSize:    res.PoolSize,
-		Elapsed:     res.Elapsed,
-	}, nil
+	return tune.RunSource(ctx, space, src, cfg)
 }
 
 // Env exposes the shared train/holdout/test split for workflows that

@@ -23,11 +23,10 @@ import (
 	"time"
 
 	"blinkml"
+	"blinkml/internal/cluster"
 	"blinkml/internal/compute"
+	"blinkml/internal/datagen"
 	"blinkml/internal/models"
-	"blinkml/internal/serve"
-	"blinkml/internal/store"
-	"blinkml/internal/tune"
 )
 
 func main() {
@@ -51,7 +50,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "concurrent candidate trainings (0 = auto)")
 		n0         = flag.Int("n0", 1000, "initial sample size per candidate")
 		seed       = flag.Int64("seed", 1, "random seed")
-		jsonOut    = flag.Bool("json", false, "emit the leaderboard as JSON (blinkml-serve wire structs)")
+		jsonOut    = flag.Bool("json", false, "emit the leaderboard as JSON (the tune object of a served tune job)")
 		par        = flag.Int("parallelism", 0, "compute-pool degree for all training kernels (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
@@ -108,7 +107,11 @@ func run(ctx context.Context, c config) error {
 	if err != nil {
 		return err
 	}
-	src, err := openSource(c)
+	ref := cluster.DatasetRef{ID: c.datasetID}
+	if ref.ID == "" {
+		ref.Synthetic = &datagen.Ref{Name: c.data, Rows: c.rows, Dim: c.dim, Seed: c.seed}
+	}
+	src, err := ref.Open(ctx, cluster.StoreAt(c.storeDir))
 	if err != nil {
 		return err
 	}
@@ -137,40 +140,12 @@ func run(ctx context.Context, c config) error {
 		return err
 	}
 	if c.jsonOut {
-		tr := &tune.Result{
-			Entries:   res.Leaderboard,
-			Evaluated: res.Evaluated,
-			Pruned:    res.Pruned,
-			PoolSize:  res.PoolSize,
-			Elapsed:   res.Elapsed,
-		}
-		rep, err := serve.NewTuneReport(tr)
-		if err != nil {
-			return err
-		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
+		return enc.Encode(res)
 	}
 	printLeaderboard(res)
 	return nil
-}
-
-// openSource resolves the search's data: a stored dataset id when given
-// (the whole search reads only the rows it touches), a synthetic workload
-// otherwise.
-func openSource(c config) (blinkml.DataSource, error) {
-	if c.datasetID == "" {
-		return blinkml.SyntheticDataset(c.data, c.rows, c.dim, c.seed)
-	}
-	if c.storeDir == "" {
-		return nil, fmt.Errorf("-dataset needs -store pointing at the dataset store directory")
-	}
-	st, err := store.Open(c.storeDir)
-	if err != nil {
-		return nil, err
-	}
-	return st.Get(c.datasetID)
 }
 
 func buildSpace(c config) (blinkml.TuneSpace, error) {

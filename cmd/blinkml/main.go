@@ -20,11 +20,12 @@ import (
 	"strings"
 
 	"blinkml"
+	"blinkml/internal/cluster"
 	"blinkml/internal/compute"
+	"blinkml/internal/datagen"
 	"blinkml/internal/models"
 	"blinkml/internal/obs"
 	"blinkml/internal/serve"
-	"blinkml/internal/store"
 )
 
 func main() {
@@ -60,7 +61,13 @@ func run(modelName, dataName, storeDir, datasetID string, rows, dim int, accurac
 		return err
 	}
 
-	src, err := openSource(dataName, storeDir, datasetID, rows, dim, seed)
+	// A stored dataset id (rows read on demand) when given, a synthetic
+	// workload otherwise.
+	ref := cluster.DatasetRef{ID: datasetID}
+	if ref.ID == "" {
+		ref.Synthetic = &datagen.Ref{Name: dataName, Rows: rows, Dim: dim, Seed: seed}
+	}
+	src, err := ref.Open(context.Background(), cluster.StoreAt(storeDir))
 	if err != nil {
 		return err
 	}
@@ -144,22 +151,6 @@ func run(modelName, dataName, storeDir, datasetID string, rows, dim int, accurac
 			full.RealizedDiff, cfg.Epsilon, verdict(full.ContractMet))
 	}
 	return nil
-}
-
-// openSource resolves the training data: a stored dataset id when given
-// (reading rows on demand), a synthetic workload otherwise.
-func openSource(dataName, storeDir, datasetID string, rows, dim int, seed int64) (blinkml.DataSource, error) {
-	if datasetID == "" {
-		return blinkml.SyntheticDataset(dataName, rows, dim, seed)
-	}
-	if storeDir == "" {
-		return nil, fmt.Errorf("-dataset needs -store pointing at the dataset store directory")
-	}
-	st, err := store.Open(storeDir)
-	if err != nil {
-		return nil, err
-	}
-	return st.Get(datasetID)
 }
 
 func verdict(ok bool) string {

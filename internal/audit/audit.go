@@ -10,6 +10,7 @@ package audit
 
 import (
 	"encoding/json"
+	"fmt"
 	"time"
 
 	"blinkml/internal/core"
@@ -19,9 +20,11 @@ import (
 
 // Record is the durable calibration record appended when a job registers a
 // model: the contract, the decision, and everything a replay needs to
-// reconstruct the environment. Dataset is the serving layer's dataset
-// reference, kept opaque here so audit does not depend on serve's wire
-// types; Fingerprint identifies the bytes it resolves to.
+// reconstruct the environment. Dataset is the job's dataset reference —
+// cluster.DatasetRef's JSON, as the request submitted it; a replay pins it
+// to the stored bytes again — held as raw bytes because cluster imports this
+// package (for ReplayOutcome), not the other way round. Fingerprint is the
+// admitted reference's Key, identifying the bytes it named.
 type Record struct {
 	ModelID string `json:"model_id"`
 	JobID   string `json:"job_id,omitempty"`
@@ -57,11 +60,10 @@ type Record struct {
 	Resources *obs.LedgerSnapshot `json:"resources,omitempty"`
 }
 
-// Replay is the realized outcome of auditing one record: the full-data
-// model was trained at the recorded options and compared against the
-// approximate model the job shipped.
-type Replay struct {
-	ModelID string `json:"model_id"`
+// ReplayOutcome is what replaying one record measures, wherever the replay
+// ran: it is embedded in the task result an audit task ships back and in the
+// Replay line the log keeps, so the keys below are both wire forms.
+type ReplayOutcome struct {
 	// Realized is v(m_n, m_N) on the recorded holdout split.
 	Realized float64 `json:"realized"`
 	// EpsilonHat echoes the record's bound so a replay line is
@@ -75,8 +77,28 @@ type Replay struct {
 	// parameter bits — the determinism witness: a second replay (or a
 	// direct training at the same seed and parallelism) must reproduce it
 	// exactly.
-	FullThetaFNV string  `json:"full_theta_fnv,omitempty"`
-	ElapsedMs    float64 `json:"elapsed_ms,omitempty"`
+	FullThetaFNV string `json:"full_theta_fnv,omitempty"`
+}
+
+// NewReplayOutcome records a guarantee check against a freshly trained full
+// model (core.ReplayGuarantee's report) as a replay outcome.
+func NewReplayOutcome(rep core.GuaranteeReport) ReplayOutcome {
+	return ReplayOutcome{
+		Realized:     rep.Realized,
+		EpsilonHat:   rep.Bound,
+		Satisfied:    rep.Satisfied,
+		FullIters:    rep.FullIters,
+		FullThetaFNV: fmt.Sprintf("%016x", core.ThetaFingerprint(rep.FullTheta)),
+	}
+}
+
+// Replay is the realized outcome of auditing one record: the full-data
+// model was trained at the recorded options and compared against the
+// approximate model the job shipped.
+type Replay struct {
+	ModelID string `json:"model_id"`
+	ReplayOutcome
+	ElapsedMs float64 `json:"elapsed_ms,omitempty"`
 	// Error is set when the replay itself failed (dataset gone, training
 	// diverged); failed replays count toward failures, never coverage.
 	Error      string    `json:"error,omitempty"`

@@ -49,7 +49,7 @@ func TestLogSurvivesTornTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.AppendReplay(Replay{ModelID: "m-0", Realized: 0.05, EpsilonHat: 0.08, Satisfied: true, ReplayedAt: time.Unix(0, 0).UTC()}); err != nil {
+	if err := l.AppendReplay(Replay{ModelID: "m-0", ReplayOutcome: ReplayOutcome{Realized: 0.05, EpsilonHat: 0.08, Satisfied: true}, ReplayedAt: time.Unix(0, 0).UTC()}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -110,7 +110,7 @@ func TestLogConcurrentAppends(t *testing.T) {
 					return
 				}
 				if i%3 == 0 {
-					if err := l.AppendReplay(Replay{ModelID: id, Realized: 0.05, EpsilonHat: 0.08, Satisfied: true, ReplayedAt: time.Unix(0, 0).UTC()}); err != nil {
+					if err := l.AppendReplay(Replay{ModelID: id, ReplayOutcome: ReplayOutcome{Realized: 0.05, EpsilonHat: 0.08, Satisfied: true}, ReplayedAt: time.Unix(0, 0).UTC()}); err != nil {
 						t.Errorf("replay %s: %v", id, err)
 						return
 					}

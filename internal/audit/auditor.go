@@ -15,19 +15,8 @@ import (
 	"blinkml/internal/modelio"
 )
 
-// ReplayOutcome is what a Replayer measures for one record: the realized
-// model difference against a freshly trained full-data model, and the
-// determinism witness of that full model.
-type ReplayOutcome struct {
-	Realized     float64
-	Satisfied    bool
-	FullIters    int
-	FullThetaFNV uint64
-}
-
-// SourceResolver turns a record's opaque dataset reference back into the
-// bytes it was trained on. The serving layer supplies this, keeping audit
-// free of its wire types.
+// SourceResolver turns a record's dataset reference back into the bytes it
+// was trained on; whoever owns the dataset store supplies it.
 type SourceResolver func(ctx context.Context, ref json.RawMessage) (dataset.Source, error)
 
 // ModelLookup fetches a stored model by ID (the registry, in serving).
@@ -61,12 +50,7 @@ func (r LocalReplayer) Replay(ctx context.Context, rec Record, m *modelio.Model)
 	if err != nil {
 		return ReplayOutcome{}, err
 	}
-	return ReplayOutcome{
-		Realized:     rep.Realized,
-		Satisfied:    rep.Satisfied,
-		FullIters:    rep.FullIters,
-		FullThetaFNV: core.ThetaFingerprint(rep.FullTheta),
-	}, nil
+	return NewReplayOutcome(rep), nil
 }
 
 // Config tunes the background auditor.
@@ -247,18 +231,14 @@ func (a *Auditor) replay(ctx context.Context, rec Record) error {
 		return err
 	}
 	rep := Replay{
-		ModelID:    rec.ModelID,
-		EpsilonHat: rec.EpsilonHat,
-		ElapsedMs:  float64(time.Since(start)) / float64(time.Millisecond),
-		ReplayedAt: time.Now().UTC(),
+		ModelID:       rec.ModelID,
+		ReplayOutcome: out,
+		ElapsedMs:     float64(time.Since(start)) / float64(time.Millisecond),
+		ReplayedAt:    time.Now().UTC(),
 	}
 	if err != nil {
 		rep.Error = err.Error()
-	} else {
-		rep.Realized = out.Realized
-		rep.Satisfied = out.Satisfied
-		rep.FullIters = out.FullIters
-		rep.FullThetaFNV = fmt.Sprintf("%016x", out.FullThetaFNV)
+		rep.ReplayOutcome = ReplayOutcome{EpsilonHat: rec.EpsilonHat}
 	}
 	if aerr := a.log.AppendReplay(rep); aerr != nil {
 		return aerr

@@ -46,6 +46,7 @@ import (
 	"strings"
 	"time"
 
+	"blinkml/internal/audit"
 	"blinkml/internal/core"
 	"blinkml/internal/datagen"
 	"blinkml/internal/dataset"
@@ -107,20 +108,25 @@ func (s *TaskSpec) Validate() error {
 	}
 }
 
-// DatasetRef names the data a task trains on. Exactly one of ID, Synthetic,
-// or Inline is set. ID names a dataset in the coordinator's store; the
-// checksums pin the content so a worker's cached copy is either provably
-// the same bytes or refetched.
+// DatasetRef names training data, in a POST /v1/train or /v1/tune body, in
+// an audit record and in every task: exactly one of Synthetic (a paper-shaped
+// generated workload), Inline (rows carried in the payload), or ID (a dataset
+// in the server's store — the out-of-core path, which materializes only the
+// rows a job samples) is set. Rows and the checksums are the pin, filled in
+// by the server when it admits the reference and never by a client: they fix
+// a stored id to its content, so a worker's cached copy is either provably
+// the same bytes or refetched, and Rows sizes a search's pool for any kind.
 type DatasetRef struct {
-	ID         string          `json:"id,omitempty"`
+	Synthetic  *datagen.Ref    `json:"synthetic,omitempty"`
+	Inline     *dataset.Inline `json:"inline,omitempty"`
+	ID         string          `json:"dataset_id,omitempty"`
 	Rows       int             `json:"rows,omitempty"`
 	RowCRC32   uint32          `json:"row_crc32,omitempty"`
 	IndexCRC32 uint32          `json:"index_crc32,omitempty"`
-	Synthetic  *datagen.Ref    `json:"synthetic,omitempty"`
-	Inline     *dataset.Inline `json:"inline,omitempty"`
 }
 
-// Validate checks that exactly one source is named.
+// Validate checks that exactly one source is named and well-formed: a
+// generator that exists, an inline payload with a shape.
 func (r *DatasetRef) Validate() error {
 	set := 0
 	if r.ID != "" {
@@ -132,10 +138,25 @@ func (r *DatasetRef) Validate() error {
 	if r.Inline != nil {
 		set++
 	}
-	if set != 1 {
-		return errors.New("cluster: dataset ref must name exactly one of id, synthetic, inline")
+	switch {
+	case set == 0:
+		return errors.New("cluster: missing dataset (set synthetic, inline, or dataset_id)")
+	case set > 1:
+		return errors.New("cluster: dataset must name exactly one of synthetic, inline, or dataset_id")
+	case r.Synthetic != nil:
+		_, _, err := r.Synthetic.Shape()
+		return err
+	case r.Inline != nil:
+		return r.Inline.Validate()
 	}
 	return nil
+}
+
+// Submitted returns r without its pin: the reference as a client names it
+// and as an audit record keeps it.
+func (r DatasetRef) Submitted() DatasetRef {
+	r.Rows, r.RowCRC32, r.IndexCRC32 = 0, 0, 0
+	return r
 }
 
 // Key returns a stable identity for caching: datasets with equal keys are
@@ -225,14 +246,9 @@ type TaskResultPayload struct {
 	// Plan says whether a contract found its plan in the worker's cache
 	// ("hit") or built it ("miss"); it rejoins the job status like the ledger.
 	Plan string `json:"plan,omitempty"`
-	// Audit-task results: the realized model difference, whether it stayed
-	// within the recorded bound, the full training's iteration count, and
-	// the hex FNV-1a fingerprint of the full model's parameter bits (the
-	// determinism witness).
-	Realized     float64 `json:"realized,omitempty"`
-	Satisfied    bool    `json:"satisfied,omitempty"`
-	FullIters    int     `json:"full_iters,omitempty"`
-	FullThetaFNV string  `json:"full_theta_fnv,omitempty"`
+	// ReplayOutcome is what an audit task measured (nil for the other
+	// kinds); its keys sit beside the ones above.
+	*audit.ReplayOutcome
 }
 
 // TaskError is the structured terminal error of a task that exhausted its

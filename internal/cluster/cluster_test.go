@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -173,8 +174,8 @@ func TestRemoteTuneMatchesLocal(t *testing.T) {
 	if got.Evaluated != want.Evaluated || got.PoolSize != want.PoolSize {
 		t.Fatalf("search shape differs: got %d/%d, want %d/%d", got.Evaluated, got.PoolSize, want.Evaluated, want.PoolSize)
 	}
-	for i := range want.Entries {
-		ge, we := got.Entries[i], want.Entries[i]
+	for i := range want.Leaderboard {
+		ge, we := got.Leaderboard[i], want.Leaderboard[i]
 		if ge.Spec.Name() != we.Spec.Name() || !sameScore(ge.TestError, we.TestError) || ge.SampleSize != we.SampleSize {
 			t.Fatalf("leaderboard row %d differs: remote {%s %v n=%d} local {%s %v n=%d}",
 				i, ge.Spec.Name(), ge.TestError, ge.SampleSize, we.Spec.Name(), we.TestError, we.SampleSize)
@@ -201,9 +202,9 @@ func TestRemoteTuneMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("remote ppca search: %v", err)
 	}
-	for i := range want.Entries {
-		wj, werr := modelio.SpecToJSON(want.Entries[i].Spec)
-		gj, gerr := modelio.SpecToJSON(got.Entries[i].Spec)
+	for i := range want.Leaderboard {
+		wj, werr := modelio.SpecToJSON(want.Leaderboard[i].Spec)
+		gj, gerr := modelio.SpecToJSON(got.Leaderboard[i].Spec)
 		if werr != nil || gerr != nil {
 			t.Fatalf("leaderboard row %d spec: %v / %v", i, werr, gerr)
 		}
@@ -486,6 +487,37 @@ func TestTrialsDifferingOnlyInEpsilonShareOneEnv(t *testing.T) {
 	trial(0.04)
 	if again := h.RowsMaterialized() - first; again != 0 {
 		t.Fatalf("a trial differing only in ε re-read %d rows (the first read %d): it built its own environment", again, first)
+	}
+}
+
+// TestTaskRunnerContainsPanic: a panic anywhere under a task — here in the
+// resolver the runner was handed — comes back from Run as the task's error,
+// one line with the stack attached, and the runner serves the next task. It
+// used to take the process (this test binary) down.
+func TestTaskRunnerContainsPanic(t *testing.T) {
+	r := NewTaskRunner(core.NewCache(sharedWorkerMetrics()), func(context.Context, DatasetRef) (*store.Handle, error) {
+		var none []int
+		return nil, fmt.Errorf("row %d", none[3])
+	})
+	train := func(ref DatasetRef) error {
+		_, err := r.Run(context.Background(), TaskSpec{Kind: KindTrain, Train: &TrainTask{
+			Spec: modelio.SpecJSON{Name: "logistic"}, Dataset: ref, Options: testTrainOptions(),
+		}})
+		return err
+	}
+	err := train(DatasetRef{ID: "d-000001"})
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("a panicking resolver returned %v, want a *PanicError", err)
+	}
+	if msg := err.Error(); !strings.HasPrefix(msg, "panic: ") || !strings.Contains(msg, "index out of range") || strings.Contains(msg, "\n") {
+		t.Fatalf("error text %q, want one line: panic: <value>", msg)
+	}
+	if !strings.Contains(string(pe.Stack), "TestTaskRunnerContainsPanic") {
+		t.Fatalf("stack does not reach the panicking frame:\n%s", pe.Stack)
+	}
+	if err := train(syntheticRef()); err != nil {
+		t.Fatalf("a healthy task after the contained panic: %v", err)
 	}
 }
 

@@ -6,8 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
+	"runtime/debug"
 
+	"blinkml/internal/audit"
 	"blinkml/internal/core"
 	"blinkml/internal/dataset"
 	"blinkml/internal/modelio"
@@ -39,8 +42,37 @@ func NewTaskRunner(cache *core.Cache, stored func(ctx context.Context, ref Datas
 	return &TaskRunner{cache: cache, stored: stored}
 }
 
+// PanicError is a panic under a task, or under the job around it, contained
+// at the boundary it crossed: the work fails with this error and the process,
+// its queue and every other tenant's job carry on. Error is one line; the
+// stack rides along for the log line and the flight record.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
+
+// Detail is Error plus the stack of the panicking goroutine.
+func (e *PanicError) Detail() string { return e.Error() + "\n" + string(e.Stack) }
+
+// LogValue implements slog.LogValuer, so a log line given the error gets the
+// stack too.
+func (e *PanicError) LogValue() slog.Value { return slog.StringValue(e.Detail()) }
+
+// RecoverPanic, deferred, turns a panic of the deferring function into a
+// *PanicError stored in *err.
+func RecoverPanic(err *error) {
+	if v := recover(); v != nil {
+		*err = &PanicError{Value: v, Stack: debug.Stack()}
+	}
+}
+
 // Run executes spec here. It is a RunFunc, and admits what Submit admits.
-func (r *TaskRunner) Run(ctx context.Context, spec TaskSpec) (*TaskResultPayload, error) {
+// Every train, trial and replay, in-process or on a worker, crosses it, so it
+// is where a panic anywhere under a task is contained.
+func (r *TaskRunner) Run(ctx context.Context, spec TaskSpec) (_ *TaskResultPayload, err error) {
+	defer RecoverPanic(&err)
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -63,7 +95,7 @@ func (r *TaskRunner) runAudit(ctx context.Context, t *AuditTask) (*TaskResultPay
 	if err != nil {
 		return nil, err
 	}
-	src, err := r.source(ctx, t.Dataset)
+	src, err := t.Dataset.Open(ctx, r.stored)
 	if err != nil {
 		return nil, err
 	}
@@ -71,12 +103,8 @@ func (r *TaskRunner) runAudit(ctx context.Context, t *AuditTask) (*TaskResultPay
 	if err != nil {
 		return nil, err
 	}
-	return &TaskResultPayload{
-		Realized:     rep.Realized,
-		Satisfied:    rep.Satisfied,
-		FullIters:    rep.FullIters,
-		FullThetaFNV: fmt.Sprintf("%016x", core.ThetaFingerprint(rep.FullTheta)),
-	}, nil
+	out := audit.NewReplayOutcome(rep)
+	return &TaskResultPayload{ReplayOutcome: &out}, nil
 }
 
 // runTrain executes a full BlinkML training run and returns the model in
@@ -143,23 +171,39 @@ func (r *TaskRunner) envFor(ctx context.Context, ref DatasetRef, opts core.Optio
 	return r.cache.Env(ctx, r.data(ctx, ref), opts)
 }
 
-// data names ref to the cache: its content key, resolved through source.
+// data names ref to the cache: its content key, resolved through Open.
 func (r *TaskRunner) data(ctx context.Context, ref DatasetRef) core.Data {
-	return core.Data{Key: ref.Key(), Open: func() (dataset.Source, error) { return r.source(ctx, ref) }}
+	return core.Data{Key: ref.Key(), Open: func() (dataset.Source, error) { return ref.Open(ctx, r.stored) }}
 }
 
-// source resolves a dataset reference: synthetic workloads regenerate
-// here, inline rows come from the payload, and ids go to the stored resolver.
-func (r *TaskRunner) source(ctx context.Context, ref DatasetRef) (dataset.Source, error) {
+// Open resolves the reference to its rows: a synthetic workload regenerates
+// here, inline rows come from the payload, and an id goes to stored — a
+// server's own store, a worker's bundle cache, or StoreAt for a one-shot CLI.
+func (r *DatasetRef) Open(ctx context.Context, stored func(context.Context, DatasetRef) (*store.Handle, error)) (dataset.Source, error) {
 	switch {
-	case ref.Synthetic != nil:
-		return ref.Synthetic.Build()
-	case ref.Inline != nil:
-		return ref.Inline.Build()
-	case ref.ID != "":
-		return r.stored(ctx, ref)
+	case r.Synthetic != nil:
+		return r.Synthetic.Build()
+	case r.Inline != nil:
+		return r.Inline.Build()
+	case r.ID != "":
+		return stored(ctx, *r)
 	default:
 		return nil, errors.New("cluster: task has no dataset")
+	}
+}
+
+// StoreAt resolves stored ids by opening the dataset store in dir: what the
+// blinkml and blinkml-tune CLIs' -store/-dataset flags mean.
+func StoreAt(dir string) func(context.Context, DatasetRef) (*store.Handle, error) {
+	return func(_ context.Context, ref DatasetRef) (*store.Handle, error) {
+		if dir == "" {
+			return nil, errors.New("cluster: a dataset id needs the dataset store directory (-store)")
+		}
+		st, err := store.Open(dir)
+		if err != nil {
+			return nil, err
+		}
+		return st.Get(ref.ID)
 	}
 }
 

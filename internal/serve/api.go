@@ -38,9 +38,11 @@
 // workloads, inline rows, or a dataset_id naming a stored upload — the
 // out-of-core path, which materializes only sampled rows.
 //
-// This file defines the wire types. They are also reused by the blinkml CLI
-// for its -json output, so one set of structs describes a training result
-// everywhere.
+// This file defines the wire types serve owns. What another package computes
+// travels as that package's type — the dataset reference is
+// cluster.DatasetRef, a search is tune.RandomSpace in and tune.Result out, a
+// replay is audit.Replay, a model modelio.Model — and the blinkml CLIs print
+// the same types for -json, so one struct describes each thing everywhere.
 package serve
 
 import (
@@ -50,11 +52,11 @@ import (
 	"time"
 
 	"blinkml/internal/audit"
+	"blinkml/internal/cluster"
 	"blinkml/internal/core"
-	"blinkml/internal/datagen"
-	"blinkml/internal/dataset"
 	"blinkml/internal/modelio"
 	"blinkml/internal/obs"
+	"blinkml/internal/tune"
 )
 
 // TrainRequest is the body of POST /v1/train: a model spec, a dataset
@@ -94,46 +96,9 @@ func (r *TrainRequest) Validate() error {
 	return r.Dataset.Validate()
 }
 
-// DatasetRef names the training data: exactly one of Synthetic (a
-// paper-shaped generated workload), Inline (rows uploaded in the request),
-// or ID (a dataset previously uploaded to the store via POST /v1/datasets)
-// must be set. The ID path is the out-of-core one — training materializes
-// only the rows it samples, never the whole dataset.
-type DatasetRef struct {
-	Synthetic *datagen.Ref    `json:"synthetic,omitempty"`
-	Inline    *dataset.Inline `json:"inline,omitempty"`
-	ID        string          `json:"dataset_id,omitempty"`
-}
-
-// Validate checks that exactly one source is present and well-formed.
-func (r *DatasetRef) Validate() error {
-	set := 0
-	if r.Synthetic != nil {
-		set++
-	}
-	if r.Inline != nil {
-		set++
-	}
-	if r.ID != "" {
-		set++
-	}
-	if set > 1 {
-		return errors.New("serve: dataset must name exactly one of synthetic, inline, or dataset_id")
-	}
-	switch {
-	case r.Synthetic != nil:
-		if r.Synthetic.Name == "" {
-			return errors.New("serve: synthetic dataset needs a name")
-		}
-		return nil
-	case r.Inline != nil:
-		return r.Inline.Validate()
-	case r.ID != "":
-		return nil
-	default:
-		return errors.New("serve: missing dataset (set synthetic, inline, or dataset_id)")
-	}
-}
+// DatasetRef is cluster.DatasetRef under the name requests were written
+// against: a request body, an audit record and a task all carry that one type.
+type DatasetRef = cluster.DatasetRef
 
 // TrainResponse acknowledges an enqueued job.
 type TrainResponse struct {
@@ -160,7 +125,7 @@ type JobStatus struct {
 	// (for tune jobs, the winning candidate's breakdown).
 	Diagnostics *PhaseBreakdown `json:"diagnostics,omitempty"`
 	// Tune carries the search leaderboard for finished tune jobs.
-	Tune *TuneReport `json:"tune,omitempty"`
+	Tune *tune.Result `json:"tune,omitempty"`
 	// Plan says why a finished train job was cheap or not: "hit" when the
 	// initial model, statistics and accuracy draws came from a plan an
 	// earlier job on the same data had built, "miss" when this job built it.

@@ -3,9 +3,9 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 
 	"blinkml/internal/audit"
 	"blinkml/internal/cluster"
@@ -19,20 +19,19 @@ import (
 // model's bit fingerprint.
 type taskReplayer struct{ s *Server }
 
-// Replay implements audit.Replayer. The record's dataset reference is the
-// serve-layer DatasetRef JSON, stored opaquely.
+// Replay implements audit.Replayer. A record keeps its dataset reference as
+// submitted, so this is the one place besides admission that pins one.
 func (r taskReplayer) Replay(ctx context.Context, rec audit.Record, m *modelio.Model) (audit.ReplayOutcome, error) {
 	var ref DatasetRef
 	if err := json.Unmarshal(rec.Dataset, &ref); err != nil {
 		return audit.ReplayOutcome{}, fmt.Errorf("serve: decode audit dataset ref: %w", err)
 	}
-	cref, _, err := r.s.clusterDatasetRef(ref)
-	if err != nil {
+	if err := r.s.pinDataset(&ref); err != nil {
 		return audit.ReplayOutcome{}, err
 	}
 	payload, err := r.s.run(ctx, cluster.TaskSpec{Kind: cluster.KindAudit, Audit: &cluster.AuditTask{
 		Spec:    rec.Spec,
-		Dataset: cref,
+		Dataset: ref,
 		Options: rec.Options,
 		Theta:   m.Theta,
 		Bound:   rec.EpsilonHat,
@@ -40,16 +39,10 @@ func (r taskReplayer) Replay(ctx context.Context, rec audit.Record, m *modelio.M
 	if err != nil {
 		return audit.ReplayOutcome{}, err
 	}
-	fnv, err := strconv.ParseUint(payload.FullThetaFNV, 16, 64)
-	if err != nil {
-		return audit.ReplayOutcome{}, fmt.Errorf("serve: audit task fingerprint %q: %w", payload.FullThetaFNV, err)
+	if payload.ReplayOutcome == nil {
+		return audit.ReplayOutcome{}, errors.New("serve: audit task returned no outcome")
 	}
-	return audit.ReplayOutcome{
-		Realized:     payload.Realized,
-		Satisfied:    payload.Satisfied,
-		FullIters:    payload.FullIters,
-		FullThetaFNV: fnv,
-	}, nil
+	return *payload.ReplayOutcome, nil
 }
 
 // AuditReplayRequest is the body of POST /v1/audit/replay. Empty replays

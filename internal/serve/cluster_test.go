@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -13,6 +14,7 @@ import (
 	"blinkml/internal/cluster"
 	"blinkml/internal/datagen"
 	"blinkml/internal/obs"
+	"blinkml/internal/tune"
 )
 
 // clusterTestConfig keeps heartbeats fast; the liveness timeout stays far
@@ -179,7 +181,7 @@ func TestClusterTrainAndTuneMatchLocal(t *testing.T) {
 	// Tune on both paths (a small random space, decomposed to per-trial
 	// remote tasks on the cluster side).
 	tb := TuneRequest{
-		Space:   SpaceJSON{Random: &RandomSpaceJSON{Model: "logistic", Candidates: 3}},
+		Space:   SpaceJSON{Random: &tune.RandomSpace{Model: "logistic", N: 3}},
 		Dataset: DatasetRef{Synthetic: &datagen.Ref{Name: "higgs", Rows: 4000, Dim: 8, Seed: 11}},
 		Epsilon: 0.1,
 		Delta:   0.05,
@@ -198,7 +200,7 @@ func TestClusterTrainAndTuneMatchLocal(t *testing.T) {
 	}
 	for i := range ltn.Tune.Leaderboard {
 		le, ce := ltn.Tune.Leaderboard[i], ctn.Tune.Leaderboard[i]
-		if le.Spec.Reg != ce.Spec.Reg || !sameScorePtr(le.TestError, ce.TestError) || le.SampleSize != ce.SampleSize {
+		if le.Spec != ce.Spec || !sameScore(le.TestError, ce.TestError) || le.SampleSize != ce.SampleSize {
 			t.Fatalf("leaderboard row %d differs: local %+v cluster %+v", i, le, ce)
 		}
 	}
@@ -362,9 +364,8 @@ func TestClusterCancelPropagates(t *testing.T) {
 	}
 }
 
-func sameScorePtr(a, b *float64) bool {
-	if (a == nil) != (b == nil) {
-		return false
-	}
-	return a == nil || *a == *b
+// sameScore compares leaderboard scores, NaN (no supervised metric) equal
+// to itself.
+func sameScore(a, b float64) bool {
+	return a == b || (math.IsNaN(a) && math.IsNaN(b))
 }

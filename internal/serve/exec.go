@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"time"
 
 	"blinkml/internal/cluster"
@@ -117,10 +118,8 @@ func (s *Server) finishTune(ctx context.Context, res *tune.Result, ref DatasetRe
 	s.m.TuneCandidates.Add(int64(res.Evaluated))
 	s.m.TuneCandidatesPruned.Add(int64(res.Pruned))
 	out, err := s.finishJob(ctx, "tune", res.Best, ref, opts)
-	if err != nil {
-		return TaskResult{}, err
-	}
-	out.Tune, err = NewTuneReport(res)
+	out.Tune = res
+	res.Best = nil // registered: the job history keeps the leaderboard, not θ
 	return out, err
 }
 
@@ -130,15 +129,11 @@ func (s *Server) finishTune(ctx context.Context, res *tune.Result, ref DatasetRe
 // decoded record (whose spec carries trained derived state — PPCA's σ² —
 // exactly as the training instance did) re-encodes the same bytes.
 func (s *Server) execTrain(ctx context.Context, req TrainRequest) (TaskResult, error) {
-	ref, _, err := s.clusterDatasetRef(req.Dataset)
-	if err != nil {
-		return TaskResult{}, err
-	}
 	opts := trainCoreOptions(req.Epsilon, req.Delta, req.Options)
 	start := time.Now()
 	payload, err := s.run(ctx, cluster.TaskSpec{Kind: cluster.KindTrain, Train: &cluster.TrainTask{
 		Spec:    req.Model,
-		Dataset: ref,
+		Dataset: req.Dataset,
 		Options: opts,
 	}})
 	if err != nil {
@@ -160,12 +155,8 @@ func (s *Server) execTune(ctx context.Context, req TuneRequest) (TaskResult, err
 	if err != nil {
 		return TaskResult{}, err
 	}
-	ref, rows, err := s.clusterDatasetRef(req.Dataset)
-	if err != nil {
-		return TaskResult{}, err
-	}
 	cfg := s.tuneConfig(req)
-	runner := cluster.NewTrialRunner(s.run, ref, cfg.Train, core.PoolSize(rows, cfg.Train))
+	runner := cluster.NewTrialRunner(s.run, req.Dataset, cfg.Train, core.PoolSize(req.Dataset.Rows, cfg.Train))
 	start := time.Now()
 	res, err := tune.SearchRunner(ctx, space, runner, cfg)
 	if err != nil {
@@ -174,29 +165,36 @@ func (s *Server) execTune(ctx context.Context, req TuneRequest) (TaskResult, err
 	return s.finishTune(ctx, res, req.Dataset, cfg.Train, time.Since(start))
 }
 
-// clusterDatasetRef converts a request's dataset reference to the form tasks
-// carry, pinning stored datasets to their content checksums, and reports the
-// dataset's row count (what sizes a search's pool) without materializing it.
-func (s *Server) clusterDatasetRef(ref DatasetRef) (cluster.DatasetRef, int, error) {
+// pinDataset turns a reference as submitted — in a request body, or kept by
+// an audit record — into the one tasks carry. A stored id gains its
+// manifest's checksums, so whoever runs the task can tell its copy holds the
+// same bytes, and every kind gains its row count without being materialized.
+// The pin is the server's to fill: a reference that arrives with it is
+// refused. A synthetic shape is held to MaxUploadBytes as dense rows, the cap
+// on every other way of bringing that many rows to the server.
+func (s *Server) pinDataset(ref *DatasetRef) error {
+	if *ref != ref.Submitted() {
+		return errors.New("serve: dataset rows, row_crc32 and index_crc32 are set by the server, not the request")
+	}
 	switch {
 	case ref.ID != "":
 		h, err := s.store.Get(ref.ID)
 		if err != nil {
-			return cluster.DatasetRef{}, 0, err
+			return err
 		}
 		man := h.Manifest()
-		return cluster.DatasetRef{
-			ID:         ref.ID,
-			Rows:       man.Rows,
-			RowCRC32:   man.RowCRC32,
-			IndexCRC32: man.IndexCRC32,
-		}, man.Rows, nil
+		ref.Rows, ref.RowCRC32, ref.IndexCRC32 = man.Rows, man.RowCRC32, man.IndexCRC32
 	case ref.Synthetic != nil:
-		rows, _, err := ref.Synthetic.Shape()
-		return cluster.DatasetRef{Synthetic: ref.Synthetic}, rows, err
+		rows, dim, err := ref.Synthetic.Shape()
+		if err != nil {
+			return err
+		}
+		if 8*float64(rows)*float64(dim) > float64(s.cfg.MaxUploadBytes) {
+			return fmt.Errorf("serve: synthetic dataset of %d x %d values exceeds %d bytes", rows, dim, s.cfg.MaxUploadBytes)
+		}
+		ref.Rows = rows
 	case ref.Inline != nil:
-		return cluster.DatasetRef{Inline: ref.Inline}, ref.Inline.Rows(), nil
-	default:
-		return cluster.DatasetRef{}, 0, errors.New("serve: missing dataset")
+		ref.Rows = ref.Inline.Rows()
 	}
+	return nil
 }

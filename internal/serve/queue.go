@@ -9,7 +9,9 @@ import (
 	"sync"
 	"time"
 
+	"blinkml/internal/cluster"
 	"blinkml/internal/obs"
+	"blinkml/internal/tune"
 )
 
 // Job states (wire values of JobStatus.State).
@@ -49,7 +51,7 @@ type TaskResult struct {
 	// winning candidate of tune jobs).
 	Diagnostics *PhaseBreakdown
 	// Tune is the search report (tune jobs only).
-	Tune *TuneReport
+	Tune *tune.Result
 	// Plan is "hit" when a train job's contract was answered from a cached
 	// plan, "miss" when it built one.
 	Plan string
@@ -445,7 +447,7 @@ func (q *Queue) runJob(job *Job) {
 	log := obs.Logger(ctx).With("job", job.ID, "kind", job.kind)
 	log.Info("job started")
 	start := time.Now()
-	result, err := job.task.Run(ctx)
+	result, err := runContained(ctx, job.task)
 	unbind()
 	q.m.JobsRunning.Add(-1)
 	job.setSpans(rec.Spans(), rec.Dropped())
@@ -471,6 +473,10 @@ func (q *Queue) runJob(job *Job) {
 	}
 	if q.Flight != nil {
 		st := job.Status()
+		var panicked *cluster.PanicError
+		if errors.As(err, &panicked) {
+			st.Error = panicked.Detail() // the status stays one line; the recorder keeps the stack
+		}
 		q.Flight.Record(obs.FlightEntry{
 			Trace:      job.trace,
 			JobID:      job.ID,
@@ -482,6 +488,14 @@ func (q *Queue) runJob(job *Job) {
 			Ledger:     st.Resources,
 		})
 	}
+}
+
+// runContained is task.Run with a panic — in what the job does around its
+// tasks; cluster.TaskRunner.Run contains its own — turned into the job's
+// error, so it fails that job and not the process.
+func runContained(ctx context.Context, task Task) (_ TaskResult, err error) {
+	defer cluster.RecoverPanic(&err)
+	return task.Run(ctx)
 }
 
 // LiveLedgers snapshots the ledgers of currently running jobs — the flight

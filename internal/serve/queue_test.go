@@ -3,8 +3,12 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
+
+	"blinkml/internal/obs"
 )
 
 // waitState polls until the job reaches a terminal state or the deadline
@@ -67,6 +71,44 @@ func TestQueueFailurePropagates(t *testing.T) {
 	st := waitState(t, q, job.ID, 5*time.Second)
 	if st.State != JobFailed || st.Error != boom.Error() {
 		t.Fatalf("got %+v, want failed with error message", st)
+	}
+}
+
+// TestQueuePanicFailsTheJobNotTheQueue: a task that panics ends failed (not
+// cancelled) with the one-line panic as its error and the stack in its flight
+// entry, and a healthy job queued behind it on the same single worker still
+// runs. The panic used to kill the process (this test binary).
+func TestQueuePanicFailsTheJobNotTheQueue(t *testing.T) {
+	fr, err := obs.NewFlightRecorder(obs.FlightConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := NewQueue(1, 4, nil)
+	defer q.Close()
+	q.Flight = fr
+	poisoned, _ := q.Enqueue(fnTask(func(ctx context.Context) (TaskResult, error) {
+		var theta []float64
+		return TaskResult{}, errors.New(fmt.Sprint(theta[7]))
+	}))
+	healthy, _ := q.Enqueue(fnTask(func(ctx context.Context) (TaskResult, error) {
+		return TaskResult{ModelID: "m-000001"}, nil
+	}))
+	st := waitState(t, q, poisoned.ID, 5*time.Second)
+	if st.State != JobFailed || !strings.HasPrefix(st.Error, "panic: ") || !strings.Contains(st.Error, "index out of range") || strings.Contains(st.Error, "\n") {
+		t.Fatalf("poisoned job: %s %q, want failed with a one-line panic error", st.State, st.Error)
+	}
+	if st := waitState(t, q, healthy.ID, 5*time.Second); st.State != JobSucceeded || st.ModelID != "m-000001" {
+		t.Fatalf("job behind the panic: %+v, want succeeded", st)
+	}
+	// The one worker recorded the poisoned job before it started the next;
+	// entries come newest first.
+	entries := fr.Entries()
+	if len(entries) == 0 {
+		t.Fatal("no flight entries")
+	}
+	if e := entries[len(entries)-1]; e.JobID != poisoned.ID ||
+		!strings.HasPrefix(e.Err, st.Error+"\n") || !strings.Contains(e.Err, "TestQueuePanicFailsTheJobNotTheQueue") {
+		t.Fatalf("flight entry %+v, want the poisoned job's, carrying the stack", e)
 	}
 }
 

@@ -29,10 +29,10 @@ type Registry struct {
 	seq    uint64 // last id issued (monotonic, survives restarts)
 }
 
-// OpenRegistry opens (creating if needed) a registry rooted at dir and
-// loads every persisted model. Files that fail to decode are skipped with
-// their error collected, not fatal: one corrupt file must not take down the
-// whole store.
+// OpenRegistry opens (creating if needed) a registry rooted at dir, loads
+// every persisted model and sweeps the temp files any crashed Put left
+// behind. Files that fail to decode are skipped with their error collected,
+// not fatal: one corrupt file must not take down the whole store.
 func OpenRegistry(dir string) (*Registry, error) {
 	if dir == "" {
 		return nil, errors.New("serve: registry needs a directory")
@@ -47,6 +47,10 @@ func OpenRegistry(dir string) (*Registry, error) {
 	}
 	for _, e := range entries {
 		name := e.Name()
+		if stray, _ := filepath.Match("m-*.tmp-*", name); stray && !e.IsDir() {
+			os.Remove(filepath.Join(dir, name)) // a Put that crashed before its rename
+			continue
+		}
 		if e.IsDir() || !strings.HasPrefix(name, "m-") || !strings.HasSuffix(name, ".json") {
 			continue
 		}

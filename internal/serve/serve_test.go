@@ -315,6 +315,15 @@ func TestServeRequestValidation(t *testing.T) {
 			Dataset: DatasetRef{Synthetic: &datagen.Ref{Name: "higgs"}, Inline: &dataset.Inline{Task: "binary", X: [][]float64{{1}}, Y: []float64{1}}}}},
 		{"bad task", TrainRequest{Model: modelSpec("logistic"), Epsilon: 0.1,
 			Dataset: DatasetRef{Inline: &dataset.Inline{Task: "clustering", X: [][]float64{{1}}}}}},
+		// A synthetic reference is checked at admission like a model name:
+		// these two used to answer 202 and fail (or exhaust memory) later.
+		{"unknown generator", TrainRequest{Model: modelSpec("logistic"), Epsilon: 0.1,
+			Dataset: DatasetRef{Synthetic: &datagen.Ref{Name: "nope"}}}},
+		{"synthetic shape beyond the upload cap", TrainRequest{Model: modelSpec("logistic"), Epsilon: 0.1,
+			Dataset: DatasetRef{Synthetic: &datagen.Ref{Name: "higgs", Rows: 1_000_000_000_000}}}},
+		// The pin fields are the server's to fill.
+		{"client-supplied pin", TrainRequest{Model: modelSpec("logistic"), Epsilon: 0.1,
+			Dataset: DatasetRef{Synthetic: &datagen.Ref{Name: "higgs"}, Rows: 10, RowCRC32: 1}}},
 	}
 	for _, tc := range cases {
 		var er ErrorResponse
@@ -323,6 +332,10 @@ func TestServeRequestValidation(t *testing.T) {
 		} else if er.Error == "" {
 			t.Errorf("%s: empty error body", tc.name)
 		}
+	}
+	var jobs JobList
+	if code := doJSON(t, client, http.MethodGet, ts.URL+"/v1/jobs", nil, &jobs); code != http.StatusOK || len(jobs.Jobs) != 0 {
+		t.Errorf("refused requests left jobs behind: status %d, %+v", code, jobs.Jobs)
 	}
 
 	if code := doJSON(t, client, http.MethodGet, ts.URL+"/v1/jobs/j-999999", nil, nil); code != http.StatusNotFound {

@@ -374,8 +374,8 @@ func (t tuneTask) Run(ctx context.Context) (TaskResult, error) {
 
 // registerModel persists a trained model, refreshes the stored-models
 // gauge, and appends the job's guarantee-calibration record to the audit
-// log. kind is "train" or "tune"; ref and opts are what a later replay
-// needs to rebuild the identical training environment.
+// log. kind is "train" or "tune"; ref (as admitted, pinned) and opts are what
+// a later replay needs to rebuild the identical training environment.
 func (s *Server) registerModel(ctx context.Context, kind string, m *modelio.Model, ref DatasetRef, opts core.Options) (string, error) {
 	regStart := time.Now()
 	m.CreatedAt = regStart.UTC()
@@ -402,13 +402,11 @@ func (s *Server) recordAudit(ctx context.Context, kind, id string, m *modelio.Mo
 		s.log.Warn("audit record skipped: unencodable spec", "model", id, "err", err)
 		return
 	}
-	dsJSON, err := json.Marshal(ref)
+	// The record keeps the reference as it was submitted; a replay pins it to
+	// whatever the id names then.
+	dsJSON, err := json.Marshal(ref.Submitted())
 	if err != nil {
 		dsJSON = nil
-	}
-	fp := ""
-	if cref, _, err := s.clusterDatasetRef(ref); err == nil {
-		fp = cref.Key()
 	}
 	o := opts.WithDefaults()
 	rec := audit.Record{
@@ -419,7 +417,7 @@ func (s *Server) recordAudit(ctx context.Context, kind, id string, m *modelio.Mo
 		Family:           sj.Name,
 		Spec:             sj,
 		Dataset:          dsJSON,
-		Fingerprint:      fp,
+		Fingerprint:      ref.Key(),
 		Epsilon:          o.Epsilon,
 		Delta:            o.Delta,
 		K:                o.K,
@@ -448,7 +446,7 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if !s.checkDatasetRef(w, req.Dataset) {
+	if !s.admitDataset(w, &req.Dataset) {
 		return
 	}
 	s.enqueue(w, r, trainTask{s: s, req: req})
@@ -463,25 +461,29 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if !s.checkDatasetRef(w, req.Dataset) {
+	if !s.admitDataset(w, &req.Dataset) {
 		return
 	}
 	s.enqueue(w, r, tuneTask{s: s, req: req})
 }
 
-// checkDatasetRef rejects a dataset_id that is not in the store at submit
-// time, so the client gets a 404 immediately instead of a failed job later.
-// (The id is re-resolved when the job runs; a delete racing the queue fails
-// the job, which is the honest outcome.)
-func (s *Server) checkDatasetRef(w http.ResponseWriter, ref DatasetRef) bool {
-	if ref.ID == "" {
+// admitDataset pins a validated request's dataset reference in place — what
+// the queued job, its tasks and its audit fingerprint then read — or answers
+// for it: 404 for a dataset_id the store does not have (the client hears now,
+// not from a failed job; the id is resolved again when a task opens it, so a
+// delete racing the queue fails the job, which is the honest outcome), 400 for
+// anything else.
+func (s *Server) admitDataset(w http.ResponseWriter, ref *DatasetRef) bool {
+	err := s.pinDataset(ref)
+	switch {
+	case err == nil:
 		return true
-	}
-	if _, err := s.store.Get(ref.ID); err != nil {
+	case errors.Is(err, store.ErrNotFound):
 		writeError(w, http.StatusNotFound, err)
-		return false
+	default:
+		writeError(w, http.StatusBadRequest, err)
 	}
-	return true
+	return false
 }
 
 // enqueue admits a task and writes the 202 acknowledgement (or the 503

@@ -9,8 +9,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"math"
-	"time"
 
 	"blinkml/internal/modelio"
 	"blinkml/internal/tune"
@@ -33,24 +31,7 @@ type TuneRequest struct {
 // specs, a random sampler, or both.
 type SpaceJSON struct {
 	Grid   []modelio.SpecJSON `json:"grid,omitempty"`
-	Random *RandomSpaceJSON   `json:"random,omitempty"`
-}
-
-// RandomSpaceJSON is the wire form of tune.RandomSpace.
-type RandomSpaceJSON struct {
-	// Model is the family: "linear", "logistic", "maxent", "poisson", or
-	// "ppca".
-	Model string `json:"model"`
-	// Candidates is how many to draw (default 10).
-	Candidates int `json:"candidates,omitempty"`
-	// RegMin/RegMax bound the log-uniform L2 range (default [1e-6, 1]).
-	RegMin float64 `json:"reg_min,omitempty"`
-	RegMax float64 `json:"reg_max,omitempty"`
-	// Classes is K for maxent.
-	Classes int `json:"classes,omitempty"`
-	// FactorsMin/FactorsMax bound PPCA's factor draw (default [2, 10]).
-	FactorsMin int `json:"factors_min,omitempty"`
-	FactorsMax int `json:"factors_max,omitempty"`
+	Random *tune.RandomSpace  `json:"random,omitempty"`
 }
 
 // TuneOptions exposes the search knobs that make sense per-request.
@@ -69,25 +50,13 @@ type TuneOptions struct {
 
 // Space converts the wire space to the library form.
 func (s SpaceJSON) Space() (tune.Space, error) {
-	out := tune.Space{}
+	out := tune.Space{Random: s.Random}
 	for i, sj := range s.Grid {
 		spec, err := sj.Spec()
 		if err != nil {
 			return tune.Space{}, fmt.Errorf("serve: grid candidate %d: %w", i, err)
 		}
 		out.Grid = append(out.Grid, spec)
-	}
-	if s.Random != nil {
-		r := s.Random
-		out.Random = &tune.RandomSpace{
-			Model:      r.Model,
-			N:          r.Candidates,
-			RegMin:     r.RegMin,
-			RegMax:     r.RegMax,
-			Classes:    r.Classes,
-			FactorsMin: r.FactorsMin,
-			FactorsMax: r.FactorsMax,
-		}
 	}
 	return out, nil
 }
@@ -114,78 +83,4 @@ func (r *TuneRequest) Validate() error {
 		return fmt.Errorf("serve: test_fraction must be in [0,1), got %v", tf)
 	}
 	return r.Dataset.Validate()
-}
-
-// TuneReport is the search summary attached to a finished tune job.
-type TuneReport struct {
-	// Evaluated and Pruned count candidates entered and halving-pruned.
-	Evaluated int `json:"evaluated"`
-	Pruned    int `json:"pruned"`
-	// PoolSize is N, the shared training pool.
-	PoolSize int `json:"pool_size"`
-	// ElapsedMs is the whole search's wall-clock time.
-	ElapsedMs float64 `json:"elapsed_ms"`
-	// Leaderboard ranks every candidate best-first.
-	Leaderboard []TuneEntryJSON `json:"leaderboard"`
-}
-
-// TuneEntryJSON is one wire leaderboard row.
-type TuneEntryJSON struct {
-	Rank int              `json:"rank"`
-	Spec modelio.SpecJSON `json:"spec"`
-	// Origin is "grid" or "random".
-	Origin string `json:"origin"`
-	// TestError is the evaluation-set generalization error (omitted when
-	// the model class has no supervised test metric).
-	TestError *float64 `json:"test_error,omitempty"`
-	// EstimatedEpsilon is the contract bound (survivors only).
-	EstimatedEpsilon float64 `json:"estimated_epsilon,omitempty"`
-	SampleSize       int     `json:"sample_size,omitempty"`
-	// Rung counts completed successive-halving rungs.
-	Rung   int     `json:"rung,omitempty"`
-	Pruned bool    `json:"pruned,omitempty"`
-	WallMs float64 `json:"wall_ms"`
-	Error  string  `json:"error,omitempty"`
-}
-
-// NewTuneReport converts a tune result to the wire form.
-func NewTuneReport(res *tune.Result) (*TuneReport, error) {
-	rep := &TuneReport{
-		Evaluated:   res.Evaluated,
-		Pruned:      res.Pruned,
-		PoolSize:    res.PoolSize,
-		ElapsedMs:   float64(res.Elapsed) / float64(time.Millisecond),
-		Leaderboard: make([]TuneEntryJSON, 0, len(res.Entries)),
-	}
-	for _, e := range res.Entries {
-		row, err := newTuneEntryJSON(e)
-		if err != nil {
-			return nil, err
-		}
-		rep.Leaderboard = append(rep.Leaderboard, row)
-	}
-	return rep, nil
-}
-
-func newTuneEntryJSON(e tune.Entry) (TuneEntryJSON, error) {
-	sj, err := modelio.SpecToJSON(e.Spec)
-	if err != nil {
-		return TuneEntryJSON{}, err
-	}
-	row := TuneEntryJSON{
-		Rank:             e.Rank,
-		Spec:             sj,
-		Origin:           e.Origin,
-		EstimatedEpsilon: e.EstimatedEpsilon,
-		SampleSize:       e.SampleSize,
-		Rung:             e.Rung,
-		Pruned:           e.Pruned,
-		WallMs:           float64(e.Wall) / float64(time.Millisecond),
-		Error:            e.Err,
-	}
-	if !math.IsNaN(e.TestError) {
-		v := e.TestError
-		row.TestError = &v
-	}
-	return row, nil
 }

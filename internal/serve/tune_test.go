@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -8,6 +9,8 @@ import (
 
 	"blinkml/internal/datagen"
 	"blinkml/internal/modelio"
+	"blinkml/internal/models"
+	"blinkml/internal/tune"
 )
 
 // TestTuneEndToEnd is the acceptance scenario for the serving layer: POST
@@ -27,7 +30,7 @@ func TestTuneEndToEnd(t *testing.T) {
 	inline, probe := inlineHiggs(t, 3000)
 	tuneReq := TuneRequest{
 		Space: SpaceJSON{
-			Random: &RandomSpaceJSON{Model: "logistic", Candidates: 20, RegMin: 1e-6, RegMax: 1},
+			Random: &tune.RandomSpace{Model: "logistic", N: 20, RegMin: 1e-6, RegMax: 1},
 		},
 		Dataset: DatasetRef{Inline: inline},
 		Epsilon: 0.1,
@@ -87,7 +90,7 @@ func TestTuneEndToEnd(t *testing.T) {
 		t.Fatal("halving pruned nothing")
 	}
 	lead := rep.Leaderboard[0]
-	if lead.Rank != 1 || lead.Spec.Name != "logistic" || lead.Pruned || lead.TestError == nil {
+	if lead.Rank != 1 || lead.Spec.Name() != "logistic" || lead.Pruned || math.IsNaN(lead.TestError) {
 		t.Fatalf("leaderboard head %+v", lead)
 	}
 	if lead.EstimatedEpsilon <= 0 || lead.EstimatedEpsilon > 0.1 {
@@ -99,7 +102,7 @@ func TestTuneEndToEnd(t *testing.T) {
 	if code := doJSON(t, client, http.MethodGet, ts.URL+"/v1/models/"+st.ModelID, nil, &info); code != http.StatusOK {
 		t.Fatalf("model get status %d", code)
 	}
-	if info.Spec.Name != "logistic" || info.Spec.Reg != lead.Spec.Reg {
+	if info.Spec.Name != "logistic" || info.Spec.Reg != lead.Spec.(models.LogisticRegression).Reg {
 		t.Fatalf("registered model %+v does not match leaderboard winner %+v", info.Spec, lead.Spec)
 	}
 	var pr PredictResponse
@@ -131,7 +134,7 @@ func TestTuneCancellation(t *testing.T) {
 	// A big flat sweep that cannot finish instantly.
 	tuneReq := TuneRequest{
 		Space: SpaceJSON{
-			Random: &RandomSpaceJSON{Model: "logistic", Candidates: 64},
+			Random: &tune.RandomSpace{Model: "logistic", N: 64},
 		},
 		Dataset: DatasetRef{Synthetic: &datagen.Ref{Name: "higgs", Rows: 60000, Seed: 5}},
 		Epsilon: 0.02,
@@ -187,16 +190,18 @@ func TestTuneRequestValidation(t *testing.T) {
 	}{
 		{"empty space", TuneRequest{Epsilon: 0.1, Dataset: higgsRef}},
 		{"unknown family", TuneRequest{Epsilon: 0.1, Dataset: higgsRef,
-			Space: SpaceJSON{Random: &RandomSpaceJSON{Model: "svm"}}}},
+			Space: SpaceJSON{Random: &tune.RandomSpace{Model: "svm"}}}},
 		{"bad grid spec", TuneRequest{Epsilon: 0.1, Dataset: higgsRef,
 			Space: SpaceJSON{Grid: []modelio.SpecJSON{{Name: "svm"}}}}},
 		{"bad epsilon", TuneRequest{Epsilon: 2, Dataset: higgsRef,
-			Space: SpaceJSON{Random: &RandomSpaceJSON{Model: "logistic"}}}},
+			Space: SpaceJSON{Random: &tune.RandomSpace{Model: "logistic"}}}},
 		{"bad test fraction", TuneRequest{Epsilon: 0.1, Dataset: higgsRef,
-			Space:   SpaceJSON{Random: &RandomSpaceJSON{Model: "logistic"}},
+			Space:   SpaceJSON{Random: &tune.RandomSpace{Model: "logistic"}},
 			Options: TuneOptions{TestFraction: 1.5}}},
 		{"missing dataset", TuneRequest{Epsilon: 0.1,
-			Space: SpaceJSON{Random: &RandomSpaceJSON{Model: "logistic"}}}},
+			Space: SpaceJSON{Random: &tune.RandomSpace{Model: "logistic"}}}},
+		{"unknown generator", TuneRequest{Epsilon: 0.1, Dataset: DatasetRef{Synthetic: &datagen.Ref{Name: "nope"}},
+			Space: SpaceJSON{Random: &tune.RandomSpace{Model: "logistic"}}}},
 	}
 	for _, tc := range cases {
 		var er ErrorResponse
@@ -229,7 +234,7 @@ func TestLocalTuneSharesTheCachedEnv(t *testing.T) {
 		t.Fatalf("upload status %d", code)
 	}
 	req := TuneRequest{
-		Space:   SpaceJSON{Random: &RandomSpaceJSON{Model: "logistic", Candidates: 6}},
+		Space:   SpaceJSON{Random: &tune.RandomSpace{Model: "logistic", N: 6}},
 		Dataset: DatasetRef{ID: info.ID},
 		Epsilon: 0.1,
 		Options: TuneOptions{Seed: 11, Workers: 2, Halving: true, Rungs: 2, InitialSampleSize: 300},
@@ -251,7 +256,7 @@ func TestLocalTuneSharesTheCachedEnv(t *testing.T) {
 	}
 	for i, want := range first.Tune.Leaderboard {
 		got := second.Tune.Leaderboard[i]
-		if got.Spec != want.Spec || !sameScorePtr(got.TestError, want.TestError) || got.SampleSize != want.SampleSize {
+		if got.Spec != want.Spec || !sameScore(got.TestError, want.TestError) || got.SampleSize != want.SampleSize {
 			t.Fatalf("leaderboard row %d differs on the shared environment: %+v vs %+v", i, got, want)
 		}
 	}

@@ -49,21 +49,23 @@ type Space struct {
 }
 
 // RandomSpace draws candidates of one model family from seeded parameter
-// ranges.
+// ranges. The tags are its form in a POST /v1/tune body.
 type RandomSpace struct {
 	// Model is the family: "linear", "logistic", "poisson", "maxent", or
 	// "ppca".
-	Model string
+	Model string `json:"model"`
 	// N is how many candidates to draw (default 10).
-	N int
+	N int `json:"candidates,omitempty"`
 	// RegMin/RegMax bound the log-uniform draw of the L2 coefficient for the
 	// GLM families (default [1e-6, 1]).
-	RegMin, RegMax float64
+	RegMin float64 `json:"reg_min,omitempty"`
+	RegMax float64 `json:"reg_max,omitempty"`
 	// Classes is K for maxent (0 = infer from the dataset).
-	Classes int
+	Classes int `json:"classes,omitempty"`
 	// FactorsMin/FactorsMax bound the uniform integer draw of PPCA's factor
 	// count (default [2, 10]).
-	FactorsMin, FactorsMax int
+	FactorsMin int `json:"factors_min,omitempty"`
+	FactorsMax int `json:"factors_max,omitempty"`
 }
 
 // Validate checks the space before a search is admitted.

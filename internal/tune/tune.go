@@ -2,6 +2,7 @@ package tune
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -69,7 +70,8 @@ func (c Config) withDefaults() Config {
 
 // Entry is one leaderboard row. Entries are ranked best-first: contract-
 // trained candidates by ascending test error, then pruned candidates by how
-// far they got, then failures.
+// far they got, then failures. On the wire (entryJSON) the spec is its
+// modelio form and Wall is float milliseconds.
 type Entry struct {
 	// Rank is the 1-based leaderboard position.
 	Rank int
@@ -97,12 +99,11 @@ type Entry struct {
 	Err string
 }
 
-// Result is a finished search: the ranked leaderboard and the winner.
+// Result is a finished search: the ranked leaderboard and the winner. It is
+// its own JSON form — the "tune" object of a finished tune job's status and
+// what blinkml-tune -json prints — with Elapsed in float milliseconds and
+// Best left out (the winner travels as a model of its own).
 type Result struct {
-	// Entries is the leaderboard, best first.
-	Entries []Entry
-	// Best is the winning contract-trained model (Entries[0]).
-	Best *modelio.Model
 	// Evaluated counts candidates that entered the search.
 	Evaluated int
 	// Pruned counts candidates dropped by successive halving.
@@ -111,6 +112,96 @@ type Result struct {
 	PoolSize int
 	// Elapsed is the wall-clock time of the whole search.
 	Elapsed time.Duration
+	// Leaderboard ranks every candidate, best first.
+	Leaderboard []Entry
+	// Best is the winning contract-trained model (Leaderboard[0]).
+	Best *modelio.Model
+}
+
+// resultJSON and entryJSON are the wire layouts of Result and Entry.
+type resultJSON struct {
+	Evaluated   int     `json:"evaluated"`
+	Pruned      int     `json:"pruned"`
+	PoolSize    int     `json:"pool_size"`
+	ElapsedMs   float64 `json:"elapsed_ms"`
+	Leaderboard []Entry `json:"leaderboard"`
+}
+
+type entryJSON struct {
+	Rank   int              `json:"rank"`
+	Spec   modelio.SpecJSON `json:"spec"`
+	Origin string           `json:"origin"`
+	// TestError is omitted for NaN, which JSON cannot carry.
+	TestError        *float64 `json:"test_error,omitempty"`
+	EstimatedEpsilon float64  `json:"estimated_epsilon,omitempty"`
+	SampleSize       int      `json:"sample_size,omitempty"`
+	Rung             int      `json:"rung,omitempty"`
+	Pruned           bool     `json:"pruned,omitempty"`
+	WallMs           float64  `json:"wall_ms"`
+	Error            string   `json:"error,omitempty"`
+}
+
+func toMs(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+func fromMs(ms float64) time.Duration {
+	return time.Duration(math.Round(ms * float64(time.Millisecond)))
+}
+
+// MarshalJSON implements json.Marshaler.
+func (r Result) MarshalJSON() ([]byte, error) {
+	return json.Marshal(resultJSON{
+		Evaluated: r.Evaluated, Pruned: r.Pruned, PoolSize: r.PoolSize,
+		ElapsedMs: toMs(r.Elapsed), Leaderboard: r.Leaderboard,
+	})
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (r *Result) UnmarshalJSON(b []byte) error {
+	var w resultJSON
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*r = Result{
+		Evaluated: w.Evaluated, Pruned: w.Pruned, PoolSize: w.PoolSize,
+		Elapsed: fromMs(w.ElapsedMs), Leaderboard: w.Leaderboard,
+	}
+	return nil
+}
+
+// MarshalJSON implements json.Marshaler.
+func (e Entry) MarshalJSON() ([]byte, error) {
+	sj, err := modelio.SpecToJSON(e.Spec)
+	if err != nil {
+		return nil, err
+	}
+	w := entryJSON{
+		Rank: e.Rank, Spec: sj, Origin: e.Origin, EstimatedEpsilon: e.EstimatedEpsilon,
+		SampleSize: e.SampleSize, Rung: e.Rung, Pruned: e.Pruned, WallMs: toMs(e.Wall), Error: e.Err,
+	}
+	if !math.IsNaN(e.TestError) {
+		w.TestError = &e.TestError
+	}
+	return json.Marshal(w)
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (e *Entry) UnmarshalJSON(b []byte) error {
+	var w entryJSON
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	spec, err := w.Spec.Spec()
+	if err != nil {
+		return err
+	}
+	*e = Entry{
+		Rank: w.Rank, Spec: spec, Origin: w.Origin, TestError: math.NaN(), EstimatedEpsilon: w.EstimatedEpsilon,
+		SampleSize: w.SampleSize, Rung: w.Rung, Pruned: w.Pruned, Wall: fromMs(w.WallMs), Err: w.Error,
+	}
+	if w.TestError != nil {
+		e.TestError = *w.TestError
+	}
+	return nil
 }
 
 // RunSource builds a shared environment from src and searches space. This
@@ -337,10 +428,10 @@ func assemble(states []*candState, poolSize int, elapsed time.Duration) (*Result
 	})
 
 	res := &Result{
-		Entries:   make([]Entry, len(ranked)),
-		Evaluated: len(ranked),
-		PoolSize:  poolSize,
-		Elapsed:   elapsed,
+		Leaderboard: make([]Entry, len(ranked)),
+		Evaluated:   len(ranked),
+		PoolSize:    poolSize,
+		Elapsed:     elapsed,
 	}
 	var firstErr error
 	for i, st := range ranked {
@@ -370,7 +461,7 @@ func assemble(states []*candState, poolSize int, elapsed time.Duration) (*Result
 				firstErr = st.err
 			}
 		}
-		res.Entries[i] = e
+		res.Leaderboard[i] = e
 	}
 	best := ranked[0]
 	if best.model == nil {

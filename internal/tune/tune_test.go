@@ -130,10 +130,10 @@ func TestGridSearchRanksCandidates(t *testing.T) {
 	if spans := rec.Spans(); len(spans) == 0 || spans[0].Name != "ingest" {
 		t.Fatalf("the environment build is not attributed: first span of %d is not ingest", len(spans))
 	}
-	if len(res.Entries) != 3 || res.Evaluated != 3 || res.Pruned != 0 {
+	if len(res.Leaderboard) != 3 || res.Evaluated != 3 || res.Pruned != 0 {
 		t.Fatalf("result %+v, want 3 entries", res)
 	}
-	for i, e := range res.Entries {
+	for i, e := range res.Leaderboard {
 		if e.Rank != i+1 {
 			t.Fatalf("entry %d has rank %d", i, e.Rank)
 		}
@@ -143,8 +143,8 @@ func TestGridSearchRanksCandidates(t *testing.T) {
 		if e.EstimatedEpsilon <= 0 {
 			t.Fatalf("entry %d has no contract epsilon: %+v", i, e)
 		}
-		if i > 0 && res.Entries[i-1].TestError > e.TestError {
-			t.Fatalf("leaderboard not sorted: %v then %v", res.Entries[i-1].TestError, e.TestError)
+		if i > 0 && res.Leaderboard[i-1].TestError > e.TestError {
+			t.Fatalf("leaderboard not sorted: %v then %v", res.Leaderboard[i-1].TestError, e.TestError)
 		}
 	}
 	if res.Best == nil || len(res.Best.Theta) != 10 || res.Best.PoolSize == 0 {
@@ -175,7 +175,7 @@ func TestHalvingSearchDeterministicLeaderboard(t *testing.T) {
 	}
 	a, b := run(), run()
 
-	if a.Evaluated != 24 || len(a.Entries) != 24 {
+	if a.Evaluated != 24 || len(a.Leaderboard) != 24 {
 		t.Fatalf("evaluated %d candidates, want 24", a.Evaluated)
 	}
 	if a.Pruned == 0 {
@@ -183,7 +183,7 @@ func TestHalvingSearchDeterministicLeaderboard(t *testing.T) {
 	}
 	// Survivors after 3 rungs of eta=2: 24 → 12 → 6 → 3 contract-trained.
 	contract := 0
-	for _, e := range a.Entries {
+	for _, e := range a.Leaderboard {
 		if !e.Pruned && e.Err == "" && e.EstimatedEpsilon > 0 {
 			contract++
 		}
@@ -197,11 +197,11 @@ func TestHalvingSearchDeterministicLeaderboard(t *testing.T) {
 
 	// Determinism: identical specs, ranks, scores, sample sizes across runs
 	// (wall times differ, so compare the deterministic fields).
-	if len(a.Entries) != len(b.Entries) {
-		t.Fatalf("leaderboard lengths differ: %d vs %d", len(a.Entries), len(b.Entries))
+	if len(a.Leaderboard) != len(b.Leaderboard) {
+		t.Fatalf("leaderboard lengths differ: %d vs %d", len(a.Leaderboard), len(b.Leaderboard))
 	}
-	for i := range a.Entries {
-		ea, eb := a.Entries[i], b.Entries[i]
+	for i := range a.Leaderboard {
+		ea, eb := a.Leaderboard[i], b.Leaderboard[i]
 		if !reflect.DeepEqual(ea.Spec, eb.Spec) || ea.Rank != eb.Rank ||
 			ea.Pruned != eb.Pruned || ea.Rung != eb.Rung ||
 			ea.SampleSize != eb.SampleSize ||
@@ -215,7 +215,7 @@ func TestHalvingSearchDeterministicLeaderboard(t *testing.T) {
 	}
 
 	// Pruned candidates never trained past their rung's subsample.
-	for _, e := range a.Entries {
+	for _, e := range a.Leaderboard {
 		if e.Pruned && e.SampleSize >= a.PoolSize {
 			t.Fatalf("pruned candidate trained on the whole pool: %+v", e)
 		}
@@ -272,10 +272,10 @@ func TestSearchSurvivesCandidateFailure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if len(res.Entries) != 2 {
-		t.Fatalf("%d entries, want 2", len(res.Entries))
+	if len(res.Leaderboard) != 2 {
+		t.Fatalf("%d entries, want 2", len(res.Leaderboard))
 	}
-	last := res.Entries[1]
+	last := res.Leaderboard[1]
 	if last.Err == "" || !strings.Contains(last.Err, "task") {
 		t.Fatalf("failed candidate not recorded: %+v", last)
 	}
