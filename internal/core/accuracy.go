@@ -40,12 +40,13 @@ func accuracyDiffs(spec models.Spec, theta []float64, fac Factor, alpha float64,
 	compute.For(k, 4, func(lo, hi int) {
 		w := make([]float64, d)
 		thetaN := make([]float64, d)
+		preds := make([]float64, holdout.Len()) // diff's scratch, shared by this chunk's draws
 		for i := lo; i < hi; i++ {
 			fac.Apply(zs[i], w)
 			for j := 0; j < d; j++ {
 				thetaN[j] = theta[j] + scale*w[j]
 			}
-			vs[i] = diff(thetaN)
+			vs[i] = diff(thetaN, preds)
 		}
 	})
 	return vs

@@ -38,6 +38,48 @@ func benchSearcherSetup(b *testing.B, hide bool) *Searcher {
 	return NewSearcher(spec, fit.Theta, st.Factor, n0, env.PoolLen(), env.Holdout(), 0.05, 0.05, 100, stat.NewRNG(4))
 }
 
+// BenchmarkProbe times one Sample Size Estimator probe at the benchmark
+// workloads' shape — k = 100 sampled pairs on a 2000-row dense holdout — for
+// a single-score classifier (the probe is a sign-flip count) and for the
+// ten-class max-entropy model (an argmax per row and model).
+func BenchmarkProbe(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		spec models.Spec
+		ds   *dataset.Dataset
+	}{
+		{"logistic-28", models.LogisticRegression{Reg: 0.001}, datagen.Higgs(datagen.Config{Rows: 24000, Dim: 28, Seed: 1})},
+		{"maxent-40x10", models.MaxEntropy{Reg: 0.001, Classes: 10}, datagen.MNIST(datagen.Config{Rows: 24000, Dim: 40, Seed: 1})},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			opt := Options{Epsilon: 0.05, Seed: 2, InitialSampleSize: 1000}.WithDefaults()
+			env := NewEnv(c.ds, opt)
+			sample, err := env.Sample(stat.NewRNG(3), opt.InitialSampleSize)
+			if err != nil {
+				b.Fatal(err)
+			}
+			fit, err := models.Train(c.spec, sample, nil, optimize.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			st, err := ComputeStatistics(c.spec, sample, fit.Theta, opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := NewSearcher(c.spec, fit.Theta, st.Factor, opt.InitialSampleSize, env.PoolLen(), env.Holdout(), 0.05, 0.05, 100, stat.NewRNG(4))
+			if h := env.Holdout().Len(); h != 2000 {
+				b.Fatalf("holdout has %d rows, want 2000", h)
+			}
+			b.ResetTimer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.Probe(2000 + i%3)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*100*2000), "ns/row-pair")
+		})
+	}
+}
+
 // BenchmarkAblationProbeScorePath measures one SSE probe with the
 // precomputed-score fast path.
 func BenchmarkAblationProbeScorePath(b *testing.B) {

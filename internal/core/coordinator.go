@@ -268,6 +268,15 @@ func (e *Env) Pool() (*dataset.Dataset, error) {
 	return e.pool, nil
 }
 
+// identity returns the indices 0..n-1 in order.
+func identity(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
 // Sample draws n pool rows uniformly without replacement using rng and
 // materializes exactly those rows (the baseline strategies and experiments
 // drive this directly with their own RNGs).

@@ -48,9 +48,8 @@ type Plan struct {
 	mu     sync.Mutex // guards the lazily built state below and rng
 	rng    *stat.RNG
 	search *Searcher
-	perm   []int // Fisher–Yates state over the pool; perm[:drawn] is final
-	drawn  int
-	sample prefix // the rows of perm materialized so far
+	perm   *dataset.Shuffle // the final sample's draw over the pool, extended as contracts ask for more
+	sample prefix           // the rows of perm materialized so far
 }
 
 // noiseVariance is implemented by specs that record a quantity derived from
@@ -229,34 +228,9 @@ func (p *Plan) finalSample(n int) (*dataset.Dataset, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.perm == nil {
-		p.perm = identity(p.bigN)
+		p.perm = dataset.NewShuffle(p.bigN)
 	}
-	if p.drawn < n {
-		extendShuffle(p.rng, p.perm, p.drawn, n)
-		p.drawn = n
-	}
-	return p.sample.take(p.env, p.perm, n)
-}
-
-// identity returns the indices 0..n-1 in order.
-func identity(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
-}
-
-// extendShuffle advances a partial Fisher–Yates shuffle of idx from position
-// from to position to, leaving idx[:from] untouched. It is the loop of
-// dataset.SampleWithoutReplacement cut into steps: extended from one RNG it
-// visits exactly the states of one run to the last position, so the n-sample
-// is a prefix of every larger one and equals what Env.Sample(rng, n) draws.
-func extendShuffle(rng *stat.RNG, idx []int, from, to int) {
-	for i := from; i < to; i++ {
-		j := i + rng.Intn(len(idx)-i)
-		idx[i], idx[j] = idx[j], idx[i]
-	}
+	return p.sample.take(p.env, p.perm.Extend(p.rng, n), n)
 }
 
 // residentBytes is what the plan keeps alive beyond its environment.
@@ -270,5 +244,5 @@ func (p *Plan) residentBytes() int64 {
 			b += int64(len(s.w1[i])+len(s.w2[i])) * 8
 		}
 	}
-	return b + int64(len(p.perm))*8 + datasetBytes(p.sample.rows)
+	return b + p.perm.Bytes() + datasetBytes(p.sample.rows)
 }

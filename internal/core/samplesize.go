@@ -57,6 +57,8 @@ type Searcher struct {
 	scoreModel models.ScoreModel
 	nScores    int
 	base       []float64 // h*s: scores of θ₀
+	// scratch[c] is pool chunk c's probe buffer, kept from probe to probe.
+	scratch [][]float64
 
 	// vs, when non-nil, memoizes the k pair differences per probed n: a Plan
 	// sets it so a later search re-reads the probes it shares with an
@@ -94,8 +96,8 @@ func newSearcher(spec models.Spec, theta0 []float64, fac Factor, n0, bigN int, h
 	if useScores {
 		s.scoreModel = sm
 		s.nScores = sm.NumScores(d, holdout.Dim)
-		s.base = holdoutScores(sm, theta0, holdout, s.nScores)
-		keep = func(w []float64) []float64 { return holdoutScores(sm, w, holdout, s.nScores) }
+		s.base = holdoutScores(theta0, holdout, s.nScores)
+		keep = func(w []float64) []float64 { return holdoutScores(w, holdout, s.nScores) }
 	}
 	s.w1 = make([][]float64, k)
 	s.w2 = make([][]float64, k)
@@ -111,11 +113,9 @@ func newSearcher(spec models.Spec, theta0 []float64, fac Factor, n0, bigN int, h
 	return s
 }
 
-func holdoutScores(sm models.ScoreModel, theta []float64, holdout *dataset.Dataset, ns int) []float64 {
+func holdoutScores(theta []float64, holdout *dataset.Dataset, ns int) []float64 {
 	out := make([]float64, holdout.Len()*ns)
-	for r := 0; r < holdout.Len(); r++ {
-		sm.Scores(theta, holdout.X[r], out[r*ns:(r+1)*ns])
-	}
+	models.Scores(theta, holdout.X, ns, out)
 	return out
 }
 
@@ -150,11 +150,13 @@ func (s *Searcher) pairDiffs(n int) []float64 {
 	// pool (vs entries are written by exactly one chunk, so the probe is
 	// deterministic regardless of the degree).
 	if s.scoreModel != nil {
-		compute.For(s.k, 4, func(lo, hi int) {
-			bufN := make([]float64, s.nScores)
-			bufNN := make([]float64, s.nScores)
+		chunks := compute.Chunks(s.k, 4)
+		for len(s.scratch) < chunks {
+			s.scratch = append(s.scratch, make([]float64, 2*s.probeRows()*(s.nScores+1)))
+		}
+		compute.ForChunksN(s.k, chunks, func(chunk, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				vs[i] = s.scoreDiff(s.w1[i], s.w2[i], a1, a2, bufN, bufNN)
+				vs[i] = s.scoreDiff(s.w1[i], s.w2[i], a1, a2, s.scratch[chunk])
 			}
 		})
 	} else {
@@ -177,19 +179,33 @@ func (s *Searcher) pairDiffs(n int) []float64 {
 	return vs
 }
 
+// probeBlock is how many scores per model scoreDiff hands PredictScores at a
+// time: one dispatch per block, with scratch that stays in the nearest
+// cache whatever the score-vector length.
+const probeBlock = 256
+
+// probeRows is the holdout rows in one such block.
+func (s *Searcher) probeRows() int { return max(1, probeBlock/s.nScores) }
+
 // scoreDiff computes v(m_n, m_N) for one sampled pair from precomputed
-// scores: scores(θ_n,i) = base + a1·s1ᵢ, scores(θ_N,i) = that + a2·s2ᵢ.
-// bufN and bufNN are nScores-long scratch.
-func (s *Searcher) scoreDiff(s1, s2 []float64, a1, a2 float64, bufN, bufNN []float64) float64 {
-	ns := s.nScores
+// scores: scores(θ_n,i) = base + a1·s1ᵢ, scores(θ_N,i) = that + a2·s2ᵢ. Per
+// block of rows, buf — 2·probeRows·(nScores+1) long — holds both models'
+// scores one after the other and then their predictions, so one
+// PredictScores call answers for the pair.
+func (s *Searcher) scoreDiff(s1, s2 []float64, a1, a2 float64, buf []float64) float64 {
+	ns, rows := s.nScores, s.probeRows()
 	v := models.NewPredictionDiff(s.spec.Task())
-	for r := 0; r < s.holdout.Len(); r++ {
-		off := r * ns
-		for c := 0; c < ns; c++ {
-			bufN[c] = s.base[off+c] + a1*s1[off+c]
-			bufNN[c] = bufN[c] + a2*s2[off+c]
+	for lo, h := 0, s.holdout.Len(); lo < h; lo += rows {
+		m := min(rows, h-lo)
+		base, s1, s2 := s.base[lo*ns:][:m*ns], s1[lo*ns:][:m*ns], s2[lo*ns:][:m*ns]
+		scN, scNN := buf[:m*ns], buf[m*ns:][:m*ns]
+		for j, b := range base {
+			scN[j] = b + a1*s1[j]
+			scNN[j] = scN[j] + a2*s2[j]
 		}
-		v.Add(s.scoreModel.PredictScores(bufN), s.scoreModel.PredictScores(bufNN))
+		pred := buf[2*m*ns:][:2*m]
+		s.scoreModel.PredictScores(buf[:2*m*ns], pred)
+		v.AddRows(pred[:m], pred[m:])
 	}
 	return v.Value()
 }

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"blinkml/internal/stat"
 )
@@ -34,11 +35,22 @@ type Row interface {
 // DenseRow is a dense feature vector.
 type DenseRow []float64
 
-// Dot implements Row.
+// Dot implements Row. The adds are strictly sequential in index order; the
+// 4-way unroll only sheds loop and bounds-check overhead. That matters
+// because the chain of dependent adds leaves the core idle enough to overlap
+// the next row's chain with this one's — if both fit in its reorder window.
 func (r DenseRow) Dot(dense []float64) float64 {
+	d := dense[:len(r)]
 	var s float64
-	for i, v := range r {
-		s += v * dense[i]
+	i := 0
+	for ; i+4 <= len(r); i += 4 {
+		s += r[i] * d[i]
+		s += r[i+1] * d[i+1]
+		s += r[i+2] * d[i+2]
+		s += r[i+3] * d[i+3]
+	}
+	for ; i < len(r); i++ {
+		s += r[i] * d[i]
 	}
 	return s
 }
@@ -289,22 +301,99 @@ func FromDense(task Task, x [][]float64, y []float64, classes int) (*Dataset, er
 }
 
 // SampleWithoutReplacement returns n distinct uniform indices into a
-// population of the given size, using a partial Fisher-Yates shuffle
-// (O(size) memory, O(n) swaps). It panics if n > size; callers are expected
-// to clamp first.
+// population of the given size: the first n positions of a Fisher–Yates
+// shuffle of [0, size). It panics if n > size; callers are expected to clamp
+// first.
 func SampleWithoutReplacement(rng *stat.RNG, size, n int) []int {
 	if n > size {
 		panic(fmt.Sprintf("dataset: sample size %d exceeds population %d", n, size))
 	}
-	idx := make([]int, size)
-	for i := range idx {
-		idx[i] = i
+	return NewShuffle(size).Extend(rng, n)
+}
+
+// Shuffle is a Fisher–Yates shuffle of [0, size) drawn one position at a
+// time and kept sparse: a position never displaced holds its own index, so
+// only the displaced ones are stored and an n-prefix costs O(n) memory
+// whatever the population. Extended from one RNG it visits exactly the
+// states of a single run to the last position, so every prefix is a prefix
+// of every longer one and equals what SampleWithoutReplacement draws from
+// the same RNG state.
+type Shuffle struct {
+	size  int
+	drawn []int
+	// The displaced positions, as an open-addressing table of (position+1,
+	// index) pairs with linear probing; 0 marks a free slot. At most one
+	// entry per draw, none ever removed. (A Go map here costs more bytes
+	// than the N-long index it replaces once n reaches N/8.)
+	table []int
+}
+
+// NewShuffle starts a shuffle of [0, size) with nothing drawn.
+func NewShuffle(size int) *Shuffle { return &Shuffle{size: size} }
+
+// Extend returns the first n positions of the shuffle (n ≤ size), drawing
+// those beyond the ones already fixed from rng. The result is a view that
+// stays valid, and unchanged, across later calls.
+func (s *Shuffle) Extend(rng *stat.RNG, n int) []int {
+	if n <= len(s.drawn) {
+		return s.drawn[:n:n]
 	}
-	for i := 0; i < n; i++ {
-		j := i + rng.Intn(size-i)
-		idx[i], idx[j] = idx[j], idx[i]
+	s.drawn = slices.Grow(s.drawn, n-len(s.drawn))
+	s.reserve(n)
+	for i := len(s.drawn); i < n; i++ {
+		j := i + rng.Intn(s.size-i)
+		pj := s.slot(j)
+		if s.table[pj] == 0 {
+			s.table[pj], s.table[pj+1] = j+1, j
+		}
+		s.drawn = append(s.drawn, s.table[pj+1])
+		// Position i is final after this step, so its index moves to j and
+		// nothing is stored back at i.
+		at := i
+		if pi := s.slot(i); s.table[pi] != 0 {
+			at = s.table[pi+1]
+		}
+		s.table[pj+1] = at
 	}
-	return idx[:n:n]
+	return s.drawn[:n:n]
+}
+
+// Bytes is the memory the shuffle holds (0 for nil).
+func (s *Shuffle) Bytes() int64 {
+	if s == nil {
+		return 0
+	}
+	return int64(cap(s.drawn)+len(s.table)) * 8
+}
+
+// slot returns the table offset of pos's entry, or of the free slot where
+// it would go.
+func (s *Shuffle) slot(pos int) int {
+	mask := len(s.table)/2 - 1
+	h := int(uint64(pos)*0x9E3779B97F4A7C15>>32) & mask
+	for s.table[2*h] != 0 && s.table[2*h] != pos+1 {
+		h = (h + 1) & mask
+	}
+	return 2 * h
+}
+
+// reserve sizes the table for a prefix of n draws at a load of at most 3/4.
+func (s *Shuffle) reserve(n int) {
+	slots := 8
+	for 3*slots < 4*n {
+		slots *= 2
+	}
+	if 2*slots <= len(s.table) {
+		return
+	}
+	old := s.table
+	s.table = make([]int, 2*slots)
+	for k := 0; k < len(old); k += 2 {
+		if old[k] != 0 {
+			p := s.slot(old[k] - 1)
+			s.table[p], s.table[p+1] = old[k], old[k+1]
+		}
+	}
 }
 
 // Split holds the three index sets BlinkML works with: the training pool

@@ -31,40 +31,35 @@ func Diff(spec Spec, thetaA, thetaB []float64, holdout *dataset.Dataset) float64
 	if spec.Task() == dataset.Unsupervised {
 		return clamp01(1 - linalg.Cosine(thetaA, thetaB))
 	}
-	v := NewPredictionDiff(spec.Task())
-	for _, x := range holdout.X {
-		v.Add(spec.Predict(thetaA, x), spec.Predict(thetaB, x))
-	}
-	return v.Value()
+	return DiffFrom(spec, thetaA, holdout)(thetaB, make([]float64, holdout.Len()))
 }
 
 // DiffFrom returns θ_b ↦ Diff(spec, thetaA, θ_b, holdout) with m_a's holdout
 // predictions computed once — what the Model Accuracy Estimator needs, where
-// one trained model is compared against k sampled ones. Specs whose v does
-// not go through predictions (a Differ, PPCA) get Diff itself. The returned
-// function is safe for concurrent use.
-func DiffFrom(spec Spec, thetaA []float64, holdout *dataset.Dataset) func(thetaB []float64) float64 {
+// one trained model is compared against k sampled ones. The function's
+// second argument is holdout.Len() floats of scratch for m_b's predictions,
+// so a caller making many comparisons allocates it once per goroutine; with
+// separate scratch the function is safe for concurrent use. Specs whose v
+// does not go through predictions (a Differ, PPCA) get Diff itself.
+func DiffFrom(spec Spec, thetaA []float64, holdout *dataset.Dataset) func(thetaB, scratch []float64) float64 {
 	if _, own := spec.(Differ); own || spec.Task() == dataset.Unsupervised {
-		return func(thetaB []float64) float64 { return Diff(spec, thetaA, thetaB, holdout) }
+		return func(thetaB, _ []float64) float64 { return Diff(spec, thetaA, thetaB, holdout) }
 	}
 	pa := make([]float64, holdout.Len())
-	for i, x := range holdout.X {
-		pa[i] = spec.Predict(thetaA, x)
-	}
-	return func(thetaB []float64) float64 {
+	PredictInto(spec, thetaA, holdout.X, pa)
+	return func(thetaB, pb []float64) float64 {
+		PredictInto(spec, thetaB, holdout.X, pb)
 		v := NewPredictionDiff(spec.Task())
-		for i, x := range holdout.X {
-			v.Add(pa[i], spec.Predict(thetaB, x))
-		}
+		v.AddRows(pa, pb)
 		return v.Value()
 	}
 }
 
 // PredictionDiff accumulates v(m_a, m_b) for a supervised task from the two
-// models' predictions on the same rows: feed every row's pair to Add, then
-// read Value. It is the one statement of the metric: Diff, DiffFrom and the
-// Sample Size Estimator's score path differ only in where the predictions
-// come from.
+// models' predictions on the same rows: feed every row's pair to AddRows,
+// then read Value. It is the one statement of the metric: Diff, DiffFrom
+// and the Sample Size Estimator's score path differ only in where the
+// predictions come from.
 type PredictionDiff struct {
 	classify       bool
 	n, disagree    int
@@ -76,18 +71,23 @@ func NewPredictionDiff(task dataset.Task) PredictionDiff {
 	return PredictionDiff{classify: task == dataset.BinaryClassification || task == dataset.MultiClassification}
 }
 
-// Add records one row's predictions under m_a and m_b.
-func (v *PredictionDiff) Add(pa, pb float64) {
-	v.n++
+// AddRows records a block of rows' predictions under m_a and m_b, in order.
+func (v *PredictionDiff) AddRows(pa, pb []float64) {
+	pb = pb[:len(pa)]
+	v.n += len(pa)
 	if v.classify {
-		if pa != pb {
-			v.disagree++
+		for i, a := range pa {
+			if a != pb[i] {
+				v.disagree++
+			}
 		}
 		return
 	}
-	d := pa - pb
-	v.sqDiff += d * d
-	v.sqBase += pa * pa
+	for i, a := range pa {
+		d := a - pb[i]
+		v.sqDiff += d * d
+		v.sqBase += a * a
+	}
 }
 
 // Value returns v over the rows added so far (0 for none).
@@ -120,9 +120,12 @@ func AbsoluteRMSDiff(spec Spec, thetaA, thetaB []float64, holdout *dataset.Datas
 	if n == 0 {
 		return 0
 	}
+	pa, pb := make([]float64, n), make([]float64, n)
+	PredictInto(spec, thetaA, holdout.X, pa)
+	PredictInto(spec, thetaB, holdout.X, pb)
 	var sq float64
-	for i := 0; i < n; i++ {
-		d := spec.Predict(thetaA, holdout.X[i]) - spec.Predict(thetaB, holdout.X[i])
+	for i, a := range pa {
+		d := a - pb[i]
 		sq += d * d
 	}
 	if scale <= 0 {
@@ -148,9 +151,11 @@ func Accuracy(spec Spec, theta []float64, ds *dataset.Dataset) float64 {
 	if n == 0 {
 		return math.NaN()
 	}
+	pred := make([]float64, n)
+	PredictInto(spec, theta, ds.X, pred)
 	correct := 0
-	for i := 0; i < n; i++ {
-		if spec.Predict(theta, ds.X[i]) == ds.Y[i] {
+	for i, p := range pred {
+		if p == ds.Y[i] {
 			correct++
 		}
 	}
@@ -168,9 +173,11 @@ func GeneralizationError(spec Spec, theta []float64, ds *dataset.Dataset) float6
 		if n == 0 {
 			return math.NaN()
 		}
+		pred := make([]float64, n)
+		PredictInto(spec, theta, ds.X, pred)
 		var sq, base float64
-		for i := 0; i < n; i++ {
-			d := spec.Predict(theta, ds.X[i]) - ds.Y[i]
+		for i, p := range pred {
+			d := p - ds.Y[i]
 			sq += d * d
 			base += ds.Y[i] * ds.Y[i]
 		}

@@ -8,6 +8,49 @@ import (
 	"blinkml/internal/linalg"
 )
 
+// glm is a model whose per-example loss reaches x only through the linear
+// predictor z = θᵀx: ℓᵢ = loss(z, yᵢ) and qᵢ = coef(z, yᵢ)·xᵢ. A family
+// states that pair once, in link; its per-example Spec methods and the
+// blocked objective evaluation are both written against it.
+type glm interface {
+	link(z, y float64) (loss, coef float64)
+}
+
+// linkBlock is how many rows glmLossGrad hands dataset.DotRows at a time:
+// enough to amortize the call, small enough that the z scratch is a stack
+// array.
+const linkBlock = 64
+
+// glmLossGrad returns Σ ℓᵢ(θ) over rows lo..hi of ds and adds Σ qᵢ(θ) into
+// grad, row by row in order — what ExampleLossGrad does over the same range,
+// bit for bit — with the linear predictors computed a block at a time by
+// the row kernel.
+func glmLossGrad(m glm, theta []float64, ds *dataset.Dataset, lo, hi int, grad []float64) float64 {
+	var zbuf [linkBlock]float64
+	var loss float64
+	for ; lo < hi; lo += linkBlock {
+		rows := ds.X[lo:min(lo+linkBlock, hi)]
+		z := zbuf[:len(rows)]
+		dataset.DotRows(rows, theta, z)
+		for r, x := range rows {
+			l, c := m.link(z[r], label(ds, lo+r))
+			loss += l
+			x.AddTo(grad, c)
+		}
+	}
+	return loss
+}
+
+// rowDot is x.Dot(theta) with a dense row's Dot called directly, so the
+// per-row entry points (Predict, ExampleLossGrad) pay one dynamic dispatch,
+// not two.
+func rowDot(x dataset.Row, theta []float64) float64 {
+	if r, ok := x.(dataset.DenseRow); ok {
+		return r.Dot(theta)
+	}
+	return x.Dot(theta)
+}
+
 // scaledRow returns c*x as a Row in a parameter space of the same
 // dimension, preserving sparsity. GLM per-example gradients all have the
 // form qᵢ = c(θᵀxᵢ, yᵢ) · xᵢ, so this is the shared "grads" kernel.

@@ -24,23 +24,30 @@ func (LinearRegression) ParamDim(ds *dataset.Dataset) int { return ds.Dim }
 // Beta implements Spec.
 func (m LinearRegression) Beta() float64 { return m.Reg }
 
+// link implements glm: ℓ = ½(z − y)², coefficient z − y.
+func (LinearRegression) link(z, y float64) (loss, coef float64) {
+	r := z - y
+	return 0.5 * r * r, r
+}
+
 // ExampleLossGrad implements Spec.
-func (LinearRegression) ExampleLossGrad(theta []float64, x dataset.Row, y float64, gradAccum []float64) float64 {
-	r := x.Dot(theta) - y
+func (m LinearRegression) ExampleLossGrad(theta []float64, x dataset.Row, y float64, gradAccum []float64) float64 {
+	loss, c := m.link(rowDot(x, theta), y)
 	if gradAccum != nil {
-		x.AddTo(gradAccum, r)
+		x.AddTo(gradAccum, c)
 	}
-	return 0.5 * r * r
+	return loss
 }
 
 // ExampleGradRow implements Spec.
-func (LinearRegression) ExampleGradRow(theta []float64, x dataset.Row, y float64) dataset.Row {
-	return scaledRow(x, x.Dot(theta)-y)
+func (m LinearRegression) ExampleGradRow(theta []float64, x dataset.Row, y float64) dataset.Row {
+	_, c := m.link(rowDot(x, theta), y)
+	return scaledRow(x, c)
 }
 
 // Predict implements Spec: the real-valued regression estimate θᵀx.
 func (LinearRegression) Predict(theta []float64, x dataset.Row) float64 {
-	return x.Dot(theta)
+	return rowDot(x, theta)
 }
 
 // Hessian implements Hessianer: H = (1/n) XᵀX + βI — the ClosedForm method

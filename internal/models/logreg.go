@@ -26,37 +26,37 @@ func (LogisticRegression) ParamDim(ds *dataset.Dataset) int { return ds.Dim }
 // Beta implements Spec.
 func (m LogisticRegression) Beta() float64 { return m.Reg }
 
-// ExampleLossGrad implements Spec. A single exp serves both the gradient
-// coefficient σ(z)−y and the loss −log Pr(y|x) = log(1+e^z) − y·z: each
-// branch computes t = e^{-|z|} once and derives σ(z) and the softplus from
-// it (the z ≥ 0 loss uses the z + log1p(e^{-z}) form, which needs no
-// overflow cutoff).
-func (LogisticRegression) ExampleLossGrad(theta []float64, x dataset.Row, y float64, gradAccum []float64) float64 {
-	z := x.Dot(theta)
-	var sig, loss float64
+// link implements glm. A single exp serves both the gradient coefficient
+// σ(z)−y and the loss −log Pr(y|x) = log(1+e^z) − y·z: each branch computes
+// t = e^{-|z|} once and derives σ(z) and the softplus from it (the z ≥ 0 loss
+// uses the z + log1p(e^{-z}) form, which needs no overflow cutoff).
+func (LogisticRegression) link(z, y float64) (loss, coef float64) {
 	if z >= 0 {
 		t := math.Exp(-z)
-		sig = 1 / (1 + t)
-		loss = z + math.Log1p(t) - y*z
-	} else {
-		e := math.Exp(z)
-		sig = e / (1 + e)
-		loss = math.Log1p(e) - y*z
+		return z + math.Log1p(t) - y*z, 1/(1+t) - y
 	}
+	e := math.Exp(z)
+	return math.Log1p(e) - y*z, e/(1+e) - y
+}
+
+// ExampleLossGrad implements Spec.
+func (m LogisticRegression) ExampleLossGrad(theta []float64, x dataset.Row, y float64, gradAccum []float64) float64 {
+	loss, c := m.link(rowDot(x, theta), y)
 	if gradAccum != nil {
-		x.AddTo(gradAccum, sig-y)
+		x.AddTo(gradAccum, c)
 	}
 	return loss
 }
 
 // ExampleGradRow implements Spec.
-func (LogisticRegression) ExampleGradRow(theta []float64, x dataset.Row, y float64) dataset.Row {
-	return scaledRow(x, sigmoid(x.Dot(theta))-y)
+func (m LogisticRegression) ExampleGradRow(theta []float64, x dataset.Row, y float64) dataset.Row {
+	_, c := m.link(rowDot(x, theta), y)
+	return scaledRow(x, c)
 }
 
 // Predict implements Spec: the hard class label 1{σ(θᵀx) ≥ ½} = 1{θᵀx ≥ 0}.
 func (LogisticRegression) Predict(theta []float64, x dataset.Row) float64 {
-	if x.Dot(theta) >= 0 {
+	if rowDot(x, theta) >= 0 {
 		return 1
 	}
 	return 0

@@ -139,7 +139,7 @@ func (m MaxEntropy) Predict(theta []float64, x dataset.Row) float64 {
 	}
 	z = z[:k]
 	logitsInto(theta, x, k, d, z)
-	return m.PredictScores(z)
+	return float64(argmax(z))
 }
 
 // Hessian implements Hessianer for low-dimensional problems: the (c,c')

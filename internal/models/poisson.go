@@ -30,31 +30,33 @@ func (PoissonRegression) ParamDim(ds *dataset.Dataset) int { return ds.Dim }
 // Beta implements Spec.
 func (m PoissonRegression) Beta() float64 { return m.Reg }
 
-// ExampleLossGrad implements Spec.
-func (PoissonRegression) ExampleLossGrad(theta []float64, x dataset.Row, y float64, gradAccum []float64) float64 {
-	z := x.Dot(theta)
+// link implements glm: ℓ = e^z − y·z, coefficient e^z − y, at the capped z.
+func (PoissonRegression) link(z, y float64) (loss, coef float64) {
 	if z > linPredCap {
 		z = linPredCap
 	}
 	ez := math.Exp(z)
+	return ez - y*z, ez - y
+}
+
+// ExampleLossGrad implements Spec.
+func (m PoissonRegression) ExampleLossGrad(theta []float64, x dataset.Row, y float64, gradAccum []float64) float64 {
+	loss, c := m.link(rowDot(x, theta), y)
 	if gradAccum != nil {
-		x.AddTo(gradAccum, ez-y)
+		x.AddTo(gradAccum, c)
 	}
-	return ez - y*z
+	return loss
 }
 
 // ExampleGradRow implements Spec.
-func (PoissonRegression) ExampleGradRow(theta []float64, x dataset.Row, y float64) dataset.Row {
-	z := x.Dot(theta)
-	if z > linPredCap {
-		z = linPredCap
-	}
-	return scaledRow(x, math.Exp(z)-y)
+func (m PoissonRegression) ExampleGradRow(theta []float64, x dataset.Row, y float64) dataset.Row {
+	_, c := m.link(rowDot(x, theta), y)
+	return scaledRow(x, c)
 }
 
 // Predict implements Spec: the expected count λ = e^{θᵀx}.
 func (PoissonRegression) Predict(theta []float64, x dataset.Row) float64 {
-	z := x.Dot(theta)
+	z := rowDot(x, theta)
 	if z > linPredCap {
 		z = linPredCap
 	}

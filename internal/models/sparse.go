@@ -2,7 +2,7 @@ package models
 
 import "blinkml/internal/dataset"
 
-// Fused sparse kernels for the multiclass hot path. The max-entropy model
+// Fused kernels for the multiclass hot path. The max-entropy model
 // walks each example's features once per class — K dots for the logits, K
 // scatters for the gradient — which re-reads the row's index/value arrays
 // K times. The fused forms below walk the row once and keep K accumulators,
@@ -15,27 +15,49 @@ import "blinkml/internal/dataset"
 const maxFusedClasses = 16
 
 // logitsInto fills z[c] = θ_cᵀx for all k classes, where class c occupies
-// theta[c*d : (c+1)*d]. Sparse rows take the single-pass fused path; every
-// other row type computes the per-class dots directly.
+// theta[c*d : (c+1)*d]. Sparse rows take the single-pass fused path. Dense
+// rows walk four classes at a time, one accumulator per class — a single
+// dense dot is a chain of dependent adds, four of them overlap — each still
+// summing j = 0…d−1 in order, so z[c] is x.Dot(θ_c) bit for bit. Any other
+// row type computes the per-class dots directly.
 func logitsInto(theta []float64, x dataset.Row, k, d int, z []float64) {
-	sp, ok := x.(*dataset.SparseRow)
-	if !ok {
+	switch r := x.(type) {
+	case dataset.DenseRow:
+		c := 0
+		for ; c+4 <= k; c += 4 {
+			t0 := theta[c*d:][:len(r)]
+			t1 := theta[(c+1)*d:][:len(r)]
+			t2 := theta[(c+2)*d:][:len(r)]
+			t3 := theta[(c+3)*d:][:len(r)]
+			var s0, s1, s2, s3 float64
+			for j, v := range r {
+				s0 += v * t0[j]
+				s1 += v * t1[j]
+				s2 += v * t2[j]
+				s3 += v * t3[j]
+			}
+			z[c], z[c+1], z[c+2], z[c+3] = s0, s1, s2, s3
+		}
+		for ; c < k; c++ {
+			z[c] = r.Dot(theta[c*d : (c+1)*d])
+		}
+	case *dataset.SparseRow:
+		z = z[:k]
+		for c := range z {
+			z[c] = 0
+		}
+		idx := r.Idx
+		val := r.Val[:len(idx)]
+		for t, j := range idx {
+			v := val[t]
+			off := int(j)
+			for c := range z {
+				z[c] += v * theta[c*d+off]
+			}
+		}
+	default:
 		for c := 0; c < k; c++ {
 			z[c] = x.Dot(theta[c*d : (c+1)*d])
-		}
-		return
-	}
-	z = z[:k]
-	for c := range z {
-		z[c] = 0
-	}
-	idx := sp.Idx
-	val := sp.Val[:len(idx)]
-	for t, j := range idx {
-		v := val[t]
-		off := int(j)
-		for c := range z {
-			z[c] += v * theta[c*d+off]
 		}
 	}
 }

@@ -112,7 +112,9 @@ func (o *objective) Dim() int { return o.dim }
 // gathers loss and gradient into its own scratch buffer, and the partials
 // merge in a fixed tree order, so the result is bit-identical across runs
 // at a fixed parallelism degree (and exactly the serial accumulation at
-// degree 1, where grad itself is the single chunk's scratch).
+// degree 1, where grad itself is the single chunk's scratch). Inside a chunk
+// a GLM's linear predictors come from the row-block kernel; the loss and
+// gradient terms are still added row by row, so the sums do not move.
 func (o *objective) Eval(x, grad []float64) float64 {
 	n := o.ds.Len()
 	linalg.Fill(grad, 0)
@@ -125,8 +127,12 @@ func (o *objective) Eval(x, grad []float64) float64 {
 			g = make([]float64, o.dim)
 		}
 		var loss float64
-		for i := lo; i < hi; i++ {
-			loss += o.spec.ExampleLossGrad(x, o.ds.X[i], label(o.ds, i), g)
+		if m, ok := o.spec.(glm); ok {
+			loss = glmLossGrad(m, x, o.ds, lo, hi, g)
+		} else {
+			for i := lo; i < hi; i++ {
+				loss += o.spec.ExampleLossGrad(x, o.ds.X[i], label(o.ds, i), g)
+			}
 		}
 		lossParts[chunk] = loss
 		gradParts[chunk] = g

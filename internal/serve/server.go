@@ -621,6 +621,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, PredictResponse{ModelID: id, Predictions: preds})
 }
 
+// predictBlock is how many rows predictBatch views as dataset rows at a
+// time; the views live in a stack array, so a batch allocates only what its
+// rows and predictions do.
+const predictBlock = 64
+
 // predictBatch evaluates the model on every row through the shared
 // compute pool (predictions are independent and specs are safe for
 // concurrent Predict), so large batches parallelize without adding
@@ -628,8 +633,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 func predictBatch(spec models.Spec, theta []float64, rows [][]float64) []float64 {
 	preds := make([]float64, len(rows))
 	compute.For(len(rows), predictGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			preds[i] = spec.Predict(theta, dataset.DenseRow(rows[i]))
+		var block [predictBlock]dataset.Row
+		for ; lo < hi; lo += predictBlock {
+			b := block[:min(predictBlock, hi-lo)]
+			for i := range b {
+				b[i] = dataset.DenseRow(rows[lo+i])
+			}
+			models.PredictInto(spec, theta, b, preds[lo:])
 		}
 	})
 	return preds
