@@ -603,8 +603,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
+	// req.Rows may view pb's buffers, so pb goes back only once the reply
+	// is written.
+	pb := predictBufs.Get().(*predictBuf)
+	defer pb.release()
 	var req PredictRequest
-	if !s.readJSON(w, r, &req) {
+	if !s.readPredict(w, r, pb, &req) {
 		return
 	}
 	if err := req.Validate(m.Dim); err != nil {
@@ -670,7 +674,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // readJSON decodes the request body — exactly one JSON value — into v,
 // writing a 400 on failure.
 func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	return decodeJSON(w, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), v)
+}
+
+// decodeJSON decodes exactly one JSON value from body into v, writing a 413
+// when body ends in an http.MaxBytesError and a 400 on any other failure.
+func decodeJSON(w http.ResponseWriter, body io.Reader, v any) bool {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
