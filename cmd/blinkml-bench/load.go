@@ -7,6 +7,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -60,8 +61,8 @@ func parseQPSSteps(s string) ([]float64, error) {
 			continue
 		}
 		v, err := strconv.ParseFloat(part, 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad QPS step %q (want a positive number)", part)
+		if err != nil || !(v > 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("bad QPS step %q (want a positive finite number)", part)
 		}
 		out = append(out, v)
 	}
@@ -71,9 +72,28 @@ func parseQPSSteps(s string) ([]float64, error) {
 	return out, nil
 }
 
+// sloFromFlags builds the sweep's SLO from the -slo-* flags. A zero or
+// negative value takes the default; a non-finite one is refused, since a NaN
+// bound fails SLO.Meets at every step.
+func sloFromFlags(latencyMs, quantile, maxErrors float64) (loadgen.SLO, error) {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"-slo-ms", latencyMs}, {"-slo-quantile", quantile}, {"-slo-max-errors", maxErrors}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return loadgen.SLO{}, fmt.Errorf("%s %v is not a finite number", f.name, f.v)
+		}
+	}
+	return loadgen.SLO{Quantile: quantile, LatencyMs: latencyMs, MaxErrorRate: maxErrors}.WithDefaults(), nil
+}
+
 // runLoad executes the -load sweep end to end.
 func runLoad(lf *loadFlags, seed int64) error {
 	steps, err := parseQPSSteps(*lf.qps)
+	if err != nil {
+		return err
+	}
+	slo, err := sloFromFlags(*lf.sloMs, *lf.sloQuantile, *lf.sloMaxErr)
 	if err != nil {
 		return err
 	}
@@ -113,11 +133,6 @@ func runLoad(lf *loadFlags, seed int64) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	slo := loadgen.SLO{
-		Quantile:     *lf.sloQuantile,
-		LatencyMs:    *lf.sloMs,
-		MaxErrorRate: *lf.sloMaxErr,
-	}.WithDefaults()
 	fmt.Fprintf(os.Stderr,
 		"blinkml-bench: load sweep against %s%s (%s arrival, %v/step, SLO p%g <= %gms, err <= %g%%)\n",
 		base, endpoint, arrival, *lf.stepDur, 100*slo.Quantile, slo.LatencyMs, 100*slo.MaxErrorRate)

@@ -1,16 +1,13 @@
 // Command blinkml-bench regenerates the paper's evaluation tables and
-// figures (Figures 5–11, Tables 4–9) on the synthetic workloads, and — with
-// -json — writes a machine-readable benchmark summary (one seeded BlinkML
-// training per workload: ns/op, chosen sample size, estimated ε), seeding
-// the repo's BENCH_*.json performance trajectory.
+// figures (Figures 5–11, Tables 4–9) on the synthetic workloads. The repo's
+// performance benchmark is a separate program, `go run ./benchmark` (see
+// BENCHMARK.json).
 //
 // Usage:
 //
 //	blinkml-bench -list
 //	blinkml-bench -experiment fig5-lr-criteo -scale medium
 //	blinkml-bench -all -scale small
-//	blinkml-bench -json BENCH_small.json -scale small
-//	blinkml-bench -json - -scale medium     # summary to stdout
 //
 // With -load it instead drives a live blinkml-serve instance with the
 // open-loop load harness (internal/loadgen) and appends the stepped-QPS
@@ -38,7 +35,6 @@ func main() {
 		all        = flag.Bool("all", false, "run every experiment")
 		scale      = flag.String("scale", "small", "small | medium | large")
 		seed       = flag.Int64("seed", 1, "random seed")
-		jsonOut    = flag.String("json", "", "run the benchmark suite and write the JSON summary to this path (\"-\" = stdout)")
 		par        = flag.Int("parallelism", 0, "compute-pool degree for all training kernels (0 = GOMAXPROCS)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this path on exit")
@@ -97,10 +93,6 @@ func main() {
 		fatal(err)
 	}
 	switch {
-	case *jsonOut != "":
-		if err := writeBench(s, *seed, *jsonOut); err != nil {
-			fatal(err)
-		}
 	case *all:
 		if err := experiments.RunAll(s, *seed, os.Stdout); err != nil {
 			fatal(err)
@@ -118,36 +110,9 @@ func main() {
 			t.Fprint(os.Stdout)
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "blinkml-bench: pass -list, -all, -experiment <id>, or -json <path>")
+		fmt.Fprintln(os.Stderr, "blinkml-bench: pass -list, -all, -experiment <id>, or -load")
 		os.Exit(2)
 	}
-}
-
-// writeBench runs the benchmark suite and writes the JSON summary to path
-// ("-" for stdout). Progress goes to stderr so a piped stdout stays pure
-// JSON.
-func writeBench(s experiments.Scale, seed int64, path string) error {
-	fmt.Fprintf(os.Stderr, "blinkml-bench: running %s-scale benchmark suite (seed %d)\n", s, seed)
-	sum, err := experiments.RunBench(s, seed)
-	if err != nil {
-		return err
-	}
-	if path == "-" {
-		return sum.WriteJSON(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := sum.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "blinkml-bench: wrote %s (%d workloads)\n", path, len(sum.Results))
-	return nil
 }
 
 // stopCPUProfile and writeMemProfile are installed when the respective

@@ -2,14 +2,12 @@ package audit
 
 import (
 	"expvar"
-	"sync"
 
 	"blinkml/internal/obs"
 )
 
-// Metrics are the audit plane's expvar vars, published once under the
-// "blinkml_audit" map so repeated Log construction (tests, restarts in one
-// process) reuses the same vars instead of panicking on re-publish. The
+// Metrics are the audit plane's expvar vars in the "blinkml_audit" map (an
+// obs.Registry, so repeated Log construction reuses the same vars). The
 // gauges are resynced from the loaded log on Open.
 type Metrics struct {
 	Records        *expvar.Int // calibration records appended
@@ -31,32 +29,17 @@ type Metrics struct {
 	CalibrationRatio *obs.HistogramVec
 }
 
-var (
-	metricsOnce sync.Once
-	metrics     *Metrics
-)
-
+// sharedMetrics returns the "blinkml_audit" map, publishing it on first use.
 func sharedMetrics() *Metrics {
-	metricsOnce.Do(func() {
-		m := expvar.NewMap("blinkml_audit")
-		newInt := func(name string) *expvar.Int {
-			v := new(expvar.Int)
-			m.Set(name, v)
-			return v
-		}
-		metrics = &Metrics{
-			Records:        newInt("records"),
-			Replays:        newInt("replays"),
-			ReplaysPending: newInt("replays_pending"),
-			ReplayFailures: newInt("replay_failures"),
-			CoverageAlerts: newInt("coverage_alerts"),
-		}
-		metrics.ReplayLatency = obs.NewHistogram()
-		m.Set("replay_ms", metrics.ReplayLatency)
-		metrics.Coverage = obs.NewGaugeVec()
-		m.Set("coverage", metrics.Coverage)
-		metrics.CalibrationRatio = obs.NewHistogramVec()
-		m.Set("calibration_ratio", metrics.CalibrationRatio)
-	})
-	return metrics
+	r := obs.NewRegistry("blinkml_audit")
+	return &Metrics{
+		Records:          r.Int("records"),
+		Replays:          r.Int("replays"),
+		ReplaysPending:   r.Int("replays_pending"),
+		ReplayFailures:   r.Int("replay_failures"),
+		CoverageAlerts:   r.Int("coverage_alerts"),
+		ReplayLatency:    r.Histogram("replay_ms"),
+		Coverage:         r.GaugeVec("coverage"),
+		CalibrationRatio: r.HistogramVec("calibration_ratio"),
+	}
 }

@@ -2,16 +2,14 @@ package cluster
 
 import (
 	"expvar"
-	"sync"
 
 	"blinkml/internal/core"
 	"blinkml/internal/obs"
 )
 
-// Metrics are the cluster's expvar counters, published once under the
-// "blinkml_cluster" map so repeated coordinator construction (tests,
-// restarts in one process) reuses the same vars instead of panicking on
-// re-publish.
+// Metrics are the cluster's expvar counters in the "blinkml_cluster" map
+// (an obs.Registry, so repeated coordinator construction reuses the same
+// vars).
 type Metrics struct {
 	Workers       *expvar.Int // gauge: registered workers
 	WorkersJoined *expvar.Int // total registrations
@@ -35,51 +33,31 @@ type Metrics struct {
 	DatasetsExported *expvar.Int // bundle downloads served to workers
 }
 
-var (
-	metricsOnce sync.Once
-	metrics     *Metrics
-)
-
+// sharedMetrics returns the coordinator's "blinkml_cluster" map, publishing
+// it on first use.
 func sharedMetrics() *Metrics {
-	metricsOnce.Do(func() {
-		m := expvar.NewMap("blinkml_cluster")
-		newInt := func(name string) *expvar.Int {
-			v := new(expvar.Int)
-			m.Set(name, v)
-			return v
-		}
-		metrics = &Metrics{
-			Workers:          newInt("workers"),
-			WorkersJoined:    newInt("workers_joined"),
-			WorkersLost:      newInt("workers_lost"),
-			TasksSubmitted:   newInt("tasks_submitted"),
-			TasksPending:     newInt("tasks_pending"),
-			TasksLeased:      newInt("tasks_leased"),
-			TasksSucceeded:   newInt("tasks_succeeded"),
-			TasksFailed:      newInt("tasks_failed"),
-			TasksCancelled:   newInt("tasks_cancelled"),
-			TasksRequeued:    newInt("tasks_requeued"),
-			LeasesGranted:    newInt("leases_granted"),
-			DatasetsExported: newInt("datasets_exported"),
-		}
-		metrics.TaskLeaseWait = obs.NewHistogram()
-		m.Set("task_lease_wait_ms", metrics.TaskLeaseWait)
-		metrics.TaskLeaseToComplete = obs.NewHistogram()
-		m.Set("task_lease_to_complete_ms", metrics.TaskLeaseToComplete)
-	})
-	return metrics
+	r := obs.NewRegistry("blinkml_cluster")
+	return &Metrics{
+		Workers:             r.Int("workers"),
+		WorkersJoined:       r.Int("workers_joined"),
+		WorkersLost:         r.Int("workers_lost"),
+		TasksSubmitted:      r.Int("tasks_submitted"),
+		TasksPending:        r.Int("tasks_pending"),
+		TasksLeased:         r.Int("tasks_leased"),
+		TasksSucceeded:      r.Int("tasks_succeeded"),
+		TasksFailed:         r.Int("tasks_failed"),
+		TasksCancelled:      r.Int("tasks_cancelled"),
+		TasksRequeued:       r.Int("tasks_requeued"),
+		LeasesGranted:       r.Int("leases_granted"),
+		TaskLeaseWait:       r.Histogram("task_lease_wait_ms"),
+		TaskLeaseToComplete: r.Histogram("task_lease_to_complete_ms"),
+		DatasetsExported:    r.Int("datasets_exported"),
+	}
 }
 
-var (
-	workerMetricsOnce sync.Once
-	workerMetrics     *core.CacheMetrics
-)
-
 // sharedWorkerMetrics returns the worker side's series — its env/plan
-// cache's plan_cache_* — published once under the "blinkml_worker" map.
+// cache's plan_cache_* — in the "blinkml_worker" map, publishing it on
+// first use.
 func sharedWorkerMetrics() *core.CacheMetrics {
-	workerMetricsOnce.Do(func() {
-		workerMetrics = core.NewCacheMetrics(expvar.NewMap("blinkml_worker"))
-	})
-	return workerMetrics
+	return core.NewCacheMetrics(obs.NewRegistry("blinkml_worker"))
 }

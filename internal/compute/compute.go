@@ -247,38 +247,26 @@ func TriangleRanges(n int) []Range {
 	return ranges
 }
 
-// metrics are the pool's expvar gauges, published once under
-// "blinkml_compute" (scraped together with the serve metrics at
-// /metrics).
-var metrics = func() struct {
+// poolMetrics are the pool's expvar series.
+type poolMetrics struct {
 	parallelism    *expvar.Int    // gauge: configured degree
 	parallelCalls  *expvar.Int    // Run invocations that went parallel
 	tasksRun       *expvar.Int    // tasks executed by parallel Run calls
 	helpersSpawned *expvar.Int    // helper goroutines actually obtained
 	helpersBusy    *expvar.Int    // gauge: helpers currently executing
 	runLatency     *obs.Histogram // wall time of parallel Run calls (ms)
-} {
-	m := expvar.NewMap("blinkml_compute")
-	newInt := func(name string) *expvar.Int {
-		v := new(expvar.Int)
-		m.Set(name, v)
-		return v
-	}
-	h := obs.NewHistogram()
-	m.Set("run_ms", h)
-	return struct {
-		parallelism    *expvar.Int
-		parallelCalls  *expvar.Int
-		tasksRun       *expvar.Int
-		helpersSpawned *expvar.Int
-		helpersBusy    *expvar.Int
-		runLatency     *obs.Histogram
-	}{
-		parallelism:    newInt("parallelism"),
-		parallelCalls:  newInt("parallel_calls"),
-		tasksRun:       newInt("tasks_run"),
-		helpersSpawned: newInt("helpers_spawned"),
-		helpersBusy:    newInt("helpers_busy"),
-		runLatency:     h,
+}
+
+// metrics are published under "blinkml_compute" at package init (scraped
+// together with the serve metrics at /metrics).
+var metrics = func() poolMetrics {
+	r := obs.NewRegistry("blinkml_compute")
+	return poolMetrics{
+		parallelism:    r.Int("parallelism"),
+		parallelCalls:  r.Int("parallel_calls"),
+		tasksRun:       r.Int("tasks_run"),
+		helpersSpawned: r.Int("helpers_spawned"),
+		helpersBusy:    r.Int("helpers_busy"),
+		runLatency:     r.Histogram("run_ms"),
 	}
 }()

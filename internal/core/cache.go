@@ -43,19 +43,14 @@ type CacheMetrics struct {
 	Bytes                   *expvar.Int // gauge: resident bytes
 }
 
-// NewCacheMetrics publishes the series in m as plan_cache_hits,
+// NewCacheMetrics publishes the series in r as plan_cache_hits,
 // plan_cache_misses, plan_cache_evictions and plan_cache_bytes.
-func NewCacheMetrics(m *expvar.Map) *CacheMetrics {
-	newInt := func(name string) *expvar.Int {
-		v := new(expvar.Int)
-		m.Set(name, v)
-		return v
-	}
+func NewCacheMetrics(r *obs.Registry) *CacheMetrics {
 	return &CacheMetrics{
-		Hits:      newInt("plan_cache_hits"),
-		Misses:    newInt("plan_cache_misses"),
-		Evictions: newInt("plan_cache_evictions"),
-		Bytes:     newInt("plan_cache_bytes"),
+		Hits:      r.Int("plan_cache_hits"),
+		Misses:    r.Int("plan_cache_misses"),
+		Evictions: r.Int("plan_cache_evictions"),
+		Bytes:     r.Int("plan_cache_bytes"),
 	}
 }
 

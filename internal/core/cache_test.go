@@ -80,12 +80,18 @@ func TestPlanReadsOnlyTheRowsBeyondItsPrefix(t *testing.T) {
 	}
 }
 
+// unpublishedCacheMetrics returns fresh series that no expvar map holds, so
+// each test counts from zero.
+func unpublishedCacheMetrics() *CacheMetrics {
+	return &CacheMetrics{Hits: new(expvar.Int), Misses: new(expvar.Int), Evictions: new(expvar.Int), Bytes: new(expvar.Int)}
+}
+
 // TestCacheEvictsToBudget: with room for the ladder's entries and one other
 // dataset's, a ladder interleaved with jobs on other data keeps hitting its
 // plan while resident bytes stay within the budget after every job.
 func TestCacheEvictsToBudget(t *testing.T) {
 	ctx := context.Background()
-	m := NewCacheMetrics(new(expvar.Map).Init())
+	m := unpublishedCacheMetrics()
 	c := NewCache(m)
 	var opens atomic.Int64
 	train := func(seed int64, eps float64) *Result {
@@ -125,7 +131,7 @@ func TestCacheEvictsToBudget(t *testing.T) {
 // initial training is not cached; the next request builds cleanly and
 // answers what a one-shot run does.
 func TestCacheDoesNotKeepACancelledBuild(t *testing.T) {
-	m := NewCacheMetrics(new(expvar.Map).Init())
+	m := unpublishedCacheMetrics()
 	c := NewCache(m)
 	var opens atomic.Int64
 	data := higgsData(1, &opens)
@@ -164,7 +170,7 @@ func TestCacheDoesNotKeepACancelledBuild(t *testing.T) {
 // again — so it sees whatever the store now answers for that id.
 func TestCacheDropForgetsTheDataset(t *testing.T) {
 	ctx := context.Background()
-	m := NewCacheMetrics(new(expvar.Map).Init())
+	m := unpublishedCacheMetrics()
 	c := NewCache(m)
 	var opens atomic.Int64
 	kept, dropped := higgsData(1, &opens), higgsData(2, &opens)
@@ -191,7 +197,7 @@ func TestCacheDropForgetsTheDataset(t *testing.T) {
 // TestCacheBuildsOnceForConcurrentFirstRequests: two first requests for one
 // key share one environment build and one plan build, and agree.
 func TestCacheBuildsOnceForConcurrentFirstRequests(t *testing.T) {
-	m := NewCacheMetrics(new(expvar.Map).Init())
+	m := unpublishedCacheMetrics()
 	c := NewCache(m)
 	var opens atomic.Int64
 	data := higgsData(1, &opens)

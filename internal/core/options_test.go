@@ -138,3 +138,28 @@ func TestOptionsRejectOutOfRangeAndNaN(t *testing.T) {
 		})
 	}
 }
+
+// FuzzOptionsJSON: whatever the bytes, Options.UnmarshalJSON either refuses
+// them or yields options that resolve and validate without panicking,
+// where validation passes only for an ε in (0, 1] and a δ in (0, 1), and
+// whose wire form reads back to the same options.
+func FuzzOptionsJSON(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var o Options
+		if err := o.UnmarshalJSON(body); err != nil {
+			return
+		}
+		d := o.WithDefaults()
+		if err := d.validate(); err == nil && !(d.Epsilon > 0 && d.Epsilon <= 1 && d.Delta > 0 && d.Delta < 1) {
+			t.Fatalf("%q: validate accepted epsilon %v, delta %v", body, d.Epsilon, d.Delta)
+		}
+		raw, err := o.MarshalJSON()
+		if err != nil {
+			t.Fatalf("%q: decoded options do not encode: %v", body, err)
+		}
+		var back Options
+		if err := back.UnmarshalJSON(raw); err != nil || !reflect.DeepEqual(back, o) {
+			t.Fatalf("%q: wire form %s reads back as %+v (err %v), want %+v", body, raw, back, err, o)
+		}
+	})
+}

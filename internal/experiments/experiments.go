@@ -182,44 +182,10 @@ func ppcaFactors(s Scale) int {
 	}
 }
 
-// SparseWorkloads returns high-dimensional sparse variants of the Criteo
-// and Yelp pairings: same generators and models, ambient dimension pushed
-// to 10k (small) through 100k (large). The per-row activity of both
-// generators is dimension-independent (~38 and ~45 stored entries), so
-// density drops to a fraction of a percent and the runs exercise the CSR
-// sample materialization and sparse statistics kernels end-to-end — shapes
-// the dense path cannot touch (a single dense 100k-dim row is 800 KB).
-func SparseWorkloads() []Workload {
-	const reg = 0.001
-	return []Workload{
-		{
-			ID: "lr-criteo-sparse", ModelName: "LR", DataName: "Criteo",
-			Spec: func(Scale) models.Spec { return models.LogisticRegression{Reg: reg} },
-			Data: func(s Scale, seed int64) *dataset.Dataset {
-				return datagen.Criteo(datagen.Config{Rows: rowsAt(s, 10000, 150000, 400000), Dim: dimAt(s, 10000, 30000, 100000), Seed: seed})
-			},
-			Accuracies: glmAccuracies,
-		},
-		{
-			ID: "me-yelp-sparse", ModelName: "ME", DataName: "Yelp",
-			Spec: func(Scale) models.Spec { return models.MaxEntropy{Classes: 5, Reg: reg} },
-			Data: func(s Scale, seed int64) *dataset.Dataset {
-				return datagen.Yelp(datagen.Config{Rows: rowsAt(s, 6000, 80000, 150000), Dim: dimAt(s, 10000, 30000, 100000), Seed: seed})
-			},
-			Accuracies: glmAccuracies,
-		},
-	}
-}
-
-// WorkloadByID looks up a workload by id across the paper's eight
-// combinations and the sparse variants.
+// WorkloadByID looks up a workload by id among the paper's eight
+// combinations.
 func WorkloadByID(id string) (Workload, error) {
 	for _, w := range Workloads() {
-		if w.ID == id {
-			return w, nil
-		}
-	}
-	for _, w := range SparseWorkloads() {
 		if w.ID == id {
 			return w, nil
 		}

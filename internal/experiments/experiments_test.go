@@ -56,38 +56,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-// TestBenchWorkloadJSON runs one workload through the -json benchmark path
-// and checks the summary row is complete and round-trips through JSON.
-func TestBenchWorkloadJSON(t *testing.T) {
-	w, err := WorkloadByID("lr-higgs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := benchWorkload(w, Small, 3)
-	if err != nil {
-		t.Fatalf("bench: %v", err)
-	}
-	if r.Name != "lr-higgs" || r.Scale != "small" || r.NsPerOp <= 0 {
-		t.Fatalf("bench row %+v", r)
-	}
-	if r.SampleSize <= 0 || r.SampleSize > r.PoolSize || r.Epsilon <= 0 {
-		t.Fatalf("bench row has bad sample/epsilon fields: %+v", r)
-	}
-	if r.Iters != benchIters || r.P50Ms <= 0 || r.P99Ms < r.P50Ms {
-		t.Fatalf("bench row has bad tail-latency fields: %+v", r)
-	}
-	sum := &BenchSummary{Scale: "small", Seed: 3, Results: []BenchResult{r}}
-	var buf strings.Builder
-	if err := sum.WriteJSON(&buf); err != nil {
-		t.Fatalf("write json: %v", err)
-	}
-	for _, want := range []string{`"name": "lr-higgs"`, `"ns_per_op"`, `"p50_ms"`, `"p99_ms"`, `"sample_size"`, `"epsilon"`} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("json summary missing %s:\n%s", want, buf.String())
-		}
-	}
-}
-
 // shortAccuracies trims a workload's accuracy axis so smoke tests stay fast.
 func shortWorkload(t *testing.T, id string, accs []float64) Workload {
 	t.Helper()

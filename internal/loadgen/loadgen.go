@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -73,8 +74,8 @@ type Target interface {
 // Schedule precomputes the intended start offsets for an open-loop run of
 // duration d at the offered rate qps.
 func Schedule(qps float64, d time.Duration, arrival Arrival, seed int64) ([]time.Duration, error) {
-	if qps <= 0 {
-		return nil, fmt.Errorf("loadgen: offered QPS must be positive, got %g", qps)
+	if !(qps > 0) || math.IsInf(qps, 1) {
+		return nil, fmt.Errorf("loadgen: offered QPS must be positive and finite, got %g", qps)
 	}
 	if d <= 0 {
 		return nil, fmt.Errorf("loadgen: step duration must be positive, got %v", d)

@@ -97,6 +97,18 @@ func TestScheduleConstantAndPoisson(t *testing.T) {
 	}
 }
 
+// TestScheduleRejectsNonFiniteQPS: "qps <= 0" is false for NaN, and a NaN
+// rate used to yield one offset of -2562047h47m16s, +Inf one of 0s.
+func TestScheduleRejectsNonFiniteQPS(t *testing.T) {
+	for _, qps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -5} {
+		for _, arrival := range []Arrival{Constant, Poisson} {
+			if offs, err := Schedule(qps, time.Second, arrival, 1); err == nil {
+				t.Errorf("Schedule(%v, 1s, %s) = %v, want an error", qps, arrival, offs)
+			}
+		}
+	}
+}
+
 // TestRecorderQuantileAccuracy feeds a known latency distribution through
 // the full open-loop recorder (unloaded: inter-arrival far above service
 // time, so recorded latency == service time) and checks the histogram

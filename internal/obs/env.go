@@ -4,10 +4,10 @@ import (
 	"runtime"
 )
 
-// Env is the benchmark environment stanza embedded in BENCH_small.json and
-// BENCH_load.json summaries, so performance trajectories recorded on
-// different machines stay comparable: a p99 regression means nothing without
-// knowing whether the core count changed underneath it.
+// Env is the environment stanza embedded in every BENCH_load.json run, so
+// load sweeps recorded on different machines stay comparable: a p99
+// regression means nothing without knowing whether the core count changed
+// underneath it.
 type Env struct {
 	// GoVersion is the runtime's version string (e.g. "go1.24.0").
 	GoVersion string `json:"go_version"`

@@ -2,17 +2,15 @@ package serve
 
 import (
 	"expvar"
-	"sync"
 	"time"
 
 	"blinkml/internal/core"
 	"blinkml/internal/obs"
 )
 
-// Metrics are the service's expvar counters and latency histograms,
-// published once under the "blinkml" map so repeated server construction
-// (tests, restarts in one process) reuses the same vars instead of
-// panicking on re-publish. Latencies are obs.Histograms — log-scale
+// Metrics are the service's expvar counters and latency histograms in the
+// "blinkml" map (an obs.Registry, so repeated server construction reuses
+// the same vars). Latencies are obs.Histograms — log-scale
 // buckets with p50/p95/p99 at read time — rendered in Prometheus
 // text form on GET /metrics and as JSON summaries on GET /metrics.json.
 type Metrics struct {
@@ -64,65 +62,44 @@ type Metrics struct {
 	PlanCache *core.CacheMetrics
 }
 
-var (
-	metricsOnce sync.Once
-	metrics     *Metrics
-)
-
-// sharedMetrics returns the process-wide metrics, publishing them on first
-// use.
+// sharedMetrics returns the process-wide "blinkml" map, publishing it on
+// first use.
 func sharedMetrics() *Metrics {
-	metricsOnce.Do(func() {
-		m := expvar.NewMap("blinkml")
-		newInt := func(name string) *expvar.Int {
-			v := new(expvar.Int)
-			m.Set(name, v)
-			return v
-		}
-		newHist := func(name string) *obs.Histogram {
-			v := obs.NewHistogram()
-			m.Set(name, v)
-			return v
-		}
-		metrics = &Metrics{
-			JobsQueued:           newInt("jobs_queued"),
-			JobsRunning:          newInt("jobs_running"),
-			JobsSucceeded:        newInt("jobs_succeeded"),
-			JobsFailed:           newInt("jobs_failed"),
-			JobsCancelled:        newInt("jobs_cancelled"),
-			TrainRuns:            newInt("train_runs"),
-			TrainLatency:         newHist("train_latency_ms"),
-			SampleSizeSum:        newInt("sample_size_sum"),
-			SampleSizeLast:       newInt("sample_size_last"),
-			TuneRuns:             newInt("tune_runs"),
-			TuneLatency:          newHist("tune_latency_ms"),
-			TuneCandidates:       newInt("tune_candidates"),
-			TuneCandidatesPruned: newInt("tune_candidates_pruned"),
-			PredictRequests:      newInt("predict_requests"),
-			PredictionsServed:    newInt("predictions_served"),
-			PredictLatency:       newHist("predict_latency_ms"),
-			ModelsStored:         newInt("models_stored"),
+	r := obs.NewRegistry("blinkml")
+	return &Metrics{
+		JobsQueued:           r.Int("jobs_queued"),
+		JobsRunning:          r.Int("jobs_running"),
+		JobsSucceeded:        r.Int("jobs_succeeded"),
+		JobsFailed:           r.Int("jobs_failed"),
+		JobsCancelled:        r.Int("jobs_cancelled"),
+		TrainRuns:            r.Int("train_runs"),
+		TrainLatency:         r.Histogram("train_latency_ms"),
+		TrainLatencyFamily:   r.HistogramVec("train_latency_family_ms"),
+		SampleSizeSum:        r.Int("sample_size_sum"),
+		SampleSizeLast:       r.Int("sample_size_last"),
+		TuneRuns:             r.Int("tune_runs"),
+		TuneLatency:          r.Histogram("tune_latency_ms"),
+		TuneCandidates:       r.Int("tune_candidates"),
+		TuneCandidatesPruned: r.Int("tune_candidates_pruned"),
+		PredictRequests:      r.Int("predict_requests"),
+		PredictionsServed:    r.Int("predictions_served"),
+		PredictLatency:       r.Histogram("predict_latency_ms"),
+		PredictLatencyFamily: r.HistogramVec("predict_latency_family_ms"),
+		ModelsStored:         r.Int("models_stored"),
 
-			DatasetsStored:     newInt("datasets_stored"),
-			DatasetBytes:       newInt("dataset_bytes"),
-			DatasetsSparseRows: newInt("datasets_sparse_rows"),
-			DatasetSparseNNZ:   newInt("datasets_sparse_nnz"),
-			IngestRows:         newInt("ingest_rows"),
-			IngestLatency:      newHist("ingest_ms"),
-			SampleRows:         newInt("sample_rows_materialized"),
-			MaterializeLatency: newHist("sample_materialize_ms"),
-		}
-		metrics.TrainLatencyFamily = obs.NewHistogramVec()
-		m.Set("train_latency_family_ms", metrics.TrainLatencyFamily)
-		metrics.PredictLatencyFamily = obs.NewHistogramVec()
-		m.Set("predict_latency_family_ms", metrics.PredictLatencyFamily)
-		metrics.JobCPUFamily = obs.NewHistogramVec()
-		m.Set("job_cpu_ms", metrics.JobCPUFamily)
-		metrics.JobAllocFamily = obs.NewHistogramVec()
-		m.Set("job_alloc_bytes", metrics.JobAllocFamily)
-		metrics.PlanCache = core.NewCacheMetrics(m)
-	})
-	return metrics
+		DatasetsStored:     r.Int("datasets_stored"),
+		DatasetBytes:       r.Int("dataset_bytes"),
+		DatasetsSparseRows: r.Int("datasets_sparse_rows"),
+		DatasetSparseNNZ:   r.Int("datasets_sparse_nnz"),
+		IngestRows:         r.Int("ingest_rows"),
+		IngestLatency:      r.Histogram("ingest_ms"),
+		SampleRows:         r.Int("sample_rows_materialized"),
+		MaterializeLatency: r.Histogram("sample_materialize_ms"),
+
+		JobCPUFamily:   r.HistogramVec("job_cpu_ms"),
+		JobAllocFamily: r.HistogramVec("job_alloc_bytes"),
+		PlanCache:      core.NewCacheMetrics(r),
+	}
 }
 
 // storeObserver feeds store events into the expvar counters (it implements

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -95,7 +96,10 @@ func exerciseForMetrics(t *testing.T, ts *httptest.Server) {
 // test touches everything that makes a series appear, and label values
 // (routes, status classes, model families) are dropped, so the set is the
 // same whichever tests ran before it in the process. The golden file was
-// generated from the commit before this test was added.
+// generated from the commit before this test was added. The same run pins
+// the key set of every blinkml* map on GET /metrics.json
+// (metrics_json_keys.golden, generated before the maps were moved onto
+// obs.Registry).
 func TestMetricsSeriesInventoryGolden(t *testing.T) {
 	local, err := New(Config{Dir: t.TempDir(), Workers: 2})
 	if err != nil {
@@ -131,21 +135,68 @@ func TestMetricsSeriesInventoryGolden(t *testing.T) {
 	}
 	sort.Strings(got)
 
-	golden, err := os.ReadFile(filepath.Join("testdata", "metrics_names.golden"))
+	compareGolden(t, "metrics_names.golden", "/metrics", got)
+	compareGolden(t, "metrics_json_keys.golden", "/metrics.json", metricsJSONKeys(t, clusterTS))
+}
+
+// metricsJSONKeys lists every blinkml* map on GET /metrics.json as "map" and
+// each of its keys as "map key", sorted. blinkml_http (keyed by route) and
+// blinkml_go (keyed by what the Go runtime exports) are listed by name only,
+// since their keys depend on the requests made and the toolchain.
+func metricsJSONKeys(t *testing.T, ts *httptest.Server) []string {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + "/metrics.json")
 	if err != nil {
-		t.Fatalf("%v\nscraped inventory:\n%s", err, strings.Join(got, "\n"))
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var all map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&all); err != nil {
+		t.Fatalf("metrics.json: %v", err)
+	}
+	var got []string
+	for name, raw := range all {
+		if !strings.HasPrefix(name, "blinkml") {
+			continue
+		}
+		got = append(got, name)
+		if name == "blinkml_http" || name == "blinkml_go" {
+			continue
+		}
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &keys); err != nil {
+			t.Fatalf("metrics.json %s is not an object: %v", name, err)
+		}
+		for k := range keys {
+			got = append(got, name+" "+k)
+		}
+	}
+	sort.Strings(got)
+	return got
+}
+
+// compareGolden reports every line of testdata/file missing from got, and
+// every line of got missing from the file.
+func compareGolden(t *testing.T, file, page string, got []string) {
+	t.Helper()
+	golden, err := os.ReadFile(filepath.Join("testdata", file))
+	if err != nil {
+		t.Fatalf("%v\nscraped from %s:\n%s", err, page, strings.Join(got, "\n"))
 	}
 	want := strings.Split(strings.TrimSpace(string(golden)), "\n")
-	inWant := map[string]bool{}
+	inWant, inGot := map[string]bool{}, map[string]bool{}
+	for _, s := range got {
+		inGot[s] = true
+	}
 	for _, s := range want {
 		inWant[s] = true
-		if !seen[s] {
-			t.Errorf("series gone from /metrics: %s", s)
+		if !inGot[s] {
+			t.Errorf("gone from %s: %s", page, s)
 		}
 	}
 	for _, s := range got {
 		if !inWant[s] {
-			t.Errorf("series new on /metrics: %s", s)
+			t.Errorf("new on %s: %s", page, s)
 		}
 	}
 }
