@@ -237,7 +237,8 @@ func SyntheticSparseDataset(name string, rows, dim, nnz int, seed int64) (*Datas
 
 // ReadCSV loads a dense labeled dataset from CSV (label in labelCol;
 // negative counts from the end). A non-numeric first line is treated as a
-// header.
+// header. An input with no rows, or whose rows hold only the label, is an
+// error.
 func ReadCSV(r io.Reader, labelCol int, task Task) (*Dataset, error) {
 	return dataset.ReadCSV(r, labelCol, task)
 }

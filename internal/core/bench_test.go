@@ -156,8 +156,10 @@ func BenchmarkAblationSamplingNaive(b *testing.B) {
 
 // BenchmarkAblationFisherGramSide and ...CovarianceSide compare the two
 // ObservedFisher paths on the same statistics problem (d ≈ n, where either
-// side is feasible).
-func benchFisherRows(b *testing.B) ([]dataset.Row, []float64, int, int) {
+// side is feasible). The covariance side makes its gradient rows as it
+// folds them in, so its time includes the grads pass the Gram side is
+// handed precomputed.
+func benchFisherRows(b *testing.B) (models.Spec, *dataset.Dataset, []float64, []dataset.Row, []float64) {
 	b.Helper()
 	ds := datagen.Higgs(datagen.Config{Rows: 400, Dim: 40, Seed: 5})
 	spec := models.LogisticRegression{Reg: 0.01}
@@ -173,28 +175,28 @@ func benchFisherRows(b *testing.B) ([]dataset.Row, []float64, int, int) {
 	for i := range mean {
 		mean[i] /= float64(len(rows))
 	}
-	return rows, mean, len(fit.Theta), len(rows)
+	return spec, ds, fit.Theta, rows, mean
 }
 
 func BenchmarkAblationFisherCovarianceSide(b *testing.B) {
-	rows, mean, d, n := benchFisherRows(b)
+	spec, ds, theta, _, _ := benchFisherRows(b)
 	opt := Options{Epsilon: 0.05}.WithDefaults()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := fisherCovarianceSide(rows, mean, d, n, 0.01, opt); err != nil {
+		if _, err := fisherCovarianceSide(spec, ds, theta, nil, 0.01, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkAblationFisherGramSide(b *testing.B) {
-	rows, mean, d, n := benchFisherRows(b)
+	_, _, theta, rows, mean := benchFisherRows(b)
 	opt := Options{Epsilon: 0.05}.WithDefaults()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := fisherGramSide(rows, mean, d, n, 0.01, opt); err != nil {
+		if _, err := fisherGramSide(rows, mean, len(theta), len(rows), 0.01, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

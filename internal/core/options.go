@@ -189,3 +189,9 @@ func (o Options) validateSplit() error {
 // ErrNoHessian is returned when ClosedForm is requested for a model that
 // does not implement models.Hessianer.
 var ErrNoHessian = errors.New("core: model has no closed-form Hessian; use ObservedFisher or InverseGradients")
+
+// ErrNonFiniteFisher is returned by the statistics phase when the
+// information matrix it must eigendecompose has an infinite or NaN entry —
+// typically per-example gradients whose products overflow, from features
+// of extreme magnitude.
+var ErrNonFiniteFisher = errors.New("core: non-finite Fisher information")

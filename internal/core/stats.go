@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -26,6 +27,9 @@ type Statistics struct {
 // using the sample the model was trained on (paper §3.4).
 func ComputeStatistics(spec models.Spec, sample *dataset.Dataset, theta []float64, opt Options) (*Statistics, error) {
 	opt = opt.WithDefaults()
+	if len(theta) == 0 {
+		return nil, errors.New("core: cannot compute statistics for a model with no parameters")
+	}
 	switch opt.Method {
 	case ObservedFisher:
 		return observedFisher(spec, sample, theta, opt)
@@ -42,59 +46,91 @@ func ComputeStatistics(spec models.Spec, sample *dataset.Dataset, theta []float6
 // moment of the per-example gradients (information-matrix equality), H =
 // J + βI, and the factor is built from whichever Gram side is smaller —
 // the d x d covariance when d ≤ n, the n x n gradient Gram matrix when
-// d > n. Cost: O(min(n²d, nd²)), one grads call.
+// d > n. Cost: O(min(n²d, nd²)), one grads call. Dense inputs on the
+// covariance side never hold more than four gradient rows per chunk; sparse
+// inputs and the Gram side keep all n, O(nnz) each, which the Gram side's
+// factor goes on to use. On the covariance side the mean's chunk partials
+// merge in J's tree: at degree 1 that is the serial row-order sum, at
+// degree > 1 a different association than the Gram side's serial mean —
+// deterministic at each degree, like every other reduction here.
 func observedFisher(spec models.Spec, sample *dataset.Dataset, theta []float64, opt Options) (*Statistics, error) {
-	rows := models.PerExampleGradRows(spec, sample, theta)
-	n := len(rows)
+	n := sample.Len()
 	if n == 0 {
 		return nil, fmt.Errorf("core: cannot compute statistics from an empty sample")
 	}
 	d := len(theta)
 	beta := spec.Beta()
-
+	if d <= n {
+		var rows []dataset.Row
+		if dataset.SparsePath(sample.X) {
+			rows = models.PerExampleGradRows(spec, sample, theta)
+		}
+		return fisherCovarianceSide(spec, sample, theta, rows, beta, opt)
+	}
+	rows := models.PerExampleGradRows(spec, sample, theta)
 	mean := make([]float64, d)
 	for _, r := range rows {
 		r.AddTo(mean, 1)
 	}
 	linalg.Scale(1/float64(n), mean)
-
-	if d <= n {
-		return fisherCovarianceSide(rows, mean, d, n, beta, opt)
-	}
 	return fisherGramSide(rows, mean, d, n, beta, opt)
 }
 
 // fisherCovarianceSide eigendecomposes J = (1/n)Q_cᵀQ_c directly (d x d).
-// The per-example outer products accumulate in parallel on the compute
-// pool: each chunk of rows fills its own d x d partial and the partials
-// merge in tree order (deterministic at a fixed degree; at degree 1 the
-// single chunk accumulates straight into J, the serial algorithm).
-func fisherCovarianceSide(rows []dataset.Row, mean []float64, d, n int, beta float64, opt Options) (*Statistics, error) {
-	j := linalg.NewDense(d, d)
+// The gradient rows fold into the sums they feed as they are made: each
+// chunk of the sample on the compute pool owns one d·d+d partial, the upper
+// triangle of Σ qᵢqᵢᵀ followed by Σ qᵢ, each added in row order. Without
+// rows (dense inputs) a chunk makes its rows four at a time into one 4×d
+// block (models.GradRowsInto) and adds the block's outer products with
+// linalg.SyrkUpperAdd; with rows (sparse inputs) each row's outer product
+// is scattered on its nnz x nnz block. The partials merge in tree order.
+// J's upper triangle is then centered and mirrored: the product of two
+// gradient entries commutes, so the lower triangle it replaces held the
+// same bits.
+func fisherCovarianceSide(spec models.Spec, sample *dataset.Dataset, theta []float64, rows []dataset.Row, beta float64, opt Options) (*Statistics, error) {
+	n, d := sample.Len(), len(theta)
 	// d x d scratch per chunk: require chunks to be worth their memory.
 	chunks := compute.Chunks(n, 64+d/4)
 	parts := make([][]float64, chunks)
 	compute.ForChunksN(n, chunks, func(chunk, lo, hi int) {
-		acc := j
-		if chunk > 0 {
-			acc = linalg.NewDense(d, d)
+		part := make([]float64, d*d+d)
+		parts[chunk] = part
+		acc, sum := linalg.NewDenseFrom(d, d, part[:d*d]), part[d*d:]
+		if rows != nil {
+			for i := lo; i < hi; i++ {
+				rows[i].AddTo(sum, 1)
+				addOuterRow(acc, rows[i])
+			}
+			return
 		}
-		for i := lo; i < hi; i++ {
-			addOuterRow(acc, rows[i])
+		block := make([]float64, 4*d)
+		for i := lo; i < hi; i += 4 {
+			end := min(i+4, hi)
+			b := block[:(end-i)*d]
+			models.GradRowsInto(spec, sample, theta, i, end, b)
+			for r := 0; r < len(b); r += d {
+				dataset.DenseRow(b[r:r+d]).AddTo(sum, 1)
+			}
+			linalg.SyrkUpperAdd(acc, b, 0, d)
 		}
-		parts[chunk] = acc.Data
 	})
-	compute.ReduceVecs(parts) // folds into parts[0] == j.Data
-	j.ScaleInPlace(1 / float64(n))
-	j.OuterAdd(-1, mean, mean)
-	j.Symmetrize()
+	all := compute.ReduceVecs(parts)
+	j, mean := linalg.NewDenseFrom(d, d, all[:d*d]), all[d*d:]
+	inv := 1 / float64(n)
+	linalg.Scale(inv, mean)
+	for i := 0; i < d; i++ {
+		upper := j.Row(i)[i:]
+		linalg.Scale(inv, upper)
+		linalg.Axpy(-mean[i], mean[i:], upper)
+	}
+	j.MirrorUpper()
 
-	eig, err := linalg.NewSymEig(j)
+	values, err := eigRows(j, "ObservedFisher covariance")
 	if err != nil {
-		return nil, fmt.Errorf("core: ObservedFisher eigendecomposition failed: %w", err)
+		return nil, err
 	}
 	// L = V·diag(√μ/(μ+β)) over the informative eigenpairs (μ, v) of J.
-	l := scaledEigvecs(eig, opt.SVDRelTol, func(mu float64) float64 { return math.Sqrt(mu) / (mu + beta) })
+	l := scaledEigvecs(values, j, opt.SVDRelTol, func(mu float64) float64 { return math.Sqrt(mu) / (mu + beta) })
 	return &Statistics{Factor: &DenseFactor{L: l}, Rank: l.Cols, GradsCalls: 1}, nil
 }
 
@@ -131,13 +167,13 @@ func fisherGramSide(rows []dataset.Row, mean []float64, d, n int, beta float64, 
 		}
 	})
 	g.MirrorUpper()
-	eig, err := linalg.NewSymEig(g)
+	values, err := eigRows(g, "ObservedFisher Gram")
 	if err != nil {
-		return nil, fmt.Errorf("core: ObservedFisher Gram eigendecomposition failed: %w", err)
+		return nil, err
 	}
 	// Eigenvalues of G are s² = n·μ; M = U·diag(1/(√n·(μ+β))).
 	sqrtN := math.Sqrt(float64(n))
-	m := scaledEigvecs(eig, opt.SVDRelTol, func(lam float64) float64 {
+	m := scaledEigvecs(values, g, opt.SVDRelTol, func(lam float64) float64 {
 		mu := lam / float64(n)
 		if beta == 0 && mu <= 0 {
 			return 0
@@ -151,26 +187,37 @@ func fisherGramSide(rows []dataset.Row, mean []float64, d, n int, beta float64, 
 	}, nil
 }
 
+// eigRows eigensolves the symmetric statistics matrix m in place
+// (linalg.SymEigRows: m is consumed, eigenvector j left in row j). what
+// names the matrix in the error; a non-finite one is ErrNonFiniteFisher.
+func eigRows(m *linalg.Dense, what string) ([]float64, error) {
+	values, err := linalg.SymEigRows(m)
+	switch {
+	case errors.Is(err, linalg.ErrNonFinite):
+		return nil, fmt.Errorf("%w (%s): %w", ErrNonFiniteFisher, what, err)
+	case err != nil:
+		return nil, fmt.Errorf("core: %s eigendecomposition failed: %w", what, err)
+	}
+	return values, nil
+}
+
 // scaledEigvecs is the tail all three statistics methods end in: keep the
-// eigenpairs of eig whose eigenvalue is positive and above relTol²·λ_max
-// (the informative directions), and return the kept eigenvectors as columns,
-// column j scaled by scale(λ_j). The factor's rank is the column count.
-func scaledEigvecs(eig *linalg.SymEig, relTol float64, scale func(lam float64) float64) *linalg.Dense {
-	n := len(eig.Values)
-	cut := relTol * relTol * math.Max(eig.Values[0], 0)
+// eigenpairs whose eigenvalue is positive and above relTol²·λ_max (the
+// informative directions), and return the kept eigenvectors — row j of
+// vecs for values[j], as eigRows leaves them — as columns, column j scaled
+// by scale(λ_j). The factor's rank is the column count.
+func scaledEigvecs(values []float64, vecs *linalg.Dense, relTol float64, scale func(lam float64) float64) *linalg.Dense {
+	n := len(values)
+	cut := relTol * relTol * math.Max(values[0], 0)
 	rank := 0
-	for rank < n && eig.Values[rank] > cut && eig.Values[rank] > 0 {
+	for rank < n && values[rank] > cut && values[rank] > 0 {
 		rank++
 	}
-	c := make([]float64, rank)
-	for j := range c {
-		c[j] = scale(eig.Values[j])
-	}
 	out := linalg.NewDense(n, rank)
-	for i := 0; i < n; i++ {
-		dst, vec := out.Row(i), eig.Vectors.Row(i)
-		for j, cj := range c {
-			dst[j] = cj * vec[j]
+	for j := 0; j < rank; j++ {
+		c := scale(values[j])
+		for i, v := range vecs.Row(j) {
+			out.Data[i*rank+j] = c * v
 		}
 	}
 	return out
@@ -243,11 +290,11 @@ func statsFromHessian(h *linalg.Dense, beta float64, gradsCalls int, opt Options
 	hinvJ := lu.SolveMat(j)      // H⁻¹J
 	m := lu.SolveMatTrans(hinvJ) // H⁻¹(H⁻¹J)ᵀ = H⁻¹JH⁻¹ (J symmetric), no dxd transpose copy
 	m.Symmetrize()
-	eig, err := linalg.NewSymEig(m)
+	values, err := eigRows(m, "covariance")
 	if err != nil {
-		return nil, fmt.Errorf("core: covariance eigendecomposition failed: %w", err)
+		return nil, err
 	}
-	l := scaledEigvecs(eig, opt.SVDRelTol, math.Sqrt)
+	l := scaledEigvecs(values, m, opt.SVDRelTol, math.Sqrt)
 	return &Statistics{Factor: &DenseFactor{L: l}, Rank: l.Cols, GradsCalls: gradsCalls}, nil
 }
 

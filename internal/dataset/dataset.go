@@ -257,17 +257,24 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 	return sub
 }
 
+// errNoRows and errEmptyRows refuse inputs a model cannot be trained on:
+// no examples at all, or examples with no features.
+var (
+	errNoRows    = errors.New("dataset: no rows")
+	errEmptyRows = errors.New("dataset: rows are empty")
+)
+
 // FromDense builds a Dataset from dense row-major data: the shared
 // materialization path for inline payloads (serving-layer requests, cluster
 // task payloads). For MultiClassification, classes 0 infers K from the
 // labels. The result is validated.
 func FromDense(task Task, x [][]float64, y []float64, classes int) (*Dataset, error) {
 	if len(x) == 0 {
-		return nil, errors.New("dataset: no rows")
+		return nil, errNoRows
 	}
 	dim := len(x[0])
 	if dim == 0 {
-		return nil, errors.New("dataset: rows are empty")
+		return nil, errEmptyRows
 	}
 	ds := &Dataset{Dim: dim, Task: task, Name: "inline"}
 	ds.X = make([]Row, len(x))

@@ -16,11 +16,15 @@ func ReadCSV(r io.Reader, labelCol int, task Task) (*Dataset, error) {
 }
 
 // ReadCSVOpts is ReadCSV with explicit parser options (label column, line
-// cap, declared dimension).
+// cap, declared dimension). Like FromDense it refuses an input with no rows
+// or with rows of no features (a label column alone).
 func ReadCSVOpts(r io.Reader, task Task, opt StreamOptions) (*Dataset, error) {
 	ds := &Dataset{Task: task, Name: "csv"}
 	maxClass := -1
 	err := StreamCSV(r, opt, func(row RowData) error {
+		if len(row.Val) == 0 {
+			return fmt.Errorf("%w (line %d has only a label)", errEmptyRows, row.Line)
+		}
 		if ds.Dim == 0 {
 			ds.Dim = len(row.Val)
 		}
@@ -33,6 +37,9 @@ func ReadCSVOpts(r io.Reader, task Task, opt StreamOptions) (*Dataset, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	if ds.Len() == 0 {
+		return nil, errNoRows
 	}
 	if task == MultiClassification {
 		ds.NumClasses = maxClass + 1

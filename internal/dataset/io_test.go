@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -43,6 +45,29 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 	if _, err := ReadCSV(strings.NewReader("1,2\nx,3\n"), -1, Regression); err == nil {
 		t.Fatal("non-numeric mid-file accepted")
+	}
+}
+
+// A CSV body whose rows hold only the label has no features: FromDense's
+// "rows are empty", not a Dim-0 dataset no model can be trained on. A body
+// with no rows at all (empty, header only, comments only) is FromDense's
+// "no rows".
+func TestReadCSVRefusesRowsWithoutFeatures(t *testing.T) {
+	for _, c := range []struct {
+		body     string
+		labelCol int
+		want     error
+	}{
+		{"1\n0\n1\n0\n", -1, errEmptyRows},
+		{"y\n1\n0\n", 0, errEmptyRows},
+		{"", -1, errNoRows},
+		{"x1,x2,y\n", -1, errNoRows},
+		{"# nothing\n\n", -1, errNoRows},
+	} {
+		ds, err := ReadCSV(strings.NewReader(c.body), c.labelCol, BinaryClassification)
+		if !errors.Is(err, c.want) {
+			t.Fatalf("%q: dataset %+v, err %v; want %v", c.body, ds, err, c.want)
+		}
 	}
 }
 
@@ -261,4 +286,34 @@ func TestStreamCSVLabelColumnOption(t *testing.T) {
 	if len(labels) != 2 || labels[0] != 5 || labels[1] != 6 {
 		t.Fatalf("labels %v", labels)
 	}
+}
+
+// FuzzReadCSV: whatever the bytes and label column, ReadCSVOpts under every
+// task either refuses the input with a dataset error or returns a dataset
+// that validates, with at least one row, at least one feature and finite
+// labels — never a panic.
+func FuzzReadCSV(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte, labelCol int8) {
+		for _, task := range []Task{Regression, BinaryClassification, MultiClassification, Unsupervised} {
+			opt := StreamOptions{LabelCol: Column(int(labelCol)), MaxLineBytes: 4096}
+			ds, err := ReadCSVOpts(bytes.NewReader(body), task, opt)
+			if err != nil {
+				if !strings.HasPrefix(err.Error(), "dataset") {
+					t.Fatalf("%q (%v): unstructured error %v", body, task, err)
+				}
+				continue
+			}
+			if err := ds.Validate(); err != nil {
+				t.Fatalf("%q (%v): returned a dataset that does not validate: %v", body, task, err)
+			}
+			if ds.Len() < 1 || ds.Dim < 1 {
+				t.Fatalf("%q (%v): returned a %dx%d dataset", body, task, ds.Len(), ds.Dim)
+			}
+			for i, y := range ds.Y {
+				if math.IsNaN(y) || math.IsInf(y, 0) {
+					t.Fatalf("%q (%v): label %d is %v", body, task, i, y)
+				}
+			}
+		}
+	})
 }

@@ -68,6 +68,26 @@ func (m *Dense) T() *Dense {
 	return t
 }
 
+// TransposeInPlace transposes the square matrix m in its own storage,
+// swapping across the diagonal one 32 x 32 tile pair at a time so the
+// strided side stays in cache.
+func (m *Dense) TransposeInPlace() {
+	n := m.Rows
+	if n != m.Cols {
+		panic(fmt.Sprintf("linalg: TransposeInPlace of non-square %dx%d", n, m.Cols))
+	}
+	const tile = 32
+	for ib := 0; ib < n; ib += tile {
+		for jb := ib; jb < n; jb += tile {
+			for i := ib; i < min(ib+tile, n); i++ {
+				for j := max(jb, i+1); j < min(jb+tile, n); j++ {
+					m.Data[i*n+j], m.Data[j*n+i] = m.Data[j*n+i], m.Data[i*n+j]
+				}
+			}
+		}
+	}
+}
+
 // MulVec computes dst = M * x. dst must have length M.Rows and must not
 // alias x.
 func (m *Dense) MulVec(x, dst []float64) {

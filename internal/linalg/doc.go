@@ -18,5 +18,17 @@
 // a result be pinned, replayed and compared across code paths — while
 // several outputs' chains of dependent adds proceed side by side instead of
 // one at a time at add latency (dotRows, MatMul's tiles). What is never
-// done is to split one element's sum across accumulators.
+// done is to split one element's sum across accumulators. The symmetric
+// rank-k kernel SyrkUpperAdd is one of these: it takes four rows per pass
+// over its output, and each element of the triangle still adds its terms
+// in row order, skipping a zero coefficient exactly where the one-row
+// OuterAdd does; SyrkT and the statistics phase's covariance side both run
+// on it.
+//
+// Who owns a matrix: a function that works in place says so and consumes
+// its argument. SymEigRows, the one eigensolver, overwrites the symmetric
+// matrix it is given with its eigenvectors (row j for eigenvalue j), so a
+// caller hands it only a matrix it built and will not read again.
+// NewSymEig never consumes its input: it runs SymEigRows on a copy and
+// returns the eigenvectors as columns.
 package linalg

@@ -18,55 +18,94 @@ type SymEig struct {
 	Vectors *Dense // n x n, column j is the eigenvector for Values[j]
 }
 
-// NewSymEig computes the eigendecomposition of the symmetric matrix a using
-// Householder tridiagonalization followed by the implicit-shift QL
-// iteration (the classical tred2/tql2 pair). Only the symmetric part of a
-// is used. The input is not modified.
+// ErrNonFinite is returned by the eigensolver for a matrix with an infinite
+// or NaN entry, which has no eigendecomposition to compute.
+var ErrNonFinite = errors.New("linalg: matrix has a non-finite entry")
+
+// NewSymEig computes the eigendecomposition of the symmetric matrix a. Only
+// the symmetric part of a is used, and a is not modified: this is
+// SymEigRows on a copy, with the eigenvector rows transposed into columns.
+func NewSymEig(a *Dense) (*SymEig, error) {
+	v := a.Clone()
+	values, err := SymEigRows(v)
+	if err != nil {
+		return nil, err
+	}
+	v.TransposeInPlace()
+	return &SymEig{Values: values, Vectors: v}, nil
+}
+
+// SymEigRows computes the eigendecomposition of the symmetric matrix a in
+// place, using Householder tridiagonalization followed by the
+// implicit-shift QL iteration (the classical tred2/tql2 pair). It consumes
+// a: only a's symmetric part is used, and on return row j of a holds the
+// unit eigenvector of values[j], the eigenvalues in descending order. Apart
+// from a it allocates O(n). A non-finite entry returns ErrNonFinite.
 //
 // The O(n³) inner loops — the Householder similarity updates and the
 // accumulated Givens rotations — run chunked on the compute pool. Chunk
 // decompositions depend only on the problem size and the configured
 // parallelism degree, so results are bit-identical across runs at a fixed
 // degree (and identical to the serial algorithm at degree 1).
-func NewSymEig(a *Dense) (*SymEig, error) {
+func SymEigRows(a *Dense) ([]float64, error) {
 	if a.Rows != a.Cols {
 		return nil, errors.New("linalg: SymEig of non-square matrix")
 	}
 	n := a.Rows
 	if n == 0 {
-		return &SymEig{Values: nil, Vectors: NewDense(0, 0)}, nil
+		return nil, nil
 	}
 	// tred2 + tql2 cost ~4n^3 flops (the classical operation-count estimate
 	// for the pair); shape-derived, so deterministic in the ledger.
 	defer obs.ChargeKernel(time.Now(), 4*int64(n)*int64(n)*int64(n))
-	v := a.Clone()
-	v.Symmetrize()
+	a.Symmetrize()
+	if !AllFinite(a.Data) {
+		return nil, ErrNonFinite
+	}
 	d := make([]float64, n)
 	e := make([]float64, n)
-	tred2(v, d, e)
+	tred2(a, d, e)
 	// tql2 applies O(n²) Givens rotations to the eigenvector matrix; on the
-	// transposed copy each rotation touches two contiguous rows instead of
-	// two strided columns, which dominates the n³ cost.
-	vt := v.T()
-	if err := tql2(vt, d, e); err != nil {
+	// transpose each rotation touches two contiguous rows instead of two
+	// strided columns, which dominates the n³ cost.
+	a.TransposeInPlace()
+	if err := tql2(a, d, e); err != nil {
 		return nil, err
 	}
-	// Sort eigenpairs by descending eigenvalue.
+	sortEigRows(a, d)
+	return d, nil
+}
+
+// sortEigRows orders the eigenpairs (d[j], row j of v) by descending
+// eigenvalue in place, moving each cycle of the permutation through one
+// row of scratch.
+func sortEigRows(v *Dense, d []float64) {
+	n := len(d)
+	// idx[j] is the pair that lands at j.
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(x, y int) bool { return d[idx[x]] > d[idx[y]] })
-	values := make([]float64, n)
-	vectors := NewDense(n, n)
-	for jNew, jOld := range idx {
-		values[jNew] = d[jOld]
-		row := vt.Row(jOld)
-		for i := 0; i < n; i++ {
-			vectors.Set(i, jNew, row[i])
+	tmp := make([]float64, n)
+	for s := range idx {
+		if idx[s] == s {
+			continue // in place, or already moved
 		}
+		copy(tmp, v.Row(s))
+		ds := d[s]
+		j := s
+		for idx[j] != s {
+			src := idx[j]
+			copy(v.Row(j), v.Row(src))
+			d[j] = d[src]
+			idx[j] = j
+			j = src
+		}
+		copy(v.Row(j), tmp)
+		d[j] = ds
+		idx[j] = j
 	}
-	return &SymEig{Values: values, Vectors: vectors}, nil
 }
 
 // tredGrain is the minimum number of length-~i rows per chunk in tred2's
@@ -158,6 +197,7 @@ func tred2(v *Dense, d, e []float64) {
 		d[i] = h
 	}
 	// Accumulate transformations.
+	wbuf := make([]float64, n)
 	for i := 0; i < n-1; i++ {
 		v.Set(n-1, i, v.At(i, i))
 		v.Set(i, i, 1)
@@ -169,7 +209,7 @@ func tred2(v *Dense, d, e []float64) {
 			// V -= d·(uᵀV) as two row-contiguous passes: w = Σ_k u_k·V[k,:]
 			// with u_k = V[k, i+1] (a chunked reduction), then the
 			// independent per-row updates V[k,:] -= d[k]·w.
-			w := accumulateW(v, i)
+			w := accumulateW(v, i, wbuf)
 			if compute.Chunks(i+1, tredGrain(i)) <= 1 {
 				applyW(v, d, w, i, 0, i+1)
 			} else {
@@ -247,11 +287,13 @@ func simTransform(v *Dense, d, e []float64, i int) {
 }
 
 // accumulateW computes w[j] = Σ_k V[k, i+1]·V[k, j] over k, j in [0, i],
-// as a chunked reduction (serial accumulation below the grain).
-func accumulateW(v *Dense, i int) []float64 {
+// as a chunked reduction (serial accumulation below the grain), into
+// buf[:i+1] — the first chunk's partial — and returns it.
+func accumulateW(v *Dense, i int, buf []float64) []float64 {
+	w := buf[:i+1]
+	Fill(w, 0)
 	chunks := compute.Chunks(i+1, tredGrain(i))
 	if chunks <= 1 {
-		w := make([]float64, i+1)
 		for k := 0; k <= i; k++ {
 			Axpy(v.At(k, i+1), v.Row(k)[:i+1], w)
 		}
@@ -259,7 +301,10 @@ func accumulateW(v *Dense, i int) []float64 {
 	}
 	parts := make([][]float64, chunks)
 	compute.ForChunksN(i+1, chunks, func(chunk, lo, hi int) {
-		part := make([]float64, i+1)
+		part := w
+		if chunk > 0 {
+			part = make([]float64, i+1)
+		}
 		for k := lo; k < hi; k++ {
 			Axpy(v.At(k, i+1), v.Row(k)[:i+1], part)
 		}
@@ -330,6 +375,11 @@ func tql2(vt *Dense, d, e []float64) error {
 				break
 			}
 			m++
+		}
+		if m == n {
+			// e[n-1] == 0 ends the scan unless tst1 is NaN: the
+			// tridiagonal form overflowed.
+			return ErrNonFinite
 		}
 		if m > l {
 			for iter := 0; ; iter++ {

@@ -44,20 +44,21 @@ func svdViaGram(a *Dense, relTol float64, transposed bool) (*ThinSVD, error) {
 	} else {
 		gram = SyrkT(a) // Aᵀ*A, Cols x Cols
 	}
-	eig, err := NewSymEig(gram)
+	// The Gram matrix is ours: eigensolve it in place, eigenvector j in row j.
+	values, err := SymEigRows(gram)
 	if err != nil {
 		return nil, err
 	}
-	n := len(eig.Values)
+	n := len(values)
 	// Numerical rank: eigenvalues are s², so the cutoff is (relTol*sMax)².
 	sMax := 0.0
-	if n > 0 && eig.Values[0] > 0 {
-		sMax = math.Sqrt(eig.Values[0])
+	if n > 0 && values[0] > 0 {
+		sMax = math.Sqrt(values[0])
 	}
 	cut := relTol * sMax
 	rank := 0
 	for rank < n {
-		ev := eig.Values[rank]
+		ev := values[rank]
 		if ev <= 0 || math.Sqrt(ev) <= cut {
 			break
 		}
@@ -66,9 +67,9 @@ func svdViaGram(a *Dense, relTol float64, transposed bool) (*ThinSVD, error) {
 	s := make([]float64, rank)
 	small := NewDense(gram.Rows, rank) // eigenvectors of the Gram side
 	for j := 0; j < rank; j++ {
-		s[j] = math.Sqrt(eig.Values[j])
-		for i := 0; i < gram.Rows; i++ {
-			small.Set(i, j, eig.Vectors.At(i, j))
+		s[j] = math.Sqrt(values[j])
+		for i, v := range gram.Row(j) {
+			small.Set(i, j, v)
 		}
 	}
 	// Recover the big-side factor: big = A*small*diag(1/s) (or Aᵀ…).

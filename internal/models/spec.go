@@ -247,3 +247,17 @@ func PerExampleGradRows(spec Spec, ds *dataset.Dataset, theta []float64) []datas
 	})
 	return rows
 }
+
+// GradRowsInto writes qᵢ(θ) for rows lo..hi of ds densely into buf, row i
+// at buf[(i−lo)·p : (i−lo+1)·p] with p = len(theta): the same rows
+// PerExampleGradRows makes, into the caller's storage. Each is
+// ExampleLossGrad added into zeros, which holds ExampleGradRow's values up
+// to the sign of a zero — a difference no sum that starts at +0 can see.
+func GradRowsInto(spec Spec, ds *dataset.Dataset, theta []float64, lo, hi int, buf []float64) {
+	p := len(theta)
+	buf = buf[:(hi-lo)*p]
+	linalg.Fill(buf, 0)
+	for i := lo; i < hi; i++ {
+		spec.ExampleLossGrad(theta, ds.X[i], label(ds, i), buf[(i-lo)*p:(i-lo+1)*p])
+	}
+}
