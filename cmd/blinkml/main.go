@@ -83,14 +83,12 @@ func run(modelName, dataName, storeDir, datasetID string, rows, dim int, accurac
 		fmt.Printf("contract: accuracy >= %.4g%% with probability >= %.4g%%\n", 100*accuracy, 100*(1-delta))
 	}
 
-	// The run ledger meters the whole invocation (training and, with
+	// The run's scope meters the whole invocation (training and, with
 	// -compare, the full-data train) so -json reports carry the same
 	// resource attribution as server jobs. Bound to this goroutine so the
 	// context-free kernel and store layers can charge it.
-	ledger := obs.NewLedger()
-	ctx := obs.WithLedger(context.Background(), ledger)
-	unbind := obs.BindLedger(ledger)
-	defer unbind()
+	ctx, sc := obs.Begin(context.Background(), "", "", nil)
+	defer sc.Bind()()
 
 	model, err := blinkml.TrainSource(ctx, spec, src, cfg)
 	if err != nil {
@@ -138,7 +136,7 @@ func run(modelName, dataName, storeDir, datasetID string, rows, dim int, accurac
 			Model:     info,
 			Phases:    serve.NewPhaseBreakdown(d),
 			Full:      full,
-			Resources: ledger.Snapshot(),
+			Resources: sc.Ledger.Snapshot(),
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

@@ -47,12 +47,14 @@ func newTestCluster(t *testing.T, cfg Config, st *store.Store) *testCluster {
 // startWorker runs a real Worker against the cluster until the test ends.
 func (tc *testCluster) startWorker(t *testing.T, name string) *Worker {
 	t.Helper()
-	w, err := NewWorker(WorkerConfig{
-		Coordinator: tc.server.URL,
-		Name:        name,
-		DataDir:     t.TempDir(),
-		Log:         obs.Discard(),
-	})
+	return tc.startWorkerWith(t, WorkerConfig{Name: name})
+}
+
+// startWorkerWith is startWorker with the rest of the worker's config.
+func (tc *testCluster) startWorkerWith(t *testing.T, cfg WorkerConfig) *Worker {
+	t.Helper()
+	cfg.Coordinator, cfg.DataDir, cfg.Log = tc.server.URL, t.TempDir(), obs.Discard()
+	w, err := NewWorker(cfg)
 	if err != nil {
 		t.Fatalf("new worker: %v", err)
 	}
@@ -554,5 +556,50 @@ func TestProtocolBodyIsOneJSONValue(t *testing.T) {
 		if err := json.Unmarshal(raw, &pe); err != nil || pe.Error != "cluster: bad request body: unexpected data after JSON value" {
 			t.Errorf("%s: body %s, want the structured trailing-data error", c.name, raw)
 		}
+	}
+}
+
+// TestHostileLedgerFailsTheAttempt: a completion whose ledger no worker can
+// have measured — a cpu_ms that would wrap the job's nanosecond counter, a
+// negative row count — fails that attempt with a TaskError naming the
+// field, and nothing of it reaches the job's ledger or the worker's
+// scoreboard.
+func TestHostileLedgerFailsTheAttempt(t *testing.T) {
+	tc := newTestCluster(t, testConfig(), nil)
+	w := registerWorker(t, tc.coord, "w-hostile")
+	for _, c := range []struct{ ledger, field string }{
+		{`{"cpu_ms":1e300,"rows_materialized":-1000}`, "cpu_ms"},
+		{`{"rows_materialized":-1000}`, "rows_materialized"},
+		{`{"stages":[{"stage":"optimize","cpu_ms":-5}]}`, "stages[0].cpu_ms"},
+	} {
+		ctx, sc := obs.Begin(context.Background(), "", "j-1", nil)
+		sc.Ledger.ChargeMaterialize(100, 6400)
+		errc := make(chan error, 1)
+		go func() {
+			_, err := tc.coord.Run(ctx, trialSpec())
+			errc <- err
+		}()
+		lease := mustLease(t, tc.coord, w)
+		body := fmt.Sprintf(`{"worker_id":%q,"task_id":%q,"result":{"theta":[1],"ledger":%s}}`, w, lease.TaskID, c.ledger)
+		resp, err := http.Post(tc.server.URL+"/v1/cluster/complete", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: complete: %v", c.field, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: complete status %d", c.field, resp.StatusCode)
+		}
+		var te *TaskError
+		if err := <-errc; !errors.As(err, &te) || te.Attempts != 1 ||
+			!strings.Contains(te.Reason, "invalid completion: ledger "+c.field+" ") {
+			t.Fatalf("%s: Run = %v, want a TaskError naming the field", c.field, err)
+		}
+		if s := sc.Ledger.Snapshot(); s.CPUMs != 0 || s.RowsMaterialized != 100 || len(s.Stages) != 0 {
+			t.Fatalf("%s: job ledger after the rejected completion: %+v", c.field, s)
+		}
+	}
+	ws := tc.coord.Status().Workers
+	if len(ws) != 1 || ws[0].CPUMs != 0 || ws[0].AllocBytes != 0 || ws[0].TasksFailed != 3 || ws[0].TasksCompleted != 0 {
+		t.Fatalf("worker scoreboard after rejected completions: %+v", ws)
 	}
 }

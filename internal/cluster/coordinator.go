@@ -251,7 +251,8 @@ func (c *Coordinator) Await(ctx context.Context, id string) (*TaskResultPayload,
 // breakdown and cost record cover remote work too. It is the RunFunc of
 // cluster mode, and the one place a task's result is awaited.
 func (c *Coordinator) Run(ctx context.Context, spec TaskSpec) (*TaskResultPayload, error) {
-	spec.Trace = obs.TraceID(ctx)
+	sc := obs.ScopeFrom(ctx)
+	spec.Trace = sc.Trace
 	id, err := c.Submit(spec)
 	if err != nil {
 		return nil, err
@@ -260,8 +261,7 @@ func (c *Coordinator) Run(ctx context.Context, spec TaskSpec) (*TaskResultPayloa
 	if err != nil {
 		return nil, err
 	}
-	obs.RecorderFrom(ctx).Add(payload.Spans)
-	obs.LedgerFrom(ctx).Merge(payload.Ledger)
+	sc.Merge(payload.Spans, payload.Ledger)
 	return payload, nil
 }
 
@@ -431,6 +431,10 @@ func (c *Coordinator) Complete(req CompleteRequest) error {
 		delete(w.leased, req.TaskID)
 		w.deadline = time.Now().Add(c.cfg.HeartbeatTimeout)
 	}
+	var badLedger error
+	if req.Result != nil {
+		badLedger = req.Result.Ledger.Check()
+	}
 	switch {
 	case t.cancelled || req.Cancelled:
 		c.finishLocked(t, taskCancelled, nil, nil)
@@ -445,11 +449,12 @@ func (c *Coordinator) Complete(req CompleteRequest) error {
 		}
 		c.finishLocked(t, taskFailed, nil, &TaskError{TaskID: t.id, Attempts: t.attempts, Reason: req.Error, Log: t.log})
 	case req.Result == nil:
-		t.log = append(t.log, fmt.Sprintf("attempt %d on %s: empty completion", t.attempts, req.WorkerID))
-		if w != nil {
-			w.failed++
-		}
-		c.finishLocked(t, taskFailed, nil, &TaskError{TaskID: t.id, Attempts: t.attempts, Reason: "worker sent an empty completion", Log: t.log})
+		c.rejectLocked(t, w, req.WorkerID, "empty completion")
+	case badLedger != nil:
+		// The ledger merges into the job's and the worker's scoreboard; a
+		// negative or wrapping figure would corrupt both, so nothing of this
+		// result is kept.
+		c.rejectLocked(t, w, req.WorkerID, "invalid completion: "+badLedger.Error())
 	default:
 		if w != nil {
 			w.completed++
@@ -464,6 +469,16 @@ func (c *Coordinator) Complete(req CompleteRequest) error {
 		c.finishLocked(t, taskSucceeded, req.Result, nil)
 	}
 	return nil
+}
+
+// rejectLocked fails t for a completion its worker should never have sent
+// ("worker sent an <what>"), as a failed attempt on that worker.
+func (c *Coordinator) rejectLocked(t *task, w *workerState, workerID, what string) {
+	t.log = append(t.log, fmt.Sprintf("attempt %d on %s: %s", t.attempts, workerID, what))
+	if w != nil {
+		w.failed++
+	}
+	c.finishLocked(t, taskFailed, nil, &TaskError{TaskID: t.id, Attempts: t.attempts, Reason: "worker sent an " + what, Log: t.log})
 }
 
 // orMsg returns s, or def when s is empty.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"testing"
 	"time"
@@ -94,6 +95,55 @@ func TestTaskTraceReachesWorkerSpans(t *testing.T) {
 		if !names[want] {
 			t.Fatalf("worker spans missing stage %q (got %v)", want, names)
 		}
+	}
+}
+
+// TestTaskRecordIsOne: a worker's completion payload and its flight-ring
+// entry read one finished record — the same ledger snapshot and the same
+// spans, stamped with the worker's name.
+func TestTaskRecordIsOne(t *testing.T) {
+	tc := newTestCluster(t, testConfig(), nil)
+	fr, err := obs.NewFlightRecorder(obs.FlightConfig{Dir: t.TempDir(), CPUProfile: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc.startWorkerWith(t, WorkerConfig{Name: "w-rec", Flight: fr})
+	id, err := tc.coord.Submit(TaskSpec{Kind: KindTrain, Trace: "0123456789abcdef", Train: &TrainTask{
+		Spec:    modelio.SpecJSON{Name: "logistic"},
+		Dataset: syntheticRef(),
+		Options: testTrainOptions(),
+	}})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	payload, err := tc.coord.Await(ctx, id)
+	if err != nil {
+		t.Fatalf("await: %v", err)
+	}
+	// The worker records its ring entry before it sends the completion.
+	var entry *obs.FlightEntry
+	for _, e := range fr.Entries() {
+		if e.JobID == id {
+			entry = &e
+		}
+	}
+	if entry == nil || entry.Kind != "task:train" || entry.Trace != "0123456789abcdef" || entry.Err != "" {
+		t.Fatalf("flight entry for %s: %+v", id, entry)
+	}
+	asJSON := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	if payload.Ledger == nil || payload.Ledger.KernelCalls == 0 || asJSON(entry.Ledger) != asJSON(payload.Ledger) {
+		t.Fatalf("ledgers differ:\n  flight  %s\n  payload %s", asJSON(entry.Ledger), asJSON(payload.Ledger))
+	}
+	if len(payload.Spans) == 0 || asJSON(entry.Spans) != asJSON(payload.Spans) {
+		t.Fatalf("spans differ:\n  flight  %s\n  payload %s", asJSON(entry.Spans), asJSON(payload.Spans))
 	}
 }
 

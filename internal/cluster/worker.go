@@ -310,38 +310,22 @@ func (w *Worker) execute(ctx context.Context, lease *LeaseResponse) {
 		w.mu.Unlock()
 	}()
 
-	rec := obs.NewRecorder(lease.Spec.Trace)
 	tlog := w.log.With("task", lease.TaskID)
 	if lease.Spec.Trace != "" {
 		tlog = tlog.With("trace", lease.Spec.Trace)
 	}
-	// The per-task ledger meters the worker-side cost (CPU, kernels, rows,
-	// bundle-cache traffic); it ships back in the completion payload so the
-	// coordinator's job record carries the whole cost. Bound to this
-	// goroutine so the context-free layers (pool, kernels, store) can charge.
-	ledger := obs.NewLedger()
-	taskCtx = obs.WithTrace(taskCtx, lease.Spec.Trace)
-	taskCtx = obs.WithRecorder(taskCtx, rec)
-	taskCtx = obs.WithLogger(taskCtx, tlog)
-	taskCtx = obs.WithLedger(taskCtx, ledger)
+	// The task's scope meters the worker-side cost (CPU, kernels, rows,
+	// bundle-cache traffic) and records its spans; its finished record ships
+	// back in the completion payload so the coordinator's job record carries
+	// the whole cost and stage breakdown.
+	taskCtx, sc := obs.Begin(taskCtx, lease.Spec.Trace, lease.TaskID, tlog)
 	tlog.Info("task leased", "kind", lease.Spec.Kind)
 
-	start := time.Now()
-	unbind := obs.BindLedger(ledger)
+	release := sc.Bind()
 	result, err := w.tasks.Run(taskCtx, lease.Spec)
-	unbind()
+	release()
 	comp := CompleteRequest{WorkerID: workerID, TaskID: lease.TaskID}
-	switch {
-	case err == nil:
-		spans := rec.Spans()
-		for i := range spans {
-			spans[i].Worker = w.cfg.Name
-		}
-		result.Spans = spans
-		result.Ledger = ledger.Snapshot()
-		comp.Result = result
-		tlog.Info("task done", "dur_ms", float64(time.Since(start))/float64(time.Millisecond))
-	default:
+	if err != nil {
 		w.mu.Lock()
 		cancelled := rt.cancelled
 		w.mu.Unlock()
@@ -362,21 +346,23 @@ func (w *Worker) execute(ctx context.Context, lease *LeaseResponse) {
 		default:
 			comp.Error = err.Error()
 		}
+	}
+	// The record is both the completion's and the flight ring's, so its
+	// spans say which worker recorded them before either reads it.
+	rec := sc.Finish("task:"+string(lease.Spec.Kind), comp.Error)
+	for i := range rec.Spans {
+		rec.Spans[i].Worker = w.cfg.Name
+	}
+	if err == nil {
+		result.Spans, result.Ledger = rec.Spans, rec.Ledger
+		comp.Result = result
+		tlog.Info("task done", "dur_ms", rec.DurMs)
+	} else {
 		tlog.Warn("task not completed", "err", err,
 			"cancelled", comp.Cancelled, "requeue", comp.Requeue)
 	}
 	if fr := w.cfg.Flight; fr != nil {
-		entry := obs.FlightEntry{
-			Trace:      lease.Spec.Trace,
-			JobID:      lease.TaskID,
-			Kind:       "task:" + string(lease.Spec.Kind),
-			Err:        comp.Error,
-			DurMs:      float64(time.Since(start)) / float64(time.Millisecond),
-			FinishedAt: time.Now(),
-			Spans:      rec.Spans(),
-			Ledger:     ledger.Snapshot(),
-		}
-		fr.Record(entry)
+		fr.Record(*rec)
 		// A deterministic failure (not a cancellation or an infrastructure
 		// requeue) is the worker-side analogue of an SLO breach: capture the
 		// scene before the evidence scrolls out of the ring.

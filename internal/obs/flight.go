@@ -16,9 +16,9 @@ import (
 )
 
 // FlightEntry is one completed unit of traced work kept in the flight
-// recorder's ring: a finished job's span tree and ledger, or an offending
-// HTTP request (slow, errored, or SLO-violating). When a trigger fires, the
-// ring is what explains the seconds leading up to the breach.
+// recorder's ring: a job's or task's finished record (Scope.Finish; read
+// only), or an offending HTTP request (slow, errored, or SLO-violating). When
+// a trigger fires, the ring is what explains the seconds leading up to it.
 type FlightEntry struct {
 	Trace      string          `json:"trace_id,omitempty"`
 	JobID      string          `json:"job_id,omitempty"`
@@ -160,16 +160,8 @@ func (f *FlightRecorder) Entries() []FlightEntry {
 // most one dump per MinInterval, no matter how many goroutines hit breaches
 // concurrently. Nil-safe.
 func (f *FlightRecorder) Trigger(reason, detail string) bool {
-	if f == nil {
+	if f == nil || !f.admit() {
 		return false
-	}
-	now := f.cfg.now().UnixNano()
-	last := f.lastDump.Load()
-	if last != 0 && time.Duration(now-last) < f.cfg.MinInterval {
-		return false
-	}
-	if !f.lastDump.CompareAndSwap(last, now) {
-		return false // a concurrent trigger won the race
 	}
 	go func() {
 		if _, err := f.dump(reason, detail); err != nil {
@@ -185,15 +177,21 @@ func (f *FlightRecorder) TriggerSync(reason, detail string) (string, error) {
 	if f == nil {
 		return "", fmt.Errorf("obs: no flight recorder")
 	}
-	now := f.cfg.now().UnixNano()
-	last := f.lastDump.Load()
-	if last != 0 && time.Duration(now-last) < f.cfg.MinInterval {
-		return "", nil
-	}
-	if !f.lastDump.CompareAndSwap(last, now) {
+	if !f.admit() {
 		return "", nil
 	}
 	return f.dump(reason, detail)
+}
+
+// admit is both triggers' rate limit: it claims the dump slot unless one
+// was claimed inside MinInterval or a concurrent trigger claims it first.
+func (f *FlightRecorder) admit() bool {
+	now := f.cfg.now().UnixNano()
+	last := f.lastDump.Load()
+	if last != 0 && time.Duration(now-last) < f.cfg.MinInterval {
+		return false
+	}
+	return f.lastDump.CompareAndSwap(last, now)
 }
 
 // sanitizeReason keeps bundle directory names shell- and URL-safe.

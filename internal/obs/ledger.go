@@ -2,7 +2,8 @@ package obs
 
 import (
 	"bytes"
-	"context"
+	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strconv"
@@ -13,8 +14,8 @@ import (
 
 // Ledger is the per-job resource attribution record: what one training or
 // tuning job *cost*, as opposed to what it *did* (the span tree). It travels
-// in the job's context alongside the trace and recorder, and is additionally
-// bound to the goroutines doing the job's work (BindLedger) so that
+// in the job's Scope alongside the trace and recorder, and is additionally
+// bound to the goroutines doing the job's work (Scope.Bind) so that
 // context-free layers — the compute pool, linalg kernels, the row store —
 // can charge it without threading a context through every kernel signature.
 //
@@ -43,7 +44,7 @@ type Ledger struct {
 	registryNs   atomic.Int64
 
 	// stage is the pipeline stage currently executing (set by StartSpan via
-	// the context ledger); charges are attributed to it. With concurrent
+	// the scope's ledger); charges are attributed to it. With concurrent
 	// stages (tune trials) the attribution is last-writer-wins — an
 	// approximation, documented as such in the README.
 	stage atomic.Pointer[string]
@@ -63,7 +64,7 @@ type stageCost struct {
 func NewLedger() *Ledger { return &Ledger{} }
 
 // SetStage marks name as the currently executing stage and returns a func
-// restoring the previous one. StartSpan calls this for the context ledger.
+// restoring the previous one. StartSpan calls this for the scope's ledger.
 func (l *Ledger) SetStage(name string) func() {
 	if l == nil || name == "" {
 		return func() {}
@@ -72,11 +73,10 @@ func (l *Ledger) SetStage(name string) func() {
 	return func() { l.stage.Store(prev) }
 }
 
-// stageFor returns the accumulator for the current stage, or nil when no
-// stage is set.
-func (l *Ledger) stageFor() *stageCost {
-	p := l.stage.Load()
-	if p == nil {
+// stageFor returns the named stage's accumulator, creating it if needed,
+// or nil for no stage. Charges pass the current stage, l.stage.Load().
+func (l *Ledger) stageFor(name *string) *stageCost {
+	if name == nil {
 		return nil
 	}
 	l.mu.Lock()
@@ -84,10 +84,10 @@ func (l *Ledger) stageFor() *stageCost {
 	if l.stages == nil {
 		l.stages = make(map[string]*stageCost, 8)
 	}
-	sc := l.stages[*p]
+	sc := l.stages[*name]
 	if sc == nil {
 		sc = &stageCost{}
-		l.stages[*p] = sc
+		l.stages[*name] = sc
 	}
 	return sc
 }
@@ -99,7 +99,7 @@ func (l *Ledger) ChargeCPU(d time.Duration) {
 		return
 	}
 	l.cpuNs.Add(int64(d))
-	if sc := l.stageFor(); sc != nil {
+	if sc := l.stageFor(l.stage.Load()); sc != nil {
 		sc.cpuNs.Add(int64(d))
 	}
 }
@@ -124,7 +124,7 @@ func (l *Ledger) ChargeKernel(d time.Duration, flops int64) {
 	if flops > 0 {
 		l.flops.Add(flops)
 	}
-	if sc := l.stageFor(); sc != nil {
+	if sc := l.stageFor(l.stage.Load()); sc != nil {
 		sc.kernelCalls.Add(1)
 	}
 }
@@ -137,7 +137,7 @@ func (l *Ledger) ChargeMaterialize(rows int, bytes int64) {
 	}
 	l.rows.Add(int64(rows))
 	l.bytes.Add(bytes)
-	if sc := l.stageFor(); sc != nil {
+	if sc := l.stageFor(l.stage.Load()); sc != nil {
 		sc.rows.Add(int64(rows))
 	}
 }
@@ -240,8 +240,43 @@ func (l *Ledger) Snapshot() *LedgerSnapshot {
 	return s
 }
 
+// Check reports the first field of s no ledger can produce, named as on the
+// wire: a negative count, or milliseconds outside [0, MaxInt64/1e6), which
+// would wrap the nanosecond counter Merge adds them to.
+func (s *LedgerSnapshot) Check() error {
+	if s == nil {
+		return nil
+	}
+	maxMs, count := math.MaxInt64/1e6, math.Inf(1)
+	type field struct {
+		name   string
+		v, max float64
+	}
+	fields := []field{{"cpu_ms", s.CPUMs, maxMs}, {"kernel_ms", s.KernelMs, maxMs},
+		{"queue_wait_ms", s.QueueWaitMs, maxMs}, {"registry_io_ms", s.RegistryIOMs, maxMs},
+		{"kernel_calls", float64(s.KernelCalls), count}, {"flops", float64(s.Flops), count},
+		{"steals", float64(s.Steals), count}, {"rows_materialized", float64(s.RowsMaterialized), count},
+		{"bytes_materialized", float64(s.BytesMaterialized), count},
+		{"bundle_cache_hits", float64(s.BundleHits), count}, {"bundle_cache_misses", float64(s.BundleMisses), count}}
+	for i, st := range s.Stages {
+		p := fmt.Sprintf("stages[%d].", i)
+		fields = append(fields, field{p + "cpu_ms", st.CPUMs, maxMs},
+			field{p + "kernel_calls", float64(st.KernelCalls), count},
+			field{p + "rows_materialized", float64(st.RowsMaterialized), count})
+	}
+	for _, f := range fields {
+		if !(f.v >= 0 && f.v < f.max) {
+			return fmt.Errorf("ledger %s = %v is outside [0, %v)", f.name, f.v, f.max)
+		}
+	}
+	return nil
+}
+
 // Merge folds a snapshot (e.g. shipped back from a cluster worker) into the
 // ledger, so a remote task's costs rejoin the coordinator-side job record.
+// Each stage's slice goes to the accumulator of that name, never through
+// the current stage, which concurrent merges and spans share. Merge trusts
+// s: Check one that crossed a process boundary first.
 func (l *Ledger) Merge(s *LedgerSnapshot) {
 	if l == nil || s == nil {
 		return
@@ -258,33 +293,11 @@ func (l *Ledger) Merge(s *LedgerSnapshot) {
 	l.queueWaitNs.Add(int64(s.QueueWaitMs * 1e6))
 	l.registryNs.Add(int64(s.RegistryIOMs * 1e6))
 	for _, st := range s.Stages {
-		restore := l.SetStage(st.Stage)
-		sc := l.stageFor()
-		restore()
-		if sc == nil {
-			continue
-		}
+		sc := l.stageFor(&st.Stage)
 		sc.cpuNs.Add(int64(st.CPUMs * 1e6))
 		sc.kernelCalls.Add(st.KernelCalls)
 		sc.rows.Add(st.RowsMaterialized)
 	}
-}
-
-// WithLedger returns ctx carrying the ledger (nil leaves ctx unchanged).
-func WithLedger(ctx context.Context, l *Ledger) context.Context {
-	if l == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ledgerKey, l)
-}
-
-// LedgerFrom returns the context's ledger, or nil.
-func LedgerFrom(ctx context.Context) *Ledger {
-	if ctx == nil {
-		return nil
-	}
-	l, _ := ctx.Value(ledgerKey).(*Ledger)
-	return l
 }
 
 // ---------------------------------------------------------------------------
@@ -356,27 +369,13 @@ func BindLedger(l *Ledger) (release func()) {
 	}
 }
 
-// BindLedgerFromContext binds the context's ledger (if any) to the calling
-// goroutine — the one-liner for worker goroutines spawned with plain `go`,
-// which do not inherit the spawner's binding.
-func BindLedgerFromContext(ctx context.Context) (release func()) {
-	return BindLedger(LedgerFrom(ctx))
-}
-
 // BoundLedger returns the ledger bound to the calling goroutine, or nil.
 // The no-bindings fast path is one atomic load.
 func BoundLedger() *Ledger {
-	if ledgerReg.count.Load() == 0 {
-		return nil
+	if b := boundBinding(); b != nil {
+		return b.l
 	}
-	id := goID()
-	ledgerReg.mu.RLock()
-	b := ledgerReg.m[id]
-	ledgerReg.mu.RUnlock()
-	if b == nil {
-		return nil
-	}
-	return b.l
+	return nil
 }
 
 func boundBinding() *ledgerBinding {

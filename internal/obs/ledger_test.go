@@ -2,6 +2,9 @@ package obs
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -86,6 +89,27 @@ func TestLedgerMerge(t *testing.T) {
 	if len(s.Stages) != 1 || s.Stages[0].Stage != "final" || s.Stages[0].KernelCalls != 1 {
 		t.Fatalf("merged stages: %+v", s.Stages)
 	}
+
+	// Check passes any snapshot a ledger produced and names the first field
+	// no ledger can produce.
+	if err := remote.Snapshot().Check(); err != nil {
+		t.Fatalf("Check(real snapshot) = %v", err)
+	}
+	for field, bad := range map[string]*LedgerSnapshot{
+		"cpu_ms":                      {CPUMs: 1e300},
+		"kernel_ms":                   {KernelMs: -1},
+		"queue_wait_ms":               {QueueWaitMs: math.NaN()},
+		"registry_io_ms":              {RegistryIOMs: math.MaxInt64 / 1e6},
+		"rows_materialized":           {RowsMaterialized: -1000},
+		"bundle_cache_misses":         {BundleMisses: -1},
+		"stages[1].cpu_ms":            {Stages: []StageCost{{Stage: "a"}, {Stage: "b", CPUMs: -1}}},
+		"stages[0].kernel_calls":      {Stages: []StageCost{{Stage: "a", KernelCalls: -1}}},
+		"stages[0].rows_materialized": {Stages: []StageCost{{Stage: "a", RowsMaterialized: -1}}},
+	} {
+		if err := bad.Check(); err == nil || !strings.Contains(err.Error(), "ledger "+field+" ") {
+			t.Errorf("Check(bad %s) = %v, want an error naming it", field, err)
+		}
+	}
 }
 
 func TestLedgerNilSafe(t *testing.T) {
@@ -109,11 +133,75 @@ func TestLedgerNilSafe(t *testing.T) {
 	}
 }
 
+// TestLedgerContextRoundTrip: a context built the benchmark harness's way
+// (WithTrace → WithRecorder → WithLedger, then BindLedger) and one built by
+// Begin (then Scope.Bind) read back the same trace, recorder and ledger, and
+// the bound goroutine's kernel and pool charges land in that ledger, under
+// the stage of the open span.
 func TestLedgerContextRoundTrip(t *testing.T) {
+	l, r := NewLedger(), NewRecorder("t1")
+	harness := WithLedger(WithRecorder(WithTrace(context.Background(), "t1"), r), l)
+	begun, sc := Begin(context.Background(), "t1", "j-1", nil)
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+		rec  *Recorder
+		led  *Ledger
+		bind func() func()
+	}{
+		{"harness", harness, r, l, func() func() { return BindLedger(l) }},
+		{"begin", begun, sc.Recorder, sc.Ledger, sc.Bind},
+	} {
+		if TraceID(c.ctx) != "t1" || ScopeFrom(c.ctx).Recorder != c.rec || LedgerFrom(c.ctx) != c.led || c.led == nil {
+			t.Fatalf("%s: context round trip lost the trace, recorder or ledger", c.name)
+		}
+		release := c.bind()
+		done := StartSpan(c.ctx, "statistics")
+		ChargeKernel(time.Now(), 100)
+		frame := EnterPool()
+		frame.Exit(2)
+		done()
+		release()
+		s := c.led.Snapshot()
+		if s.KernelCalls != 1 || s.Flops != 100 || s.Steals != 2 {
+			t.Fatalf("%s: bound charges missed the ledger: %+v", c.name, s)
+		}
+		if len(s.Stages) != 1 || s.Stages[0].Stage != "statistics" || s.Stages[0].KernelCalls != 1 {
+			t.Fatalf("%s: stage attribution: %+v", c.name, s.Stages)
+		}
+		if spans := c.rec.Spans(); len(spans) != 1 || spans[0].Trace != "t1" {
+			t.Fatalf("%s: spans = %+v", c.name, spans)
+		}
+	}
+	if a, b := ScopeFrom(begun).JobID, ScopeFrom(harness).JobID; a != "j-1" || b != "" {
+		t.Fatalf("job ids = %q, %q; want j-1 and none", a, b)
+	}
+}
+
+// TestLedgerMergeConcurrentStages: merges racing each other charge every
+// stage slice to the stage it names, never to a concurrently merged one.
+func TestLedgerMergeConcurrentStages(t *testing.T) {
 	l := NewLedger()
-	ctx := WithLedger(context.Background(), l)
-	if LedgerFrom(ctx) != l {
-		t.Fatal("context round trip lost the ledger")
+	const goroutines, merges = 8, 2000
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(stage string) {
+			defer wg.Done()
+			for i := 0; i < merges; i++ {
+				l.Merge(&LedgerSnapshot{Stages: []StageCost{{Stage: stage, KernelCalls: 1}}})
+			}
+		}(fmt.Sprintf("s%d", g))
+	}
+	wg.Wait()
+	s := l.Snapshot()
+	if len(s.Stages) != goroutines {
+		t.Fatalf("stages = %+v, want %d", s.Stages, goroutines)
+	}
+	for _, st := range s.Stages {
+		if st.KernelCalls != merges {
+			t.Errorf("stage %s kernel_calls = %d, want %d", st.Stage, st.KernelCalls, merges)
+		}
 	}
 }
 
@@ -145,7 +233,7 @@ func TestBindLedgerPerGoroutine(t *testing.T) {
 	release := BindLedger(l)
 	defer release()
 	// A plain `go` goroutine does not inherit the binding; it must bind
-	// explicitly (BindLedgerFromContext is the usual route).
+	// explicitly (Scope.Bind is the usual route).
 	var wg sync.WaitGroup
 	wg.Add(1)
 	var spawned *Ledger

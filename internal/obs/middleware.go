@@ -219,26 +219,26 @@ func (m *HTTPMetrics) finish(route string, rm *RouteMetrics, r *http.Request, sw
 	isErr := class == 5 || class == 0
 	isSlow := sloMs > 0 && ms > sloMs
 	rm.slo.Record(now, isErr, isSlow)
-	slowHit := false
-	if t := m.slowMs.Load(); t > 0 && ms >= t {
-		slowHit = true
-		if logger := m.logger.Load(); logger != nil {
-			// The trace ID may arrive on the request (caller-supplied) or be
-			// minted at admission and echoed on the response header.
-			trace := r.Header.Get(TraceHeader)
-			if trace == "" {
-				trace = sw.Header().Get(TraceHeader)
-			}
-			logger.Warn("slow request",
-				"route", route, "method", r.Method, "status", code,
-				"ms", ms, "threshold_ms", t, "trace", trace)
-		}
-	}
-	if fr := m.flight.Load(); fr != nil && (isErr || isSlow || slowHit) {
-		trace := r.Header.Get(TraceHeader)
-		if trace == "" {
+	slowT := m.slowMs.Load()
+	slowHit := slowT > 0 && ms >= slowT
+	logger := m.logger.Load()
+	logSlow := slowHit && logger != nil
+	fr := m.flight.Load()
+	record := fr != nil && (isErr || isSlow || slowHit)
+	var trace string
+	if logSlow || record {
+		// The trace ID may arrive on the request (caller-supplied) or be
+		// minted at admission and echoed on the response header.
+		if trace = r.Header.Get(TraceHeader); trace == "" {
 			trace = sw.Header().Get(TraceHeader)
 		}
+	}
+	if logSlow {
+		logger.Warn("slow request",
+			"route", route, "method", r.Method, "status", code,
+			"ms", ms, "threshold_ms", slowT, "trace", trace)
+	}
+	if record {
 		errStr := ""
 		if isErr {
 			errStr = fmt.Sprintf("status %d", code)

@@ -107,7 +107,7 @@ func TestRecorderCapAndConcurrency(t *testing.T) {
 func TestLoggerCarriesTrace(t *testing.T) {
 	var buf bytes.Buffer
 	base := slog.New(slog.NewJSONHandler(&buf, nil))
-	ctx := WithLogger(WithTrace(context.Background(), "deadbeef"), base)
+	ctx, _ := Begin(context.Background(), "deadbeef", "j-1", base)
 	Logger(ctx).Info("hello")
 	var line map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &line); err != nil {

@@ -23,9 +23,9 @@ type Span struct {
 // bound. Overflow is counted, not silently dropped.
 const maxRecordedSpans = 1024
 
-// Recorder collects the spans of one trace. It travels in the job's context
-// (WithRecorder / StartSpan) and is safe for concurrent use — tune trials
-// and probe fan-out record from many goroutines.
+// Recorder collects the spans of one trace. It travels in the job's Scope
+// (Begin / StartSpan) and is safe for concurrent use — tune trials and
+// probe fan-out record from many goroutines.
 type Recorder struct {
 	trace string
 
@@ -95,23 +95,6 @@ func (r *Recorder) Dropped() int {
 	return r.dropped
 }
 
-// WithRecorder returns ctx carrying the recorder.
-func WithRecorder(ctx context.Context, r *Recorder) context.Context {
-	if r == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, recorderKey, r)
-}
-
-// RecorderFrom returns the context's recorder, or nil.
-func RecorderFrom(ctx context.Context) *Recorder {
-	if ctx == nil {
-		return nil
-	}
-	r, _ := ctx.Value(recorderKey).(*Recorder)
-	return r
-}
-
 // StartSpan begins a named span on the context's recorder and returns the
 // closure that ends it. With no recorder in ctx it is a no-op, so
 // instrumented code needs no conditionals:
@@ -120,13 +103,14 @@ func RecorderFrom(ctx context.Context) *Recorder {
 //	... work ...
 //	done()
 func StartSpan(ctx context.Context, name string) func() {
-	r := RecorderFrom(ctx)
+	s := ScopeFrom(ctx)
+	r := s.Recorder // the closure keeps only what it needs, not the scope
 	if r == nil {
 		return func() {}
 	}
-	// The context ledger (if any) attributes resource charges to the stage
+	// The scope's ledger (if any) attributes resource charges to the stage
 	// that is currently executing; the span boundary is that stage marker.
-	restoreStage := LedgerFrom(ctx).SetStage(name)
+	restoreStage := s.Ledger.SetStage(name)
 	start := time.Now()
 	return func() {
 		restoreStage()

@@ -98,16 +98,6 @@ func (l *SpanLog) rotateLocked() error {
 	return nil
 }
 
-// Flush pushes buffered lines to disk.
-func (l *SpanLog) Flush() error {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.w.Flush()
-}
-
 // Close flushes and closes the file.
 func (l *SpanLog) Close() error {
 	if l == nil {

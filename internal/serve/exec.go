@@ -72,11 +72,10 @@ func (s *Server) tuneConfig(req TuneRequest) tune.Config {
 // per-family cost histograms (blinkml_job_cpu_ms / blinkml_job_alloc_bytes).
 // family comes from the model spec, so the label set stays bounded.
 func (s *Server) observeJobLedger(ctx context.Context, family string) {
-	l := obs.LedgerFrom(ctx)
-	if l == nil {
+	snap := obs.ScopeFrom(ctx).Ledger.Snapshot()
+	if snap == nil {
 		return
 	}
-	snap := l.Snapshot()
 	s.m.JobCPUFamily.With(family).Observe(snap.CPUMs)
 	s.m.JobAllocFamily.With(family).Observe(float64(snap.BytesMaterialized))
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -233,5 +234,68 @@ func TestFlightRecorderDisabled(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status %d, want 404 when disabled", resp.StatusCode)
+	}
+}
+
+// TestJobRecordIsOne: a local train job's finished record is read, not
+// rebuilt, by every sink — the status's trace spans and resources, the
+// -span-log lines and the flight-ring entry are the same spans and the same
+// ledger snapshot.
+func TestJobRecordIsOne(t *testing.T) {
+	spanLog := filepath.Join(t.TempDir(), "spans.jsonl")
+	s, err := New(Config{
+		Dir:              t.TempDir(),
+		Workers:          1,
+		QueueDepth:       4,
+		SpanLog:          spanLog,
+		FlightDir:        filepath.Join(t.TempDir(), "flight"),
+		FlightCPUProfile: -1,
+	})
+	if err != nil {
+		t.Fatalf("new server: %v", err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	st := runJob(t, ts, "/v1/train", trainBody())
+	ts.Close()
+	s.Close() // drains the queue, so the sinks have run, and flushes the span log
+	if st.State != JobSucceeded || st.Trace == nil || len(st.Trace.Spans) == 0 || st.Resources == nil {
+		t.Fatalf("job status: %+v", st)
+	}
+
+	raw, err := os.ReadFile(spanLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logged []obs.Span
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		var sp obs.Span
+		if err := json.Unmarshal([]byte(line), &sp); err != nil {
+			t.Fatalf("span log line %q: %v", line, err)
+		}
+		logged = append(logged, sp)
+	}
+	var entry *obs.FlightEntry
+	for _, e := range s.flight.Entries() {
+		if e.JobID == st.ID {
+			entry = &e
+		}
+	}
+	if entry == nil || entry.Kind != "job:train" || entry.Trace != st.TraceID || entry.Err != "" {
+		t.Fatalf("flight entry for %s: %+v", st.ID, entry)
+	}
+
+	asJSON := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	spans := asJSON(st.Trace.Spans)
+	if asJSON(logged) != spans || asJSON(entry.Spans) != spans {
+		t.Fatalf("spans differ:\n  status   %s\n  span log %s\n  flight   %s", spans, asJSON(logged), asJSON(entry.Spans))
+	}
+	if asJSON(entry.Ledger) != asJSON(st.Resources) {
+		t.Fatalf("ledgers differ:\n  status %s\n  flight %s", asJSON(st.Resources), asJSON(entry.Ledger))
 	}
 }

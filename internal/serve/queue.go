@@ -80,20 +80,18 @@ type Job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu           sync.Mutex
-	state        string
-	errMsg       string
-	result       TaskResult
-	spans        []obs.Span
-	droppedSpans int
-	resources    *obs.LedgerSnapshot
-	enqueuedAt   time.Time
-	startedAt    time.Time
-	finishedAt   time.Time
-
-	// ledger is the live resource ledger while the job runs (set by runJob;
-	// read by the flight recorder's live-ledger dump callback).
-	ledger *obs.Ledger
+	mu         sync.Mutex
+	state      string
+	errMsg     string
+	result     TaskResult
+	enqueuedAt time.Time
+	startedAt  time.Time
+	finishedAt time.Time
+	// scope is the job's observability scope from the moment it runs; its
+	// live ledger is what Status and LiveLedgers report until record, the
+	// scope's finished record, is set with the terminal state.
+	scope  obs.Scope
+	record *obs.FlightEntry
 }
 
 // Trace returns the job's trace ID.
@@ -113,28 +111,31 @@ func (j *Job) Status() JobStatus {
 		Diagnostics: j.result.Diagnostics,
 		Tune:        j.result.Tune,
 		Plan:        j.result.Plan,
-		Resources:   j.resources,
 		EnqueuedAt:  j.enqueuedAt,
 		StartedAt:   j.startedAt,
 		FinishedAt:  j.finishedAt,
 	}
-	if st.Resources == nil && j.ledger != nil {
-		st.Resources = j.ledger.Snapshot() // job still running: report live costs
-	}
-	if len(j.spans) > 0 {
-		st.Trace = &TraceReport{
-			TraceID:      j.trace,
-			Stages:       obs.AggregateStages(j.spans),
-			Spans:        append([]obs.Span(nil), j.spans...),
-			DroppedSpans: j.droppedSpans,
+	r := j.record
+	if r == nil {
+		st.Resources = j.scope.Ledger.Snapshot() // job still running: report live costs
+	} else {
+		st.Resources = r.Ledger
+		if len(r.Spans) > 0 {
+			st.Trace = &TraceReport{
+				TraceID:      j.trace,
+				Stages:       obs.AggregateStages(r.Spans),
+				Spans:        r.Spans,
+				DroppedSpans: j.scope.Recorder.Dropped(),
+			}
 		}
 	}
 	return st
 }
 
-// markRunning transitions queued → running; it reports false when the job
-// was cancelled while still waiting, in which case the worker must skip it.
-func (j *Job) markRunning() bool {
+// markRunning transitions queued → running under the job's scope; it
+// reports false when the job was cancelled while still waiting, in which
+// case the worker must skip it.
+func (j *Job) markRunning(sc obs.Scope) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != JobQueued {
@@ -142,42 +143,21 @@ func (j *Job) markRunning() bool {
 	}
 	j.state = JobRunning
 	j.startedAt = time.Now()
+	j.scope = sc
 	return true
 }
 
-// setSpans stores the job's recorded spans (before finish, so a Status read
-// after the terminal state always sees them).
-func (j *Job) setSpans(spans []obs.Span, dropped int) {
-	j.mu.Lock()
-	j.spans = spans
-	j.droppedSpans = dropped
-	j.mu.Unlock()
-}
-
-// setLedger publishes the job's live ledger while it runs.
-func (j *Job) setLedger(l *obs.Ledger) {
-	j.mu.Lock()
-	j.ledger = l
-	j.mu.Unlock()
-}
-
-// sealLedger stores the final ledger snapshot and drops the live ledger.
-func (j *Job) sealLedger(s *obs.LedgerSnapshot) {
-	j.mu.Lock()
-	j.resources = s
-	j.ledger = nil
-	j.mu.Unlock()
-}
-
-// finish records a terminal state. The task is dropped so a finished job
-// does not pin its (possibly inline, possibly huge) dataset in memory for
-// the rest of the process lifetime.
-func (j *Job) finish(state, errMsg string, result TaskResult) {
+// finish records a terminal state with the scope's finished record, so a
+// Status read never sees one without the other. The task is dropped so a
+// finished job does not pin its (possibly inline, possibly huge) dataset in
+// memory for the rest of the process lifetime.
+func (j *Job) finish(state, errMsg string, result TaskResult, rec *obs.FlightEntry) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.state = state
 	j.errMsg = errMsg
 	j.result = result
+	j.record = rec
 	j.finishedAt = time.Now()
 	j.task = nil
 }
@@ -193,10 +173,11 @@ type Queue struct {
 	workers int
 
 	// SpanSink, when set before any Enqueue, receives every finished job's
-	// spans (the -span-log JSONL export hook). Called from worker goroutines.
+	// spans (the -span-log JSONL export hook). Called from worker goroutines
+	// with the finished record's spans, which it must not modify.
 	SpanSink func([]obs.Span)
-	// Flight, when set before any Enqueue, receives every finished job as a
-	// flight-recorder ring entry (span tree + ledger snapshot).
+	// Flight, when set before any Enqueue, receives every finished job's
+	// record as a flight-recorder ring entry (span tree + ledger snapshot).
 	Flight *obs.FlightRecorder
 	// Log receives job lifecycle events and becomes the request-scoped
 	// logger for job work; nil discards (tests, embedded queues).
@@ -424,70 +405,58 @@ func (q *Queue) worker() {
 }
 
 func (q *Queue) runJob(job *Job) {
-	if !job.markRunning() {
-		return // cancelled while queued
-	}
-	q.m.JobsRunning.Add(1)
-	rec := obs.NewRecorder(job.trace)
-	ctx := obs.WithRecorder(obs.WithTrace(job.ctx, job.trace), rec)
-	ctx = obs.WithJobID(ctx, job.ID)
-	// The job's resource ledger: carried in ctx (explicit charge sites,
-	// audit, cluster merge) and bound to this worker goroutine so the
-	// compute pool, linalg kernels, and the store charge it too.
-	ledger := obs.NewLedger()
-	ledger.ChargeQueueWait(time.Since(job.enqueuedAt))
-	job.setLedger(ledger)
-	ctx = obs.WithLedger(ctx, ledger)
-	unbind := obs.BindLedger(ledger)
 	logger := q.Log
 	if logger == nil {
 		logger = obs.Discard() // embedded/test queues stay quiet unless wired
 	}
-	ctx = obs.WithLogger(ctx, logger)
+	ctx, sc := obs.Begin(job.ctx, job.trace, job.ID, logger)
+	if !job.markRunning(sc) {
+		return // cancelled while queued
+	}
+	q.m.JobsRunning.Add(1)
+	sc.Ledger.ChargeQueueWait(time.Since(job.enqueuedAt))
 	log := obs.Logger(ctx).With("job", job.ID, "kind", job.kind)
 	log.Info("job started")
 	start := time.Now()
+	release := sc.Bind()
 	result, err := runContained(ctx, job.task)
-	unbind()
+	release()
 	q.m.JobsRunning.Add(-1)
-	job.setSpans(rec.Spans(), rec.Dropped())
-	job.sealLedger(ledger.Snapshot())
+	state, errMsg := JobSucceeded, ""
 	switch {
 	case err == nil:
-		job.finish(JobSucceeded, "", result)
+	case errors.Is(err, context.Canceled) || job.ctx.Err() != nil:
+		state, errMsg = JobCancelled, "cancelled: "+err.Error()
+	default:
+		state, errMsg = JobFailed, err.Error()
+	}
+	if err != nil {
+		result = TaskResult{Diagnostics: result.Diagnostics}
+	}
+	recErr := errMsg
+	var panicked *cluster.PanicError
+	if errors.As(err, &panicked) {
+		recErr = panicked.Detail() // the status stays one line; the record keeps the stack
+	}
+	rec := sc.Finish("job:"+job.kind, recErr)
+	job.finish(state, errMsg, result, rec)
+	switch state {
+	case JobSucceeded:
 		q.m.JobsSucceeded.Add(1)
 		log.Info("job succeeded", "elapsed", time.Since(start), "model", result.ModelID)
-	case errors.Is(err, context.Canceled) || job.ctx.Err() != nil:
-		job.finish(JobCancelled, "cancelled: "+err.Error(), TaskResult{Diagnostics: result.Diagnostics})
+	case JobCancelled:
 		q.m.JobsCancelled.Add(1)
 		log.Info("job cancelled", "elapsed", time.Since(start))
 	default:
-		job.finish(JobFailed, err.Error(), TaskResult{Diagnostics: result.Diagnostics})
 		q.m.JobsFailed.Add(1)
 		log.Warn("job failed", "elapsed", time.Since(start), "err", err)
 	}
 	job.cancel() // release the context's resources
 	q.recordDone(job.ID)
 	if q.SpanSink != nil {
-		q.SpanSink(rec.Spans())
+		q.SpanSink(rec.Spans)
 	}
-	if q.Flight != nil {
-		st := job.Status()
-		var panicked *cluster.PanicError
-		if errors.As(err, &panicked) {
-			st.Error = panicked.Detail() // the status stays one line; the recorder keeps the stack
-		}
-		q.Flight.Record(obs.FlightEntry{
-			Trace:      job.trace,
-			JobID:      job.ID,
-			Kind:       "job:" + job.kind,
-			Err:        st.Error,
-			DurMs:      float64(time.Since(start)) / float64(time.Millisecond),
-			FinishedAt: time.Now(),
-			Spans:      rec.Spans(),
-			Ledger:     st.Resources,
-		})
-	}
+	q.Flight.Record(*rec)
 }
 
 // runContained is task.Run with a panic — in what the job does around its
@@ -510,7 +479,10 @@ func (q *Queue) LiveLedgers() map[string]*obs.LedgerSnapshot {
 	out := make(map[string]*obs.LedgerSnapshot)
 	for _, job := range jobs {
 		job.mu.Lock()
-		l := job.ledger
+		l := job.scope.Ledger
+		if job.record != nil {
+			l = nil
+		}
 		job.mu.Unlock()
 		if l != nil {
 			out[job.ID] = l.Snapshot()

@@ -409,10 +409,11 @@ func (s *Server) recordAudit(ctx context.Context, kind, id string, m *modelio.Mo
 		dsJSON = nil
 	}
 	o := opts.WithDefaults()
+	sc := obs.ScopeFrom(ctx)
 	rec := audit.Record{
 		ModelID:          id,
-		JobID:            obs.JobID(ctx),
-		TraceID:          obs.TraceID(ctx),
+		JobID:            sc.JobID,
+		TraceID:          sc.Trace,
 		Kind:             kind,
 		Family:           sj.Name,
 		Spec:             sj,
@@ -430,7 +431,7 @@ func (s *Server) recordAudit(ctx context.Context, kind, id string, m *modelio.Mo
 		CreatedAt:        time.Now().UTC(),
 		// Snapshot at registration time: training is done; only the registry
 		// I/O tail is still accruing.
-		Resources: obs.LedgerFrom(ctx).Snapshot(),
+		Resources: sc.Ledger.Snapshot(),
 	}
 	if err := s.audit.Append(rec); err != nil {
 		s.log.Warn("audit record append failed", "model", id, "err", err)

@@ -505,8 +505,8 @@ func forEach(ctx context.Context, workers, n int, fn func(i int)) error {
 		go func() {
 			defer wg.Done()
 			// Plain `go` does not inherit the job's goroutine-bound resource
-			// ledger, so trial work re-binds it from the context here.
-			defer obs.BindLedgerFromContext(ctx)()
+			// ledger, so trial work binds the job's scope here.
+			defer obs.ScopeFrom(ctx).Bind()()
 			for i := range idx {
 				fn(i)
 			}
