@@ -97,6 +97,11 @@ func chunkBounds(n, c, i int) (lo, hi int) {
 // blocks waiting for a token, so nested Run/For calls cannot deadlock.
 // Tasks are claimed dynamically, so unequal task costs balance across
 // workers; fn must not assume any particular task→goroutine assignment.
+//
+// A panic in fn, on a helper or on the caller, stops further tasks from
+// being claimed; once every helper has exited, Run panics on the caller
+// with the first value recovered, so the caller's own recover (a task
+// runner's containment) sees it and the process survives.
 func Run(tasks int, fn func(task int)) {
 	if tasks <= 0 {
 		return
@@ -108,10 +113,10 @@ func Run(tasks int, fn func(task int)) {
 		// frames (a serial loop inside a parallel kernel) charge nothing.
 		// Free (one atomic load) when no ledger is bound.
 		frame := obs.EnterPool()
+		defer frame.Exit(0)
 		for i := 0; i < tasks; i++ {
 			fn(i)
 		}
-		frame.Exit(0)
 		return
 	}
 	metrics.parallelCalls.Add(1)
@@ -120,18 +125,7 @@ func Run(tasks int, fn func(task int)) {
 	defer func() {
 		metrics.runLatency.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	}()
-	var next atomic.Int64
-	work := func() int {
-		n := 0
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= tasks {
-				return n
-			}
-			fn(i)
-			n++
-		}
-	}
+	r := &run{tasks: tasks, fn: fn}
 	want := tasks - 1
 	if want > s.degree-1 {
 		want = s.degree - 1
@@ -140,25 +134,22 @@ func Run(tasks int, fn func(task int)) {
 	// is attributed to the same job; each helper charges its own busy time
 	// and the tasks it executed count as steals.
 	ledger := obs.BoundLedger()
-	var wg sync.WaitGroup
 acquire:
 	for h := 0; h < want; h++ {
 		select {
 		case <-s.tokens:
-			wg.Add(1)
+			r.wg.Add(1)
 			metrics.helpersSpawned.Add(1)
 			metrics.helpersBusy.Add(1)
 			go func() {
-				defer func() {
-					metrics.helpersBusy.Add(-1)
-					s.tokens <- struct{}{}
-					wg.Done()
-				}()
-				release := obs.BindLedger(ledger)
+				defer r.wg.Done()
+				defer func() { s.tokens <- struct{}{} }()
+				defer metrics.helpersBusy.Add(-1)
+				defer obs.BindLedger(ledger)()
+				var n int64
 				frame := obs.EnterPool()
-				n := work()
-				frame.Exit(int64(n))
-				release()
+				defer func() { frame.Exit(n) }()
+				r.work(&n)
 			}()
 		default:
 			break acquire // budget exhausted; the caller picks up the slack
@@ -166,10 +157,47 @@ acquire:
 	}
 	// The caller charges only its own work interval (not the wg.Wait), and
 	// only at the outermost pool frame — nested Run calls don't double-bill.
+	var n int64
 	frame := obs.EnterPool()
-	work()
+	r.work(&n)
 	frame.Exit(0)
-	wg.Wait()
+	r.wg.Wait()
+	if r.panicked.Load() {
+		panic(r.first)
+	}
+}
+
+// run is one parallel Run call: the task counter its workers claim from,
+// the helpers to wait for, and the first panic any task raised.
+type run struct {
+	next     atomic.Int64
+	tasks    int
+	fn       func(task int)
+	wg       sync.WaitGroup
+	panicked atomic.Bool
+	first    any // written once, by the worker that set panicked
+}
+
+// work runs claimed tasks until none are left, counting them in *n. A
+// panic is recovered here, recorded if it is the first, and ends the
+// claiming everywhere.
+func (r *run) work(n *int64) {
+	defer func() {
+		if v := recover(); v != nil {
+			if r.panicked.CompareAndSwap(false, true) {
+				r.first = v
+			}
+			r.next.Store(int64(r.tasks))
+		}
+	}()
+	for {
+		i := int(r.next.Add(1)) - 1
+		if i >= r.tasks {
+			return
+		}
+		r.fn(i)
+		*n++
+	}
 }
 
 // ForChunks splits [0, n) into Chunks(n, grain) contiguous balanced

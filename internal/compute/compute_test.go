@@ -1,10 +1,14 @@
 package compute
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // withParallelism runs fn under a fixed degree, restoring the previous
@@ -224,4 +228,75 @@ func TestSetParallelismDefaults(t *testing.T) {
 	if got := SetParallelism(5); got != 5 || Parallelism() != 5 {
 		t.Fatalf("SetParallelism(5) = %d, Parallelism() = %d", got, Parallelism())
 	}
+}
+
+// recoverRun runs Run(tasks, fn) and returns what it panicked with.
+func recoverRun(tasks int, fn func(int)) (v any) {
+	defer func() { v = recover() }()
+	Run(tasks, fn)
+	return nil
+}
+
+// bothStarted blocks a task until two tasks have started, so that at
+// degree 2 one of them runs on a helper goroutine and one on the caller.
+func bothStarted(t *testing.T, started *atomic.Int32) {
+	started.Add(1)
+	deadline := time.Now().Add(5 * time.Second)
+	for started.Load() < 2 {
+		if time.Now().After(deadline) {
+			t.Error("second task never started")
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// A panic on a pool helper must reach the caller of Run as a panic it can
+// recover, not end the process; the helper's token and busy gauge must come
+// back, and the pool must keep working.
+func TestHelperPanicReachesCaller(t *testing.T) {
+	withParallelism(t, 2, func() {
+		var started atomic.Int32
+		v := recoverRun(2, func(i int) {
+			bothStarted(t, &started)
+			panic(fmt.Sprintf("boom %d", i))
+		})
+		if s, _ := v.(string); !strings.HasPrefix(s, "boom ") {
+			t.Fatalf("Run panicked with %v, want a task's boom", v)
+		}
+		if b := metrics.helpersBusy.Value(); b != 0 {
+			t.Fatalf("helpers_busy = %d after the panic, want 0", b)
+		}
+		if got := len(cur.Load().tokens); got != 1 {
+			t.Fatalf("%d helper tokens back in the budget, want 1", got)
+		}
+		var ran atomic.Int32
+		Run(8, func(int) { ran.Add(1) })
+		if ran.Load() != 8 {
+			t.Fatalf("pool ran %d of 8 tasks after a panic", ran.Load())
+		}
+	})
+}
+
+// When one task panics, Run re-panics only after every other task already
+// running has finished, whichever goroutine the panic was on.
+func TestPanicWaitsForHelpers(t *testing.T) {
+	withParallelism(t, 2, func() {
+		var started atomic.Int32
+		var done atomic.Bool
+		v := recoverRun(2, func(i int) {
+			bothStarted(t, &started)
+			if i == 0 {
+				panic("boom")
+			}
+			time.Sleep(20 * time.Millisecond)
+			done.Store(true)
+		})
+		if v != "boom" {
+			t.Fatalf("Run panicked with %v, want boom", v)
+		}
+		if !done.Load() {
+			t.Fatal("Run panicked before the other task finished")
+		}
+	})
 }

@@ -3,6 +3,8 @@ package linalg
 import (
 	"math/rand"
 	"testing"
+
+	"blinkml/internal/compute"
 )
 
 func benchMatrix(n, m int) *Dense {
@@ -61,6 +63,25 @@ func BenchmarkSymEig256(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := NewSymEig(a); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSymEig400 eigensolves at the statistics matrix's size on
+// me-stats-mem (ten classes × 40 features, the covariance side's d × d J),
+// at degree 1 as the benchmark runs it.
+func BenchmarkSymEig400(b *testing.B) {
+	prev := compute.Parallelism()
+	compute.SetParallelism(1)
+	defer compute.SetParallelism(prev)
+	a := benchMatrix(400, 400)
+	a.Symmetrize()
+	v := NewDense(400, 400)
+	b.ReportAllocs()
+	for b.Loop() {
+		copy(v.Data, a.Data)
+		if _, err := SymEigRows(v); err != nil {
 			b.Fatal(err)
 		}
 	}

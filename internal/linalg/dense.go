@@ -89,14 +89,13 @@ func (m *Dense) TransposeInPlace() {
 }
 
 // MulVec computes dst = M * x. dst must have length M.Rows and must not
-// alias x.
+// alias x. Four rows' dot products run as four chains side by side
+// (dotRows), each still Dot(M.Row(i), x) bit for bit.
 func (m *Dense) MulVec(x, dst []float64) {
 	if len(x) != m.Cols || len(dst) != m.Rows {
 		panic(fmt.Sprintf("linalg: MulVec shape mismatch (%dx%d)*%d->%d", m.Rows, m.Cols, len(x), len(dst)))
 	}
-	for i := 0; i < m.Rows; i++ {
-		dst[i] = Dot(m.Row(i), x)
-	}
+	dotRows(x, m, 0, m.Rows, dst)
 }
 
 // rowGrain returns the minimum number of output rows per parallel chunk
@@ -135,40 +134,17 @@ func MatMul(a, b *Dense) *Dense {
 	return c
 }
 
-// mulAddRow computes crow += arow · B, streaming four rows of B per pass
-// over crow. Zero entries of arow skip their B row entirely (the data
+// mulAddRow computes crow += arow · B in k order, four non-zero entries of
+// arow per pass over crow. Zero entries skip their B row entirely (the data
 // matrices fed through here are often densified sparse rows).
 func mulAddRow(arow []float64, b *Dense, crow []float64) {
-	k, kk := 0, len(arow)
-	for ; k+4 <= kk; k += 4 {
-		a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-		if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-			continue
-		}
-		b0, b1, b2, b3 := b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3)
-		if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
-			for j := range crow {
-				s := crow[j]
-				s += a0 * b0[j]
-				s += a1 * b1[j]
-				s += a2 * b2[j]
-				s += a3 * b3[j]
-				crow[j] = s
-			}
-			continue
-		}
-		// Mixed zeros: fall back to per-k passes so zero coefficients are
-		// skipped exactly as in the dense case above (same add order).
-		Axpy(a0, b0, crow)
-		Axpy(a1, b1, crow)
-		Axpy(a2, b2, crow)
-		Axpy(a3, b3, crow)
-	}
-	for ; k < kk; k++ {
-		if av := arow[k]; av != 0 {
-			Axpy(av, b.Row(k), crow)
+	var g rowGroup
+	for k, av := range arow {
+		if g.add(av, b.Row(k)); g.m == 4 {
+			g.flush(crow)
 		}
 	}
+	g.flush(crow)
 }
 
 // MatMulTransA returns Aᵀ * B as a new matrix, operating on A's original

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -148,6 +149,24 @@ func TestCloneIndependence(t *testing.T) {
 	b.Set(0, 0, 99)
 	if a.At(0, 0) != 1 {
 		t.Error("Clone shares storage with original")
+	}
+}
+
+// MulVec runs four rows' dot products side by side; each output must still
+// be that row's Dot with x, bit for bit, at every row count around the
+// group of four.
+func TestMulVecBitIdenticalToDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for rows := 0; rows <= 9; rows++ {
+		m := randDense(rng, rows, 37)
+		x := randVec(rng, 37)
+		dst := make([]float64, rows)
+		m.MulVec(x, dst)
+		for i, got := range dst {
+			if want := Dot(m.Row(i), x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("rows=%d: dst[%d] = %v, Dot = %v", rows, i, got, want)
+			}
+		}
 	}
 }
 

@@ -25,6 +25,24 @@
 // OuterAdd does; SyrkT and the statistics phase's covariance side both run
 // on it.
 //
+// The lane kernels (lanes.go, lanes_amd64.s) keep the same rule with
+// vector registers: where the CPU has AVX2 (one CPUID/XGETBV check at init,
+// the only selector), the raw loop under Axpy, the one-to-four-row update
+// y += Σ cᵣ·rᵣ under SyrkUpperAdd, mulAddRow and tred2's accumulation, the
+// Givens pair update, tred2's rank-two row update and the class scores
+// (ClassScores, over class-interleaved weights) run four independent
+// elements per instruction. Each lane performs the scalar loop's IEEE
+// operations in its order — separate multiplies, adds and subtracts, never
+// a fused multiply-add, with an SSE2 scalar tail — so every n, θ, ε̂ and
+// prediction keeps its bits (NaN payloads aside, which neither path
+// defines). Decisions stay in Go: a zero coefficient is skipped before any
+// kernel runs, and the row update takes only the non-zero terms, compacted
+// in row order. Each assembly function is declared //go:noescape (or stack
+// scratch handed to it would move to the heap) and is reached only through
+// a Go wrapper that first reslices every input to its output's length.
+// Off amd64, or without AVX2, the scalar loops are the only path; they are
+// also the tests' reference (TestLanesMatchScalar, FuzzLanes).
+//
 // Who owns a matrix: a function that works in place says so and consumes
 // its argument. SymEigRows, the one eigensolver, overwrites the symmetric
 // matrix it is given with its eigenvectors (row j for eigenvalue j), so a

@@ -197,19 +197,26 @@ func tred2(v *Dense, d, e []float64) {
 		d[i] = h
 	}
 	// Accumulate transformations.
-	wbuf := make([]float64, n)
+	buf := make([]float64, 2*n)
+	wbuf, u := buf[:n], buf[n:]
 	for i := 0; i < n-1; i++ {
 		v.Set(n-1, i, v.At(i, i))
 		v.Set(i, i, 1)
 		h := d[i+1]
+		// Take the Householder vector u = V[:i+1, i+1] out of its column in
+		// one strided pass, leaving the zeros the column ends with: the
+		// updates below touch only columns [0, i].
+		for k := 0; k <= i; k++ {
+			u[k], v.Data[k*n+i+1] = v.Data[k*n+i+1], 0
+		}
 		if h != 0 {
 			for k := 0; k <= i; k++ {
-				d[k] = v.At(k, i+1) / h
+				d[k] = u[k] / h
 			}
 			// V -= d·(uᵀV) as two row-contiguous passes: w = Σ_k u_k·V[k,:]
-			// with u_k = V[k, i+1] (a chunked reduction), then the
-			// independent per-row updates V[k,:] -= d[k]·w.
-			w := accumulateW(v, i, wbuf)
+			// (a chunked reduction), then the independent per-row updates
+			// V[k,:] -= d[k]·w.
+			w := accumulateW(v, u[:i+1], wbuf)
 			if compute.Chunks(i+1, tredGrain(i)) <= 1 {
 				applyW(v, d, w, i, 0, i+1)
 			} else {
@@ -217,9 +224,6 @@ func tred2(v *Dense, d, e []float64) {
 					applyW(v, d, w, i, lo, hi)
 				})
 			}
-		}
-		for k := 0; k <= i; k++ {
-			v.Set(k, i+1, 0)
 		}
 	}
 	for j := 0; j < n; j++ {
@@ -234,11 +238,7 @@ func tred2(v *Dense, d, e []float64) {
 // active lower triangle: V[k, :k+1] -= d·e[k] + e·d[k].
 func rankTwoUpdate(v *Dense, d, e []float64, lo, hi int) {
 	for k := lo; k < hi; k++ {
-		row := v.Row(k)[:k+1]
-		ek, dk := e[k], d[k]
-		for j := range row {
-			row[j] -= d[j]*ek + e[j]*dk
-		}
+		rankTwo(v.Row(k)[:k+1], d, e, e[k], d[k])
 	}
 }
 
@@ -256,61 +256,90 @@ func applyW(v *Dense, d, w []float64, i, lo, hi int) {
 func simTransform(v *Dense, d, e []float64, i int) {
 	chunks := compute.Chunks(i-1, tredGrain(i))
 	if chunks <= 1 {
-		for k := 1; k <= i-1; k++ {
-			row := v.Row(k)[:k]
-			dk := d[k]
-			var acc float64
-			for j, vkj := range row {
-				e[j] += vkj * dk
-				acc += vkj * d[j]
-			}
-			e[k] += acc
-		}
+		simRows(v, d, e, 1, i)
 		return
 	}
 	parts := make([][]float64, chunks)
 	compute.ForChunksN(i-1, chunks, func(chunk, lo, hi int) {
 		part := make([]float64, i)
-		for k := lo + 1; k <= hi; k++ {
-			row := v.Row(k)[:k]
-			dk := d[k]
-			var acc float64
-			for j, vkj := range row {
-				part[j] += vkj * dk
-				acc += vkj * d[j]
-			}
-			part[k] += acc
-		}
+		simRows(v, d, part, lo+1, hi+1)
 		parts[chunk] = part
 	})
 	Axpy(1, compute.ReduceVecs(parts), e[:i])
 }
 
-// accumulateW computes w[j] = Σ_k V[k, i+1]·V[k, j] over k, j in [0, i],
-// as a chunked reduction (serial accumulation below the grain), into
-// buf[:i+1] — the first chunk's partial — and returns it.
-func accumulateW(v *Dense, i int, buf []float64) []float64 {
-	w := buf[:i+1]
-	Fill(w, 0)
-	chunks := compute.Chunks(i+1, tredGrain(i))
-	if chunks <= 1 {
-		for k := 0; k <= i; k++ {
-			Axpy(v.At(k, i+1), v.Row(k)[:i+1], w)
+// simRows adds e[j] += V[k][j]·d[k] for j < k and then e[k] += V[k,:k]·d[:k]
+// for each row k in [lo, hi), in k order. Rows go two at a time with their
+// dot products as two interleaved chains; every element of e still takes
+// row k's add before row k+1's, and row k's dot product before row k+1's
+// V[k+1][k]·d[k+1], exactly as one row at a time.
+func simRows(v *Dense, d, e []float64, lo, hi int) {
+	k := lo
+	for ; k+2 <= hi; k += 2 {
+		r0, r1 := v.Row(k)[:k], v.Row(k + 1)[:k+1]
+		d0, d1 := d[k], d[k+1]
+		dd, ee := d[:k], e[:k]
+		var a0, a1 float64
+		for j, x0 := range r0 {
+			x1 := r1[j]
+			ee[j] += x0 * d0
+			ee[j] += x1 * d1
+			a0 += x0 * dd[j]
+			a1 += x1 * dd[j]
 		}
+		e[k] += a0
+		x1 := r1[k]
+		e[k] += x1 * d1
+		a1 += x1 * d[k]
+		e[k+1] += a1
+	}
+	for ; k < hi; k++ {
+		row := v.Row(k)[:k]
+		dk := d[k]
+		var acc float64
+		for j, vkj := range row {
+			e[j] += vkj * dk
+			acc += vkj * d[j]
+		}
+		e[k] += acc
+	}
+}
+
+// accumulateW computes w[j] = Σ_k u[k]·V[k, j] over k, j < len(u), as a
+// chunked reduction (serial accumulation below the grain), into
+// buf[:len(u)] — the first chunk's partial — and returns it.
+func accumulateW(v *Dense, u, buf []float64) []float64 {
+	m := len(u)
+	w := buf[:m]
+	Fill(w, 0)
+	chunks := compute.Chunks(m, tredGrain(m-1))
+	if chunks <= 1 {
+		addScaledRows(w, v, u, 0, m)
 		return w
 	}
 	parts := make([][]float64, chunks)
-	compute.ForChunksN(i+1, chunks, func(chunk, lo, hi int) {
+	compute.ForChunksN(m, chunks, func(chunk, lo, hi int) {
 		part := w
 		if chunk > 0 {
-			part = make([]float64, i+1)
+			part = make([]float64, m)
 		}
-		for k := lo; k < hi; k++ {
-			Axpy(v.At(k, i+1), v.Row(k)[:i+1], part)
-		}
+		addScaledRows(part, v, u, lo, hi)
 		parts[chunk] = part
 	})
 	return compute.ReduceVecs(parts)
+}
+
+// addScaledRows adds u[k]·V[k, :len(w)] to w for k in [lo, hi) in k order,
+// four non-zero coefficients per pass over w; a zero u[k] adds nothing, as
+// in Axpy.
+func addScaledRows(w []float64, v *Dense, u []float64, lo, hi int) {
+	var g rowGroup
+	for k := lo; k < hi; k++ {
+		if g.add(u[k], v.Row(k)); g.m == 4 {
+			g.flush(w)
+		}
+	}
+	g.flush(w)
 }
 
 // applyGivens applies the recorded rotation sweep to vt: rotation r acts
@@ -339,14 +368,7 @@ func applyGivens(vt *Dense, top int, cs, sn []float64) {
 // givensSweep applies the rotation sweep to columns [klo, khi) of vt.
 func givensSweep(vt *Dense, top int, cs, sn []float64, klo, khi int) {
 	for r := range cs {
-		c, s := cs[r], sn[r]
-		ri := vt.Row(top - r)[klo:khi]
-		ri1 := vt.Row(top - r + 1)[klo:khi][:len(ri)] // bounds-check hint
-		for k, rik := range ri {
-			h := ri1[k]
-			ri1[k] = s*rik + c*h
-			ri[k] = c*rik - s*h
-		}
+		givens(vt.Row(top - r)[klo:khi], vt.Row(top - r + 1)[klo:khi], cs[r], sn[r])
 	}
 }
 

@@ -51,12 +51,13 @@ func SyrkT(a *Dense) *Dense {
 
 // SyrkUpperAdd adds Σ_r a_r·a_rᵀ to rows [lo, hi) of the upper triangle of
 // the n x n matrix c, where a_r are the rows of the row-major block a
-// (len(a) a multiple of n). Four rows go per pass over c; each element
-// still takes its adds in row order, and a zero coefficient a_r[i] adds
-// nothing to row i — a group of four skips the pass — exactly as
-// MatMulTransA(a, a) skips it. So the triangle holds that product's bits
-// for a accumulated in one call or in consecutive blocks of rows. The lower
-// triangle is not touched (MirrorUpper completes it).
+// (len(a) a multiple of n). Up to four rows go per pass over c; each
+// element still takes its adds in row order, and a zero coefficient a_r[i]
+// adds nothing to row i — the pass takes only the non-zero ones, and a group
+// with none skips it — exactly as MatMulTransA(a, a) skips it. So the
+// triangle holds that product's bits for a accumulated in one call or in
+// consecutive blocks of rows. The lower triangle is not touched
+// (MirrorUpper completes it).
 func SyrkUpperAdd(c *Dense, a []float64, lo, hi int) {
 	n := c.Cols
 	if n == 0 {
@@ -65,40 +66,14 @@ func SyrkUpperAdd(c *Dense, a []float64, lo, hi int) {
 	if c.Rows != n || len(a)%n != 0 {
 		panic(fmt.Sprintf("linalg: SyrkUpperAdd of %d values into %dx%d", len(a), c.Rows, n))
 	}
-	rows := len(a) / n
-	r := 0
-	for ; r+4 <= rows; r += 4 {
-		a0, a1, a2, a3 := a[r*n:(r+1)*n], a[(r+1)*n:(r+2)*n], a[(r+2)*n:(r+3)*n], a[(r+3)*n:(r+4)*n]
+	for r := 0; r < len(a); r += 4 * n {
+		blk := a[r:min(r+4*n, len(a))]
 		for i := lo; i < hi; i++ {
-			x0, x1, x2, x3 := a0[i], a1[i], a2[i], a3[i]
-			if x0 == 0 && x1 == 0 && x2 == 0 && x3 == 0 {
-				continue
+			var g rowGroup
+			for b := 0; b < len(blk); b += n {
+				g.add(blk[b+i], blk[b+i:b+n])
 			}
-			crow := c.Data[i*n+i : (i+1)*n]
-			b0, b1, b2, b3 := a0[i:], a1[i:], a2[i:], a3[i:]
-			if x0 != 0 && x1 != 0 && x2 != 0 && x3 != 0 {
-				b0, b1, b2, b3 = b0[:len(crow)], b1[:len(crow)], b2[:len(crow)], b3[:len(crow)] // bounds-check hints
-				for j := range crow {
-					s := crow[j]
-					s += x0 * b0[j]
-					s += x1 * b1[j]
-					s += x2 * b2[j]
-					s += x3 * b3[j]
-					crow[j] = s
-				}
-				continue
-			}
-			// Mixed zeros: one pass per row, Axpy skipping the zero ones.
-			Axpy(x0, b0, crow)
-			Axpy(x1, b1, crow)
-			Axpy(x2, b2, crow)
-			Axpy(x3, b3, crow)
-		}
-	}
-	for ; r < rows; r++ {
-		ar := a[r*n : (r+1)*n]
-		for i := lo; i < hi; i++ {
-			Axpy(ar[i], ar[i:], c.Data[i*n+i:(i+1)*n])
+			g.flush(c.Data[i*n+i : (i+1)*n])
 		}
 	}
 }

@@ -1,0 +1,168 @@
+package linalg
+
+// The lane kernels: the few loops the statistics and accuracy phases spend
+// their time in, each a wrapper (here, and Axpy in vector.go) that runs the
+// AVX2 kernel of lanes_amd64.s when lanesOn and otherwise the scalar loop
+// beside it. A
+// lane kernel performs exactly the scalar loop's multiplications, additions
+// and subtractions, per element and in the same order, so the two paths
+// return the same bits (see the package doc). Each wrapper first reslices
+// every input to its output's length — s[:n:len(s)], which panics when s
+// is shorter — so the assembly never reads or writes past a slice.
+
+// Lanes reports whether the lane kernels are in use: on amd64 with AVX2.
+func Lanes() bool { return lanesOn }
+
+// axpyScalar is Axpy's loop.
+func axpyScalar(a float64, x, y []float64) {
+	for i, v := range x {
+		y[i] += a * v
+	}
+}
+
+// rowGroup collects up to four (coefficient, row) terms of one update
+// y += Σ cᵣ·rᵣ, skipping zero coefficients, so that add keeps the terms
+// that contribute, compacted in the order they were offered.
+type rowGroup struct {
+	c    [4]float64
+	rows [4][]float64
+	m    int
+}
+
+// add offers the term c·row; a zero c adds nothing and is dropped.
+func (g *rowGroup) add(c float64, row []float64) {
+	if c != 0 {
+		g.c[g.m], g.rows[g.m] = c, row
+		g.m++
+	}
+}
+
+// flush adds the collected terms to y in one pass over it — every element
+// takes them in the order offered — and empties the group.
+func (g *rowGroup) flush(y []float64) {
+	if g.m == 0 {
+		return
+	}
+	for r := range g.m {
+		g.rows[r] = g.rows[r][:len(y):len(g.rows[r])]
+	}
+	if lanesOn {
+		addRowsLanes(y, &g.c, &g.rows, g.m)
+	} else {
+		addRowsScalar(y, &g.c, &g.rows, g.m)
+	}
+	g.m = 0
+}
+
+// addRowsScalar is y[j] = (…(y[j] + c[0]·rows[0][j]) + …) + c[m−1]·rows[m−1][j]
+// for 1 ≤ m ≤ 4: four terms in one pass, fewer as one Axpy pass each (the
+// same adds per element).
+func addRowsScalar(y []float64, c *[4]float64, rows *[4][]float64, m int) {
+	if m < 4 {
+		for r := range m {
+			axpyScalar(c[r], rows[r][:len(y)], y)
+		}
+		return
+	}
+	x0, x1, x2, x3 := c[0], c[1], c[2], c[3]
+	b0, b1, b2, b3 := rows[0][:len(y)], rows[1][:len(y)], rows[2][:len(y)], rows[3][:len(y)]
+	for j := range y {
+		s := y[j]
+		s += x0 * b0[j]
+		s += x1 * b1[j]
+		s += x2 * b2[j]
+		s += x3 * b3[j]
+		y[j] = s
+	}
+}
+
+// givens applies one plane rotation to the row pair (x, y):
+// y' = s·x + c·y and x' = c·x − s·y, element by element. y must be at
+// least as long as x.
+func givens(x, y []float64, c, s float64) {
+	y = y[:len(x):len(y)]
+	if lanesOn {
+		givensLanes(x, y, c, s)
+		return
+	}
+	givensScalar(x, y, c, s)
+}
+
+func givensScalar(x, y []float64, c, s float64) {
+	y = y[:len(x)]
+	for k, xk := range x {
+		h := y[k]
+		y[k] = s*xk + c*h
+		x[k] = c*xk - s*h
+	}
+}
+
+// rankTwo is tred2's row update row[j] −= d[j]·ek + e[j]·dk; d and e must
+// be at least as long as row.
+func rankTwo(row, d, e []float64, ek, dk float64) {
+	d, e = d[:len(row):len(d)], e[:len(row):len(e)]
+	if lanesOn {
+		rankTwoLanes(row, d, e, ek, dk)
+		return
+	}
+	rankTwoScalar(row, d, e, ek, dk)
+}
+
+func rankTwoScalar(row, d, e []float64, ek, dk float64) {
+	d, e = d[:len(row)], e[:len(row)]
+	for j := range row {
+		row[j] -= d[j]*ek + e[j]*dk
+	}
+}
+
+// classPad is the class count k rounded up to the lane width.
+func classPad(k int) int { return (k + 3) &^ 3 }
+
+// InterleaveClasses lays the k×d class-major weights theta (class c at
+// theta[c·d:(c+1)·d]) out class-interleaved for ClassScores: weight j of
+// class c at j·kp + c, with k padded to kp, a multiple of four, by zero
+// classes. It reuses dst's storage when it is large enough.
+func InterleaveClasses(dst, theta []float64, k, d int) []float64 {
+	kp := classPad(k)
+	if cap(dst) < d*kp {
+		dst = make([]float64, d*kp)
+	}
+	dst = dst[:d*kp]
+	theta = theta[:k*d]
+	for j := 0; j < d; j++ {
+		row := dst[j*kp : (j+1)*kp]
+		for c := range k {
+			row[c] = theta[c*d+j]
+		}
+		for c := k; c < kp; c++ {
+			row[c] = 0
+		}
+	}
+	return dst
+}
+
+// ClassScores fills z[c] = Σⱼ x[j]·θ[c·d+j] for the len(z) classes of the
+// weights t = InterleaveClasses(…, θ, len(z), len(x)): each sum starts at
+// +0 and adds its terms in j order, as a per-class dot product does, so z
+// holds those dot products' bits. The classes are the lanes.
+func ClassScores(z, x, t []float64) {
+	n := len(x) * classPad(len(z))
+	t = t[:n:len(t)]
+	if lanesOn {
+		scoresLanes(z, x, t)
+		return
+	}
+	scoresScalar(z, x, t)
+}
+
+func scoresScalar(z, x, t []float64) {
+	kp := classPad(len(z))
+	t = t[:len(x)*kp]
+	for c := range z {
+		var s float64
+		for j, v := range x {
+			s += v * t[j*kp+c]
+		}
+		z[c] = s
+	}
+}

@@ -18,9 +18,12 @@ func Axpy(a float64, x, y []float64) {
 	if a == 0 {
 		return
 	}
-	for i, v := range x {
-		y[i] += a * v
+	y = y[:len(x):len(y)]
+	if lanesOn {
+		axpyLanes(a, x, y)
+		return
 	}
+	axpyScalar(a, x, y)
 }
 
 // Scale multiplies every element of x by a, in place.

@@ -2,8 +2,10 @@ package models
 
 import (
 	"math"
+	"sync"
 
 	"blinkml/internal/dataset"
+	"blinkml/internal/linalg"
 )
 
 // ScoreModel is implemented by models whose prediction depends on x only
@@ -24,29 +26,95 @@ type ScoreModel interface {
 }
 
 // Scores fills out[i·ns+c] = θ[c·d:(c+1)·d]ᵀ·rows[i], the ns linear scores
-// of every row: the row-block kernel for a single score, the fused
-// per-class kernel otherwise.
+// of every row: the row-block kernel for a single score, the class lanes or
+// the fused per-class kernel otherwise.
 func Scores(theta []float64, rows []dataset.Row, ns int, out []float64) {
 	if ns == 1 {
 		dataset.DotRows(rows, theta, out)
 		return
 	}
+	if !linalg.Lanes() {
+		for i, x := range rows {
+			logitsInto(theta, x, ns, x.Dim(), out[i*ns:(i+1)*ns])
+		}
+		return
+	}
+	l := getLanes(theta, ns)
+	laneScores(theta, l.t, rows, ns, out)
+	lanePool.Put(l)
+}
+
+// laneScratch is what the class lanes read and write besides their
+// arguments: θ's classes interleaved (linalg.InterleaveClasses) and a block
+// of rows' scores for PredictInto. It is pooled, so that scoring a batch
+// allocates nothing.
+type laneScratch struct {
+	t []float64
+	z [laneBlock]float64
+}
+
+// laneBlock is how many scores PredictInto takes from the class lanes per
+// batch call of PredictScores.
+const laneBlock = 256
+
+var lanePool = sync.Pool{New: func() any { return new(laneScratch) }}
+
+// getLanes returns pooled scratch holding the ns classes of theta
+// interleaved; the caller puts it back into lanePool.
+func getLanes(theta []float64, ns int) *laneScratch {
+	l := lanePool.Get().(*laneScratch)
+	l.t = linalg.InterleaveClasses(l.t, theta, ns, len(theta)/ns)
+	return l
+}
+
+// laneScores is Scores over the interleaved weights t: a dense row as wide
+// as θ's classes goes through linalg.ClassScores (the classes as lanes,
+// each score's adds in logitsInto's order), any other row through
+// logitsInto.
+func laneScores(theta, t []float64, rows []dataset.Row, ns int, out []float64) {
+	d := len(theta) / ns
 	for i, x := range rows {
-		logitsInto(theta, x, ns, x.Dim(), out[i*ns:(i+1)*ns])
+		z := out[i*ns : (i+1)*ns]
+		if r, ok := x.(dataset.DenseRow); ok && len(r) == d {
+			linalg.ClassScores(z, r, t)
+		} else {
+			logitsInto(theta, x, ns, x.Dim(), z)
+		}
 	}
 }
 
 // PredictInto fills out[i] = spec.Predict(theta, rows[i]): the one batch
 // prediction loop under the model-difference and accuracy metrics and the
 // serving layer. A single-score model's rows go through the row-block
-// kernel; every other spec is asked row by row.
+// kernel and a multi-score model's, with the class lanes on, through them
+// a block of rows at a time; every other spec is asked row by row.
 func PredictInto(spec Spec, theta []float64, rows []dataset.Row, out []float64) {
 	out = out[:len(rows)]
-	if sm, ok := spec.(ScoreModel); ok && len(rows) > 0 && sm.NumScores(len(theta), rows[0].Dim()) == 1 {
-		dataset.DotRows(rows, theta, out)
-		sm.PredictScores(out, out)
+	sm, ok := spec.(ScoreModel)
+	if !ok || len(rows) == 0 {
+		predictRows(spec, theta, rows, out)
 		return
 	}
+	switch ns := sm.NumScores(len(theta), rows[0].Dim()); {
+	case ns == 1:
+		dataset.DotRows(rows, theta, out)
+		sm.PredictScores(out, out)
+	case ns > 1 && ns <= laneBlock && linalg.Lanes():
+		l := getLanes(theta, ns)
+		per := laneBlock / ns
+		for lo := 0; lo < len(rows); lo += per {
+			hi := min(lo+per, len(rows))
+			z := l.z[:(hi-lo)*ns]
+			laneScores(theta, l.t, rows[lo:hi], ns, z)
+			sm.PredictScores(z, out[lo:hi])
+		}
+		lanePool.Put(l)
+	default:
+		predictRows(spec, theta, rows, out)
+	}
+}
+
+func predictRows(spec Spec, theta []float64, rows []dataset.Row, out []float64) {
 	for i, x := range rows {
 		out[i] = spec.Predict(theta, x)
 	}

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -77,4 +78,65 @@ func TestMaxEntropyPredictScoresTieBreak(t *testing.T) {
 		t.Fatalf("Predict tie broke to %v", got)
 	}
 	_ = ds
+}
+
+// Scores and PredictInto of a dense multi-class model run as class lanes
+// (where the CPU has them); each score must be logitsInto's bits and each
+// prediction Predict's, over awkward values and across PredictInto's blocks
+// of rows. NaNs compare equal whatever their payload (linalg's lane tests
+// say why).
+func TestClassLanesMatchLogits(t *testing.T) {
+	r := rand.New(rand.NewSource(34))
+	awkward := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, 1e300, -1e300}
+	value := func() float64 {
+		if r.Intn(8) == 0 {
+			return awkward[r.Intn(len(awkward))]
+		}
+		return r.NormFloat64()
+	}
+	for _, k := range []int{3, 10, 16} {
+		for _, d := range []int{1, 7, 40} {
+			rows := make([]dataset.Row, 300)
+			for i := range rows {
+				x := make(dataset.DenseRow, d)
+				for j := range x {
+					x[j] = value()
+				}
+				rows[i] = x
+			}
+			theta := make([]float64, k*d)
+			for i := range theta {
+				theta[i] = value()
+			}
+			spec := MaxEntropy{Classes: k}
+			scores, z := make([]float64, len(rows)*k), make([]float64, k)
+			Scores(theta, rows, k, scores)
+			preds := make([]float64, len(rows))
+			PredictInto(spec, theta, rows, preds)
+			for i, x := range rows {
+				logitsInto(theta, x, k, d, z)
+				for c, want := range z {
+					got := scores[i*k+c]
+					if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+						t.Fatalf("k=%d d=%d row %d class %d: score %v, logitsInto %v", k, d, i, c, got, want)
+					}
+				}
+				if want := spec.Predict(theta, x); preds[i] != want {
+					t.Fatalf("k=%d d=%d row %d: PredictInto %v, Predict %v", k, d, i, preds[i], want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkScoresMaxent times the accuracy phase's holdout scoring at
+// me-stats-mem's shape: ten classes of 40 weights over 6000 dense rows.
+func BenchmarkScoresMaxent(b *testing.B) {
+	ds, theta := benchData("maxent", 6000, 40)
+	out := make([]float64, ds.Len()*10)
+	b.ReportAllocs()
+	for b.Loop() {
+		Scores(theta, ds.X, 10, out)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ds.Len()), "ns/row")
 }
