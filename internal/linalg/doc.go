@@ -43,6 +43,17 @@
 // Off amd64, or without AVX2, the scalar loops are the only path; they are
 // also the tests' reference (TestLanesMatchScalar, FuzzLanes).
 //
+// The rule has one exception, the logistic link kernel under LogisticLink
+// (link.go): the scalar link calls math.Exp, which on amd64 is assembly
+// with a fused branch taken where the CPU has FMA. The kernel copies that
+// branch instruction for instruction, so it fuses exactly where math.Exp
+// does, and copies math.Log1p's operations, which the compiler does not
+// fuse. Whether the standard library took that branch is not something
+// CPUID can answer (GODEBUG=cpu.fma=off turns it off), so an init
+// self-check decides: the kernel runs only where it returns the scalar
+// link's bits on a fixed probe (TestLogisticLinkMatchesScalar,
+// FuzzLogisticLink, TestLinkKernelFollowsStdlib).
+//
 // Who owns a matrix: a function that works in place says so and consumes
 // its argument. SymEigRows, the one eigensolver, overwrites the symmetric
 // matrix it is given with its eigenvectors (row j for eigenvalue j), so a

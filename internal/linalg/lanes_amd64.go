@@ -22,6 +22,20 @@ var haveLanes = func() bool {
 	return ebx&avx2 != 0
 }()
 
+// haveLink selects the logistic link's kernel, which fuses where
+// math.Exp fuses: it runs only with the lane kernels, on a CPU with FMA,
+// and where it returns the scalar link's bits on linkProbe. The last test
+// is how the kernel follows the standard library: math.Exp takes its
+// non-FMA branch on a CPU without FMA or under GODEBUG=cpu.fma=off, and its
+// bits then differ from the kernel's.
+var haveLink = haveLanes && haveFMA() && linkMatches()
+
+func haveFMA() bool {
+	const fma = 1 << 12
+	_, _, ecx, _ := cpuid(1, 0)
+	return ecx&fma != 0
+}
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
@@ -40,3 +54,6 @@ func rankTwoLanes(row, d, e []float64, ek, dk float64)
 
 //go:noescape
 func scoresLanes(z, x, t []float64)
+
+//go:noescape
+func logisticLinkLanes(z, y, loss, coef []float64) int

@@ -4,7 +4,9 @@
 // elements at a time with the same IEEE operations per element in the same
 // order: separate VMULPD / VADDPD / VSUBPD, never a fused multiply-add, and
 // an SSE2 scalar tail after VZEROUPPER. Lengths come from the output slice;
-// the Go wrappers have resliced every input to it.
+// the Go wrappers have resliced every input to it. The logistic link
+// kernel at the end is the exception: it fuses where math.Exp's FMA branch
+// does, and leaves its tail to the Go side (link.go).
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -439,4 +441,171 @@ next:
 
 done:
 	VZEROUPPER
+	RET
+
+// The logistic link's constants, each four times over so that it is one
+// 256-bit memory operand: math.Exp's (exp_amd64.s, same text), then
+// math.log1p's (log1p.go, same text), then the bit masks.
+#define LINK4(off, v) DATA linkc<>+(off)(SB)/8, v; DATA linkc<>+(off+8)(SB)/8, v; DATA linkc<>+(off+16)(SB)/8, v; DATA linkc<>+(off+24)(SB)/8, v
+
+LINK4(0, $1.4426950408889634073599246810018920)                    // LOG2E
+LINK4(32, $0.69314718055966295651160180568695068359375)            // LN2U
+LINK4(64, $0.28235290563031577122588448175013436025525412068e-12)  // LN2L
+LINK4(96, $0.0625)
+LINK4(128, $2.4801587301587301587e-5)
+LINK4(160, $1.9841269841269841270e-4)
+LINK4(192, $1.3888888888888888889e-3)
+LINK4(224, $8.3333333333333333333e-3)
+LINK4(256, $4.1666666666666666667e-2)
+LINK4(288, $1.6666666666666666667e-1)
+LINK4(320, $0.5)
+LINK4(352, $1.0)
+LINK4(384, $2.0)
+LINK4(416, $-1000.0)                                               // exponent guard
+LINK4(448, $0x3ff)                                                 // exponent bias
+LINK4(480, $0x000fffffffffffff)                                    // mantissa
+LINK4(512, $0x0006a09e667f3bcc)                                    // mantissa of √2, less one
+LINK4(544, $0x3fe0000000000000)                                    // exponent of ½
+LINK4(576, $4.142135623730950488017e-01)                           // Sqrt2M1
+LINK4(608, $0x3e20000000000000)                                    // Small = 2⁻²⁹
+LINK4(640, $6.666666666666735130e-01)                              // Lp1
+LINK4(672, $3.999999999940941908e-01)                              // Lp2
+LINK4(704, $2.857142874366239149e-01)                              // Lp3
+LINK4(736, $2.222219843214978396e-01)                              // Lp4
+LINK4(768, $1.818357216161805012e-01)                              // Lp5
+LINK4(800, $1.531383769920937332e-01)                              // Lp6
+LINK4(832, $1.479819860511658591e-01)                              // Lp7
+LINK4(864, $6.93147180369123816490e-01)                            // Ln2Hi
+LINK4(896, $1.90821492927058770002e-10)                            // Ln2Lo
+LINK4(928, $0x8000000000000000)                                    // sign
+GLOBL linkc<>(SB), RODATA|NOPTR, $960
+
+// func logisticLinkLanes(z, y, loss, coef []float64) int
+// LogisticLinkAt four lanes at a time from the front of z, returning how
+// many elements it did: len(z)&^3, or fewer when it stops before a group
+// with a lane it does not cover — an exponent under −1000 (which takes in
+// every non-finite z: the conversion then yields the integer indefinite),
+// t < 2⁻²⁹, or 1+t = 2 (log1p's iu = 0, z = ±0 among them). Each lane runs
+// the scalar link's branches as blends: exp(−|z|) is math.archExp's FMA
+// branch with packed instructions for scalar ones, log1p(t) is math.log1p's
+// operations for t in [2⁻²⁹, 1) with both of its k paths computed and
+// blended, and nothing else fuses.
+TEXT ·logisticLinkLanes(SB), NOSPLIT, $0-104
+	MOVQ z_base+0(FP), SI
+	MOVQ z_len+8(FP), CX
+	MOVQ y_base+24(FP), DX
+	MOVQ loss_base+48(FP), DI
+	MOVQ coef_base+72(FP), R8
+	ANDQ $-4, CX
+	XORQ AX, AX
+
+linkloop:
+	CMPQ    AX, CX
+	JAE     linkdone
+	VMOVUPD (SI)(AX*8), Y14
+
+	// t = exp(x), x = −|z|: archExp's FMA branch.
+	VORPD        linkc<>+928(SB), Y14, Y0
+	VMULPD       linkc<>+0(SB), Y0, Y1
+	VCMPPD       $0x1e, linkc<>+416(SB), Y1, Y2 // ok: x·log2e > −1000
+	VCVTPD2DQY   Y1, X3
+	VCVTDQ2PD    X3, Y1
+	VFNMADD231PD linkc<>+32(SB), Y1, Y0
+	VFNMADD231PD linkc<>+64(SB), Y1, Y0
+	VMULPD       linkc<>+96(SB), Y0, Y0
+	VMOVUPD      linkc<>+128(SB), Y1
+	VFMADD213PD  linkc<>+160(SB), Y0, Y1
+	VFMADD213PD  linkc<>+192(SB), Y0, Y1
+	VFMADD213PD  linkc<>+224(SB), Y0, Y1
+	VFMADD213PD  linkc<>+256(SB), Y0, Y1
+	VFMADD213PD  linkc<>+288(SB), Y0, Y1
+	VFMADD213PD  linkc<>+320(SB), Y0, Y1
+	VFMADD213PD  linkc<>+352(SB), Y0, Y1
+	VMULPD       Y1, Y0, Y0
+	VADDPD       linkc<>+384(SB), Y0, Y1
+	VMULPD       Y1, Y0, Y0
+	VADDPD       linkc<>+384(SB), Y0, Y1
+	VMULPD       Y1, Y0, Y0
+	VADDPD       linkc<>+384(SB), Y0, Y1
+	VMULPD       Y1, Y0, Y0
+	VADDPD       linkc<>+384(SB), Y0, Y1
+	VFMADD213PD  linkc<>+352(SB), Y1, Y0
+	VPMOVSXDQ    X3, Y3
+	VPADDQ       linkc<>+448(SB), Y3, Y3
+	VPSLLQ       $52, Y3, Y3
+	VMULPD       Y3, Y0, Y0
+
+	// u = 1 + t; every lane must have t ≥ 2⁻²⁹ and u < 2.
+	VADDPD    linkc<>+352(SB), Y0, Y4
+	VCMPPD    $0x0d, linkc<>+608(SB), Y0, Y3
+	VANDPD    Y3, Y2, Y2
+	VCMPPD    $0x11, linkc<>+384(SB), Y4, Y3
+	VANDPD    Y3, Y2, Y2
+	VMOVMSKPD Y2, BX
+	CMPQ      BX, $15
+	JNE       linkdone
+
+	// log1p(t). Y7: t ≥ √2−1, the path through u. Y6: k = 1 on it, where
+	// u's mantissa is at least √2's and f comes from u/2.
+	VANDPD    linkc<>+480(SB), Y4, Y5
+	VPCMPGTQ  linkc<>+512(SB), Y5, Y6
+	VCMPPD    $0x0d, linkc<>+576(SB), Y0, Y7
+	VANDPD    Y7, Y6, Y6
+	VORPD     linkc<>+544(SB), Y5, Y5
+	VBLENDVPD Y6, Y5, Y4, Y5
+	VSUBPD    linkc<>+352(SB), Y5, Y5
+	VBLENDVPD Y7, Y5, Y0, Y5               // f
+	VSUBPD    linkc<>+352(SB), Y4, Y8
+	VSUBPD    Y8, Y0, Y8
+	VDIVPD    Y4, Y8, Y8                   // c = (t − (u−1)) / u
+	VMULPD    linkc<>+320(SB), Y5, Y9
+	VMULPD    Y5, Y9, Y9                   // hfsq = 0.5·f·f
+	VADDPD    linkc<>+384(SB), Y5, Y10
+	VDIVPD    Y10, Y5, Y10                 // s = f / (2+f)
+	VMULPD    Y10, Y10, Y11                // z = s·s
+	VMULPD    linkc<>+832(SB), Y11, Y12
+	VADDPD    linkc<>+800(SB), Y12, Y12
+	VMULPD    Y11, Y12, Y12
+	VADDPD    linkc<>+768(SB), Y12, Y12
+	VMULPD    Y11, Y12, Y12
+	VADDPD    linkc<>+736(SB), Y12, Y12
+	VMULPD    Y11, Y12, Y12
+	VADDPD    linkc<>+704(SB), Y12, Y12
+	VMULPD    Y11, Y12, Y12
+	VADDPD    linkc<>+672(SB), Y12, Y12
+	VMULPD    Y11, Y12, Y12
+	VADDPD    linkc<>+640(SB), Y12, Y12
+	VMULPD    Y11, Y12, Y12                // R
+	VADDPD    Y12, Y9, Y12
+	VMULPD    Y12, Y10, Y12                // s·(hfsq+R)
+	VSUBPD    Y12, Y9, Y13
+	VSUBPD    Y13, Y5, Y13                 // k = 0: f − (hfsq − s·(hfsq+R))
+	VADDPD    linkc<>+896(SB), Y8, Y8
+	VADDPD    Y8, Y12, Y8
+	VSUBPD    Y8, Y9, Y8
+	VSUBPD    Y5, Y8, Y8
+	VMOVUPD   linkc<>+864(SB), Y3
+	VSUBPD    Y8, Y3, Y8                   // k = 1: Ln2Hi − ((hfsq − (s·(hfsq+R) + (Ln2Lo+c))) − f)
+	VBLENDVPD Y6, Y8, Y13, Y13             // log1p(t)
+
+	// z ≥ 0: loss = (z + log1p t) − y·z, coef = 1/u − y;
+	// z < 0:  loss = log1p t − y·z,       coef = t/u − y.
+	VXORPD    Y2, Y2, Y2
+	VCMPPD    $0x0d, Y2, Y14, Y2
+	VMOVUPD   (DX)(AX*8), Y1
+	VMULPD    Y14, Y1, Y3
+	VADDPD    Y13, Y14, Y5
+	VBLENDVPD Y2, Y5, Y13, Y5
+	VSUBPD    Y3, Y5, Y5
+	VMOVUPD   Y5, (DI)(AX*8)
+	VBLENDVPD Y2, linkc<>+352(SB), Y0, Y6
+	VDIVPD    Y4, Y6, Y6
+	VSUBPD    Y1, Y6, Y6
+	VMOVUPD   Y6, (R8)(AX*8)
+	ADDQ      $4, AX
+	JMP       linkloop
+
+linkdone:
+	VZEROUPPER
+	MOVQ AX, ret+96(FP)
 	RET

@@ -2,6 +2,8 @@ package linalg_test
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"testing"
 
 	"blinkml/internal/compute"
@@ -80,4 +82,72 @@ func TestContractsEqualWithLanesOff(t *testing.T) {
 			}
 		})
 	}
+}
+
+// One objective evaluation returns the same loss and gradient bits with the
+// lane kernels on and off: the link kernel and the Axpy scatter under dense
+// logistic rows, the link kernel under sparse ones, the Axpy scatter under
+// max-entropy's dense rows — at θ = 0 (every link falls back to the scalar
+// one), at a small θ, and at a θ that drives |z| past exp's underflow.
+func TestObjectiveEqualWithLanesOff(t *testing.T) {
+	if !linalg.Lanes() {
+		t.Skip("no lane kernels on this CPU: both runs would be scalar")
+	}
+	prev := compute.Parallelism()
+	compute.SetParallelism(1)
+	defer compute.SetParallelism(prev)
+	cases := []struct {
+		name string
+		spec models.Spec
+		ds   *dataset.Dataset
+	}{
+		{"logistic-higgs-dense", models.LogisticRegression{Reg: 0.001}, datagen.Higgs(datagen.Config{Rows: 3000, Dim: 28, Seed: 8})},
+		{"logistic-criteo-sparse", models.LogisticRegression{Reg: 0.001}, datagen.Criteo(datagen.Config{Rows: 3000, Dim: 2000, Seed: 9})},
+		{"maxent-mnist-dense", models.MaxEntropy{Classes: 10, Reg: 0.001}, datagen.MNIST(datagen.Config{Rows: 2000, Dim: 40, Seed: 10})},
+	}
+	for _, c := range cases {
+		dim := c.spec.ParamDim(c.ds)
+		zero, small, huge := make([]float64, dim), make([]float64, dim), make([]float64, dim)
+		rng := rand.New(rand.NewSource(11))
+		for j := range dim {
+			small[j] = 0.05 * rng.NormFloat64()
+			huge[j] = 2000 * rng.NormFloat64()
+		}
+		for _, th := range []struct {
+			name  string
+			theta []float64
+		}{{"zero", zero}, {"small", small}, {"huge", huge}} {
+			name, theta := th.name, th.theta
+			t.Run(c.name+"/"+name, func(t *testing.T) {
+				obj := models.Objective(c.spec, c.ds)
+				var loss [2]float64
+				var grad [2][]float64
+				for i, on := range []bool{true, false} {
+					grad[i] = make([]float64, dim)
+					restore := linalg.SetLanes(on)
+					loss[i] = obj.Eval(theta, grad[i])
+					restore()
+				}
+				if math.Float64bits(loss[0]) != math.Float64bits(loss[1]) {
+					t.Fatalf("loss %v (%#x) with lanes, %v (%#x) without", loss[0], math.Float64bits(loss[0]), loss[1], math.Float64bits(loss[1]))
+				}
+				if a, b := core.ThetaFingerprint(grad[0]), core.ThetaFingerprint(grad[1]); a != b {
+					t.Fatalf("gradient %#x with lanes, %#x without", a, b)
+				}
+				if name == "huge" && c.spec.Name() == "logistic" && !hasPastUnderflow(theta, c.ds) {
+					t.Fatal("the huge θ drives no |z| past 708")
+				}
+			})
+		}
+	}
+}
+
+// hasPastUnderflow reports whether some row's linear predictor has |z| > 708.
+func hasPastUnderflow(theta []float64, ds *dataset.Dataset) bool {
+	for _, x := range ds.X {
+		if math.Abs(x.Dot(theta)) > 708 {
+			return true
+		}
+	}
+	return false
 }

@@ -5,7 +5,7 @@ package linalg
 // Off amd64 there are no lane kernels: the scalar loops are the only path,
 // and these stubs are never reached.
 
-var lanesOn, haveLanes = false, false
+var lanesOn, haveLanes, haveLink = false, false, false
 
 func axpyLanes(a float64, x, y []float64) { panic(noLanes) }
 
@@ -16,5 +16,7 @@ func givensLanes(x, y []float64, c, s float64) { panic(noLanes) }
 func rankTwoLanes(row, d, e []float64, ek, dk float64) { panic(noLanes) }
 
 func scoresLanes(z, x, t []float64) { panic(noLanes) }
+
+func logisticLinkLanes(z, y, loss, coef []float64) int { panic(noLanes) }
 
 const noLanes = "linalg: no lane kernels on this architecture"

@@ -24,14 +24,6 @@ func nextValue(rng *rand.Rand) float64 {
 	return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
 }
 
-// sameBits reports whether a and b are the same float64, bit for bit, where
-// all NaNs count as one value: when both operands of an add are NaN, x86
-// keeps the first operand's payload, and the Go compiler picks operand order
-// per site, so a NaN's payload is not something either path defines.
-func sameBits(a, b float64) bool {
-	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
-}
-
 // laneCase is one call of one kernel: its slices are cut at element offset
 // off of larger buffers (so the lanes start unaligned), filled from next.
 type laneCase struct {

@@ -16,26 +16,45 @@ type glm interface {
 	link(z, y float64) (loss, coef float64)
 }
 
-// linkBlock is how many rows glmLossGrad hands dataset.DotRows at a time:
-// enough to amortize the call, small enough that the z scratch is a stack
-// array.
+// linkBlock is how many rows glmLossGrad hands dataset.DotRows and the link
+// at a time: enough to amortize the calls, small enough that the scratch is
+// stack arrays.
 const linkBlock = 64
 
 // glmLossGrad returns Σ ℓᵢ(θ) over rows lo..hi of ds and adds Σ qᵢ(θ) into
 // grad, row by row in order — what ExampleLossGrad does over the same range,
-// bit for bit — with the linear predictors computed a block at a time by
-// the row kernel.
+// bit for bit — with the linear predictors and then the link computed a
+// block at a time: the logistic link on its kernel, linalg.LogisticLink,
+// which returns link's bits. (A concrete call: handing the block buffers to
+// a method of m would move them to the heap.) A dense row with a non-zero
+// coefficient is scattered by linalg.Axpy, the same grad[j] += c·x[j]; a
+// zero coefficient keeps AddTo, whose 0·x still turns an infinite x into
+// NaN and a −0 into +0.
 func glmLossGrad(m glm, theta []float64, ds *dataset.Dataset, lo, hi int, grad []float64) float64 {
-	var zbuf [linkBlock]float64
+	var zbuf, ybuf, lbuf, cbuf [linkBlock]float64
 	var loss float64
 	for ; lo < hi; lo += linkBlock {
 		rows := ds.X[lo:min(lo+linkBlock, hi)]
-		z := zbuf[:len(rows)]
+		n := len(rows)
+		z, y, l, c := zbuf[:n], ybuf[:n], lbuf[:n], cbuf[:n]
 		dataset.DotRows(rows, theta, z)
+		if ds.Task != dataset.Unsupervised {
+			y = ds.Y[lo : lo+n]
+		}
+		if _, ok := m.(LogisticRegression); ok {
+			linalg.LogisticLink(z, y, l, c)
+		} else {
+			for r := range z {
+				l[r], c[r] = m.link(z[r], y[r])
+			}
+		}
 		for r, x := range rows {
-			l, c := m.link(z[r], label(ds, lo+r))
-			loss += l
-			x.AddTo(grad, c)
+			loss += l[r]
+			if d, ok := x.(dataset.DenseRow); ok && c[r] != 0 {
+				linalg.Axpy(c[r], d, grad)
+			} else {
+				x.AddTo(grad, c[r])
+			}
 		}
 	}
 	return loss

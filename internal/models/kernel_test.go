@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"blinkml/internal/compute"
+	"blinkml/internal/datagen"
 	"blinkml/internal/dataset"
 	"blinkml/internal/linalg"
 )
@@ -148,23 +149,41 @@ func specFor(name string) Spec {
 
 var benchSink float64
 
-// BenchmarkEval times one objective evaluation at the benchmark workloads'
-// shapes: the final train of lr-lowdim-mem (20 000 x 28 logistic) and the
-// initial train of me-stats-mem (2000 x 40, ten classes).
+// BenchmarkEval times one objective evaluation at compute degree 1 (the
+// benchmark's) at the benchmark workloads' shapes: the final train of
+// lr-lowdim-mem (20 000 x 28 logistic), the initial train of me-stats-mem
+// (2000 x 40, ten classes) and the final train of lr-sparse-store (16 000
+// rows of the compact 10 000-feature Criteo).
 func BenchmarkEval(b *testing.B) {
-	for _, shape := range []struct {
+	prev := compute.Parallelism()
+	compute.SetParallelism(1)
+	defer compute.SetParallelism(prev)
+	for _, c := range []struct {
 		name string
-		n, d int
-	}{{"logistic", 20000, 28}, {"maxent", 2000, 40}} {
-		b.Run(fmt.Sprintf("%s-%dx%d", shape.name, shape.n, shape.d), func(b *testing.B) {
-			ds, theta := benchData(shape.name, shape.n, shape.d)
-			obj := Objective(specFor(shape.name), ds)
+		spec Spec
+		data func() (*dataset.Dataset, []float64)
+	}{
+		{"logistic-20000x28", specFor("logistic"), func() (*dataset.Dataset, []float64) { return benchData("logistic", 20000, 28) }},
+		{"maxent-2000x40", specFor("maxent"), func() (*dataset.Dataset, []float64) { return benchData("maxent", 2000, 40) }},
+		{"logistic-sparse-16000x10000", specFor("logistic"), func() (*dataset.Dataset, []float64) {
+			ds := datagen.Criteo(datagen.Config{Rows: 16000, Dim: 10000, Seed: 1})
+			theta := make([]float64, ds.Dim)
+			rng := rand.New(rand.NewSource(1))
+			for i := range theta {
+				theta[i] = 0.1 * rng.NormFloat64()
+			}
+			return ds, theta
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ds, theta := c.data()
+			obj := Objective(c.spec, ds)
 			grad := make([]float64, len(theta))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				benchSink += obj.Eval(theta, grad)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*shape.n), "ns/row")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ds.Len()), "ns/row")
 		})
 	}
 }

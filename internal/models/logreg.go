@@ -1,8 +1,6 @@
 package models
 
 import (
-	"math"
-
 	"blinkml/internal/dataset"
 	"blinkml/internal/linalg"
 )
@@ -26,17 +24,10 @@ func (LogisticRegression) ParamDim(ds *dataset.Dataset) int { return ds.Dim }
 // Beta implements Spec.
 func (m LogisticRegression) Beta() float64 { return m.Reg }
 
-// link implements glm. A single exp serves both the gradient coefficient
-// σ(z)−y and the loss −log Pr(y|x) = log(1+e^z) − y·z: each branch computes
-// t = e^{-|z|} once and derives σ(z) and the softplus from it (the z ≥ 0 loss
-// uses the z + log1p(e^{-z}) form, which needs no overflow cutoff).
+// link implements glm: linalg.LogisticLinkAt, the loss log(1+e^z) − y·z and
+// the coefficient σ(z) − y from one exp.
 func (LogisticRegression) link(z, y float64) (loss, coef float64) {
-	if z >= 0 {
-		t := math.Exp(-z)
-		return z + math.Log1p(t) - y*z, 1/(1+t) - y
-	}
-	e := math.Exp(z)
-	return math.Log1p(e) - y*z, e/(1+e) - y
+	return linalg.LogisticLinkAt(z, y)
 }
 
 // ExampleLossGrad implements Spec.

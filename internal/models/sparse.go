@@ -1,6 +1,9 @@
 package models
 
-import "blinkml/internal/dataset"
+import (
+	"blinkml/internal/dataset"
+	"blinkml/internal/linalg"
+)
 
 // Fused kernels for the multiclass hot path. The max-entropy model
 // walks each example's features once per class — K dots for the logits, K
@@ -65,8 +68,15 @@ func logitsInto(theta []float64, x dataset.Row, k, d int, z []float64) {
 // scatterGrad accumulates coef[c]·x into class block c of grad for every
 // class with a non-zero coefficient. Zero coefficients skip their block
 // entirely, exactly as the unfused per-class AddTo guard does; each touched
-// slot receives the same single update `grad[slot] += coef*v` either way.
+// slot receives the same single update `grad[slot] += coef*v` either way —
+// through linalg.Axpy for a dense row.
 func scatterGrad(grad []float64, coef []float64, x dataset.Row, k, d int) {
+	if r, ok := x.(dataset.DenseRow); ok {
+		for c := 0; c < k; c++ {
+			linalg.Axpy(coef[c], r, grad[c*d:(c+1)*d])
+		}
+		return
+	}
 	sp, ok := x.(*dataset.SparseRow)
 	if !ok || k > maxFusedClasses {
 		for c := 0; c < k; c++ {
