@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"blinkml/internal/dataset"
 	"blinkml/internal/linalg"
@@ -62,7 +61,8 @@ type noiseVariance interface {
 // NewPlan runs phase 1 (n₀ sample, m₀) and phase 2 (statistics → factor) of
 // the BlinkML workflow and draws the accuracy estimate's k holdout
 // differences. Epsilon, Delta, MinSampleSize and WarmStart are not read:
-// they belong to Contract. Cancelling ctx stops the initial training.
+// they belong to Contract. Cancelling ctx stops the initial training. Spans
+// time each phase; statistics charges its dense work to ctx's ledger.
 func NewPlan(ctx context.Context, e *Env, spec models.Spec, opt Options) (*Plan, error) {
 	opt = opt.WithDefaults()
 	bigN := e.PoolLen()
@@ -80,16 +80,15 @@ func NewPlan(ctx context.Context, e *Env, spec models.Spec, opt Options) (*Plan,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	start := time.Now()
 	endSample := obs.StartSpan(ctx, "sample")
 	sample0, err := e.Sample(p.rng, p.n0)
-	endSample()
+	p.build.InitialTrain = endSample()
 	if err != nil {
 		return nil, err
 	}
 	endOpt := obs.StartSpan(ctx, "optimize")
 	m0, err := models.Train(spec, sample0, nil, WithCancel(ctx, p.optim))
-	endOpt()
+	p.build.InitialTrain += endOpt()
 	if err != nil {
 		return nil, fmt.Errorf("core: initial training failed: %w", err)
 	}
@@ -97,7 +96,6 @@ func NewPlan(ctx context.Context, e *Env, spec models.Spec, opt Options) (*Plan,
 	if s, ok := spec.(noiseVariance); ok {
 		p.noiseVar = s.SigmaSq()
 	}
-	p.build.InitialTrain = time.Since(start)
 	p.build.InitialIters = m0.Iters
 	if p.n0 >= bigN {
 		return p, nil // the "sample" already is the full pool
@@ -107,25 +105,22 @@ func NewPlan(ctx context.Context, e *Env, spec models.Spec, opt Options) (*Plan,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	start = time.Now()
 	endStats := obs.StartSpan(ctx, "statistics")
 	stats, err := ComputeStatistics(spec, sample0, m0.Theta, opt)
-	endStats()
+	p.build.Statistics = endStats()
 	if err != nil {
 		return nil, fmt.Errorf("core: statistics computation failed: %w", err)
 	}
-	p.build.Statistics = time.Since(start)
+	obs.LedgerFrom(ctx).ChargeKernels("statistics", stats.kernels, p.build.Statistics, stats.flops)
 	p.build.Rank = stats.Rank
 	p.build.GradsCalls = stats.GradsCalls
 	p.factor = Inflate(stats.Factor, opt.VarianceInflation)
 
 	// Phase 3, the part no contract shapes: the differences behind ε₀.
-	start = time.Now()
 	endProbe := obs.StartSpan(ctx, "probe")
 	p.diffs = accuracyDiffs(spec, m0.Theta, p.factor, Alpha(p.n0, bigN), e.holdout, p.k, p.rng)
-	endProbe()
 	sort.Float64s(p.diffs)
-	p.build.SampleSearch = time.Since(start)
+	p.build.SampleSearch = endProbe()
 	return p, nil
 }
 
@@ -163,18 +158,16 @@ func (p *Plan) Contract(ctx context.Context, spec models.Spec, opt Options) (*Re
 	}
 
 	// Phase 3: early exit if m₀ already meets ε at this δ.
-	start := time.Now()
+	endProbe := obs.StartSpan(ctx, "probe")
 	diag.InitialEpsilon = stat.ConservativeQuantile(p.diffs, opt.Delta)
 	if res.EstimatedEpsilon = diag.InitialEpsilon; res.EstimatedEpsilon <= opt.Epsilon {
-		diag.SampleSearch += time.Since(start)
+		diag.SampleSearch += endProbe()
 		return fromInitial()
 	}
 
 	// Phase 3b: minimum sample size via two-stage sampling + binary search.
-	endProbe := obs.StartSpan(ctx, "probe")
 	sres := p.searchSize(opt.Epsilon, opt.Delta)
-	endProbe()
-	diag.SampleSearch += time.Since(start)
+	diag.SampleSearch += endProbe()
 	diag.Probes = sres.Probes
 	n := min(max(sres.N, floor), p.bigN)
 
@@ -182,10 +175,9 @@ func (p *Plan) Contract(ctx context.Context, spec models.Spec, opt Options) (*Re
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	start = time.Now()
 	endSample := obs.StartSpan(ctx, "sample")
 	sampleN, err := p.finalSample(n)
-	endSample()
+	diag.FinalTrain = endSample()
 	if err != nil {
 		return nil, err
 	}
@@ -195,11 +187,10 @@ func (p *Plan) Contract(ctx context.Context, spec models.Spec, opt Options) (*Re
 	}
 	endOpt := obs.StartSpan(ctx, "optimize")
 	mn, err := models.Train(spec, sampleN, warm, WithCancel(ctx, p.optim))
-	endOpt()
+	diag.FinalTrain += endOpt()
 	if err != nil {
 		return nil, fmt.Errorf("core: final training failed: %w", err)
 	}
-	diag.FinalTrain = time.Since(start)
 	diag.FinalIters = mn.Iters
 	res.Theta, res.SampleSize, res.EstimatedEpsilon, res.UsedInitialModel = mn.Theta, n, opt.Epsilon, false
 	return res, nil

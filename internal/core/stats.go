@@ -21,7 +21,17 @@ type Statistics struct {
 	// driver compared in Figure 9b (ObservedFisher: 1; InverseGradients:
 	// d+1).
 	GradsCalls int
+	// kernels and flops count the dense work the method ran on the shapes
+	// and row nnz it visited, by the classical operation counts: a
+	// symmetric rank-k product of m-vectors m(m+1)k, an LU (2/3)d³, a
+	// triangular solve pair 2d² per right-hand side and the tred2/tql2
+	// eigensolve 4n³. linalg charges nothing; these are the one copy.
+	kernels int
+	flops   int64
 }
+
+// eigFlops is the eigensolve's 4n³ on an n x n matrix.
+func eigFlops(n int) int64 { return 4 * int64(n) * int64(n) * int64(n) }
 
 // ComputeStatistics computes the sampling statistics for spec at theta
 // using the sample the model was trained on (paper §3.4).
@@ -131,7 +141,16 @@ func fisherCovarianceSide(spec models.Spec, sample *dataset.Dataset, theta []flo
 	}
 	// L = V·diag(√μ/(μ+β)) over the informative eigenpairs (μ, v) of J.
 	l := scaledEigvecs(values, j, opt.SVDRelTol, func(mu float64) float64 { return math.Sqrt(mu) / (mu + beta) })
-	return &Statistics{Factor: &DenseFactor{L: l}, Rank: l.Cols, GradsCalls: 1}, nil
+	// J's build counts as Syrk does, m(m+1) per gradient row of m entries.
+	build := int64(n) * int64(d) * int64(d+1)
+	if rows != nil {
+		build = 0
+		for _, r := range rows {
+			build += int64(r.NNZ()) * int64(r.NNZ()+1)
+		}
+	}
+	return &Statistics{Factor: &DenseFactor{L: l}, Rank: l.Cols, GradsCalls: 1,
+		kernels: 2, flops: build + eigFlops(d)}, nil
 }
 
 // fisherGramSide eigendecomposes the centered Gram matrix G = Q_cQ_cᵀ
@@ -180,10 +199,17 @@ func fisherGramSide(rows []dataset.Row, mean []float64, d, n int, beta float64, 
 		}
 		return 1 / (sqrtN * (mu + beta))
 	})
+	// G's upper triangle dots row j with rows 0..j, 2·nnz_j flops each.
+	var build int64
+	for j, r := range rows {
+		build += 2 * int64(r.NNZ()) * int64(j+1)
+	}
 	return &Statistics{
 		Factor:     &GradFactor{rows: rows, mean: mean, m: m, dim: d},
 		Rank:       m.Cols,
 		GradsCalls: 1,
+		kernels:    2,
+		flops:      build + eigFlops(n),
 	}, nil
 }
 
@@ -276,12 +302,14 @@ func statsFromHessian(h *linalg.Dense, beta float64, gradsCalls int, opt Options
 	d := h.Rows
 	j := h.Clone()
 	j.AddDiag(-beta)
+	lus := 1
 	lu, err := linalg.NewLU(h)
 	if err != nil {
 		// H is singular (e.g. collinear features with β = 0): regularize
 		// minimally and retry so the estimator can still answer.
 		hj := h.Clone()
 		hj.AddDiag(1e-8 * (1 + h.FrobeniusNorm()/float64(d)))
+		lus++
 		lu, err = linalg.NewLU(hj)
 		if err != nil {
 			return nil, fmt.Errorf("core: Hessian is singular: %w", err)
@@ -295,7 +323,10 @@ func statsFromHessian(h *linalg.Dense, beta float64, gradsCalls int, opt Options
 		return nil, err
 	}
 	l := scaledEigvecs(values, m, opt.SVDRelTol, math.Sqrt)
-	return &Statistics{Factor: &DenseFactor{L: l}, Rank: l.Cols, GradsCalls: gradsCalls}, nil
+	// An LU is (2/3)d³ per attempt, each solve 2d² per right-hand side.
+	d3 := int64(d) * int64(d) * int64(d)
+	return &Statistics{Factor: &DenseFactor{L: l}, Rank: l.Cols, GradsCalls: gradsCalls,
+		kernels: lus + 3, flops: int64(lus)*(2*d3/3) + 2*(2*d3) + eigFlops(d)}, nil
 }
 
 // Alpha returns the Theorem-1 covariance scale α = 1/n − 1/N, clamped at

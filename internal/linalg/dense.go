@@ -3,10 +3,8 @@ package linalg
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"blinkml/internal/compute"
-	"blinkml/internal/obs"
 )
 
 // Dense is a row-major dense matrix. The zero value is an empty matrix;
@@ -122,9 +120,6 @@ func MatMul(a, b *Dense) *Dense {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("linalg: MatMul shape mismatch (%dx%d)*(%dx%d)", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	// 2mnk multiply-adds; the flop count is shape-derived, so the ledger's
-	// kernel_calls/flops fields stay deterministic at a fixed seed.
-	defer obs.ChargeKernel(time.Now(), 2*int64(a.Rows)*int64(a.Cols)*int64(b.Cols))
 	c := NewDense(a.Rows, b.Cols)
 	compute.For(a.Rows, rowGrain(a.Cols*b.Cols), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -155,7 +150,6 @@ func MatMulTransA(a, b *Dense) *Dense {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("linalg: MatMulTransA shape mismatch (%dx%d)ᵀ*(%dx%d)", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	defer obs.ChargeKernel(time.Now(), 2*int64(a.Rows)*int64(a.Cols)*int64(b.Cols))
 	c := NewDense(a.Cols, b.Cols)
 	compute.For(a.Cols, rowGrain(a.Rows*b.Cols), func(lo, hi int) {
 		// Tile the output rows so the C tile stays cache-resident while B

@@ -60,4 +60,8 @@
 // caller hands it only a matrix it built and will not read again.
 // NewSymEig never consumes its input: it runs SymEigRows on a copy and
 // returns the eigenvectors as columns.
+//
+// linalg imports no obs: a kernel charges no ledger. The phase that calls
+// one knows the shapes it ran and charges them; core's statistics phase
+// keeps the operation counts (core/stats.go).
 package linalg

@@ -4,10 +4,8 @@ import (
 	"errors"
 	"math"
 	"sort"
-	"time"
 
 	"blinkml/internal/compute"
-	"blinkml/internal/obs"
 )
 
 // SymEig holds the eigendecomposition of a symmetric matrix:
@@ -55,9 +53,6 @@ func SymEigRows(a *Dense) ([]float64, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	// tred2 + tql2 cost ~4n^3 flops (the classical operation-count estimate
-	// for the pair); shape-derived, so deterministic in the ledger.
-	defer obs.ChargeKernel(time.Now(), 4*int64(n)*int64(n)*int64(n))
 	a.Symmetrize()
 	if !AllFinite(a.Data) {
 		return nil, ErrNonFinite

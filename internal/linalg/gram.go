@@ -2,10 +2,8 @@ package linalg
 
 import (
 	"fmt"
-	"time"
 
 	"blinkml/internal/compute"
-	"blinkml/internal/obs"
 )
 
 // Syrk returns the symmetric rank-k product A * Aᵀ (Rows x Rows),
@@ -19,8 +17,6 @@ import (
 // degree.
 func Syrk(a *Dense) *Dense {
 	n := a.Rows
-	// n(n+1)k multiply-adds over the upper triangle (k = a.Cols).
-	defer obs.ChargeKernel(time.Now(), int64(n)*int64(n+1)*int64(a.Cols))
 	c := NewDense(n, n)
 	ranges := compute.TriangleRanges(n)
 	compute.Run(len(ranges), func(t int) {
@@ -39,7 +35,6 @@ func Syrk(a *Dense) *Dense {
 // mirrored.
 func SyrkT(a *Dense) *Dense {
 	n := a.Cols
-	defer obs.ChargeKernel(time.Now(), int64(n)*int64(n+1)*int64(a.Rows))
 	c := NewDense(n, n)
 	ranges := compute.TriangleRanges(n)
 	compute.Run(len(ranges), func(t int) {

@@ -3,10 +3,8 @@ package linalg
 import (
 	"errors"
 	"math"
-	"time"
 
 	"blinkml/internal/compute"
-	"blinkml/internal/obs"
 )
 
 // ErrSingular is returned when a factorization encounters an (effectively)
@@ -27,8 +25,6 @@ func NewLU(a *Dense) (*LU, error) {
 		return nil, errors.New("linalg: LU of non-square matrix")
 	}
 	n := a.Rows
-	// Right-looking LU with partial pivoting: ~(2/3)n^3 flops.
-	defer obs.ChargeKernel(time.Now(), 2*int64(n)*int64(n)*int64(n)/3)
 	f := &LU{lu: a.Clone(), piv: make([]int, n), sign: 1}
 	lu := f.lu
 	for i := range f.piv {
@@ -97,8 +93,6 @@ func (f *LU) SolveMat(b *Dense) *Dense {
 	if b.Rows != n {
 		panic("linalg: LU.SolveMat dimension mismatch")
 	}
-	// One triangular solve pair per column: 2n^2 flops each.
-	defer obs.ChargeKernel(time.Now(), 2*int64(n)*int64(n)*int64(b.Cols))
 	x := NewDense(n, b.Cols)
 	compute.For(b.Cols, rowGrain(n*n), func(jlo, jhi int) {
 		col := make([]float64, n)
@@ -124,7 +118,6 @@ func (f *LU) SolveMatTrans(b *Dense) *Dense {
 	if b.Cols != n {
 		panic("linalg: LU.SolveMatTrans dimension mismatch")
 	}
-	defer obs.ChargeKernel(time.Now(), 2*int64(n)*int64(n)*int64(b.Rows))
 	x := NewDense(n, b.Rows)
 	compute.For(b.Rows, rowGrain(n*n), func(jlo, jhi int) {
 		sol := make([]float64, n)

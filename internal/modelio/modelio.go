@@ -187,27 +187,32 @@ func checkTheta(theta []float64) error {
 	return nil
 }
 
-// InferDim recovers the feature dimension from a spec and its flattened
-// parameter vector (the inverse of Spec.ParamDim).
-func InferDim(spec models.Spec, theta []float64) int {
-	switch m := spec.(type) {
-	case models.MaxEntropy:
-		if m.Classes > 0 {
-			return len(theta) / m.Classes
-		}
-		return 0
-	case *models.PPCA:
-		f := m.Factors
-		if f <= 0 {
-			f = 10
-		}
-		return len(theta) / f
-	default:
-		return len(theta)
+// ErrShape is a θ that does not fit its spec at the model's dim — a
+// non-positive dim, or a parameter count other than the spec's at that dim
+// — which a prediction would read out of bounds or truncated.
+var ErrShape = errors.New("modelio: parameters do not fit the model's dim")
+
+// fitDim returns the feature dimension θ fits spec at: dim, or the one
+// len(θ) implies when dim is 0 (the inverse of Spec.ParamDim). The count at
+// a dim is dim times the count per feature — 1, the classes or the factors
+// — which a max-entropy spec without a class count took from its training
+// data, so any whole number of dim-rows fits it. No fit is an ErrShape.
+func fitDim(spec models.Spec, dim int, theta []float64) (int, error) {
+	per := spec.ParamDim(&dataset.Dataset{Dim: 1})
+	if dim == 0 && per > 0 {
+		dim = len(theta) / per
 	}
+	if per == 0 && dim > 0 {
+		per = len(theta) / dim
+	}
+	if dim <= 0 || len(theta)%dim != 0 || len(theta)/dim != per {
+		return 0, fmt.Errorf("%w: %d for a %s model of dim %d", ErrShape, len(theta), spec.Name(), dim)
+	}
+	return dim, nil
 }
 
-// Encode writes m to w. Non-finite parameters are rejected.
+// Encode writes m to w. Non-finite parameters and a θ that does not fit the
+// spec at m.Dim are rejected.
 func Encode(w io.Writer, m *Model) error {
 	if m == nil || m.Spec == nil {
 		return errors.New("modelio: nil model or spec")
@@ -220,14 +225,15 @@ func Encode(w io.Writer, m *Model) error {
 		return err
 	}
 	rec := *m
-	if rec.Dim == 0 {
-		rec.Dim = InferDim(m.Spec, m.Theta)
+	if rec.Dim, err = fitDim(m.Spec, m.Dim, m.Theta); err != nil {
+		return err
 	}
 	return json.NewEncoder(w).Encode(&envelope{Format: FormatName, Version: Version, Spec: sj, Model: &rec})
 }
 
 // Decode reads a model written by Encode, validating the envelope and
-// reconstructing the concrete spec.
+// reconstructing the concrete spec. A θ that does not fit the spec at the
+// model's dim is an ErrShape.
 func Decode(r io.Reader) (*Model, error) {
 	env := envelope{Model: &Model{}}
 	if err := json.NewDecoder(r).Decode(&env); err != nil {
@@ -247,8 +253,8 @@ func Decode(r io.Reader) (*Model, error) {
 	if err := checkTheta(m.Theta); err != nil {
 		return nil, err
 	}
-	if m.Dim == 0 {
-		m.Dim = InferDim(m.Spec, m.Theta)
+	if m.Dim, err = fitDim(m.Spec, m.Dim, m.Theta); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

@@ -2,6 +2,7 @@ package modelio
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -134,6 +135,47 @@ func TestDecodeRejectsBadEnvelope(t *testing.T) {
 			t.Errorf("%s: decode succeeded, want error", name)
 		}
 	}
+}
+
+// TestDecodeRejectsMisshapenTheta: a θ whose length is not the spec's
+// parameter count at the envelope's dim, or a non-positive dim, is a
+// ErrShape — not a model that panics or truncates at predict time. A
+// max-entropy spec without a class count fits any whole number of dim-rows.
+func TestDecodeRejectsMisshapenTheta(t *testing.T) {
+	const head = `{"format":"blinkml-model","version":1,`
+	for name, raw := range map[string]string{
+		"logistic short": head + `"spec":{"name":"logistic"},"theta":[1,2,3],"dim":5}`,
+		"maxent short":   head + `"spec":{"name":"maxent","classes":3},"theta":[1,2,3,4,5,6,7],"dim":5}`,
+		"ppca short":     head + `"spec":{"name":"ppca","factors":2},"theta":[1,2,3],"dim":5}`,
+		"negative dim":   head + `"spec":{"name":"linear"},"theta":[1],"dim":-1}`,
+		"maxent ragged":  head + `"spec":{"name":"maxent"},"theta":[1,2,3],"dim":2}`,
+	} {
+		if _, err := Decode(strings.NewReader(raw)); !errors.Is(err, ErrShape) {
+			t.Errorf("%s: decode error %v, want ErrShape", name, err)
+		}
+	}
+	m, err := Decode(strings.NewReader(head + `"spec":{"name":"maxent"},"theta":[1,2,3,4,5,6],"dim":2}`))
+	if err != nil || m.Dim != 2 {
+		t.Fatalf("maxent without a class count: %v, %+v", err, m)
+	}
+}
+
+// FuzzModelDecode: every body either fails to decode or yields a model
+// whose PredictInto on a zero row of length Dim returns a finite value
+// without panicking. The committed corpus holds the misshapen bodies
+// TestDecodeRejectsMisshapenTheta pins and one valid model per class.
+func FuzzModelDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		m, err := Decode(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		out := make([]float64, 1)
+		models.PredictInto(m.Spec, m.Theta, []dataset.Row{make(dataset.DenseRow, m.Dim)}, out)
+		if math.IsNaN(out[0]) || math.IsInf(out[0], 0) {
+			t.Fatalf("%s model of dim %d predicts %v on a zero row", m.Spec.Name(), m.Dim, out[0])
+		}
+	})
 }
 
 func TestSpecJSONDefaults(t *testing.T) {

@@ -14,10 +14,9 @@ import (
 
 // Ledger is the per-job resource attribution record: what one training or
 // tuning job *cost*, as opposed to what it *did* (the span tree). It travels
-// in the job's Scope alongside the trace and recorder, and is additionally
-// bound to the goroutines doing the job's work (Scope.Bind) so that
-// context-free layers — the compute pool, linalg kernels, the row store —
-// can charge it without threading a context through every kernel signature.
+// in the job's Scope alongside the trace and recorder: a phase charges it
+// from its context, the context-free compute pool and row store through
+// the goroutines doing the job's work, which are bound to it (Scope.Bind).
 //
 // Fields split into two classes, and the split matters for testing and for
 // the cluster-parity guarantee:
@@ -113,20 +112,17 @@ func (l *Ledger) ChargeSteals(n int64) {
 	l.steals.Add(n)
 }
 
-// ChargeKernel charges one linalg kernel invocation: its wall time and its
-// flop count (estimated from operand shapes, hence deterministic).
-func (l *Ledger) ChargeKernel(d time.Duration, flops int64) {
+// ChargeKernels charges a phase's dense work, calls kernels of flops in all
+// (shape-derived, hence deterministic) over wall time d, to the named
+// stage, as Merge names it: a phase knows d only once its span has closed.
+func (l *Ledger) ChargeKernels(stage string, calls int, d time.Duration, flops int64) {
 	if l == nil {
 		return
 	}
 	l.kernelNs.Add(int64(d))
-	l.kernelCalls.Add(1)
-	if flops > 0 {
-		l.flops.Add(flops)
-	}
-	if sc := l.stageFor(l.stage.Load()); sc != nil {
-		sc.kernelCalls.Add(1)
-	}
+	l.kernelCalls.Add(int64(calls))
+	l.flops.Add(flops)
+	l.stageFor(&stage).kernelCalls.Add(int64(calls))
 }
 
 // ChargeMaterialize charges rows (and their decoded bytes) read out of the
@@ -178,8 +174,9 @@ type LedgerSnapshot struct {
 	// CPUMs is compute-pool busy time summed across participating
 	// goroutines (approximate CPU milliseconds). Non-deterministic.
 	CPUMs float64 `json:"cpu_ms"`
-	// KernelMs is wall time inside linalg kernels (non-deterministic);
-	// KernelCalls and Flops are shape-derived and deterministic.
+	// KernelCalls and Flops count the statistics phase's dense work by
+	// linalg's shape-derived operation counts (deterministic); KernelMs is
+	// that phase's wall time (non-deterministic).
 	KernelMs    float64 `json:"kernel_ms"`
 	KernelCalls int64   `json:"kernel_calls"`
 	Flops       int64   `json:"flops"`
@@ -303,9 +300,9 @@ func (l *Ledger) Merge(s *LedgerSnapshot) {
 // ---------------------------------------------------------------------------
 // Goroutine-bound ledgers.
 //
-// The compute pool, linalg kernels, and the row store have deliberately
-// context-free signatures (they are called millions of times from code that
-// predates tracing). To let them charge the owning job's ledger, the job's
+// The compute pool and the row store have deliberately context-free
+// signatures (they are called millions of times from code that predates
+// tracing). To let them charge the owning job's ledger, the job's
 // worker goroutine — and every pool helper it spawns — is *bound* to the
 // ledger by goroutine ID. The registry keeps an atomic count of live
 // bindings so BoundLedger is a single atomic load (and nil) on every path
@@ -426,15 +423,5 @@ func (f PoolFrame) Exit(steals int64) {
 	}
 	if f.outer {
 		f.b.l.ChargeCPU(time.Since(f.start))
-	}
-}
-
-// ChargeKernel charges one kernel invocation started at start to the
-// calling goroutine's bound ledger, if any. Kernels call it via defer:
-//
-//	defer obs.ChargeKernel(time.Now(), flops)
-func ChargeKernel(start time.Time, flops int64) {
-	if l := BoundLedger(); l != nil {
-		l.ChargeKernel(time.Since(start), flops)
 	}
 }

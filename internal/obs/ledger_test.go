@@ -13,8 +13,8 @@ import (
 func TestLedgerChargesAndSnapshot(t *testing.T) {
 	l := NewLedger()
 	l.ChargeCPU(3 * time.Millisecond)
-	l.ChargeKernel(2*time.Millisecond, 1000)
-	l.ChargeKernel(time.Millisecond, 500)
+	l.ChargeKernels("statistics", 1, 2*time.Millisecond, 1000)
+	l.ChargeKernels("statistics", 1, time.Millisecond, 500)
 	l.ChargeMaterialize(10, 640)
 	l.ChargeBundle(true)
 	l.ChargeBundle(false)
@@ -41,29 +41,30 @@ func TestLedgerChargesAndSnapshot(t *testing.T) {
 func TestLedgerStageAttribution(t *testing.T) {
 	l := NewLedger()
 	restore := l.SetStage("statistics")
-	l.ChargeKernel(time.Millisecond, 100)
 	l.ChargeMaterialize(5, 320)
 	inner := l.SetStage("search")
-	l.ChargeKernel(time.Millisecond, 100)
+	l.ChargeMaterialize(1, 64)
+	// Kernel charges name their stage; the current one does not matter.
+	l.ChargeKernels("statistics", 2, time.Millisecond, 100)
 	inner() // back to "statistics"
 	l.ChargeMaterialize(2, 128)
 	restore()
-	// No stage set: charges land only in the totals.
-	l.ChargeKernel(time.Millisecond, 100)
+	// No stage set: store charges land only in the totals.
+	l.ChargeMaterialize(4, 256)
 
 	s := l.Snapshot()
 	if len(s.Stages) != 2 {
 		t.Fatalf("stages = %+v, want 2", s.Stages)
 	}
 	// Sorted by name: search, statistics.
-	if s.Stages[0].Stage != "search" || s.Stages[0].KernelCalls != 1 {
+	if s.Stages[0].Stage != "search" || s.Stages[0].KernelCalls != 0 || s.Stages[0].RowsMaterialized != 1 {
 		t.Fatalf("search stage: %+v", s.Stages[0])
 	}
 	st := s.Stages[1]
-	if st.Stage != "statistics" || st.KernelCalls != 1 || st.RowsMaterialized != 7 {
+	if st.Stage != "statistics" || st.KernelCalls != 2 || st.RowsMaterialized != 7 {
 		t.Fatalf("statistics stage: %+v", st)
 	}
-	if s.KernelCalls != 3 || s.RowsMaterialized != 7 {
+	if s.KernelCalls != 2 || s.Flops != 100 || s.RowsMaterialized != 12 {
 		t.Fatalf("totals: %+v", s)
 	}
 }
@@ -71,12 +72,12 @@ func TestLedgerStageAttribution(t *testing.T) {
 func TestLedgerMerge(t *testing.T) {
 	remote := NewLedger()
 	remote.SetStage("final")
-	remote.ChargeKernel(2*time.Millisecond, 700)
+	remote.ChargeKernels("final", 1, 2*time.Millisecond, 700)
 	remote.ChargeMaterialize(3, 192)
 	remote.ChargeBundle(false)
 
 	local := NewLedger()
-	local.ChargeKernel(time.Millisecond, 300)
+	local.ChargeKernels("final", 1, time.Millisecond, 300)
 	local.Merge(remote.Snapshot())
 
 	s := local.Snapshot()
@@ -86,7 +87,7 @@ func TestLedgerMerge(t *testing.T) {
 	if s.RowsMaterialized != 3 || s.BytesMaterialized != 192 || s.BundleMisses != 1 {
 		t.Fatalf("merged materialize/bundle: %+v", s)
 	}
-	if len(s.Stages) != 1 || s.Stages[0].Stage != "final" || s.Stages[0].KernelCalls != 1 {
+	if len(s.Stages) != 1 || s.Stages[0].Stage != "final" || s.Stages[0].KernelCalls != 2 {
 		t.Fatalf("merged stages: %+v", s.Stages)
 	}
 
@@ -115,7 +116,7 @@ func TestLedgerMerge(t *testing.T) {
 func TestLedgerNilSafe(t *testing.T) {
 	var l *Ledger
 	l.ChargeCPU(time.Millisecond)
-	l.ChargeKernel(time.Millisecond, 1)
+	l.ChargeKernels("statistics", 1, time.Millisecond, 1)
 	l.ChargeMaterialize(1, 1)
 	l.ChargeBundle(true)
 	l.ChargeSteals(1)
@@ -135,9 +136,9 @@ func TestLedgerNilSafe(t *testing.T) {
 
 // TestLedgerContextRoundTrip: a context built the benchmark harness's way
 // (WithTrace → WithRecorder → WithLedger, then BindLedger) and one built by
-// Begin (then Scope.Bind) read back the same trace, recorder and ledger, and
-// the bound goroutine's kernel and pool charges land in that ledger, under
-// the stage of the open span.
+// Begin (then Scope.Bind) read back the same trace, recorder and ledger; a
+// phase's kernel charge through the context and the bound goroutine's pool
+// and store charges land in that ledger, under the stage of the open span.
 func TestLedgerContextRoundTrip(t *testing.T) {
 	l, r := NewLedger(), NewRecorder("t1")
 	harness := WithLedger(WithRecorder(WithTrace(context.Background(), "t1"), r), l)
@@ -157,16 +158,18 @@ func TestLedgerContextRoundTrip(t *testing.T) {
 		}
 		release := c.bind()
 		done := StartSpan(c.ctx, "statistics")
-		ChargeKernel(time.Now(), 100)
+		LedgerFrom(c.ctx).ChargeKernels("statistics", 1, time.Millisecond, 100)
+		BoundLedger().ChargeMaterialize(3, 192)
 		frame := EnterPool()
 		frame.Exit(2)
 		done()
 		release()
 		s := c.led.Snapshot()
-		if s.KernelCalls != 1 || s.Flops != 100 || s.Steals != 2 {
-			t.Fatalf("%s: bound charges missed the ledger: %+v", c.name, s)
+		if s.KernelCalls != 1 || s.Flops != 100 || s.Steals != 2 || s.RowsMaterialized != 3 {
+			t.Fatalf("%s: charges missed the ledger: %+v", c.name, s)
 		}
-		if len(s.Stages) != 1 || s.Stages[0].Stage != "statistics" || s.Stages[0].KernelCalls != 1 {
+		if len(s.Stages) != 1 || s.Stages[0].Stage != "statistics" || s.Stages[0].KernelCalls != 1 ||
+			s.Stages[0].RowsMaterialized != 3 {
 			t.Fatalf("%s: stage attribution: %+v", c.name, s.Stages)
 		}
 		if spans := c.rec.Spans(); len(spans) != 1 || spans[0].Trace != "t1" {
@@ -291,7 +294,7 @@ func TestLedgerConcurrentCharges(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				l.ChargeKernel(time.Microsecond, 10)
+				l.ChargeKernels("stats", 1, time.Microsecond, 10)
 				l.ChargeMaterialize(1, 64)
 			}
 		}()

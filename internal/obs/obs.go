@@ -112,7 +112,7 @@ func Begin(ctx context.Context, trace, jobID string, logger *slog.Logger) (conte
 }
 
 // Bind binds the scope's ledger to the calling goroutine until release
-// runs, so the context-free compute pool, kernels and row store charge it.
+// runs, so the context-free compute pool and row store charge it.
 // A goroutine the work starts with plain `go` binds itself.
 func (s Scope) Bind() (release func()) { return BindLedger(s.Ledger) }
 

@@ -13,8 +13,8 @@ func TestSLOWindowBasicMath(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		w.Record(now, false, false)
 	}
-	w.Record(now, true, false)  // one 5xx
-	w.Record(now, false, true)  // one slow
+	w.Record(now, true, false) // one 5xx
+	w.Record(now, false, true) // one slow
 	total, errors, slow := w.Snapshot(now)
 	if total != 10 || errors != 1 || slow != 1 {
 		t.Fatalf("snapshot = %d/%d/%d, want 10/1/1", total, errors, slow)

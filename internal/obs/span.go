@@ -95,26 +95,25 @@ func (r *Recorder) Dropped() int {
 	return r.dropped
 }
 
-// StartSpan begins a named span on the context's recorder and returns the
-// closure that ends it. With no recorder in ctx it is a no-op, so
-// instrumented code needs no conditionals:
+// StartSpan begins a named span and returns the closure that ends it: it
+// records the span on the context's recorder, if any, and returns its
+// duration, timed with or without one, so code needs no conditionals:
 //
 //	done := obs.StartSpan(ctx, "statistics")
 //	... work ...
-//	done()
-func StartSpan(ctx context.Context, name string) func() {
+//	took := done()
+func StartSpan(ctx context.Context, name string) func() time.Duration {
 	s := ScopeFrom(ctx)
 	r := s.Recorder // the closure keeps only what it needs, not the scope
-	if r == nil {
-		return func() {}
-	}
 	// The scope's ledger (if any) attributes resource charges to the stage
 	// that is currently executing; the span boundary is that stage marker.
 	restoreStage := s.Ledger.SetStage(name)
 	start := time.Now()
-	return func() {
+	return func() time.Duration {
+		d := time.Since(start)
 		restoreStage()
-		r.Record(name, start, time.Since(start))
+		r.Record(name, start, d)
+		return d
 	}
 }
 
