@@ -31,21 +31,44 @@ func EstimateAccuracy(spec models.Spec, theta []float64, fac Factor, alpha float
 // accuracyDiffs returns the k sampled differences v(m_n; θ_N,i) behind the
 // accuracy estimate. They do not depend on δ: the bound for any confidence
 // is a quantile of this one vector (alpha must be positive).
+//
+// Where models.BlockDraws allows (a ScoreModel on a dense holdout), the
+// draws are scored a block at a time: one pass over the holdout scores a
+// whole models.Block of θ_N,i, with every score's bits as if scored alone.
+// Elsewhere each draw goes through DiffFrom by itself.
 func accuracyDiffs(spec models.Spec, theta []float64, fac Factor, alpha float64, holdout *dataset.Dataset, k int, rng *stat.RNG) []float64 {
 	scale := sqrt(alpha)
 	d := len(theta)
 	vs := make([]float64, k)
 	zs := drawNormals(rng, k, fac.Rank())
+	// draw overwrites dst with θ_N,i = θ + √α·L·zᵢ.
+	draw := func(i int, dst []float64) {
+		fac.Apply(zs[i], dst)
+		for j := 0; j < d; j++ {
+			dst[j] = theta[j] + scale*dst[j]
+		}
+	}
+	if per := models.BlockDraws(spec, d, holdout); per > 0 {
+		pa := make([]float64, holdout.Len()) // m_n's side of v, once for all k draws
+		models.PredictInto(spec, theta, holdout.X, pa)
+		compute.For((k+per-1)/per, 1, func(lo, hi int) {
+			b := models.NewBlock(spec, d, holdout)
+			for i0 := lo * per; i0 < min(k, hi*per); i0 += per {
+				i1 := min(k, i0+per)
+				for i := i0; i < i1; i++ {
+					draw(i, b.Vec(i-i0))
+				}
+				b.Diffs(pa, vs[i0:i1])
+			}
+		})
+		return vs
+	}
 	diff := models.DiffFrom(spec, theta, holdout) // m_n's side of v, once for all k draws
 	compute.For(k, 4, func(lo, hi int) {
-		w := make([]float64, d)
 		thetaN := make([]float64, d)
 		preds := make([]float64, holdout.Len()) // diff's scratch, shared by this chunk's draws
 		for i := lo; i < hi; i++ {
-			fac.Apply(zs[i], w)
-			for j := 0; j < d; j++ {
-				thetaN[j] = theta[j] + scale*w[j]
-			}
+			draw(i, thetaN)
 			vs[i] = diff(thetaN, preds)
 		}
 	})

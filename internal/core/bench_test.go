@@ -38,44 +38,75 @@ func benchSearcherSetup(b *testing.B, hide bool) *Searcher {
 	return NewSearcher(spec, fit.Theta, st.Factor, n0, env.PoolLen(), env.Holdout(), 0.05, 0.05, 100, stat.NewRNG(4))
 }
 
+// drawShapes are the benchmark workloads' shapes for the estimators' draws:
+// a 2000-row dense holdout under a single-score classifier and under the
+// ten-class max-entropy model.
+var drawShapes = []struct {
+	name string
+	spec models.Spec
+	ds   *dataset.Dataset
+}{
+	{"logistic-28", models.LogisticRegression{Reg: 0.001}, datagen.Higgs(datagen.Config{Rows: 24000, Dim: 28, Seed: 1})},
+	{"maxent-40x10", models.MaxEntropy{Reg: 0.001, Classes: 10}, datagen.MNIST(datagen.Config{Rows: 24000, Dim: 40, Seed: 1})},
+}
+
+// drawSetup trains m₀ on n₀ = 1000 rows of ds and returns it with its
+// factor and the environment (whose holdout has 2000 rows).
+func drawSetup(b *testing.B, spec models.Spec, ds *dataset.Dataset) (*Env, []float64, Factor) {
+	b.Helper()
+	opt := Options{Epsilon: 0.05, Seed: 2, InitialSampleSize: 1000}.WithDefaults()
+	env := NewEnv(ds, opt)
+	sample, err := env.Sample(stat.NewRNG(3), opt.InitialSampleSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fit, err := models.Train(spec, sample, nil, optimize.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := ComputeStatistics(spec, sample, fit.Theta, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if h := env.Holdout().Len(); h != 2000 {
+		b.Fatalf("holdout has %d rows, want 2000", h)
+	}
+	return env, fit.Theta, st.Factor
+}
+
 // BenchmarkProbe times one Sample Size Estimator probe at the benchmark
 // workloads' shape — k = 100 sampled pairs on a 2000-row dense holdout — for
 // a single-score classifier (the probe is a sign-flip count) and for the
 // ten-class max-entropy model (an argmax per row and model).
 func BenchmarkProbe(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		spec models.Spec
-		ds   *dataset.Dataset
-	}{
-		{"logistic-28", models.LogisticRegression{Reg: 0.001}, datagen.Higgs(datagen.Config{Rows: 24000, Dim: 28, Seed: 1})},
-		{"maxent-40x10", models.MaxEntropy{Reg: 0.001, Classes: 10}, datagen.MNIST(datagen.Config{Rows: 24000, Dim: 40, Seed: 1})},
-	} {
+	for _, c := range drawShapes {
 		b.Run(c.name, func(b *testing.B) {
-			opt := Options{Epsilon: 0.05, Seed: 2, InitialSampleSize: 1000}.WithDefaults()
-			env := NewEnv(c.ds, opt)
-			sample, err := env.Sample(stat.NewRNG(3), opt.InitialSampleSize)
-			if err != nil {
-				b.Fatal(err)
-			}
-			fit, err := models.Train(c.spec, sample, nil, optimize.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			st, err := ComputeStatistics(c.spec, sample, fit.Theta, opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s := NewSearcher(c.spec, fit.Theta, st.Factor, opt.InitialSampleSize, env.PoolLen(), env.Holdout(), 0.05, 0.05, 100, stat.NewRNG(4))
-			if h := env.Holdout().Len(); h != 2000 {
-				b.Fatalf("holdout has %d rows, want 2000", h)
-			}
+			env, theta, fac := drawSetup(b, c.spec, c.ds)
+			s := NewSearcher(c.spec, theta, fac, 1000, env.PoolLen(), env.Holdout(), 0.05, 0.05, 100, stat.NewRNG(4))
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				s.Probe(2000 + i%3)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*100*2000), "ns/row-pair")
+		})
+	}
+}
+
+// BenchmarkAccuracyDraws times the accuracy estimate's k = 100 draws at the
+// same shapes: drawing θ_N,i, scoring it on the 2000-row holdout and
+// comparing its predictions with m₀'s.
+func BenchmarkAccuracyDraws(b *testing.B) {
+	for _, c := range drawShapes {
+		b.Run(c.name, func(b *testing.B) {
+			env, theta, fac := drawSetup(b, c.spec, c.ds)
+			alpha := Alpha(1000, env.PoolLen())
+			b.ResetTimer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				accuracyDiffs(c.spec, theta, fac, alpha, env.Holdout(), 100, stat.NewRNG(4))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*100*2000), "ns/row-draw")
 		})
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"blinkml/internal/compute"
 	"blinkml/internal/datagen"
 	"blinkml/internal/dataset"
+	"blinkml/internal/linalg"
 	"blinkml/internal/models"
 	"blinkml/internal/stat"
 )
@@ -34,6 +35,8 @@ func probeCases(t *testing.T) map[string]probeCase {
 		"logistic": {models.LogisticRegression{Reg: 0.01}, datagen.Higgs(datagen.Config{Rows: 900, Dim: 5, Seed: 1})},
 		"poisson":  {models.PoissonRegression{Reg: 0.01}, datagen.Counts(datagen.Config{Rows: 900, Dim: 5, Seed: 1})},
 		"maxent":   {models.MaxEntropy{Reg: 0.01}, datagen.MNIST(datagen.Config{Rows: 900, Dim: 6, Seed: 1})},
+		// Sparse rows: no block scoring, every draw scored on the row path.
+		"logistic-sparse": {models.LogisticRegression{Reg: 0.01}, datagen.Criteo(datagen.Config{Rows: 900, Dim: 60, Seed: 1})},
 	} {
 		const n0 = 400
 		train, holdout := c.ds.Subset(seq(0, n0)), c.ds.Subset(seq(n0, n0+probeBlock+37))
@@ -77,46 +80,63 @@ func perRowPairDiffs(c probeCase, zs [][]float64, n int) []float64 {
 	return vs
 }
 
-// The block formulation of both estimators' probes — holdout scores from the
-// row kernel, one batch PredictScores per block, batch predictions under
-// the accuracy estimate — must produce the per-row formulation's vectors bit
-// for bit, for every ScoreModel, at one pool chunk and at several.
+// The block formulation of both estimators' probes — holdout scores of a
+// block of draws per row from the class lanes (dense holdouts) or of one
+// draw at a time from the row kernel (sparse ones), one batch PredictScores
+// per block or a fused sign-flip count, batch predictions under the
+// accuracy estimate — must produce the per-row formulation's vectors bit
+// for bit, for every ScoreModel, at one pool chunk and at several, with the
+// lane kernels on and off. k = 37 leaves a partial last block after several
+// whole ones at every score-vector length.
 func TestProbeVectorsBitIdenticalToPerRowFormulation(t *testing.T) {
 	prev := compute.Parallelism()
 	defer compute.SetParallelism(prev)
-	const k = 12
+	const k = 37
 	for name, c := range probeCases(t) {
+		per := models.BlockDraws(c.spec, len(c.theta), c.holdout)
+		if sparse := name == "logistic-sparse"; sparse != (per == 0) || !sparse && k <= per {
+			t.Fatalf("%s: %d draws per block", name, per)
+		}
+		// check compares both estimators' vectors at the current degree and
+		// lane setting.
+		check := func(t *testing.T) {
+			zs := drawNormals(stat.NewRNG(7), 2*k, c.fac.Rank())
+			s := newSearcher(c.spec, c.theta, c.fac, c.n0, c.n, c.holdout, zs)
+			if s.scoreModel == nil {
+				t.Fatal("score fast path not taken")
+			}
+			moved := false
+			for _, n := range []int{c.n0, c.n0 + 1, 3000, c.n - 1} {
+				got, want := s.pairDiffs(n), perRowPairDiffs(c, zs, n)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("pairDiffs(%d)[%d] = %v, per-row formulation %v", n, i, got[i], want[i])
+					}
+					moved = moved || want[i] != 0
+				}
+			}
+			if !moved {
+				t.Error("every pair difference is 0: the comparison shows nothing")
+			}
+
+			alpha := Alpha(c.n0, c.n)
+			got := accuracyDiffs(c.spec, c.theta, c.fac, alpha, c.holdout, k, stat.NewRNG(9))
+			// hideScores leaves only Predict, one row at a time.
+			want := accuracyDiffs(hideScores{c.spec}, c.theta, c.fac, alpha, c.holdout, k, stat.NewRNG(9))
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("accuracyDiffs[%d] = %v, per-row formulation %v", i, got[i], want[i])
+				}
+			}
+		}
 		for _, degree := range []int{1, 3} {
 			t.Run(fmt.Sprintf("%s/degree=%d", name, degree), func(t *testing.T) {
 				compute.SetParallelism(degree)
-				zs := drawNormals(stat.NewRNG(7), 2*k, c.fac.Rank())
-				s := newSearcher(c.spec, c.theta, c.fac, c.n0, c.n, c.holdout, zs)
-				if s.scoreModel == nil {
-					t.Fatal("score fast path not taken")
-				}
-				moved := false
-				for _, n := range []int{c.n0, c.n0 + 1, 3000, c.n - 1} {
-					got, want := s.pairDiffs(n), perRowPairDiffs(c, zs, n)
-					for i := range want {
-						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-							t.Fatalf("pairDiffs(%d)[%d] = %v, per-row formulation %v", n, i, got[i], want[i])
-						}
-						moved = moved || want[i] != 0
-					}
-				}
-				if !moved {
-					t.Error("every pair difference is 0: the comparison shows nothing")
-				}
-
-				alpha := Alpha(c.n0, c.n)
-				got := accuracyDiffs(c.spec, c.theta, c.fac, alpha, c.holdout, k, stat.NewRNG(9))
-				// hideScores leaves only Predict, one row at a time.
-				want := accuracyDiffs(hideScores{c.spec}, c.theta, c.fac, alpha, c.holdout, k, stat.NewRNG(9))
-				for i := range want {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("accuracyDiffs[%d] = %v, per-row formulation %v", i, got[i], want[i])
-					}
-				}
+				check(t)
+				t.Run("lanes=off", func(t *testing.T) {
+					defer linalg.SetLanes(false)()
+					check(t)
+				})
 			})
 		}
 	}

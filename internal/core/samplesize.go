@@ -32,7 +32,12 @@ type SampleSizeResult struct {
 //
 // For models whose predictions factor through linear scores (ScoreModel),
 // the holdout scores of θ₀, w₁ᵢ and w₂ᵢ are precomputed once, making each
-// probe O(k·holdout) regardless of the parameter dimension.
+// probe O(k·holdout) regardless of the parameter dimension. On a dense
+// holdout the 2k samples are scored a models.Block at a time, one pass
+// over the holdout per block, each score with the bits it has alone. A
+// probe of a sign-label classifier (models.SignLabels) is then one fused
+// pass per pair (models.SignFlips); other score models go through
+// scoreDiff.
 //
 // Nothing it precomputes depends on ε or δ — only the comparison at the end
 // of a probe does — so a Plan keeps one Searcher for every contract it
@@ -55,6 +60,7 @@ type Searcher struct {
 	// Score fast path (nil when unavailable): per holdout row, the scores
 	// of θ₀ next to those of each wᵢ.
 	scoreModel models.ScoreModel
+	signs      bool // the scores' sign is the label: probes count flips
 	nScores    int
 	base       []float64 // h*s: scores of θ₀
 	// scratch[c] is pool chunk c's probe buffer, kept from probe to probe.
@@ -92,24 +98,40 @@ func newSearcher(spec models.Spec, theta0 []float64, fac Factor, n0, bigN int, h
 	// takes the generic path, which for it never touches the holdout.
 	useScores := smOK && spec.Task() != dataset.Unsupervised && holdout.Len() > 0
 
+	ws := make([][]float64, 2*k) // w₁ᵢ, w₂ᵢ alternating, as zs
 	keep := linalg.CopyVec
 	if useScores {
 		s.scoreModel = sm
+		s.signs = models.SignLabels(spec)
 		s.nScores = sm.NumScores(d, holdout.Dim)
 		s.base = holdoutScores(theta0, holdout, s.nScores)
 		keep = func(w []float64) []float64 { return holdoutScores(w, holdout, s.nScores) }
 	}
-	s.w1 = make([][]float64, k)
-	s.w2 = make([][]float64, k)
-	compute.For(k, 1, func(lo, hi int) {
-		w := make([]float64, d)
-		for i := lo; i < hi; i++ {
-			fac.Apply(zs[2*i], w)
-			s.w1[i] = keep(w)
-			fac.Apply(zs[2*i+1], w)
-			s.w2[i] = keep(w)
-		}
-	})
+	if per := models.BlockDraws(spec, d, holdout); per > 0 { // implies useScores
+		compute.For((2*k+per-1)/per, 1, func(lo, hi int) {
+			b := models.NewBlock(spec, d, holdout)
+			for i0 := lo * per; i0 < min(2*k, hi*per); i0 += per {
+				i1 := min(2*k, i0+per)
+				for i := i0; i < i1; i++ {
+					fac.Apply(zs[i], b.Vec(i-i0))
+					ws[i] = make([]float64, holdout.Len()*s.nScores)
+				}
+				b.Scores(ws[i0:i1])
+			}
+		})
+	} else {
+		compute.For(2*k, 2, func(lo, hi int) {
+			w := make([]float64, d)
+			for i := lo; i < hi; i++ {
+				fac.Apply(zs[i], w)
+				ws[i] = keep(w)
+			}
+		})
+	}
+	s.w1, s.w2 = make([][]float64, k), make([][]float64, k)
+	for i := range k {
+		s.w1[i], s.w2[i] = ws[2*i], ws[2*i+1]
+	}
 	return s
 }
 
@@ -149,7 +171,14 @@ func (s *Searcher) pairDiffs(n int) []float64 {
 	// Each sampled pair's diff is independent; probes fan out over the
 	// pool (vs entries are written by exactly one chunk, so the probe is
 	// deterministic regardless of the degree).
-	if s.scoreModel != nil {
+	switch {
+	case s.signs:
+		compute.For(s.k, 4, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				vs[i] = models.SignFlips(s.base, s.w1[i], s.w2[i], a1, a2)
+			}
+		})
+	case s.scoreModel != nil:
 		chunks := compute.Chunks(s.k, 4)
 		for len(s.scratch) < chunks {
 			s.scratch = append(s.scratch, make([]float64, 2*s.probeRows()*(s.nScores+1)))
@@ -159,7 +188,7 @@ func (s *Searcher) pairDiffs(n int) []float64 {
 				vs[i] = s.scoreDiff(s.w1[i], s.w2[i], a1, a2, s.scratch[chunk])
 			}
 		})
-	} else {
+	default:
 		d := len(s.theta0)
 		compute.For(s.k, 4, func(lo, hi int) {
 			thetaN := make([]float64, d)
@@ -191,7 +220,9 @@ func (s *Searcher) probeRows() int { return max(1, probeBlock/s.nScores) }
 // scores: scores(θ_n,i) = base + a1·s1ᵢ, scores(θ_N,i) = that + a2·s2ᵢ. Per
 // block of rows, buf — 2·probeRows·(nScores+1) long — holds both models'
 // scores one after the other and then their predictions, so one
-// PredictScores call answers for the pair.
+// PredictScores call answers for the pair. It serves every score model but
+// the sign-label classifiers, whose pairs models.SignFlips counts in one
+// pass with the same bits.
 func (s *Searcher) scoreDiff(s1, s2 []float64, a1, a2 float64, buf []float64) float64 {
 	ns, rows := s.nScores, s.probeRows()
 	v := models.NewPredictionDiff(s.spec.Task())

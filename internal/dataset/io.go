@@ -93,7 +93,9 @@ func ReadLibSVM(r io.Reader, dim int, task Task) (*Dataset, error) {
 // density exceeds the threshold (DefaultDenseThreshold unless overridden)
 // the rows auto-fall back to dense, which is both smaller and faster at
 // that density. Either way the values are identical, so training results
-// do not depend on the representation chosen.
+// do not depend on the representation chosen. Like ReadCSVOpts it refuses
+// an input with no rows, or whose rows have no features (label-only lines
+// and no declared dimension).
 func ReadLibSVMOpts(r io.Reader, task Task, opt StreamOptions) (*Dataset, error) {
 	c := &CSR{Indptr: []int64{0}}
 	var labels []float64
@@ -118,6 +120,12 @@ func ReadLibSVMOpts(r io.Reader, task Task, opt StreamOptions) (*Dataset, error)
 	dim := opt.Dim
 	if dim <= 0 {
 		dim = int(maxIdx) + 1
+	}
+	switch {
+	case len(labels) == 0:
+		return nil, errNoRows
+	case dim == 0:
+		return nil, fmt.Errorf("%w (no line has an index:value pair)", errEmptyRows)
 	}
 	c.Dim = dim
 	if err := c.Validate(); err != nil {

@@ -161,6 +161,31 @@ func TestReadLibSVMErrors(t *testing.T) {
 	}
 }
 
+// A LibSVM body with no rows, or whose lines hold only labels (and no
+// declared dimension), is refused as ReadCSV refuses it — not a 0-row or
+// Dim-0 dataset that fails only once training reaches its statistics.
+func TestReadLibSVMRefusesRowsWithoutFeatures(t *testing.T) {
+	for _, c := range []struct {
+		body string
+		want error
+	}{
+		{"", errNoRows},
+		{"# nothing\n\n", errNoRows},
+		{"0\n1\n", errEmptyRows},
+		{"1\n# x\n0\n", errEmptyRows},
+	} {
+		ds, err := ReadLibSVM(strings.NewReader(c.body), 0, BinaryClassification)
+		if !errors.Is(err, c.want) {
+			t.Fatalf("%q: dataset %+v, err %v; want %v", c.body, ds, err, c.want)
+		}
+	}
+	// With a declared dimension, label-only lines are rows of zeros.
+	ds, err := ReadLibSVM(strings.NewReader("0\n1\n"), 3, BinaryClassification)
+	if err != nil || ds.Len() != 2 || ds.Dim != 3 {
+		t.Fatalf("declared dim 3: dataset %+v, err %v; want 2 zero rows of dim 3", ds, err)
+	}
+}
+
 func TestLibSVMRoundTrip(t *testing.T) {
 	orig := &Dataset{Dim: 6, Task: MultiClassification, NumClasses: 3, Name: "rt"}
 	r1, _ := NewSparseRow(6, []int32{0, 4}, []float64{1.5, -2})
@@ -308,6 +333,48 @@ func FuzzReadCSV(f *testing.F) {
 			}
 			if ds.Len() < 1 || ds.Dim < 1 {
 				t.Fatalf("%q (%v): returned a %dx%d dataset", body, task, ds.Len(), ds.Dim)
+			}
+			for i, y := range ds.Y {
+				if math.IsNaN(y) || math.IsInf(y, 0) {
+					t.Fatalf("%q (%v): label %d is %v", body, task, i, y)
+				}
+			}
+		}
+	})
+}
+
+// FuzzReadLibSVM: whatever the bytes and declared dimension, ReadLibSVMOpts
+// under every task either refuses the input with a dataset error or returns
+// a dataset that validates, with at least one row and one feature, every
+// stored index inside the dimension and finite labels — never a panic.
+// Feature values are what the text says, non-finite ones included, as
+// ReadCSVOpts reads them.
+func FuzzReadLibSVM(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte, dim uint8) {
+		for _, task := range []Task{Regression, BinaryClassification, MultiClassification, Unsupervised} {
+			opt := StreamOptions{Dim: int(dim), MaxLineBytes: 4096}
+			ds, err := ReadLibSVMOpts(bytes.NewReader(body), task, opt)
+			if err != nil {
+				if !strings.HasPrefix(err.Error(), "dataset") {
+					t.Fatalf("%q (%v): unstructured error %v", body, task, err)
+				}
+				continue
+			}
+			if err := ds.Validate(); err != nil {
+				t.Fatalf("%q (%v): returned a dataset that does not validate: %v", body, task, err)
+			}
+			if ds.Len() < 1 || ds.Dim < 1 {
+				t.Fatalf("%q (%v): returned a %dx%d dataset", body, task, ds.Len(), ds.Dim)
+			}
+			if dim > 0 && ds.Dim != int(dim) {
+				t.Fatalf("%q (%v): dimension %d, declared %d", body, task, ds.Dim, dim)
+			}
+			for i, x := range ds.X {
+				x.ForEach(func(j int, _ float64) {
+					if j < 0 || j >= ds.Dim {
+						t.Fatalf("%q (%v): row %d holds index %d of %d", body, task, i, j, ds.Dim)
+					}
+				})
 			}
 			for i, y := range ds.Y {
 				if math.IsNaN(y) || math.IsInf(y, 0) {

@@ -30,7 +30,8 @@
 // the only selector), the raw loop under Axpy, the one-to-four-row update
 // y += Σ cᵣ·rᵣ under SyrkUpperAdd, mulAddRow and tred2's accumulation, the
 // Givens pair update, tred2's rank-two row update and the class scores
-// (ClassScores, over class-interleaved weights) run four independent
+// (ClassScores, over class-interleaved weights: a model's classes, or the
+// columns of a block of sampled parameter vectors) run four independent
 // elements per instruction. Each lane performs the scalar loop's IEEE
 // operations in its order — separate multiplies, adds and subtracts, never
 // a fused multiply-add, with an SSE2 scalar tail — so every n, θ, ε̂ and

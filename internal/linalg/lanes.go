@@ -13,6 +13,15 @@ package linalg
 // Lanes reports whether the lane kernels are in use: on amd64 with AVX2.
 func Lanes() bool { return lanesOn }
 
+// SetLanes turns the lane kernels on (where the CPU has them) or off, for
+// tests in any package that compare the two paths, and returns a func
+// restoring the previous setting. It is not safe to call while kernels run.
+func SetLanes(on bool) (restore func()) {
+	prev := lanesOn
+	lanesOn = on && haveLanes
+	return func() { lanesOn = prev }
+}
+
 // axpyScalar is Axpy's loop.
 func axpyScalar(a float64, x, y []float64) {
 	for i, v := range x {

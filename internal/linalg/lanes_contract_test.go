@@ -16,7 +16,9 @@ import (
 
 // A whole contract returns the same n, θ and ε̂ with the lane kernels on
 // and off: on the covariance side (max-entropy, dense, d ≤ n₀), where J's
-// rank-4 update, the eigensolve and the class scores all run as lanes; on
+// rank-4 update, the eigensolve and the class scores all run as lanes; for
+// dense logistic regression through a real sample-size search, whose draws
+// are scored a block at a time on the class lanes; on
 // the Gram side (sparse logistic, d > n₀), where the eigensolve does; and
 // through ClosedForm's eigendecomposition.
 func TestContractsEqualWithLanesOff(t *testing.T) {
@@ -35,6 +37,9 @@ func TestContractsEqualWithLanesOff(t *testing.T) {
 		{"maxent-covariance", models.MaxEntropy{Classes: 10, Reg: 0.001},
 			datagen.MNIST(datagen.Config{Rows: 4000, Dim: 20, Seed: 2}),
 			core.Options{Epsilon: 0.05, Seed: 3, InitialSampleSize: 400, K: 40}},
+		{"logistic-dense-search", models.LogisticRegression{Reg: 0.001},
+			datagen.Higgs(datagen.Config{Rows: 12000, Dim: 28, Seed: 8}),
+			core.Options{Epsilon: 0.02, Seed: 9, InitialSampleSize: 500, K: 40}},
 		{"logistic-sparse-gram", models.LogisticRegression{Reg: 0.001},
 			datagen.Criteo(datagen.Config{Rows: 3000, Dim: 2000, Seed: 4}),
 			core.Options{Epsilon: 0.05, Seed: 5, InitialSampleSize: 200, K: 40}},
@@ -63,7 +68,10 @@ func TestContractsEqualWithLanesOff(t *testing.T) {
 					on.SampleSize, core.ThetaFingerprint(on.Theta), on.EstimatedEpsilon, on.Diag.InitialEpsilon,
 					off.SampleSize, core.ThetaFingerprint(off.Theta), off.EstimatedEpsilon, off.Diag.InitialEpsilon)
 			}
-			t.Logf("n = %d of %d, ε₀ = %v", on.SampleSize, on.PoolSize, on.Diag.InitialEpsilon)
+			t.Logf("n = %d of %d, ε₀ = %v, %d probes", on.SampleSize, on.PoolSize, on.Diag.InitialEpsilon, len(on.Diag.Probes))
+			if c.name == "logistic-dense-search" && len(on.Diag.Probes) == 0 {
+				t.Fatal("the contract ended before the search: its blocked draws and fused probes are not compared")
+			}
 			// ε̂ reads the class scores only through argmax, which a last-bit
 			// change rarely flips; the scores themselves must be equal too.
 			if sm, ok := c.spec.(models.ScoreModel); ok {

@@ -57,9 +57,9 @@ func DiffFrom(spec Spec, thetaA []float64, holdout *dataset.Dataset) func(thetaB
 
 // PredictionDiff accumulates v(m_a, m_b) for a supervised task from the two
 // models' predictions on the same rows: feed every row's pair to AddRows,
-// then read Value. It is the one statement of the metric: Diff, DiffFrom
-// and the Sample Size Estimator's score path differ only in where the
-// predictions come from.
+// then read Value. It is the one statement of the metric: Diff, DiffFrom,
+// Block.Diffs and the Sample Size Estimator's score path differ only in
+// where the predictions come from (SignFlips is its sign-label case, fused).
 type PredictionDiff struct {
 	classify       bool
 	n, disagree    int
@@ -104,6 +104,35 @@ func (v *PredictionDiff) Value() float64 {
 		base = 1e-12
 	}
 	return clamp01(math.Sqrt(v.sqDiff/n) / base)
+}
+
+// SignLabels reports whether spec predicts from its one score s the label
+// 1 when s ≥ 0 and 0 otherwise (logistic regression): the case SignFlips
+// measures.
+func SignLabels(spec Spec) bool {
+	_, ok := spec.(LogisticRegression)
+	return ok
+}
+
+// SignFlips returns v(m_n, m_N) for a SignLabels spec from the Sample Size
+// Estimator's holdout scores, in one pass: per row, scN = b + a1·s1 and
+// scNN = scN + a2·s2, and v is the share of rows where scN ≥ 0 and scNN ≥ 0
+// disagree. It is what PredictScores on both score vectors and a
+// PredictionDiff over the two label vectors give, bit for bit.
+func SignFlips(base, s1, s2 []float64, a1, a2 float64) float64 {
+	if len(base) == 0 {
+		return 0
+	}
+	s1, s2 = s1[:len(base)], s2[:len(base)]
+	flips := 0
+	for j, b := range base {
+		scN := b + a1*s1[j]
+		scNN := scN + a2*s2[j]
+		if (scN >= 0) != (scNN >= 0) {
+			flips++
+		}
+	}
+	return float64(flips) / float64(len(base))
 }
 
 // Differ lets a spec supply its own model-difference metric v(m_a, m_b).
