@@ -231,6 +231,25 @@ func TestNonFiniteFisherIsAnError(t *testing.T) {
 	}
 }
 
+// One NaN feature in a sampled row makes the training objective NaN at
+// every θ, so the solver stops at its start. A contract whose initial or
+// final sample holds that row must fail, never return θ = 0 as a model:
+// seeds 4, 6 and 11 returned [0 0 0 0 0] with a nil error before the
+// objective check, seeds 3, 7, 9 and 10 failed in statistics.
+func TestNonFiniteFeatureFailsTheContract(t *testing.T) {
+	ds := datagen.Higgs(datagen.Config{Rows: 5000, Dim: 5, Seed: 1})
+	ds.X[17].(dataset.DenseRow)[2] = math.NaN()
+	for _, seed := range []int64{3, 4, 6, 7, 9, 10, 11} {
+		res, err := TrainSourceContext(context.Background(), models.LogisticRegression{Reg: 0.001}, ds, Options{Epsilon: 0.05, Seed: seed})
+		if err == nil {
+			t.Fatalf("seed %d: trained θ = %v with a NaN feature in the sample", seed, res.Theta)
+		}
+		if silent := seed == 4 || seed == 6 || seed == 11; silent && !errors.Is(err, models.ErrNonFiniteObjective) {
+			t.Fatalf("seed %d: err = %v, want models.ErrNonFiniteObjective", seed, err)
+		}
+	}
+}
+
 // A model with no parameters (a hand-built dataset with no features) has
 // no statistics to compute: an error, not an index panic. (n₀ < N, so the
 // contract reaches the statistics phase.)

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -387,6 +388,38 @@ func TestTrainWarmStartDimensionChecked(t *testing.T) {
 	ds := tinyRegression(rng, 10, 3, false)
 	if _, err := Train(LinearRegression{}, ds, make([]float64, 7), optimize.Options{}); err == nil {
 		t.Fatal("expected warm-start dimension error")
+	}
+}
+
+// TestTrainRefusesNonFiniteObjective: a NaN or ±Inf feature makes the
+// objective non-finite at every θ, so the solver stops where it started.
+// Train must say so with ErrNonFiniteObjective instead of returning that
+// start (θ = 0) as a model.
+func TestTrainRefusesNonFiniteObjective(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	cases := []struct {
+		spec Spec
+		ds   *dataset.Dataset
+	}{
+		{LinearRegression{Reg: 0.001}, tinyRegression(rng, 200, 4, false)},
+		{LogisticRegression{Reg: 0.001}, tinyBinary(rng, 200, 4, false)},
+		{MaxEntropy{Reg: 0.001, Classes: 3}, tinyMulti(rng, 200, 4, 3)},
+		{PoissonRegression{Reg: 0.001}, tinyCounts(rng, 200, 4)},
+	}
+	for _, c := range cases {
+		row := c.ds.X[17].(dataset.DenseRow)
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			good := row[2]
+			row[2] = bad
+			res, err := Train(c.spec, c.ds, nil, optimize.Options{})
+			row[2] = good
+			if !errors.Is(err, ErrNonFiniteObjective) {
+				t.Fatalf("%s with a %v feature: err = %v (θ = %v), want ErrNonFiniteObjective", c.spec.Name(), bad, err, res.Theta)
+			}
+		}
+		if _, err := Train(c.spec, c.ds, nil, optimize.Options{}); err != nil {
+			t.Fatalf("%s on finite rows: %v", c.spec.Name(), err)
+		}
 	}
 }
 

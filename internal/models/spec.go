@@ -16,6 +16,7 @@ package models
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"blinkml/internal/compute"
 	"blinkml/internal/dataset"
@@ -85,6 +86,12 @@ type CustomTrainer interface {
 // ErrIncompatibleTask is returned when a model is trained on a dataset
 // whose task does not match the model class.
 var ErrIncompatibleTask = errors.New("models: dataset task does not match model class")
+
+// ErrNonFiniteObjective is returned by Train when the objective at the
+// parameters the solver stopped at is NaN or ±Inf — a non-finite feature
+// value in the training rows, or a diverged solve — so no model is built
+// from them.
+var ErrNonFiniteObjective = errors.New("models: training objective is not finite")
 
 // evalGrain is the minimum number of examples per parallel chunk in
 // objective evaluation; below 2·evalGrain the whole loop stays serial, so
@@ -203,6 +210,9 @@ func Train(spec Spec, ds *dataset.Dataset, theta0 []float64, opt optimize.Option
 	}
 	if !linalg.AllFinite(res.X) {
 		return TrainResult{}, errors.New("models: training produced non-finite parameters")
+	}
+	if math.IsNaN(res.F) || math.IsInf(res.F, 0) {
+		return TrainResult{}, fmt.Errorf("%w: %v at the returned parameters (%s)", ErrNonFiniteObjective, res.F, res.Status)
 	}
 	return TrainResult{Theta: res.X, Loss: res.F, Iters: res.Iters, Converged: res.Converged}, nil
 }

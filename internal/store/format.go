@@ -1,8 +1,9 @@
 // Package store implements BlinkML's persistent dataset store: CSV/LibSVM
 // streams are ingested chunk-by-chunk into a compact binary row format with
-// a fixed-size offset index, so any row is one O(1) pread away and an
-// (ε, δ) training run against an N-row dataset materializes only the n
-// rows it samples. The store is the dataset-side sibling of the serving
+// a fixed-size offset index, so a sample's records are located through the
+// index and read in a few coalesced windows into one block, and an (ε, δ)
+// training run against an N-row dataset materializes only the n rows it
+// samples. The store is the dataset-side sibling of the serving
 // layer's model registry: upload once, train and tune many times against a
 // dataset id, survive restarts.
 //
@@ -11,7 +12,8 @@
 //	d-000001/
 //	  manifest.json   shape, task, label stats, sizes, CRC32 checksums
 //	  rows.bin        row records, back to back (see below)
-//	  index.bin       rows × uint64 little-endian offsets into rows.bin
+//	  index.bin       rows × uint64 little-endian offsets into rows.bin,
+//	                  ascending: row i's record is [entry i, entry i+1)
 //
 // Row records (little-endian):
 //
@@ -184,7 +186,7 @@ func decodeSparseInto(rec []byte, dim int, idx []int32, val []float64) (float64,
 	nnz := int(binary.LittleEndian.Uint32(rec))
 	rec = rec[4:]
 	if nnz != len(idx) || len(rec) != 12*nnz {
-		return 0, fmt.Errorf("store: sparse record has %d payload bytes, want %d for nnz=%d", len(rec), 12*len(idx), len(idx))
+		return 0, fmt.Errorf("store: sparse record has %d payload bytes, want %d for nnz=%d", len(rec), 12*nnz, nnz)
 	}
 	prev := int32(-1)
 	for i := range idx {
@@ -202,45 +204,38 @@ func decodeSparseInto(rec []byte, dim int, idx []int32, val []float64) (float64,
 	return label, nil
 }
 
-// decodeSparseDense parses a sparse record into a dense row — the
-// materialize-time fallback when the manifest's measured density says the
-// dense kernels will win.
-func decodeSparseDense(rec []byte, dim int) (dataset.DenseRow, float64, error) {
-	nnz, err := sparseRecNNZ(int64(len(rec)))
-	if err != nil {
-		return nil, 0, err
+// decodeDenseInto parses one dense record into out (len(out) == dim) and
+// returns the label, so Materialize decodes a sample straight into its
+// contiguous block.
+func decodeDenseInto(rec []byte, out []float64) (float64, error) {
+	if len(rec) < 8 {
+		return 0, fmt.Errorf("store: row record truncated (%d bytes)", len(rec))
 	}
-	idx := make([]int32, nnz)
-	val := make([]float64, nnz)
-	label, err := decodeSparseInto(rec, dim, idx, val)
-	if err != nil {
-		return nil, 0, err
+	if len(rec)-8 != 8*len(out) {
+		return 0, fmt.Errorf("store: dense record has %d value bytes, want %d", len(rec)-8, 8*len(out))
 	}
-	out := make(dataset.DenseRow, dim)
-	for i, j := range idx {
-		out[j] = val[i]
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(rec[8+8*i:]))
 	}
-	return out, label, nil
+	return math.Float64frombits(binary.LittleEndian.Uint64(rec)), nil
 }
 
 // decodeRow parses one record. dim is the ambient dimension from the
 // manifest.
 func decodeRow(rec []byte, sparse bool, dim int) (dataset.Row, float64, error) {
+	if !sparse {
+		vals := make([]float64, dim)
+		label, err := decodeDenseInto(rec, vals)
+		if err != nil {
+			return nil, 0, err
+		}
+		return dataset.DenseRow(vals), label, nil
+	}
 	if len(rec) < 8 {
 		return nil, 0, fmt.Errorf("store: row record truncated (%d bytes)", len(rec))
 	}
 	label := math.Float64frombits(binary.LittleEndian.Uint64(rec))
 	rec = rec[8:]
-	if !sparse {
-		if len(rec) != 8*dim {
-			return nil, 0, fmt.Errorf("store: dense record has %d value bytes, want %d", len(rec), 8*dim)
-		}
-		vals := make([]float64, dim)
-		for i := range vals {
-			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(rec[8*i:]))
-		}
-		return dataset.DenseRow(vals), label, nil
-	}
 	if len(rec) < 4 {
 		return nil, 0, fmt.Errorf("store: sparse record truncated (%d bytes)", len(rec))
 	}

@@ -2,13 +2,15 @@ package store
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,7 +21,9 @@ import (
 // Handle is an open stored dataset: the manifest plus the two data files,
 // read with positional preads so concurrent materializations never contend
 // on a file offset. A Handle is a dataset.Source — core.Env built on one
-// trains out of core, touching only the rows it samples.
+// trains out of core: a sample is located through index.bin and read from
+// rows.bin in a few coalesced windows, touching only the regions of the
+// rows it samples.
 type Handle struct {
 	// ID is the store-assigned dataset id ("d-000001").
 	ID string
@@ -27,8 +31,10 @@ type Handle struct {
 	dir  string
 	man  Manifest
 	task dataset.Task
-	rows *os.File
-	idx  *os.File
+	// rows and idx read rows.bin and index.bin: the open files, closed
+	// with the handle (tests may put any io.ReaderAt in their place).
+	rows io.ReaderAt
+	idx  io.ReaderAt
 	obs  Observer
 
 	rowsRead atomic.Int64
@@ -66,8 +72,11 @@ func openHandle(id, dir string, man *Manifest, obs Observer) (*Handle, error) {
 }
 
 func (h *Handle) close() {
-	h.rows.Close()
-	h.idx.Close()
+	for _, f := range []io.ReaderAt{h.rows, h.idx} {
+		if c, ok := f.(io.Closer); ok {
+			c.Close()
+		}
+	}
 }
 
 // Manifest returns a copy of the dataset's manifest.
@@ -100,68 +109,30 @@ func (h *Handle) MaterializeNanos() int64 { return h.matNanos.Load() }
 // size, any code path that tries to load the whole pool fails loudly.
 func (h *Handle) LimitMaterialize(rows int) { h.maxMaterialize.Store(int64(rows)) }
 
-// span returns the [off, end) byte range of row i in rows.bin, checked
-// against the file's size.
-func (h *Handle) span(i int) (off, end int64, err error) {
-	if i < 0 || i >= h.man.Rows {
-		return 0, 0, fmt.Errorf("store: %s: row %d out of range [0,%d)", h.ID, i, h.man.Rows)
-	}
-	var buf [16]byte
-	n := 16 // this row's offset and the next one's
-	if i == h.man.Rows-1 {
-		n = 8 // the last row ends where rows.bin does
-		binary.LittleEndian.PutUint64(buf[8:], uint64(h.man.RowBytes))
-	}
-	if _, err := h.idx.ReadAt(buf[:n], int64(i)*8); err != nil {
-		return 0, 0, fmt.Errorf("store: %s: read index: %w", h.ID, err)
-	}
-	off, end = int64(binary.LittleEndian.Uint64(buf[:8])), int64(binary.LittleEndian.Uint64(buf[8:]))
-	if end < off || end > h.man.RowBytes {
-		return 0, 0, fmt.Errorf("store: %s: corrupt index entry %d (span %d..%d)", h.ID, i, off, end)
-	}
-	return off, end, nil
-}
-
-// read fills buf (reallocated when too small) with the bytes of row i's
-// record, whose span the caller got from span.
-func (h *Handle) read(i int, off, end int64, buf []byte) ([]byte, error) {
-	if int64(cap(buf)) < end-off {
-		buf = make([]byte, end-off)
-	}
-	buf = buf[:end-off]
-	if _, err := h.rows.ReadAt(buf, off); err != nil {
-		return nil, fmt.Errorf("store: %s: read row %d: %w", h.ID, i, err)
-	}
-	return buf, nil
-}
-
-// record reads row i's encoded record into buf: the one index lookup →
-// bounds check → pread every row read goes through. The decoders copy out of
-// the record, so callers reading many rows pass the previous buffer back.
-func (h *Handle) record(i int, buf []byte) ([]byte, error) {
-	off, end, err := h.span(i)
-	if err != nil {
-		return nil, err
-	}
-	return h.read(i, off, end, buf)
-}
-
-// Row reads a single row by index.
-func (h *Handle) Row(i int) (dataset.Row, float64, error) {
-	rec, err := h.record(i, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	return decodeRow(rec, h.man.Sparse, h.man.Dim)
-}
+// Materialize reads a sample in a few large reads; these bound them.
+const (
+	// readWindow is the most bytes one coalesced pread of index.bin or
+	// rows.bin covers. A record longer than it is read alone.
+	readWindow = 32 << 10
+	// readGap is the most unwanted bytes a read spans to join the next
+	// wanted range, so a sparse sample never takes more reads than rows.
+	readGap = 4 << 10
+	// spanChunk is how many rows' spans a walk holds at once, which keeps
+	// its scratch O(window), not O(sample).
+	spanChunk = 1024
+)
 
 // Materialize implements dataset.Source: it builds an in-memory dataset of
-// exactly the rows at idx, in idx order, reading them in offset order so a
-// batch turns into a forward sweep over rows.bin rather than random
-// thrashing. Sparse datasets at or below the density threshold land in one
-// contiguous CSR block (sized up front from the index spans, no per-row
-// allocations); denser ones fall back to dense rows so training takes the
-// dense kernels. Safe for concurrent use.
+// exactly the rows at idx, in idx order. The rows are read in ascending row
+// order, spanChunk at a time: their index entries in coalesced windows of
+// index.bin, then their records in coalesced windows of rows.bin, so a
+// sample costs a few large preads rather than two per row. Dense records
+// (and sparse ones above the density threshold, densified so training
+// takes the dense kernels) decode into one contiguous row-major block in
+// idx order; sparse datasets at or below the threshold land in one CSR
+// block. Every index entry is checked: in range, inside rows.bin, and,
+// across ascending rows, ascending and disjoint, as a valid file always
+// is. Safe for concurrent use.
 func (h *Handle) Materialize(idx []int) (*dataset.Dataset, error) {
 	if max := h.maxMaterialize.Load(); max > 0 && int64(len(idx)) > max {
 		return nil, fmt.Errorf("store: %s: materializing %d rows exceeds the %d-row budget", h.ID, len(idx), max)
@@ -181,35 +152,32 @@ func (h *Handle) Materialize(idx []int) (*dataset.Dataset, error) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return idx[order[a]] < idx[order[b]] })
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(idx[a], idx[b]) })
+	if n := len(order); n > 0 {
+		for _, i := range []int{idx[order[0]], idx[order[n-1]]} {
+			if i < 0 || i >= h.man.Rows {
+				return nil, fmt.Errorf("store: %s: row %d out of range [0,%d)", h.ID, i, h.man.Rows)
+			}
+		}
+	}
 
+	r := readers.Get().(*sampleReader)
+	r.h = h
+	defer r.release()
 	// matBytes is the decoded in-memory footprint of the materialized rows,
 	// derived purely from shapes (CSR: 12 bytes per stored entry + the
 	// indptr array; dense: dim float64s per row) so the ledger's
 	// bytes_materialized field is deterministic at a fixed seed.
 	var matBytes int64
 	if h.man.Sparse && h.man.Density() <= dataset.DefaultDenseThreshold {
-		nnz, err := h.materializeCSR(idx, order, ds)
+		nnz, err := r.materializeCSR(idx, order, ds)
 		if err != nil {
 			return nil, err
 		}
 		matBytes = nnz*12 + int64(len(idx)+1)*8
 	} else {
-		ds.X = make([]dataset.Row, len(idx))
-		var rec []byte
-		for _, pos := range order {
-			var err error
-			if rec, err = h.record(idx[pos], rec); err != nil {
-				return nil, err
-			}
-			row, label, err := h.decodeMaybeDense(idx[pos], rec)
-			if err != nil {
-				return nil, err
-			}
-			ds.X[pos] = row
-			if ds.Y != nil {
-				ds.Y[pos] = label
-			}
+		if err := r.materializeDense(idx, order, ds); err != nil {
+			return nil, err
 		}
 		matBytes = int64(len(idx)) * int64(h.man.Dim) * 8
 	}
@@ -228,39 +196,104 @@ func (h *Handle) Materialize(idx []int) (*dataset.Dataset, error) {
 	return ds, nil
 }
 
-// decodeMaybeDense decodes row i's record, densifying sparse records — the
-// materialize path for sparse datasets above the density threshold.
-func (h *Handle) decodeMaybeDense(i int, rec []byte) (dataset.Row, float64, error) {
-	if !h.man.Sparse {
-		return decodeRow(rec, false, h.man.Dim)
+// sampleReader is one Materialize call's reads: the handle, the one
+// scratch buffer every window of index.bin and rows.bin is read into, one
+// chunk of spans, and a sparse record's entries on their way into a dense
+// row.
+type sampleReader struct {
+	h     *Handle
+	buf   []byte
+	spans []rowSpan
+	sIdx  []int32
+	sVal  []float64
+}
+
+// readers keeps sampleReaders between Materialize calls, so a call's
+// O(window) scratch is reused and the call allocates only the dataset it
+// returns.
+var readers = sync.Pool{New: func() any { return new(sampleReader) }}
+
+// release returns r to readers, dropping a window grown past readWindow for
+// one long record.
+func (r *sampleReader) release() {
+	r.h = nil
+	if cap(r.buf) > readWindow {
+		r.buf = nil
 	}
-	row, label, err := decodeSparseDense(rec, h.man.Dim)
+	readers.Put(r)
+}
+
+// rowSpan is one wanted position of a sample: its place in idx, its row,
+// and the [off, end) byte range of the row's record in rows.bin.
+type rowSpan struct {
+	pos, row int
+	off, end int64
+}
+
+// materializeDense decodes the rows at idx into one contiguous row-major
+// block, row pos at block[pos·dim:], densifying sparse records.
+func (r *sampleReader) materializeDense(idx, order []int, ds *dataset.Dataset) error {
+	h, dim := r.h, r.h.man.Dim
+	block := make([]float64, len(idx)*dim)
+	ds.X = make([]dataset.Row, len(idx))
+	decode := decodeDenseInto
+	if h.man.Sparse {
+		decode = r.densify
+	}
+	return r.walk(idx, order, true, func(s rowSpan, rec []byte) error {
+		row := block[s.pos*dim : (s.pos+1)*dim : (s.pos+1)*dim]
+		label, err := decode(rec, row)
+		if err != nil {
+			return fmt.Errorf("store: %s: row %d: %w", h.ID, s.row, err)
+		}
+		ds.X[s.pos] = dataset.DenseRow(row)
+		if ds.Y != nil {
+			ds.Y[s.pos] = label
+		}
+		return nil
+	})
+}
+
+// densify decodes a sparse record into row, which holds zeros.
+func (r *sampleReader) densify(rec []byte, row []float64) (float64, error) {
+	nnz, err := sparseRecNNZ(int64(len(rec)))
 	if err != nil {
-		return nil, 0, fmt.Errorf("store: %s: row %d: %w", h.ID, i, err)
+		return 0, err
 	}
-	return row, label, nil
+	if cap(r.sIdx) < nnz {
+		r.sIdx, r.sVal = make([]int32, nnz), make([]float64, nnz)
+	}
+	idx, val := r.sIdx[:nnz], r.sVal[:nnz]
+	label, err := decodeSparseInto(rec, len(row), idx, val)
+	if err != nil {
+		return 0, err
+	}
+	for k, j := range idx {
+		row[j] = val[k]
+	}
+	return label, nil
 }
 
 // materializeCSR fills ds with the rows at idx packed into one contiguous
-// CSR block. Each record's nnz comes from its index span length alone, so
-// the whole block is sized before the first row read and every record
-// decodes straight into its slot — no per-row slice allocations, and the
-// sample's stored entries end up cache-adjacent for the full-sample passes
-// (gradients, Fisher statistics) that dominate training.
-func (h *Handle) materializeCSR(idx, order []int, ds *dataset.Dataset) (int64, error) {
-	spans := make([][2]int64, len(idx))
+// CSR block. A first walk over the index alone takes each record's nnz from
+// its span length, so the whole block is sized before the first record is
+// read; the second decodes every record straight into its slot — no
+// per-row slice allocations, and the sample's stored entries end up
+// cache-adjacent for the full-sample passes (gradients, Fisher statistics)
+// that dominate training.
+func (r *sampleReader) materializeCSR(idx, order []int, ds *dataset.Dataset) (int64, error) {
+	h := r.h
 	c := &dataset.CSR{Dim: h.man.Dim, Indptr: make([]int64, len(idx)+1)}
-	for pos, i := range idx {
-		off, end, err := h.span(i)
+	err := r.walk(idx, order, false, func(s rowSpan, _ []byte) error {
+		nnz, err := sparseRecNNZ(s.end - s.off)
 		if err != nil {
-			return 0, err
+			return fmt.Errorf("store: %s: row %d: %w", h.ID, s.row, err)
 		}
-		nnz, err := sparseRecNNZ(end - off)
-		if err != nil {
-			return 0, fmt.Errorf("store: %s: row %d: %w", h.ID, i, err)
-		}
-		spans[pos] = [2]int64{off, end}
-		c.Indptr[pos+1] = int64(nnz) // lengths now, offsets after the prefix sum
+		c.Indptr[s.pos+1] = int64(nnz) // lengths now, offsets after the prefix sum
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
 	for pos := range idx {
 		c.Indptr[pos+1] += c.Indptr[pos]
@@ -268,23 +301,133 @@ func (h *Handle) materializeCSR(idx, order []int, ds *dataset.Dataset) (int64, e
 	total := c.Indptr[len(idx)]
 	c.Idx = make([]int32, total)
 	c.Val = make([]float64, total)
-	rec := make([]byte, 0, 4096)
-	for _, pos := range order {
-		var err error
-		if rec, err = h.read(idx[pos], spans[pos][0], spans[pos][1], rec); err != nil {
-			return 0, err
-		}
-		lo, hi := c.Indptr[pos], c.Indptr[pos+1]
+	err = r.walk(idx, order, true, func(s rowSpan, rec []byte) error {
+		lo, hi := c.Indptr[s.pos], c.Indptr[s.pos+1]
 		label, err := decodeSparseInto(rec, h.man.Dim, c.Idx[lo:hi], c.Val[lo:hi])
 		if err != nil {
-			return 0, fmt.Errorf("store: %s: row %d: %w", h.ID, idx[pos], err)
+			return fmt.Errorf("store: %s: row %d: %w", h.ID, s.row, err)
 		}
 		if ds.Y != nil {
-			ds.Y[pos] = label
+			ds.Y[s.pos] = label
 		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
 	ds.X = c.Rows()
 	return total, nil
+}
+
+// walk calls fn for every position in order (positions into idx, sorted by
+// row, every row in range) with its row's span and, when records is set,
+// the record's bytes, which fn must not keep. It holds spanChunk spans at a
+// time: a chunk's index entries are read first and checked, then its
+// records.
+func (r *sampleReader) walk(idx, order []int, records bool, fn func(s rowSpan, rec []byte) error) error {
+	h := r.h
+	if r.spans == nil {
+		r.spans = make([]rowSpan, 0, spanChunk)
+	}
+	spans := r.spans
+	prevRow, prevEnd := -1, int64(0)
+	for len(order) > 0 {
+		spans = spans[:0]
+		for _, pos := range order[:min(spanChunk, len(order))] {
+			spans = append(spans, rowSpan{pos: pos, row: idx[pos]})
+		}
+		order = order[len(spans):]
+		if err := r.readSpans(spans); err != nil {
+			return err
+		}
+		// Ascending rows of a valid file have ascending, disjoint spans;
+		// the record windows below rely on it.
+		for _, s := range spans {
+			if s.row != prevRow && s.off < prevEnd {
+				return fmt.Errorf("store: %s: corrupt index entry %d (span %d..%d starts before row %d's end %d)", h.ID, s.row, s.off, s.end, prevRow, prevEnd)
+			}
+			prevRow, prevEnd = s.row, s.end
+		}
+		if !records {
+			for _, s := range spans {
+				if err := fn(s, nil); err != nil {
+					return err
+				}
+			}
+		} else if err := r.readRecords(spans, fn); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readSpans fills the spans of ascending rows from index.bin: row i's
+// record is [entry i, entry i+1), or runs to the end of rows.bin for the
+// last row.
+func (r *sampleReader) readSpans(spans []rowSpan) error {
+	h := r.h
+	entries := func(k int) (lo, hi int64) { // the entries row k reads
+		row := int64(spans[k].row)
+		return row * 8, min(row*8+16, h.man.IndexBytes)
+	}
+	return r.coalesce(h.idx, "index.bin", len(spans), entries, func(k int, b []byte) error {
+		s := &spans[k]
+		s.off, s.end = int64(binary.LittleEndian.Uint64(b)), h.man.RowBytes
+		if len(b) == 16 {
+			s.end = int64(binary.LittleEndian.Uint64(b[8:]))
+		}
+		if s.off < 0 || s.end < s.off || s.end > h.man.RowBytes {
+			return fmt.Errorf("store: %s: corrupt index entry %d (span %d..%d)", h.ID, s.row, s.off, s.end)
+		}
+		return nil
+	})
+}
+
+// readRecords hands fn the record of each of spans, which must be checked
+// ascending and disjoint: every span then lies inside the window it is
+// sliced from.
+func (r *sampleReader) readRecords(spans []rowSpan, fn func(s rowSpan, rec []byte) error) error {
+	record := func(k int) (lo, hi int64) { return spans[k].off, spans[k].end }
+	return r.coalesce(r.h.rows, "rows.bin", len(spans), record, func(k int, rec []byte) error {
+		return fn(spans[k], rec)
+	})
+}
+
+// coalesce reads n byte ranges of f whose starts and ends ascend, in as few
+// preads as the window allows, and hands fn each range's bytes in order.
+// A range joins the read of the ranges before it when it starts at most
+// readGap bytes after them and the read stays within readWindow bytes; a
+// longer range is read alone. A short read is an error.
+func (r *sampleReader) coalesce(f io.ReaderAt, name string, n int, rng func(k int) (lo, hi int64), fn func(k int, b []byte) error) error {
+	for a := 0; a < n; {
+		start, end := rng(a)
+		b := a + 1
+		for ; b < n; b++ {
+			lo, hi := rng(b)
+			if lo-end > readGap || hi-start > readWindow {
+				break
+			}
+			end = hi
+		}
+		if int64(cap(r.buf)) < end-start {
+			r.buf = make([]byte, max(end-start, readWindow))
+		}
+		win := r.buf[:end-start]
+		if got, err := f.ReadAt(win, start); got < len(win) {
+			if err == nil {
+				err = io.ErrUnexpectedEOF
+			}
+			return fmt.Errorf("store: %s: read %s bytes %d..%d: %w", r.h.ID, name, start, end, err)
+		}
+		for k := a; k < b; k++ {
+			lo, hi := rng(k)
+			if err := fn(k, win[lo-start:hi-start]); err != nil {
+				return err
+			}
+		}
+		a = b
+	}
+	return nil
 }
 
 // Scan streams every row in storage order through fn with one sequential
@@ -338,7 +481,7 @@ func (h *Handle) Scan(fn func(i int, row dataset.Row, label float64) error) erro
 // the manifest. It is a full sequential read — the `blinkml-data inspect
 // -verify` path, not something to run per request.
 func (h *Handle) Verify() error {
-	check := func(name string, f *os.File, size int64, want uint32) error {
+	check := func(name string, f io.ReaderAt, size int64, want uint32) error {
 		crc := crc32.NewIEEE()
 		if _, err := io.Copy(crc, io.NewSectionReader(f, 0, size)); err != nil {
 			return fmt.Errorf("store: %s: verify %s: %w", h.ID, name, err)

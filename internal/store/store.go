@@ -292,6 +292,9 @@ func (s *Store) Ingest(r io.Reader, opt IngestOptions) (*Handle, error) {
 		if err := validateLabel(opt.Task, row); err != nil {
 			return err
 		}
+		if err := validateFeatures(row); err != nil {
+			return err
+		}
 		if sparse {
 			if n := len(row.Idx); n > 0 && row.Idx[n-1] > maxIdx {
 				maxIdx = row.Idx[n-1]
@@ -408,6 +411,22 @@ func validateLabel(task dataset.Task, row dataset.RowData) error {
 	case dataset.MultiClassification:
 		if c := int(y); float64(c) != y || c < 0 {
 			return fmt.Errorf("store: line %d: class label is %v (want a non-negative integer)", row.Line, y)
+		}
+	}
+	return nil
+}
+
+// validateFeatures refuses a NaN or ±Inf feature value at ingest time: it
+// would make every training objective over a sample holding its row
+// non-finite.
+func validateFeatures(row dataset.RowData) error {
+	for k, v := range row.Val {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			j := k
+			if row.Idx != nil {
+				j = int(row.Idx[k])
+			}
+			return fmt.Errorf("store: line %d: feature %d is %v, not a finite value", row.Line, j, v)
 		}
 	}
 	return nil

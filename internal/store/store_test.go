@@ -350,6 +350,28 @@ func TestIngestValidation(t *testing.T) {
 	}
 }
 
+// TestIngestRefusesNonFiniteFeature: a NaN or ±Inf feature value fails the
+// upload with its line, as a bad label does, and leaves nothing on disk.
+func TestIngestRefusesNonFiniteFeature(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ format, in, want string }{
+		{"csv", "1,2,0\n3,nan,1\n", "store: line 2: feature 1 is NaN"},
+		{"csv", "1,2,0\n3,4,1\n-inf,5,0\n", "store: line 3: feature 0 is -Inf"},
+		{"libsvm", "1 1:0.5\n0 1:2 3:+Inf\n", "store: line 2: feature 2 is +Inf"},
+	} {
+		_, err := st.Ingest(strings.NewReader(c.in), IngestOptions{Format: c.format, Task: dataset.BinaryClassification})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s %q: err = %v, want %q", c.format, c.in, err, c.want)
+		}
+	}
+	if entries, err := os.ReadDir(st.Dir()); err != nil || len(entries) != 0 {
+		t.Fatalf("failed ingests left %d entries on disk (%v)", len(entries), err)
+	}
+}
+
 func TestScanStreamsInOrder(t *testing.T) {
 	_, h := ingestCSV(t, t.TempDir())
 	want, _ := dataset.ReadCSV(strings.NewReader(csvInput), -1, dataset.BinaryClassification)
