@@ -237,7 +237,7 @@ func SyntheticSparseDataset(name string, rows, dim, nnz int, seed int64) (*Datas
 
 // ReadCSV loads a dense labeled dataset from CSV (label in labelCol;
 // negative counts from the end). A non-numeric first line is treated as a
-// header. An input with no rows, or whose rows hold only the label, is an
+// header. No rows, rows of only the label, or a NaN or ±Inf feature is an
 // error.
 func ReadCSV(r io.Reader, labelCol int, task Task) (*Dataset, error) {
 	return dataset.ReadCSV(r, labelCol, task)
@@ -247,7 +247,7 @@ func ReadCSV(r io.Reader, labelCol int, task Task) (*Dataset, error) {
 func WriteCSV(w io.Writer, ds *Dataset) error { return dataset.WriteCSV(w, ds) }
 
 // ReadLibSVM loads a sparse dataset in LibSVM/SVMlight format (dim 0
-// infers the dimension from the data).
+// infers the dimension from the data; indices are at most 2³¹−1).
 func ReadLibSVM(r io.Reader, dim int, task Task) (*Dataset, error) {
 	return dataset.ReadLibSVM(r, dim, task)
 }

@@ -20,7 +20,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -218,7 +217,7 @@ func cmdSample(args []string) error {
 	if err != nil {
 		return err
 	}
-	return writeDataset(ds, *format, *out)
+	return writeOut(*out, func(w io.Writer) error { return dataset.WriteText(w, *format, ds) })
 }
 
 func cmdExport(args []string) error {
@@ -240,77 +239,30 @@ func cmdExport(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *format != "csv" && *format != "libsvm" {
-		return fmt.Errorf("unknown format %q (csv|libsvm)", *format)
-	}
-	w, closeFn, err := outWriter(*out)
-	if err != nil {
-		return err
-	}
-	defer closeFn()
-	// Stream rows through one shared buffered writer — the export never
-	// materializes the dataset and writes in large blocks.
-	bw := bufio.NewWriterSize(w, 1<<20)
-	dense := make([]float64, h.Meta().Dim)
-	err = h.Scan(func(i int, row dataset.Row, label float64) error {
-		if *format == "libsvm" {
-			if _, err := fmt.Fprintf(bw, "%g", label); err != nil {
-				return err
-			}
-			var werr error
-			row.ForEach(func(j int, v float64) {
-				if v == 0 || werr != nil {
-					return
-				}
-				_, werr = fmt.Fprintf(bw, " %d:%g", j+1, v)
-			})
-			if werr != nil {
-				return werr
-			}
-			_, err := fmt.Fprintln(bw)
+	// Rows stream from the store a chunk at a time into one row writer:
+	// the export never materializes the dataset. Stored labels are written
+	// as they are, an unsupervised store's too.
+	return writeOut(*out, func(w io.Writer) error {
+		rw, err := dataset.NewRowWriter(w, *format, h.Meta().Dim)
+		if err != nil {
 			return err
 		}
-		for j := range dense {
-			dense[j] = 0
+		if err := h.Scan(func(_ int, row dataset.Row, label float64) error { return rw.Write(row, label) }); err != nil {
+			return err
 		}
-		row.AddTo(dense, 1)
-		for _, v := range dense {
-			if _, err := fmt.Fprintf(bw, "%g,", v); err != nil {
-				return err
-			}
-		}
-		_, err := fmt.Fprintf(bw, "%g\n", label)
-		return err
+		return rw.Flush()
 	})
-	if err != nil {
-		return err
-	}
-	return bw.Flush()
 }
 
-func writeDataset(ds *dataset.Dataset, format, out string) error {
-	w, closeFn, err := outWriter(out)
-	if err != nil {
-		return err
-	}
-	defer closeFn()
-	switch format {
-	case "csv":
-		return dataset.WriteCSV(w, ds)
-	case "libsvm":
-		return dataset.WriteLibSVM(w, ds)
-	default:
-		return fmt.Errorf("unknown format %q (csv|libsvm)", format)
-	}
-}
-
-func outWriter(path string) (io.Writer, func(), error) {
+// writeOut hands write the file at path, or stdout when path is empty.
+func writeOut(path string, write func(io.Writer) error) error {
 	if path == "" {
-		return os.Stdout, func() {}, nil
+		return write(os.Stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	return f, func() { f.Close() }, nil
+	defer f.Close()
+	return write(f)
 }

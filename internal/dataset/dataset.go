@@ -235,6 +235,23 @@ func (d *Dataset) Validate() error {
 	return nil
 }
 
+// FirstNonFinite finds a row's first NaN or ±Inf value: val holds the
+// row's stored values and idx, for a sparse row, their feature indices (nil
+// for a dense row). It returns that value's feature index and the value, or
+// found false when every value is finite. It is the one feature check of
+// the in-memory constructors and the store's ingest.
+func FirstNonFinite(idx []int32, val []float64) (j int, v float64, found bool) {
+	for k, v := range val {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			if idx != nil {
+				return int(idx[k]), v, true
+			}
+			return k, v, true
+		}
+	}
+	return 0, 0, false
+}
+
 // Subset returns a view over the given row indices (rows are shared, not
 // copied).
 func (d *Dataset) Subset(idx []int) *Dataset {
@@ -267,39 +284,98 @@ var (
 // FromDense builds a Dataset from dense row-major data: the shared
 // materialization path for inline payloads (serving-layer requests, cluster
 // task payloads). For MultiClassification, classes 0 infers K from the
-// labels. The result is validated.
+// labels. Unsupervised data carries no labels (y is ignored). The result is
+// validated.
 func FromDense(task Task, x [][]float64, y []float64, classes int) (*Dataset, error) {
-	if len(x) == 0 {
+	return build{name: "inline", task: task, x: x, y: inlineLabels(task, y), classes: classes}.dataset()
+}
+
+// inlineLabels is an inline payload's labels: none for an unsupervised
+// task, whatever the payload carries.
+func inlineLabels(task Task, y []float64) []float64 {
+	if task == Unsupervised {
+		return nil
+	}
+	return y
+}
+
+// build is what a constructor gathers for the one tail every constructor
+// ends in (FromDense, FromSparse, ReadCSVOpts, ReadLibSVMOpts).
+type build struct {
+	name    string
+	task    Task
+	dim     int         // 0: the first dense row's length, or one past the largest sparse index
+	x       [][]float64 // dense rows, or, when idx is not nil,
+	idx     [][]int32   // sparse rows' strictly increasing indices in [0, dim)
+	val     [][]float64 // and their values
+	y       []float64   // one label a row, or nil for none (unsupervised inline payloads)
+	classes int         // K for MultiClassification; 0 infers it from y
+}
+
+// dataset is the constructors' shared tail: it checks each row's shape and
+// refuses a NaN or ±Inf feature; packs sparse rows into one CSR block,
+// densified above DefaultDenseThreshold; attaches and counts the labels;
+// infers the class count when none is given; and validates the result.
+func (b build) dataset() (*Dataset, error) {
+	n := max(len(b.x), len(b.idx))
+	if n == 0 {
 		return nil, errNoRows
 	}
-	dim := len(x[0])
-	if dim == 0 {
-		return nil, errEmptyRows
+	if b.idx != nil && len(b.val) != n {
+		return nil, fmt.Errorf("dataset: %d index rows but %d value rows", n, len(b.val))
 	}
-	ds := &Dataset{Dim: dim, Task: task, Name: "inline"}
-	ds.X = make([]Row, len(x))
-	for i, row := range x {
-		if len(row) != dim {
-			return nil, fmt.Errorf("dataset: row %d has %d features, want %d", i, len(row), dim)
-		}
-		ds.X[i] = DenseRow(row)
-	}
-	if task != Unsupervised {
-		if len(y) != len(x) {
-			return nil, fmt.Errorf("dataset: %d rows but %d labels", len(x), len(y))
-		}
-		ds.Y = y
-	}
-	if task == MultiClassification {
-		k := classes
-		if k == 0 {
-			for _, v := range y {
-				if c := int(v) + 1; c > k {
-					k = c
-				}
+	if b.dim <= 0 {
+		for _, idx := range b.idx {
+			if k := len(idx); k > 0 {
+				b.dim = max(b.dim, int(idx[k-1])+1)
 			}
 		}
-		ds.NumClasses = k
+		if b.idx == nil {
+			b.dim = len(b.x[0])
+		}
+		if b.dim <= 0 {
+			return nil, errEmptyRows
+		}
+	}
+	ds := &Dataset{Dim: b.dim, Task: b.task, Name: b.name, X: make([]Row, 0, len(b.x))}
+	c := &CSR{Dim: b.dim, Indptr: []int64{0}}
+	for i := range n {
+		var idx []int32
+		var val []float64
+		if b.idx == nil {
+			if val = b.x[i]; len(val) != b.dim {
+				return nil, fmt.Errorf("dataset: row %d has %d features, want %d", i, len(val), b.dim)
+			}
+			ds.X = append(ds.X, DenseRow(val))
+		} else {
+			if idx, val = b.idx[i], b.val[i]; len(idx) != len(val) {
+				return nil, fmt.Errorf("dataset: row %d has %d indices but %d values", i, len(idx), len(val))
+			}
+			c.Idx, c.Val = append(c.Idx, idx...), append(c.Val, val...)
+			c.Indptr = append(c.Indptr, int64(len(c.Idx)))
+		}
+		if j, v, found := FirstNonFinite(idx, val); found {
+			return nil, fmt.Errorf("dataset: row %d: feature %d is %v, not a finite value", i, j, v)
+		}
+	}
+	if b.idx != nil {
+		if err := c.Validate(); err != nil {
+			return nil, err
+		}
+		if ds.X = c.Rows(); ds.Density() > DefaultDenseThreshold {
+			Densify(ds)
+		}
+	}
+	if b.y != nil || b.task != Unsupervised {
+		if len(b.y) != n {
+			return nil, fmt.Errorf("dataset: %d rows but %d labels", n, len(b.y))
+		}
+		ds.Y = b.y
+	}
+	if b.task == MultiClassification {
+		if ds.NumClasses = b.classes; ds.NumClasses == 0 {
+			ds.NumClasses = int(slices.Max(b.y)) + 1
+		}
 	}
 	if err := ds.Validate(); err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 )
 
 // ReadCSV parses a dense labeled dataset from CSV text: one row per line,
@@ -16,65 +17,23 @@ func ReadCSV(r io.Reader, labelCol int, task Task) (*Dataset, error) {
 }
 
 // ReadCSVOpts is ReadCSV with explicit parser options (label column, line
-// cap, declared dimension). Like FromDense it refuses an input with no rows
-// or with rows of no features (a label column alone).
+// cap, declared dimension). Like FromDense it refuses an input with no rows,
+// with rows of no features (a label column alone) or with a NaN or ±Inf
+// feature.
 func ReadCSVOpts(r io.Reader, task Task, opt StreamOptions) (*Dataset, error) {
-	ds := &Dataset{Task: task, Name: "csv"}
-	maxClass := -1
+	b := build{name: "csv", task: task, y: []float64{}}
 	err := StreamCSV(r, opt, func(row RowData) error {
 		if len(row.Val) == 0 {
 			return fmt.Errorf("%w (line %d has only a label)", errEmptyRows, row.Line)
 		}
-		if ds.Dim == 0 {
-			ds.Dim = len(row.Val)
-		}
-		ds.X = append(ds.X, DenseRow(row.Val))
-		ds.Y = append(ds.Y, row.Label)
-		if c := int(row.Label); task == MultiClassification && float64(c) == row.Label && c > maxClass {
-			maxClass = c
-		}
+		b.x = append(b.x, row.Val)
+		b.y = append(b.y, row.Label)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if ds.Len() == 0 {
-		return nil, errNoRows
-	}
-	if task == MultiClassification {
-		ds.NumClasses = maxClass + 1
-	}
-	if err := ds.Validate(); err != nil {
-		return nil, err
-	}
-	return ds, nil
-}
-
-// WriteCSV writes the dataset as CSV with the label in the last column.
-// Sparse rows are densified (CSV is a dense format; use WriteLibSVM for
-// sparse data).
-func WriteCSV(w io.Writer, ds *Dataset) error {
-	bw := bufio.NewWriter(w)
-	dense := make([]float64, ds.Dim)
-	for i := 0; i < ds.Len(); i++ {
-		for j := range dense {
-			dense[j] = 0
-		}
-		ds.X[i].AddTo(dense, 1)
-		for _, v := range dense {
-			if _, err := fmt.Fprintf(bw, "%g,", v); err != nil {
-				return err
-			}
-		}
-		label := 0.0
-		if ds.Task != Unsupervised {
-			label = ds.Y[i]
-		}
-		if _, err := fmt.Fprintf(bw, "%g\n", label); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return b.dataset()
 }
 
 // ReadLibSVM parses the sparse LibSVM/SVMlight format:
@@ -88,91 +47,109 @@ func ReadLibSVM(r io.Reader, dim int, task Task) (*Dataset, error) {
 }
 
 // ReadLibSVMOpts is ReadLibSVM with explicit parser options (declared
-// dimension, line cap, dense-fallback threshold). Rows are packed into one
-// contiguous CSR block rather than per-row allocations; when the measured
-// density exceeds the threshold (DefaultDenseThreshold unless overridden)
-// the rows auto-fall back to dense, which is both smaller and faster at
-// that density. Either way the values are identical, so training results
-// do not depend on the representation chosen. Like ReadCSVOpts it refuses
-// an input with no rows, or whose rows have no features (label-only lines
-// and no declared dimension).
+// dimension, line cap). Rows are packed into one contiguous CSR block
+// rather than per-row allocations; when the measured density exceeds
+// DefaultDenseThreshold the rows fall back to dense, which is both smaller
+// and faster at that density. Either way the values are identical, so
+// training results do not depend on the representation chosen. Like
+// ReadCSVOpts it refuses an input with no rows, whose rows have no features
+// (label-only lines and no declared dimension), or with a NaN or ±Inf
+// feature.
 func ReadLibSVMOpts(r io.Reader, task Task, opt StreamOptions) (*Dataset, error) {
-	c := &CSR{Indptr: []int64{0}}
-	var labels []float64
-	maxIdx := int32(-1)
-	maxClass := -1
+	b := build{name: "libsvm", task: task, dim: opt.Dim, y: []float64{}}
 	err := StreamLibSVM(r, opt, func(row RowData) error {
-		c.Idx = append(c.Idx, row.Idx...)
-		c.Val = append(c.Val, row.Val...)
-		c.Indptr = append(c.Indptr, int64(len(c.Idx)))
-		labels = append(labels, row.Label)
-		if n := len(row.Idx); n > 0 && row.Idx[n-1] > maxIdx {
-			maxIdx = row.Idx[n-1]
-		}
-		if c := int(row.Label); task == MultiClassification && float64(c) == row.Label && c > maxClass {
-			maxClass = c
-		}
+		b.idx = append(b.idx, row.Idx)
+		b.val = append(b.val, row.Val)
+		b.y = append(b.y, row.Label)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	dim := opt.Dim
-	if dim <= 0 {
-		dim = int(maxIdx) + 1
-	}
-	switch {
-	case len(labels) == 0:
-		return nil, errNoRows
-	case dim == 0:
-		return nil, fmt.Errorf("%w (no line has an index:value pair)", errEmptyRows)
-	}
-	c.Dim = dim
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	ds := &Dataset{Dim: dim, Task: task, Name: "libsvm", X: c.Rows(), Y: labels}
-	threshold := opt.DenseThreshold
-	if threshold == 0 {
-		threshold = DefaultDenseThreshold
-	}
-	if n := len(ds.X); n > 0 && dim > 0 && float64(c.NNZ())/(float64(n)*float64(dim)) > threshold {
-		Densify(ds)
-	}
-	if task == MultiClassification {
-		ds.NumClasses = maxClass + 1
-	}
-	if err := ds.Validate(); err != nil {
-		return nil, err
-	}
-	return ds, nil
+	return b.dataset()
 }
+
+// WriteCSV writes the dataset as CSV with the label in the last column.
+// Sparse rows are densified (CSV is a dense format; use WriteLibSVM for
+// sparse data).
+func WriteCSV(w io.Writer, ds *Dataset) error { return WriteText(w, "csv", ds) }
 
 // WriteLibSVM writes the dataset in LibSVM format (1-based indices,
 // zero-valued stored entries skipped).
-func WriteLibSVM(w io.Writer, ds *Dataset) error {
-	bw := bufio.NewWriter(w)
-	for i := 0; i < ds.Len(); i++ {
+func WriteLibSVM(w io.Writer, ds *Dataset) error { return WriteText(w, "libsvm", ds) }
+
+// WriteText writes the dataset as "csv" or "libsvm" text through a
+// RowWriter. An unsupervised dataset's rows carry the label 0.
+func WriteText(w io.Writer, format string, ds *Dataset) error {
+	rw, err := NewRowWriter(w, format, ds.Dim)
+	if err != nil {
+		return err
+	}
+	for i, row := range ds.X {
 		label := 0.0
 		if ds.Task != Unsupervised {
 			label = ds.Y[i]
 		}
-		if _, err := fmt.Fprintf(bw, "%g", label); err != nil {
-			return err
-		}
-		var werr error
-		ds.X[i].ForEach(func(j int, v float64) {
-			if v == 0 || werr != nil {
-				return
-			}
-			_, werr = fmt.Fprintf(bw, " %d:%g", j+1, v)
-		})
-		if werr != nil {
-			return werr
-		}
-		if _, err := fmt.Fprintln(bw); err != nil {
+		if err := rw.Write(row, label); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return rw.Flush()
 }
+
+// RowWriter formats rows as text, one line each, into a buffered writer:
+// CSV with every feature densified and the label in the last column, or
+// LibSVM with the label first and each non-zero entry as a 1-based
+// index:value pair. Numbers come out as fmt's %g and %d print them: the
+// shortest text that reads back to the same float64.
+type RowWriter struct {
+	bw     *bufio.Writer
+	libsvm bool
+	dense  []float64
+	line   []byte
+}
+
+// NewRowWriter returns a RowWriter of dim-wide rows in format "csv" or
+// "libsvm" onto w. Call Flush after the last row.
+func NewRowWriter(w io.Writer, format string, dim int) (*RowWriter, error) {
+	rw := &RowWriter{bw: bufio.NewWriterSize(w, 1<<16)}
+	switch format {
+	case "csv":
+		rw.dense = make([]float64, dim)
+	case "libsvm":
+		rw.libsvm = true
+	default:
+		return nil, fmt.Errorf("dataset: unknown text format %q (want csv|libsvm)", format)
+	}
+	return rw, nil
+}
+
+// Write writes one row with its label.
+func (rw *RowWriter) Write(row Row, label float64) error {
+	b := rw.line[:0]
+	if rw.libsvm {
+		b = strconv.AppendFloat(b, label, 'g', -1, 64)
+		row.ForEach(func(j int, v float64) {
+			if v != 0 {
+				b = append(b, ' ')
+				b = strconv.AppendInt(b, int64(j+1), 10)
+				b = append(b, ':')
+				b = strconv.AppendFloat(b, v, 'g', -1, 64)
+			}
+		})
+	} else {
+		clear(rw.dense)
+		row.AddTo(rw.dense, 1)
+		for _, v := range rw.dense {
+			b = strconv.AppendFloat(b, v, 'g', -1, 64)
+			b = append(b, ',')
+		}
+		b = strconv.AppendFloat(b, label, 'g', -1, 64)
+	}
+	rw.line = append(b, '\n')
+	_, err := rw.bw.Write(rw.line)
+	return err
+}
+
+// Flush writes out any buffered rows.
+func (rw *RowWriter) Flush() error { return rw.bw.Flush() }

@@ -3,7 +3,10 @@ package dataset
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -115,19 +118,23 @@ func TestCSVRoundTrip(t *testing.T) {
 
 func TestReadLibSVMBasic(t *testing.T) {
 	in := "1 1:0.5 3:2\n0 2:1\n"
-	// This tiny file is 50% dense, above the auto-dense threshold, so the
-	// default reader densifies; DenseThreshold 1 keeps the rows sparse.
-	ds, err := ReadLibSVMOpts(strings.NewReader(in), BinaryClassification, StreamOptions{DenseThreshold: 1})
+	// At its inferred dimension, 3, this tiny file is 50% dense, above the
+	// auto-dense threshold, so the reader densifies; declared 12 wide it is
+	// 12.5% dense and stays sparse.
+	ds, err := ReadLibSVMOpts(strings.NewReader(in), BinaryClassification, StreamOptions{Dim: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.Dim != 3 || ds.Len() != 2 {
+	if ds.Dim != 12 || ds.Len() != 2 {
 		t.Fatalf("dim=%d len=%d", ds.Dim, ds.Len())
+	}
+	if _, ok := ds.X[0].(*SparseRow); !ok {
+		t.Fatalf("below-threshold rows should stay sparse, got %T", ds.X[0])
 	}
 	if ds.X[0].NNZ() != 2 || ds.X[1].NNZ() != 1 {
 		t.Fatal("sparsity wrong")
 	}
-	if got := ds.X[0].Dot([]float64{1, 1, 1}); got != 2.5 {
+	if got := ds.X[0].Dot([]float64{1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0}); got != 2.5 {
 		t.Fatalf("row 0 sum %v", got)
 	}
 	dense, err := ReadLibSVM(strings.NewReader(in), 0, BinaryClassification)
@@ -315,8 +322,8 @@ func TestStreamCSVLabelColumnOption(t *testing.T) {
 
 // FuzzReadCSV: whatever the bytes and label column, ReadCSVOpts under every
 // task either refuses the input with a dataset error or returns a dataset
-// that validates, with at least one row, at least one feature and finite
-// labels — never a panic.
+// that validates, with at least one row, at least one feature, finite
+// labels and finite features — never a panic.
 func FuzzReadCSV(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte, labelCol int8) {
 		for _, task := range []Task{Regression, BinaryClassification, MultiClassification, Unsupervised} {
@@ -339,16 +346,28 @@ func FuzzReadCSV(f *testing.F) {
 					t.Fatalf("%q (%v): label %d is %v", body, task, i, y)
 				}
 			}
+			checkFinite(t, body, task, ds)
 		}
 	})
+}
+
+// checkFinite fails t on a NaN or ±Inf feature of ds, read from body.
+func checkFinite(t *testing.T, body []byte, task Task, ds *Dataset) {
+	t.Helper()
+	for i, x := range ds.X {
+		x.ForEach(func(j int, v float64) {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("%q (%v): row %d feature %d is %v", body, task, i, j, v)
+			}
+		})
+	}
 }
 
 // FuzzReadLibSVM: whatever the bytes and declared dimension, ReadLibSVMOpts
 // under every task either refuses the input with a dataset error or returns
 // a dataset that validates, with at least one row and one feature, every
-// stored index inside the dimension and finite labels — never a panic.
-// Feature values are what the text says, non-finite ones included, as
-// ReadCSVOpts reads them.
+// stored index inside the dimension, finite labels and finite features —
+// never a panic.
 func FuzzReadLibSVM(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte, dim uint8) {
 		for _, task := range []Task{Regression, BinaryClassification, MultiClassification, Unsupervised} {
@@ -381,6 +400,104 @@ func FuzzReadLibSVM(f *testing.F) {
 					t.Fatalf("%q (%v): label %d is %v", body, task, i, y)
 				}
 			}
+			checkFinite(t, body, task, ds)
 		}
 	})
+}
+
+// An index past int32 is refused with its line and field, whatever the
+// declared dimension, not wrapped into a small one (4294967297 read as
+// feature 0) or reported as out of order.
+func TestReadLibSVMRefusesIndexPastInt32(t *testing.T) {
+	for _, c := range []struct {
+		body string
+		want string
+	}{
+		{"1 4294967297:2.5 4294967299:1\n", "line 1, field 2: bad index \"4294967297\""},
+		{"0 1:1\n1 2:1 2147483648:1\n", "line 2, field 3: bad index \"2147483648\""},
+		{"1 1:1 9223372036854775808:1\n", "line 1, field 3: bad index"},
+	} {
+		for _, dim := range []int{0, 3} {
+			if ds, err := ReadLibSVM(strings.NewReader(c.body), dim, Regression); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%q (dim %d): dataset %v, err %v; want an error naming %q", c.body, dim, ds, err, c.want)
+			}
+		}
+	}
+	// The largest index that fits is a row like any other.
+	ds, err := ReadLibSVM(strings.NewReader("1 1:1 2147483647:2\n"), 0, Regression)
+	if err != nil || ds.Dim != math.MaxInt32 || ds.X[0].NNZ() != 2 {
+		t.Fatalf("index 2³¹−1: dataset %v, err %v", ds, err)
+	}
+}
+
+// Every constructor refuses a NaN or ±Inf feature, naming its row and
+// feature.
+func TestConstructorsRefuseNonFiniteFeatures(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		read func() (*Dataset, error)
+		want string
+	}{
+		{"csv", func() (*Dataset, error) {
+			return ReadCSV(strings.NewReader("1,2,0\n3,nan,1\n"), -1, BinaryClassification)
+		}, "row 1: feature 1 is NaN"},
+		{"libsvm", func() (*Dataset, error) {
+			return ReadLibSVM(strings.NewReader("1 1:0.5\n0 1:2 3:-Inf\n"), 0, Unsupervised)
+		}, "row 1: feature 2 is -Inf"},
+		{"dense", func() (*Dataset, error) {
+			return FromDense(Regression, [][]float64{{1, 2}, {inf, 4}}, []float64{0, 1}, 0)
+		}, "row 1: feature 0 is +Inf"},
+		{"sparse", func() (*Dataset, error) {
+			return FromSparse(Regression, 100, [][]int32{{3, 40}}, [][]float64{{1, nan}}, []float64{0}, 0)
+		}, "row 0: feature 40 is NaN"},
+	} {
+		if ds, err := c.read(); err == nil || !strings.HasPrefix(err.Error(), "dataset: ") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: dataset %v, err %v; want a dataset error naming %q", c.name, ds, err, c.want)
+		}
+	}
+}
+
+// RowWriter writes every number as fmt's %g and %d print it (the writers'
+// former formatting), byte for byte, special values included.
+func TestRowWriterMatchesFmt(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1, -1.5, 0.1, 1e-7, 123456789, 1e21, 1e300, -2.5e-308,
+		math.SmallestNonzeroFloat64, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(), 1.0 / 3}
+	rng := rand.New(rand.NewSource(1))
+	for range 200 {
+		vals = append(vals, math.Float64frombits(rng.Uint64()))
+	}
+	sp, err := NewSparseRow(len(vals)+2, []int32{0, 2, 5}, []float64{vals[1], vals[4], vals[12]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := &Dataset{Dim: len(vals) + 2, Task: Regression, X: []Row{DenseRow(append([]float64{0, 7}, vals...)), sp}, Y: []float64{vals[13], vals[5]}}
+	var want struct{ csv, libsvm strings.Builder }
+	for i, row := range ds.X {
+		dense := make([]float64, ds.Dim)
+		row.AddTo(dense, 1)
+		for _, v := range dense {
+			fmt.Fprintf(&want.csv, "%g,", v)
+		}
+		fmt.Fprintf(&want.csv, "%g\n", ds.Y[i])
+		fmt.Fprintf(&want.libsvm, "%g", ds.Y[i])
+		row.ForEach(func(j int, v float64) {
+			if v != 0 {
+				fmt.Fprintf(&want.libsvm, " %d:%g", j+1, v)
+			}
+		})
+		fmt.Fprintln(&want.libsvm)
+	}
+	for format, w := range map[string]string{"csv": want.csv.String(), "libsvm": want.libsvm.String()} {
+		var got bytes.Buffer
+		if err := WriteText(&got, format, ds); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != w {
+			t.Errorf("%s: RowWriter wrote\n%q\nfmt writes\n%q", format, got.String(), w)
+		}
+	}
+	if _, err := NewRowWriter(io.Discard, "tsv", 3); err == nil {
+		t.Error("unknown format accepted")
+	}
 }

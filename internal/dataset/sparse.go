@@ -166,67 +166,7 @@ func Densify(d *Dataset) *Dataset {
 // payloads. indices[i] must be strictly increasing 0-based feature ids with
 // values[i] the matching entries; dim 0 infers the dimension from the
 // largest index. The rows are packed into one contiguous CSR block, with
-// the same density-threshold auto-dense fallback as LibSVM ingestion.
+// the same density-threshold dense fallback as LibSVM ingestion.
 func FromSparse(task Task, dim int, indices [][]int32, values [][]float64, y []float64, classes int) (*Dataset, error) {
-	if len(indices) == 0 {
-		return nil, errors.New("dataset: no rows")
-	}
-	if len(values) != len(indices) {
-		return nil, fmt.Errorf("dataset: %d index rows but %d value rows", len(indices), len(values))
-	}
-	if dim <= 0 {
-		for _, idx := range indices {
-			if n := len(idx); n > 0 && int(idx[n-1])+1 > dim {
-				dim = int(idx[n-1]) + 1
-			}
-		}
-		if dim <= 0 {
-			return nil, errors.New("dataset: cannot infer dim from empty rows; pass dim explicitly")
-		}
-	}
-	var nnz int64
-	for i, idx := range indices {
-		if len(idx) != len(values[i]) {
-			return nil, fmt.Errorf("dataset: row %d has %d indices but %d values", i, len(idx), len(values[i]))
-		}
-		prev := int32(-1)
-		for _, j := range idx {
-			if j <= prev || int(j) >= dim {
-				return nil, fmt.Errorf("dataset: row %d sparse index %d out of order or out of range [0,%d)", i, j, dim)
-			}
-			prev = j
-		}
-		nnz += int64(len(idx))
-	}
-	c := &CSR{Dim: dim, Indptr: make([]int64, len(indices)+1), Idx: make([]int32, 0, nnz), Val: make([]float64, 0, nnz)}
-	for i, idx := range indices {
-		c.Idx = append(c.Idx, idx...)
-		c.Val = append(c.Val, values[i]...)
-		c.Indptr[i+1] = int64(len(c.Idx))
-	}
-	ds := &Dataset{Dim: dim, Task: task, Name: "inline-sparse", X: c.Rows()}
-	if density := float64(nnz) / (float64(len(indices)) * float64(dim)); density > DefaultDenseThreshold {
-		Densify(ds)
-	}
-	if task != Unsupervised {
-		if len(y) != len(indices) {
-			return nil, fmt.Errorf("dataset: %d rows but %d labels", len(indices), len(y))
-		}
-		ds.Y = y
-	}
-	if task == MultiClassification {
-		k := classes
-		if k == 0 {
-			for _, v := range y {
-				if c := int(v) + 1; c > k {
-					k = c
-				}
-			}
-		}
-		ds.NumClasses = k
-	}
-	if err := ds.Validate(); err != nil {
-		return nil, err
-	}
-	return ds, nil
+	return build{name: "inline-sparse", task: task, dim: dim, idx: indices, val: values, y: inlineLabels(task, y), classes: classes}.dataset()
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -29,11 +30,6 @@ type StreamOptions struct {
 	// Lines beyond the cap fail with a line-numbered error instead of
 	// bufio.Scanner's opaque "token too long".
 	MaxLineBytes int
-	// DenseThreshold overrides the density above which ReadLibSVMOpts
-	// falls back to dense rows: 0 means DefaultDenseThreshold, a value
-	// >= 1 keeps rows sparse at any density, and a negative value forces
-	// dense rows. The streaming parsers themselves ignore it.
-	DenseThreshold float64
 }
 
 // Column returns a LabelCol pointer for StreamOptions (negative counts from
@@ -70,11 +66,7 @@ type RowData struct {
 // cap-exceeded error into an actionable, line-numbered message.
 func lineScanner(r io.Reader, maxLine int) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
-	buf := 1 << 20
-	if buf > maxLine {
-		buf = maxLine
-	}
-	sc.Buffer(make([]byte, buf), maxLine)
+	sc.Buffer(make([]byte, min(1<<20, maxLine)), maxLine)
 	return sc
 }
 
@@ -155,8 +147,9 @@ func StreamCSV(r io.Reader, opt StreamOptions, fn func(RowData) error) error {
 //
 //	<label> <index>:<value> <index>:<value> ...
 //
-// Indices are 1-based in the format and converted to 0-based in RowData.
-// Parse errors name the line, the 1-based field, and the offending token.
+// Indices are 1-based in the format, at most 2³¹−1, and converted to
+// 0-based in RowData. Parse errors name the line, the 1-based field, and
+// the offending token.
 func StreamLibSVM(r io.Reader, opt StreamOptions, fn func(RowData) error) error {
 	maxLine := opt.maxLine()
 	sc := lineScanner(r, maxLine)
@@ -179,8 +172,10 @@ func StreamLibSVM(r io.Reader, opt StreamOptions, fn func(RowData) error) error 
 			if colon <= 0 {
 				return fmt.Errorf("dataset: line %d, field %d: bad pair %q (want index:value)", lineNo, k+2, f)
 			}
+			// An index past int32 is refused here, not wrapped into a
+			// small one.
 			idx1, err := strconv.Atoi(f[:colon])
-			if err != nil || idx1 < 1 {
+			if err != nil || idx1 < 1 || idx1 > math.MaxInt32 {
 				return fmt.Errorf("dataset: line %d, field %d: bad index %q", lineNo, k+2, f[:colon])
 			}
 			v, err := strconv.ParseFloat(f[colon+1:], 64)

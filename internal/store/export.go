@@ -83,14 +83,7 @@ func ReadBundleManifest(r io.Reader) (*Manifest, error) {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, fmt.Errorf("store: bundle: read manifest: %w", err)
 	}
-	var man Manifest
-	if err := json.Unmarshal(buf, &man); err != nil {
-		return nil, fmt.Errorf("store: bundle: decode manifest: %w", err)
-	}
-	if err := man.validate(); err != nil {
-		return nil, err
-	}
-	return &man, nil
+	return decodeManifest(buf)
 }
 
 // ImportBundle streams a bundle produced by ExportTo into this store under

@@ -3,9 +3,11 @@
 // a fixed-size offset index, so a sample's records are located through the
 // index and read in a few coalesced windows into one block, and an (ε, δ)
 // training run against an N-row dataset materializes only the n rows it
-// samples. The store is the dataset-side sibling of the serving
-// layer's model registry: upload once, train and tune many times against a
-// dataset id, survive restarts.
+// samples. That reader is the only one: Handle.Scan, the whole-dataset
+// walk behind export, reads consecutive chunks of rows through it. The
+// store is the dataset-side sibling of the serving layer's model registry:
+// upload once, train and tune many times against a dataset id, survive
+// restarts.
 //
 // On-disk layout — one directory per dataset under the store root:
 //
@@ -20,6 +22,9 @@
 //	dense:  label float64 | dim × float64 values
 //	sparse: label float64 | nnz uint32 | nnz × int32 indices | nnz × float64 values
 //
+// A manifest is refused unless its sizes are the ones its shape takes
+// (dense: row_bytes = 8·rows·(dim+1), nnz = rows·dim; sparse: row_bytes =
+// 12·(rows+nnz); index_bytes = 8·rows), on disk and in a bundle alike.
 // The manifest is written last and atomically, so a directory with a
 // manifest is a complete ingest; directories without one are garbage from
 // a crashed ingest and are swept on open. Float64 bits pass through encode
@@ -92,10 +97,30 @@ func (m *Manifest) validate() error {
 		return fmt.Errorf("store: manifest has %d rows × %d dim", m.Rows, m.Dim)
 	}
 	if _, err := m.TaskValue(); err != nil {
-		return err
+		return fmt.Errorf("store: manifest: %w", err)
 	}
 	if want := int64(m.Rows) * 8; m.IndexBytes != want {
 		return fmt.Errorf("store: manifest index_bytes %d, want %d for %d rows", m.IndexBytes, want, m.Rows)
+	}
+	// The byte counts every ingest writes, checked by division so no
+	// product of hostile fields can overflow: a dense record is a label and
+	// dim values, a sparse one a label, a count and 12 bytes an entry.
+	rows := int64(m.Rows)
+	if m.Sparse {
+		if m.NNZ < 0 || m.RowBytes%12 != 0 || m.RowBytes/12-rows != m.NNZ {
+			return fmt.Errorf("store: manifest row_bytes %d and nnz %d, want row_bytes = 12·(rows+nnz) for %d sparse rows", m.RowBytes, m.NNZ, m.Rows)
+		}
+	} else {
+		rec := m.RowBytes / rows
+		if m.RowBytes%rows != 0 || rec%8 != 0 || rec/8-1 != int64(m.Dim) {
+			return fmt.Errorf("store: manifest row_bytes %d, want 8·rows·(dim+1) for %d rows × %d dim", m.RowBytes, m.Rows, m.Dim)
+		}
+		if m.NNZ%rows != 0 || m.NNZ/rows != int64(m.Dim) {
+			return fmt.Errorf("store: manifest nnz %d, want rows·dim for %d rows × %d dim", m.NNZ, m.Rows, m.Dim)
+		}
+	}
+	if m.Task == dataset.MultiClassification.String() && m.NumClasses < 1 {
+		return fmt.Errorf("store: manifest has %d classes for a multiclass task", m.NumClasses)
 	}
 	return nil
 }
@@ -130,6 +155,12 @@ func readManifest(dir string) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeManifest(data)
+}
+
+// decodeManifest parses and validates a manifest, read from disk or from a
+// bundle's header.
+func decodeManifest(data []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("store: decode manifest: %w", err)
@@ -175,8 +206,8 @@ func sparseRecNNZ(recLen int64) (int, error) {
 
 // decodeSparseInto parses one sparse record into caller-provided index and
 // value slices (len(idx) == len(val) == the record's nnz) and returns the
-// label. It is decodeRow's allocation-free core: CSR materialization points
-// idx/val at sub-slices of one shared block.
+// label. CSR materialization points idx/val at sub-slices of one shared
+// block.
 func decodeSparseInto(rec []byte, dim int, idx []int32, val []float64) (float64, error) {
 	if len(rec) < 12 {
 		return 0, fmt.Errorf("store: sparse record truncated (%d bytes)", len(rec))
@@ -218,44 +249,4 @@ func decodeDenseInto(rec []byte, out []float64) (float64, error) {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(rec[8+8*i:]))
 	}
 	return math.Float64frombits(binary.LittleEndian.Uint64(rec)), nil
-}
-
-// decodeRow parses one record. dim is the ambient dimension from the
-// manifest.
-func decodeRow(rec []byte, sparse bool, dim int) (dataset.Row, float64, error) {
-	if !sparse {
-		vals := make([]float64, dim)
-		label, err := decodeDenseInto(rec, vals)
-		if err != nil {
-			return nil, 0, err
-		}
-		return dataset.DenseRow(vals), label, nil
-	}
-	if len(rec) < 8 {
-		return nil, 0, fmt.Errorf("store: row record truncated (%d bytes)", len(rec))
-	}
-	label := math.Float64frombits(binary.LittleEndian.Uint64(rec))
-	rec = rec[8:]
-	if len(rec) < 4 {
-		return nil, 0, fmt.Errorf("store: sparse record truncated (%d bytes)", len(rec))
-	}
-	nnz := int(binary.LittleEndian.Uint32(rec))
-	rec = rec[4:]
-	if len(rec) != 12*nnz {
-		return nil, 0, fmt.Errorf("store: sparse record has %d payload bytes, want %d for nnz=%d", len(rec), 12*nnz, nnz)
-	}
-	idx := make([]int32, nnz)
-	for i := range idx {
-		idx[i] = int32(binary.LittleEndian.Uint32(rec[4*i:]))
-	}
-	vals := make([]float64, nnz)
-	rec = rec[4*nnz:]
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(rec[8*i:]))
-	}
-	sp, err := dataset.NewSparseRow(dim, idx, vals)
-	if err != nil {
-		return nil, 0, fmt.Errorf("store: corrupt sparse record: %w", err)
-	}
-	return sp, label, nil
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -131,8 +130,8 @@ const (
 // takes the dense kernels) decode into one contiguous row-major block in
 // idx order; sparse datasets at or below the threshold land in one CSR
 // block. Every index entry is checked: in range, inside rows.bin, and,
-// across ascending rows, ascending and disjoint, as a valid file always
-// is. Safe for concurrent use.
+// across ascending rows, ascending and disjoint, with entry 0 at 0, as a
+// valid file always is. Safe for concurrent use.
 func (h *Handle) Materialize(idx []int) (*dataset.Dataset, error) {
 	if max := h.maxMaterialize.Load(); max > 0 && int64(len(idx)) > max {
 		return nil, fmt.Errorf("store: %s: materializing %d rows exceeds the %d-row budget", h.ID, len(idx), max)
@@ -164,29 +163,16 @@ func (h *Handle) Materialize(idx []int) (*dataset.Dataset, error) {
 	r := readers.Get().(*sampleReader)
 	r.h = h
 	defer r.release()
-	// matBytes is the decoded in-memory footprint of the materialized rows,
-	// derived purely from shapes (CSR: 12 bytes per stored entry + the
-	// indptr array; dense: dim float64s per row) so the ledger's
-	// bytes_materialized field is deterministic at a fixed seed.
-	var matBytes int64
-	if h.man.Sparse && h.man.Density() <= dataset.DefaultDenseThreshold {
-		nnz, err := r.materializeCSR(idx, order, ds)
-		if err != nil {
-			return nil, err
-		}
-		matBytes = nnz*12 + int64(len(idx)+1)*8
-	} else {
-		if err := r.materializeDense(idx, order, ds); err != nil {
-			return nil, err
-		}
-		matBytes = int64(len(idx)) * int64(h.man.Dim) * 8
+	matBytes, err := r.decode(idx, order, ds)
+	if err != nil {
+		return nil, err
 	}
 	if ds.Y != nil {
 		matBytes += int64(len(idx)) * 8
 	}
 	h.rowsRead.Add(int64(len(idx)))
 	// Charge the owning job's ledger, if the calling goroutine is doing
-	// attributed work (training); unattributed readers (CLI export) skip.
+	// attributed work (training); unattributed readers (CLI sample) skip.
 	obs.BoundLedger().ChargeMaterialize(len(idx), matBytes)
 	d := time.Since(start)
 	h.matNanos.Add(int64(d))
@@ -221,6 +207,21 @@ func (r *sampleReader) release() {
 		r.buf = nil
 	}
 	readers.Put(r)
+}
+
+// decode fills ds.X with the rows at idx, visited in order, and ds.Y, when
+// not nil, with their stored labels: sparse records at or below
+// DefaultDenseThreshold into one CSR block, all others into one dense
+// block. It returns the rows' in-memory footprint, derived purely from
+// shapes (CSR: 12 bytes per stored entry + the indptr array; dense: dim
+// float64s per row) so the ledger's bytes_materialized field is
+// deterministic at a fixed seed.
+func (r *sampleReader) decode(idx, order []int, ds *dataset.Dataset) (int64, error) {
+	if m := &r.h.man; m.Sparse && m.Density() <= dataset.DefaultDenseThreshold {
+		nnz, err := r.materializeCSR(idx, order, ds)
+		return nnz*12 + int64(len(idx)+1)*8, err
+	}
+	return int64(len(idx)) * int64(r.h.man.Dim) * 8, r.materializeDense(idx, order, ds)
 }
 
 // rowSpan is one wanted position of a sample: its place in idx, its row,
@@ -323,7 +324,9 @@ func (r *sampleReader) materializeCSR(idx, order []int, ds *dataset.Dataset) (in
 // row, every row in range) with its row's span and, when records is set,
 // the record's bytes, which fn must not keep. It holds spanChunk spans at a
 // time: a chunk's index entries are read first and checked, then its
-// records.
+// records. A walk over consecutive rows is ascending across chunks by
+// construction: a chunk's first span starts at the entry that ended the
+// chunk before.
 func (r *sampleReader) walk(idx, order []int, records bool, fn func(s rowSpan, rec []byte) error) error {
 	h := r.h
 	if r.spans == nil {
@@ -347,6 +350,9 @@ func (r *sampleReader) walk(idx, order []int, records bool, fn func(s rowSpan, r
 				return fmt.Errorf("store: %s: corrupt index entry %d (span %d..%d starts before row %d's end %d)", h.ID, s.row, s.off, s.end, prevRow, prevEnd)
 			}
 			prevRow, prevEnd = s.row, s.end
+		}
+		if s := spans[0]; s.row == 0 && s.off != 0 {
+			return fmt.Errorf("store: %s: index entry 0 points at %d, expected 0", h.ID, s.off)
 		}
 		if !records {
 			for _, s := range spans {
@@ -430,48 +436,31 @@ func (r *sampleReader) coalesce(f io.ReaderAt, name string, n int, rng func(k in
 	return nil
 }
 
-// Scan streams every row in storage order through fn with one sequential
-// buffered read of rows.bin and one of index.bin — the export path, which
-// never holds more than one row in memory and costs no per-row syscalls.
-// fn returning an error stops the scan.
+// Scan streams every row in storage order through fn with its stored label
+// (an unsupervised store's too) — the export path. It reads spanChunk rows
+// at a time through Materialize's coalesced reader and decodes them as
+// Materialize does, so it never holds more than one chunk in memory and
+// costs a few large preads a chunk. fn may keep the rows; fn returning an
+// error stops the scan. Scan counts no materialized rows.
 func (h *Handle) Scan(fn func(i int, row dataset.Row, label float64) error) error {
-	rows := bufio.NewReaderSize(io.NewSectionReader(h.rows, 0, h.man.RowBytes), 1<<20)
-	idx := bufio.NewReaderSize(io.NewSectionReader(h.idx, 0, h.man.IndexBytes), 1<<16)
-	readOff := func() (int64, error) {
-		var b [8]byte
-		if _, err := io.ReadFull(idx, b[:]); err != nil {
-			return 0, fmt.Errorf("store: %s: read index: %w", h.ID, err)
+	r := readers.Get().(*sampleReader)
+	r.h = h
+	defer r.release()
+	n := min(spanChunk, h.man.Rows)
+	idx, order, labels := make([]int, n), make([]int, n), make([]float64, n)
+	for lo := 0; lo < h.man.Rows; lo += n {
+		m := min(n, h.man.Rows-lo)
+		for k := range m {
+			idx[k], order[k] = lo+k, k
 		}
-		return int64(binary.LittleEndian.Uint64(b[:])), nil
-	}
-	start, err := readOff()
-	if err != nil {
-		return err
-	}
-	if start != 0 {
-		return fmt.Errorf("store: %s: index entry 0 points at %d, expected 0", h.ID, start)
-	}
-	for i := 0; i < h.man.Rows; i++ {
-		end := h.man.RowBytes
-		if i < h.man.Rows-1 {
-			if end, err = readOff(); err != nil {
+		ds := &dataset.Dataset{Dim: h.man.Dim, Y: labels[:m]}
+		if _, err := r.decode(idx[:m], order[:m], ds); err != nil {
+			return err
+		}
+		for k, row := range ds.X {
+			if err := fn(lo+k, row, labels[k]); err != nil {
 				return err
 			}
-		}
-		if end < start || end > h.man.RowBytes {
-			return fmt.Errorf("store: %s: corrupt index entry %d (span %d..%d)", h.ID, i, start, end)
-		}
-		rec := make([]byte, end-start)
-		if _, err := io.ReadFull(rows, rec); err != nil {
-			return fmt.Errorf("store: %s: read row %d: %w", h.ID, i, err)
-		}
-		start = end
-		row, label, err := decodeRow(rec, h.man.Sparse, h.man.Dim)
-		if err != nil {
-			return err
-		}
-		if err := fn(i, row, label); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -197,6 +198,120 @@ func TestMaterializeConcurrent(t *testing.T) {
 	}
 }
 
+// readFiles returns a handle's rows.bin and index.bin bytes.
+func readFiles(tb testing.TB, h *Handle) (rows, index []byte) {
+	tb.Helper()
+	rows, index = make([]byte, h.man.RowBytes), make([]byte, h.man.IndexBytes)
+	if _, err := h.rows.ReadAt(rows, 0); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := h.idx.ReadAt(index, 0); err != nil {
+		tb.Fatal(err)
+	}
+	return rows, index
+}
+
+// TestScanMatchesMaterialize: Scan yields, in storage order and across its
+// chunks, exactly the rows Materialize builds for the whole store (the same
+// row types, the same bits) with every stored label — an unsupervised
+// store's too, which Materialize drops — and both equal a record-by-record
+// decode.
+func TestScanMatchesMaterialize(t *testing.T) {
+	higgs := datagen.Higgs(datagen.Config{Rows: 2500, Dim: 28, Seed: 1})
+	stores := []struct {
+		name   string
+		ds     *dataset.Dataset
+		format string
+		task   dataset.Task
+	}{
+		{"dense", higgs, "csv", dataset.BinaryClassification},
+		{"sparse-csr", datagen.Criteo(datagen.Config{Rows: 2100, Dim: 1000, Seed: 3}), "libsvm", dataset.BinaryClassification},
+		{"sparse-densified", datagen.Criteo(datagen.Config{Rows: 1100, Dim: 100, Seed: 4}), "libsvm", dataset.BinaryClassification},
+		{"multiclass", datagen.MNIST(datagen.Config{Rows: 1500, Dim: 20, Seed: 5}), "csv", dataset.MultiClassification},
+		// The labels are stored as written (Higgs's 0s and 1s) and only
+		// Scan hands them out.
+		{"unsupervised", higgs, "csv", dataset.Unsupervised},
+	}
+	for _, st := range stores {
+		t.Run(st.name, func(t *testing.T) {
+			var text bytes.Buffer
+			if err := dataset.WriteText(&text, st.format, st.ds); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := s.Ingest(&text, IngestOptions{Format: st.format, Task: st.task})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := h.man.Rows
+			want, err := h.Materialize(span(0, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, index := readFiles(t, h)
+			ref, ok := recordByRecord(h, rows, index, span(0, n))
+			if !ok {
+				t.Fatal("the store does not decode record by record")
+			}
+			var labels []float64
+			err = h.Scan(func(i int, row dataset.Row, label float64) error {
+				if i != len(labels) {
+					t.Fatalf("row %d after %d rows", i, len(labels))
+				}
+				if fmt.Sprintf("%T", row) != fmt.Sprintf("%T", want.X[i]) || row.NNZ() != want.X[i].NNZ() {
+					t.Fatalf("row %d: Scan yields a %T of %d entries, Materialize a %T of %d", i, row, row.NNZ(), want.X[i], want.X[i].NNZ())
+				}
+				got, mat := rowVec(row, h.man.Dim), rowVec(want.X[i], h.man.Dim)
+				for j := range got {
+					if math.Float64bits(got[j]) != math.Float64bits(mat[j]) || math.Float64bits(got[j]) != math.Float64bits(ref.rows[i][j]) {
+						t.Fatalf("row %d feature %d: Scan %v, Materialize %v, record by record %v", i, j, got[j], mat[j], ref.rows[i][j])
+					}
+				}
+				if math.Float64bits(label) != math.Float64bits(ref.labels[i]) || (want.Y != nil && label != want.Y[i]) {
+					t.Fatalf("row %d: label %v, stored %v", i, label, ref.labels[i])
+				}
+				labels = append(labels, label)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(labels) != n {
+				t.Fatalf("scanned %d of %d rows", len(labels), n)
+			}
+			if st.task == dataset.Unsupervised && (want.Y != nil || !slices.Contains(labels, 1)) {
+				t.Fatalf("unsupervised store: Materialize labels %v, Scan yields none of the stored 1s", want.Y != nil)
+			}
+			if h.RowsMaterialized() != int64(n) {
+				t.Fatalf("%d rows counted as materialized, want the %d Materialize read (Scan counts none)", h.RowsMaterialized(), n)
+			}
+		})
+	}
+}
+
+// TestIndexEntryZeroIsZero: index entry 0 of a valid store is 0. One that
+// points elsewhere (here at row 1's record, a valid length) is a store
+// error for Materialize, which would otherwise decode row 1's bytes as
+// row 0, as it is for Scan.
+func TestIndexEntryZeroIsZero(t *testing.T) {
+	dir := t.TempDir()
+	_, h := ingestCSV(t, dir)
+	h = writeIndex(t, dir, h.ID, []uint64{32, 64, 96, 128, 160})
+	const want = "index entry 0 points at 32, expected 0"
+	for _, idx := range [][]int{{0}, {2, 0}, span(0, 4)} {
+		if _, err := h.Materialize(idx); err == nil || !strings.HasPrefix(err.Error(), "store: ") || !strings.Contains(err.Error(), want) {
+			t.Errorf("Materialize(%v): err = %v, want a store error containing %q", idx, err, want)
+		}
+	}
+	err := h.Scan(func(int, dataset.Row, float64) error { return nil })
+	if err == nil || !strings.HasPrefix(err.Error(), "store: ") || !strings.Contains(err.Error(), want) {
+		t.Errorf("Scan: err = %v, want a store error containing %q", err, want)
+	}
+}
+
 // writeIndex replaces a stored dataset's index.bin with offsets and returns
 // the dataset freshly opened.
 func writeIndex(t *testing.T, dir, id string, offsets []uint64) *Handle {
@@ -357,13 +472,17 @@ func fuzzHandle(rows, index []byte, layout uint8, dim uint16) *Handle {
 
 // recordByRecord decodes the rows at idx one record at a time, straight off
 // the index entries, or reports false when the index is not ascending
-// inside rows.bin or a wanted row is out of range or fails to decode.
+// inside rows.bin from entry 0 at 0, or a wanted row is out of range or
+// fails to decode.
 func recordByRecord(h *Handle, rows, index []byte, idx []int) (scanned, bool) {
 	entry := func(i int) int64 {
 		if i == h.man.Rows {
 			return h.man.RowBytes
 		}
 		return int64(binary.LittleEndian.Uint64(index[8*i:]))
+	}
+	if entry(0) != 0 {
+		return scanned{}, false
 	}
 	for i := 0; i < h.man.Rows; i++ {
 		if off, end := entry(i), entry(i+1); off < 0 || end < off || end > h.man.RowBytes {
@@ -389,10 +508,12 @@ func recordByRecord(h *Handle, rows, index []byte, idx []int) (scanned, bool) {
 // reaching one row past either end). It must return a store error or a
 // dataset of len(idx) rows of width Dim whose sparse indices ascend inside
 // [0, Dim), and never panic; when the index is ascending inside rows.bin
-// and every wanted record decodes on its own, it must succeed with exactly
-// those rows. The committed corpus holds a non-ascending index (offsets
-// 50, 82, 64, 10, 42; rows 0 and 3) that slices a window at a negative
-// offset unless the order check refuses it.
+// from entry 0 at 0 and every wanted record decodes on its own, it must
+// succeed with exactly those rows. The committed corpus holds a
+// non-ascending index (offsets 50, 82, 64, 10, 42; rows 0 and 3) that
+// slices a window at a negative offset unless the order check refuses it,
+// and an index whose entry 0 points past a valid record
+// (dense-entry-zero-not-zero).
 func FuzzMaterialize(f *testing.F) {
 	f.Fuzz(func(t *testing.T, rows, index []byte, layout uint8, dim uint16, want []byte) {
 		h := fuzzHandle(rows, index, layout, dim)
@@ -483,4 +604,46 @@ func BenchmarkMaterialize(b *testing.B) {
 			b.ReportMetric(float64(rowsR.reads.Load()+indexR.reads.Load())/float64(b.N), "reads/op")
 		})
 	}
+}
+
+// decodeRow parses one record on its own, allocating its row: the
+// record-by-record oracle the store's block decoders (decodeDenseInto,
+// decodeSparseInto under Materialize and Scan) are checked against. dim is
+// the ambient dimension from the manifest.
+func decodeRow(rec []byte, sparse bool, dim int) (dataset.Row, float64, error) {
+	if !sparse {
+		vals := make([]float64, dim)
+		label, err := decodeDenseInto(rec, vals)
+		if err != nil {
+			return nil, 0, err
+		}
+		return dataset.DenseRow(vals), label, nil
+	}
+	if len(rec) < 8 {
+		return nil, 0, fmt.Errorf("store: row record truncated (%d bytes)", len(rec))
+	}
+	label := math.Float64frombits(binary.LittleEndian.Uint64(rec))
+	rec = rec[8:]
+	if len(rec) < 4 {
+		return nil, 0, fmt.Errorf("store: sparse record truncated (%d bytes)", len(rec))
+	}
+	nnz := int(binary.LittleEndian.Uint32(rec))
+	rec = rec[4:]
+	if len(rec) != 12*nnz {
+		return nil, 0, fmt.Errorf("store: sparse record has %d payload bytes, want %d for nnz=%d", len(rec), 12*nnz, nnz)
+	}
+	idx := make([]int32, nnz)
+	for i := range idx {
+		idx[i] = int32(binary.LittleEndian.Uint32(rec[4*i:]))
+	}
+	vals := make([]float64, nnz)
+	rec = rec[4*nnz:]
+	for i := range vals {
+		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(rec[8*i:]))
+	}
+	sp, err := dataset.NewSparseRow(dim, idx, vals)
+	if err != nil {
+		return nil, 0, fmt.Errorf("store: corrupt sparse record: %w", err)
+	}
+	return sp, label, nil
 }
