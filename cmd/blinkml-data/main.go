@@ -154,14 +154,7 @@ func cmdInspect(args []string) error {
 		verify = fs.Bool("verify", false, "re-read both data files and check their CRC32 checksums")
 	)
 	fs.Parse(args)
-	if fs.NArg() != 1 {
-		return fmt.Errorf("inspect needs exactly one dataset id")
-	}
-	st, err := store.Open(*dir)
-	if err != nil {
-		return err
-	}
-	h, err := st.Get(fs.Arg(0))
+	h, err := datasetArg(fs, *dir)
 	if err != nil {
 		return err
 	}
@@ -202,14 +195,7 @@ func cmdSample(args []string) error {
 		out    = fs.String("out", "", "output path (default stdout)")
 	)
 	fs.Parse(args)
-	if fs.NArg() != 1 {
-		return fmt.Errorf("sample needs exactly one dataset id")
-	}
-	st, err := store.Open(*dir)
-	if err != nil {
-		return err
-	}
-	h, err := st.Get(fs.Arg(0))
+	h, err := datasetArg(fs, *dir)
 	if err != nil {
 		return err
 	}
@@ -228,20 +214,14 @@ func cmdExport(args []string) error {
 		out    = fs.String("out", "", "output path (default stdout)")
 	)
 	fs.Parse(args)
-	if fs.NArg() != 1 {
-		return fmt.Errorf("export needs exactly one dataset id")
-	}
-	st, err := store.Open(*dir)
+	h, err := datasetArg(fs, *dir)
 	if err != nil {
 		return err
 	}
-	h, err := st.Get(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	// Rows stream from the store a chunk at a time into one row writer:
-	// the export never materializes the dataset. Stored labels are written
-	// as they are, an unsupervised store's too.
+	// Rows stream from the store a chunk at a time (at most 1024 rows and
+	// 1 MiB of dense rows) into one row writer: the export never
+	// materializes the dataset. Stored labels are written as they are, an
+	// unsupervised store's too.
 	return writeOut(*out, func(w io.Writer) error {
 		rw, err := dataset.NewRowWriter(w, *format, h.Meta().Dim)
 		if err != nil {
@@ -252,6 +232,19 @@ func cmdExport(args []string) error {
 		}
 		return rw.Flush()
 	})
+}
+
+// datasetArg opens, in the store at dir, the one dataset id a command
+// takes.
+func datasetArg(fs *flag.FlagSet, dir string) (*store.Handle, error) {
+	if fs.NArg() != 1 {
+		return nil, fmt.Errorf("%s needs exactly one dataset id", fs.Name())
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		return nil, err
+	}
+	return st.Get(fs.Arg(0))
 }
 
 // writeOut hands write the file at path, or stdout when path is empty.

@@ -219,18 +219,28 @@ func (d *Dataset) Validate() error {
 		}
 	}
 	for i, y := range d.Y {
-		if math.IsNaN(y) || math.IsInf(y, 0) {
-			return fmt.Errorf("dataset %q: label %d is not finite", d.Name, i)
+		if err := LabelError(d.Task, y); err != nil {
+			return fmt.Errorf("dataset %q: row %d: %w", d.Name, i, err)
 		}
-		if d.Task == BinaryClassification && y != 0 && y != 1 {
-			return fmt.Errorf("dataset %q: binary label %d is %v", d.Name, i, y)
+		if d.Task == MultiClassification && int(y) >= d.NumClasses {
+			return fmt.Errorf("dataset %q: row %d: class label is %v (K=%d)", d.Name, i, y, d.NumClasses)
 		}
-		if d.Task == MultiClassification {
-			c := int(y)
-			if float64(c) != y || c < 0 || c >= d.NumClasses {
-				return fmt.Errorf("dataset %q: class label %d is %v (K=%d)", d.Name, i, y, d.NumClasses)
-			}
-		}
+	}
+	return nil
+}
+
+// LabelError says why y is not a label of the task (not finite, a binary
+// label other than 0 or 1, a class label that is not a non-negative
+// integer), or returns nil when it is one. It is the one label check of the
+// in-memory constructors and the store's ingest.
+func LabelError(task Task, y float64) error {
+	switch c := int(y); {
+	case math.IsNaN(y) || math.IsInf(y, 0):
+		return errors.New("label is not finite")
+	case task == BinaryClassification && y != 0 && y != 1:
+		return fmt.Errorf("binary label is %v (want 0 or 1)", y)
+	case task == MultiClassification && (float64(c) != y || c < 0):
+		return fmt.Errorf("class label is %v (want a non-negative integer)", y)
 	}
 	return nil
 }
@@ -287,16 +297,10 @@ var (
 // labels. Unsupervised data carries no labels (y is ignored). The result is
 // validated.
 func FromDense(task Task, x [][]float64, y []float64, classes int) (*Dataset, error) {
-	return build{name: "inline", task: task, x: x, y: inlineLabels(task, y), classes: classes}.dataset()
-}
-
-// inlineLabels is an inline payload's labels: none for an unsupervised
-// task, whatever the payload carries.
-func inlineLabels(task Task, y []float64) []float64 {
 	if task == Unsupervised {
-		return nil
+		y = nil // an inline payload's labels mean nothing without a supervised task
 	}
-	return y
+	return build{name: "inline", task: task, x: x, y: y, classes: classes}.dataset()
 }
 
 // build is what a constructor gathers for the one tail every constructor
@@ -304,71 +308,30 @@ func inlineLabels(task Task, y []float64) []float64 {
 type build struct {
 	name    string
 	task    Task
-	dim     int         // 0: the first dense row's length, or one past the largest sparse index
-	x       [][]float64 // dense rows, or, when idx is not nil,
-	idx     [][]int32   // sparse rows' strictly increasing indices in [0, dim)
-	val     [][]float64 // and their values
-	y       []float64   // one label a row, or nil for none (unsupervised inline payloads)
+	x       [][]float64 // dense rows, or
+	csr     *CSR        // sparse rows packed into one block; Dim 0 infers one past the largest index
+	y       []float64   // one label a row; a supervised task must have them, an unsupervised one keeps any
 	classes int         // K for MultiClassification; 0 infers it from y
 }
 
-// dataset is the constructors' shared tail: it checks each row's shape and
-// refuses a NaN or ±Inf feature; packs sparse rows into one CSR block,
-// densified above DefaultDenseThreshold; attaches and counts the labels;
-// infers the class count when none is given; and validates the result.
+// dataset is the constructors' shared tail: it checks the rows and refuses a
+// NaN or ±Inf feature, densifying sparse rows above DefaultDenseThreshold;
+// attaches and counts the labels; infers the class count when none is
+// given; and validates the result.
 func (b build) dataset() (*Dataset, error) {
-	n := max(len(b.x), len(b.idx))
-	if n == 0 {
-		return nil, errNoRows
+	ds := &Dataset{Task: b.task, Name: b.name}
+	var err error
+	if b.csr != nil {
+		err = ds.fillSparse(b.csr)
+	} else {
+		err = ds.fillDense(b.x)
 	}
-	if b.idx != nil && len(b.val) != n {
-		return nil, fmt.Errorf("dataset: %d index rows but %d value rows", n, len(b.val))
+	if err != nil {
+		return nil, err
 	}
-	if b.dim <= 0 {
-		for _, idx := range b.idx {
-			if k := len(idx); k > 0 {
-				b.dim = max(b.dim, int(idx[k-1])+1)
-			}
-		}
-		if b.idx == nil {
-			b.dim = len(b.x[0])
-		}
-		if b.dim <= 0 {
-			return nil, errEmptyRows
-		}
-	}
-	ds := &Dataset{Dim: b.dim, Task: b.task, Name: b.name, X: make([]Row, 0, len(b.x))}
-	c := &CSR{Dim: b.dim, Indptr: []int64{0}}
-	for i := range n {
-		var idx []int32
-		var val []float64
-		if b.idx == nil {
-			if val = b.x[i]; len(val) != b.dim {
-				return nil, fmt.Errorf("dataset: row %d has %d features, want %d", i, len(val), b.dim)
-			}
-			ds.X = append(ds.X, DenseRow(val))
-		} else {
-			if idx, val = b.idx[i], b.val[i]; len(idx) != len(val) {
-				return nil, fmt.Errorf("dataset: row %d has %d indices but %d values", i, len(idx), len(val))
-			}
-			c.Idx, c.Val = append(c.Idx, idx...), append(c.Val, val...)
-			c.Indptr = append(c.Indptr, int64(len(c.Idx)))
-		}
-		if j, v, found := FirstNonFinite(idx, val); found {
-			return nil, fmt.Errorf("dataset: row %d: feature %d is %v, not a finite value", i, j, v)
-		}
-	}
-	if b.idx != nil {
-		if err := c.Validate(); err != nil {
-			return nil, err
-		}
-		if ds.X = c.Rows(); ds.Density() > DefaultDenseThreshold {
-			Densify(ds)
-		}
-	}
-	if b.y != nil || b.task != Unsupervised {
-		if len(b.y) != n {
-			return nil, fmt.Errorf("dataset: %d rows but %d labels", n, len(b.y))
+	if len(b.y) > 0 || b.task != Unsupervised {
+		if len(b.y) != len(ds.X) {
+			return nil, fmt.Errorf("dataset: %d rows but %d labels", len(ds.X), len(b.y))
 		}
 		ds.Y = b.y
 	}
@@ -381,6 +344,53 @@ func (b build) dataset() (*Dataset, error) {
 		return nil, err
 	}
 	return ds, nil
+}
+
+// fillDense sets ds's rows to x, as wide as the first (Validate refuses
+// any other width).
+func (ds *Dataset) fillDense(x [][]float64) error {
+	if len(x) == 0 {
+		return errNoRows
+	}
+	if ds.Dim = len(x[0]); ds.Dim == 0 {
+		return errEmptyRows
+	}
+	ds.X = make([]Row, len(x))
+	for i, v := range x {
+		if j, f, found := FirstNonFinite(nil, v); found {
+			return fmt.Errorf("dataset: row %d: feature %d is %v, not a finite value", i, j, f)
+		}
+		ds.X[i] = DenseRow(v)
+	}
+	return nil
+}
+
+// fillSparse sets ds's rows to views over the block c, densified when its
+// density exceeds DefaultDenseThreshold.
+func (ds *Dataset) fillSparse(c *CSR) error {
+	n := c.NRows()
+	if n == 0 {
+		return errNoRows
+	}
+	if c.Dim <= 0 && c.NNZ() > 0 {
+		c.Dim = int(slices.Max(c.Idx)) + 1
+	}
+	if c.Dim <= 0 {
+		return errEmptyRows
+	}
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	for i := range n {
+		lo, hi := c.Indptr[i], c.Indptr[i+1]
+		if j, f, found := FirstNonFinite(c.Idx[lo:hi], c.Val[lo:hi]); found {
+			return fmt.Errorf("dataset: row %d: feature %d is %v, not a finite value", i, j, f)
+		}
+	}
+	if ds.Dim, ds.X = c.Dim, c.Rows(); ds.Density() > DefaultDenseThreshold {
+		Densify(ds)
+	}
+	return nil
 }
 
 // SampleWithoutReplacement returns n distinct uniform indices into a

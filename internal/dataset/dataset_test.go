@@ -139,6 +139,24 @@ func TestDatasetValidate(t *testing.T) {
 	}
 }
 
+// TestLabelErrorMatchesValidate: Validate refuses a label exactly when
+// LabelError does (or, for a class label, when it is K or more).
+func TestLabelErrorMatchesValidate(t *testing.T) {
+	const k = 4
+	for _, task := range []Task{Regression, BinaryClassification, MultiClassification, Unsupervised} {
+		for _, y := range []float64{0, 1, 2, 3, 4, 0.5, -1, 1e300, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			ds := &Dataset{X: []Row{DenseRow{1}}, Y: []float64{y}, Dim: 1, Task: task, NumClasses: k}
+			want := LabelError(task, y) != nil || (task == MultiClassification && y >= k)
+			if got := ds.Validate() != nil; got != want {
+				t.Errorf("%v label %v: Validate refuses %v, want %v", task, y, got, want)
+			}
+		}
+	}
+	if LabelError(BinaryClassification, 2) == nil || LabelError(MultiClassification, 1.5) == nil || LabelError(Regression, math.NaN()) == nil {
+		t.Error("LabelError accepts a label its task cannot take")
+	}
+}
+
 func TestSubset(t *testing.T) {
 	d := &Dataset{
 		X:    []Row{DenseRow{1}, DenseRow{2}, DenseRow{3}},

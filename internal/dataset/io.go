@@ -21,7 +21,7 @@ func ReadCSV(r io.Reader, labelCol int, task Task) (*Dataset, error) {
 // with rows of no features (a label column alone) or with a NaN or ±Inf
 // feature.
 func ReadCSVOpts(r io.Reader, task Task, opt StreamOptions) (*Dataset, error) {
-	b := build{name: "csv", task: task, y: []float64{}}
+	b := build{name: "csv", task: task}
 	err := StreamCSV(r, opt, func(row RowData) error {
 		if len(row.Val) == 0 {
 			return fmt.Errorf("%w (line %d has only a label)", errEmptyRows, row.Line)
@@ -56,10 +56,11 @@ func ReadLibSVM(r io.Reader, dim int, task Task) (*Dataset, error) {
 // (label-only lines and no declared dimension), or with a NaN or ±Inf
 // feature.
 func ReadLibSVMOpts(r io.Reader, task Task, opt StreamOptions) (*Dataset, error) {
-	b := build{name: "libsvm", task: task, dim: opt.Dim, y: []float64{}}
+	c := &CSR{Dim: opt.Dim, Indptr: []int64{0}}
+	b := build{name: "libsvm", task: task, csr: c}
 	err := StreamLibSVM(r, opt, func(row RowData) error {
-		b.idx = append(b.idx, row.Idx)
-		b.val = append(b.val, row.Val)
+		c.Idx, c.Val = append(c.Idx, row.Idx...), append(c.Val, row.Val...)
+		c.Indptr = append(c.Indptr, int64(len(c.Idx)))
 		b.y = append(b.y, row.Label)
 		return nil
 	})

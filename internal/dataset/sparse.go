@@ -3,6 +3,7 @@ package dataset
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // DefaultDenseThreshold is the density (nnz / rows·dim) above which the
@@ -168,5 +169,18 @@ func Densify(d *Dataset) *Dataset {
 // largest index. The rows are packed into one contiguous CSR block, with
 // the same density-threshold dense fallback as LibSVM ingestion.
 func FromSparse(task Task, dim int, indices [][]int32, values [][]float64, y []float64, classes int) (*Dataset, error) {
-	return build{name: "inline-sparse", task: task, dim: dim, idx: indices, val: values, y: inlineLabels(task, y), classes: classes}.dataset()
+	if len(values) != len(indices) {
+		return nil, fmt.Errorf("dataset: %d index rows but %d value rows", len(indices), len(values))
+	}
+	c := &CSR{Dim: dim, Indptr: make([]int64, 1, len(indices)+1), Idx: slices.Concat(indices...), Val: slices.Concat(values...)}
+	for i, idx := range indices {
+		if len(idx) != len(values[i]) {
+			return nil, fmt.Errorf("dataset: row %d has %d indices but %d values", i, len(idx), len(values[i]))
+		}
+		c.Indptr = append(c.Indptr, c.Indptr[i]+int64(len(idx)))
+	}
+	if task == Unsupervised {
+		y = nil // an inline payload's labels mean nothing without a supervised task
+	}
+	return build{name: "inline-sparse", task: task, csr: c, y: y, classes: classes}.dataset()
 }

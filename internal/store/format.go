@@ -134,16 +134,14 @@ func writeManifest(dir string, m *Manifest) error {
 	}
 	enc := json.NewEncoder(tmp)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(m); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: write manifest: %w", err)
+	err = enc.Encode(m)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: write manifest: %w", err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(dir, manifestName))
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, manifestName)); err != nil {
+	if err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: write manifest: %w", err)
 	}

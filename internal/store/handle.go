@@ -119,6 +119,10 @@ const (
 	// spanChunk is how many rows' spans a walk holds at once, which keeps
 	// its scratch O(window), not O(sample).
 	spanChunk = 1024
+	// scanBlock is about how many bytes of records one Scan chunk reads
+	// (one record when a record is longer), so a wide store's export
+	// holds O(scanBlock), not spanChunk rows of Dim float64s.
+	scanBlock = 1 << 20
 )
 
 // Materialize implements dataset.Source: it builds an in-memory dataset of
@@ -437,16 +441,17 @@ func (r *sampleReader) coalesce(f io.ReaderAt, name string, n int, rng func(k in
 }
 
 // Scan streams every row in storage order through fn with its stored label
-// (an unsupervised store's too) — the export path. It reads spanChunk rows
-// at a time through Materialize's coalesced reader and decodes them as
-// Materialize does, so it never holds more than one chunk in memory and
-// costs a few large preads a chunk. fn may keep the rows; fn returning an
-// error stops the scan. Scan counts no materialized rows.
+// (an unsupervised store's too) — the export path. It reads consecutive
+// chunks of up to spanChunk rows and, on average, scanBlock bytes of
+// records through Materialize's coalesced reader and decodes them as Materialize
+// does, so it holds one chunk's decoded rows at a time and costs a few
+// large preads a chunk. fn may keep the rows; fn returning an error stops
+// the scan. Scan counts no materialized rows.
 func (h *Handle) Scan(fn func(i int, row dataset.Row, label float64) error) error {
 	r := readers.Get().(*sampleReader)
 	r.h = h
 	defer r.release()
-	n := min(spanChunk, h.man.Rows)
+	n := max(1, min(spanChunk, h.man.Rows, int(scanBlock*int64(h.man.Rows)/h.man.RowBytes)))
 	idx, order, labels := make([]int, n), make([]int, n), make([]float64, n)
 	for lo := 0; lo < h.man.Rows; lo += n {
 		m := min(n, h.man.Rows-lo)

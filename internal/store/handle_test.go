@@ -44,28 +44,27 @@ func ingestDataset(tb testing.TB, ds *dataset.Dataset, format string) *Handle {
 	return h
 }
 
-// scanned is every row of a handle as Scan decodes it, record by record:
-// the reference Materialize is checked against.
+// scanned holds rows and labels decoded one record at a time by
+// recordByRecord, the independent reference Materialize and Scan are
+// checked against.
 type scanned struct {
 	rows   [][]float64
 	labels []float64
 }
 
-func scanAll(tb testing.TB, h *Handle) scanned {
+// decodeAll decodes every row of a handle record by record, straight off
+// its files.
+func decodeAll(tb testing.TB, h *Handle) scanned {
 	tb.Helper()
-	var s scanned
-	err := h.Scan(func(_ int, row dataset.Row, label float64) error {
-		s.rows = append(s.rows, rowVec(row, h.man.Dim))
-		s.labels = append(s.labels, label)
-		return nil
-	})
-	if err != nil {
-		tb.Fatal(err)
+	rows, index := readFiles(tb, h)
+	s, ok := recordByRecord(h, rows, index, span(0, h.man.Rows))
+	if !ok {
+		tb.Fatal("the store does not decode record by record")
 	}
 	return s
 }
 
-// diff names the first thing in got that differs from the scanned rows at
+// diff names the first thing in got that differs from the decoded rows at
 // idx, bit for bit, or returns "" when nothing does.
 func (s scanned) diff(got *dataset.Dataset, idx []int) string {
 	if got.Len() != len(idx) || len(got.Y) != len(idx) {
@@ -111,8 +110,9 @@ func reversed(idx []int) []int {
 }
 
 // TestMaterializeMatchesScan: Materialize's coalesced reads decode the same
-// bits as Scan's record-by-record walk, on every layout (a dense block, a
-// CSR block, densified sparse records) and for every shape of request.
+// bits as a record-by-record decode of the files, on every layout (a dense
+// block, a CSR block, densified sparse records) and for every shape of
+// request.
 func TestMaterializeMatchesScan(t *testing.T) {
 	stores := []struct {
 		name   string
@@ -129,7 +129,7 @@ func TestMaterializeMatchesScan(t *testing.T) {
 	for _, st := range stores {
 		t.Run(st.name, func(t *testing.T) {
 			h := ingestDataset(t, st.ds, st.format)
-			want := scanAll(t, h)
+			want := decodeAll(t, h)
 			n := h.man.Rows
 			requests := map[string][]int{
 				"unsorted-duplicates": {n / 2, 3, n - 1, 3, 0, n / 2, 1, n / 3},
@@ -148,7 +148,7 @@ func TestMaterializeMatchesScan(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 				if d := want.diff(got, idx); d != "" {
-					t.Fatalf("%s: %s differs from Scan's decode", name, d)
+					t.Fatalf("%s: %s differs from the record-by-record decode", name, d)
 				}
 				for k, r := range got.X {
 					if !st.row(r) {
@@ -164,13 +164,14 @@ func isDense(r dataset.Row) bool  { _, ok := r.(dataset.DenseRow); return ok }
 func isSparse(r dataset.Row) bool { _, ok := r.(*dataset.SparseRow); return ok }
 
 // TestMaterializeConcurrent: calls on one handle at once, each with its own
-// pooled reader, read the same bits as Scan (run it under -race).
+// pooled reader, read the same bits as a record-by-record decode (run it
+// under -race).
 func TestMaterializeConcurrent(t *testing.T) {
 	for _, h := range []*Handle{
 		ingestDataset(t, datagen.Higgs(datagen.Config{Rows: 3000, Dim: 28, Seed: 5}), "csv"),
 		ingestDataset(t, datagen.Criteo(datagen.Config{Rows: 3000, Dim: 1000, Seed: 6}), "libsvm"),
 	} {
-		want := scanAll(t, h)
+		want := decodeAll(t, h)
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
@@ -188,7 +189,7 @@ func TestMaterializeConcurrent(t *testing.T) {
 						return
 					}
 					if d := want.diff(got, idx); d != "" {
-						t.Errorf("seed %d: %s differs from Scan's decode", seed, d)
+						t.Errorf("seed %d: %s differs from the record-by-record decode", seed, d)
 						return
 					}
 				}
@@ -225,6 +226,8 @@ func TestScanMatchesMaterialize(t *testing.T) {
 		task   dataset.Task
 	}{
 		{"dense", higgs, "csv", dataset.BinaryClassification},
+		// 4200 features: a chunk holds scanBlock/33 600 = 31 rows, not spanChunk.
+		{"dense-wide", datagen.Higgs(datagen.Config{Rows: 70, Dim: 4200, Seed: 2}), "csv", dataset.BinaryClassification},
 		{"sparse-csr", datagen.Criteo(datagen.Config{Rows: 2100, Dim: 1000, Seed: 3}), "libsvm", dataset.BinaryClassification},
 		{"sparse-densified", datagen.Criteo(datagen.Config{Rows: 1100, Dim: 100, Seed: 4}), "libsvm", dataset.BinaryClassification},
 		{"multiclass", datagen.MNIST(datagen.Config{Rows: 1500, Dim: 20, Seed: 5}), "csv", dataset.MultiClassification},
@@ -251,11 +254,7 @@ func TestScanMatchesMaterialize(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, index := readFiles(t, h)
-			ref, ok := recordByRecord(h, rows, index, span(0, n))
-			if !ok {
-				t.Fatal("the store does not decode record by record")
-			}
+			ref := decodeAll(t, h)
 			var labels []float64
 			err = h.Scan(func(i int, row dataset.Row, label float64) error {
 				if i != len(labels) {
@@ -606,18 +605,20 @@ func BenchmarkMaterialize(b *testing.B) {
 	}
 }
 
-// decodeRow parses one record on its own, allocating its row: the
-// record-by-record oracle the store's block decoders (decodeDenseInto,
-// decodeSparseInto under Materialize and Scan) are checked against. dim is
-// the ambient dimension from the manifest.
+// decodeRow parses one record on its own, allocating its row and sharing
+// no code with the store's block decoders (decodeDenseInto,
+// decodeSparseInto under Materialize and Scan): the record-by-record oracle
+// they are checked against. dim is the ambient dimension from the manifest.
 func decodeRow(rec []byte, sparse bool, dim int) (dataset.Row, float64, error) {
 	if !sparse {
-		vals := make([]float64, dim)
-		label, err := decodeDenseInto(rec, vals)
-		if err != nil {
-			return nil, 0, err
+		if len(rec) != 8*(dim+1) {
+			return nil, 0, fmt.Errorf("store: dense record has %d bytes, want %d", len(rec), 8*(dim+1))
 		}
-		return dataset.DenseRow(vals), label, nil
+		vals := make([]float64, dim)
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(rec[8+8*i:]))
+		}
+		return dataset.DenseRow(vals), math.Float64frombits(binary.LittleEndian.Uint64(rec)), nil
 	}
 	if len(rec) < 8 {
 		return nil, 0, fmt.Errorf("store: row record truncated (%d bytes)", len(rec))

@@ -289,8 +289,9 @@ func (s *Store) Ingest(r io.Reader, opt IngestOptions) (*Handle, error) {
 	var encBuf []byte
 
 	consume := func(row dataset.RowData) error {
-		if err := validateLabel(opt.Task, row); err != nil {
-			return err
+		// A bad label fails on upload, not inside a training worker.
+		if err := dataset.LabelError(opt.Task, row.Label); err != nil {
+			return fmt.Errorf("store: line %d: %w", row.Line, err)
 		}
 		// A NaN or ±Inf feature would make every training objective over
 		// a sample holding its row non-finite.
@@ -396,26 +397,6 @@ func (s *Store) observer() Observer {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.obs
-}
-
-// validateLabel enforces the task's label semantics at ingest time, so a
-// bad dataset fails on upload, not inside a training worker.
-func validateLabel(task dataset.Task, row dataset.RowData) error {
-	y := row.Label
-	if math.IsNaN(y) || math.IsInf(y, 0) {
-		return fmt.Errorf("store: line %d: label is not finite", row.Line)
-	}
-	switch task {
-	case dataset.BinaryClassification:
-		if y != 0 && y != 1 {
-			return fmt.Errorf("store: line %d: binary label is %v (want 0 or 1)", row.Line, y)
-		}
-	case dataset.MultiClassification:
-		if c := int(y); float64(c) != y || c < 0 {
-			return fmt.Errorf("store: line %d: class label is %v (want a non-negative integer)", row.Line, y)
-		}
-	}
-	return nil
 }
 
 // ingestWriters owns the two data files during an ingest: buffered writes,

@@ -372,6 +372,30 @@ func TestIngestRefusesNonFiniteFeature(t *testing.T) {
 	}
 }
 
+// TestIngestRefusesBadLabel: a label the task cannot take fails the upload
+// with its line and the store's own wording.
+func TestIngestRefusesBadLabel(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		in   string
+		task dataset.Task
+		want string
+	}{
+		{"1,2,0\n3,4,nan\n", dataset.Regression, "store: line 2: label is not finite"},
+		{"1,2,7\n", dataset.BinaryClassification, "store: line 1: binary label is 7 (want 0 or 1)"},
+		{"1,2,0\n1,2,1.5\n", dataset.MultiClassification, "store: line 2: class label is 1.5 (want a non-negative integer)"},
+		{"1,2,-1\n", dataset.MultiClassification, "store: line 1: class label is -1 (want a non-negative integer)"},
+	} {
+		_, err := st.Ingest(strings.NewReader(c.in), IngestOptions{Format: "csv", Task: c.task})
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%q: err = %v, want %q", c.in, err, c.want)
+		}
+	}
+}
+
 func TestScanStreamsInOrder(t *testing.T) {
 	_, h := ingestCSV(t, t.TempDir())
 	want, _ := dataset.ReadCSV(strings.NewReader(csvInput), -1, dataset.BinaryClassification)
