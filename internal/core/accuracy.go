@@ -32,8 +32,8 @@ func EstimateAccuracy(spec models.Spec, theta []float64, fac Factor, alpha float
 // accuracy estimate. They do not depend on δ: the bound for any confidence
 // is a quantile of this one vector (alpha must be positive).
 //
-// Where models.BlockDraws allows (a ScoreModel on a dense holdout), the
-// draws are scored a block at a time: one pass over the holdout scores a
+// Where models.BlockDraws allows (v goes through a ScoreModel's scores),
+// the draws are scored a block at a time: one pass over the holdout scores a
 // whole models.Block of θ_N,i, with every score's bits as if scored alone.
 // Elsewhere each draw goes through DiffFrom by itself.
 func accuracyDiffs(spec models.Spec, theta []float64, fac Factor, alpha float64, holdout *dataset.Dataset, k int, rng *stat.RNG) []float64 {
@@ -51,15 +51,9 @@ func accuracyDiffs(spec models.Spec, theta []float64, fac Factor, alpha float64,
 	if per := models.BlockDraws(spec, d, holdout); per > 0 {
 		pa := make([]float64, holdout.Len()) // m_n's side of v, once for all k draws
 		models.PredictInto(spec, theta, holdout.X, pa)
-		compute.For((k+per-1)/per, 1, func(lo, hi int) {
-			b := models.NewBlock(spec, d, holdout)
-			for i0 := lo * per; i0 < min(k, hi*per); i0 += per {
-				i1 := min(k, i0+per)
-				for i := i0; i < i1; i++ {
-					draw(i, b.Vec(i-i0))
-				}
-				b.Diffs(pa, vs[i0:i1])
-			}
+		forBlocks(spec, d, holdout, per, k, func(b *models.Block, i0, i1 int) {
+			b.Load(i0, i1, draw)
+			b.Diffs(pa, vs[i0:i1])
 		})
 		return vs
 	}
@@ -73,6 +67,18 @@ func accuracyDiffs(spec models.Spec, theta []float64, fac Factor, alpha float64,
 		}
 	})
 	return vs
+}
+
+// forBlocks hands fn the n vectors of a score path, per at a time, on the
+// compute pool: fn loads vectors i0 … i1−1 into b, one models.Block per
+// pool chunk, and scores them.
+func forBlocks(spec models.Spec, d int, holdout *dataset.Dataset, per, n int, fn func(b *models.Block, i0, i1 int)) {
+	compute.For((n+per-1)/per, 1, func(lo, hi int) {
+		b := models.NewBlock(spec, d, holdout)
+		for i0 := lo * per; i0 < min(n, hi*per); i0 += per {
+			fn(b, i0, min(n, i0+per))
+		}
+	})
 }
 
 // drawNormals draws count standard-normal vectors of length rank from rng,

@@ -38,17 +38,31 @@ func benchSearcherSetup(b *testing.B, hide bool) *Searcher {
 	return NewSearcher(spec, fit.Theta, st.Factor, n0, env.PoolLen(), env.Holdout(), 0.05, 0.05, 100, stat.NewRNG(4))
 }
 
+// drawShape is one benchmark workload's shape for the estimators' draws;
+// its data is generated when a benchmark runs, not at package init.
+type drawShape struct {
+	name string
+	spec models.Spec
+	data func() *dataset.Dataset
+}
+
 // drawShapes are the benchmark workloads' shapes for the estimators' draws:
 // a 2000-row dense holdout under a single-score classifier and under the
 // ten-class max-entropy model.
-var drawShapes = []struct {
-	name string
-	spec models.Spec
-	ds   *dataset.Dataset
-}{
-	{"logistic-28", models.LogisticRegression{Reg: 0.001}, datagen.Higgs(datagen.Config{Rows: 24000, Dim: 28, Seed: 1})},
-	{"maxent-40x10", models.MaxEntropy{Reg: 0.001, Classes: 10}, datagen.MNIST(datagen.Config{Rows: 24000, Dim: 40, Seed: 1})},
+var drawShapes = []drawShape{
+	{"logistic-28", models.LogisticRegression{Reg: 0.001}, func() *dataset.Dataset {
+		return datagen.Higgs(datagen.Config{Rows: 24000, Dim: 28, Seed: 1})
+	}},
+	{"maxent-40x10", models.MaxEntropy{Reg: 0.001, Classes: 10}, func() *dataset.Dataset {
+		return datagen.MNIST(datagen.Config{Rows: 24000, Dim: 40, Seed: 1})
+	}},
 }
+
+// sparseDrawShape is lr-sparse-store's: a 2000-row one-hot Criteo holdout
+// at d = 10⁴, whose draws a Block scores entry by entry.
+var sparseDrawShape = drawShape{"criteo-sparse-10000", models.LogisticRegression{Reg: 0.001}, func() *dataset.Dataset {
+	return datagen.Criteo(datagen.Config{Rows: 24000, Dim: 10000, Seed: 1})
+}}
 
 // drawSetup trains m₀ on n₀ = 1000 rows of ds and returns it with its
 // factor and the environment (whose holdout has 2000 rows).
@@ -81,7 +95,7 @@ func drawSetup(b *testing.B, spec models.Spec, ds *dataset.Dataset) (*Env, []flo
 func BenchmarkProbe(b *testing.B) {
 	for _, c := range drawShapes {
 		b.Run(c.name, func(b *testing.B) {
-			env, theta, fac := drawSetup(b, c.spec, c.ds)
+			env, theta, fac := drawSetup(b, c.spec, c.data())
 			s := NewSearcher(c.spec, theta, fac, 1000, env.PoolLen(), env.Holdout(), 0.05, 0.05, 100, stat.NewRNG(4))
 			b.ResetTimer()
 			b.ReportAllocs()
@@ -94,12 +108,12 @@ func BenchmarkProbe(b *testing.B) {
 }
 
 // BenchmarkAccuracyDraws times the accuracy estimate's k = 100 draws at the
-// same shapes: drawing θ_N,i, scoring it on the 2000-row holdout and
-// comparing its predictions with m₀'s.
+// same shapes and at lr-sparse-store's: drawing θ_N,i, scoring it on the
+// 2000-row holdout and comparing its predictions with m₀'s.
 func BenchmarkAccuracyDraws(b *testing.B) {
-	for _, c := range drawShapes {
+	for _, c := range append(drawShapes[:len(drawShapes):len(drawShapes)], sparseDrawShape) {
 		b.Run(c.name, func(b *testing.B) {
-			env, theta, fac := drawSetup(b, c.spec, c.ds)
+			env, theta, fac := drawSetup(b, c.spec, c.data())
 			alpha := Alpha(1000, env.PoolLen())
 			b.ResetTimer()
 			b.ReportAllocs()

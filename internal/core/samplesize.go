@@ -3,7 +3,6 @@ package core
 import (
 	"blinkml/internal/compute"
 	"blinkml/internal/dataset"
-	"blinkml/internal/linalg"
 	"blinkml/internal/models"
 	"blinkml/internal/stat"
 )
@@ -30,14 +29,13 @@ type SampleSizeResult struct {
 // θ_n,i = θ₀ + √α₁·w₁ᵢ and θ_N,i = θ_n,i + √α₂·w₂ᵢ with α₁ = 1/n₀ − 1/n,
 // α₂ = 1/n − 1/N (the two-stage sampling of §4.1 / Figure 4).
 //
-// For models whose predictions factor through linear scores (ScoreModel),
-// the holdout scores of θ₀, w₁ᵢ and w₂ᵢ are precomputed once, making each
-// probe O(k·holdout) regardless of the parameter dimension. On a dense
-// holdout the 2k samples are scored a models.Block at a time, one pass
-// over the holdout per block, each score with the bits it has alone. A
-// probe of a sign-label classifier (models.SignLabels) is then one fused
-// pass per pair (models.SignFlips); other score models go through
-// scoreDiff.
+// Where v goes through a ScoreModel's scores (models.BlockDraws), the
+// holdout scores of θ₀, w₁ᵢ and w₂ᵢ are precomputed once, making each probe
+// O(k·holdout) regardless of the parameter dimension. They are scored a
+// models.Block at a time, one pass over the holdout per block, each score
+// with the bits it has alone. A probe of a sign-label classifier
+// (models.SignLabels) is then one fused pass per pair (models.SignFlips);
+// other score models go through scoreDiff.
 //
 // Nothing it precomputes depends on ε or δ — only the comparison at the end
 // of a probe does — so a Plan keeps one Searcher for every contract it
@@ -57,8 +55,8 @@ type Searcher struct {
 	// (k x h·s).
 	w1, w2 [][]float64
 
-	// Score fast path (nil when unavailable): per holdout row, the scores
-	// of θ₀ next to those of each wᵢ.
+	// Score fast path (nil when BlockDraws declines): per holdout row, the
+	// scores of θ₀ next to those of each wᵢ.
 	scoreModel models.ScoreModel
 	signs      bool // the scores' sign is the label: probes count flips
 	nScores    int
@@ -93,38 +91,34 @@ func newSearcher(spec models.Spec, theta0 []float64, fac Factor, n0, bigN int, h
 		k:       k,
 	}
 	d := len(theta0)
-	sm, smOK := spec.(models.ScoreModel)
-	// The fast path needs a supervised holdout; PPCA (parameter-space diff)
-	// takes the generic path, which for it never touches the holdout.
-	useScores := smOK && spec.Task() != dataset.Unsupervised && holdout.Len() > 0
-
-	ws := make([][]float64, 2*k) // w₁ᵢ, w₂ᵢ alternating, as zs
-	keep := linalg.CopyVec
-	if useScores {
-		s.scoreModel = sm
-		s.signs = models.SignLabels(spec)
-		s.nScores = sm.NumScores(d, holdout.Dim)
-		s.base = holdoutScores(theta0, holdout, s.nScores)
-		keep = func(w []float64) []float64 { return holdoutScores(w, holdout, s.nScores) }
-	}
-	if per := models.BlockDraws(spec, d, holdout); per > 0 { // implies useScores
-		compute.For((2*k+per-1)/per, 1, func(lo, hi int) {
-			b := models.NewBlock(spec, d, holdout)
-			for i0 := lo * per; i0 < min(2*k, hi*per); i0 += per {
-				i1 := min(2*k, i0+per)
-				for i := i0; i < i1; i++ {
-					fac.Apply(zs[i], b.Vec(i-i0))
-					ws[i] = make([]float64, holdout.Len()*s.nScores)
-				}
-				b.Scores(ws[i0:i1])
+	var ws [][]float64 // w₁ᵢ, w₂ᵢ alternating, as zs
+	if per := models.BlockDraws(spec, d, holdout); per > 0 {
+		sm := spec.(models.ScoreModel)
+		s.scoreModel, s.signs, s.nScores = sm, models.SignLabels(spec), sm.NumScores(d, holdout.Dim)
+		// θ₀ and the 2k samples in one pass: vector 0 is θ₀, vector i+1 is
+		// sample i.
+		fill := func(i int, dst []float64) {
+			if i == 0 {
+				copy(dst, theta0)
+			} else {
+				fac.Apply(zs[i-1], dst)
 			}
+		}
+		out := make([][]float64, 2*k+1)
+		forBlocks(spec, d, holdout, per, len(out), func(b *models.Block, i0, i1 int) {
+			b.Load(i0, i1, fill)
+			for i := i0; i < i1; i++ {
+				out[i] = make([]float64, holdout.Len()*s.nScores)
+			}
+			b.Scores(out[i0:i1])
 		})
+		s.base, ws = out[0], out[1:]
 	} else {
+		ws = make([][]float64, 2*k)
 		compute.For(2*k, 2, func(lo, hi int) {
-			w := make([]float64, d)
 			for i := lo; i < hi; i++ {
-				fac.Apply(zs[i], w)
-				ws[i] = keep(w)
+				ws[i] = make([]float64, d)
+				fac.Apply(zs[i], ws[i])
 			}
 		})
 	}
@@ -133,12 +127,6 @@ func newSearcher(spec models.Spec, theta0 []float64, fac Factor, n0, bigN int, h
 		s.w1[i], s.w2[i] = ws[2*i], ws[2*i+1]
 	}
 	return s
-}
-
-func holdoutScores(theta []float64, holdout *dataset.Dataset, ns int) []float64 {
-	out := make([]float64, holdout.Len()*ns)
-	models.Scores(theta, holdout.X, ns, out)
-	return out
 }
 
 // Probe evaluates the Equation-8 criterion at candidate sample size n.

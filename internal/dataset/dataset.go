@@ -158,7 +158,8 @@ const (
 	BinaryClassification
 	// MultiClassification labels are class indices 0..K-1 stored as float64.
 	MultiClassification
-	// Unsupervised datasets (PPCA) carry no labels.
+	// Unsupervised datasets (PPCA) train on no labels; any they hold
+	// travel with the rows.
 	Unsupervised
 )
 
@@ -197,8 +198,11 @@ func ParseTask(s string) (Task, error) {
 
 // Dataset is an in-memory labeled dataset.
 type Dataset struct {
-	X          []Row
-	Y          []float64 // empty for Unsupervised
+	X []Row
+	// Y holds one label a row. A supervised task must have them; an
+	// unsupervised one keeps those its file, payload or store holds, or
+	// none. Every label is finite, whatever the task.
+	Y          []float64
 	Dim        int
 	Task       Task
 	NumClasses int // populated for MultiClassification
@@ -272,12 +276,13 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 		NumClasses: d.NumClasses,
 		Name:       d.Name,
 	}
-	if d.Task != Unsupervised {
+	labeled := d.Task != Unsupervised || len(d.Y) > 0
+	if labeled {
 		sub.Y = make([]float64, len(idx))
 	}
 	for j, i := range idx {
 		sub.X[j] = d.X[i]
-		if d.Task != Unsupervised {
+		if labeled {
 			sub.Y[j] = d.Y[i]
 		}
 	}
@@ -294,12 +299,9 @@ var (
 // FromDense builds a Dataset from dense row-major data: the shared
 // materialization path for inline payloads (serving-layer requests, cluster
 // task payloads). For MultiClassification, classes 0 infers K from the
-// labels. Unsupervised data carries no labels (y is ignored). The result is
+// labels. Unsupervised data keeps any labels y holds. The result is
 // validated.
 func FromDense(task Task, x [][]float64, y []float64, classes int) (*Dataset, error) {
-	if task == Unsupervised {
-		y = nil // an inline payload's labels mean nothing without a supervised task
-	}
 	return build{name: "inline", task: task, x: x, y: y, classes: classes}.dataset()
 }
 

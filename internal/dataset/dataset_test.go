@@ -3,6 +3,8 @@ package dataset
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -170,6 +172,33 @@ func TestSubset(t *testing.T) {
 	}
 	if s.X[0].Dot([]float64{1}) != 3 {
 		t.Fatal("Subset rows wrong")
+	}
+}
+
+// Labels travel with the rows and are checked finite whatever the task:
+// an unsupervised payload keeps its labels through the dense and sparse
+// constructors and Subset, and refuses a NaN among them, as ReadCSV does.
+func TestUnsupervisedKeepsFiniteLabels(t *testing.T) {
+	x := [][]float64{{1, 2}, {3, 4}, {5, 6}}
+	y := []float64{7, 8, 9}
+	dense, err := FromDense(Unsupervised, x, y, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse, err := FromSparse(Unsupervised, 2, [][]int32{{0}, {1}, {0, 1}}, [][]float64{{1}, {2}, {3, 4}}, y, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ds := range []*Dataset{dense, sparse} {
+		if sub := ds.Subset([]int{2, 0}); !slices.Equal(ds.Y, y) || !slices.Equal(sub.Y, []float64{9, 7}) {
+			t.Errorf("%s: labels %v, Subset's %v", ds.Name, ds.Y, sub.Y)
+		}
+	}
+	if _, err := FromDense(Unsupervised, x, []float64{7, math.NaN(), 9}, 0); err == nil {
+		t.Error("FromDense accepted a NaN label under an unsupervised task")
+	}
+	if _, err := ReadCSV(strings.NewReader("1,2,7\n3,4,NaN\n"), -1, Unsupervised); err == nil {
+		t.Error("ReadCSV accepted a NaN label under an unsupervised task")
 	}
 }
 

@@ -27,7 +27,8 @@ type Inline struct {
 	Dim     int         `json:"dim,omitempty"`
 	Indices [][]int32   `json:"indices,omitempty"`
 	Values  [][]float64 `json:"values,omitempty"`
-	// Y holds labels (empty for unsupervised).
+	// Y holds one label a row, each finite: required for a supervised
+	// task, kept with the rows (or left empty) for an unsupervised one.
 	Y []float64 `json:"y,omitempty"`
 	// Classes is K for multiclass (0 = infer from the labels).
 	Classes int `json:"classes,omitempty"`

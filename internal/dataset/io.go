@@ -80,7 +80,8 @@ func WriteCSV(w io.Writer, ds *Dataset) error { return WriteText(w, "csv", ds) }
 func WriteLibSVM(w io.Writer, ds *Dataset) error { return WriteText(w, "libsvm", ds) }
 
 // WriteText writes the dataset as "csv" or "libsvm" text through a
-// RowWriter. An unsupervised dataset's rows carry the label 0.
+// RowWriter. The rows of a dataset without labels (an unsupervised one
+// may have none) carry the label 0.
 func WriteText(w io.Writer, format string, ds *Dataset) error {
 	rw, err := NewRowWriter(w, format, ds.Dim)
 	if err != nil {
@@ -88,7 +89,7 @@ func WriteText(w io.Writer, format string, ds *Dataset) error {
 	}
 	for i, row := range ds.X {
 		label := 0.0
-		if ds.Task != Unsupervised {
+		if len(ds.Y) > 0 {
 			label = ds.Y[i]
 		}
 		if err := rw.Write(row, label); err != nil {

@@ -179,8 +179,5 @@ func FromSparse(task Task, dim int, indices [][]int32, values [][]float64, y []f
 		}
 		c.Indptr = append(c.Indptr, c.Indptr[i]+int64(len(idx)))
 	}
-	if task == Unsupervised {
-		y = nil // an inline payload's labels mean nothing without a supervised task
-	}
 	return build{name: "inline-sparse", task: task, csr: c, y: y, classes: classes}.dataset()
 }

@@ -132,22 +132,42 @@ func classPad(k int) int { return (k + 3) &^ 3 }
 // class c at j·kp + c, with k padded to kp, a multiple of four, by zero
 // classes. It reuses dst's storage when it is large enough.
 func InterleaveClasses(dst, theta []float64, k, d int) []float64 {
+	dst = ClassBlock(dst, k, d)
+	SetClasses(dst, k, 0, theta, k)
+	return dst
+}
+
+// ClassBlock returns InterleaveClasses' storage for k classes of d weights,
+// with its padding classes zero and the k classes left for SetClasses. It
+// reuses dst's storage when it is large enough.
+func ClassBlock(dst []float64, k, d int) []float64 {
 	kp := classPad(k)
 	if cap(dst) < d*kp {
 		dst = make([]float64, d*kp)
 	}
 	dst = dst[:d*kp]
-	theta = theta[:k*d]
-	for j := 0; j < d; j++ {
-		row := dst[j*kp : (j+1)*kp]
-		for c := range k {
-			row[c] = theta[c*d+j]
-		}
-		for c := k; c < kp; c++ {
-			row[c] = 0
-		}
+	for j := 0; j < d && k < kp; j++ {
+		clear(dst[j*kp+k : (j+1)*kp])
 	}
 	return dst
+}
+
+// SetClasses writes the m×d class-major weights theta as classes c0 …
+// c0+m−1 of t, a ClassBlock of k classes: weight j of theta's class c at
+// j·kp + c0 + c.
+func SetClasses(t []float64, k, c0 int, theta []float64, m int) {
+	kp := classPad(k)
+	d := len(t) / kp
+	if d == 0 {
+		return
+	}
+	for c := range m {
+		col := t[c0+c:]
+		for _, v := range theta[c*d : (c+1)*d] {
+			col[0] = v
+			col = col[min(kp, len(col)):]
+		}
+	}
 }
 
 // ClassScores fills z[c] = Σⱼ x[j]·θ[c·d+j] for the len(z) classes of the
@@ -162,6 +182,36 @@ func ClassScores(z, x, t []float64) {
 		return
 	}
 	scoresScalar(z, x, t)
+}
+
+// SparseClassScores is ClassScores for a sparse row whose stored entries
+// are val at the ascending feature indices idx: each sum starts at +0 and
+// adds its terms in index order, as the row's dot product does. It takes the
+// classes four at a time, one running sum each, over the row's entries.
+func SparseClassScores(z []float64, idx []int32, val, t []float64) {
+	kp := classPad(len(z))
+	val = val[:len(idx)]
+	for c0 := 0; c0 < len(z); c0 += 4 {
+		var s0, s1, s2, s3 float64
+		for e, j := range idx {
+			v, w := val[e], t[int(j)*kp+c0:][:4]
+			s0 += v * w[0]
+			s1 += v * w[1]
+			s2 += v * w[2]
+			s3 += v * w[3]
+		}
+		s := [4]float64{s0, s1, s2, s3}
+		copy(z[c0:], s[:])
+	}
+}
+
+// ClassColumn copies class c of t, a ClassBlock of k classes, into dst,
+// one weight per feature.
+func ClassColumn(dst, t []float64, k, c int) {
+	kp := classPad(k)
+	for j := range dst {
+		dst[j] = t[j*kp+c]
+	}
 }
 
 func scoresScalar(z, x, t []float64) {

@@ -80,7 +80,9 @@ func TestContractsEqualWithLanesOff(t *testing.T) {
 				for i, lanes := range []bool{true, false} {
 					out := make([]float64, c.ds.Len()*ns)
 					restore := linalg.SetLanes(lanes)
-					models.Scores(on.Theta, c.ds.X, ns, out)
+					b := models.NewBlock(c.spec, len(on.Theta), c.ds)
+					b.Load(0, 1, func(_ int, dst []float64) { copy(dst, on.Theta) })
+					b.Scores([][]float64{out})
 					restore()
 					fp[i] = core.ThetaFingerprint(out)
 				}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -181,6 +182,19 @@ func TestClassScoresLayout(t *testing.T) {
 				t.Fatalf("lanes %v: class scores %v, want [6 60]", on, z)
 			}
 		}()
+	}
+	// The same weights set one class at a time, read back by a sparse row
+	// and by column.
+	block := ClassBlock(nil, 2, 3)
+	SetClasses(block, 2, 1, theta[3:], 1)
+	SetClasses(block, 2, 0, theta[:3], 1)
+	if !slices.Equal(block, InterleaveClasses(nil, theta, 2, 3)) {
+		t.Fatalf("classes set one at a time: %v", block)
+	}
+	z, col := make([]float64, 2), make([]float64, 3)
+	SparseClassScores(z, []int32{0, 2}, []float64{1, 2}, block)
+	if ClassColumn(col, block, 2, 1); z[0] != 7 || z[1] != 70 || !slices.Equal(col, theta[3:]) {
+		t.Fatalf("sparse class scores %v, want [7 70]; class 1 %v", z, col)
 	}
 }
 

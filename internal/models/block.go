@@ -9,22 +9,28 @@ import (
 // linalg.ClassScores call: four of its sixteen-lane passes over a row.
 const blockCols = 64
 
-// blockDraws is how many parameter vectors of ns scores a Block holds:
-// sixteen single-score vectors (one lane pass), otherwise as many as fit in
-// blockCols columns, and at least one.
-func blockDraws(ns int) int {
-	if ns == 1 {
-		return 16
+// blockFloats bounds a Block's interleaved vectors, so that a wide θ (a
+// one-hot d of 10⁴) takes one lane group of four columns, not sixteen.
+const blockFloats = 1 << 15
+
+// blockDraws is how many parameter vectors of ns scores of d weights a Block
+// holds: sixteen single-score vectors (one lane pass), otherwise as many as
+// fit in blockCols columns; at most as many lane groups as fit in
+// blockFloats, but one at least; and at least one vector.
+func blockDraws(ns, d int) int {
+	n := 16
+	if ns > 1 {
+		n = blockCols / ns
 	}
-	return max(1, blockCols/ns)
+	cols := max(4, (blockFloats/max(1, d))&^3)
+	return max(1, min(n, cols/ns))
 }
 
 // BlockDraws returns how many parameter vectors of spec, paramDim long, one
-// Block scores together on holdout, or 0 where the block path does not
-// apply: spec is no ScoreModel, its v does not go through predictions (a
-// Differ, an unsupervised task), the holdout is empty, or one of its rows
-// is not a dense row as wide as the holdout. Those keep the per-vector
-// paths of Scores and DiffFrom.
+// Block scores together on holdout, or 0 where v does not go through scores:
+// spec is no ScoreModel, it is a Differ, the task is unsupervised, the
+// holdout is empty, or the vectors are not NumScores classes of holdout.Dim
+// weights. Those keep DiffFrom's per-vector path. It reads no row.
 func BlockDraws(spec Spec, paramDim int, holdout *dataset.Dataset) int {
 	sm, ok := spec.(ScoreModel)
 	if _, own := spec.(Differ); !ok || own || spec.Task() == dataset.Unsupervised || holdout.Len() == 0 {
@@ -34,30 +40,26 @@ func BlockDraws(spec Spec, paramDim int, holdout *dataset.Dataset) int {
 	if ns < 1 || ns*holdout.Dim != paramDim {
 		return 0
 	}
-	for _, x := range holdout.X {
-		if r, ok := x.(dataset.DenseRow); !ok || len(r) != holdout.Dim {
-			return 0
-		}
-	}
-	return blockDraws(ns)
+	return blockDraws(ns, holdout.Dim)
 }
 
-// A Block scores a few parameter vectors of one ScoreModel on a dense
-// holdout in one pass over its rows, for the estimators that score k or 2k
-// sampled vectors. Fill the vectors through Vec, then call Scores or Diffs:
-// the vectors, stacked one after another, are interleaved once with
-// linalg.InterleaveClasses, and each row then gets every vector's scores
-// from one linalg.ClassScores call, whose "classes" are the block's
-// (vector, class) columns. Each score still starts at +0 and adds x[j]·θ[j]
-// in j order, so it has the bits Scores gives that vector alone. A Block is
+// A Block scores a few parameter vectors of one ScoreModel on a holdout in
+// one pass over its rows, for the estimators that score k or 2k sampled
+// vectors. Load the vectors, then call Scores or Diffs. Load interleaves
+// them into one linalg.ClassBlock whose "classes" are the block's (vector,
+// class) columns, the only copy of them the block keeps. A dense row then
+// gets every column's score from one linalg.ClassScores call, and a sparse
+// row adds each stored entry into every column at once; any other row is
+// scored by its Dot. Each score still starts at +0 and adds x[j]·θ[j] in j
+// order, so it has the bits that vector's Row.Dot gives alone. A Block is
 // scratch for one goroutine.
 type Block struct {
-	sm    ScoreModel
-	task  dataset.Task
-	rows  []dataset.Row
-	ns, d int       // scores per vector, features per row
-	stack []float64 // the vectors, one after another
-	t     []float64 // the loaded vectors interleaved
+	sm       ScoreModel
+	task     dataset.Task
+	rows     []dataset.Row
+	ns, d, n int       // scores per vector, features per row, vectors loaded
+	t        []float64 // the loaded vectors interleaved
+	vec      []float64 // one vector as Load's fill writes it, or one column
 	// One panel of rows: every vector's scores, their predictions, and one
 	// vector's predictions gathered.
 	z, pred, col []float64
@@ -69,41 +71,55 @@ type Block struct {
 func NewBlock(spec Spec, paramDim int, holdout *dataset.Dataset) *Block {
 	sm := spec.(ScoreModel)
 	ns := sm.NumScores(paramDim, holdout.Dim)
-	n := blockDraws(ns)
+	n := blockDraws(ns, holdout.Dim)
 	rows := max(1, laneBlock/(n*ns))
 	return &Block{
 		sm: sm, task: spec.Task(), rows: holdout.X,
 		ns: ns, d: holdout.Dim,
-		stack: make([]float64, n*paramDim),
-		z:     make([]float64, rows*n*ns),
-		pred:  make([]float64, rows*n),
-		col:   make([]float64, rows),
-		v:     make([]PredictionDiff, n),
+		vec:  make([]float64, paramDim),
+		z:    make([]float64, rows*n*ns),
+		pred: make([]float64, rows*n),
+		col:  make([]float64, rows),
+		v:    make([]PredictionDiff, n),
 	}
 }
 
-// Vec returns the storage of the block's vector i, to be filled before the
-// next Scores or Diffs.
-func (b *Block) Vec(i int) []float64 {
-	p := b.ns * b.d
-	return b.stack[i*p : (i+1)*p]
+// Load makes the block's vectors the i1−i0 ≤ BlockDraws vectors fill
+// writes: fill(i, dst) writes vector i, for i from i0 to i1−1, into dst,
+// one vector of scratch that Load interleaves before asking for the next.
+func (b *Block) Load(i0, i1 int, fill func(i int, dst []float64)) {
+	b.n = i1 - i0
+	cols := b.n * b.ns
+	b.t = linalg.ClassBlock(b.t, cols, b.d)
+	for i := i0; i < i1; i++ {
+		fill(i, b.vec)
+		linalg.SetClasses(b.t, cols, (i-i0)*b.ns, b.vec, b.ns)
+	}
 }
 
-// load interleaves the first n vectors and returns their column count.
-func (b *Block) load(n int) int {
-	cols := n * b.ns
-	b.t = linalg.InterleaveClasses(b.t, b.stack, cols, b.d)
-	return cols
+// score fills z, one entry per loaded column, with row x's scores.
+func (b *Block) score(z []float64, x dataset.Row) {
+	switch r := x.(type) {
+	case dataset.DenseRow:
+		linalg.ClassScores(z, r, b.t)
+	case *dataset.SparseRow:
+		linalg.SparseClassScores(z, r.Idx, r.Val, b.t)
+	default:
+		col := b.vec[:b.d]
+		for c := range z {
+			linalg.ClassColumn(col, b.t, len(z), c)
+			z[c] = x.Dot(col)
+		}
+	}
 }
 
-// Scores fills outs[i][r·ns+c] with score c of holdout row r under vector
-// i, for the first n = len(outs) vectors: Scores(Vec(i), rows, ns, outs[i])
-// for each, bit for bit.
+// Scores fills outs[i][r·ns+c] with score c of holdout row r under loaded
+// vector i, for every one of the n = len(outs) loaded vectors.
 func (b *Block) Scores(outs [][]float64) {
-	ns, cols := b.ns, b.load(len(outs))
-	z := b.z[:cols]
+	ns := b.ns
+	z := b.z[:b.n*ns]
 	for r, x := range b.rows {
-		linalg.ClassScores(z, x.(dataset.DenseRow), b.t)
+		b.score(z, x)
 		for i, out := range outs {
 			o, zi := out[r*ns:(r+1)*ns], z[i*ns:]
 			for c := range o {
@@ -113,14 +129,13 @@ func (b *Block) Scores(outs [][]float64) {
 	}
 }
 
-// Diffs fills vs[i] with v(m_a, m_i) for the first n = len(vs) vectors,
+// Diffs fills vs[i] with v(m_a, m_i) for the n = len(vs) loaded vectors,
 // where pa holds m_a's holdout predictions: DiffFrom(spec, θ_a, holdout)
 // for each vector, bit for bit. A panel of rows goes through one
 // PredictScores call for all n vectors, and each vector's predictions then
 // through its PredictionDiff, in row order.
 func (b *Block) Diffs(pa, vs []float64) {
-	n := len(vs)
-	cols := b.load(n)
+	n, cols := b.n, b.n*b.ns
 	v := b.v[:n]
 	for i := range v {
 		v[i] = NewPredictionDiff(b.task)
@@ -130,7 +145,7 @@ func (b *Block) Diffs(pa, vs []float64) {
 		m := min(per, len(b.rows)-lo)
 		z, pred, col := b.z[:m*cols], b.pred[:m*n], b.col[:m]
 		for r, x := range b.rows[lo : lo+m] {
-			linalg.ClassScores(z[r*cols:][:cols], x.(dataset.DenseRow), b.t)
+			b.score(z[r*cols:][:cols], x)
 		}
 		b.sm.PredictScores(z, pred)
 		for i := range v {

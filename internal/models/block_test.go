@@ -16,10 +16,16 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
 }
 
+// plainRow is a row type the Block knows nothing of: it must be scored by
+// its Dot.
+type plainRow struct{ dataset.DenseRow }
+
 // A Block's scores and differences are those of its vectors taken one at a
-// time — Scores and DiffFrom — bit for bit, for single- and multi-score
-// models, over awkward values, a partial block and a panel of rows that does
-// not divide the holdout, with the lane kernels on and off.
+// time — each score the row's Dot with that vector's class, each v what Diff
+// gives — bit for bit, for single- and multi-score models, over awkward
+// values, a partial block and a panel of rows that does not divide the
+// holdout, on dense, CSR and mixed holdouts, with the lane kernels on and
+// off.
 func TestBlockDrawsMatchScores(t *testing.T) {
 	r := rand.New(rand.NewSource(39))
 	awkward := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, 1e300, -1e300}
@@ -28,6 +34,49 @@ func TestBlockDrawsMatchScores(t *testing.T) {
 			return awkward[r.Intn(len(awkward))]
 		}
 		return r.NormFloat64()
+	}
+	const h, d = 301, 7
+	dense := func() dataset.Row {
+		x := make(dataset.DenseRow, d)
+		for j := range x {
+			x[j] = value()
+		}
+		return x
+	}
+	// csr lays out h sparse rows of zero to d entries in one CSR block.
+	csr := func() []dataset.Row {
+		c := &dataset.CSR{Dim: d, Indptr: make([]int64, h+1)}
+		for i := range h {
+			for j := range d {
+				if r.Intn(3) == 0 {
+					c.Idx, c.Val = append(c.Idx, int32(j)), append(c.Val, value())
+				}
+			}
+			c.Indptr[i+1] = int64(len(c.Idx))
+		}
+		return c.Rows()
+	}
+	holdouts := map[string]func() []dataset.Row{
+		"dense": func() []dataset.Row {
+			rows := make([]dataset.Row, h)
+			for i := range rows {
+				rows[i] = dense()
+			}
+			return rows
+		},
+		"csr": csr,
+		"mixed": func() []dataset.Row {
+			rows := csr()
+			for i := range rows {
+				switch i % 3 {
+				case 0:
+					rows[i] = dense()
+				case 1:
+					rows[i] = plainRow{dense().(dataset.DenseRow)}
+				}
+			}
+			return rows
+		},
 	}
 	for _, c := range []struct {
 		spec Spec
@@ -43,61 +92,58 @@ func TestBlockDrawsMatchScores(t *testing.T) {
 	} {
 		for _, lanes := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%s-%d/lanes=%v", c.spec.Name(), c.ns, lanes), func(t *testing.T) {
-				defer linalg.SetLanes(lanes)()
-				const h, d = 301, 7
-				holdout := &dataset.Dataset{Dim: d, Task: c.task, NumClasses: c.ns, X: make([]dataset.Row, h), Y: make([]float64, h)}
-				for i := range holdout.X {
-					x := make(dataset.DenseRow, d)
-					for j := range x {
-						x[j] = value()
-					}
-					holdout.X[i] = x
-				}
-				p := c.ns * d
-				per := BlockDraws(c.spec, p, holdout)
-				if per < 1 {
-					t.Fatalf("BlockDraws = %d on a dense holdout", per)
-				}
-				thetaA := make([]float64, p)
-				for j := range thetaA {
-					thetaA[j] = value()
-				}
-				pa := make([]float64, h)
-				PredictInto(c.spec, thetaA, holdout.X, pa)
-				diff := DiffFrom(c.spec, thetaA, holdout)
-				b := NewBlock(c.spec, p, holdout)
-				for _, n := range []int{per, max(1, per-1)} {
-					outs := make([][]float64, n)
-					for i := range outs {
-						v := b.Vec(i)
-						for j := range v {
-							v[j] = value()
+				for _, shape := range []string{"dense", "csr", "mixed"} {
+					t.Run(shape, func(t *testing.T) {
+						defer linalg.SetLanes(lanes)()
+						holdout := &dataset.Dataset{Dim: d, Task: c.task, NumClasses: c.ns, X: holdouts[shape](), Y: make([]float64, h)}
+						p := c.ns * d
+						per := BlockDraws(c.spec, p, holdout)
+						if per < 1 {
+							t.Fatalf("BlockDraws = %d", per)
 						}
-						outs[i] = make([]float64, h*c.ns)
-					}
-					vs := make([]float64, n)
-					b.Diffs(pa, vs)
-					b.Scores(outs)
-					want := make([]float64, h*c.ns)
-					for i, out := range outs {
-						Scores(b.Vec(i), holdout.X, c.ns, want)
-						for j := range want {
-							if !sameBits(out[j], want[j]) {
-								t.Fatalf("%d vectors: vector %d score %d = %v, Scores %v", n, i, j, out[j], want[j])
+						thetaA := make([]float64, p)
+						for j := range thetaA {
+							thetaA[j] = value()
+						}
+						pa := make([]float64, h)
+						PredictInto(c.spec, thetaA, holdout.X, pa)
+						b := NewBlock(c.spec, p, holdout)
+						for _, n := range []int{per, max(1, per-1)} {
+							thetas, outs := make([][]float64, n), make([][]float64, n)
+							for i := range thetas {
+								thetas[i] = make([]float64, p)
+								for j := range thetas[i] {
+									thetas[i][j] = value()
+								}
+								outs[i] = make([]float64, h*c.ns)
+							}
+							b.Load(0, n, func(i int, dst []float64) { copy(dst, thetas[i]) })
+							vs := make([]float64, n)
+							b.Diffs(pa, vs)
+							b.Scores(outs)
+							for i, out := range outs {
+								for row, x := range holdout.X {
+									for cl := range c.ns {
+										got, want := out[row*c.ns+cl], x.Dot(thetas[i][cl*d:(cl+1)*d])
+										if !sameBits(got, want) {
+											t.Fatalf("%d vectors: vector %d row %d score %d = %v, Dot %v", n, i, row, cl, got, want)
+										}
+									}
+								}
+								if w := Diff(c.spec, thetaA, thetas[i], holdout); !sameBits(vs[i], w) {
+									t.Fatalf("%d vectors: vector %d v = %v, Diff %v", n, i, vs[i], w)
+								}
 							}
 						}
-						if w := diff(b.Vec(i), make([]float64, h)); !sameBits(vs[i], w) {
-							t.Fatalf("%d vectors: vector %d v = %v, DiffFrom %v", n, i, vs[i], w)
-						}
-					}
+					})
 				}
 			})
 		}
 	}
 }
 
-// BlockDraws declines what the block path cannot score: a spec with no
-// scores, an empty holdout, and sparse or misshapen rows.
+// BlockDraws declines a spec whose v does not go through scores and a
+// holdout it cannot score; it takes any row type.
 func TestBlockDrawsDeclines(t *testing.T) {
 	dense := &dataset.Dataset{Dim: 2, Task: dataset.BinaryClassification, X: []dataset.Row{dataset.DenseRow{1, 2}}, Y: []float64{1}}
 	sparse, err := dataset.NewSparseRow(2, []int32{1}, []float64{3})
@@ -108,21 +154,28 @@ func TestBlockDrawsDeclines(t *testing.T) {
 		name     string
 		spec     Spec
 		rows     []dataset.Row
+		paramDim int
 		wantNone bool
 	}{
-		{"dense", LogisticRegression{}, dense.X, false},
-		{"empty", LogisticRegression{}, nil, true},
-		{"sparse", LogisticRegression{}, []dataset.Row{dense.X[0], sparse}, true},
-		{"short", LogisticRegression{}, []dataset.Row{dataset.DenseRow{1}}, true},
-		{"ppca", &PPCA{Factors: 1}, dense.X, true},
+		{"dense", LogisticRegression{}, dense.X, 2, false},
+		{"sparse", LogisticRegression{}, []dataset.Row{dense.X[0], sparse}, 2, false},
+		{"empty", LogisticRegression{}, nil, 2, true},
+		{"misshapen", LogisticRegression{}, dense.X, 3, true},
+		{"differ", differLogistic{}, dense.X, 2, true},
+		{"ppca", &PPCA{Factors: 1}, dense.X, 2, true},
 	} {
 		ds := *dense
 		ds.X, ds.Y = c.rows, make([]float64, len(c.rows))
-		if got := BlockDraws(c.spec, 2, &ds); (got == 0) != c.wantNone {
+		if got := BlockDraws(c.spec, c.paramDim, &ds); (got == 0) != c.wantNone {
 			t.Errorf("%s: BlockDraws = %d", c.name, got)
 		}
 	}
 }
+
+// differLogistic is a ScoreModel with its own v.
+type differLogistic struct{ LogisticRegression }
+
+func (differLogistic) Diff(thetaA, thetaB []float64, holdout *dataset.Dataset) float64 { return 0 }
 
 // SignFlips is the one-pass form of a sign-label probe: on every pair of
 // scaled score vectors it must give what PredictScores on both and a

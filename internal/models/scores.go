@@ -25,25 +25,6 @@ type ScoreModel interface {
 	PredictScores(scores, out []float64)
 }
 
-// Scores fills out[i·ns+c] = θ[c·d:(c+1)·d]ᵀ·rows[i], the ns linear scores
-// of every row: the row-block kernel for a single score, the class lanes or
-// the fused per-class kernel otherwise.
-func Scores(theta []float64, rows []dataset.Row, ns int, out []float64) {
-	if ns == 1 {
-		dataset.DotRows(rows, theta, out)
-		return
-	}
-	if !linalg.Lanes() {
-		for i, x := range rows {
-			logitsInto(theta, x, ns, x.Dim(), out[i*ns:(i+1)*ns])
-		}
-		return
-	}
-	l := getLanes(theta, ns)
-	laneScores(theta, l.t, rows, ns, out)
-	lanePool.Put(l)
-}
-
 // laneScratch is what the class lanes read and write besides their
 // arguments: θ's classes interleaved (linalg.InterleaveClasses) and a block
 // of rows' scores for PredictInto. It is pooled, so that scoring a batch
@@ -67,10 +48,10 @@ func getLanes(theta []float64, ns int) *laneScratch {
 	return l
 }
 
-// laneScores is Scores over the interleaved weights t: a dense row as wide
-// as θ's classes goes through linalg.ClassScores (the classes as lanes,
-// each score's adds in logitsInto's order), any other row through
-// logitsInto.
+// laneScores fills out[i·ns+c] = θ[c·d:(c+1)·d]ᵀ·rows[i] from the
+// interleaved weights t: a dense row as wide as θ's classes goes through
+// linalg.ClassScores (the classes as lanes, each score's adds in
+// logitsInto's order), any other row through logitsInto.
 func laneScores(theta, t []float64, rows []dataset.Row, ns int, out []float64) {
 	d := len(theta) / ns
 	for i, x := range rows {

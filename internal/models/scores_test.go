@@ -9,8 +9,8 @@ import (
 	"blinkml/internal/dataset"
 )
 
-// The Sample Size Estimator's fast path assumes that PredictScores over
-// Scores(θ, rows) equals Predict(θ, x) row by row for every ScoreModel, and
+// The estimators' score path assumes that PredictScores over a Block's
+// scores of θ equals Predict(θ, x) row by row for every ScoreModel, and
 // every batch metric assumes the same of PredictInto. This property test
 // guards both for all four GLM specs, dense and sparse inputs, and block
 // lengths on either side of the row kernel's group of four.
@@ -30,11 +30,8 @@ func TestScoreModelConsistentWithPredict(t *testing.T) {
 				for i := range theta {
 					theta[i] = 2 * r.NormFloat64()
 				}
-				ns := sm.NumScores(pd, d)
-				scores := make([]float64, ns*ds.Len())
 				fromScores, batch := make([]float64, ds.Len()), make([]float64, ds.Len())
-				Scores(theta, ds.X, ns, scores)
-				sm.PredictScores(scores, fromScores)
+				sm.PredictScores(blockScores(spec, theta, ds), fromScores)
 				PredictInto(spec, theta, ds.X, batch)
 				for i, x := range ds.X {
 					if want := spec.Predict(theta, x); fromScores[i] != want || batch[i] != want {
@@ -80,8 +77,8 @@ func TestMaxEntropyPredictScoresTieBreak(t *testing.T) {
 	_ = ds
 }
 
-// Scores and PredictInto of a dense multi-class model run as class lanes
-// (where the CPU has them); each score must be logitsInto's bits and each
+// A Block's scores and PredictInto of a dense multi-class model run as
+// class lanes (where the CPU has them); each score must be logitsInto's bits and each
 // prediction Predict's, over awkward values and across PredictInto's blocks
 // of rows. NaNs compare equal whatever their payload (linalg's lane tests
 // say why).
@@ -109,8 +106,8 @@ func TestClassLanesMatchLogits(t *testing.T) {
 				theta[i] = value()
 			}
 			spec := MaxEntropy{Classes: k}
-			scores, z := make([]float64, len(rows)*k), make([]float64, k)
-			Scores(theta, rows, k, scores)
+			z := make([]float64, k)
+			scores := blockScores(spec, theta, &dataset.Dataset{Dim: d, Task: dataset.MultiClassification, NumClasses: k, X: rows})
 			preds := make([]float64, len(rows))
 			PredictInto(spec, theta, rows, preds)
 			for i, x := range rows {
@@ -129,14 +126,27 @@ func TestClassLanesMatchLogits(t *testing.T) {
 	}
 }
 
-// BenchmarkScoresMaxent times the accuracy phase's holdout scoring at
-// me-stats-mem's shape: ten classes of 40 weights over 6000 dense rows.
+// BenchmarkScoresMaxent times the estimators' holdout scoring of one θ at
+// me-stats-mem's shape: ten classes of 40 weights over 6000 dense rows, one
+// vector in a Block.
 func BenchmarkScoresMaxent(b *testing.B) {
 	ds, theta := benchData("maxent", 6000, 40)
-	out := make([]float64, ds.Len()*10)
+	spec := MaxEntropy{Classes: 10}
+	blk := NewBlock(spec, len(theta), ds)
+	out := [][]float64{make([]float64, ds.Len()*10)}
 	b.ReportAllocs()
 	for b.Loop() {
-		Scores(theta, ds.X, 10, out)
+		blk.Load(0, 1, func(_ int, dst []float64) { copy(dst, theta) })
+		blk.Scores(out)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ds.Len()), "ns/row")
+}
+
+// blockScores returns the holdout scores of theta alone, through a Block.
+func blockScores(spec Spec, theta []float64, holdout *dataset.Dataset) []float64 {
+	b := NewBlock(spec, len(theta), holdout)
+	b.Load(0, 1, func(_ int, dst []float64) { copy(dst, theta) })
+	out := make([]float64, holdout.Len()*spec.(ScoreModel).NumScores(len(theta), holdout.Dim))
+	b.Scores([][]float64{out})
+	return out
 }

@@ -48,12 +48,12 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"blinkml/internal/audit"
 	"blinkml/internal/cluster"
 	"blinkml/internal/core"
+	"blinkml/internal/dataset"
 	"blinkml/internal/modelio"
 	"blinkml/internal/obs"
 	"blinkml/internal/tune"
@@ -273,10 +273,8 @@ func (r *PredictRequest) Validate(dim int) error {
 		if len(row) != dim {
 			return fmt.Errorf("serve: row %d has %d features, model wants %d", i, len(row), dim)
 		}
-		for j, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("serve: row %d feature %d is not finite", i, j)
-			}
+		if j, _, found := dataset.FirstNonFinite(nil, row); found {
+			return fmt.Errorf("serve: row %d feature %d is not finite", i, j)
 		}
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -477,6 +478,26 @@ func TestRequestBodyIsOneJSONValue(t *testing.T) {
 
 // TestPredictShapeValidation trains one tiny model and checks malformed
 // predict batches are rejected.
+// Validate refuses a NaN or ±Inf feature, naming the row and feature.
+func TestPredictRequestValidateNonFinite(t *testing.T) {
+	for _, c := range []struct {
+		rows [][]float64
+		want string
+	}{
+		{[][]float64{{1, math.NaN(), 3}}, "serve: row 0 feature 1 is not finite"},
+		{[][]float64{{1, 2, 3}, {0, 0, math.Inf(1)}}, "serve: row 1 feature 2 is not finite"},
+		{[][]float64{{math.Inf(-1), 2, 3}}, "serve: row 0 feature 0 is not finite"},
+	} {
+		req := PredictRequest{Rows: c.rows}
+		if err := req.Validate(3); err == nil || err.Error() != c.want {
+			t.Errorf("Validate(%v) = %v, want %q", c.rows, err, c.want)
+		}
+	}
+	if err := (&PredictRequest{Rows: [][]float64{{1, 2, 3}}}).Validate(3); err != nil {
+		t.Errorf("a finite row: %v", err)
+	}
+}
+
 func TestPredictShapeValidation(t *testing.T) {
 	s, err := New(Config{Dir: t.TempDir()})
 	if err != nil {

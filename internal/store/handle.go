@@ -142,13 +142,11 @@ func (h *Handle) Materialize(idx []int) (*dataset.Dataset, error) {
 	}
 	start := time.Now()
 	ds := &dataset.Dataset{
+		Y:          make([]float64, len(idx)), // stored labels, an unsupervised store's too
 		Dim:        h.man.Dim,
 		Task:       h.task,
 		NumClasses: h.man.NumClasses,
 		Name:       h.man.Name,
-	}
-	if h.task != dataset.Unsupervised {
-		ds.Y = make([]float64, len(idx))
 	}
 	// Read in offset order (ascending row index), place in idx order.
 	order := make([]int, len(idx))
@@ -171,9 +169,7 @@ func (h *Handle) Materialize(idx []int) (*dataset.Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ds.Y != nil {
-		matBytes += int64(len(idx)) * 8
-	}
+	matBytes += int64(len(idx)) * 8
 	h.rowsRead.Add(int64(len(idx)))
 	// Charge the owning job's ledger, if the calling goroutine is doing
 	// attributed work (training); unattributed readers (CLI sample) skip.
@@ -213,8 +209,8 @@ func (r *sampleReader) release() {
 	readers.Put(r)
 }
 
-// decode fills ds.X with the rows at idx, visited in order, and ds.Y, when
-// not nil, with their stored labels: sparse records at or below
+// decode fills ds.X with the rows at idx, visited in order, and ds.Y with
+// their stored labels: sparse records at or below
 // DefaultDenseThreshold into one CSR block, all others into one dense
 // block. It returns the rows' in-memory footprint, derived purely from
 // shapes (CSR: 12 bytes per stored entry + the indptr array; dense: dim
@@ -251,10 +247,7 @@ func (r *sampleReader) materializeDense(idx, order []int, ds *dataset.Dataset) e
 		if err != nil {
 			return fmt.Errorf("store: %s: row %d: %w", h.ID, s.row, err)
 		}
-		ds.X[s.pos] = dataset.DenseRow(row)
-		if ds.Y != nil {
-			ds.Y[s.pos] = label
-		}
+		ds.X[s.pos], ds.Y[s.pos] = dataset.DenseRow(row), label
 		return nil
 	})
 }
@@ -312,9 +305,7 @@ func (r *sampleReader) materializeCSR(idx, order []int, ds *dataset.Dataset) (in
 		if err != nil {
 			return fmt.Errorf("store: %s: row %d: %w", h.ID, s.row, err)
 		}
-		if ds.Y != nil {
-			ds.Y[s.pos] = label
-		}
+		ds.Y[s.pos] = label
 		return nil
 	})
 	if err != nil {

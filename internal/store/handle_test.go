@@ -215,8 +215,8 @@ func readFiles(tb testing.TB, h *Handle) (rows, index []byte) {
 // TestScanMatchesMaterialize: Scan yields, in storage order and across its
 // chunks, exactly the rows Materialize builds for the whole store (the same
 // row types, the same bits) with every stored label — an unsupervised
-// store's too, which Materialize drops — and both equal a record-by-record
-// decode.
+// store's too, which Materialize keeps as well — and both equal a
+// record-by-record decode.
 func TestScanMatchesMaterialize(t *testing.T) {
 	higgs := datagen.Higgs(datagen.Config{Rows: 2500, Dim: 28, Seed: 1})
 	stores := []struct {
@@ -231,8 +231,8 @@ func TestScanMatchesMaterialize(t *testing.T) {
 		{"sparse-csr", datagen.Criteo(datagen.Config{Rows: 2100, Dim: 1000, Seed: 3}), "libsvm", dataset.BinaryClassification},
 		{"sparse-densified", datagen.Criteo(datagen.Config{Rows: 1100, Dim: 100, Seed: 4}), "libsvm", dataset.BinaryClassification},
 		{"multiclass", datagen.MNIST(datagen.Config{Rows: 1500, Dim: 20, Seed: 5}), "csv", dataset.MultiClassification},
-		// The labels are stored as written (Higgs's 0s and 1s) and only
-		// Scan hands them out.
+		// The labels are stored as written (Higgs's 0s and 1s), and Scan and
+		// Materialize both hand them out.
 		{"unsupervised", higgs, "csv", dataset.Unsupervised},
 	}
 	for _, st := range stores {
@@ -269,7 +269,7 @@ func TestScanMatchesMaterialize(t *testing.T) {
 						t.Fatalf("row %d feature %d: Scan %v, Materialize %v, record by record %v", i, j, got[j], mat[j], ref.rows[i][j])
 					}
 				}
-				if math.Float64bits(label) != math.Float64bits(ref.labels[i]) || (want.Y != nil && label != want.Y[i]) {
+				if math.Float64bits(label) != math.Float64bits(ref.labels[i]) || label != want.Y[i] {
 					t.Fatalf("row %d: label %v, stored %v", i, label, ref.labels[i])
 				}
 				labels = append(labels, label)
@@ -281,7 +281,7 @@ func TestScanMatchesMaterialize(t *testing.T) {
 			if len(labels) != n {
 				t.Fatalf("scanned %d of %d rows", len(labels), n)
 			}
-			if st.task == dataset.Unsupervised && (want.Y != nil || !slices.Contains(labels, 1)) {
+			if st.task == dataset.Unsupervised && (want.Y == nil || !slices.Contains(labels, 1)) {
 				t.Fatalf("unsupervised store: Materialize labels %v, Scan yields none of the stored 1s", want.Y != nil)
 			}
 			if h.RowsMaterialized() != int64(n) {
