@@ -336,3 +336,94 @@ func BenchmarkObservedFisher(b *testing.B) {
 		})
 	}
 }
+
+// sparseFisherPin is one model class's pinned ObservedFisher factors on
+// sparse rows: ThetaFingerprint of the covariance side's L and of the Gram
+// side's M, each {with, without} math.Exp's FMA branch, and each side's
+// flop count, which no floating-point setting moves.
+type sparseFisherPin struct {
+	name          string
+	spec          models.Spec
+	task          dataset.Task
+	classes       int
+	cov, gram     [2]uint64
+	covFl, gramFl int64
+}
+
+// TestSparseFisherPinnedAtParent pins the ObservedFisher factors on sparse
+// rows for every model class, as the commit before gradient rows became
+// ExampleLossGrad into zeros computed them at degree 1: L of the covariance
+// side (a 400 x 60 sparse fixture, d ≤ n) and M of the Gram side (150 x 400,
+// d > n), at a fixed θ. It also pins n and θ of one logistic contract whose
+// statistics run on the Gram side (d = 400 > n₀ = 200). The two columns are
+// TestContractsPinnedAtParent's: math.Exp's bits at −0.2 pick the column.
+func TestSparseFisherPinnedAtParent(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("fingerprints were captured on amd64")
+	}
+	fma := math.Float64bits(math.Exp(-0.2)) == 0x3fea330ad6166159
+	col := 1
+	if fma {
+		col = 0
+	}
+	atDegreeOne(t)
+	for _, p := range []sparseFisherPin{
+		{"linear", models.LinearRegression{Reg: 0.001}, dataset.Regression, 0,
+			[2]uint64{0x145558044daf342b, 0x145558044daf342b}, [2]uint64{0xc97d0a73161732a8, 0xc97d0a73161732a8}, 880800, 13681200},
+		{"logistic", models.LogisticRegression{Reg: 0.01}, dataset.BinaryClassification, 0,
+			[2]uint64{0x1140dc46e457fc6, 0xc3416fe60a088ea3}, [2]uint64{0xa82e9737ab99a6f7, 0xc62542fbbc36b9d7}, 880800, 13681200},
+		{"poisson", models.PoissonRegression{Reg: 0.001}, dataset.Regression, 0,
+			[2]uint64{0xd59238ba6f80888f, 0xf80317ef7030b42e}, [2]uint64{0xd9e1e749cd973a85, 0xa011b8f5bf179975}, 880800, 13681200},
+		{"maxent", models.MaxEntropy{Classes: 3, Reg: 0.001}, dataset.MultiClassification, 3,
+			[2]uint64{0x598dfa1b896da2c2, 0x1a6da90b94b0db5c}, [2]uint64{0x5ca12ec700fd38d2, 0xc1d9f28befb622e6}, 23464800, 14043600},
+		{"ppca", models.NewPPCA(3), dataset.Unsupervised, 0,
+			[2]uint64{0x3e4ffc0af907c5d5, 0x3e4ffc0af907c5d5}, [2]uint64{0x5955a537387ed90f, 0x5955a537387ed90f}, 36360000, 40680000},
+	} {
+		for _, side := range []struct {
+			name                 string
+			rows, dim, nnz, seed int
+			want                 uint64
+			flops                int64
+		}{
+			{"covariance", 400, 60, 6, 9, p.cov[col], p.covFl},
+			{"gram", 150, 400, 8, 5, p.gram[col], p.gramFl},
+		} {
+			t.Run(p.name+"/"+side.name, func(t *testing.T) {
+				ds := sparseFixture(t, p.task, side.rows, side.dim, side.nnz, p.classes, int64(side.seed))
+				theta := make([]float64, p.spec.ParamDim(ds))
+				for i := range theta {
+					theta[i] = 0.05 * float64(i%7-3)
+				}
+				st, err := ComputeStatistics(p.spec, ds, theta, Options{Epsilon: 0.05}.WithDefaults())
+				if err != nil {
+					t.Fatal(err)
+				}
+				var f *linalg.Dense
+				switch fac := st.Factor.(type) {
+				case *DenseFactor:
+					f = fac.L
+				case *GradFactor:
+					f = fac.m
+				}
+				if wantGram := len(theta) > ds.Len(); f == nil || wantGram != (side.name == "gram") {
+					t.Fatalf("d = %d, n = %d: a %T, not the %s side's factor", len(theta), ds.Len(), st.Factor, side.name)
+				}
+				if got := ThetaFingerprint(f.Data); got != side.want || st.flops != side.flops {
+					t.Fatalf("%d x %d factor %#x, %d flops; the parent computed %#x, %d flops (math.Exp's FMA branch: %v)", f.Rows, f.Cols, got, st.flops, side.want, side.flops, fma)
+				}
+			})
+		}
+	}
+	t.Run("logistic-gram-contract", func(t *testing.T) {
+		ds := sparseFixture(t, dataset.BinaryClassification, 1500, 400, 8, 0, 5)
+		opt := Options{Epsilon: 0.05, Seed: 11, InitialSampleSize: 200, K: 30}
+		r, err := TrainSourceContext(context.Background(), models.LogisticRegression{Reg: 0.01}, ds, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := [2]pinnedOutcome{{1266, 0xbba97e42ce802e8c}, {1266, 0x1d1b966fadfca07f}}[col]
+		if got := ThetaFingerprint(r.Theta); r.SampleSize != want.n || got != want.theta {
+			t.Fatalf("n = %d θ = %#x, the parent computed n = %d θ = %#x (math.Exp's FMA branch: %v)", r.SampleSize, got, want.n, want.theta, fma)
+		}
+	})
+}

@@ -37,6 +37,11 @@ func probeCases(t *testing.T) map[string]probeCase {
 		"maxent":   {models.MaxEntropy{Reg: 0.01}, datagen.MNIST(datagen.Config{Rows: 900, Dim: 6, Seed: 1})},
 		// Sparse rows: each stored entry added into every column of a block.
 		"logistic-sparse": {models.LogisticRegression{Reg: 0.01}, datagen.Criteo(datagen.Config{Rows: 900, Dim: 60, Seed: 1})},
+		// Criteo's stored entries are all 1.0, and a class label rarely
+		// moves with a score's last bit. Here the entries are normal draws
+		// and v is a regression's, read off the scores' bits, so any other
+		// order of a sparse row's terms shows.
+		"linear-sparse": {models.LinearRegression{Reg: 0.01}, sparseFixture(t, dataset.Regression, 900, 60, 6, 0, 3)},
 	} {
 		const n0 = 400
 		train, holdout := c.ds.Subset(seq(0, n0)), c.ds.Subset(seq(n0, n0+probeBlock+37))

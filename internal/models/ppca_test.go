@@ -1,8 +1,11 @@
 package models
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"blinkml/internal/dataset"
@@ -182,5 +185,34 @@ func TestPPCADefaultSigmaBeforeTraining(t *testing.T) {
 	spec := NewPPCA(2)
 	if spec.SigmaSq() != 1 {
 		t.Fatalf("default sigma² = %v want 1", spec.SigmaSq())
+	}
+}
+
+// TestPPCALossPinnedAtParent pins ExampleLossGrad's loss bits at a fixed θ
+// and σ², with and without a gradient buffer, as the commit before log|C|
+// moved into the per-θ cache computed them (one LU of M⁻¹ per example).
+func TestPPCALossPinnedAtParent(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the losses were captured on amd64")
+	}
+	ds, _ := ppcaData(rand.New(rand.NewSource(97)), 20, 6, 0.5)
+	spec := NewPPCA(2)
+	spec.RestoreSigmaSq(0.7)
+	theta := make([]float64, spec.ParamDim(ds))
+	for i := range theta {
+		theta[i] = 0.3*float64(i%5-2) + 0.1
+	}
+	grad := make([]float64, len(theta))
+	h := fnv.New64a()
+	for i, x := range ds.X {
+		l := spec.ExampleLossGrad(theta, x, 0, nil)
+		if g := spec.ExampleLossGrad(theta, x, 0, grad); math.Float64bits(g) != math.Float64bits(l) {
+			t.Fatalf("row %d: loss %v with a gradient buffer, %v without", i, g, l)
+		}
+		h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(l)))
+	}
+	const want = 0x6d301c19733d7180 // the same with GODEBUG=cpu.fma=off
+	if got := h.Sum64(); got != want {
+		t.Fatalf("the losses' FNV-1a is %#x, the parent computed %#x", got, want)
 	}
 }
