@@ -229,7 +229,7 @@ func BenchmarkAblationFisherCovarianceSide(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := fisherCovarianceSide(spec, ds, theta, nil, 0.01, opt); err != nil {
+		if _, err := fisherCovarianceSide(spec, ds, theta, 0.01, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -31,6 +31,17 @@ func refMean(rows []dataset.Row, d int) []float64 {
 	return mean
 }
 
+// addOuterRow accumulates row·rowᵀ into m, on a sparse row's nnz x nnz
+// block.
+func addOuterRow(m *linalg.Dense, row dataset.Row) {
+	if r, ok := row.(*dataset.SparseRow); ok {
+		linalg.SpOuterAdd(m, 1, r.Idx, r.Val)
+		return
+	}
+	r := row.(dataset.DenseRow)
+	m.OuterAdd(1, r, r)
+}
+
 // refScaledEigvecs is scaledEigvecs over NewSymEig's column eigenvectors.
 func refScaledEigvecs(eig *linalg.SymEig, relTol float64, scale func(lam float64) float64) *linalg.Dense {
 	n := len(eig.Values)

@@ -56,13 +56,13 @@ func ComputeStatistics(spec models.Spec, sample *dataset.Dataset, theta []float6
 // moment of the per-example gradients (information-matrix equality), H =
 // J + βI, and the factor is built from whichever Gram side is smaller —
 // the d x d covariance when d ≤ n, the n x n gradient Gram matrix when
-// d > n. Cost: O(min(n²d, nd²)), one grads call. Dense inputs on the
-// covariance side never hold more than four gradient rows per chunk; sparse
-// inputs and the Gram side keep all n, O(nnz) each, which the Gram side's
-// factor goes on to use. On the covariance side the mean's chunk partials
-// merge in J's tree: at degree 1 that is the serial row-order sum, at
-// degree > 1 a different association than the Gram side's serial mean —
-// deterministic at each degree, like every other reduction here.
+// d > n. Cost: O(min(n²d, nd²)), one grads call. The covariance side never
+// holds more than a chunk's gradient rows, dense or sparse; the Gram side
+// keeps all n, O(nnz) each, which its factor goes on to use. On the
+// covariance side the mean's chunk partials merge in J's tree: at degree 1
+// that is the serial row-order sum, at degree > 1 a different association
+// than the Gram side's serial mean — deterministic at each degree, like
+// every other reduction here.
 func observedFisher(spec models.Spec, sample *dataset.Dataset, theta []float64, opt Options) (*Statistics, error) {
 	n := sample.Len()
 	if n == 0 {
@@ -71,11 +71,7 @@ func observedFisher(spec models.Spec, sample *dataset.Dataset, theta []float64, 
 	d := len(theta)
 	beta := spec.Beta()
 	if d <= n {
-		var rows []dataset.Row
-		if dataset.SparsePath(sample.X) {
-			rows = models.PerExampleGradRows(spec, sample, theta)
-		}
-		return fisherCovarianceSide(spec, sample, theta, rows, beta, opt)
+		return fisherCovarianceSide(spec, sample, theta, beta, opt)
 	}
 	rows := models.PerExampleGradRows(spec, sample, theta)
 	mean := make([]float64, d)
@@ -89,30 +85,46 @@ func observedFisher(spec models.Spec, sample *dataset.Dataset, theta []float64, 
 // fisherCovarianceSide eigendecomposes J = (1/n)Q_cᵀQ_c directly (d x d).
 // The gradient rows fold into the sums they feed as they are made: each
 // chunk of the sample on the compute pool owns one d·d+d partial, the upper
-// triangle of Σ qᵢqᵢᵀ followed by Σ qᵢ, each added in row order. Without
-// rows (dense inputs) a chunk makes its rows four at a time into one 4×d
-// block (models.GradRowsInto) and adds the block's outer products with
-// linalg.SyrkUpperAdd; with rows (sparse inputs) each row's outer product
-// is scattered on its nnz x nnz block. The partials merge in tree order.
-// J's upper triangle is then centered and mirrored: the product of two
-// gradient entries commutes, so the lower triangle it replaces held the
-// same bits.
-func fisherCovarianceSide(spec models.Spec, sample *dataset.Dataset, theta []float64, rows []dataset.Row, beta float64, opt Options) (*Statistics, error) {
+// triangle of Σ qᵢqᵢᵀ followed by Σ qᵢ, each added in row order. Dense
+// inputs make their rows four at a time into one 4×d block
+// (models.GradRowsInto) and add the block's outer products with
+// linalg.SyrkUpperAdd. Sparse inputs make them one at a time
+// (models.GradRow) into the chunk's scratch: a score model's gathered row
+// scatters its outer product on its nnz x nnz block, a dense one (PPCA) adds
+// it whole. The partials merge in tree order. J's upper triangle is then
+// centered and mirrored: the product of two gradient entries commutes, so
+// the lower triangle it replaces held the same bits.
+func fisherCovarianceSide(spec models.Spec, sample *dataset.Dataset, theta []float64, beta float64, opt Options) (*Statistics, error) {
 	n, d := sample.Len(), len(theta)
+	sparse := dataset.SparsePath(sample.X)
 	// d x d scratch per chunk: require chunks to be worth their memory.
 	chunks := compute.Chunks(n, 64+d/4)
 	parts := make([][]float64, chunks)
+	// J's build counts as Syrk does, m(m+1) per gradient row of m entries.
+	builds := make([]int64, chunks)
 	compute.ForChunksN(n, chunks, func(chunk, lo, hi int) {
 		part := make([]float64, d*d+d)
 		parts[chunk] = part
 		acc, sum := linalg.NewDenseFrom(d, d, part[:d*d]), part[d*d:]
-		if rows != nil {
+		if sparse {
+			scratch := make([]float64, d)
+			var sp dataset.SparseRow
 			for i := lo; i < hi; i++ {
-				rows[i].AddTo(sum, 1)
-				addOuterRow(acc, rows[i])
+				q := models.GradRow(spec, sample, theta, i, scratch, &sp)
+				q.AddTo(sum, 1)
+				m := int64(q.NNZ())
+				builds[chunk] += m * (m + 1)
+				if r, ok := q.(*dataset.SparseRow); ok {
+					linalg.SpOuterAdd(acc, 1, r.Idx, r.Val)
+					continue
+				}
+				r := q.(dataset.DenseRow)
+				acc.OuterAdd(1, r, r)
+				linalg.Fill(r, 0)
 			}
 			return
 		}
+		builds[chunk] = int64(hi-lo) * int64(d) * int64(d+1)
 		block := make([]float64, 4*d)
 		for i := lo; i < hi; i += 4 {
 			end := min(i+4, hi)
@@ -141,13 +153,9 @@ func fisherCovarianceSide(spec models.Spec, sample *dataset.Dataset, theta []flo
 	}
 	// L = V·diag(√μ/(μ+β)) over the informative eigenpairs (μ, v) of J.
 	l := scaledEigvecs(values, j, opt.SVDRelTol, func(mu float64) float64 { return math.Sqrt(mu) / (mu + beta) })
-	// J's build counts as Syrk does, m(m+1) per gradient row of m entries.
-	build := int64(n) * int64(d) * int64(d+1)
-	if rows != nil {
-		build = 0
-		for _, r := range rows {
-			build += int64(r.NNZ()) * int64(r.NNZ()+1)
-		}
+	var build int64
+	for _, b := range builds {
+		build += b
 	}
 	return &Statistics{Factor: &DenseFactor{L: l}, Rank: l.Cols, GradsCalls: 1,
 		kernels: 2, flops: build + eigFlops(d)}, nil
@@ -247,20 +255,6 @@ func scaledEigvecs(values []float64, vecs *linalg.Dense, relTol float64, scale f
 		}
 	}
 	return out
-}
-
-// addOuterRow accumulates row·rowᵀ into m, exploiting sparsity.
-func addOuterRow(m *linalg.Dense, row dataset.Row) {
-	switch r := row.(type) {
-	case *dataset.SparseRow:
-		linalg.SpOuterAdd(m, 1, r.Idx, r.Val)
-	case dataset.DenseRow:
-		m.OuterAdd(1, r, r)
-	default:
-		dense := make([]float64, row.Dim())
-		row.AddTo(dense, 1)
-		m.OuterAdd(1, dense, dense)
-	}
 }
 
 // closedForm implements §3.4 Method 1: the model supplies H(θ) analytically

@@ -69,7 +69,7 @@ func TestObservedFisherGramAndCovarianceSidesAgree(t *testing.T) {
 	linalg.Scale(1/float64(len(rows)), mean)
 
 	opt := Options{Epsilon: 0.1}.WithDefaults()
-	covSide, err := fisherCovarianceSide(spec, ds, theta, nil, spec.Reg, opt)
+	covSide, err := fisherCovarianceSide(spec, ds, theta, spec.Reg, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,30 +70,6 @@ func rowDot(x dataset.Row, theta []float64) float64 {
 	return x.Dot(theta)
 }
 
-// scaledRow returns c*x as a Row in a parameter space of the same
-// dimension, preserving sparsity. GLM per-example gradients all have the
-// form qᵢ = c(θᵀxᵢ, yᵢ) · xᵢ, so this is the shared "grads" kernel.
-func scaledRow(x dataset.Row, c float64) dataset.Row {
-	switch r := x.(type) {
-	case dataset.DenseRow:
-		out := make(dataset.DenseRow, len(r))
-		for i, v := range r {
-			out[i] = c * v
-		}
-		return out
-	case *dataset.SparseRow:
-		val := make([]float64, len(r.Val))
-		for i, v := range r.Val {
-			val[i] = c * v
-		}
-		return &dataset.SparseRow{N: r.N, Idx: r.Idx, Val: val}
-	default:
-		out := make(dataset.DenseRow, x.Dim())
-		x.AddTo(out, c)
-		return out
-	}
-}
-
 // glmHessian accumulates H = (1/n) Σ wᵢ xᵢxᵢᵀ + βI for per-example weights
 // w produced by weight (the GLM closed-form Hessian shared by linear,
 // logistic, and Poisson regression). The example range is chunked over

@@ -39,12 +39,6 @@ func (m LinearRegression) ExampleLossGrad(theta []float64, x dataset.Row, y floa
 	return loss
 }
 
-// ExampleGradRow implements Spec.
-func (m LinearRegression) ExampleGradRow(theta []float64, x dataset.Row, y float64) dataset.Row {
-	_, c := m.link(rowDot(x, theta), y)
-	return scaledRow(x, c)
-}
-
 // Predict implements Spec: the real-valued regression estimate θᵀx.
 func (LinearRegression) Predict(theta []float64, x dataset.Row) float64 {
 	return rowDot(x, theta)

@@ -39,12 +39,6 @@ func (m LogisticRegression) ExampleLossGrad(theta []float64, x dataset.Row, y fl
 	return loss
 }
 
-// ExampleGradRow implements Spec.
-func (m LogisticRegression) ExampleGradRow(theta []float64, x dataset.Row, y float64) dataset.Row {
-	_, c := m.link(rowDot(x, theta), y)
-	return scaledRow(x, c)
-}
-
 // Predict implements Spec: the hard class label 1{σ(θᵀx) ≥ ½} = 1{θᵀx ≥ 0}.
 func (LogisticRegression) Predict(theta []float64, x dataset.Row) float64 {
 	if rowDot(x, theta) >= 0 {

@@ -94,39 +94,6 @@ func (m MaxEntropy) ExampleLossGrad(theta []float64, x dataset.Row, y float64, g
 	return lse - zy
 }
 
-// ExampleGradRow implements Spec. The returned row is sparse over the K·d
-// parameter space whenever x is sparse (K·nnz stored entries).
-func (m MaxEntropy) ExampleGradRow(theta []float64, x dataset.Row, y float64) dataset.Row {
-	d := x.Dim()
-	k := len(theta) / d
-	z := m.logits(theta, x, k)
-	yi := int(y)
-	softmaxInPlace(z)
-	z[yi] -= 1 // z now holds the per-class coefficients
-
-	if sp, ok := x.(*dataset.SparseRow); ok {
-		nnz := len(sp.Idx)
-		idx := make([]int32, 0, k*nnz)
-		val := make([]float64, 0, k*nnz)
-		for c := 0; c < k; c++ {
-			off := int32(c * d)
-			coeff := z[c]
-			for t, j := range sp.Idx {
-				idx = append(idx, off+j)
-				val = append(val, coeff*sp.Val[t])
-			}
-		}
-		return &dataset.SparseRow{N: k * d, Idx: idx, Val: val}
-	}
-	out := make(dataset.DenseRow, k*d)
-	for c := 0; c < k; c++ {
-		if z[c] != 0 {
-			x.AddTo(out[c*d:(c+1)*d], z[c])
-		}
-	}
-	return out
-}
-
 // Predict implements Spec: argmax over class scores (the softmax is
 // monotone, so logits suffice). Ties resolve to the lowest class index.
 func (m MaxEntropy) Predict(theta []float64, x dataset.Row) float64 {

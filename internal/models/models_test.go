@@ -189,23 +189,81 @@ func TestExampleGradientsMatchFiniteDifferences(t *testing.T) {
 	}
 }
 
-// The per-example gradient rows must agree with the accumulated gradient.
-func TestExampleGradRowMatchesAccumulation(t *testing.T) {
+// sparsified returns ds with every dense row stored sparse over the
+// features j with j%3 ≠ 1, the ones with j%3 = 2 as explicit zeros.
+func sparsified(ds *dataset.Dataset) *dataset.Dataset {
+	out := *ds
+	out.X = make([]dataset.Row, ds.Len())
+	for i, x := range ds.X {
+		r, ok := x.(dataset.DenseRow)
+		if !ok {
+			out.X[i] = x
+			continue
+		}
+		var idx []int32
+		var val []float64
+		for j, v := range r {
+			switch j % 3 {
+			case 0:
+				idx, val = append(idx, int32(j)), append(val, v)
+			case 2:
+				idx, val = append(idx, int32(j)), append(val, 0)
+			}
+		}
+		out.X[i] = &dataset.SparseRow{N: ds.Dim, Idx: idx, Val: val}
+	}
+	return &out
+}
+
+// checkGradRowLayout asserts that q, the gradient row of x, is dense over
+// θ for a dense x, and for a sparse x holds ns·nnz(x) stored entries in
+// class-major order: entry c·nnz+t at class block c's copy of x's t-th
+// index.
+func checkGradRowLayout(t *testing.T, spec Spec, theta []float64, x dataset.Row, q dataset.Row) {
+	t.Helper()
+	xs, sparse := x.(*dataset.SparseRow)
+	if !sparse {
+		if r, ok := q.(dataset.DenseRow); !ok || len(r) != len(theta) {
+			t.Fatalf("dense input gave a %T of %d entries, want a dense row of %d", q, q.NNZ(), len(theta))
+		}
+		return
+	}
+	r, ok := q.(*dataset.SparseRow)
+	if !ok {
+		t.Fatalf("sparse input gave a %T", q)
+	}
+	ns, nnz := spec.(ScoreModel).NumScores(len(theta), xs.N), len(xs.Idx)
+	if r.N != len(theta) || len(r.Idx) != ns*nnz || len(r.Val) != ns*nnz {
+		t.Fatalf("gradient row of dim %d with %d indices and %d values, want dim %d and %d·%d entries", r.N, len(r.Idx), len(r.Val), len(theta), ns, nnz)
+	}
+	for c := 0; c < ns; c++ {
+		for k, j := range xs.Idx {
+			if got := r.Idx[c*nnz+k]; int(got) != c*xs.N+int(j) {
+				t.Fatalf("entry %d has index %d, want class %d's copy of %d", c*nnz+k, got, c, j)
+			}
+		}
+	}
+}
+
+// The gradient rows PerExampleGradRows makes must add up to the
+// accumulated gradient, dense or sparse, and keep GradRow's layout.
+func TestGradRowsMatchAccumulation(t *testing.T) {
 	for name, spec := range specsUnderTest() {
 		for _, sparse := range []bool{false, true} {
-			if sparse && name == "maxent" {
-				continue // maxent sparse covered separately below
-			}
 			t.Run(name, func(t *testing.T) {
 				rng := rand.New(rand.NewSource(13))
 				ds := datasetFor(name, rng, 15, 6, sparse)
+				if sparse {
+					ds = sparsified(ds)
+				}
 				theta := make([]float64, spec.ParamDim(ds))
 				for i := range theta {
 					theta[i] = 0.2 * rng.NormFloat64()
 				}
 				sum := make([]float64, len(theta))
-				for i := 0; i < ds.Len(); i++ {
-					spec.ExampleGradRow(theta, ds.X[i], label(ds, i)).AddTo(sum, 1)
+				for i, q := range PerExampleGradRows(spec, ds, theta) {
+					checkGradRowLayout(t, spec, theta, ds.X[i], q)
+					q.AddTo(sum, 1)
 				}
 				want := analyticGradSum(spec, ds, theta)
 				for j := range sum {
@@ -218,6 +276,9 @@ func TestExampleGradRowMatchesAccumulation(t *testing.T) {
 	}
 }
 
+// A max-entropy gradient row of a sparse input holds, in class-major
+// order, the bits ExampleLossGrad adds into zeros at every stored index,
+// explicit zeros included.
 func TestMaxEntSparseGradRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	spec := MaxEntropy{Reg: 0, Classes: 3}
@@ -227,22 +288,19 @@ func TestMaxEntSparseGradRow(t *testing.T) {
 		ds.X = append(ds.X, makeRow(rng, d, true))
 		ds.Y = append(ds.Y, float64(rng.Intn(3)))
 	}
+	ds.X[0] = &dataset.SparseRow{N: d, Idx: []int32{1, 4, 6}, Val: []float64{0.5, 0, -2}}
 	theta := make([]float64, spec.ParamDim(ds))
 	for i := range theta {
 		theta[i] = rng.NormFloat64()
 	}
-	for i := 0; i < ds.Len(); i++ {
-		row := spec.ExampleGradRow(theta, ds.X[i], ds.Y[i])
-		if _, ok := row.(*dataset.SparseRow); !ok {
-			t.Fatal("sparse input should give sparse gradient row")
-		}
+	for i, q := range PerExampleGradRows(spec, ds, theta) {
+		checkGradRowLayout(t, spec, theta, ds.X[i], q)
 		dense := make([]float64, len(theta))
 		spec.ExampleLossGrad(theta, ds.X[i], ds.Y[i], dense)
-		got := make([]float64, len(theta))
-		row.AddTo(got, 1)
-		for j := range got {
-			if math.Abs(got[j]-dense[j]) > 1e-10 {
-				t.Fatalf("sparse grad row mismatch at %d: %v vs %v", j, got[j], dense[j])
+		r := q.(*dataset.SparseRow)
+		for k, j := range r.Idx {
+			if math.Float64bits(r.Val[k]) != math.Float64bits(dense[j]) {
+				t.Fatalf("row %d: entry %d (index %d) = %v, ExampleLossGrad gave %v", i, k, j, r.Val[k], dense[j])
 			}
 		}
 	}

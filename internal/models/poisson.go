@@ -48,12 +48,6 @@ func (m PoissonRegression) ExampleLossGrad(theta []float64, x dataset.Row, y flo
 	return loss
 }
 
-// ExampleGradRow implements Spec.
-func (m PoissonRegression) ExampleGradRow(theta []float64, x dataset.Row, y float64) dataset.Row {
-	_, c := m.link(rowDot(x, theta), y)
-	return scaledRow(x, c)
-}
-
 // Predict implements Spec: the expected count λ = e^{θᵀx}.
 func (PoissonRegression) Predict(theta []float64, x dataset.Row) float64 {
 	z := rowDot(x, theta)

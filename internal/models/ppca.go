@@ -165,7 +165,7 @@ func (m *PPCA) wMatrix(theta []float64) *linalg.Dense {
 }
 
 // prepared returns (Minv, A=C⁻¹W, σ²) for θ, caching across calls with the
-// same parameter values (PerExampleGradRows calls this once per example).
+// same parameter values (every gradient row calls this once per example).
 // The cache is a lock-free atomic snapshot: concurrent evaluations at the
 // same θ — the pool-parallel objective and gradient-row loops — share one
 // hit without serializing, and a racing recomputation just stores an
@@ -249,25 +249,6 @@ func (m *PPCA) ExampleLossGrad(theta []float64, x dataset.Row, _ float64, gradAc
 	xCx := 0.0
 	x.ForEach(func(i int, v float64) { xCx += v * u[i] })
 	return 0.5 * (float64(d)*math.Log(2*math.Pi) + logDetC + xCx)
-}
-
-// ExampleGradRow implements Spec.
-func (m *PPCA) ExampleGradRow(theta []float64, x dataset.Row, _ float64) dataset.Row {
-	minv, a, sigmaSq := m.prepared(theta)
-	w := m.wMatrix(theta)
-	d, q := w.Rows, w.Cols
-	u := m.cInvX(w, minv, sigmaSq, x)
-	xa := make([]float64, q)
-	x.ForEach(func(i int, v float64) {
-		linalg.Axpy(v, a.Row(i), xa)
-	})
-	out := make(dataset.DenseRow, d*q)
-	for i := 0; i < d; i++ {
-		dst := out[i*q : (i+1)*q]
-		copy(dst, a.Row(i))
-		linalg.Axpy(-u[i], xa, dst)
-	}
-	return out
 }
 
 // Predict implements Spec. PPCA is unsupervised; its model difference is

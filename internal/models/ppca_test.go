@@ -137,8 +137,7 @@ func TestPPCAGradRowMatchesAccumulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		row := spec.ExampleGradRow(theta, ds.X[i], 0)
+	for i, row := range PerExampleGradRows(spec, ds.Subset([]int{0, 1, 2, 3, 4}), theta) {
 		got := make([]float64, len(theta))
 		row.AddTo(got, 1)
 		want := make([]float64, len(theta))

@@ -12,7 +12,10 @@ import (
 // through a small vector of linear scores s_c = θ[c·d:(c+1)·d]ᵀx. The Sample
 // Size Estimator exploits this to precompute holdout scores once and then
 // probe many candidate sample sizes with O(1) work per example (the §4.3
-// spirit of avoiding redundant computation across the binary search).
+// spirit of avoiding redundant computation across the binary search). The
+// loss, too, reaches θ only through the scores, so class block c of qᵢ is
+// (∂ℓ/∂s_c)·x: it is zero off x's stored indices, which is what GradRow
+// gathers a sparse row's gradient at.
 type ScoreModel interface {
 	// NumScores returns the score-vector length (1 for GLMs, K for the
 	// max-entropy classifier).

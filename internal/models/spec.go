@@ -2,7 +2,8 @@
 // paper §2.2): linear regression, logistic regression, the max-entropy
 // (softmax) classifier, Poisson regression, and PPCA. Each model exposes
 // the two primitives the BlinkML core needs — per-example gradients
-// ("grads") and a prediction-difference metric ("diff") — plus a training
+// ("grads", the one method ExampleLossGrad, of which every gradient row is
+// made) and a prediction-difference metric ("diff") — plus a training
 // objective for the optimizers.
 //
 // Scaling convention (paper §2.2, Equations 2–3): the training objective is
@@ -25,7 +26,8 @@ import (
 )
 
 // Spec is a model class specification. Implementations must be stateless
-// value types: all model state lives in the parameter vector θ.
+// value types: all model state lives in the parameter vector θ. A spec
+// answers the paper's "grads" with one method, ExampleLossGrad.
 type Spec interface {
 	// Name identifies the model class (e.g. "logistic").
 	Name() string
@@ -36,12 +38,9 @@ type Spec interface {
 	// Beta returns the L2 regularization coefficient β (r(θ) = βθ).
 	Beta() float64
 	// ExampleLossGrad returns ℓᵢ(θ) for one example and, when gradAccum is
-	// non-nil, adds qᵢ(θ) into it (without zeroing it first).
+	// non-nil, adds qᵢ(θ) into it (without zeroing it first). A gradient
+	// row is ExampleLossGrad into zeros (GradRow).
 	ExampleLossGrad(theta []float64, x dataset.Row, y float64, gradAccum []float64) float64
-	// ExampleGradRow returns qᵢ(θ) as a Row in parameter space; the row is
-	// sparse whenever x is sparse. This is the paper's "grads" MCS method:
-	// individual per-example gradients, not their average.
-	ExampleGradRow(theta []float64, x dataset.Row, y float64) dataset.Row
 	// Predict returns the model's prediction for x: a class index for
 	// classification tasks, a real value for regression.
 	Predict(theta []float64, x dataset.Row) float64
@@ -244,25 +243,79 @@ func BatchGradient(spec Spec, ds *dataset.Dataset, theta []float64) []float64 {
 	return grad
 }
 
-// PerExampleGradRows materializes qᵢ(θ) for every row of ds. The rows stay
-// sparse for sparse inputs, which keeps the ObservedFisher path at O(nnz)
-// memory — the paper's O(d) claim (§3.4). Rows are independent, so they
-// are computed in parallel on the shared compute pool.
+// PerExampleGradRows materializes qᵢ(θ) for every row of ds, each by
+// GradRow. The rows stay sparse for a score model's sparse inputs, which
+// keeps the Gram side at O(nnz) memory — the paper's O(d) claim (§3.4).
+// Rows are independent, so they are computed in parallel on the shared
+// compute pool, each chunk gathering through one scratch; a dense row keeps
+// the scratch it was made in.
 func PerExampleGradRows(spec Spec, ds *dataset.Dataset, theta []float64) []dataset.Row {
 	rows := make([]dataset.Row, ds.Len())
 	compute.For(ds.Len(), 64, func(lo, hi int) {
+		var scratch []float64
 		for i := lo; i < hi; i++ {
-			rows[i] = spec.ExampleGradRow(theta, ds.X[i], label(ds, i))
+			if scratch == nil {
+				scratch = make([]float64, len(theta))
+			}
+			rows[i] = GradRow(spec, ds, theta, i, scratch, nil)
+			if _, dense := rows[i].(dataset.DenseRow); dense {
+				scratch = nil
+			}
 		}
 	})
 	return rows
 }
 
+// GradRow returns qᵢ(θ) for row i of ds as ExampleLossGrad added into
+// scratch, len(θ) zeros. A ScoreModel's loss reaches θ only through the
+// scores, so for a sparse row qᵢ lives at the row's stored indices in each
+// of its NumScores class blocks: GradRow gathers those slots into sp in
+// class-major order and re-zeroes them, leaving scratch all zero. The row
+// keeps every stored entry, explicit zeros included, and with one score it
+// shares x's indices. sp's storage is reused when it has room (so an sp
+// passed again must come from the same spec), and a nil sp gets a new row.
+// Any other row or spec returns scratch itself as a dense row, which the
+// caller zeroes or replaces before the next call.
+func GradRow(spec Spec, ds *dataset.Dataset, theta []float64, i int, scratch []float64, sp *dataset.SparseRow) dataset.Row {
+	x, p := ds.X[i], len(theta)
+	scratch = scratch[:p]
+	spec.ExampleLossGrad(theta, x, label(ds, i), scratch)
+	sm, scores := spec.(ScoreModel)
+	xs, sparse := x.(*dataset.SparseRow)
+	if !scores || !sparse {
+		return dataset.DenseRow(scratch)
+	}
+	if sp == nil {
+		sp = new(dataset.SparseRow)
+	}
+	d, nnz := xs.N, len(xs.Idx)
+	ns := sm.NumScores(p, d)
+	sp.N = p
+	if cap(sp.Val) < ns*nnz {
+		sp.Val = make([]float64, ns*nnz)
+	}
+	sp.Val = sp.Val[:ns*nnz]
+	if ns == 1 {
+		sp.Idx = xs.Idx
+	} else if cap(sp.Idx) < ns*nnz {
+		sp.Idx = make([]int32, ns*nnz)
+	}
+	sp.Idx = sp.Idx[:ns*nnz]
+	for c := 0; c < ns; c++ {
+		blk, val := scratch[c*d:(c+1)*d], sp.Val[c*nnz:(c+1)*nnz]
+		for t, j := range xs.Idx {
+			val[t], blk[j] = blk[j], 0
+			if ns > 1 {
+				sp.Idx[c*nnz+t] = int32(c*d) + j
+			}
+		}
+	}
+	return sp
+}
+
 // GradRowsInto writes qᵢ(θ) for rows lo..hi of ds densely into buf, row i
-// at buf[(i−lo)·p : (i−lo+1)·p] with p = len(theta): the same rows
-// PerExampleGradRows makes, into the caller's storage. Each is
-// ExampleLossGrad added into zeros, which holds ExampleGradRow's values up
-// to the sign of a zero — a difference no sum that starts at +0 can see.
+// at buf[(i−lo)·p : (i−lo+1)·p] with p = len(theta): GradRow's dense rows,
+// ExampleLossGrad added into zeros, into the caller's storage.
 func GradRowsInto(spec Spec, ds *dataset.Dataset, theta []float64, lo, hi int, buf []float64) {
 	p := len(theta)
 	buf = buf[:(hi-lo)*p]
