@@ -41,6 +41,7 @@ type ppcaCache struct {
 	minv    *linalg.Dense // (σ²I + WᵀW)⁻¹, q x q
 	a       *linalg.Dense // C⁻¹W = W·Minv, d x q
 	sigmaSq float64
+	logDetC float64 // log|C|
 }
 
 // NewPPCA returns a PPCA spec with q factors.
@@ -164,13 +165,13 @@ func (m *PPCA) wMatrix(theta []float64) *linalg.Dense {
 	return linalg.NewDenseFrom(d, q, theta)
 }
 
-// prepared returns (Minv, A=C⁻¹W, σ²) for θ, caching across calls with the
-// same parameter values (every gradient row calls this once per example).
-// The cache is a lock-free atomic snapshot: concurrent evaluations at the
-// same θ — the pool-parallel objective and gradient-row loops — share one
-// hit without serializing, and a racing recomputation just stores an
-// equivalent snapshot.
-func (m *PPCA) prepared(theta []float64) (*linalg.Dense, *linalg.Dense, float64) {
+// prepared returns the per-θ quantities Minv, A = C⁻¹W, σ² and log|C|,
+// caching across calls with the same parameter values (every gradient row
+// calls this once per example). The cache is a lock-free atomic snapshot:
+// concurrent evaluations at the same θ — the pool-parallel objective and
+// gradient-row loops — share one hit without serializing, and a racing
+// recomputation just stores an equivalent snapshot.
+func (m *PPCA) prepared(theta []float64) *ppcaCache {
 	if c := m.cache.Load(); c != nil && len(c.theta) == len(theta) && c.sigmaSq == m.SigmaSq() {
 		same := true
 		for i, v := range theta {
@@ -180,7 +181,7 @@ func (m *PPCA) prepared(theta []float64) (*linalg.Dense, *linalg.Dense, float64)
 			}
 		}
 		if same {
-			return c.minv, c.a, c.sigmaSq
+			return c
 		}
 	}
 	sigmaSq := m.SigmaSq()
@@ -195,9 +196,15 @@ func (m *PPCA) prepared(theta []float64) (*linalg.Dense, *linalg.Dense, float64)
 		minv = linalg.Identity(mm.Rows)
 		minv.ScaleInPlace(1 / sigmaSq)
 	}
-	a := linalg.MatMul(w, minv) // C⁻¹W = W·Minv
-	m.cache.Store(&ppcaCache{theta: linalg.CopyVec(theta), minv: minv, a: a, sigmaSq: sigmaSq})
-	return minv, a, sigmaSq
+	// log|C| = (d−q)·log σ² + log|M| = (d−q)·log σ² − log|Minv|, without
+	// the last term when Minv's LU fails.
+	logDetC := float64(w.Rows-w.Cols) * math.Log(sigmaSq)
+	if lu, err := linalg.NewLU(minv); err == nil {
+		logDetC -= math.Log(math.Abs(lu.Det()))
+	}
+	c := &ppcaCache{theta: linalg.CopyVec(theta), minv: minv, a: linalg.MatMul(w, minv), sigmaSq: sigmaSq, logDetC: logDetC}
+	m.cache.Store(c)
+	return c
 }
 
 // cInvX computes u = C⁻¹x = (x − W·Minv·(Wᵀx))/σ² via Woodbury.
@@ -225,30 +232,24 @@ func (m *PPCA) cInvX(w, minv *linalg.Dense, sigmaSq float64, x dataset.Row) []fl
 // ExampleLossGrad implements Spec: the per-example negative log-likelihood
 // ½(d·log 2π + log|C| + xᵀC⁻¹x) and its gradient A − u·(xᵀA) flattened.
 func (m *PPCA) ExampleLossGrad(theta []float64, x dataset.Row, _ float64, gradAccum []float64) float64 {
-	minv, a, sigmaSq := m.prepared(theta)
+	c := m.prepared(theta)
 	w := m.wMatrix(theta)
 	d, q := w.Rows, w.Cols
-	u := m.cInvX(w, minv, sigmaSq, x)
+	u := m.cInvX(w, c.minv, c.sigmaSq, x)
 	if gradAccum != nil {
 		xa := make([]float64, q) // xᵀA
 		x.ForEach(func(i int, v float64) {
-			linalg.Axpy(v, a.Row(i), xa)
+			linalg.Axpy(v, c.a.Row(i), xa)
 		})
 		for i := 0; i < d; i++ {
 			dst := gradAccum[i*q : (i+1)*q]
-			linalg.Axpy(1, a.Row(i), dst)
+			linalg.Axpy(1, c.a.Row(i), dst)
 			linalg.Axpy(-u[i], xa, dst)
 		}
 	}
-	// log|C| = (d−q)·log σ² + log|M| = (d−q)·log σ² − log|Minv|.
-	luMinv, err := linalg.NewLU(minv)
-	logDetC := float64(d-q) * math.Log(sigmaSq)
-	if err == nil {
-		logDetC -= math.Log(math.Abs(luMinv.Det()))
-	}
 	xCx := 0.0
 	x.ForEach(func(i int, v float64) { xCx += v * u[i] })
-	return 0.5 * (float64(d)*math.Log(2*math.Pi) + logDetC + xCx)
+	return 0.5 * (float64(d)*math.Log(2*math.Pi) + c.logDetC + xCx)
 }
 
 // Predict implements Spec. PPCA is unsupervised; its model difference is
