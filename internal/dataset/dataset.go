@@ -212,10 +212,14 @@ type Dataset struct {
 // Len returns the number of rows.
 func (d *Dataset) Len() int { return len(d.X) }
 
-// Validate checks internal consistency and finiteness of the labels.
+// Validate checks internal consistency, the class count's bound and
+// finiteness of the labels.
 func (d *Dataset) Validate() error {
 	if d.Task != Unsupervised && len(d.Y) != len(d.X) {
 		return fmt.Errorf("dataset %q: %d rows but %d labels", d.Name, len(d.X), len(d.Y))
+	}
+	if d.Task == MultiClassification && d.NumClasses > MaxClasses {
+		return fmt.Errorf("dataset %q: %d classes (at most %d)", d.Name, d.NumClasses, MaxClasses)
 	}
 	for i, r := range d.X {
 		if r.Dim() != d.Dim {
@@ -233,10 +237,16 @@ func (d *Dataset) Validate() error {
 	return nil
 }
 
+// MaxClasses bounds a multiclass dataset's class count K. A count nobody
+// gives is inferred as the largest label + 1, and the max-entropy model
+// sizes θ at K·d values, so a single label of 10¹² would ask for terabytes.
+// 2¹⁶ classes is far beyond any task here and still a bounded θ.
+const MaxClasses = 1 << 16
+
 // LabelError says why y is not a label of the task (not finite, a binary
 // label other than 0 or 1, a class label that is not a non-negative
-// integer), or returns nil when it is one. It is the one label check of the
-// in-memory constructors and the store's ingest.
+// integer below MaxClasses), or returns nil when it is one. It is the one
+// label check of the in-memory constructors and the store's ingest.
 func LabelError(task Task, y float64) error {
 	switch c := int(y); {
 	case math.IsNaN(y) || math.IsInf(y, 0):
@@ -245,6 +255,8 @@ func LabelError(task Task, y float64) error {
 		return fmt.Errorf("binary label is %v (want 0 or 1)", y)
 	case task == MultiClassification && (float64(c) != y || c < 0):
 		return fmt.Errorf("class label is %v (want a non-negative integer)", y)
+	case task == MultiClassification && c >= MaxClasses:
+		return fmt.Errorf("class label is %v (at most %d classes)", y, MaxClasses)
 	}
 	return nil
 }

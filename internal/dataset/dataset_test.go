@@ -159,6 +159,36 @@ func TestLabelErrorMatchesValidate(t *testing.T) {
 	}
 }
 
+// TestClassCountBounded: a class label of MaxClasses or more, or a given
+// class count above it, is refused by every constructor, so no dataset
+// asks a max-entropy model for K·d values with K inferred from one label.
+func TestClassCountBounded(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		y       []float64
+		classes int
+	}{
+		{"huge label", []float64{0, 1e12}, 0},
+		{"label at the bound", []float64{0, MaxClasses}, 0},
+		{"count above the bound", []float64{0, 1}, MaxClasses + 1},
+	} {
+		if ds, err := FromDense(MultiClassification, [][]float64{{1}, {2}}, c.y, c.classes); err == nil {
+			t.Errorf("%s: FromDense built %d classes", c.name, ds.NumClasses)
+		}
+		if ds, err := FromSparse(MultiClassification, 1, [][]int32{{0}, {0}}, [][]float64{{1}, {2}}, c.y, c.classes); err == nil {
+			t.Errorf("%s: FromSparse built %d classes", c.name, ds.NumClasses)
+		}
+	}
+	in := Inline{Task: "multiclass", X: [][]float64{{1}, {2}}, Y: []float64{0, 1e12}}
+	if ds, err := in.Build(); err == nil {
+		t.Errorf("Inline built %d classes", ds.NumClasses)
+	}
+	ds, err := FromDense(MultiClassification, [][]float64{{1}, {2}}, []float64{0, MaxClasses - 1}, 0)
+	if err != nil || ds.NumClasses != MaxClasses {
+		t.Fatalf("the largest label: %v classes, %v", ds, err)
+	}
+}
+
 func TestSubset(t *testing.T) {
 	d := &Dataset{
 		X:    []Row{DenseRow{1}, DenseRow{2}, DenseRow{3}},

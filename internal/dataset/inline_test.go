@@ -38,6 +38,9 @@ func FuzzInline(f *testing.F) {
 		if ds.Len() != in.Rows() || ds.Dim < 1 {
 			t.Fatalf("%q: built a %dx%d dataset from %d rows", body, ds.Len(), ds.Dim, in.Rows())
 		}
+		if ds.NumClasses > MaxClasses {
+			t.Fatalf("%q: built %d classes", body, ds.NumClasses)
+		}
 		checkFinite(t, body, task, ds)
 		for i, y := range ds.Y {
 			if math.IsNaN(y) || math.IsInf(y, 0) {

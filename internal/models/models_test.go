@@ -485,6 +485,16 @@ func TestTrainRefusesNonFiniteObjective(t *testing.T) {
 // second list: it must be exactly the names New accepts — the list New's
 // own error spells out — and each must build the class of that name with
 // the knobs passed through.
+// New refuses a max-entropy class count a dataset could not have.
+func TestNewBoundsMaxEntClasses(t *testing.T) {
+	if spec, err := New("maxent", 0, dataset.MaxClasses+1, 0); err == nil {
+		t.Fatalf("New built %+v", spec)
+	}
+	if _, err := New("maxent", 0, dataset.MaxClasses, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestNewAcceptsExactlyTheObsModelFamilies(t *testing.T) {
 	_, err := New("svm", 0, 0, 0)
 	if err == nil {

@@ -210,7 +210,7 @@ func TestPPCALossPinnedAtParent(t *testing.T) {
 		}
 		h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(l)))
 	}
-	const want = 0x6d301c19733d7180 // the same with GODEBUG=cpu.fma=off
+	const want uint64 = 0x6d301c19733d7180 // the same with GODEBUG=cpu.fma=off
 	if got := h.Sum64(); got != want {
 		t.Fatalf("the losses' FNV-1a is %#x, the parent computed %#x", got, want)
 	}

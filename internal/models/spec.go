@@ -49,9 +49,9 @@ type Spec interface {
 // New builds the model class called name — the one place a name becomes a
 // spec, for wire requests, random search spaces and command-line flags
 // alike. reg is the L2 coefficient β of the four GLM classes, classes the
-// max-entropy class count (0 = the dataset's) and factors PPCA's q (0 = the
-// paper's 10); each class ignores what it does not use. obs.ModelFamilies
-// must list exactly the names accepted here.
+// max-entropy class count (0 = the dataset's, at most dataset.MaxClasses)
+// and factors PPCA's q (0 = the paper's 10); each class ignores what it does
+// not use. obs.ModelFamilies must list exactly the names accepted here.
 func New(name string, reg float64, classes, factors int) (Spec, error) {
 	switch name {
 	case "linear":
@@ -59,6 +59,9 @@ func New(name string, reg float64, classes, factors int) (Spec, error) {
 	case "logistic":
 		return LogisticRegression{Reg: reg}, nil
 	case "maxent":
+		if classes > dataset.MaxClasses {
+			return nil, fmt.Errorf("models: maxent with %d classes (at most %d)", classes, dataset.MaxClasses)
+		}
 		return MaxEntropy{Reg: reg, Classes: classes}, nil
 	case "poisson":
 		return PoissonRegression{Reg: reg}, nil

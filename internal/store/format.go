@@ -119,8 +119,8 @@ func (m *Manifest) validate() error {
 			return fmt.Errorf("store: manifest nnz %d, want rows·dim for %d rows × %d dim", m.NNZ, m.Rows, m.Dim)
 		}
 	}
-	if m.Task == dataset.MultiClassification.String() && m.NumClasses < 1 {
-		return fmt.Errorf("store: manifest has %d classes for a multiclass task", m.NumClasses)
+	if m.Task == dataset.MultiClassification.String() && (m.NumClasses < 1 || m.NumClasses > dataset.MaxClasses) {
+		return fmt.Errorf("store: manifest has %d classes for a multiclass task (at most %d)", m.NumClasses, dataset.MaxClasses)
 	}
 	return nil
 }

@@ -23,7 +23,7 @@ func fits(m *Manifest) bool {
 	if err != nil || m.FormatVersion != FormatVersion || m.Rows <= 0 || m.Dim <= 0 {
 		return false
 	}
-	if task == dataset.MultiClassification && m.NumClasses < 1 {
+	if task == dataset.MultiClassification && (m.NumClasses < 1 || m.NumClasses > dataset.MaxClasses) {
 		return false
 	}
 	rows, dim, nnz := big.NewInt(int64(m.Rows)), big.NewInt(int64(m.Dim)), big.NewInt(m.NNZ)
@@ -93,6 +93,7 @@ func TestManifestMustFitItsSizes(t *testing.T) {
 		{"sparse-read-as-dense", "sparse", func(m *Manifest) { m.Sparse = false }, "want 8·rows·(dim+1)"},
 		{"multiclass-no-classes", "multiclass", func(m *Manifest) { m.NumClasses = 0 }, "0 classes for a multiclass task"},
 		{"multiclass-negative-classes", "multiclass", func(m *Manifest) { m.NumClasses = -1 }, "-1 classes"},
+		{"multiclass-past-max-classes", "multiclass", func(m *Manifest) { m.NumClasses = dataset.MaxClasses + 1 }, "65537 classes"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

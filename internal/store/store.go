@@ -353,9 +353,9 @@ func (s *Store) Ingest(r io.Reader, opt IngestOptions) (*Handle, error) {
 		man.NumClasses = opt.NumClasses
 		if man.NumClasses == 0 {
 			man.NumClasses = maxClass + 1
-		} else if maxClass >= man.NumClasses {
+		} else if maxClass >= man.NumClasses || man.NumClasses > dataset.MaxClasses {
 			cleanup()
-			return nil, fmt.Errorf("store: ingest: class label %d with declared %d classes", maxClass, man.NumClasses)
+			return nil, fmt.Errorf("store: ingest: class label %d with declared %d classes (at most %d)", maxClass, man.NumClasses, dataset.MaxClasses)
 		}
 	}
 	man.LabelMean = labelSum / float64(man.Rows)

@@ -334,6 +334,8 @@ func TestIngestValidation(t *testing.T) {
 		{"bad binary label", "1,2,7\n", IngestOptions{Format: "csv", Task: dataset.BinaryClassification}},
 		{"fractional class", "1,2,1.5\n", IngestOptions{Format: "csv", Task: dataset.MultiClassification}},
 		{"class beyond declared", "1,2,5\n", IngestOptions{Format: "csv", Task: dataset.MultiClassification, NumClasses: 3}},
+		{"class label past MaxClasses", "1,2,0\n1,2,1e12\n", IngestOptions{Format: "csv", Task: dataset.MultiClassification}},
+		{"class count past MaxClasses", "1,2,0\n", IngestOptions{Format: "csv", Task: dataset.MultiClassification, NumClasses: dataset.MaxClasses + 1}},
 	}
 	for _, c := range cases {
 		if _, err := st.Ingest(strings.NewReader(c.in), c.opt); err == nil {
