@@ -317,8 +317,8 @@ func GradRow(spec Spec, ds *dataset.Dataset, theta []float64, i int, scratch []f
 }
 
 // GradRowsInto writes qᵢ(θ) for rows lo..hi of ds densely into buf, row i
-// at buf[(i−lo)·p : (i−lo+1)·p] with p = len(theta): GradRow's dense rows,
-// ExampleLossGrad added into zeros, into the caller's storage.
+// at buf[(i−lo)·p : (i−lo+1)·p] with p = len(theta): each ExampleLossGrad
+// added into zeros, as GradRow makes a row, in the caller's storage.
 func GradRowsInto(spec Spec, ds *dataset.Dataset, theta []float64, lo, hi int, buf []float64) {
 	p := len(theta)
 	buf = buf[:(hi-lo)*p]
