@@ -124,8 +124,9 @@ func rankTwoScalar(row, d, e []float64, ek, dk float64) {
 	}
 }
 
-// classPad is the class count k rounded up to the lane width.
-func classPad(k int) int { return (k + 3) &^ 3 }
+// ClassPad is the class count k rounded up to the lane width: the stride of
+// a ClassBlock of k classes, from one feature's weights to the next.
+func ClassPad(k int) int { return (k + 3) &^ 3 }
 
 // InterleaveClasses lays the k×d class-major weights theta (class c at
 // theta[c·d:(c+1)·d]) out class-interleaved for ClassScores: weight j of
@@ -141,7 +142,7 @@ func InterleaveClasses(dst, theta []float64, k, d int) []float64 {
 // with its padding classes zero and the k classes left for SetClasses. It
 // reuses dst's storage when it is large enough.
 func ClassBlock(dst []float64, k, d int) []float64 {
-	kp := classPad(k)
+	kp := ClassPad(k)
 	if cap(dst) < d*kp {
 		dst = make([]float64, d*kp)
 	}
@@ -156,7 +157,7 @@ func ClassBlock(dst []float64, k, d int) []float64 {
 // c0+m−1 of t, a ClassBlock of k classes: weight j of theta's class c at
 // j·kp + c0 + c.
 func SetClasses(t []float64, k, c0 int, theta []float64, m int) {
-	kp := classPad(k)
+	kp := ClassPad(k)
 	d := len(t) / kp
 	if d == 0 {
 		return
@@ -175,7 +176,7 @@ func SetClasses(t []float64, k, c0 int, theta []float64, m int) {
 // +0 and adds its terms in j order, as a per-class dot product does, so z
 // holds those dot products' bits. The classes are the lanes.
 func ClassScores(z, x, t []float64) {
-	n := len(x) * classPad(len(z))
+	n := len(x) * ClassPad(len(z))
 	t = t[:n:len(t)]
 	if lanesOn {
 		scoresLanes(z, x, t)
@@ -184,12 +185,27 @@ func ClassScores(z, x, t []float64) {
 	scoresScalar(z, x, t)
 }
 
+// ClassScoresPair is ClassScores for two rows over the same weights t: z0
+// for x0 and z1 for x1, each with the bits ClassScores gives it; z1 and x1
+// must be at least as long as z0 and x0. One pass over t serves both rows,
+// so the lanes keep twice the sums going at once.
+func ClassScoresPair(z0, z1, x0, x1, t []float64) {
+	t = t[: len(x0)*ClassPad(len(z0)) : len(t)]
+	z1, x1 = z1[:len(z0):len(z1)], x1[:len(x0):len(x1)]
+	if lanesOn {
+		scoresPairLanes(z0, z1, x0, x1, t)
+		return
+	}
+	scoresScalar(z0, x0, t)
+	scoresScalar(z1, x1, t)
+}
+
 // SparseClassScores is ClassScores for a sparse row whose stored entries
 // are val at the ascending feature indices idx: each sum starts at +0 and
 // adds its terms in index order, as the row's dot product does. It takes the
 // classes four at a time, one running sum each, over the row's entries.
 func SparseClassScores(z []float64, idx []int32, val, t []float64) {
-	kp := classPad(len(z))
+	kp := ClassPad(len(z))
 	val = val[:len(idx)]
 	for c0 := 0; c0 < len(z); c0 += 4 {
 		var s0, s1, s2, s3 float64
@@ -208,14 +224,14 @@ func SparseClassScores(z []float64, idx []int32, val, t []float64) {
 // ClassColumn copies class c of t, a ClassBlock of k classes, into dst,
 // one weight per feature.
 func ClassColumn(dst, t []float64, k, c int) {
-	kp := classPad(k)
+	kp := ClassPad(k)
 	for j := range dst {
 		dst[j] = t[j*kp+c]
 	}
 }
 
 func scoresScalar(z, x, t []float64) {
-	kp := classPad(len(z))
+	kp := ClassPad(len(z))
 	t = t[:len(x)*kp]
 	for c := range z {
 		var s float64
