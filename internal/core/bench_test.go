@@ -4,8 +4,10 @@ import (
 	"context"
 	"testing"
 
+	"blinkml/internal/compute"
 	"blinkml/internal/datagen"
 	"blinkml/internal/dataset"
+	"blinkml/internal/linalg"
 	"blinkml/internal/models"
 	"blinkml/internal/optimize"
 	"blinkml/internal/stat"
@@ -257,5 +259,62 @@ func BenchmarkCoordinatorEndToEnd(b *testing.B) {
 		if _, err := TrainSourceContext(context.Background(), spec, ds, Options{Epsilon: 0.05, Seed: int64(i), InitialSampleSize: 500, K: 60}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFactorApply times applying a factor to k = 96 draws, one draw at
+// a time as the estimators once did (refApply: a MulVec per draw, into a
+// d-vector) against in groups straight into the estimators' Blocks
+// (forDraws with no scoring), at the compute degree the benchmark harness
+// pins, 1. The shapes are two benchmark workloads': lr-sparse-store's Gram
+// side (500 one-hot Criteo gradient rows at d = 10⁴, M 500 × 499) and
+// me-stats-mem's covariance side (L 400 × 360, ten scores a draw).
+func BenchmarkFactorApply(b *testing.B) {
+	defer compute.SetParallelism(compute.Parallelism())
+	compute.SetParallelism(1)
+	rng := stat.NewRNG(5)
+	fill := func(x []float64) {
+		for i := range x {
+			x[i] = rng.Norm()
+		}
+	}
+	criteo := datagen.Criteo(datagen.Config{Rows: 500, Dim: 10000, Seed: 1})
+	lr := models.LogisticRegression{Reg: 0.001}
+	theta := make([]float64, criteo.Dim)
+	fill(theta)
+	m := linalg.NewDense(criteo.Len(), criteo.Len()-1)
+	fill(m.Data)
+	mean := make([]float64, criteo.Dim)
+	fill(mean)
+	mnist := datagen.MNIST(datagen.Config{Rows: 10, Dim: 40, Seed: 1})
+	l := linalg.NewDense(400, 360)
+	fill(l.Data)
+	for _, c := range []struct {
+		name    string
+		spec    models.Spec
+		fac     Factor
+		holdout *dataset.Dataset
+	}{
+		{"gram-criteo-500x10000", lr, &GradFactor{rows: models.PerExampleGradRows(lr, criteo, theta), mean: mean, m: m, dim: criteo.Dim}, criteo},
+		{"covariance-400x360", models.MaxEntropy{Reg: 0.001, Classes: 10}, &DenseFactor{L: l}, mnist},
+	} {
+		const k = 96
+		zs := drawNormals(stat.NewRNG(6), k, c.fac.Rank())
+		per := models.BlockDraws(c.spec, c.fac.Dim(), c.holdout)
+		b.Run(c.name+"/per-draw", func(b *testing.B) {
+			dst := make([]float64, c.fac.Dim())
+			for b.Loop() {
+				for _, z := range zs {
+					refApply(c.fac, z, dst)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*k), "µs/draw")
+		})
+		b.Run(c.name+"/block", func(b *testing.B) {
+			for b.Loop() {
+				forDraws(c.spec, c.holdout, c.fac, zs, per, 0, func(*models.Block, int, int, layout) {})
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*k), "µs/draw")
+		})
 	}
 }

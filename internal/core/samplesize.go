@@ -97,16 +97,11 @@ func newSearcher(spec models.Spec, theta0 []float64, fac Factor, n0, bigN int, h
 		s.scoreModel, s.signs, s.nScores = sm, models.SignLabels(spec), sm.NumScores(d, holdout.Dim)
 		// θ₀ and the 2k samples in one pass: vector 0 is θ₀, vector i+1 is
 		// sample i.
-		fill := func(i int, dst []float64) {
-			if i == 0 {
-				copy(dst, theta0)
-			} else {
-				fac.Apply(zs[i-1], dst)
-			}
-		}
 		out := make([][]float64, 2*k+1)
-		forBlocks(spec, d, holdout, per, len(out), func(b *models.Block, i0, i1 int) {
-			b.Load(i0, i1, fill)
+		forDraws(spec, holdout, fac, zs, per, 1, func(b *models.Block, i0, i1 int, _ layout) {
+			if i0 == 0 {
+				b.Set(0, theta0)
+			}
 			for i := i0; i < i1; i++ {
 				out[i] = make([]float64, holdout.Len()*s.nScores)
 			}
@@ -115,11 +110,13 @@ func newSearcher(spec models.Spec, theta0 []float64, fac Factor, n0, bigN int, h
 		s.base, ws = out[0], out[1:]
 	} else {
 		ws = make([][]float64, 2*k)
+		all := make([]float64, 2*k*d)
+		for i := range ws {
+			ws[i] = all[i*d : (i+1)*d]
+		}
 		compute.For(2*k, 2, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				ws[i] = make([]float64, d)
-				fac.Apply(zs[i], ws[i])
-			}
+			var g groupScratch
+			applyPlain(fac, zs[lo:hi], all[lo*d:hi*d], &g)
 		})
 	}
 	s.w1, s.w2 = make([][]float64, k), make([][]float64, k)

@@ -81,7 +81,8 @@ func TestContractsEqualWithLanesOff(t *testing.T) {
 					out := make([]float64, c.ds.Len()*ns)
 					restore := linalg.SetLanes(lanes)
 					b := models.NewBlock(c.spec, len(on.Theta), c.ds)
-					b.Load(0, 1, func(_ int, dst []float64) { copy(dst, on.Theta) })
+					b.Vectors(1)
+					b.Set(0, on.Theta)
 					b.Scores([][]float64{out})
 					restore()
 					fp[i] = core.ThetaFingerprint(out)

@@ -45,9 +45,10 @@ func BlockDraws(spec Spec, paramDim int, holdout *dataset.Dataset) int {
 
 // A Block scores a few parameter vectors of one ScoreModel on a holdout in
 // one pass over its rows, for the estimators that score k or 2k sampled
-// vectors. Load the vectors, then call Scores or Diffs. Load interleaves
-// them into one linalg.ClassBlock whose "classes" are the block's (vector,
-// class) columns, the only copy of them the block keeps. A dense row then
+// vectors. Load the vectors (Vectors, then Set or a write of their own),
+// then call Scores or Diffs. The vectors live interleaved in one
+// linalg.ClassBlock whose "classes" are the block's (vector, class) columns,
+// the only copy of them the block keeps. A dense row then
 // gets every column's score from one linalg.ClassScores call, and a sparse
 // row adds each stored entry into every column at once; any other row is
 // scored by its Dot. Each score still starts at +0 and adds x[j]·θ[j] in j
@@ -59,11 +60,11 @@ type Block struct {
 	rows     []dataset.Row
 	ns, d, n int       // scores per vector, features per row, vectors loaded
 	t        []float64 // the loaded vectors interleaved
-	vec      []float64 // one vector as Load's fill writes it, or one column
 	// One panel of rows: every vector's scores, their predictions, and one
 	// vector's predictions gathered.
 	z, pred, col []float64
 	v            []PredictionDiff // each vector's accumulation in Diffs
+	vec          []float64        // one column, for a row scored by its Dot
 }
 
 // NewBlock returns an empty Block for BlockDraws(spec, paramDim, holdout)
@@ -76,7 +77,6 @@ func NewBlock(spec Spec, paramDim int, holdout *dataset.Dataset) *Block {
 	return &Block{
 		sm: sm, task: spec.Task(), rows: holdout.X,
 		ns: ns, d: holdout.Dim,
-		vec:  make([]float64, paramDim),
 		z:    make([]float64, rows*n*ns),
 		pred: make([]float64, rows*n),
 		col:  make([]float64, rows),
@@ -84,17 +84,20 @@ func NewBlock(spec Spec, paramDim int, holdout *dataset.Dataset) *Block {
 	}
 }
 
-// Load makes the block's vectors the i1−i0 ≤ BlockDraws vectors fill
-// writes: fill(i, dst) writes vector i, for i from i0 to i1−1, into dst,
-// one vector of scratch that Load interleaves before asking for the next.
-func (b *Block) Load(i0, i1 int, fill func(i int, dst []float64)) {
-	b.n = i1 - i0
-	cols := b.n * b.ns
-	b.t = linalg.ClassBlock(b.t, cols, b.d)
-	for i := i0; i < i1; i++ {
-		fill(i, b.vec)
-		linalg.SetClasses(b.t, cols, (i-i0)*b.ns, b.vec, b.ns)
-	}
+// Vectors makes the block hold n ≤ BlockDraws vectors and returns their
+// interleaved storage for the caller to write: weight j of vector i's class
+// c at t[j·stride + i·ns + c], ns being the spec's NumScores. The padding
+// columns past the n vectors' are zero; the vectors' own columns keep what
+// they held, so the caller writes every one of them.
+func (b *Block) Vectors(n int) (t []float64, stride int) {
+	b.n = n
+	b.t = linalg.ClassBlock(b.t, n*b.ns, b.d)
+	return b.t, linalg.ClassPad(n * b.ns)
+}
+
+// Set writes theta, ns·d class-major weights, as loaded vector i.
+func (b *Block) Set(i int, theta []float64) {
+	linalg.SetClasses(b.t, b.n*b.ns, i*b.ns, theta, b.ns)
 }
 
 // score fills z, one entry per loaded column, with row x's scores.
@@ -105,7 +108,10 @@ func (b *Block) score(z []float64, x dataset.Row) {
 	case *dataset.SparseRow:
 		linalg.SparseClassScores(z, r.Idx, r.Val, b.t)
 	default:
-		col := b.vec[:b.d]
+		if b.vec == nil {
+			b.vec = make([]float64, b.d)
+		}
+		col := b.vec
 		for c := range z {
 			linalg.ClassColumn(col, b.t, len(z), c)
 			z[c] = x.Dot(col)

@@ -117,7 +117,10 @@ func TestBlockDrawsMatchScores(t *testing.T) {
 								}
 								outs[i] = make([]float64, h*c.ns)
 							}
-							b.Load(0, n, func(i int, dst []float64) { copy(dst, thetas[i]) })
+							b.Vectors(n)
+							for i, theta := range thetas {
+								b.Set(i, theta)
+							}
 							vs := make([]float64, n)
 							b.Diffs(pa, vs)
 							b.Scores(outs)

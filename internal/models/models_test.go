@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"blinkml/internal/compute"
+	"blinkml/internal/datagen"
 	"blinkml/internal/dataset"
 	"blinkml/internal/linalg"
 	"blinkml/internal/obs"
@@ -273,6 +275,24 @@ func TestGradRowsMatchAccumulation(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// PerExampleGradRows makes its rows as one block: for lr-sparse-store's
+// Gram side, 500 one-hot Criteo rows at d = 10⁴, a handful of allocations
+// (rows, headers, values, the pool chunks' scratch, the pool's own), not
+// two a row. The degree is pinned at 2, where the pool starts one helper.
+func TestGradRowsOneBlock(t *testing.T) {
+	defer compute.SetParallelism(compute.Parallelism())
+	compute.SetParallelism(2)
+	ds := datagen.Criteo(datagen.Config{Rows: 500, Dim: 10000, Seed: 1})
+	spec := LogisticRegression{Reg: 0.001}
+	theta := make([]float64, ds.Dim)
+	for i := range theta {
+		theta[i] = 0.01 * float64(i%7-3)
+	}
+	if a := testing.AllocsPerRun(5, func() { PerExampleGradRows(spec, ds, theta) }); a > 10 {
+		t.Fatalf("%v allocations for %d gradient rows, want at most 10", a, ds.Len())
 	}
 }
 

@@ -136,7 +136,8 @@ func BenchmarkScoresMaxent(b *testing.B) {
 	out := [][]float64{make([]float64, ds.Len()*10)}
 	b.ReportAllocs()
 	for b.Loop() {
-		blk.Load(0, 1, func(_ int, dst []float64) { copy(dst, theta) })
+		blk.Vectors(1)
+		blk.Set(0, theta)
 		blk.Scores(out)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ds.Len()), "ns/row")
@@ -145,7 +146,8 @@ func BenchmarkScoresMaxent(b *testing.B) {
 // blockScores returns the holdout scores of theta alone, through a Block.
 func blockScores(spec Spec, theta []float64, holdout *dataset.Dataset) []float64 {
 	b := NewBlock(spec, len(theta), holdout)
-	b.Load(0, 1, func(_ int, dst []float64) { copy(dst, theta) })
+	b.Vectors(1)
+	b.Set(0, theta)
 	out := make([]float64, holdout.Len()*spec.(ScoreModel).NumScores(len(theta), holdout.Dim))
 	b.Scores([][]float64{out})
 	return out

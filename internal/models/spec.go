@@ -249,20 +249,63 @@ func BatchGradient(spec Spec, ds *dataset.Dataset, theta []float64) []float64 {
 // PerExampleGradRows materializes qᵢ(θ) for every row of ds, each by
 // GradRow. The rows stay sparse for a score model's sparse inputs, which
 // keeps the Gram side at O(nnz) memory — the paper's O(d) claim (§3.4).
-// Rows are independent, so they are computed in parallel on the shared
-// compute pool, each chunk gathering through one scratch; a dense row keeps
-// the scratch it was made in.
+// They are one block: every row's values lie in one slab (ns·nnz(xᵢ) for a
+// sparse row, len(θ) for a dense one), the sparse rows' headers in one
+// slice and, with more than one score, their indices in one more. Rows are
+// independent, so they are computed in parallel on the shared compute pool,
+// each chunk gathering its sparse rows through its own scratch; a dense row
+// is made in its own part of the slab.
 func PerExampleGradRows(spec Spec, ds *dataset.Dataset, theta []float64) []dataset.Row {
-	rows := make([]dataset.Row, ds.Len())
-	compute.For(ds.Len(), 64, func(lo, hi int) {
-		var scratch []float64
-		for i := lo; i < hi; i++ {
-			if scratch == nil {
-				scratch = make([]float64, len(theta))
+	p := len(theta)
+	sm, scores := spec.(ScoreModel)
+	// sparse reports whether GradRow makes row i sparse, and its ns·nnz.
+	sparse := func(i int) (*dataset.SparseRow, int, bool) {
+		xs, ok := ds.X[i].(*dataset.SparseRow)
+		if !scores || !ok {
+			return nil, 0, false
+		}
+		return xs, sm.NumScores(p, xs.N) * len(xs.Idx), true
+	}
+	var nSparse, nVal, nIdx int
+	for i := range ds.X {
+		if xs, m, ok := sparse(i); ok {
+			nSparse++
+			nVal += m
+			if m > len(xs.Idx) {
+				nIdx += m
 			}
-			rows[i] = GradRow(spec, ds, theta, i, scratch, nil)
-			if _, dense := rows[i].(dataset.DenseRow); dense {
-				scratch = nil
+		} else {
+			nVal += p
+		}
+	}
+	rows := make([]dataset.Row, ds.Len())
+	hdr := make([]dataset.SparseRow, nSparse)
+	val, idx := make([]float64, nVal), make([]int32, nIdx)
+	for i := range ds.X {
+		xs, m, ok := sparse(i)
+		if !ok {
+			rows[i], val = dataset.DenseRow(val[:p:p]), val[p:]
+			continue
+		}
+		h := &hdr[0]
+		h.Val, val = val[:m:m], val[m:]
+		if m > len(xs.Idx) {
+			h.Idx, idx = idx[:m:m], idx[m:]
+		}
+		rows[i], hdr = h, hdr[1:]
+	}
+	chunks := compute.Chunks(ds.Len(), 64)
+	var scratch []float64 // a p-vector of zeros per chunk, for its sparse rows
+	if nSparse > 0 {
+		scratch = make([]float64, chunks*p)
+	}
+	compute.ForChunksN(ds.Len(), chunks, func(chunk, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			switch r := rows[i].(type) {
+			case dataset.DenseRow:
+				GradRow(spec, ds, theta, i, r, nil)
+			case *dataset.SparseRow:
+				GradRow(spec, ds, theta, i, scratch[chunk*p:(chunk+1)*p], r)
 			}
 		}
 	})
