@@ -77,7 +77,6 @@ func accuracyDiffs(spec models.Spec, theta []float64, fac Factor, alpha float64,
 // fac to groups of whole blocks, at least groupDraws draws a group.
 func forDraws(spec models.Spec, holdout *dataset.Dataset, fac Factor, zs [][]float64, per, lead int, fn func(b *models.Block, i0, i1 int, l layout)) {
 	d, n := fac.Dim(), lead+len(zs)
-	ns := spec.(models.ScoreModel).NumScores(d, holdout.Dim)
 	group := (groupDraws + per - 1) / per // blocks a group
 	compute.For((n+per-1)/per, 1, func(lo, hi int) {
 		b := models.NewBlock(spec, d, holdout)
@@ -88,8 +87,7 @@ func forDraws(spec models.Spec, holdout *dataset.Dataset, fac Factor, zs [][]flo
 			fac.product(zs[z0:max(z0, v1-lead)], &s)
 			for i0 := v0; i0 < v1; i0 += per {
 				i1 := min(v1, i0+per)
-				t, stride := b.Vectors(i1 - i0)
-				l := layout{t: t, rows: holdout.Dim, ns: ns, stride: stride, step: ns}
+				l := blockLayout(b.Vectors(i1 - i0))
 				if first := max(i0, lead); first < i1 {
 					fac.scatter(&s, first-lead-z0, i1-lead-z0, l.from(first-i0))
 				}

@@ -193,7 +193,7 @@ func BenchmarkAblationSamplingNaive(b *testing.B) {
 		a1 := sqrt(Alpha(n0, 4000))
 		for k := 0; k < 100; k++ {
 			rng.NormVec(z)
-			st.Factor.Apply(z, theta)
+			applyOne(st.Factor, z, theta)
 			for j := range theta {
 				theta[j] = fit.Theta[j] + a1*theta[j]
 			}

@@ -60,7 +60,7 @@ func TestEstimateAccuracyPredictsTrainedModelOnce(t *testing.T) {
 			z, w, thetaN := make([]float64, st.Factor.Rank()), make([]float64, len(theta)), make([]float64, len(theta))
 			for i := range vs {
 				rng.NormVec(z)
-				st.Factor.Apply(z, w)
+				applyOne(st.Factor, z, w)
 				for j := range thetaN {
 					thetaN[j] = theta[j] + sqrt(alpha)*w[j]
 				}

@@ -3,10 +3,11 @@ package core
 import (
 	"blinkml/internal/dataset"
 	"blinkml/internal/linalg"
+	"blinkml/internal/models"
 )
 
-// Factor represents the unscaled covariance of Theorem 1 as a linear map:
-// if z ~ N(0, I_rank) then Apply(z) ~ N(0, H⁻¹JH⁻¹). Draws for any sample
+// Factor represents the unscaled covariance of Theorem 1 as a linear map L:
+// if z ~ N(0, I_rank) then L·z ~ N(0, H⁻¹JH⁻¹). Draws for any sample
 // size n are obtained by scaling with √(1/n − 1/N) — the paper's
 // "sampling by scaling" optimization (§4.3), which lets the Sample Size
 // Estimator probe many n without re-invoking a sampler.
@@ -26,9 +27,6 @@ type Factor interface {
 	// Rank is the latent dimension r (number of independent normal draws
 	// consumed per sample).
 	Rank() int
-	// Apply overwrites dst (len d) with L·z (len(z) = Rank): a group of
-	// one draw, written as a plain vector.
-	Apply(z, dst []float64)
 	// product readies s to scatter the draws zs, one group.
 	product(zs [][]float64, s *groupScratch)
 	// scatter writes L·zs[g] for g0 ≤ g < g1 of s's group as draws 0 …
@@ -37,15 +35,15 @@ type Factor interface {
 }
 
 // groupDraws is the fewest draws the estimators apply a factor to at once,
-// and the most a dense run interleaves: eight draws over two rows a
-// linalg.ClassScoresPair pass keep its four accumulators busy.
+// and the most a dense run interleaves: from about eight classes a
+// linalg.ClassScores pass over a row of M or L pays for interleaving them.
 const groupDraws = 8
 
 // groupScratch is one goroutine's scratch for applying a factor to a group
 // of draws: the group's normals, a run of them interleaved with the draws
 // as the classes (stride kp = linalg.ClassPad of the run), the Gram side's
-// U = M·Z for the group interleaved likewise, one row of a dense run's
-// draws, and the Gram side's per-draw sums and compacted coefficients.
+// U = M·Z for the group interleaved likewise, one row's scores, and the
+// Gram side's per-draw sums and compacted coefficients.
 type groupScratch struct {
 	zs   [][]float64
 	z    []float64 // draw i's normal k at k·kp + i
@@ -68,27 +66,19 @@ func (s *groupScratch) interleave(zs [][]float64, rank int) {
 }
 
 // rowScores hands put each row r of a times the g interleaved draws in z,
-// in row order, two rows a linalg.ClassScoresPair call.
+// in row order, one linalg.ClassScores call a row.
 func (s *groupScratch) rowScores(a *linalg.Dense, g int, put func(r int, w []float64)) {
-	w := grow(&s.w, 2*g)
-	w0, w1 := w[:g], w[g:]
-	r := 0
-	for ; r+2 <= a.Rows; r += 2 {
-		linalg.ClassScoresPair(w0, w1, a.Row(r), a.Row(r+1), s.z)
-		put(r, w0)
-		put(r+1, w1)
-	}
-	if r < a.Rows {
-		linalg.ClassScores(w0, a.Row(r), s.z)
-		put(r, w0)
+	w := grow(&s.w, g)
+	for r := range a.Rows {
+		linalg.ClassScores(w, a.Row(r), s.z)
+		put(r, w)
 	}
 }
 
 // A layout is where scatter puts draws: coordinate p = c·rows + j of draw i
-// at t[j·stride + i·step + c], for c < ns. A models.Block's storage is
-// (rows = features, ns = scores, stride = its class stride, step = ns);
-// plain vectors one after another are (rows = d, ns = 1, stride = 1,
-// step = d).
+// at t[j·stride + i·step + c], for c < ns. A models.Block's storage is the
+// one its Vectors describes (blockLayout); plain vectors one after another
+// are (rows = d, ns = 1, stride = 1, step = d).
 type layout struct {
 	t                      []float64
 	rows, ns, stride, step int
@@ -97,6 +87,11 @@ type layout struct {
 // plain lays draws out as d-vectors one after another in t.
 func plain(t []float64, d int) layout {
 	return layout{t: t, rows: d, ns: 1, stride: 1, step: d}
+}
+
+// blockLayout lays draws out as a models.Block's vectors.
+func blockLayout(v models.BlockVectors) layout {
+	return layout{t: v.T, rows: v.Rows, ns: v.Scores, stride: v.Stride, step: v.Step}
 }
 
 // from returns l with its draw 0 at l's draw i.
@@ -154,13 +149,13 @@ func applyPlain(f Factor, zs [][]float64, dst []float64, s *groupScratch) {
 	}
 }
 
-// applyOne is every factor's Apply: a group of one draw, written as a plain
-// vector.
+// applyOne overwrites dst (len d) with L·z (len(z) = Rank): a group of one
+// draw, written as a plain vector.
 func applyOne(f Factor, z, dst []float64) {
 	applyPlain(f, [][]float64{z}, dst, new(groupScratch))
 }
 
-// Inflate wraps f so every Apply result is scaled by (1 + inflation) — the
+// Inflate wraps f so every draw it writes is scaled by (1 + inflation) — the
 // footnote-2 conservatism knob (Options.VarianceInflation). inflation <= 0
 // returns f unchanged.
 func Inflate(f Factor, inflation float64) Factor {
@@ -181,9 +176,6 @@ func (f *inflatedFactor) Dim() int { return f.f.Dim() }
 // Rank implements Factor.
 func (f *inflatedFactor) Rank() int { return f.f.Rank() }
 
-// Apply implements Factor.
-func (f *inflatedFactor) Apply(z, dst []float64) { applyOne(f, z, dst) }
-
 func (f *inflatedFactor) product(zs [][]float64, s *groupScratch) { f.f.product(zs, s) }
 
 // scatter scales the wrapped factor's draws where they land.
@@ -196,7 +188,7 @@ func (f *inflatedFactor) scatter(s *groupScratch, g0, g1 int, l layout) {
 // produced by the ClosedForm and InverseGradients methods and by
 // ObservedFisher when d ≤ n. Its group is only the draws: scatter
 // multiplies L by the run of them it writes, at most groupDraws at a time,
-// one linalg.ClassScoresPair call per two rows of L, and puts each row's
+// one linalg.ClassScores call per row of L, and puts each row's
 // draws in place. A run of g draws costs d·r·g multiply-adds on the class
 // lanes.
 type DenseFactor struct {
@@ -208,9 +200,6 @@ func (f *DenseFactor) Dim() int { return f.L.Rows }
 
 // Rank implements Factor.
 func (f *DenseFactor) Rank() int { return f.L.Cols }
-
-// Apply implements Factor.
-func (f *DenseFactor) Apply(z, dst []float64) { applyOne(f, z, dst) }
 
 func (f *DenseFactor) product(zs [][]float64, s *groupScratch) { s.zs = zs }
 
@@ -235,7 +224,7 @@ func (f *DenseFactor) scatter(s *groupScratch, g0, g1 int, l layout) {
 // and M is a small n x r matrix derived from the Gram-side
 // eigendecomposition. A draw is Σᵢ uᵢ·qᵢ − (Σᵢ uᵢ)·q̄ with u = M·z. A
 // group of g draws costs n·r·g multiply-adds for U = M·Z on the class lanes
-// (two rows of M a linalg.ClassScoresPair call), then each run g·(nnz(Q) +
+// (one linalg.ClassScores call a row of M), then each run g·(nnz(Q) +
 // 2d) for the rows, the mean and the zeroing — O(d) memory and time per
 // draw for high-dimensional models (paper §3.4, §4.3).
 type GradFactor struct {
@@ -250,9 +239,6 @@ func (f *GradFactor) Dim() int { return f.dim }
 
 // Rank implements Factor.
 func (f *GradFactor) Rank() int { return f.m.Cols }
-
-// Apply implements Factor.
-func (f *GradFactor) Apply(z, dst []float64) { applyOne(f, z, dst) }
 
 // product sets U = M·Z for the group: each draw's entry a row of M's dot
 // with the draw.

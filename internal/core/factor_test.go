@@ -18,7 +18,7 @@ func TestInflateScalesApplies(t *testing.T) {
 	inflated := Inflate(base, 0.5)
 	z := []float64{1, 2, 3}
 	out := make([]float64, 3)
-	inflated.Apply(z, out)
+	applyOne(inflated, z, out)
 	for i := range z {
 		if math.Abs(out[i]-1.5*z[i]) > 1e-12 {
 			t.Fatalf("inflated apply %v want %v", out[i], 1.5*z[i])
@@ -65,7 +65,7 @@ func TestVarianceInflationIsConservative(t *testing.T) {
 	}
 }
 
-// Sampling through a factor — standard normals pushed through Apply, as
+// Sampling through a factor — standard normals pushed through applyOne, as
 // the estimators draw — must reproduce the factor covariance empirically.
 func TestSampleMatchesCovariance(t *testing.T) {
 	l := linalg.NewDenseFrom(2, 2, []float64{2, 0, 1, 1})
@@ -77,7 +77,7 @@ func TestSampleMatchesCovariance(t *testing.T) {
 	dst := make([]float64, 2)
 	for i := 0; i < n; i++ {
 		rng.NormVec(z)
-		f.Apply(z, dst)
+		applyOne(f, z, dst)
 		d0, d1 := dst[0], dst[1]
 		s0 += d0
 		s1 += d1
@@ -237,109 +237,117 @@ func blockNormals(count, rank int) [][]float64 {
 // The group apply must give every coordinate of every draw the bits of the
 // one-draw product it replaced: scattered into a Block's interleaved layout
 // for groups of one draw, a partial block, a full one and more than one
-// block (and that group as one run of more than groupDraws), and shifted there to θ + √α·w as the accuracy estimate does; as
-// plain vectors through Apply and in groups across groupDraws; and as L's
+// block (and that group as one run of more than groupDraws), and shifted
+// there to θ + √α·w as the accuracy estimate does; as plain vectors one
+// draw at a time (applyOne) and in groups across groupDraws; and as L's
 // columns under Covariance — with the lane kernels on and off.
 func TestFactorBlockApplyMatchesApply(t *testing.T) {
-	const per = 4 // draws a Block holds
 	for _, lanes := range []bool{true, false} {
-		restore := linalg.SetLanes(lanes)
-		for _, c := range blockFactors(t) {
-			d, r := c.f.Dim(), c.f.Rank()
-			rows := d / c.ns
-			zs := blockNormals(2*per+1, r)
-			theta := drawNormals(stat.NewRNG(48), 1, d)[0]
-			want := make([][]float64, len(zs))
-			for i, z := range zs {
-				want[i] = make([]float64, d)
-				refApply(c.f, z, want[i])
+		t.Run(fmt.Sprintf("lanes=%v", lanes), func(t *testing.T) {
+			defer linalg.SetLanes(lanes)()
+			checkFactorBlockApply(t)
+		})
+	}
+}
+
+// checkFactorBlockApply is TestFactorBlockApplyMatchesApply at one lanes
+// setting.
+func checkFactorBlockApply(t *testing.T) {
+	const per = 4 // draws a Block holds
+	for _, c := range blockFactors(t) {
+		d, r := c.f.Dim(), c.f.Rank()
+		rows := d / c.ns
+		zs := blockNormals(2*per+1, r)
+		theta := drawNormals(stat.NewRNG(48), 1, d)[0]
+		want := make([][]float64, len(zs))
+		for i, z := range zs {
+			want[i] = make([]float64, d)
+			refApply(c.f, z, want[i])
+		}
+		same := func(what string, i, p int, got float64) {
+			t.Helper()
+			if math.Float64bits(got) != math.Float64bits(want[i][p]) {
+				t.Fatalf("%s: %s draw %d coordinate %d = %v, one-draw product %v", c.name, what, i, p, got, want[i][p])
 			}
-			same := func(what string, i, p int, got float64) {
-				t.Helper()
-				if math.Float64bits(got) != math.Float64bits(want[i][p]) {
-					t.Fatalf("lanes %v, %s: %s draw %d coordinate %d = %v, one-draw product %v", lanes, c.name, what, i, p, got, want[i][p])
-				}
+		}
+		var s groupScratch
+		for _, g := range []int{1, per - 1, per, 2*per + 1} {
+			c.f.product(zs[:g], &s)
+			// Blocks of per draws, then the whole group as one run.
+			var runs [][2]int
+			for g0 := 0; g0 < g; g0 += per {
+				runs = append(runs, [2]int{g0, min(g, g0+per)})
 			}
-			var s groupScratch
-			for _, g := range []int{1, per - 1, per, 2*per + 1} {
-				c.f.product(zs[:g], &s)
-				// Blocks of per draws, then the whole group as one run.
-				var runs [][2]int
-				for g0 := 0; g0 < g; g0 += per {
-					runs = append(runs, [2]int{g0, min(g, g0+per)})
+			if g > per {
+				runs = append(runs, [2]int{0, g})
+			}
+			for _, run := range runs {
+				g0, g1 := run[0], run[1]
+				cols := (g1 - g0) * c.ns
+				tt := linalg.ClassBlock(nil, cols, rows)
+				for i := range tt {
+					tt[i] = math.NaN()
 				}
-				if g > per {
-					runs = append(runs, [2]int{0, g})
-				}
-				for _, run := range runs {
-					g0, g1 := run[0], run[1]
-					cols := (g1 - g0) * c.ns
-					tt := linalg.ClassBlock(nil, cols, rows)
-					for i := range tt {
-						tt[i] = math.NaN()
-					}
-					tt = linalg.ClassBlock(tt, cols, rows)
-					stride := linalg.ClassPad(cols)
-					l := layout{t: tt, rows: rows, ns: c.ns, stride: stride, step: c.ns}
-					c.f.scatter(&s, g0, g1, l)
-					// each hands fn draw i's coordinate p as it lies in tt.
-					each := func(fn func(i, p int, got float64)) {
-						for j := range rows {
-							for col := range stride {
-								got := tt[j*stride+col]
-								if col >= cols {
-									if got != 0 {
-										t.Fatalf("lanes %v, %s: padding column %d of row %d = %v", lanes, c.name, col, j, got)
-									}
-									continue
+				tt = linalg.ClassBlock(tt, cols, rows)
+				stride := linalg.ClassPad(cols)
+				l := layout{t: tt, rows: rows, ns: c.ns, stride: stride, step: c.ns}
+				c.f.scatter(&s, g0, g1, l)
+				// each hands fn draw i's coordinate p as it lies in tt.
+				each := func(fn func(i, p int, got float64)) {
+					for j := range rows {
+						for col := range stride {
+							got := tt[j*stride+col]
+							if col >= cols {
+								if got != 0 {
+									t.Fatalf("%s: padding column %d of row %d = %v", c.name, col, j, got)
 								}
-								fn(g0+col/c.ns, (col%c.ns)*rows+j, got)
+								continue
 							}
+							fn(g0+col/c.ns, (col%c.ns)*rows+j, got)
 						}
 					}
-					each(func(i, p int, got float64) { same(fmt.Sprintf("group of %d, block at %d", g, g0), i, p, got) })
-					// The accuracy estimate's θ + √α·w, in place.
-					l.shift(g1-g0, theta, 0.37)
-					each(func(i, p int, got float64) {
-						if w := theta[p] + 0.37*want[i][p]; math.Float64bits(got) != math.Float64bits(w) {
-							t.Fatalf("lanes %v, %s: shifted draw %d coordinate %d = %v, want %v", lanes, c.name, i, p, got, w)
-						}
-					})
 				}
-			}
-			one := make([]float64, d)
-			for i, z := range zs {
-				c.f.Apply(z, one)
-				for p, v := range one {
-					same("Apply", i, p, v)
-				}
-			}
-			all := make([]float64, len(zs)*d)
-			applyPlain(c.f, zs, all, &s)
-			for i := range zs {
-				for p, v := range all[i*d : (i+1)*d] {
-					same("applyPlain", i, p, v)
-				}
-			}
-			if _, ok := c.f.(*GradFactor); ok {
-				l := linalg.NewDense(d, r)
-				col := make([]float64, d)
-				for j := range r {
-					e := make([]float64, r)
-					e[j] = 1
-					refApply(c.f, e, col)
-					for p, v := range col {
-						l.Set(p, j, v)
+				each(func(i, p int, got float64) { same(fmt.Sprintf("group of %d, block at %d", g, g0), i, p, got) })
+				// The accuracy estimate's θ + √α·w, in place.
+				l.shift(g1-g0, theta, 0.37)
+				each(func(i, p int, got float64) {
+					if w := theta[p] + 0.37*want[i][p]; math.Float64bits(got) != math.Float64bits(w) {
+						t.Fatalf("%s: shifted draw %d coordinate %d = %v, want %v", c.name, i, p, got, w)
 					}
+				})
+			}
+		}
+		one := make([]float64, d)
+		for i, z := range zs {
+			applyOne(c.f, z, one)
+			for p, v := range one {
+				same("applyOne", i, p, v)
+			}
+		}
+		all := make([]float64, len(zs)*d)
+		applyPlain(c.f, zs, all, &s)
+		for i := range zs {
+			for p, v := range all[i*d : (i+1)*d] {
+				same("applyPlain", i, p, v)
+			}
+		}
+		if _, ok := c.f.(*GradFactor); ok {
+			l := linalg.NewDense(d, r)
+			col := make([]float64, d)
+			for j := range r {
+				e := make([]float64, r)
+				e[j] = 1
+				refApply(c.f, e, col)
+				for p, v := range col {
+					l.Set(p, j, v)
 				}
-				got, want := Covariance(c.f), linalg.Syrk(l)
-				for i, v := range want.Data {
-					if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
-						t.Fatalf("lanes %v, %s: Covariance entry %d = %v, from one-draw columns %v", lanes, c.name, i, got.Data[i], v)
-					}
+			}
+			got, want := Covariance(c.f), linalg.Syrk(l)
+			for i, v := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+					t.Fatalf("%s: Covariance entry %d = %v, from one-draw columns %v", c.name, i, got.Data[i], v)
 				}
 			}
 		}
-		restore()
 	}
 }

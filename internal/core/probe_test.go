@@ -69,8 +69,8 @@ func perRowPairDiffs(c probeCase, zs [][]float64, n int) []float64 {
 	pa, pb := make([]float64, c.holdout.Len()), make([]float64, c.holdout.Len())
 	vs := make([]float64, len(zs)/2)
 	for i := range vs {
-		c.fac.Apply(zs[2*i], w1)
-		c.fac.Apply(zs[2*i+1], w2)
+		applyOne(c.fac, zs[2*i], w1)
+		applyOne(c.fac, zs[2*i+1], w2)
 		for r, x := range c.holdout.X {
 			for k := 0; k < ns; k++ {
 				scN[k] = x.Dot(c.theta[k*d:(k+1)*d]) + a1*x.Dot(w1[k*d:(k+1)*d])

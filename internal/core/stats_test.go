@@ -101,7 +101,7 @@ func TestFactorApplyMatchesCovariance(t *testing.T) {
 	acc := linalg.NewDense(f.Dim(), f.Dim())
 	for j := 0; j < f.Rank(); j++ {
 		z[j] = 1
-		f.Apply(z, out)
+		applyOne(f, z, out)
 		acc.OuterAdd(1, out, out)
 		z[j] = 0
 	}

@@ -32,9 +32,8 @@
 // Givens pair update, tred2's rank-two row update and the class scores
 // (ClassScores, over class-interleaved weights: a model's classes, the
 // columns of a block of sampled parameter vectors, or a group of the
-// estimators' normal draws that the statistics factor multiplies, two of
-// its rows at a time through ClassScoresPair) run four independent
-// elements per instruction. Each lane performs the scalar loop's IEEE
+// estimators' normal draws that the statistics factor multiplies) run four
+// independent elements per instruction. Each lane performs the scalar loop's IEEE
 // operations in its order — separate multiplies, adds and subtracts, never
 // a fused multiply-add, with an SSE2 scalar tail — so every n, θ, ε̂ and
 // prediction keeps its bits (NaN payloads aside, which neither path

@@ -185,21 +185,6 @@ func ClassScores(z, x, t []float64) {
 	scoresScalar(z, x, t)
 }
 
-// ClassScoresPair is ClassScores for two rows over the same weights t: z0
-// for x0 and z1 for x1, each with the bits ClassScores gives it; z1 and x1
-// must be at least as long as z0 and x0. One pass over t serves both rows,
-// so the lanes keep twice the sums going at once.
-func ClassScoresPair(z0, z1, x0, x1, t []float64) {
-	t = t[: len(x0)*ClassPad(len(z0)) : len(t)]
-	z1, x1 = z1[:len(z0):len(z1)], x1[:len(x0):len(x1)]
-	if lanesOn {
-		scoresPairLanes(z0, z1, x0, x1, t)
-		return
-	}
-	scoresScalar(z0, x0, t)
-	scoresScalar(z1, x1, t)
-}
-
 // SparseClassScores is ClassScores for a sparse row whose stored entries
 // are val at the ascending feature indices idx: each sum starts at +0 and
 // adds its terms in index order, as the row's dot product does. It takes the

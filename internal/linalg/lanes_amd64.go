@@ -56,7 +56,4 @@ func rankTwoLanes(row, d, e []float64, ek, dk float64)
 func scoresLanes(z, x, t []float64)
 
 //go:noescape
-func scoresPairLanes(z0, z1, x0, x1, t []float64)
-
-//go:noescape
 func logisticLinkLanes(z, y, loss, coef []float64) int

@@ -443,137 +443,6 @@ done:
 	VZEROUPPER
 	RET
 
-// func scoresPairLanes(z0, z1, x0, x1, t []float64)
-// scoresLanes for two rows over the same weights: z0[c] = Σ_j x0[j]·t[j·kp+c]
-// and z1[c] = Σ_j x1[j]·t[j·kp+c] for c < len(z0), each sum from +0 in j
-// order; z1 and x1 are as long as z0 and x0. Classes go eight at a time (two
-// accumulators a row, each weight load serving both rows), then four.
-TEXT ·scoresPairLanes(SB), NOSPLIT, $0-120
-	MOVQ z0_len+8(FP), R8
-	MOVQ x0_base+48(FP), SI
-	MOVQ x0_len+56(FP), R9
-	MOVQ x1_base+72(FP), DI
-	MOVQ t_base+96(FP), BX
-	MOVQ R8, R10
-	ADDQ $3, R10
-	ANDQ $-4, R10
-	MOVQ R10, R11
-	SHLQ $3, R11
-	XORQ CX, CX
-
-pchunk:
-	CMPQ   CX, R10
-	JAE    pdone
-	MOVQ   R10, DX
-	SUBQ   CX, DX
-	LEAQ   (BX)(CX*8), R12
-	XORQ   AX, AX
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	CMPQ   DX, $8
-	JAE    pg2
-
-pg1:
-	CMPQ         AX, R9
-	JAE          pstore
-	VBROADCASTSD (SI)(AX*8), Y4
-	VBROADCASTSD (DI)(AX*8), Y6
-	VMOVUPD      (R12), Y5
-	VMULPD       Y4, Y5, Y7
-	VADDPD       Y7, Y0, Y0
-	VMULPD       Y6, Y5, Y7
-	VADDPD       Y7, Y2, Y2
-	ADDQ         R11, R12
-	INCQ         AX
-	JMP          pg1
-
-pg2:
-	CMPQ         AX, R9
-	JAE          pstore
-	VBROADCASTSD (SI)(AX*8), Y4
-	VBROADCASTSD (DI)(AX*8), Y6
-	VMOVUPD      (R12), Y5
-	VMULPD       Y4, Y5, Y7
-	VADDPD       Y7, Y0, Y0
-	VMULPD       Y6, Y5, Y7
-	VADDPD       Y7, Y2, Y2
-	VMOVUPD      32(R12), Y5
-	VMULPD       Y4, Y5, Y7
-	VADDPD       Y7, Y1, Y1
-	VMULPD       Y6, Y5, Y7
-	VADDPD       Y7, Y3, Y3
-	ADDQ         R11, R12
-	INCQ         AX
-	JMP          pg2
-
-	// Store min(8, len(z0)−CX) scores of each row, as scoresLanes does:
-	// whole groups, then 1–3 lanes of the group the outputs end in.
-pstore:
-	MOVQ    z0_base+0(FP), R13
-	LEAQ    (R13)(CX*8), R13
-	MOVQ    R8, DX
-	SUBQ    CX, DX
-	VMOVAPD Y0, Y7
-	CMPQ    DX, $4
-	JB      p0part
-	VMOVUPD Y0, (R13)
-	SUBQ    $4, DX
-	JEQ     prow1
-	ADDQ    $32, R13
-	VMOVAPD Y1, Y7
-	CMPQ    DX, $4
-	JB      p0part
-	VMOVUPD Y1, (R13)
-	JMP     prow1
-
-p0part:
-	VMOVSD       X7, (R13)
-	CMPQ         DX, $2
-	JB           prow1
-	VMOVHPD      X7, 8(R13)
-	CMPQ         DX, $3
-	JB           prow1
-	VEXTRACTF128 $1, Y7, X7
-	VMOVSD       X7, 16(R13)
-
-prow1:
-	MOVQ    z1_base+24(FP), R13
-	LEAQ    (R13)(CX*8), R13
-	MOVQ    R8, DX
-	SUBQ    CX, DX
-	VMOVAPD Y2, Y7
-	CMPQ    DX, $4
-	JB      p1part
-	VMOVUPD Y2, (R13)
-	SUBQ    $4, DX
-	JEQ     pnext
-	ADDQ    $32, R13
-	VMOVAPD Y3, Y7
-	CMPQ    DX, $4
-	JB      p1part
-	VMOVUPD Y3, (R13)
-	JMP     pnext
-
-p1part:
-	VMOVSD       X7, (R13)
-	CMPQ         DX, $2
-	JB           pnext
-	VMOVHPD      X7, 8(R13)
-	CMPQ         DX, $3
-	JB           pnext
-	VEXTRACTF128 $1, Y7, X7
-	VMOVSD       X7, 16(R13)
-
-pnext:
-	ADDQ $8, CX
-	JMP  pchunk
-
-pdone:
-	VZEROUPPER
-	RET
-
 // The logistic link's constants, each four times over so that it is one
 // 256-bit memory operand: math.Exp's (exp_amd64.s, same text), then
 // math.log1p's (log1p.go, same text), then the bit masks.

@@ -17,8 +17,6 @@ func rankTwoLanes(row, d, e []float64, ek, dk float64) { panic(noLanes) }
 
 func scoresLanes(z, x, t []float64) { panic(noLanes) }
 
-func scoresPairLanes(z0, z1, x0, x1, t []float64) { panic(noLanes) }
-
 func logisticLinkLanes(z, y, loss, coef []float64) int { panic(noLanes) }
 
 const noLanes = "linalg: no lane kernels on this architecture"

@@ -30,12 +30,12 @@ func nextValue(rng *rand.Rand) float64 {
 type laneCase struct {
 	kernel string
 	n, off int        // output length; offset into each buffer
-	k      int        // classes, for "scores" and "scoresPair"
+	k      int        // classes, for "scores"
 	coef   [4]float64 // a / c, s / ek, dk / the row coefficients
 	m      int        // rows, for "rows"
 }
 
-var laneKernels = []string{"axpy", "rows", "givens", "rankTwo", "scores", "scoresPair"}
+var laneKernels = []string{"axpy", "rows", "givens", "rankTwo", "scores"}
 
 // vec returns n values from next at offset off of a fresh buffer.
 func vec(n, off int, next func() float64) []float64 {
@@ -112,16 +112,6 @@ func (c laneCase) run(next func() float64) (lanes, scalar []float64, refs [][]fl
 			ref[cl] = s
 		}
 		refs = append(refs, ref)
-	case "scoresPair":
-		x0, x1, theta := vec(c.n, c.off, next), vec(c.n, c.off, next), vec(c.k*c.n, c.off, next)
-		t := InterleaveClasses(nil, theta, c.k, c.n)
-		twice(make([]float64, 2*c.k), func(z []float64) { ClassScoresPair(z[:c.k], z[c.k:], x0, x1, t) })
-		// ClassScores row by row, lanes on.
-		ref := make([]float64, 2*c.k)
-		lanesOn = haveLanes
-		ClassScores(ref[:c.k], x0, t)
-		ClassScores(ref[c.k:], x1, t)
-		refs = append(refs, ref)
 	}
 	return lanes, scalar, refs
 }
@@ -174,7 +164,6 @@ func TestLanesMatchScalar(t *testing.T) {
 		for _, d := range []int{0, 1, 3, 7, 40, 67} {
 			for off := 0; off < 4; off++ {
 				laneCase{kernel: "scores", n: d, off: off, k: k}.check(t, next)
-				laneCase{kernel: "scoresPair", n: d, off: off, k: k}.check(t, next)
 			}
 		}
 	}

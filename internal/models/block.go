@@ -84,15 +84,22 @@ func NewBlock(spec Spec, paramDim int, holdout *dataset.Dataset) *Block {
 	}
 }
 
+// BlockVectors is where a Block keeps its loaded vectors: weight j of
+// vector i's class c at T[j·Stride + i·Step + c], for j < Rows (the
+// holdout's features) and c < Scores (the spec's NumScores).
+type BlockVectors struct {
+	T                          []float64
+	Rows, Scores, Stride, Step int
+}
+
 // Vectors makes the block hold n ≤ BlockDraws vectors and returns their
-// interleaved storage for the caller to write: weight j of vector i's class
-// c at t[j·stride + i·ns + c], ns being the spec's NumScores. The padding
-// columns past the n vectors' are zero; the vectors' own columns keep what
-// they held, so the caller writes every one of them.
-func (b *Block) Vectors(n int) (t []float64, stride int) {
+// interleaved storage for the caller to write. The padding columns past the
+// n vectors' are zero; the vectors' own columns keep what they held, so the
+// caller writes every one of them.
+func (b *Block) Vectors(n int) BlockVectors {
 	b.n = n
 	b.t = linalg.ClassBlock(b.t, n*b.ns, b.d)
-	return b.t, linalg.ClassPad(n * b.ns)
+	return BlockVectors{T: b.t, Rows: b.d, Scores: b.ns, Stride: linalg.ClassPad(n * b.ns), Step: b.ns}
 }
 
 // Set writes theta, ns·d class-major weights, as loaded vector i.
