@@ -190,7 +190,8 @@ func (f *inflatedFactor) scatter(s *groupScratch, g0, g1 int, l layout) {
 // multiplies L by the run of them it writes, at most groupDraws at a time,
 // one linalg.ClassScores call per row of L, and puts each row's
 // draws in place. A run of g draws costs d·r·g multiply-adds on the class
-// lanes.
+// lanes. A statistics method builds L in the d x d matrix it eigensolved,
+// so L.Data keeps that matrix's d² capacity alive.
 type DenseFactor struct {
 	L *linalg.Dense
 }
@@ -226,7 +227,8 @@ func (f *DenseFactor) scatter(s *groupScratch, g0, g1 int, l layout) {
 // group of g draws costs n·r·g multiply-adds for U = M·Z on the class lanes
 // (one linalg.ClassScores call a row of M), then each run g·(nnz(Q) +
 // 2d) for the rows, the mean and the zeroing — O(d) memory and time per
-// draw for high-dimensional models (paper §3.4, §4.3).
+// draw for high-dimensional models (paper §3.4, §4.3). M is built in the
+// n x n Gram matrix's storage and keeps its n² capacity alive.
 type GradFactor struct {
 	rows []dataset.Row // qᵢ, uncentered
 	mean []float64     // q̄
@@ -409,16 +411,16 @@ func Covariance(f Factor) *linalg.Dense {
 	return linalg.Syrk(l) // L·Lᵀ without computing both triangles
 }
 
-// factorBytes is the memory a factor keeps alive (nil counts nothing).
+// factorBytes is the memory a factor keeps alive (nil counts nothing). L
+// and M count by capacity: they live in the eigensolved matrix's storage.
 func factorBytes(f Factor) int64 {
 	switch f := f.(type) {
-	case nil:
-		return 0
 	case *inflatedFactor:
 		return factorBytes(f.f)
+	case *DenseFactor:
+		return int64(cap(f.L.Data)) * 8
 	case *GradFactor:
-		return datasetBytes(&dataset.Dataset{X: f.rows}) + int64(len(f.mean)+len(f.m.Data))*8
-	default:
-		return int64(f.Dim()) * int64(f.Rank()) * 8
+		return datasetBytes(&dataset.Dataset{X: f.rows}) + int64(len(f.mean)+cap(f.m.Data))*8
 	}
+	return 0
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -62,6 +63,72 @@ func refScaledEigvecs(eig *linalg.SymEig, relTol float64, scale func(lam float64
 		}
 	}
 	return out
+}
+
+// copyScaledEigvecs is scaledEigvecs as it was before it built the factor
+// in the eigensolved matrix's storage: eigenvector j read from row j of
+// vecs, scaled, into column j of a fresh n x rank matrix. vecs is left as
+// it was.
+func copyScaledEigvecs(values []float64, vecs *linalg.Dense, relTol float64, scale func(lam float64) float64) *linalg.Dense {
+	n := len(values)
+	cut := relTol * relTol * math.Max(values[0], 0)
+	rank := 0
+	for rank < n && values[rank] > cut && values[rank] > 0 {
+		rank++
+	}
+	out := linalg.NewDense(n, rank)
+	for j := 0; j < rank; j++ {
+		c := scale(values[j])
+		for i, v := range vecs.Row(j) {
+			out.Data[i*rank+j] = c * v
+		}
+	}
+	return out
+}
+
+// TestScaledEigvecsInPlace: the factor built in the eigensolved matrix's
+// storage is the copy formulation's bit for bit, at sizes either side of
+// TransposeInPlace's 32-wide tiles and at every rank from none to full,
+// with the dropped tail below the cut, zero or negative. A kept factor
+// shares the input's backing array.
+func TestScaledEigvecsInPlace(t *testing.T) {
+	const relTol = 1e-3
+	rng := rand.New(rand.NewSource(7))
+	scale := func(mu float64) float64 { return math.Sqrt(mu) / (mu + 0.3) }
+	for _, n := range []int{1, 31, 32, 33, 65, 400} {
+		for _, rank := range []int{0, 1, n - 1, n} {
+			for _, tail := range []string{"below-cut", "zero", "negative"} {
+				if rank == 0 && tail == "below-cut" {
+					continue // a positive λ_max is above its own cut
+				}
+				values := make([]float64, n)
+				for j := range rank {
+					values[j] = float64(n - j)
+				}
+				cut := relTol * relTol * math.Max(values[0], 0)
+				for j := rank; j < n; j++ {
+					switch tail {
+					case "below-cut":
+						values[j] = cut / float64(2+j)
+					case "negative":
+						values[j] = -float64(j + 1)
+					}
+				}
+				vecs := linalg.NewDense(n, n)
+				for i := range vecs.Data {
+					vecs.Data[i] = rng.NormFloat64()
+				}
+				want := copyScaledEigvecs(values, vecs, relTol, scale)
+				first := &vecs.Data[0]
+				got := scaledEigvecs(values, vecs, relTol, scale)
+				what := fmt.Sprintf("n=%d rank=%d tail=%s", n, rank, tail)
+				requireSameBits(t, what, got, want)
+				if rank > 0 && (&got.Data[0] != first || cap(got.Data) != n*n) {
+					t.Fatalf("%s: the factor does not live in the input's storage", what)
+				}
+			}
+		}
+	}
 }
 
 // refCovarianceSide is the covariance-side L at degree 1.
@@ -292,11 +359,29 @@ func meStatsShape() (models.Spec, *dataset.Dataset, []float64) {
 
 // TestObservedFisherAllocBound guards the covariance side's memory: at
 // degree 1 the statistics of the max-entropy workload's shape allocate J
-// (d² + d values) and L (d x rank ≤ d²) and O(d) besides — not the n₀
-// gradient rows or copies of J.
+// (d² + d values), in whose storage L is built, and O(d) besides — not the
+// n₀ gradient rows, a copy of J or a separate L.
 func TestObservedFisherAllocBound(t *testing.T) {
 	atDegreeOne(t)
 	spec, ds, theta := meStatsShape()
+	d := uint64(len(theta))
+	statsAllocBound(t, spec, ds, theta, d*d*8+64*d*8, "d²·8 + 64·d·8")
+}
+
+// TestObservedFisherGramAllocBound is its Gram-side twin at the sparse
+// Criteo shape (n₀ = 500, d = 10⁴): G (n₀² values), in whose storage M is
+// built, the n₀ sparse gradient rows and O(d) besides — not a separate M.
+func TestObservedFisherGramAllocBound(t *testing.T) {
+	atDegreeOne(t)
+	spec, ds, theta := criteoGramShape()
+	n, d := uint64(ds.Len()), uint64(len(theta))
+	statsAllocBound(t, spec, ds, theta, n*n*8+8*d*8, "n₀²·8 + 8·d·8")
+}
+
+// statsAllocBound fails unless one ComputeStatistics call, after a
+// warm-up, allocates fewer than bound bytes.
+func statsAllocBound(t *testing.T, spec models.Spec, ds *dataset.Dataset, theta []float64, bound uint64, formula string) {
+	t.Helper()
 	opt := Options{Epsilon: 0.1}.WithDefaults()
 	if _, err := ComputeStatistics(spec, ds, theta, opt); err != nil { // warm-up
 		t.Fatal(err)
@@ -308,23 +393,44 @@ func TestObservedFisherAllocBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := uint64(len(theta))
-	bound := 2*d*d*8 + 64*d*8
 	if got := after.TotalAlloc - before.TotalAlloc; got >= bound {
-		t.Fatalf("ComputeStatistics allocated %d bytes at d = %d, rank %d; the bound is 2·d²·8 + 64·d·8 = %d", got, d, st.Rank, bound)
+		t.Fatalf("ComputeStatistics allocated %d bytes at n₀ = %d, d = %d, rank %d; the bound is %s = %d", got, ds.Len(), len(theta), st.Rank, formula, bound)
 	}
+}
+
+// TestFactorBytesCountsStorage: a plan's cached covariance-side factor
+// keeps alive the allocation J was reduced into — J's d² floats and the
+// d gradient sums behind them — whatever its rank, and factorBytes counts
+// exactly that.
+func TestFactorBytesCountsStorage(t *testing.T) {
+	spec, ds, theta := meStatsShape()
+	st, err := ComputeStatistics(spec, ds, theta, Options{Epsilon: 0.1}.WithDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := int64(len(theta))
+	if got, want := factorBytes(st.Factor), 8*(d*d+d); got != want {
+		t.Fatalf("factorBytes = %d at d = %d, rank %d; want 8·(d² + d) = %d", got, d, st.Rank, want)
+	}
+}
+
+// criteoGramShape is the Gram-side statistics problem of the sparse
+// logistic benchmark workload: n₀ = 500 Criteo rows at d = 10⁴.
+func criteoGramShape() (models.Spec, *dataset.Dataset, []float64) {
+	spec := models.LogisticRegression{Reg: 0.001}
+	ds := datagen.Criteo(datagen.Config{Rows: 500, Dim: 10000, Seed: 1})
+	theta := make([]float64, ds.Dim)
+	for i := range theta {
+		theta[i] = 0.01 * float64(i%7-3)
+	}
+	return spec, ds, theta
 }
 
 // BenchmarkObservedFisher times the statistics phase at degree 1 at the two
 // benchmark workloads' shapes: the max-entropy covariance side (d = 400, n₀ = 2000,
 // dense) and the sparse logistic Gram side (n₀ = 500, d = 10⁴).
 func BenchmarkObservedFisher(b *testing.B) {
-	gramSpec := models.LogisticRegression{Reg: 0.001}
-	gramDS := datagen.Criteo(datagen.Config{Rows: 500, Dim: 10000, Seed: 1})
-	gramTheta := make([]float64, gramDS.Dim)
-	for i := range gramTheta {
-		gramTheta[i] = 0.01 * float64(i%7-3)
-	}
+	gramSpec, gramDS, gramTheta := criteoGramShape()
 	meSpec, meDS, meTheta := meStatsShape()
 	for _, c := range []struct {
 		name  string

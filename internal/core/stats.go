@@ -222,8 +222,10 @@ func fisherGramSide(rows []dataset.Row, mean []float64, d, n int, beta float64, 
 }
 
 // eigRows eigensolves the symmetric statistics matrix m in place
-// (linalg.SymEigRows: m is consumed, eigenvector j left in row j). what
-// names the matrix in the error; a non-finite one is ErrNonFiniteFisher.
+// (linalg.SymEigRows: m is consumed, eigenvector j left in row j), for
+// scaledEigvecs to build the factor in the same storage: a statistics
+// method holds one n x n matrix, not the matrix and its factor. what names
+// the matrix in the error; a non-finite one is ErrNonFiniteFisher.
 func eigRows(m *linalg.Dense, what string) ([]float64, error) {
 	values, err := linalg.SymEigRows(m)
 	switch {
@@ -240,6 +242,14 @@ func eigRows(m *linalg.Dense, what string) ([]float64, error) {
 // informative directions), and return the kept eigenvectors — row j of
 // vecs for values[j], as eigRows leaves them — as columns, column j scaled
 // by scale(λ_j). The factor's rank is the column count.
+//
+// vecs is consumed: the n x rank factor is built in its storage, which the
+// result keeps (capacity n²; a rank-0 result keeps none). After an in-place transpose row i holds
+// coordinate i of every eigenvector, and a forward pass compacts row i's
+// first rank entries, scaled, to data[i·rank:]. No destination index
+// exceeds its source, and row i's writes end before row i+1's source
+// begins, so every value is read before it is overwritten. Each entry is
+// still c_j·v of the same operands.
 func scaledEigvecs(values []float64, vecs *linalg.Dense, relTol float64, scale func(lam float64) float64) *linalg.Dense {
 	n := len(values)
 	cut := relTol * relTol * math.Max(values[0], 0)
@@ -247,14 +257,22 @@ func scaledEigvecs(values []float64, vecs *linalg.Dense, relTol float64, scale f
 	for rank < n && values[rank] > cut && values[rank] > 0 {
 		rank++
 	}
-	out := linalg.NewDense(n, rank)
-	for j := 0; j < rank; j++ {
-		c := scale(values[j])
-		for i, v := range vecs.Row(j) {
-			out.Data[i*rank+j] = c * v
+	if rank == 0 {
+		return linalg.NewDenseFrom(n, 0, nil)
+	}
+	c := make([]float64, rank)
+	for j := range c {
+		c[j] = scale(values[j])
+	}
+	vecs.TransposeInPlace()
+	data := vecs.Data
+	for i := 0; i < n; i++ {
+		src, dst := data[i*n:i*n+rank], data[i*rank:i*rank+rank]
+		for j, cj := range c {
+			dst[j] = cj * src[j]
 		}
 	}
-	return out
+	return linalg.NewDenseFrom(n, rank, data[:n*rank])
 }
 
 // closedForm implements §3.4 Method 1: the model supplies H(θ) analytically
