@@ -32,37 +32,49 @@ func EstimateAccuracy(spec models.Spec, theta []float64, fac Factor, alpha float
 // accuracy estimate. They do not depend on δ: the bound for any confidence
 // is a quantile of this one vector (alpha must be positive).
 //
-// Where models.BlockDraws allows (v goes through a ScoreModel's scores),
-// the draws are scored a block at a time: the factor writes a whole
-// models.Block of θ_N,i = θ + √α·L·zᵢ straight into its storage, and one
-// pass over the holdout scores them, with every score's bits as if scored
-// alone. Elsewhere each draw goes through DiffFrom by itself, from a group
-// of plain vectors.
+// m_n's holdout predictions are made once for all k draws wherever v goes
+// through predictions. Where models.BlockDraws allows (v goes through a
+// ScoreModel's scores), the draws are scored a block at a time: the factor
+// writes a whole models.Block of θ_N,i = θ + √α·L·zᵢ straight into its
+// storage, and one pass over the holdout scores them, with every score's
+// bits as if scored alone. Elsewhere each draw is a plain vector of a
+// group: predicted and compared with m_n's predictions, or, for a spec
+// whose v needs none (a Differ, PPCA), put through models.Diff.
 func accuracyDiffs(spec models.Spec, theta []float64, fac Factor, alpha float64, holdout *dataset.Dataset, k int, rng *stat.RNG) []float64 {
 	scale := sqrt(alpha)
 	d := len(theta)
 	vs := make([]float64, k)
 	zs := drawNormals(rng, k, fac.Rank())
-	if per := models.BlockDraws(spec, d, holdout); per > 0 {
-		pa := make([]float64, holdout.Len()) // m_n's side of v, once for all k draws
+	var pa []float64 // m_n's side of v
+	if _, own := spec.(models.Differ); !own && spec.Task() != dataset.Unsupervised {
+		pa = make([]float64, holdout.Len())
 		models.PredictInto(spec, theta, holdout.X, pa)
+	}
+	if per := models.BlockDraws(spec, d, holdout); per > 0 {
 		forDraws(spec, holdout, fac, zs, per, 0, func(b *models.Block, i0, i1 int, l layout) {
 			l.shift(i1-i0, theta, scale)
 			b.Diffs(pa, vs[i0:i1])
 		})
 		return vs
 	}
-	diff := models.DiffFrom(spec, theta, holdout) // m_n's side of v, once for all k draws
 	compute.For(k, 4, func(lo, hi int) {
 		var s groupScratch
 		ws := make([]float64, min(hi-lo, groupDraws)*d)
-		preds := make([]float64, holdout.Len()) // diff's scratch, shared by this chunk's draws
+		pb := make([]float64, len(pa)) // this chunk's draws' predictions
 		for g0 := lo; g0 < hi; g0 += groupDraws {
 			g1 := min(hi, g0+groupDraws)
 			applyPlain(fac, zs[g0:g1], ws, &s)
 			plain(ws, d).shift(g1-g0, theta, scale)
 			for i := g0; i < g1; i++ {
-				vs[i] = diff(ws[(i-g0)*d:][:d], preds)
+				w := ws[(i-g0)*d:][:d]
+				if pa == nil {
+					vs[i] = models.Diff(spec, theta, w, holdout)
+					continue
+				}
+				models.PredictInto(spec, w, holdout.X, pb)
+				v := models.NewPredictionDiff(spec.Task())
+				v.AddRows(pa, pb)
+				vs[i] = v.Value()
 			}
 		}
 	})

@@ -149,12 +149,6 @@ func applyPlain(f Factor, zs [][]float64, dst []float64, s *groupScratch) {
 	}
 }
 
-// applyOne overwrites dst (len d) with L·z (len(z) = Rank): a group of one
-// draw, written as a plain vector.
-func applyOne(f Factor, z, dst []float64) {
-	applyPlain(f, [][]float64{z}, dst, new(groupScratch))
-}
-
 // Inflate wraps f so every draw it writes is scaled by (1 + inflation) — the
 // footnote-2 conservatism knob (Options.VarianceInflation). inflation <= 0
 // returns f unchanged.

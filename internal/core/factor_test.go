@@ -13,6 +13,12 @@ import (
 	"blinkml/internal/stat"
 )
 
+// applyOne overwrites dst (len d) with L·z (len(z) = Rank): a group of one
+// draw, written as a plain vector.
+func applyOne(f Factor, z, dst []float64) {
+	applyPlain(f, [][]float64{z}, dst, new(groupScratch))
+}
+
 func TestInflateScalesApplies(t *testing.T) {
 	base := &DenseFactor{L: linalg.Identity(3)}
 	inflated := Inflate(base, 0.5)

@@ -365,7 +365,7 @@ func TestObservedFisherAllocBound(t *testing.T) {
 	atDegreeOne(t)
 	spec, ds, theta := meStatsShape()
 	d := uint64(len(theta))
-	statsAllocBound(t, spec, ds, theta, d*d*8+64*d*8, "d²·8 + 64·d·8")
+	statsAllocBound(t, spec, ds, theta, ObservedFisher, d*d*8+64*d*8, "d²·8 + 64·d·8")
 }
 
 // TestObservedFisherGramAllocBound is its Gram-side twin at the sparse
@@ -375,14 +375,14 @@ func TestObservedFisherGramAllocBound(t *testing.T) {
 	atDegreeOne(t)
 	spec, ds, theta := criteoGramShape()
 	n, d := uint64(ds.Len()), uint64(len(theta))
-	statsAllocBound(t, spec, ds, theta, n*n*8+8*d*8, "n₀²·8 + 8·d·8")
+	statsAllocBound(t, spec, ds, theta, ObservedFisher, n*n*8+8*d*8, "n₀²·8 + 8·d·8")
 }
 
-// statsAllocBound fails unless one ComputeStatistics call, after a
-// warm-up, allocates fewer than bound bytes.
-func statsAllocBound(t *testing.T, spec models.Spec, ds *dataset.Dataset, theta []float64, bound uint64, formula string) {
+// statsAllocBound fails unless one ComputeStatistics call by method m,
+// after a warm-up, allocates fewer than bound bytes.
+func statsAllocBound(t *testing.T, spec models.Spec, ds *dataset.Dataset, theta []float64, m Method, bound uint64, formula string) {
 	t.Helper()
-	opt := Options{Epsilon: 0.1}.WithDefaults()
+	opt := Options{Epsilon: 0.1, Method: m}.WithDefaults()
 	if _, err := ComputeStatistics(spec, ds, theta, opt); err != nil { // warm-up
 		t.Fatal(err)
 	}

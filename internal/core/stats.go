@@ -276,7 +276,8 @@ func scaledEigvecs(values []float64, vecs *linalg.Dense, relTol float64, scale f
 }
 
 // closedForm implements §3.4 Method 1: the model supplies H(θ) analytically
-// and J = H − βI (the Jacobian of g − r).
+// and J = H − βI (the Jacobian of g − r). The Hessian it returns is
+// statsFromHessian's to consume.
 func closedForm(spec models.Spec, sample *dataset.Dataset, theta []float64, opt Options) (*Statistics, error) {
 	hs, ok := spec.(models.Hessianer)
 	if !ok {
@@ -288,18 +289,22 @@ func closedForm(spec models.Spec, sample *dataset.Dataset, theta []float64, opt 
 
 // inverseGradients implements §3.4 Method 2: H ≈ R·P⁻¹ with P = ϵI, i.e.
 // column j of H is (g(θ+ϵe_j) − g(θ))/ϵ. Needs d+1 grads calls — the cost
-// compared against ObservedFisher in Figure 9b.
+// compared against ObservedFisher in Figure 9b — all through one
+// models.Objective, the d perturbed gradients into one reused buffer (Eval
+// zeroes it first), so H is the only d x d matrix it makes.
 func inverseGradients(spec models.Spec, sample *dataset.Dataset, theta []float64, opt Options) (*Statistics, error) {
 	d := len(theta)
-	g0 := models.BatchGradient(spec, sample, theta)
+	p := models.Objective(spec, sample)
+	g0, gj := make([]float64, d), make([]float64, d)
+	p.Eval(theta, g0)
 	h := linalg.NewDense(d, d)
 	pert := linalg.CopyVec(theta)
 	for j := 0; j < d; j++ {
 		pert[j] = theta[j] + opt.FDStep
-		gj := models.BatchGradient(spec, sample, pert)
+		p.Eval(pert, gj)
 		pert[j] = theta[j]
-		for i := 0; i < d; i++ {
-			h.Set(i, j, (gj[i]-g0[i])/opt.FDStep)
+		for i, g := range gj {
+			h.Set(i, j, (g-g0[i])/opt.FDStep)
 		}
 	}
 	h.Symmetrize()
@@ -307,13 +312,16 @@ func inverseGradients(spec models.Spec, sample *dataset.Dataset, theta []float64
 }
 
 // statsFromHessian turns an explicit H into a factor for H⁻¹JH⁻¹ with
-// J = H − βI, via M = H⁻¹JH⁻¹ and a symmetric eigendecomposition
-// (negative eigenvalues from sampling noise are clamped to zero — the
-// footnote-2 treatment of not-fully-converged optima).
+// J = H − βI, via a symmetric eigendecomposition (negative eigenvalues from
+// sampling noise are clamped to zero — the footnote-2 treatment of
+// not-fully-converged optima). It consumes h: once H is factored (NewLU
+// keeps its own copy), h becomes J, SolveCols turns it into H⁻¹J and
+// SolveRows into (H⁻¹JH⁻¹)ᵀ — row j solved is column j of H⁻¹(H⁻¹J)ᵀ — and
+// Symmetrize makes that the bits of H⁻¹JH⁻¹ symmetrized, since
+// (a+b)/2 = (b+a)/2. eigRows and scaledEigvecs then build L in the same
+// storage, so the method holds H and its LU and no third d x d matrix.
 func statsFromHessian(h *linalg.Dense, beta float64, gradsCalls int, opt Options) (*Statistics, error) {
 	d := h.Rows
-	j := h.Clone()
-	j.AddDiag(-beta)
 	lus := 1
 	lu, err := linalg.NewLU(h)
 	if err != nil {
@@ -327,14 +335,15 @@ func statsFromHessian(h *linalg.Dense, beta float64, gradsCalls int, opt Options
 			return nil, fmt.Errorf("core: Hessian is singular: %w", err)
 		}
 	}
-	hinvJ := lu.SolveMat(j)      // H⁻¹J
-	m := lu.SolveMatTrans(hinvJ) // H⁻¹(H⁻¹J)ᵀ = H⁻¹JH⁻¹ (J symmetric), no dxd transpose copy
-	m.Symmetrize()
-	values, err := eigRows(m, "covariance")
+	h.AddDiag(-beta) // J
+	lu.SolveCols(h)  // H⁻¹J
+	lu.SolveRows(h)  // (H⁻¹JH⁻¹)ᵀ
+	h.Symmetrize()
+	values, err := eigRows(h, "covariance")
 	if err != nil {
 		return nil, err
 	}
-	l := scaledEigvecs(values, m, opt.SVDRelTol, math.Sqrt)
+	l := scaledEigvecs(values, h, opt.SVDRelTol, math.Sqrt)
 	// An LU is (2/3)d³ per attempt, each solve 2d² per right-hand side.
 	d3 := int64(d) * int64(d) * int64(d)
 	return &Statistics{Factor: &DenseFactor{L: l}, Rank: l.Cols, GradsCalls: gradsCalls,

@@ -184,15 +184,21 @@ func TestConcurrentGramCalls(t *testing.T) {
 	})
 }
 
-func TestSolveMatTransMatchesSolveMat(t *testing.T) {
+// SolveRows(B) is SolveCols(Bᵀ)ᵀ bit for bit: both run the same Solve on
+// the same right-hand sides, one in place on B's rows and one on the
+// columns of its transpose.
+func TestSolveRowsMatchesSolveCols(t *testing.T) {
 	withDegree(t, 4, func() {
 		rng := rand.New(rand.NewSource(9))
 		a := randSPD(rng, 40)
-		b := randDense(rng, 25, 40) // X solves A·X = Bᵀ (40x25)
+		b := randDense(rng, 25, 40)
 		f, err := NewLU(a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireEqualDense(t, "SolveMatTrans", f.SolveMatTrans(b), f.SolveMat(b.T()))
+		cols := b.T()
+		f.SolveCols(cols)
+		f.SolveRows(b)
+		requireEqualDense(t, "SolveRows", b, cols.T())
 	})
 }

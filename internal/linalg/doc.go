@@ -61,7 +61,10 @@
 // matrix it is given with its eigenvectors (row j for eigenvalue j), so a
 // caller hands it only a matrix it built and will not read again.
 // NewSymEig never consumes its input: it runs SymEigRows on a copy and
-// returns the eigenvectors as columns.
+// returns the eigenvectors as columns. NewLU copies the matrix it factors;
+// the factor's SolveCols and SolveRows consume theirs, overwriting each
+// column (row) with A⁻¹ times it, so a chain of solves needs no second
+// matrix.
 //
 // linalg imports no obs: a kernel charges no ledger. The phase that calls
 // one knows the shapes it ran and charges them; core's statistics phase

@@ -61,79 +61,72 @@ func NewLU(a *Dense) (*LU, error) {
 	return f, nil
 }
 
-// Solve computes x such that A*x = b, writing into dst (len n). dst may
-// alias b.
+// Solve computes x such that A*x = b, writing into dst (len n). dst must
+// not alias b: the permutation reads b while dst fills.
 func (f *LU) Solve(b, dst []float64) {
 	n := f.lu.Rows
 	if len(b) != n || len(dst) != n {
 		panic("linalg: LU.Solve dimension mismatch")
 	}
 	// Apply permutation.
-	x := make([]float64, n)
 	for i, p := range f.piv {
-		x[i] = b[p]
+		dst[i] = b[p]
 	}
 	// Forward substitution with unit lower triangle.
 	for i := 1; i < n; i++ {
-		x[i] -= Dot(f.lu.Row(i)[:i], x[:i])
+		dst[i] -= Dot(f.lu.Row(i)[:i], dst[:i])
 	}
 	// Back substitution with upper triangle.
 	for i := n - 1; i >= 0; i-- {
-		x[i] -= Dot(f.lu.Row(i)[i+1:], x[i+1:])
-		x[i] /= f.lu.At(i, i)
+		dst[i] -= Dot(f.lu.Row(i)[i+1:], dst[i+1:])
+		dst[i] /= f.lu.At(i, i)
 	}
-	copy(dst, x)
 }
 
-// SolveMat solves A*X = B column by column and returns X. Columns are
-// independent triangular solves, so they run in parallel on the compute
-// pool.
-func (f *LU) SolveMat(b *Dense) *Dense {
+// SolveCols overwrites each column of b with A⁻¹ times it, so b becomes
+// A⁻¹B: it consumes b. Columns are independent triangular solves, so they
+// run in parallel on the compute pool.
+func (f *LU) SolveCols(b *Dense) {
 	n := f.lu.Rows
 	if b.Rows != n {
-		panic("linalg: LU.SolveMat dimension mismatch")
+		panic("linalg: LU.SolveCols dimension mismatch")
 	}
-	x := NewDense(n, b.Cols)
 	compute.For(b.Cols, rowGrain(n*n), func(jlo, jhi int) {
-		col := make([]float64, n)
-		sol := make([]float64, n)
+		col, sol := make([]float64, n), make([]float64, n)
 		for j := jlo; j < jhi; j++ {
-			for i := 0; i < n; i++ {
+			for i := range col {
 				col[i] = b.At(i, j)
 			}
 			f.Solve(col, sol)
-			for i := 0; i < n; i++ {
-				x.Set(i, j, sol[i])
+			for i, v := range sol {
+				b.Set(i, j, v)
 			}
 		}
 	})
-	return x
 }
 
-// SolveMatTrans solves A*X = Bᵀ and returns X, reading B's rows directly
-// as right-hand sides — the transpose is never materialized, which keeps
-// the H⁻¹JH⁻¹ factorization path free of d x d copies.
-func (f *LU) SolveMatTrans(b *Dense) *Dense {
+// SolveRows overwrites each row of b with A⁻¹ times it, so b becomes
+// (A⁻¹Bᵀ)ᵀ: it consumes b, and reads its rows as right-hand sides without
+// a transposed copy. Rows run in parallel on the compute pool.
+func (f *LU) SolveRows(b *Dense) {
 	n := f.lu.Rows
 	if b.Cols != n {
-		panic("linalg: LU.SolveMatTrans dimension mismatch")
+		panic("linalg: LU.SolveRows dimension mismatch")
 	}
-	x := NewDense(n, b.Rows)
 	compute.For(b.Rows, rowGrain(n*n), func(jlo, jhi int) {
-		sol := make([]float64, n)
+		rhs := make([]float64, n)
 		for j := jlo; j < jhi; j++ {
-			f.Solve(b.Row(j), sol)
-			for i := 0; i < n; i++ {
-				x.Set(i, j, sol[i])
-			}
+			copy(rhs, b.Row(j))
+			f.Solve(rhs, b.Row(j))
 		}
 	})
-	return x
 }
 
-// Inverse returns A⁻¹.
+// Inverse returns A⁻¹, solved in place on the identity.
 func (f *LU) Inverse() *Dense {
-	return f.SolveMat(Identity(f.lu.Rows))
+	inv := Identity(f.lu.Rows)
+	f.SolveCols(inv)
+	return inv
 }
 
 // Det returns det(A).

@@ -30,7 +30,7 @@ func blockDraws(ns, d int) int {
 // Block scores together on holdout, or 0 where v does not go through scores:
 // spec is no ScoreModel, it is a Differ, the task is unsupervised, the
 // holdout is empty, or the vectors are not NumScores classes of holdout.Dim
-// weights. Those keep DiffFrom's per-vector path. It reads no row.
+// weights. Those are compared one vector at a time. It reads no row.
 func BlockDraws(spec Spec, paramDim int, holdout *dataset.Dataset) int {
 	sm, ok := spec.(ScoreModel)
 	if _, own := spec.(Differ); !ok || own || spec.Task() == dataset.Unsupervised || holdout.Len() == 0 {
@@ -143,7 +143,7 @@ func (b *Block) Scores(outs [][]float64) {
 }
 
 // Diffs fills vs[i] with v(m_a, m_i) for the n = len(vs) loaded vectors,
-// where pa holds m_a's holdout predictions: DiffFrom(spec, θ_a, holdout)
+// where pa holds m_a's holdout predictions: Diff(spec, θ_a, θ_i, holdout)
 // for each vector, bit for bit. A panel of rows goes through one
 // PredictScores call for all n vectors, and each vector's predictions then
 // through its PredictionDiff, in row order.

@@ -31,35 +31,21 @@ func Diff(spec Spec, thetaA, thetaB []float64, holdout *dataset.Dataset) float64
 	if spec.Task() == dataset.Unsupervised {
 		return clamp01(1 - linalg.Cosine(thetaA, thetaB))
 	}
-	return DiffFrom(spec, thetaA, holdout)(thetaB, make([]float64, holdout.Len()))
-}
-
-// DiffFrom returns θ_b ↦ Diff(spec, thetaA, θ_b, holdout) with m_a's holdout
-// predictions computed once — what the Model Accuracy Estimator needs, where
-// one trained model is compared against k sampled ones. The function's
-// second argument is holdout.Len() floats of scratch for m_b's predictions,
-// so a caller making many comparisons allocates it once per goroutine; with
-// separate scratch the function is safe for concurrent use. Specs whose v
-// does not go through predictions (a Differ, PPCA) get Diff itself.
-func DiffFrom(spec Spec, thetaA []float64, holdout *dataset.Dataset) func(thetaB, scratch []float64) float64 {
-	if _, own := spec.(Differ); own || spec.Task() == dataset.Unsupervised {
-		return func(thetaB, _ []float64) float64 { return Diff(spec, thetaA, thetaB, holdout) }
-	}
-	pa := make([]float64, holdout.Len())
+	n := holdout.Len()
+	pa, pb := make([]float64, n), make([]float64, n)
 	PredictInto(spec, thetaA, holdout.X, pa)
-	return func(thetaB, pb []float64) float64 {
-		PredictInto(spec, thetaB, holdout.X, pb)
-		v := NewPredictionDiff(spec.Task())
-		v.AddRows(pa, pb)
-		return v.Value()
-	}
+	PredictInto(spec, thetaB, holdout.X, pb)
+	v := NewPredictionDiff(spec.Task())
+	v.AddRows(pa, pb)
+	return v.Value()
 }
 
 // PredictionDiff accumulates v(m_a, m_b) for a supervised task from the two
 // models' predictions on the same rows: feed every row's pair to AddRows,
-// then read Value. It is the one statement of the metric: Diff, DiffFrom,
-// Block.Diffs and the Sample Size Estimator's score path differ only in
-// where the predictions come from (SignFlips is its sign-label case, fused).
+// then read Value. It is the one statement of the metric: Diff,
+// Block.Diffs, the Sample Size Estimator's score path and the accuracy
+// estimator's per-draw path differ only in where the predictions come
+// from (SignFlips is its sign-label case, fused).
 type PredictionDiff struct {
 	classify       bool
 	n, disagree    int

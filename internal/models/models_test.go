@@ -326,6 +326,14 @@ func TestMaxEntSparseGradRow(t *testing.T) {
 	}
 }
 
+// BatchGradient returns g_n(θ) = (1/n)Σ qᵢ + βθ through the training
+// objective.
+func BatchGradient(spec Spec, ds *dataset.Dataset, theta []float64) []float64 {
+	grad := make([]float64, len(theta))
+	Objective(spec, ds).Eval(theta, grad)
+	return grad
+}
+
 // The batch gradient must equal mean(qᵢ) + βθ.
 func TestBatchGradientIncludesRegularizer(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))

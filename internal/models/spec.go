@@ -75,7 +75,9 @@ func New(name string, reg float64, classes, factors int) (Spec, error) {
 // Hessianer is implemented by models with a closed-form Hessian of the
 // objective (the ClosedForm statistics method, paper §3.4 Method 1).
 type Hessianer interface {
-	// Hessian returns H(θ) = ∇²f_n(θ), including the βI regularizer term.
+	// Hessian returns H(θ) = ∇²f_n(θ), including the βI regularizer term,
+	// as a fresh matrix: the statistics phase consumes it, solving for
+	// H⁻¹JH⁻¹ and building the factor in its storage.
 	Hessian(theta []float64, ds *dataset.Dataset) *linalg.Dense
 }
 
@@ -235,15 +237,6 @@ func checkTask(spec Spec, ds *dataset.Dataset) error {
 		return nil
 	}
 	return fmt.Errorf("%w: model %s wants %v, dataset %q is %v", ErrIncompatibleTask, spec.Name(), want, ds.Name, ds.Task)
-}
-
-// BatchGradient returns g_n(θ) = (1/n)Σ qᵢ + βθ, used by the
-// InverseGradients statistics method and by tests.
-func BatchGradient(spec Spec, ds *dataset.Dataset, theta []float64) []float64 {
-	grad := make([]float64, len(theta))
-	p := Objective(spec, ds)
-	p.Eval(theta, grad)
-	return grad
 }
 
 // PerExampleGradRows materializes qᵢ(θ) for every row of ds, each by
