@@ -235,7 +235,7 @@ func TestStreamedCovarianceSideBitIdentical(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			theta := trainOn(t, c.spec, c.ds)
-			if len(theta) > c.ds.Len() || dataset.SparsePath(c.ds.X) {
+			if _, sparse := c.ds.X[0].(*dataset.SparseRow); len(theta) > c.ds.Len() || sparse {
 				t.Fatalf("d = %d, n = %d: not the dense covariance side", len(theta), c.ds.Len())
 			}
 			opt := Options{Epsilon: 0.05}.WithDefaults()

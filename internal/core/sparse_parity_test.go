@@ -60,10 +60,21 @@ func sparseFixture(t *testing.T, task dataset.Task, rows, dim, nnz, classes int,
 	if err != nil {
 		t.Fatalf("fixture: %v", err)
 	}
-	if dataset.SparsePath(ds.X) != true {
-		t.Fatalf("fixture density %v did not stay on the sparse path", ds.Density())
+	if !allSparse(ds.X) {
+		t.Fatalf("fixture density %v: FromSparse densified its rows", ds.Density())
 	}
 	return ds
+}
+
+// allSparse reports whether every row is a *dataset.SparseRow, the type the
+// sparse kernels follow.
+func allSparse(rows []dataset.Row) bool {
+	for _, r := range rows {
+		if _, ok := r.(*dataset.SparseRow); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // densified returns a dense-row copy of ds without touching the original.
@@ -79,12 +90,12 @@ func densified(ds *dataset.Dataset) *dataset.Dataset {
 }
 
 // TestSparseDensePathsBitIdentical is the sparse-path determinism contract:
-// for every model class, training on the sparse representation and on its
-// densified copy — same seed, same options — must produce bit-identical
-// parameters, the same chosen sample size, and the same ε estimate, at
-// degree 1 (exact serial order) and at a fixed degree > 1 (chunked
-// kernels). This is what makes the per-dataset density switch purely a
-// performance decision.
+// for every model class and every statistics method it has, training on the
+// sparse representation and on its densified copy — same seed, same options
+// — must produce bit-identical parameters, the same chosen sample size, and
+// the same ε estimate, at degree 1 (exact serial order) and at a fixed
+// degree > 1 (chunked kernels). This is what makes storing a row sparse or
+// dense purely a performance decision.
 func TestSparseDensePathsBitIdentical(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -107,29 +118,37 @@ func TestSparseDensePathsBitIdentical(t *testing.T) {
 
 				sp := sparseFixture(t, c.task, 1500, 80, 6, c.classes, 7)
 				de := densified(sp)
-				opt := Options{Epsilon: 0.05, Seed: 11, InitialSampleSize: 200, K: 30}
-				rs, err := TrainSourceContext(context.Background(), c.spec, sp, opt)
-				if err != nil {
-					t.Fatalf("sparse train: %v", err)
+				methods := []Method{ObservedFisher, InverseGradients}
+				if _, ok := c.spec.(models.Hessianer); ok {
+					methods = append(methods, ClosedForm)
 				}
-				rd, err := TrainSourceContext(context.Background(), c.spec, de, opt)
-				if err != nil {
-					t.Fatalf("dense train: %v", err)
-				}
-				if rs.SampleSize != rd.SampleSize {
-					t.Fatalf("sample size %d (sparse) vs %d (dense)", rs.SampleSize, rd.SampleSize)
-				}
-				if math.Float64bits(rs.EstimatedEpsilon) != math.Float64bits(rd.EstimatedEpsilon) {
-					t.Fatalf("epsilon %v (sparse) vs %v (dense)", rs.EstimatedEpsilon, rd.EstimatedEpsilon)
-				}
-				if len(rs.Theta) != len(rd.Theta) {
-					t.Fatalf("theta dim %d vs %d", len(rs.Theta), len(rd.Theta))
-				}
-				for j := range rs.Theta {
-					if math.Float64bits(rs.Theta[j]) != math.Float64bits(rd.Theta[j]) {
-						t.Fatalf("theta[%d] = %x (sparse) vs %x (dense): not bit-identical",
-							j, math.Float64bits(rs.Theta[j]), math.Float64bits(rd.Theta[j]))
-					}
+				for _, method := range methods {
+					t.Run(method.String(), func(t *testing.T) {
+						opt := Options{Epsilon: 0.05, Seed: 11, InitialSampleSize: 200, K: 30, Method: method}
+						rs, err := TrainSourceContext(context.Background(), c.spec, sp, opt)
+						if err != nil {
+							t.Fatalf("sparse train: %v", err)
+						}
+						rd, err := TrainSourceContext(context.Background(), c.spec, de, opt)
+						if err != nil {
+							t.Fatalf("dense train: %v", err)
+						}
+						if rs.SampleSize != rd.SampleSize {
+							t.Fatalf("sample size %d (sparse) vs %d (dense)", rs.SampleSize, rd.SampleSize)
+						}
+						if math.Float64bits(rs.EstimatedEpsilon) != math.Float64bits(rd.EstimatedEpsilon) {
+							t.Fatalf("epsilon %v (sparse) vs %v (dense)", rs.EstimatedEpsilon, rd.EstimatedEpsilon)
+						}
+						if len(rs.Theta) != len(rd.Theta) {
+							t.Fatalf("theta dim %d vs %d", len(rs.Theta), len(rd.Theta))
+						}
+						for j := range rs.Theta {
+							if math.Float64bits(rs.Theta[j]) != math.Float64bits(rd.Theta[j]) {
+								t.Fatalf("theta[%d] = %x (sparse) vs %x (dense): not bit-identical",
+									j, math.Float64bits(rs.Theta[j]), math.Float64bits(rd.Theta[j]))
+							}
+						}
+					})
 				}
 			})
 		}
@@ -145,7 +164,7 @@ func TestSparseGramConcurrent(t *testing.T) {
 	compute.SetParallelism(4)
 	defer compute.SetParallelism(prev)
 
-	// dim > rows forces the Gram side; low density keeps the sparse path.
+	// dim > rows forces the Gram side; low density keeps the rows sparse.
 	ds := sparseFixture(t, dataset.BinaryClassification, 150, 400, 8, 0, 5)
 	spec := models.LogisticRegression{Reg: 0.01}
 	theta := make([]float64, ds.Dim)

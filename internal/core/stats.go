@@ -85,18 +85,19 @@ func observedFisher(spec models.Spec, sample *dataset.Dataset, theta []float64, 
 // fisherCovarianceSide eigendecomposes J = (1/n)Q_cᵀQ_c directly (d x d).
 // The gradient rows fold into the sums they feed as they are made: each
 // chunk of the sample on the compute pool owns one d·d+d partial, the upper
-// triangle of Σ qᵢqᵢᵀ followed by Σ qᵢ, each added in row order. Dense
-// inputs make their rows four at a time into one 4×d block
-// (models.GradRowsInto) and add the block's outer products with
-// linalg.SyrkUpperAdd. Sparse inputs make them one at a time
-// (models.GradRow) into the chunk's scratch: a score model's gathered row
-// scatters its outer product on its nnz x nnz block, a dense one (PPCA) adds
-// it whole. The partials merge in tree order. J's upper triangle is then
+// triangle of Σ qᵢqᵢᵀ followed by Σ qᵢ, each added in row order. The loop
+// follows the sample's first row, and either accepts every row type. After
+// a dense row the rows are made four at a time into one 4×d block
+// (models.GradRowsInto) and the block's outer products added with
+// linalg.SyrkUpperAdd. After a *dataset.SparseRow they are made one at a
+// time (models.GradRow) into the chunk's scratch: a score model's gathered
+// row scatters its outer product on its nnz x nnz block, a dense one (PPCA)
+// adds it whole. The partials merge in tree order. J's upper triangle is then
 // centered and mirrored: the product of two gradient entries commutes, so
 // the lower triangle it replaces held the same bits.
 func fisherCovarianceSide(spec models.Spec, sample *dataset.Dataset, theta []float64, beta float64, opt Options) (*Statistics, error) {
 	n, d := sample.Len(), len(theta)
-	sparse := dataset.SparsePath(sample.X)
+	_, sparse := sample.X[0].(*dataset.SparseRow)
 	// d x d scratch per chunk: require chunks to be worth their memory.
 	chunks := compute.Chunks(n, 64+d/4)
 	parts := make([][]float64, chunks)

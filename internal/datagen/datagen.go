@@ -13,6 +13,7 @@ import (
 	"math"
 
 	"blinkml/internal/dataset"
+	"blinkml/internal/linalg"
 	"blinkml/internal/stat"
 )
 
@@ -134,6 +135,7 @@ func Criteo(cfg Config) *dataset.Dataset {
 	zipf := stat.NewZipf(rng, cfg.Dim-1, 1.1)
 	theta := groundTruth(rng, cfg.Dim, 0.9)
 	ds := &dataset.Dataset{Dim: cfg.Dim, Task: dataset.BinaryClassification, Name: "criteo"}
+	rows := sparseRows(cfg.Dim, cfg.Rows, 69) // at most 68 draws and the bias
 	active := make(map[int32]bool, 48)
 	// Cap per-row activity well below the vocabulary so distinct draws from
 	// the (skewed) Zipf law terminate quickly even at small dims.
@@ -151,27 +153,27 @@ func Criteo(cfg Config) *dataset.Dataset {
 		for len(active) < nnz+1 {
 			active[int32(1+zipf.Draw())] = true
 		}
-		idx := make([]int32, 0, len(active))
+		lo := len(rows.Idx)
 		for k := range active {
-			idx = append(idx, k)
+			rows.Idx = append(rows.Idx, k)
 		}
-		sortInt32(idx)
-		val := make([]float64, len(idx))
+		sortInt32(rows.Idx[lo:])
 		var score float64
-		for t, j := range idx {
-			val[t] = 1
+		for _, j := range rows.Idx[lo:] {
+			rows.Val = append(rows.Val, 1)
 			score += theta[j]
 		}
-		row := &dataset.SparseRow{N: cfg.Dim, Idx: idx, Val: val}
-		// Intercept −1.9 calibrates the positive rate to ≈ 25%.
+		rows.Indptr = append(rows.Indptr, int64(len(rows.Idx)))
+		// Intercept −1.9 calibrates the positive rate to ≈ 25%; the link's
+		// coefficient at label 0 is σ(z).
 		y := 0.0
-		if rng.Float64() < sigmoid(score/3-1.1) {
+		if _, p := linalg.LogisticLinkAt(score/3-1.1, 0); rng.Float64() < p {
 			y = 1
 		}
-		ds.X = append(ds.X, row)
 		ds.Y = append(ds.Y, y)
 	}
-	return dataset.Compact(ds)
+	ds.X = rows.Rows()
+	return ds
 }
 
 // MNIST mimics the infinite-MNIST multiclass dataset (paper: 8M rows,
@@ -226,6 +228,7 @@ func Yelp(cfg Config) *dataset.Dataset {
 		topicSize = 1
 	}
 	ds := &dataset.Dataset{Dim: cfg.Dim, Task: dataset.MultiClassification, NumClasses: k, Name: "yelp"}
+	rows := sparseRows(cfg.Dim, cfg.Rows, min(79, cfg.Dim)) // distinct terms of at most 79 words
 	counts := make(map[int32]float64, 64)
 	for i := 0; i < cfg.Rows; i++ {
 		c := rng.Intn(k)
@@ -240,19 +243,19 @@ func Yelp(cfg Config) *dataset.Dataset {
 			}
 			counts[int32(term)]++
 		}
-		idx := make([]int32, 0, len(counts))
+		lo := len(rows.Idx)
 		for t := range counts {
-			idx = append(idx, t)
+			rows.Idx = append(rows.Idx, t)
 		}
-		sortInt32(idx)
-		val := make([]float64, len(idx))
-		for t, j := range idx {
-			val[t] = math.Log1p(counts[j]) // sublinear tf weighting
+		sortInt32(rows.Idx[lo:])
+		for _, j := range rows.Idx[lo:] {
+			rows.Val = append(rows.Val, math.Log1p(counts[j])) // sublinear tf weighting
 		}
-		ds.X = append(ds.X, &dataset.SparseRow{N: cfg.Dim, Idx: idx, Val: val})
+		rows.Indptr = append(rows.Indptr, int64(len(rows.Idx)))
 		ds.Y = append(ds.Y, float64(c))
 	}
-	return dataset.Compact(ds)
+	ds.X = rows.Rows()
+	return ds
 }
 
 // Counts is a Poisson-regression workload (the paper lists Poisson
@@ -294,6 +297,7 @@ func OneHot(cfg Config) *dataset.Dataset {
 	rng := stat.NewRNG(mix(cfg.Seed, 0x1407))
 	theta := groundTruth(rng, cfg.Dim, 1.2)
 	ds := &dataset.Dataset{Dim: cfg.Dim, Task: dataset.BinaryClassification, Name: "onehot"}
+	rows := sparseRows(cfg.Dim, cfg.Rows, k)
 	active := make(map[int32]bool, k)
 	scale := 1 / math.Sqrt(float64(k))
 	for i := 0; i < cfg.Rows; i++ {
@@ -302,25 +306,25 @@ func OneHot(cfg Config) *dataset.Dataset {
 		for len(active) < k {
 			active[int32(1+rng.Intn(cfg.Dim-1))] = true
 		}
-		idx := make([]int32, 0, len(active))
+		lo := len(rows.Idx)
 		for j := range active {
-			idx = append(idx, j)
+			rows.Idx = append(rows.Idx, j)
 		}
-		sortInt32(idx)
-		val := make([]float64, len(idx))
+		sortInt32(rows.Idx[lo:])
 		var score float64
-		for t, j := range idx {
-			val[t] = 1
+		for _, j := range rows.Idx[lo:] {
+			rows.Val = append(rows.Val, 1)
 			score += theta[j]
 		}
+		rows.Indptr = append(rows.Indptr, int64(len(rows.Idx)))
 		y := 0.0
-		if rng.Float64() < sigmoid(scale*score-0.4) {
+		if _, p := linalg.LogisticLinkAt(scale*score-0.4, 0); rng.Float64() < p {
 			y = 1
 		}
-		ds.X = append(ds.X, &dataset.SparseRow{N: cfg.Dim, Idx: idx, Val: val})
 		ds.Y = append(ds.Y, y)
 	}
-	return dataset.Compact(ds)
+	ds.X = rows.Rows()
+	return ds
 }
 
 // generators is the single registry of synthetic workloads: each entry
@@ -394,6 +398,14 @@ func (r *Ref) Shape() (rows, dim int, err error) {
 	return cfg.Rows, cfg.Dim, nil
 }
 
+// sparseRows returns an empty CSR block of width dim for rows sparse rows
+// of at most perRow entries each, sized so that appending them never
+// reallocates.
+func sparseRows(dim, rows, perRow int) *dataset.CSR {
+	return &dataset.CSR{Dim: dim, Indptr: make([]int64, 1, rows+1),
+		Idx: make([]int32, 0, rows*perRow), Val: make([]float64, 0, rows*perRow)}
+}
+
 // groundTruth draws a fixed parameter vector with the given scale.
 func groundTruth(rng *stat.RNG, d int, scale float64) []float64 {
 	theta := make([]float64, d)
@@ -409,14 +421,6 @@ func mix(seed, salt int64) int64 {
 	x := uint64(seed)*0x9E3779B97F4A7C15 + uint64(salt)
 	x ^= x >> 31
 	return int64(x & 0x7FFFFFFFFFFFFFFF)
-}
-
-func sigmoid(z float64) float64 {
-	if z >= 0 {
-		return 1 / (1 + math.Exp(-z))
-	}
-	e := math.Exp(z)
-	return e / (1 + e)
 }
 
 // poissonDraw samples Poisson(lambda) by inversion for small rates and a

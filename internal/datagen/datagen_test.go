@@ -3,6 +3,7 @@ package datagen
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"blinkml/internal/dataset"
 )
@@ -89,6 +90,29 @@ func TestSparseDatasetsAreSparse(t *testing.T) {
 			}
 			if sp.NNZ() > ds.Dim/10 {
 				t.Fatalf("%s row %d has %d nnz out of %d — not sparse", name, i, sp.NNZ(), ds.Dim)
+			}
+		}
+	}
+}
+
+// The sparse generators append their rows to one dataset.CSR: row i+1's
+// indices and values start where row i's end, in one array each.
+func TestSparseGeneratorsFillOneBlock(t *testing.T) {
+	for _, name := range []string{"criteo", "yelp", "onehot"} {
+		ds, err := Generate(name, Config{Rows: 200, Dim: 3000, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < ds.Len(); i++ {
+			prev, ok1 := ds.X[i-1].(*dataset.SparseRow)
+			cur, ok2 := ds.X[i].(*dataset.SparseRow)
+			if !ok1 || !ok2 {
+				t.Fatalf("%s row %d or %d is not sparse", name, i-1, i)
+			}
+			idx := unsafe.Add(unsafe.Pointer(unsafe.SliceData(prev.Idx)), 4*len(prev.Idx))
+			val := unsafe.Add(unsafe.Pointer(unsafe.SliceData(prev.Val)), 8*len(prev.Val))
+			if unsafe.Pointer(unsafe.SliceData(cur.Idx)) != idx || unsafe.Pointer(unsafe.SliceData(cur.Val)) != val {
+				t.Fatalf("%s row %d does not start where row %d ends", name, i, i-1)
 			}
 		}
 	}

@@ -92,61 +92,6 @@ func (d *Dataset) Density() float64 {
 	return float64(d.NNZ()) / (float64(len(d.X)) * float64(d.Dim))
 }
 
-// SparsePath reports whether the sparse kernels should run for this row
-// set: every row is sparse and the aggregate density is at or below
-// DefaultDenseThreshold. Kernels call this once per dataset — the choice is
-// per-dataset by measured density, never per-row — and the sparse and dense
-// paths produce bit-identical results, so the switch is purely a matter of
-// speed.
-func SparsePath(rows []Row) bool {
-	if len(rows) == 0 {
-		return false
-	}
-	var nnz, total int64
-	for _, r := range rows {
-		sp, ok := r.(*SparseRow)
-		if !ok {
-			return false
-		}
-		nnz += int64(len(sp.Idx))
-		total += int64(sp.N)
-	}
-	if total == 0 {
-		return false
-	}
-	return float64(nnz)/float64(total) <= DefaultDenseThreshold
-}
-
-// Compact repacks a dataset whose rows are individually-allocated sparse
-// rows into one contiguous CSR block (views shared via CSR.Rows). Datasets
-// with any dense row are returned unchanged. The row values are untouched,
-// so every downstream computation is bit-identical; only memory layout —
-// and therefore cache behavior on full-sample passes — changes.
-func Compact(d *Dataset) *Dataset {
-	var nnz int64
-	for _, r := range d.X {
-		sp, ok := r.(*SparseRow)
-		if !ok {
-			return d
-		}
-		nnz += int64(len(sp.Idx))
-	}
-	c := &CSR{
-		Dim:    d.Dim,
-		Indptr: make([]int64, len(d.X)+1),
-		Idx:    make([]int32, 0, nnz),
-		Val:    make([]float64, 0, nnz),
-	}
-	for i, r := range d.X {
-		sp := r.(*SparseRow)
-		c.Idx = append(c.Idx, sp.Idx...)
-		c.Val = append(c.Val, sp.Val...)
-		c.Indptr[i+1] = int64(len(c.Idx))
-	}
-	d.X = c.Rows()
-	return d
-}
-
 // Densify replaces every sparse row with its dense equivalent. It is the
 // auto-dense fallback applied when measured density exceeds the threshold:
 // the values are identical, so results are unchanged.

@@ -53,63 +53,6 @@ func TestCSRRowsAndValidate(t *testing.T) {
 	}
 }
 
-// TestCompactPreservesValues: repacking per-row sparse allocations into one
-// CSR block must not change a single bit of any row, and must leave dense
-// datasets untouched.
-func TestCompactPreservesValues(t *testing.T) {
-	d := &Dataset{Dim: 8, Task: Regression, Y: []float64{1, 2, 3}}
-	d.X = []Row{
-		mustSparse(t, 8, []int32{0, 7}, []float64{0.1, -0.2}),
-		mustSparse(t, 8, []int32{3}, []float64{1.0 / 3}),
-		mustSparse(t, 8, []int32{1, 2, 6}, []float64{5, 6, 7}),
-	}
-	before := make([][]float64, len(d.X))
-	for i, r := range d.X {
-		buf := make([]float64, d.Dim)
-		r.AddTo(buf, 1)
-		before[i] = buf
-	}
-	Compact(d)
-	if d.NNZ() != 6 {
-		t.Fatalf("nnz %d after compact", d.NNZ())
-	}
-	for i, r := range d.X {
-		buf := make([]float64, d.Dim)
-		r.AddTo(buf, 1)
-		for j := range buf {
-			if math.Float64bits(buf[j]) != math.Float64bits(before[i][j]) {
-				t.Fatalf("row %d feature %d changed", i, j)
-			}
-		}
-	}
-
-	mixed := &Dataset{Dim: 2, Task: Regression, Y: []float64{1}}
-	mixed.X = []Row{DenseRow{1, 2}}
-	if got := Compact(mixed); got.X[0].NNZ() != 2 {
-		t.Fatal("dense dataset should pass through Compact unchanged")
-	}
-}
-
-func TestSparsePathThreshold(t *testing.T) {
-	// 2 of 4 slots stored → density 0.5 > threshold.
-	dense := []Row{mustSparse(t, 4, []int32{0, 2}, []float64{1, 2})}
-	if SparsePath(dense) {
-		t.Fatal("half-dense rows took the sparse path")
-	}
-	// 1 of 40 slots stored → 2.5%.
-	sparse := []Row{mustSparse(t, 40, []int32{3}, []float64{1})}
-	if !SparsePath(sparse) {
-		t.Fatal("low-density rows refused the sparse path")
-	}
-	// Any dense row disqualifies the set.
-	if SparsePath([]Row{sparse[0], DenseRow(make([]float64, 40))}) {
-		t.Fatal("mixed representations took the sparse path")
-	}
-	if SparsePath(nil) {
-		t.Fatal("empty set took the sparse path")
-	}
-}
-
 func TestFromSparse(t *testing.T) {
 	indices := [][]int32{{0, 5}, {2}, {1, 9}}
 	values := [][]float64{{1, 2}, {3}, {4, 5}}
@@ -121,8 +64,10 @@ func TestFromSparse(t *testing.T) {
 	if ds.Dim != 10 {
 		t.Fatalf("inferred dim %d, want 10", ds.Dim)
 	}
-	if !SparsePath(ds.X) {
-		t.Fatalf("16%%-dense upload should stay sparse (density %v)", ds.Density())
+	for i, r := range ds.X {
+		if _, ok := r.(*SparseRow); !ok {
+			t.Fatalf("16%%-dense upload densified row %d to %T (density %v)", i, r, ds.Density())
+		}
 	}
 	if got := ds.X[2].Dot(make([]float64, 10)); got != 0 {
 		t.Fatalf("dot with zeros %v", got)

@@ -40,9 +40,10 @@ func estimatedSampleSize(spec models.Spec, ds *dataset.Dataset, opt core.Options
 }
 
 // absLin wraps linear regression with the paper's Appendix-C unnormalized
-// regression difference (an absolute RMS prediction tolerance). Embedding
-// the Spec interface rather than the concrete type hides the ScoreModel
-// methods, so the estimators take the generic path that honours Differ.
+// regression difference (an absolute RMS prediction tolerance). Implementing
+// models.Differ is what routes the estimators through it: models.BlockDraws
+// declines any Differ, whatever else the spec implements, so every draw's
+// difference is models.Diff's, which calls Diff.
 type absLin struct {
 	models.Spec
 	scale float64

@@ -87,16 +87,6 @@ func BenchmarkSymEig400(b *testing.B) {
 	}
 }
 
-func BenchmarkThinSVDTall(b *testing.B) {
-	a := benchMatrix(512, 32)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewThinSVD(a, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkLUSolve128(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	a := randSPD(rng, 128)

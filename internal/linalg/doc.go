@@ -1,8 +1,7 @@
 // Package linalg provides the dense linear-algebra kernels BlinkML needs:
-// vector primitives, row-major dense matrices, an LU factorization, a
-// symmetric eigensolver (Householder tridiagonalization followed by the
-// implicit-shift QL iteration), and a thin SVD computed through the Gram
-// matrix of the smaller side.
+// vector primitives, row-major dense matrices, Gram products, an LU
+// factorization and a symmetric eigensolver (Householder tridiagonalization
+// followed by the implicit-shift QL iteration).
 //
 // Everything is float64 and written against the standard library only; the
 // kernels are the substitute for the numpy/SciPy layer the original BlinkML

@@ -10,9 +10,6 @@ package linalg
 // every input to its output's length — s[:n:len(s)], which panics when s
 // is shorter — so the assembly never reads or writes past a slice.
 
-// Lanes reports whether the lane kernels are in use: on amd64 with AVX2.
-func Lanes() bool { return lanesOn }
-
 // SetLanes turns the lane kernels on (where the CPU has them) or off, for
 // tests in any package that compare the two paths, and returns a func
 // restoring the previous setting. It is not safe to call while kernels run.

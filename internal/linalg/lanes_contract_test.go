@@ -22,7 +22,7 @@ import (
 // the Gram side (sparse logistic, d > n₀), where the eigensolve does; and
 // through ClosedForm's eigendecomposition.
 func TestContractsEqualWithLanesOff(t *testing.T) {
-	if !linalg.Lanes() {
+	if !linalg.HaveLanes() {
 		t.Skip("no lane kernels on this CPU: both runs would be scalar")
 	}
 	prev := compute.Parallelism()
@@ -101,7 +101,7 @@ func TestContractsEqualWithLanesOff(t *testing.T) {
 // max-entropy's dense rows — at θ = 0 (every link falls back to the scalar
 // one), at a small θ, and at a θ that drives |z| past exp's underflow.
 func TestObjectiveEqualWithLanesOff(t *testing.T) {
-	if !linalg.Lanes() {
+	if !linalg.HaveLanes() {
 		t.Skip("no lane kernels on this CPU: both runs would be scalar")
 	}
 	prev := compute.Parallelism()

@@ -1,8 +1,6 @@
 package models
 
 import (
-	"math"
-
 	"blinkml/internal/compute"
 	"blinkml/internal/dataset"
 	"blinkml/internal/linalg"
@@ -78,15 +76,15 @@ func rowDot(x dataset.Row, theta []float64) float64 {
 // at degree 1 (where the output matrix itself is the single chunk's
 // accumulator). Both triangles are accumulated on purpose — the rank-one
 // updates round asymmetrically (fl(w·xₐ)·x_b vs fl(w·x_b)·xₐ), exactly
-// as the serial algorithm does. Sparse datasets (chosen per-dataset by
-// measured density) skip the densify and scatter each example's nnz x nnz
-// block via linalg.SpOuterAdd, which replicates OuterAdd's rounding and
-// zero-skip guards exactly — the two paths are bit-identical.
+// as the serial algorithm does. Each row takes the path of its type: a
+// *dataset.SparseRow scatters its nnz x nnz block via linalg.SpOuterAdd,
+// which replicates OuterAdd's rounding and zero-skip guards exactly, and
+// any other row is densified into a scratch that a chunk makes at its first
+// such row — the two paths are bit-identical.
 func glmHessian(ds *dataset.Dataset, theta []float64, beta float64, weight func(z, y float64) float64) *linalg.Dense {
 	d := ds.Dim
 	n := ds.Len()
 	h := linalg.NewDense(d, d)
-	sparse := dataset.SparsePath(ds.X)
 	// The per-chunk scratch is a d x d matrix, so cap the fan-out harder
 	// than the usual example grain: each chunk must amortize its scratch.
 	chunks := compute.Chunks(n, 256+d)
@@ -97,9 +95,6 @@ func glmHessian(ds *dataset.Dataset, theta []float64, beta float64, weight func(
 			acc = linalg.NewDense(d, d)
 		}
 		var buf []float64
-		if !sparse {
-			buf = make([]float64, d)
-		}
 		for i := lo; i < hi; i++ {
 			x := ds.X[i]
 			z := x.Dot(theta)
@@ -107,10 +102,12 @@ func glmHessian(ds *dataset.Dataset, theta []float64, beta float64, weight func(
 			if w == 0 {
 				continue
 			}
-			if sparse {
-				sp := x.(*dataset.SparseRow)
+			if sp, ok := x.(*dataset.SparseRow); ok {
 				linalg.SpOuterAdd(acc, w, sp.Idx, sp.Val)
 				continue
+			}
+			if buf == nil {
+				buf = make([]float64, d)
 			}
 			linalg.Fill(buf, 0)
 			x.AddTo(buf, 1)
@@ -122,14 +119,4 @@ func glmHessian(ds *dataset.Dataset, theta []float64, beta float64, weight func(
 	h.ScaleInPlace(1 / float64(n))
 	h.AddDiag(beta)
 	return h
-}
-
-// sigmoid is the logistic function 1/(1+e^{-z}), computed stably for large
-// |z|.
-func sigmoid(z float64) float64 {
-	if z >= 0 {
-		return 1 / (1 + math.Exp(-z))
-	}
-	e := math.Exp(z)
-	return e / (1 + e)
 }

@@ -51,7 +51,7 @@ func (LogisticRegression) Predict(theta []float64, x dataset.Row) float64 {
 // Qᵢᵢ = σ(θᵀxᵢ)(1−σ(θᵀxᵢ)) — the paper's §3.4 ClosedForm example.
 func (m LogisticRegression) Hessian(theta []float64, ds *dataset.Dataset) *linalg.Dense {
 	return glmHessian(ds, theta, m.Reg, func(z, y float64) float64 {
-		s := sigmoid(z)
+		_, s := linalg.LogisticLinkAt(z, 0) // σ(z)
 		return s * (1 - s)
 	})
 }

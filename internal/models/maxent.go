@@ -36,14 +36,6 @@ func (m MaxEntropy) classes(ds *dataset.Dataset) int {
 // Beta implements Spec.
 func (m MaxEntropy) Beta() float64 { return m.Reg }
 
-// logits computes z_k = θ_kᵀx for all classes (one fused pass over sparse
-// rows).
-func (m MaxEntropy) logits(theta []float64, x dataset.Row, k int) []float64 {
-	z := make([]float64, k)
-	logitsInto(theta, x, k, x.Dim(), z)
-	return z
-}
-
 // softmaxInPlace converts logits to probabilities, returning the
 // log-sum-exp for the loss.
 func softmaxInPlace(z []float64) float64 {
@@ -110,25 +102,32 @@ func (m MaxEntropy) Predict(theta []float64, x dataset.Row) float64 {
 }
 
 // Hessian implements Hessianer for low-dimensional problems: the (c,c')
-// block is (1/n) Σᵢ p_c(δ_{cc'} − p_{c'}) xᵢxᵢᵀ, plus βI. Sparse datasets
-// (chosen per-dataset by measured density) scatter each example's
-// nnz x nnz block directly instead of densifying: every surviving term
-// uses the dense path's exact expression and zero-skip guards, so the two
-// paths are bit-identical.
+// block is (1/n) Σᵢ p_c(δ_{cc'} − p_{c'}) xᵢxᵢᵀ, plus βI. A
+// *dataset.SparseRow scatters its nnz x nnz block directly; any other row is
+// densified into a scratch made at the first such row. Every surviving
+// sparse term uses the dense path's exact expression and zero-skip guards,
+// so the two paths are bit-identical. The class probabilities live on the
+// stack for realistic class counts, as in ExampleLossGrad.
 func (m MaxEntropy) Hessian(theta []float64, ds *dataset.Dataset) *linalg.Dense {
 	d := ds.Dim
 	k := len(theta) / d
 	h := linalg.NewDense(k*d, k*d)
-	sparse := dataset.SparsePath(ds.X)
-	var xbuf []float64
-	if !sparse {
-		xbuf = make([]float64, d)
+	var zbuf [maxFusedClasses]float64
+	z := zbuf[:]
+	if k > maxFusedClasses {
+		z = make([]float64, k)
 	}
+	z = z[:k]
+	var xbuf []float64
 	for i := 0; i < ds.Len(); i++ {
 		x := ds.X[i]
-		z := m.logits(theta, x, k)
+		logitsInto(theta, x, k, x.Dim(), z)
 		softmaxInPlace(z)
+		sp, sparse := x.(*dataset.SparseRow)
 		if !sparse {
+			if xbuf == nil {
+				xbuf = make([]float64, d)
+			}
 			linalg.Fill(xbuf, 0)
 			x.AddTo(xbuf, 1)
 		}
@@ -142,7 +141,6 @@ func (m MaxEntropy) Hessian(theta []float64, ds *dataset.Dataset) *linalg.Dense 
 					continue
 				}
 				if sparse {
-					sp := x.(*dataset.SparseRow)
 					idx := sp.Idx
 					val := sp.Val[:len(idx)]
 					base := c2 * d

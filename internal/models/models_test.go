@@ -2,6 +2,7 @@ package models
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -68,7 +69,7 @@ func tinyBinary(rng *rand.Rand, n, d int, sparse bool) *dataset.Dataset {
 	ds := &dataset.Dataset{Dim: d, Task: dataset.BinaryClassification, Name: "tiny-bin"}
 	for i := 0; i < n; i++ {
 		row := makeRow(rng, d, sparse)
-		p := sigmoid(row.Dot(trueTheta))
+		_, p := linalg.LogisticLinkAt(row.Dot(trueTheta), 0)
 		y := 0.0
 		if rng.Float64() < p {
 			y = 1
@@ -574,5 +575,118 @@ func TestTrainRejectsUndersizedMulticlassSpec(t *testing.T) {
 	}
 	if _, err := Train(MaxEntropy{Reg: 0.01, Classes: 6}, ds, nil, optimize.Options{}); err != nil {
 		t.Errorf("a spec with spare classes must train: %v", err)
+	}
+}
+
+// parentSigmoid is the logistic function the logistic Hessian weighted its
+// rows with before it took linalg.LogisticLinkAt's coefficient.
+func parentSigmoid(z float64) float64 {
+	if z >= 0 {
+		return 1 / (1 + math.Exp(-z))
+	}
+	e := math.Exp(z)
+	return e / (1 + e)
+}
+
+// parentMaxEntHessian is MaxEntropy.Hessian's dense path as it stood with
+// a freshly allocated logits slice per row.
+func parentMaxEntHessian(m MaxEntropy, theta []float64, ds *dataset.Dataset) *linalg.Dense {
+	d := ds.Dim
+	k := len(theta) / d
+	h := linalg.NewDense(k*d, k*d)
+	xbuf := make([]float64, d)
+	for _, x := range ds.X {
+		z := make([]float64, k)
+		logitsInto(theta, x, k, x.Dim(), z)
+		softmaxInPlace(z)
+		linalg.Fill(xbuf, 0)
+		x.AddTo(xbuf, 1)
+		for c := 0; c < k; c++ {
+			for c2 := 0; c2 < k; c2++ {
+				w := -z[c] * z[c2]
+				if c == c2 {
+					w += z[c]
+				}
+				if w == 0 {
+					continue
+				}
+				for a := 0; a < d; a++ {
+					if xbuf[a] == 0 {
+						continue
+					}
+					row := h.Row(c*d + a)
+					linalg.Axpy(w*xbuf[a], xbuf, row[c2*d:(c2+1)*d])
+				}
+			}
+		}
+	}
+	h.ScaleInPlace(1 / float64(ds.Len()))
+	h.AddDiag(m.Reg)
+	return h
+}
+
+// The logistic and max-entropy Hessians return, bit for bit, what the
+// parent's weight and logits path computed on the densified rows: on a
+// dense fixture and on two sparse ones (explicit zeros, and 40 % density —
+// above the dense threshold, which the Hessians no longer check), at a θ of
+// moderate scores and one that drives σ(z) to 0 and 1.
+func TestHessiansPinnedToParentWeights(t *testing.T) {
+	prev := compute.Parallelism()
+	compute.SetParallelism(1)
+	defer compute.SetParallelism(prev)
+	densify := func(ds *dataset.Dataset) *dataset.Dataset {
+		out := *ds
+		out.X = make([]dataset.Row, ds.Len())
+		for i, x := range ds.X {
+			r := make(dataset.DenseRow, ds.Dim)
+			x.AddTo(r, 1)
+			out.X[i] = r
+		}
+		return &out
+	}
+	same := func(t *testing.T, got, want *linalg.Dense) {
+		t.Helper()
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("H[%d] = %v, the parent's path gave %v", i, got.Data[i], want.Data[i])
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(41))
+	bin := tinyBinary(rng, 300, 12, false)
+	multi := tinyMulti(rng, 300, 12, 3)
+	low := tinyBinary(rng, 300, 12, true)
+	// The max-entropy Hessian reads no label, so it takes the binary rows
+	// where no multiclass fixture is sparse.
+	fixtures := []struct {
+		name          string
+		binary, multi *dataset.Dataset
+	}{
+		{"dense", bin, multi},
+		{"sparse-zeros", sparsified(bin), sparsified(multi)},
+		{"sparse-density", low, low},
+	}
+	for _, f := range fixtures {
+		for _, scale := range []float64{0.3, 40} {
+			t.Run(fmt.Sprintf("%s/scale-%v", f.name, scale), func(t *testing.T) {
+				lr := LogisticRegression{Reg: 0.01}
+				theta := make([]float64, 12)
+				for i := range theta {
+					theta[i] = scale * rng.NormFloat64()
+				}
+				want := glmHessian(densify(f.binary), theta, lr.Reg, func(z, y float64) float64 {
+					s := parentSigmoid(z)
+					return s * (1 - s)
+				})
+				same(t, lr.Hessian(theta, f.binary), want)
+
+				me := MaxEntropy{Reg: 0.01, Classes: 3}
+				theta = make([]float64, 3*12)
+				for i := range theta {
+					theta[i] = scale * rng.NormFloat64()
+				}
+				same(t, me.Hessian(theta, f.multi), parentMaxEntHessian(me, theta, densify(f.multi)))
+			})
+		}
 	}
 }

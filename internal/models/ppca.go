@@ -95,6 +95,13 @@ func (m *PPCA) RestoreSigmaSq(s float64) {
 // TrainCustom implements CustomTrainer with the closed-form PPCA MLE: the
 // top-q eigenpairs of the sample second-moment matrix S = (1/n)Σ xᵢxᵢᵀ give
 // W = V_q(Λ_q − σ²I)^{1/2} and σ² = mean of the discarded eigenvalues.
+// The eigenpairs come from the smaller Gram side of the densified n x d data
+// matrix A, whose eigenvalues are A's squared singular values s_j², so
+// λ_j = s_j²/n. When d ≤ n that is AᵀA (d x d), and its eigenvector j is
+// v_j itself; when d > n it is AAᵀ (n x n), and only the kept eigenvectors
+// u_j are carried over to v_j = Aᵀu_j/s_j. At most q directions are kept,
+// and only those with s_j > 10⁻¹⁰·s_max: a sample of rank below q leaves
+// the trailing columns of W zero.
 // Columns are sign-canonicalized (largest-magnitude entry positive) so that
 // independently trained models are comparable by cosine similarity.
 func (m *PPCA) TrainCustom(ds *dataset.Dataset) ([]float64, int, error) {
@@ -105,8 +112,6 @@ func (m *PPCA) TrainCustom(ds *dataset.Dataset) ([]float64, int, error) {
 	if n < 2 {
 		return nil, 0, errors.New("models: PPCA needs at least 2 rows")
 	}
-	// Densify the data matrix and take its thin SVD; singular values map to
-	// eigenvalues of S via λ_j = s_j²/n.
 	a := linalg.NewDense(n, d)
 	var trace float64
 	for i := 0; i < n; i++ {
@@ -115,19 +120,48 @@ func (m *PPCA) TrainCustom(ds *dataset.Dataset) ([]float64, int, error) {
 		trace += linalg.Dot(row, row)
 	}
 	trace /= float64(n)
-	svd, err := linalg.NewThinSVD(a, 0)
+	var gram *linalg.Dense
+	if d <= n {
+		gram = linalg.SyrkT(a) // AᵀA, d x d
+	} else {
+		gram = linalg.Syrk(a) // AAᵀ, n x n
+	}
+	// Eigensolved in place: eigenvector j in row j, values descending.
+	values, err := linalg.SymEigRows(gram)
 	if err != nil {
-		return nil, 0, fmt.Errorf("models: PPCA SVD failed: %w", err)
+		return nil, 0, fmt.Errorf("models: PPCA eigendecomposition failed: %w", err)
 	}
-	kept := q
-	if svd.Rank() < kept {
-		kept = svd.Rank()
+	var cut float64
+	if values[0] > 0 {
+		cut = 1e-10 * math.Sqrt(values[0])
 	}
+	// The kept singular values s_j = √values[j] and their λ_j.
+	var s, lambda []float64
 	var topSum float64
-	lambda := make([]float64, kept)
-	for j := 0; j < kept; j++ {
-		lambda[j] = svd.S[j] * svd.S[j] / float64(n)
+	for j := 0; j < min(q, len(values)) && values[j] > 0; j++ {
+		sj := math.Sqrt(values[j])
+		if sj <= cut {
+			break
+		}
+		s = append(s, sj)
+		lambda = append(lambda, sj*sj/float64(n))
 		topSum += lambda[j]
+	}
+	kept := len(s)
+	// Row j of vt is v_j.
+	var vt *linalg.Dense
+	if d <= n {
+		vt = linalg.NewDenseFrom(kept, d, gram.Data[:kept*d])
+	} else {
+		u := linalg.NewDenseFrom(kept, n, gram.Data[:kept*n]).T() // n x kept
+		v := linalg.MatMulTransA(a, u)                            // d x kept, column j Aᵀu_j
+		for j, sj := range s {
+			inv := 1 / sj
+			for i := 0; i < d; i++ {
+				v.Set(i, j, v.At(i, j)*inv)
+			}
+		}
+		vt = v.T()
 	}
 	sigmaSq := (trace - topSum) / float64(d-q)
 	if sigmaSq < 1e-8 {
@@ -136,10 +170,10 @@ func (m *PPCA) TrainCustom(ds *dataset.Dataset) ([]float64, int, error) {
 	theta := make([]float64, d*q)
 	for j := 0; j < kept; j++ {
 		scale := math.Sqrt(math.Max(lambda[j]-sigmaSq, 0))
+		vj := vt.Row(j)
 		// Sign canonicalization: flip so the largest-|entry| is positive.
 		maxAbs, sign := 0.0, 1.0
-		for i := 0; i < d; i++ {
-			v := svd.V.At(i, j)
+		for _, v := range vj {
 			if av := math.Abs(v); av > maxAbs {
 				maxAbs = av
 				if v < 0 {
@@ -149,8 +183,8 @@ func (m *PPCA) TrainCustom(ds *dataset.Dataset) ([]float64, int, error) {
 				}
 			}
 		}
-		for i := 0; i < d; i++ {
-			theta[i*q+j] = sign * scale * svd.V.At(i, j)
+		for i, v := range vj {
+			theta[i*q+j] = sign * scale * v
 		}
 	}
 	m.sigmaSqBits.Store(math.Float64bits(sigmaSq))

@@ -2,12 +2,14 @@ package models
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
 	"runtime"
 	"testing"
 
+	"blinkml/internal/compute"
 	"blinkml/internal/dataset"
 	"blinkml/internal/linalg"
 	"blinkml/internal/optimize"
@@ -213,5 +215,181 @@ func TestPPCALossPinnedAtParent(t *testing.T) {
 	const want uint64 = 0x6d301c19733d7180 // the same with GODEBUG=cpu.fma=off
 	if got := h.Sum64(); got != want {
 		t.Fatalf("the losses' FNV-1a is %#x, the parent computed %#x", got, want)
+	}
+}
+
+// refPPCATrain is TrainCustom's closed form as it stood on a whole thin SVD
+// of the densified data matrix A: the Gram side of the smaller dimension
+// eigensolved, every direction with s_j > 10⁻¹⁰·s_max kept, and V formed
+// for all of them (Aᵀu_j/s_j on the wide route) before the first q are
+// read. It returns θ and σ².
+func refPPCATrain(ds *dataset.Dataset, q int) ([]float64, float64) {
+	n, d := ds.Len(), ds.Dim
+	a := linalg.NewDense(n, d)
+	var trace float64
+	for i := 0; i < n; i++ {
+		row := a.Row(i)
+		ds.X[i].AddTo(row, 1)
+		trace += linalg.Dot(row, row)
+	}
+	trace /= float64(n)
+	transposed := d > n
+	var gram *linalg.Dense
+	if transposed {
+		gram = linalg.Syrk(a)
+	} else {
+		gram = linalg.SyrkT(a)
+	}
+	values, err := linalg.SymEigRows(gram)
+	if err != nil {
+		panic(err)
+	}
+	sMax := 0.0
+	if len(values) > 0 && values[0] > 0 {
+		sMax = math.Sqrt(values[0])
+	}
+	cut := 1e-10 * sMax
+	rank := 0
+	for rank < len(values) {
+		ev := values[rank]
+		if ev <= 0 || math.Sqrt(ev) <= cut {
+			break
+		}
+		rank++
+	}
+	s := make([]float64, rank)
+	small := linalg.NewDense(gram.Rows, rank)
+	for j := 0; j < rank; j++ {
+		s[j] = math.Sqrt(values[j])
+		for i, v := range gram.Row(j) {
+			small.Set(i, j, v)
+		}
+	}
+	v := small
+	if transposed {
+		v = linalg.MatMulTransA(a, small)
+		for j := 0; j < rank; j++ {
+			inv := 1 / s[j]
+			for i := 0; i < v.Rows; i++ {
+				v.Set(i, j, v.At(i, j)*inv)
+			}
+		}
+	}
+	kept := min(q, rank)
+	var topSum float64
+	lambda := make([]float64, kept)
+	for j := 0; j < kept; j++ {
+		lambda[j] = s[j] * s[j] / float64(n)
+		topSum += lambda[j]
+	}
+	sigmaSq := (trace - topSum) / float64(d-q)
+	if sigmaSq < 1e-8 {
+		sigmaSq = 1e-8
+	}
+	theta := make([]float64, d*q)
+	for j := 0; j < kept; j++ {
+		scale := math.Sqrt(math.Max(lambda[j]-sigmaSq, 0))
+		maxAbs, sign := 0.0, 1.0
+		for i := 0; i < d; i++ {
+			x := v.At(i, j)
+			if ax := math.Abs(x); ax > maxAbs {
+				maxAbs = ax
+				if x < 0 {
+					sign = -1
+				} else {
+					sign = 1
+				}
+			}
+		}
+		for i := 0; i < d; i++ {
+			theta[i*q+j] = sign * scale * v.At(i, j)
+		}
+	}
+	return theta, sigmaSq
+}
+
+// TrainCustom, which forms only the q leading eigenpairs of the smaller Gram
+// side, returns the θ and σ² bits of the whole thin SVD it replaced, on the
+// tall (d < n), wide (d > n) and square routes, where A's rank is below q
+// (5 rows, and 100 rows of rank 2 when σ = 0), on dense and sparse rows, at
+// degree 1 and 3.
+func TestPPCAEigenpairsMatchThinSVD(t *testing.T) {
+	cases := []struct {
+		name     string
+		n, d, q  int
+		sigma    float64
+		lowRankQ bool
+	}{
+		{"tall-300x6", 300, 6, 2, 0.3, false},
+		{"tall-2000x80", 2000, 80, 3, 0.5, false},
+		{"wide-20x50", 20, 50, 3, 0.5, false},
+		{"square-60x60", 60, 60, 4, 0.5, false},
+		{"tall-61x60", 61, 60, 4, 0.5, false},
+		{"wide-59x60", 59, 60, 4, 0.5, false},
+		{"rank-below-q-wide-5x40", 5, 40, 10, 0.5, true},
+		{"rank-below-q-tall-100x12", 100, 12, 4, 0, true},
+	}
+	for _, degree := range []int{1, 3} {
+		for _, c := range cases {
+			ds, _ := ppcaData(rand.New(rand.NewSource(int64(c.n*c.d))), c.n, c.d, c.sigma)
+			for _, rows := range []struct {
+				name string
+				ds   *dataset.Dataset
+			}{{"dense", ds}, {"sparse", sparsified(ds)}} {
+				t.Run(fmt.Sprintf("%s/%s/degree-%d", c.name, rows.name, degree), func(t *testing.T) {
+					prev := compute.Parallelism()
+					compute.SetParallelism(degree)
+					defer compute.SetParallelism(prev)
+					spec := NewPPCA(c.q)
+					theta, _, err := spec.TrainCustom(rows.ds)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantTheta, wantSigmaSq := refPPCATrain(rows.ds, c.q)
+					if got := spec.SigmaSq(); math.Float64bits(got) != math.Float64bits(wantSigmaSq) {
+						t.Fatalf("σ² = %v, the thin SVD gave %v", got, wantSigmaSq)
+					}
+					for i, want := range wantTheta {
+						if math.Float64bits(theta[i]) != math.Float64bits(want) {
+							t.Fatalf("θ[%d] = %v, the thin SVD gave %v", i, theta[i], want)
+						}
+					}
+					if c.lowRankQ {
+						// The rank test must have cut: W's last column is zero.
+						for i := 0; i < c.d; i++ {
+							if theta[i*c.q+c.q-1] != 0 {
+								t.Fatalf("rank below q = %d, but W's last column is not zero", c.q)
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkPPCATrain times the closed-form PPCA fit with q = 10 on a tall
+// sample (2000 x 200, the d x d Gram side) and a wide one (100 x 400, the
+// n x n Gram side).
+func BenchmarkPPCATrain(b *testing.B) {
+	for _, shape := range []struct{ n, d int }{{2000, 200}, {100, 400}} {
+		b.Run(fmt.Sprintf("%dx%d", shape.n, shape.d), func(b *testing.B) {
+			r := rand.New(rand.NewSource(5))
+			ds := &dataset.Dataset{Dim: shape.d, Task: dataset.Unsupervised}
+			for i := 0; i < shape.n; i++ {
+				row := make(dataset.DenseRow, shape.d)
+				for j := range row {
+					row[j] = r.NormFloat64()
+				}
+				ds.X = append(ds.X, row)
+			}
+			spec := NewPPCA(10)
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, _, err := spec.TrainCustom(ds); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -70,8 +70,9 @@ func laneScores(theta, t []float64, rows []dataset.Row, ns int, out []float64) {
 // PredictInto fills out[i] = spec.Predict(theta, rows[i]): the one batch
 // prediction loop under the model-difference and accuracy metrics and the
 // serving layer. A single-score model's rows go through the row-block
-// kernel and a multi-score model's, with the class lanes on, through them
-// a block of rows at a time; every other spec is asked row by row.
+// kernel and a multi-score model's through laneScores a block of rows at a
+// time (with the lane kernels off, linalg.ClassScores runs its scalar loop,
+// the same bits); every other spec is asked row by row.
 func PredictInto(spec Spec, theta []float64, rows []dataset.Row, out []float64) {
 	out = out[:len(rows)]
 	sm, ok := spec.(ScoreModel)
@@ -83,7 +84,7 @@ func PredictInto(spec Spec, theta []float64, rows []dataset.Row, out []float64) 
 	case ns == 1:
 		dataset.DotRows(rows, theta, out)
 		sm.PredictScores(out, out)
-	case ns > 1 && ns <= laneBlock && linalg.Lanes():
+	case ns > 1 && ns <= laneBlock:
 		l := getLanes(theta, ns)
 		per := laneBlock / ns
 		for lo := 0; lo < len(rows); lo += per {

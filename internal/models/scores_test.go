@@ -1,12 +1,14 @@
 package models
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"blinkml/internal/dataset"
+	"blinkml/internal/linalg"
 )
 
 // The estimators' score path assumes that PredictScores over a Block's
@@ -78,11 +80,20 @@ func TestMaxEntropyPredictScoresTieBreak(t *testing.T) {
 }
 
 // A Block's scores and PredictInto of a dense multi-class model run as
-// class lanes (where the CPU has them); each score must be logitsInto's bits and each
-// prediction Predict's, over awkward values and across PredictInto's blocks
-// of rows. NaNs compare equal whatever their payload (linalg's lane tests
-// say why).
+// class lanes, with the lane kernels on (where the CPU has them) and off;
+// each score must be logitsInto's bits and each prediction Predict's, over
+// awkward values and across PredictInto's blocks of rows. NaNs compare
+// equal whatever their payload (linalg's lane tests say why).
 func TestClassLanesMatchLogits(t *testing.T) {
+	for _, on := range []bool{true, false} {
+		t.Run(fmt.Sprintf("lanes=%v", on), func(t *testing.T) {
+			defer linalg.SetLanes(on)()
+			classLanesMatchLogits(t)
+		})
+	}
+}
+
+func classLanesMatchLogits(t *testing.T) {
 	r := rand.New(rand.NewSource(34))
 	awkward := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, 1e300, -1e300}
 	value := func() float64 {
