@@ -137,13 +137,8 @@ func TrainFull(spec ModelSpec, ds *Dataset, cfg Config) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Model{
-		Spec:       spec,
-		Theta:      res.Theta,
-		Dim:        ds.Dim,
-		SampleSize: env.PoolLen(),
-		PoolSize:   env.PoolLen(),
-	}, nil
+	full := &core.Result{Theta: res.Theta, SampleSize: env.PoolLen(), PoolSize: env.PoolLen()}
+	return modelio.FromResult(spec, ds.Dim, full), nil
 }
 
 // Hyperparameter search (the paper's §5.7 scenario as a subsystem): a

@@ -38,6 +38,10 @@ const (
 // core.Result becomes a Model once (FromResult); the public API, the tuner,
 // the cluster wire, the registry and the serving layer all pass this type.
 // The JSON tags are the envelope's field layout (see Encode).
+//
+// Predictions read weights prepared from Theta when the model is built
+// (FromResult, Decode): to change the parameters, assign a new slice to
+// Theta, which Predict then reads directly; do not write into the slice.
 type Model struct {
 	// Spec is the model class this model belongs to.
 	Spec models.Spec `json:"-"`
@@ -59,12 +63,16 @@ type Model struct {
 	// the estimator's decision trail.
 	Diag      core.Diagnostics `json:"diag"`
 	CreatedAt time.Time        `json:"created_at,omitzero"`
+
+	// weights is Theta prepared for the class lanes (models.NewWeights):
+	// nil for a single-score model, and read only while it is Theta's own.
+	weights *models.Weights
 }
 
 // FromResult records a coordinator result as a Model of spec trained on
 // dim-dimensional data.
 func FromResult(spec models.Spec, dim int, res *core.Result) *Model {
-	return &Model{
+	m := &Model{
 		Spec:             spec,
 		Theta:            res.Theta,
 		Dim:              dim,
@@ -74,11 +82,30 @@ func FromResult(spec models.Spec, dim int, res *core.Result) *Model {
 		UsedInitialModel: res.UsedInitialModel,
 		Diag:             res.Diag,
 	}
+	m.weights = models.NewWeights(spec, m.Theta, dim)
+	return m
 }
 
 // Predict returns the model's prediction for x: a class index for
-// classifiers, a real value for regressors.
-func (m *Model) Predict(x dataset.Row) float64 { return m.Spec.Predict(m.Theta, x) }
+// classifiers, a real value for regressors. It is Spec.Predict(Theta, x)
+// bit for bit.
+func (m *Model) Predict(x dataset.Row) float64 {
+	if w := m.weights; w != nil && w.Of(m.Theta) {
+		return w.Predict(x)
+	}
+	return m.Spec.Predict(m.Theta, x)
+}
+
+// PredictInto fills out[i] = m.Predict(rows[i]) a batch at a time: through
+// the model's prepared weights when it has them, through
+// models.PredictInto otherwise.
+func (m *Model) PredictInto(rows []dataset.Row, out []float64) {
+	if w := m.weights; w != nil && w.Of(m.Theta) {
+		w.PredictInto(rows, out)
+		return
+	}
+	models.PredictInto(m.Spec, m.Theta, rows, out)
+}
 
 // Accuracy returns the fraction of rows in ds the model labels correctly
 // (classification tasks).
@@ -256,5 +283,6 @@ func Decode(r io.Reader) (*Model, error) {
 	if m.Dim, err = fitDim(m.Spec, m.Dim, m.Theta); err != nil {
 		return nil, err
 	}
+	m.weights = models.NewWeights(m.Spec, m.Theta, m.Dim)
 	return m, nil
 }

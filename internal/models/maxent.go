@@ -76,12 +76,19 @@ func (m MaxEntropy) ExampleLossGrad(theta []float64, x dataset.Row, y float64, g
 	}
 	z = z[:k]
 	logitsInto(theta, x, k, d, z)
-	yi := int(y)
-	zy := z[yi]
+	return softmaxLossGrad(z, int(y), x, k, d, gradAccum)
+}
+
+// softmaxLossGrad is ExampleLossGrad from x's k class logits z on: it
+// returns ℓ = log Σ exp(z) − z_y and, when grad is non-nil, scatters the
+// class coefficients p_c − 1{c=y} times x into grad's k blocks of d. It
+// overwrites z. Every max-entropy loss and gradient ends here.
+func softmaxLossGrad(z []float64, y int, x dataset.Row, k, d int, grad []float64) float64 {
+	zy := z[y]
 	lse := softmaxInPlace(z)
-	if gradAccum != nil {
-		z[yi] -= 1 // z now holds the per-class coefficients p_c − 1{c=y}
-		scatterGrad(gradAccum, z, x, k, d)
+	if grad != nil {
+		z[y] -= 1 // z now holds the per-class coefficients p_c − 1{c=y}
+		scatterGrad(grad, z, x, k, d)
 	}
 	return lse - zy
 }

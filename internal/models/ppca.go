@@ -38,6 +38,7 @@ type PPCA struct {
 // ppcaCache is an immutable snapshot of the per-θ PPCA quantities.
 type ppcaCache struct {
 	theta   []float64
+	w       *linalg.Dense // W over theta, d x q
 	minv    *linalg.Dense // (σ²I + WᵀW)⁻¹, q x q
 	a       *linalg.Dense // C⁻¹W = W·Minv, d x q
 	sigmaSq float64
@@ -237,39 +238,43 @@ func (m *PPCA) prepared(theta []float64) *ppcaCache {
 		logDetC -= math.Log(math.Abs(lu.Det()))
 	}
 	c := &ppcaCache{theta: linalg.CopyVec(theta), minv: minv, a: linalg.MatMul(w, minv), sigmaSq: sigmaSq, logDetC: logDetC}
+	c.w = m.wMatrix(c.theta)
 	m.cache.Store(c)
 	return c
 }
 
-// cInvX computes u = C⁻¹x = (x − W·Minv·(Wᵀx))/σ² via Woodbury.
-func (m *PPCA) cInvX(w, minv *linalg.Dense, sigmaSq float64, x dataset.Row) []float64 {
-	d, q := w.Rows, w.Cols
-	wx := make([]float64, q) // Wᵀx
-	for j := 0; j < q; j++ {
-		wx[j] = 0
-	}
-	x.ForEach(func(i int, v float64) {
-		linalg.Axpy(v, w.Row(i), wx)
-	})
-	mw := make([]float64, q)
-	minv.MulVec(wx, mw)
-	u := make([]float64, d)
-	x.AddTo(u, 1)
-	// u -= W * mw
-	for i := 0; i < d; i++ {
-		u[i] -= linalg.Dot(w.Row(i), mw)
-	}
-	linalg.Scale(1/sigmaSq, u)
-	return u
-}
+// ppcaStackQ is the factor count up to which ExampleLossGrad keeps a dense
+// row's q-vectors on the stack.
+const ppcaStackQ = 16
 
 // ExampleLossGrad implements Spec: the per-example negative log-likelihood
-// ½(d·log 2π + log|C| + xᵀC⁻¹x) and its gradient A − u·(xᵀA) flattened.
+// ½(d·log 2π + log|C| + xᵀC⁻¹x) and its gradient A − u·(xᵀA) flattened,
+// with u = C⁻¹x = (x − W·Minv·(Wᵀx))/σ² by Woodbury. A dense row as wide as
+// W takes denseLossGrad's direct loops; any other row visits its entries
+// through ForEach into a d-vector u. Both make every sum in the same order.
 func (m *PPCA) ExampleLossGrad(theta []float64, x dataset.Row, _ float64, gradAccum []float64) float64 {
 	c := m.prepared(theta)
-	w := m.wMatrix(theta)
-	d, q := w.Rows, w.Cols
-	u := m.cInvX(w, c.minv, c.sigmaSq, x)
+	d, q := c.w.Rows, c.w.Cols
+	if r, ok := x.(dataset.DenseRow); ok && len(r) == d {
+		var buf [3 * ppcaStackQ]float64
+		s := buf[:]
+		if q > ppcaStackQ {
+			s = make([]float64, 3*q)
+		}
+		return c.denseLossGrad(r, s[:q], s[q:2*q], s[2*q:3*q], gradAccum)
+	}
+	// wx = Wᵀx, mw = Minv·wx, u = (x − W·mw)/σ².
+	wx, mw := make([]float64, q), make([]float64, q)
+	x.ForEach(func(i int, v float64) {
+		linalg.Axpy(v, c.w.Row(i), wx)
+	})
+	c.minv.MulVec(wx, mw)
+	u := make([]float64, d)
+	x.AddTo(u, 1)
+	for i := 0; i < d; i++ {
+		u[i] -= linalg.Dot(c.w.Row(i), mw)
+	}
+	linalg.Scale(1/c.sigmaSq, u)
 	if gradAccum != nil {
 		xa := make([]float64, q) // xᵀA
 		x.ForEach(func(i int, v float64) {
@@ -283,6 +288,37 @@ func (m *PPCA) ExampleLossGrad(theta []float64, x dataset.Row, _ float64, gradAc
 	}
 	xCx := 0.0
 	x.ForEach(func(i int, v float64) { xCx += v * u[i] })
+	return 0.5 * (float64(d)*math.Log(2*math.Pi) + c.logDetC + xCx)
+}
+
+// denseLossGrad is ExampleLossGrad for a dense row r of W's d features,
+// given zeroed q-vectors wx, mw and xa: Wᵀr and xᵀA, then each u_i =
+// (r_i − W_i·mw)·(1/σ²) as it is needed, every sum adding its terms in the
+// ForEach path's order. That path's u_i starts from AddTo's +0 + r_i, which
+// differs from r_i only in the sign of a zero u_i; neither the gradient
+// (Axpy skips a zero coefficient) nor xᵀC⁻¹x (a sum from +0) can see it.
+func (c *ppcaCache) denseLossGrad(r dataset.DenseRow, wx, mw, xa, gradAccum []float64) float64 {
+	d, q := c.w.Rows, c.w.Cols
+	for i, v := range r {
+		linalg.Axpy(v, c.w.Row(i), wx)
+	}
+	c.minv.MulVec(wx, mw)
+	if gradAccum != nil {
+		for i, v := range r {
+			linalg.Axpy(v, c.a.Row(i), xa)
+		}
+	}
+	inv := 1 / c.sigmaSq
+	xCx := 0.0
+	for i, v := range r {
+		ui := (v - linalg.Dot(c.w.Row(i), mw)) * inv
+		if gradAccum != nil {
+			dst := gradAccum[i*q : (i+1)*q]
+			linalg.Axpy(1, c.a.Row(i), dst)
+			linalg.Axpy(-ui, xa, dst)
+		}
+		xCx += v * ui
+	}
 	return 0.5 * (float64(d)*math.Log(2*math.Pi) + c.logDetC + xCx)
 }
 

@@ -393,3 +393,96 @@ func BenchmarkPPCATrain(b *testing.B) {
 		})
 	}
 }
+
+// A dense row as wide as W takes ExampleLossGrad's direct loops, any other
+// row the ForEach path; the loss and the gradient must not tell them apart.
+// The same values as a SparseRow storing every entry go through ForEach,
+// over awkward values, with and without the lane kernels, at a q on each
+// side of the stack scratch's limit.
+func TestPPCADenseRowMatchesForEach(t *testing.T) {
+	for _, on := range []bool{true, false} {
+		for _, q := range []int{2, ppcaStackQ + 1} {
+			t.Run(fmt.Sprintf("lanes=%v/q=%d", on, q), func(t *testing.T) {
+				defer linalg.SetLanes(on)()
+				const d = 20
+				r := rand.New(rand.NewSource(int64(q)))
+				awkward := []float64{0, math.Copysign(0, -1), 5e-324, 1e150, -1e150}
+				spec := NewPPCA(q)
+				spec.RestoreSigmaSq(0.7)
+				theta := make([]float64, d*q)
+				for i := range theta {
+					theta[i] = 0.3 * r.NormFloat64()
+				}
+				for row := 0; row < 40; row++ {
+					dense := make(dataset.DenseRow, d)
+					sp := &dataset.SparseRow{N: d}
+					for j := range dense {
+						dense[j] = r.NormFloat64()
+						if r.Intn(4) == 0 {
+							dense[j] = awkward[r.Intn(len(awkward))]
+						}
+						sp.Idx = append(sp.Idx, int32(j))
+						sp.Val = append(sp.Val, dense[j])
+					}
+					gd, gs := make([]float64, len(theta)), make([]float64, len(theta))
+					ld, ls := spec.ExampleLossGrad(theta, dense, 0, gd), spec.ExampleLossGrad(theta, sp, 0, gs)
+					if math.Float64bits(ld) != math.Float64bits(ls) {
+						t.Fatalf("row %d: dense loss %v, ForEach loss %v", row, ld, ls)
+					}
+					for j := range gd {
+						if math.Float64bits(gd[j]) != math.Float64bits(gs[j]) {
+							t.Fatalf("row %d: dense grad[%d] = %v, ForEach %v", row, j, gd[j], gs[j])
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// PPCA's grads primitive on a dense row reads W, Minv and A from the per-θ
+// cache and keeps its q-vectors on the stack: at most two allocations an
+// example (none today; two leaves room for the runtime).
+func TestPPCAExampleLossGradAllocs(t *testing.T) {
+	ds, spec, theta := ppcaGradsData()
+	grad := make([]float64, len(theta))
+	i := 0
+	if a := testing.AllocsPerRun(100, func() {
+		spec.ExampleLossGrad(theta, ds.X[i%ds.Len()], 0, grad)
+		i++
+	}); a > 2 {
+		t.Fatalf("ExampleLossGrad allocates %v times an example, want at most 2", a)
+	}
+}
+
+// ppcaGradsData is a 200 x 40 dense sample with its q = 5 PPCA fit.
+func ppcaGradsData() (*dataset.Dataset, *PPCA, []float64) {
+	r := rand.New(rand.NewSource(9))
+	ds := &dataset.Dataset{Dim: 40, Task: dataset.Unsupervised}
+	for i := 0; i < 200; i++ {
+		row := make(dataset.DenseRow, ds.Dim)
+		for j := range row {
+			row[j] = r.NormFloat64()
+		}
+		ds.X = append(ds.X, row)
+	}
+	spec := NewPPCA(5)
+	theta, _, err := spec.TrainCustom(ds)
+	if err != nil {
+		panic(err)
+	}
+	return ds, spec, theta
+}
+
+// BenchmarkPPCAExampleLossGrad times PPCA's grads primitive, one example
+// with its gradient an op, cycling over a 200 x 40 dense sample at q = 5.
+func BenchmarkPPCAExampleLossGrad(b *testing.B) {
+	ds, spec, theta := ppcaGradsData()
+	grad := make([]float64, len(theta))
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		spec.ExampleLossGrad(theta, ds.X[i%ds.Len()], 0, grad)
+		i++
+	}
+}

@@ -2,10 +2,8 @@ package models
 
 import (
 	"math"
-	"sync"
 
 	"blinkml/internal/dataset"
-	"blinkml/internal/linalg"
 )
 
 // ScoreModel is implemented by models whose prediction depends on x only
@@ -28,75 +26,33 @@ type ScoreModel interface {
 	PredictScores(scores, out []float64)
 }
 
-// laneScratch is what the class lanes read and write besides their
-// arguments: θ's classes interleaved (linalg.InterleaveClasses) and a block
-// of rows' scores for PredictInto. It is pooled, so that scoring a batch
-// allocates nothing.
-type laneScratch struct {
-	t []float64
-	z [laneBlock]float64
-}
-
-// laneBlock is how many scores PredictInto takes from the class lanes per
-// batch call of PredictScores.
+// laneBlock is the most classes a max-entropy model scores on the class
+// lanes (Weights), and how many scores a Block takes from them per row
+// panel.
 const laneBlock = 256
 
-var lanePool = sync.Pool{New: func() any { return new(laneScratch) }}
-
-// getLanes returns pooled scratch holding the ns classes of theta
-// interleaved; the caller puts it back into lanePool.
-func getLanes(theta []float64, ns int) *laneScratch {
-	l := lanePool.Get().(*laneScratch)
-	l.t = linalg.InterleaveClasses(l.t, theta, ns, len(theta)/ns)
-	return l
-}
-
-// laneScores fills out[i·ns+c] = θ[c·d:(c+1)·d]ᵀ·rows[i] from the
-// interleaved weights t: a dense row as wide as θ's classes goes through
-// linalg.ClassScores (the classes as lanes, each score's adds in
-// logitsInto's order), any other row through logitsInto.
-func laneScores(theta, t []float64, rows []dataset.Row, ns int, out []float64) {
-	d := len(theta) / ns
-	for i, x := range rows {
-		z := out[i*ns : (i+1)*ns]
-		if r, ok := x.(dataset.DenseRow); ok && len(r) == d {
-			linalg.ClassScores(z, r, t)
-		} else {
-			logitsInto(theta, x, ns, x.Dim(), z)
-		}
-	}
-}
-
 // PredictInto fills out[i] = spec.Predict(theta, rows[i]): the one batch
-// prediction loop under the model-difference and accuracy metrics and the
-// serving layer. A single-score model's rows go through the row-block
-// kernel and a multi-score model's through laneScores a block of rows at a
-// time (with the lane kernels off, linalg.ClassScores runs its scalar loop,
-// the same bits); every other spec is asked row by row.
+// prediction loop under the model-difference and accuracy metrics. A
+// single-score model's rows go through the row-block kernel and a
+// max-entropy model's through pooled Weights (with the lane kernels off,
+// linalg.ClassScores runs its scalar loop, the same bits); every other spec
+// is asked row by row.
 func PredictInto(spec Spec, theta []float64, rows []dataset.Row, out []float64) {
 	out = out[:len(rows)]
-	sm, ok := spec.(ScoreModel)
-	if !ok || len(rows) == 0 {
-		predictRows(spec, theta, rows, out)
+	if len(rows) == 0 {
 		return
 	}
-	switch ns := sm.NumScores(len(theta), rows[0].Dim()); {
-	case ns == 1:
+	if sm, ok := spec.(ScoreModel); ok && sm.NumScores(len(theta), rows[0].Dim()) == 1 {
 		dataset.DotRows(rows, theta, out)
 		sm.PredictScores(out, out)
-	case ns > 1 && ns <= laneBlock:
-		l := getLanes(theta, ns)
-		per := laneBlock / ns
-		for lo := 0; lo < len(rows); lo += per {
-			hi := min(lo+per, len(rows))
-			z := l.z[:(hi-lo)*ns]
-			laneScores(theta, l.t, rows[lo:hi], ns, z)
-			sm.PredictScores(z, out[lo:hi])
-		}
-		lanePool.Put(l)
-	default:
-		predictRows(spec, theta, rows, out)
+		return
 	}
+	if w := pooledWeights(spec, theta, rows[0].Dim()); w != nil {
+		w.PredictInto(rows, out)
+		w.release()
+		return
+	}
+	predictRows(spec, theta, rows, out)
 }
 
 func predictRows(spec Spec, theta []float64, rows []dataset.Row, out []float64) {

@@ -124,14 +124,17 @@ func (o *objective) Dim() int { return o.dim }
 // merge in a fixed tree order, so the result is bit-identical across runs
 // at a fixed parallelism degree (and exactly the serial accumulation at
 // degree 1, where grad itself is the single chunk's scratch). Inside a chunk
-// a GLM's linear predictors come from the row-block kernel; the loss and
-// gradient terms are still added row by row, so the sums do not move.
+// a GLM's linear predictors come from the row-block kernel, and a
+// max-entropy model's logits from its Weights, prepared once per call and
+// shared by the chunks; the loss and gradient terms are still added row by
+// row, so the sums do not move.
 func (o *objective) Eval(x, grad []float64) float64 {
 	n := o.ds.Len()
 	linalg.Fill(grad, 0)
 	chunks := compute.Chunks(n, evalGrain)
 	lossParts := make([]float64, chunks)
 	gradParts := make([][]float64, chunks)
+	w := pooledWeights(o.spec, x, o.ds.Dim)
 	compute.ForChunksN(n, chunks, func(chunk, lo, hi int) {
 		g := grad
 		if chunk > 0 {
@@ -140,6 +143,8 @@ func (o *objective) Eval(x, grad []float64) float64 {
 		var loss float64
 		if m, ok := o.spec.(glm); ok {
 			loss = glmLossGrad(m, x, o.ds, lo, hi, g)
+		} else if w != nil {
+			loss = w.lossGrad(o.ds, lo, hi, g)
 		} else {
 			for i := lo; i < hi; i++ {
 				loss += o.spec.ExampleLossGrad(x, o.ds.X[i], label(o.ds, i), g)
@@ -148,6 +153,9 @@ func (o *objective) Eval(x, grad []float64) float64 {
 		lossParts[chunk] = loss
 		gradParts[chunk] = g
 	})
+	if w != nil {
+		w.release()
+	}
 	loss := compute.ReduceFloats(lossParts)
 	compute.ReduceVecs(gradParts) // folds into gradParts[0] == grad
 	inv := 1 / float64(n)

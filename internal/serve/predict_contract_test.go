@@ -2,11 +2,14 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"blinkml/internal/core"
 	"blinkml/internal/dataset"
 	"blinkml/internal/modelio"
 	"blinkml/internal/models"
@@ -102,5 +105,67 @@ func TestPredictErrorContract(t *testing.T) {
 				t.Errorf("%s: prediction %d = %v, want %v", c.name, i, pr.Predictions[i], want)
 			}
 		}
+	}
+}
+
+// A served max-entropy model predicts from the weights it prepared when it
+// was built, one block of rows at a time; its predictions must be
+// Spec.Predict's bits, both as registered and as a restarted server reloads
+// it from disk (Decode). The batch spans several blocks and ends in a
+// partial one.
+func TestServedMaxentMatchesSpec(t *testing.T) {
+	const d, k, n = 6, 10, 3*predictBlock + 5
+	r := rand.New(rand.NewSource(53))
+	spec := models.MaxEntropy{Reg: 0.001, Classes: k}
+	theta := make([]float64, k*d)
+	for i := range theta {
+		theta[i] = r.NormFloat64()
+	}
+	rows := make([][]float64, n)
+	var body strings.Builder
+	body.WriteString(`{"rows":[`)
+	for i := range rows {
+		rows[i] = make([]float64, d)
+		for j := range rows[i] {
+			rows[i][j] = r.NormFloat64()
+		}
+		if i > 0 {
+			body.WriteByte(',')
+		}
+		b, _ := json.Marshal(rows[i])
+		body.Write(b)
+	}
+	body.WriteString(`]}`)
+
+	dir := t.TempDir()
+	check := func(t *testing.T, name string) {
+		s, err := New(Config{Dir: dir})
+		if err != nil {
+			t.Fatalf("%s: new server: %v", name, err)
+		}
+		defer s.Close()
+		id := "m-000001"
+		if name == "registered" {
+			if id, err = s.Registry().Put(modelio.FromResult(spec, d, &core.Result{Theta: theta})); err != nil {
+				t.Fatalf("register model: %v", err)
+			}
+		}
+		rec := postPredict(s, id, body.String())
+		var pr PredictResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &pr); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("%s: status %d, %v (body %s)", name, rec.Code, err, rec.Body)
+		}
+		if len(pr.Predictions) != n {
+			t.Fatalf("%s: %d predictions, want %d", name, len(pr.Predictions), n)
+		}
+		for i, x := range rows {
+			want := spec.Predict(theta, dataset.DenseRow(x))
+			if got := pr.Predictions[i]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: prediction %d = %v, Spec.Predict %v", name, i, got, want)
+			}
+		}
+	}
+	for _, name := range []string{"registered", "reloaded"} {
+		t.Run(name, func(t *testing.T) { check(t, name) })
 	}
 }

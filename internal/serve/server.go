@@ -20,7 +20,6 @@ import (
 	"blinkml/internal/core"
 	"blinkml/internal/dataset"
 	"blinkml/internal/modelio"
-	"blinkml/internal/models"
 	"blinkml/internal/obs"
 	"blinkml/internal/store"
 )
@@ -618,7 +617,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	s.m.PredictRequests.Add(1)
 	start := time.Now()
-	preds := predictBatch(m.Spec, m.Theta, req.Rows)
+	preds := predictBatch(m, req.Rows)
 	elapsed := float64(time.Since(start)) / float64(time.Millisecond)
 	s.m.PredictLatency.Observe(elapsed)
 	s.m.PredictLatencyFamily.With(m.Spec.Name()).Observe(elapsed)
@@ -632,10 +631,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 const predictBlock = 64
 
 // predictBatch evaluates the model on every row through the shared
-// compute pool (predictions are independent and specs are safe for
+// compute pool (predictions are independent and a model is safe for
 // concurrent Predict), so large batches parallelize without adding
-// goroutines beyond the process-wide budget.
-func predictBatch(spec models.Spec, theta []float64, rows [][]float64) []float64 {
+// goroutines beyond the process-wide budget. Each block goes through the
+// model's PredictInto, so a max-entropy model scores with the weights it
+// prepared once, not a fresh interleave per block.
+func predictBatch(m *modelio.Model, rows [][]float64) []float64 {
 	preds := make([]float64, len(rows))
 	compute.For(len(rows), predictGrain, func(lo, hi int) {
 		var block [predictBlock]dataset.Row
@@ -644,7 +645,7 @@ func predictBatch(spec models.Spec, theta []float64, rows [][]float64) []float64
 			for i := range b {
 				b[i] = dataset.DenseRow(rows[lo+i])
 			}
-			models.PredictInto(spec, theta, b, preds[lo:])
+			m.PredictInto(b, preds[lo:])
 		}
 	})
 	return preds
