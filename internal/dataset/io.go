@@ -17,21 +17,32 @@ func ReadCSV(r io.Reader, labelCol int, task Task) (*Dataset, error) {
 }
 
 // ReadCSVOpts is ReadCSV with explicit parser options (label column, line
-// cap, declared dimension). Like FromDense it refuses an input with no rows,
-// with rows of no features (a label column alone) or with a NaN or ±Inf
-// feature.
+// cap, declared dimension). Rows are copied into one contiguous dense block
+// and handed out as views of it, as ReadLibSVMOpts packs one CSR. Like
+// FromDense it refuses an input with no rows, with rows of no features (a
+// label column alone) or with a NaN or ±Inf feature.
 func ReadCSVOpts(r io.Reader, task Task, opt StreamOptions) (*Dataset, error) {
 	b := build{name: "csv", task: task}
+	var block []float64
 	err := StreamCSV(r, opt, func(row RowData) error {
 		if len(row.Val) == 0 {
 			return fmt.Errorf("%w (line %d has only a label)", errEmptyRows, row.Line)
 		}
-		b.x = append(b.x, row.Val)
+		block = append(block, row.Val...)
 		b.y = append(b.y, row.Label)
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	// StreamCSV hands every row at one width; cut each view's capacity so
+	// no row can grow into the next.
+	if n := len(b.y); n > 0 {
+		d := len(block) / n
+		b.x = make([][]float64, n)
+		for i := range b.x {
+			b.x[i] = block[i*d : (i+1)*d : (i+1)*d]
+		}
 	}
 	return b.dataset()
 }

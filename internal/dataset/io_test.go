@@ -74,6 +74,67 @@ func TestReadCSVRefusesRowsWithoutFeatures(t *testing.T) {
 	}
 }
 
+// A leading UTF-8 byte-order mark is dropped, not read as part of the
+// first token: the first row is data, not a header.
+func TestReadCSVSkipsByteOrderMark(t *testing.T) {
+	ds, err := ReadCSV(strings.NewReader("\uFEFF1.5,2,1\n3,4,0\n"), -1, BinaryClassification)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.Len() != 2 || ds.Y[0] != 1 || ds.X[0].Dot([]float64{1, 0}) != 1.5 {
+		t.Fatalf("rows %v, labels %v; want the first row read as data", ds.X, ds.Y)
+	}
+	// A marked header is still a header.
+	if ds, err := ReadCSV(strings.NewReader("\uFEFFx,y,label\n3,4,0\n"), -1, BinaryClassification); err != nil || ds.Len() != 1 {
+		t.Fatalf("marked header: dataset %v, err %v", ds, err)
+	}
+}
+
+// A leading UTF-8 byte-order mark is dropped before the first label.
+func TestReadLibSVMSkipsByteOrderMark(t *testing.T) {
+	ds, err := ReadLibSVM(strings.NewReader("\uFEFF1 1:1.5\n0 2:1\n"), 0, BinaryClassification)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.Len() != 2 || ds.Y[0] != 1 || ds.X[0].Dot([]float64{1, 0}) != 1.5 {
+		t.Fatalf("rows %v, labels %v", ds.X, ds.Y)
+	}
+}
+
+// The header is the first line that is neither blank nor a comment, wherever
+// it falls; a non-numeric line after it is still an error with its line.
+func TestReadCSVHeaderAfterComments(t *testing.T) {
+	ds, err := ReadCSV(strings.NewReader("# c\n\nx,y,label\n3,4,0\n"), -1, BinaryClassification)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.Len() != 1 || ds.Y[0] != 0 {
+		t.Fatalf("rows %v, labels %v", ds.X, ds.Y)
+	}
+	_, err = ReadCSV(strings.NewReader("# c\nx,y,label\nu,v,w\n3,4,0\n"), -1, BinaryClassification)
+	if err == nil || err.Error() != `dataset: line 3, column 1: non-numeric field "u"` {
+		t.Fatalf("second non-numeric line: err %v", err)
+	}
+}
+
+// ReadCSV's rows are views of one block, each cut to its own width: an
+// append to one row cannot write into the next.
+func TestReadCSVRowsAreCutViews(t *testing.T) {
+	ds, err := ReadCSV(strings.NewReader("1,2,0\n3,4,1\n5,6,0\n"), -1, BinaryClassification)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range ds.X {
+		if r := x.(DenseRow); cap(r) != 2 {
+			t.Fatalf("row %d: capacity %d, want 2", i, cap(r))
+		}
+	}
+	_ = append(ds.X[0].(DenseRow), 9)
+	if r1 := ds.X[1].(DenseRow); r1[0] != 3 || r1[1] != 4 {
+		t.Fatalf("row 1 is %v after an append to row 0", r1)
+	}
+}
+
 func TestReadCSVMultiClassInference(t *testing.T) {
 	in := "1,0\n2,2\n3,1\n"
 	ds, err := ReadCSV(strings.NewReader(in), -1, MultiClassification)

@@ -4,8 +4,9 @@ import (
 	"bytes"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
+
+	"blinkml/internal/dataset"
 )
 
 // maxPooledPredictBytes caps the buffers a predict request may return to
@@ -83,11 +84,12 @@ func (e errReader) Read([]byte) (int, error) {
 //
 // appending every number to flat and one view of flat per row to rows, and
 // returns both grown. Each number must match the JSON grammar and is parsed
-// by the strconv.ParseFloat call encoding/json makes, so the values are the
-// decoder's to the bit; an empty row or batch is non-nil and empty, as the
-// decoder makes it. ok is false for anything else — another key or spelling
-// of it, a second key, null, a non-number, a number out of range, trailing
-// bytes — and the caller hands the body to encoding/json.
+// by dataset.ParseFloat, which returns the bits of the strconv.ParseFloat
+// call encoding/json makes, so the values are the decoder's to the bit; an
+// empty row or batch is non-nil and empty, as the decoder makes it. ok is
+// false for anything else — another key or spelling of it, a second key,
+// null, a non-number, a number out of range, trailing bytes — and the
+// caller hands the body to encoding/json.
 func scanRows(body []byte, flat []float64, rows [][]float64) (_ []float64, _ [][]float64, ok bool) {
 	if flat == nil {
 		flat = []float64{}
@@ -214,7 +216,7 @@ func (sc *rowScanner) number() (v float64, ok bool) {
 		}
 		i = j
 	}
-	v, err := strconv.ParseFloat(string(b[sc.i:i]), 64)
+	v, err := dataset.ParseFloat(b[sc.i:i])
 	if err != nil {
 		return 0, false
 	}

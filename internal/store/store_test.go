@@ -352,6 +352,32 @@ func TestIngestValidation(t *testing.T) {
 	}
 }
 
+// A leading UTF-8 byte-order mark is dropped in both formats: the CSV's
+// first row is stored, not skipped as a header, and the LibSVM's first label
+// reads.
+func TestIngestSkipsByteOrderMark(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ format, in string }{
+		{"csv", "\uFEFF1.5,2,1\n3,4,0\n"},
+		{"libsvm", "\uFEFF1 1:1.5 2:2\n0 1:3 2:4\n"},
+	} {
+		h, err := st.Ingest(strings.NewReader(c.in), IngestOptions{Format: c.format, Task: dataset.BinaryClassification})
+		if err != nil {
+			t.Fatalf("%s: %v", c.format, err)
+		}
+		ds, err := h.Materialize([]int{0, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ds.Len() != 2 || ds.Y[0] != 1 || rowVec(ds.X[0], ds.Dim)[0] != 1.5 {
+			t.Fatalf("%s: stored rows %v, labels %v; want the marked row first", c.format, ds.X, ds.Y)
+		}
+	}
+}
+
 // TestIngestRefusesNonFiniteFeature: a NaN or ±Inf feature value fails the
 // upload with its line, as a bad label does, and leaves nothing on disk.
 func TestIngestRefusesNonFiniteFeature(t *testing.T) {
