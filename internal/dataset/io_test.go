@@ -365,6 +365,32 @@ func TestMaxLineBytesConfigurable(t *testing.T) {
 	}
 }
 
+// TestLineReaderStartsSmall: a three-row CSV allocates well under the old
+// 1 MiB scanner buffer, and a line longer than the starting buffer still
+// reads under the default cap.
+func TestLineReaderStartsSmall(t *testing.T) {
+	const in = "1,2,0\n3,4,1\n5,6,0\n"
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			if _, err := ReadCSV(strings.NewReader(in), -1, BinaryClassification); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 256<<10 {
+		t.Fatalf("a three-row ReadCSV allocates %d bytes, want under 256 KiB", got)
+	}
+	long := "1," + strings.Repeat("2,", 100<<10) + "0\n"
+	ds, err := ReadCSVOpts(strings.NewReader(long), Regression, StreamOptions{})
+	if err != nil {
+		t.Fatalf("a %d-byte line: %v", len(long), err)
+	}
+	if ds.Len() != 1 || ds.Dim != 100<<10+1 {
+		t.Fatalf("shape %dx%d", ds.Len(), ds.Dim)
+	}
+}
+
 // TestStreamCSVLabelColumnOption checks the explicit label-column pointer
 // (column 0 is a valid choice, distinct from the "last column" default).
 func TestStreamCSVLabelColumnOption(t *testing.T) {

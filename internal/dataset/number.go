@@ -17,26 +17,52 @@ import (
 // (a mantissa below 2⁵³ and a power of ten up to 10²²), and otherwise the
 // Eisel–Lemire algorithm strconv itself runs once its scanner is done
 // (Lemire, "Number Parsing at a Gigabyte per Second", 2021). Every other
-// text — more digits, hex, inf and nan, underscores, a value out of range,
-// any other byte, and the rare case Eisel–Lemire cannot decide — goes to
-// strconv.ParseFloat, so correctness never rests on the fast path covering
-// everything.
+// text — more digits, a point with no digit after it, hex, inf and nan,
+// underscores, a value out of range, any other byte, and the rare case
+// Eisel–Lemire cannot decide — goes to strconv.ParseFloat, so correctness
+// never rests on the fast path covering everything.
 func ParseFloat(b []byte) (float64, error) {
-	if v, ok := parseDecimal(b); ok {
+	if v, n, ok := parseDecimal(b); ok && n == len(b) {
 		return v, nil
 	}
 	return strconv.ParseFloat(string(b), 64)
 }
 
-// maxExp10 bounds the exponent the fast path reads; a longer one is
+// ParseJSONNumber reads the JSON number at the start of b,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns ParseFloat's
+// value for exactly its n bytes: the bits encoding/json decodes. ok is false
+// when no such number starts b, when a digit follows one (01 is no JSON
+// number) and when ParseFloat refuses it (out of range).
+func ParseJSONNumber(b []byte) (v float64, n int, ok bool) {
+	v, n, ok = parseDecimal(b)
+	if n == 0 {
+		return 0, 0, false
+	}
+	// parseDecimal's grammar is JSON's but for its first bytes: JSON takes
+	// no plus sign, needs an integer part and allows no leading zero
+	// before another digit.
+	k := int(signWidth[b[0]])
+	if b[0] == '+' || b[k] == '.' || b[k] == '0' && k+1 < n && '0' <= b[k+1] && b[k+1] <= '9' {
+		return 0, 0, false
+	}
+	if ok {
+		return v, n, true
+	}
+	v, err := ParseFloat(b[:n])
+	return v, n, err == nil
+}
+
+// maxExp10 bounds the exponent the fast path evaluates; a longer one is
 // strconv's (it saturates far beyond any float64).
 const maxExp10 = 1 << 16
 
-// parseDecimal is ParseFloat's fast path; ok is false for any text it does
-// not take, whether strconv accepts that text or not.
-func parseDecimal(b []byte) (f float64, ok bool) {
+// parseDecimal reads the number at the start of b (an optional sign, digits,
+// a point with digits after it, an exponent) and returns its length n, 0
+// when none starts b, and, when ok, its value: ParseFloat's fast path. ok is
+// false for any number it does not evaluate, whether strconv takes it or not.
+func parseDecimal(b []byte) (f float64, n int, ok bool) {
 	if len(b) == 0 {
-		return 0, false
+		return 0, 0, false
 	}
 	// The sign is read without a branch: data signs are coin flips.
 	neg := b[0] == '-'
@@ -51,7 +77,6 @@ func parseDecimal(b []byte) (f float64, ok bool) {
 	man, i := readDigits(b, i, 0)
 	nd := i - lead
 	exp := 0
-	sawDigits := i > start
 	if i < len(b) && b[i] == '.' {
 		i++
 		frac := i
@@ -64,11 +89,13 @@ func parseDecimal(b []byte) (f float64, ok bool) {
 		man, i = readDigits(b, i, man)
 		nd += i - lead
 		exp = frac - i
-		sawDigits = sawDigits || i > frac
+		if i == frac {
+			return 0, 0, false
+		}
+	} else if i == start {
+		return 0, 0, false
 	}
-	if !sawDigits || nd > 19 {
-		return 0, false
-	}
+	ok = nd <= 19
 	if i < len(b) && b[i]|0x20 == 'e' {
 		i++
 		eneg := false
@@ -76,26 +103,30 @@ func parseDecimal(b []byte) (f float64, ok bool) {
 			eneg = b[i] == '-'
 			i++
 		}
+		// Every digit counts toward n; past the cap e stops and is not evaluated.
 		e, j := 0, i
-		for ; i < len(b) && '0' <= b[i] && b[i] <= '9' && e < maxExp10; i++ {
-			e = e*10 + int(b[i]-'0')
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if e < maxExp10 {
+				e = e*10 + int(b[i]-'0')
+			}
 		}
-		if i == j || e >= maxExp10 {
-			return 0, false
+		if i == j {
+			return 0, 0, false
 		}
+		ok = ok && e < maxExp10
 		if eneg {
 			e = -e
 		}
 		exp += e
 	}
-	if i != len(b) {
-		return 0, false
+	if !ok {
+		return 0, i, false
 	}
 	if man == 0 {
 		if neg {
-			return math.Copysign(0, -1), true
+			return math.Copysign(0, -1), i, true
 		}
-		return 0, true
+		return 0, i, true
 	}
 	if man < 1<<53 && -22 <= exp && exp <= 22 {
 		f = float64(man)
@@ -103,11 +134,12 @@ func parseDecimal(b []byte) (f float64, ok bool) {
 			f = -f
 		}
 		if exp < 0 {
-			return f / exactPow10[-exp], true
+			return f / exactPow10[-exp], i, true
 		}
-		return f * exactPow10[exp], true
+		return f * exactPow10[exp], i, true
 	}
-	return eiselLemire(man, exp, neg)
+	f, ok = eiselLemire(man, exp, neg)
+	return f, i, ok
 }
 
 // signWidth is 1 for a sign byte and 0 for any other.

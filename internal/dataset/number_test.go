@@ -131,3 +131,75 @@ func BenchmarkParseFloat(b *testing.B) {
 		})
 	}
 }
+
+// jsonNumberRef is the JSON number grammar walk the predict decoder ran
+// before ParseJSONNumber, kept as FuzzParseJSONNumber's oracle: the length
+// of the number -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? at the start
+// of b, or 0 when none starts it.
+func jsonNumberRef(b []byte) int {
+	i := 0
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = refDigits(b, i+1)
+	default:
+		return 0
+	}
+	if i < len(b) && b[i] == '.' {
+		j := refDigits(b, i+1)
+		if j == i+1 {
+			return 0
+		}
+		i = j
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := refDigits(b, i)
+		if j == i {
+			return 0
+		}
+		i = j
+	}
+	return i
+}
+
+// refDigits returns the index of the first non-digit at or after i.
+func refDigits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// FuzzParseJSONNumber: whatever the bytes, ParseJSONNumber accepts exactly
+// when the reference walk finds a JSON number that no digit follows and
+// strconv.ParseFloat accepts its bytes, and then returns that number's
+// length and strconv's bits. The committed corpus holds the spellings only
+// strconv takes, the out-of-range exponents and the exponent-cap trap
+// (0. + 65 535 zeros + 1e65540, which is 10⁴).
+func FuzzParseJSONNumber(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m := jsonNumberRef(b)
+		want := m > 0 && (m == len(b) || b[m] < '0' || '9' < b[m])
+		var wv float64
+		if want {
+			var err error
+			wv, err = strconv.ParseFloat(string(b[:m]), 64)
+			want = err == nil
+		}
+		v, n, ok := ParseJSONNumber(b)
+		if ok != want {
+			t.Fatalf("%q: ok %v, want %v", b, ok, want)
+		}
+		if ok && (n != m || !sameBits(v, wv)) {
+			t.Fatalf("%q: %v (%#x) over %d bytes, want %v (%#x) over %d", b, v, math.Float64bits(v), n, wv, math.Float64bits(wv), m)
+		}
+	})
+}

@@ -83,10 +83,11 @@ type lineReader struct {
 	no int
 }
 
+// newLineReader's buffer starts at 64 KiB; bufio.Scanner grows it to the cap.
 func newLineReader(r io.Reader, opt StreamOptions) *lineReader {
 	maxLine := opt.maxLine()
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, min(1<<20, maxLine)), maxLine)
+	sc.Buffer(make([]byte, min(64<<10, maxLine)), maxLine)
 	return &lineReader{sc: sc, maxLine: maxLine}
 }
 

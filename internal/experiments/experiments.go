@@ -75,8 +75,9 @@ var glmAccuracies = []float64{0.80, 0.85, 0.90, 0.95, 0.96, 0.97, 0.98, 0.99}
 // ppcaAccuracies is the 90%–99.99% axis used for PPCA.
 var ppcaAccuracies = []float64{0.90, 0.95, 0.99, 0.995, 0.999, 0.9995, 0.9999}
 
-// rowsAt scales a Small/Medium/Large row count.
-func rowsAt(s Scale, small, medium, large int) int {
+// at picks the small, medium or large setting for s; any other scale gets
+// the small one.
+func at[T any](s Scale, small, medium, large T) T {
 	switch s {
 	case Medium:
 		return medium
@@ -92,12 +93,13 @@ func rowsAt(s Scale, small, medium, large int) int {
 // README's "paper-shaped synthetic workloads").
 func Workloads() []Workload {
 	const reg = 0.001 // the paper's default L2 coefficient (§5.1)
+	// PPCA keeps 4, 8 or 10 factors; 10 is the paper's q.
 	return []Workload{
 		{
 			ID: "lin-gas", ModelName: "Lin", DataName: "Gas",
 			Spec: func(Scale) models.Spec { return models.LinearRegression{Reg: reg} },
 			Data: func(s Scale, seed int64) *dataset.Dataset {
-				return datagen.Gas(datagen.Config{Rows: rowsAt(s, 8000, 150000, 400000), Dim: dimAt(s, 20, 57, 57), Seed: seed})
+				return datagen.Gas(datagen.Config{Rows: at(s, 8000, 150000, 400000), Dim: at(s, 20, 57, 57), Seed: seed})
 			},
 			Accuracies: glmAccuracies,
 		},
@@ -105,7 +107,7 @@ func Workloads() []Workload {
 			ID: "lin-power", ModelName: "Lin", DataName: "Power",
 			Spec: func(Scale) models.Spec { return models.LinearRegression{Reg: reg} },
 			Data: func(s Scale, seed int64) *dataset.Dataset {
-				return datagen.Power(datagen.Config{Rows: rowsAt(s, 8000, 120000, 300000), Dim: dimAt(s, 30, 114, 114), Seed: seed})
+				return datagen.Power(datagen.Config{Rows: at(s, 8000, 120000, 300000), Dim: at(s, 30, 114, 114), Seed: seed})
 			},
 			Accuracies: glmAccuracies,
 		},
@@ -113,7 +115,7 @@ func Workloads() []Workload {
 			ID: "lr-criteo", ModelName: "LR", DataName: "Criteo",
 			Spec: func(Scale) models.Spec { return models.LogisticRegression{Reg: reg} },
 			Data: func(s Scale, seed int64) *dataset.Dataset {
-				return datagen.Criteo(datagen.Config{Rows: rowsAt(s, 10000, 150000, 400000), Dim: dimAt(s, 300, 300, 1000), Seed: seed})
+				return datagen.Criteo(datagen.Config{Rows: at(s, 10000, 150000, 400000), Dim: at(s, 300, 300, 1000), Seed: seed})
 			},
 			Accuracies: glmAccuracies,
 		},
@@ -121,7 +123,7 @@ func Workloads() []Workload {
 			ID: "lr-higgs", ModelName: "LR", DataName: "HIGGS",
 			Spec: func(Scale) models.Spec { return models.LogisticRegression{Reg: reg} },
 			Data: func(s Scale, seed int64) *dataset.Dataset {
-				return datagen.Higgs(datagen.Config{Rows: rowsAt(s, 10000, 200000, 500000), Dim: dimAt(s, 15, 28, 28), Seed: seed})
+				return datagen.Higgs(datagen.Config{Rows: at(s, 10000, 200000, 500000), Dim: at(s, 15, 28, 28), Seed: seed})
 			},
 			Accuracies: glmAccuracies,
 		},
@@ -129,7 +131,7 @@ func Workloads() []Workload {
 			ID: "me-mnist", ModelName: "ME", DataName: "MNIST",
 			Spec: func(Scale) models.Spec { return models.MaxEntropy{Classes: 10, Reg: reg} },
 			Data: func(s Scale, seed int64) *dataset.Dataset {
-				return datagen.MNIST(datagen.Config{Rows: rowsAt(s, 6000, 120000, 250000), Dim: dimAt(s, 36, 64, 196), Seed: seed})
+				return datagen.MNIST(datagen.Config{Rows: at(s, 6000, 120000, 250000), Dim: at(s, 36, 64, 196), Seed: seed})
 			},
 			Accuracies: glmAccuracies,
 		},
@@ -137,48 +139,26 @@ func Workloads() []Workload {
 			ID: "me-yelp", ModelName: "ME", DataName: "Yelp",
 			Spec: func(Scale) models.Spec { return models.MaxEntropy{Classes: 5, Reg: reg} },
 			Data: func(s Scale, seed int64) *dataset.Dataset {
-				return datagen.Yelp(datagen.Config{Rows: rowsAt(s, 6000, 80000, 150000), Dim: dimAt(s, 500, 1000, 5000), Seed: seed})
+				return datagen.Yelp(datagen.Config{Rows: at(s, 6000, 80000, 150000), Dim: at(s, 500, 1000, 5000), Seed: seed})
 			},
 			Accuracies: glmAccuracies,
 		},
 		{
 			ID: "ppca-mnist", ModelName: "PPCA", DataName: "MNIST",
-			Spec: func(s Scale) models.Spec { return models.NewPPCA(ppcaFactors(s)) },
+			Spec: func(s Scale) models.Spec { return models.NewPPCA(at(s, 4, 8, 10)) },
 			Data: func(s Scale, seed int64) *dataset.Dataset {
-				return datagen.MNIST(datagen.Config{Rows: rowsAt(s, 6000, 120000, 250000), Dim: dimAt(s, 36, 64, 196), Seed: seed})
+				return datagen.MNIST(datagen.Config{Rows: at(s, 6000, 120000, 250000), Dim: at(s, 36, 64, 196), Seed: seed})
 			},
 			Accuracies: ppcaAccuracies,
 		},
 		{
 			ID: "ppca-higgs", ModelName: "PPCA", DataName: "HIGGS",
-			Spec: func(s Scale) models.Spec { return models.NewPPCA(ppcaFactors(s)) },
+			Spec: func(s Scale) models.Spec { return models.NewPPCA(at(s, 4, 8, 10)) },
 			Data: func(s Scale, seed int64) *dataset.Dataset {
-				return datagen.Higgs(datagen.Config{Rows: rowsAt(s, 10000, 200000, 500000), Dim: dimAt(s, 15, 28, 28), Seed: seed})
+				return datagen.Higgs(datagen.Config{Rows: at(s, 10000, 200000, 500000), Dim: at(s, 15, 28, 28), Seed: seed})
 			},
 			Accuracies: ppcaAccuracies,
 		},
-	}
-}
-
-func dimAt(s Scale, small, medium, large int) int {
-	switch s {
-	case Medium:
-		return medium
-	case Large:
-		return large
-	default:
-		return small
-	}
-}
-
-func ppcaFactors(s Scale) int {
-	switch s {
-	case Medium:
-		return 8
-	case Large:
-		return 10 // the paper's q
-	default:
-		return 4
 	}
 }
 
@@ -195,28 +175,10 @@ func WorkloadByID(id string) (Workload, error) {
 
 // initialSampleSize returns n₀ per scale (the paper's default is 10K at
 // cluster scale).
-func initialSampleSize(s Scale) int {
-	switch s {
-	case Medium:
-		return 1000
-	case Large:
-		return 2000
-	default:
-		return 300
-	}
-}
+func initialSampleSize(s Scale) int { return at(s, 300, 1000, 2000) }
 
 // paramSamples returns k, the Monte-Carlo parameter-sample count.
-func paramSamples(s Scale) int {
-	switch s {
-	case Medium:
-		return 100
-	case Large:
-		return 150
-	default:
-		return 60
-	}
-}
+func paramSamples(s Scale) int { return at(s, 60, 100, 150) }
 
 // Table is a printable result grid, one per paper table/figure panel.
 type Table struct {

@@ -26,8 +26,8 @@ func RunFig10(scale Scale, seed int64, steps int) (*Table, error) {
 	}
 	// The pool must be large enough that full training dwarfs the estimator
 	// overhead — that asymmetry is the entire point of the figure.
-	rows := rowsAt(scale, 40000, 100000, 250000)
-	dim := dimAt(scale, 300, 1000, 5000)
+	rows := at(scale, 40000, 100000, 250000)
+	dim := at(scale, 300, 1000, 5000)
 	ds := datagen.Criteo(datagen.Config{Rows: rows, Dim: dim, Seed: seed})
 	base := core.Options{
 		Epsilon:           0.05,

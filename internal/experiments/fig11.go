@@ -62,8 +62,8 @@ func (a absLin) Diff(thetaA, thetaB []float64, holdout *dataset.Dataset) float64
 // unnormalized RMS prediction gap: the covariance shrinkage is exactly
 // what an absolute tolerance feels.
 func RunFig11a(scale Scale, seed int64) (*Table, error) {
-	rows := rowsAt(scale, 12000, 60000, 200000)
-	dim := dimAt(scale, 30, 60, 114)
+	rows := at(scale, 12000, 60000, 200000)
+	dim := at(scale, 30, 60, 114)
 	ds := datagen.Power(datagen.Config{Rows: rows, Dim: dim, Seed: seed})
 	betas := []float64{0, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10}
 	t := &Table{
@@ -90,29 +90,17 @@ func RunFig11a(scale Scale, seed int64) (*Table, error) {
 	return t, nil
 }
 
-// fig11bDims is the number-of-parameters axis of Figure 11b.
-func fig11bDims(s Scale) []int {
-	switch s {
-	case Medium:
-		return []int{100, 500, 1000, 5000}
-	case Large:
-		return []int{100, 500, 1000, 5000, 10000, 50000, 100000}
-	default:
-		return []int{50, 100, 200, 400}
-	}
-}
-
 // RunFig11b regenerates Figure 11b: estimated sample size versus the
 // number of parameters. More parameters mean more directions in which the
 // approximate model can disagree, so the estimated n should grow with d.
 func RunFig11b(scale Scale, seed int64) (*Table, error) {
-	rows := rowsAt(scale, 12000, 60000, 200000)
+	rows := at(scale, 12000, 60000, 200000)
 	t := &Table{
 		Title:   "Figure 11b — number of parameters vs estimated sample size (LR, Criteo-like)",
 		Columns: []string{"Params", "EstSampleSize"},
 		Notes:   []string{"ε=0.05, δ=0.05"},
 	}
-	for _, d := range fig11bDims(scale) {
+	for _, d := range fig8Dims(scale) {
 		ds := datagen.Criteo(datagen.Config{Rows: rows, Dim: d, Seed: seed})
 		n, err := estimatedSampleSize(models.LogisticRegression{Reg: 0.001}, ds, core.Options{
 			Epsilon:           0.05,

@@ -11,16 +11,10 @@ import (
 
 // fig8Dims returns the number-of-features axis of Figure 8 per scale
 // (the paper sweeps 100 → 998K on Criteo; rows stay sparse so the axis is
-// CLI-scalable).
+// CLI-scalable); Figure 11b sweeps its number of parameters over the same
+// axis.
 func fig8Dims(s Scale) []int {
-	switch s {
-	case Medium:
-		return []int{100, 500, 1000, 5000}
-	case Large:
-		return []int{100, 500, 1000, 5000, 10000, 50000, 100000}
-	default:
-		return []int{50, 100, 200, 400}
-	}
+	return at(s, []int{50, 100, 200, 400}, []int{100, 500, 1000, 5000}, []int{100, 500, 1000, 5000, 10000, 50000, 100000})
 }
 
 // RunFig8 regenerates Figure 8 / Tables 8–9: for LR on a Criteo-like
@@ -28,7 +22,7 @@ func fig8Dims(s Scale) []int {
 // runtime breakdown vs full training, (b) generalization errors with the
 // Lemma-1 predicted bound, and (c) optimizer iteration counts.
 func RunFig8(scale Scale, seed int64) (overhead, genErr, iters *Table, err error) {
-	rows := rowsAt(scale, 10000, 40000, 100000)
+	rows := at(scale, 10000, 40000, 100000)
 	spec := models.LogisticRegression{Reg: 0.001}
 	base := core.Options{
 		Epsilon:           0.05, // the paper trains 95%-accurate models here

@@ -13,26 +13,14 @@ import (
 	"blinkml/internal/stat"
 )
 
-// fig9aSampleSizes is the sample-size axis of Figure 9a per scale.
-func fig9aSampleSizes(s Scale) []int {
-	switch s {
-	case Medium:
-		return []int{100, 500, 1000, 5000, 10000}
-	case Large:
-		return []int{100, 500, 1000, 5000, 10000, 50000}
-	default:
-		return []int{100, 300, 1000, 3000}
-	}
-}
-
 // RunFig9a regenerates Figure 9a: the ratio of estimated to actual
 // parameter variance for ClosedForm, InverseGradients, and ObservedFisher
 // as the sample size grows ((Lin, Power) in the paper). The actual variance
 // comes from Monte-Carlo retraining on independent samples; ratios near or
 // above 1 mean the estimate is tight or conservative.
 func RunFig9a(scale Scale, seed int64) (*Table, error) {
-	dim := dimAt(scale, 12, 20, 30)
-	pool := datagen.Power(datagen.Config{Rows: rowsAt(scale, 20000, 80000, 200000), Dim: dim, Seed: seed})
+	dim := at(scale, 12, 20, 30)
+	pool := datagen.Power(datagen.Config{Rows: at(scale, 20000, 80000, 200000), Dim: dim, Seed: seed})
 	spec := models.LinearRegression{Reg: 0.001}
 	trials := 25
 	rng := stat.NewRNG(seed + 0xF16A)
@@ -42,7 +30,9 @@ func RunFig9a(scale Scale, seed int64) (*Table, error) {
 		Columns: []string{"SampleSize", "ClosedForm", "InverseGradients", "ObservedFisher"},
 		Notes:   []string{fmt.Sprintf("actual variance from %d Monte-Carlo retrainings; ratio averaged over %d coordinates", trials, dim)},
 	}
-	for _, n := range fig9aSampleSizes(scale) {
+	// The sample-size axis of Figure 9a.
+	sizes := at(scale, []int{100, 300, 1000, 3000}, []int{100, 500, 1000, 5000, 10000}, []int{100, 500, 1000, 5000, 10000, 50000})
+	for _, n := range sizes {
 		if n >= pool.Len() {
 			continue
 		}
@@ -106,14 +96,14 @@ func RunFig9b(scale Scale, seed int64) (*Table, error) {
 		{
 			name:   "LR, HIGGS",
 			spec:   models.LogisticRegression{Reg: 0.001},
-			data:   datagen.Higgs(datagen.Config{Rows: rowsAt(scale, 4000, 20000, 60000), Dim: dimAt(scale, 15, 28, 28), Seed: seed}),
-			sample: rowsAt(scale, 500, 2000, 5000),
+			data:   datagen.Higgs(datagen.Config{Rows: at(scale, 4000, 20000, 60000), Dim: at(scale, 15, 28, 28), Seed: seed}),
+			sample: at(scale, 500, 2000, 5000),
 		},
 		{
 			name:   "ME, MNIST",
 			spec:   models.MaxEntropy{Classes: 10, Reg: 0.001},
-			data:   datagen.MNIST(datagen.Config{Rows: rowsAt(scale, 3000, 10000, 20000), Dim: dimAt(scale, 25, 64, 196), Seed: seed}),
-			sample: rowsAt(scale, 300, 600, 1000),
+			data:   datagen.MNIST(datagen.Config{Rows: at(scale, 3000, 10000, 20000), Dim: at(scale, 25, 64, 196), Seed: seed}),
+			sample: at(scale, 300, 600, 1000),
 		},
 	}
 	t := &Table{

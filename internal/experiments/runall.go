@@ -23,7 +23,7 @@ func Runners() []Runner {
 			ID:   "fig5-" + w.ID,
 			Desc: fmt.Sprintf("Figure 5 / Table 4 panel (%s, %s): speedups vs requested accuracy", w.ModelName, w.DataName),
 			Run: func(scale Scale, seed int64) ([]*Table, error) {
-				t, err := RunFig5(w, scale, repsFor(scale, 3, 5, 10), seed)
+				t, err := RunFig5(w, scale, at(scale, 3, 5, 10), seed)
 				return []*Table{t}, err
 			},
 		})
@@ -31,7 +31,7 @@ func Runners() []Runner {
 			ID:   "fig6-" + w.ID,
 			Desc: fmt.Sprintf("Figure 6 / Table 5 panel (%s, %s): requested vs actual accuracy", w.ModelName, w.DataName),
 			Run: func(scale Scale, seed int64) ([]*Table, error) {
-				t, err := RunFig6(w, scale, repsFor(scale, 8, 15, 20), seed)
+				t, err := RunFig6(w, scale, at(scale, 8, 15, 20), seed)
 				return []*Table{t}, err
 			},
 		})
@@ -80,7 +80,7 @@ func Runners() []Runner {
 			ID:   "fig10",
 			Desc: "Figure 10: hyperparameter optimization",
 			Run: func(scale Scale, seed int64) ([]*Table, error) {
-				t, err := RunFig10(scale, seed, repsFor(scale, 8, 15, 30))
+				t, err := RunFig10(scale, seed, at(scale, 8, 15, 30))
 				return []*Table{t}, err
 			},
 		},
@@ -102,17 +102,6 @@ func Runners() []Runner {
 		},
 	)
 	return rs
-}
-
-func repsFor(s Scale, small, medium, large int) int {
-	switch s {
-	case Medium:
-		return medium
-	case Large:
-		return large
-	default:
-		return small
-	}
 }
 
 // RunnerByID finds a runner.

@@ -83,7 +83,8 @@ type FlightRecorder struct {
 	dumps    atomic.Int64 // completed dumps (tests and /metrics)
 }
 
-// NewFlightRecorder creates the bundle directory and returns a recorder.
+// NewFlightRecorder creates the bundle directory, removes the temp
+// directories of dumps that died mid-write, and returns a recorder.
 func NewFlightRecorder(cfg FlightConfig) (*FlightRecorder, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("obs: flight recorder needs a directory")
@@ -111,6 +112,15 @@ func NewFlightRecorder(cfg FlightConfig) (*FlightRecorder, error) {
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("obs: flight recorder dir: %w", err)
+	}
+	ents, err := os.ReadDir(cfg.Dir)
+	if err != nil {
+		return nil, fmt.Errorf("obs: flight recorder dir: %w", err)
+	}
+	for _, e := range ents {
+		if e.IsDir() && strings.HasPrefix(e.Name(), ".tmp-fr-") {
+			os.RemoveAll(filepath.Join(cfg.Dir, e.Name())) // a dump that died mid-write
+		}
 	}
 	return &FlightRecorder{cfg: cfg, ring: make([]FlightEntry, cfg.RingSize)}, nil
 }

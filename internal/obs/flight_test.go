@@ -174,6 +174,32 @@ func TestFlightRotation(t *testing.T) {
 	}
 }
 
+// TestFlightSweepsDeadDumps: a new recorder removes the temp directory a
+// dump left when it died mid-write, and keeps every finished bundle.
+func TestFlightSweepsDeadDumps(t *testing.T) {
+	f := testFlight(t, 4, time.Minute, 2, nil)
+	name, err := f.TriggerSync("probe", "")
+	if err != nil || name == "" {
+		t.Fatalf("dump: name=%q err=%v", name, err)
+	}
+	dead := filepath.Join(f.Dir(), ".tmp-fr-20260101T000000-0001-probe")
+	if err := os.MkdirAll(dead, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dead, "heap.pprof"), []byte("heap"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewFlightRecorder(FlightConfig{Dir: f.Dir(), CPUProfile: -1, Logger: Discard()}); err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if _, err := os.Stat(dead); !os.IsNotExist(err) {
+		t.Fatalf("dead dump's temp dir survived the reopen: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(f.Dir(), name, "meta.json")); err != nil {
+		t.Fatalf("finished bundle %s: %v", name, err)
+	}
+}
+
 func TestFlightReadBundleFileRejectsTraversal(t *testing.T) {
 	f := testFlight(t, 4, time.Minute, 2, nil)
 	name, err := f.TriggerSync("probe", "")

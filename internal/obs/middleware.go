@@ -160,9 +160,11 @@ func (m *HTTPMetrics) SetSLOLatencyThreshold(ms float64) {
 // hit triggers a dump immediately, and an SLO-window breach (availability
 // or latency attainment below the breach thresholds with enough requests in
 // the window) triggers one too. The recorder rate-limits, so sustained
-// breaches still produce one bundle per interval.
-func (m *HTTPMetrics) SetFlightRecorder(f *FlightRecorder) {
+// breaches still produce one bundle per interval. The returned func disarms
+// f and only f: a recorder armed since stays armed.
+func (m *HTTPMetrics) SetFlightRecorder(f *FlightRecorder) (disarm func()) {
 	m.flight.Store(f)
+	return func() { m.flight.CompareAndSwap(f, nil) }
 }
 
 // Inflight reports the number of wrapped requests currently executing.

@@ -237,6 +237,57 @@ func TestFlightRecorderDisabled(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderCloseLeavesOthersArmed: closing one server disarms only
+// its own recorder on the process-wide HTTP plane, and a server whose New
+// fails arms none, so a slow request to a second server still dumps a bundle
+// into the second's directory and nowhere else.
+func TestFlightRecorderCloseLeavesOthersArmed(t *testing.T) {
+	config := func(dir string) Config {
+		return Config{
+			Dir:              t.TempDir(),
+			Workers:          1,
+			QueueDepth:       4,
+			SlowRequestMs:    0.000001, // every request is "slow"
+			FlightDir:        dir,
+			FlightCPUProfile: -1,
+			Logger:           obs.Discard(),
+		}
+	}
+	a, err := New(config(filepath.Join(t.TempDir(), "flight-a")))
+	if err != nil {
+		t.Fatalf("new server: %v", err)
+	}
+	dirB := filepath.Join(t.TempDir(), "flight-b")
+	b, err := New(config(dirB))
+	if err != nil {
+		t.Fatalf("new server: %v", err)
+	}
+	defer b.Close()
+	a.Close()
+	dirC := filepath.Join(t.TempDir(), "flight-c")
+	cfgC := config(dirC)
+	cfgC.SpanLog = filepath.Join(t.TempDir(), "missing", "spans.jsonl")
+	if _, err := New(cfgC); err == nil {
+		t.Fatal("New opened a span log in a missing directory")
+	}
+
+	ts := httptest.NewServer(b.Handler())
+	defer ts.Close()
+	resp, err := ts.Client().Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	for deadline := time.Now().Add(10 * time.Second); b.flight.Dumps() == 0; time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no bundle in %s after closing one server and failing to start another", dirB)
+		}
+	}
+	if ents, _ := os.ReadDir(dirC); len(ents) != 0 {
+		t.Fatalf("the server whose New failed holds %d entries in its flight dir", len(ents))
+	}
+}
+
 // TestJobRecordIsOne: a local train job's finished record is read, not
 // rebuilt, by every sink — the status's trace spans and resources, the
 // -span-log lines and the flight-ring entry are the same spans and the same

@@ -83,13 +83,13 @@ func (e errReader) Read([]byte) (int, error) {
 //	row = [ ws ( number ( ws , ws number )* )? ws ]
 //
 // appending every number to flat and one view of flat per row to rows, and
-// returns both grown. Each number must match the JSON grammar and is parsed
-// by dataset.ParseFloat, which returns the bits of the strconv.ParseFloat
-// call encoding/json makes, so the values are the decoder's to the bit; an
-// empty row or batch is non-nil and empty, as the decoder makes it. ok is
-// false for anything else — another key or spelling of it, a second key,
-// null, a non-number, a number out of range, trailing bytes — and the
-// caller hands the body to encoding/json.
+// returns both grown. Each number is read in one walk by
+// dataset.ParseJSONNumber, which takes only the JSON grammar and returns the
+// bits of the strconv.ParseFloat call encoding/json makes, so the values are
+// the decoder's to the bit; an empty row or batch is non-nil and empty, as
+// the decoder makes it. ok is false for anything else — another key or
+// spelling of it, a second key, null, a non-number, a number out of range,
+// trailing bytes — and the caller hands the body to encoding/json.
 func scanRows(body []byte, flat []float64, rows [][]float64) (_ []float64, _ [][]float64, ok bool) {
 	if flat == nil {
 		flat = []float64{}
@@ -183,51 +183,10 @@ func (sc *rowScanner) eat(c byte) bool {
 	return false
 }
 
-// number consumes one JSON number, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,
-// and parses it; ok is false when none starts here or it is out of range.
+// number consumes one JSON number and parses it; ok is false when none
+// starts here, a digit follows it, or it is out of range.
 func (sc *rowScanner) number() (v float64, ok bool) {
-	b, i := sc.b, sc.i
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i+1)
-	default:
-		return 0, false
-	}
-	if i < len(b) && b[i] == '.' {
-		j := digits(b, i+1)
-		if j == i+1 {
-			return 0, false
-		}
-		i = j
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		j := digits(b, i)
-		if j == i {
-			return 0, false
-		}
-		i = j
-	}
-	v, err := dataset.ParseFloat(b[sc.i:i])
-	if err != nil {
-		return 0, false
-	}
-	sc.i = i
-	return v, true
-}
-
-// digits returns the index of the first non-digit at or after i.
-func digits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
+	v, n, ok := dataset.ParseJSONNumber(sc.b[sc.i:])
+	sc.i += n
+	return v, ok
 }

@@ -150,6 +150,8 @@ type Server struct {
 	auditor *audit.Auditor
 	flight  *obs.FlightRecorder // non-nil when Config.FlightDir is set
 	started time.Time
+	// disarmFlight takes flight, and only flight, off the shared HTTP plane.
+	disarmFlight func()
 }
 
 // New opens the registry at cfg.Dir and the dataset store at cfg.DataDir
@@ -212,7 +214,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.flight = fr
 		s.queue.Flight = fr
-		hm.SetFlightRecorder(fr)
 	}
 	if cfg.SpanLog != "" {
 		sl, err := obs.OpenSpanLog(cfg.SpanLog, cfg.SpanLogMaxBytes)
@@ -260,6 +261,10 @@ func New(cfg Config) (*Server, error) {
 	s.auditor.Start()
 	s.mux = http.NewServeMux()
 	s.routes()
+	if s.flight != nil {
+		// Armed last, so a New that fails leaves the shared plane alone.
+		s.disarmFlight = hm.SetFlightRecorder(s.flight)
+	}
 	return s, nil
 }
 
@@ -280,10 +285,10 @@ func (s *Server) Coordinator() *cluster.Coordinator { return s.coord }
 // In cluster mode the coordinator is closed first, so jobs blocked on
 // remote tasks fail fast instead of waiting out their contexts.
 func (s *Server) Close() {
-	if s.flight != nil {
+	if s.disarmFlight != nil {
 		// The shared HTTP plane outlives this server; disarm it so requests
 		// against a later server cannot dump into this one's directory.
-		obs.SharedHTTP().SetFlightRecorder(nil)
+		s.disarmFlight()
 	}
 	if s.auditor != nil {
 		s.auditor.Close()
